@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/platform.h"
@@ -22,6 +23,11 @@ namespace tytan::core {
 
 class PlatformBuilder {
  public:
+  PlatformBuilder() = default;
+  /// Start from a whole Config (fleet base configs), so no field can be
+  /// dropped by copying them one setter at a time.
+  explicit PlatformBuilder(Platform::Config base) : config_(std::move(base)) {}
+
   PlatformBuilder& costs(const sim::CostModel& costs) {
     config_.costs = costs;
     return *this;

@@ -32,10 +32,7 @@ Status Fleet::bring_up() {
       device.status_ = kp.status();
       return;
     }
-    device.platform_ = core::PlatformBuilder()
-                           .costs(config_.base.costs)
-                           .tick_period(config_.base.tick_period)
-                           .lint(config_.base.lint_mode, config_.base.lint_config)
+    device.platform_ = core::PlatformBuilder(config_.base)
                            .kp(*kp)
                            .rng_seed(config_.rng_seed_base == 0
                                          ? 0

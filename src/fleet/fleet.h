@@ -64,8 +64,8 @@ struct FleetConfig {
   /// dispatch timing OFF so fleet artifacts stay byte-identical across
   /// thread counts (host nanoseconds are non-deterministic; counts are not).
   bool heat = false;
-  /// Template for every device's Platform::Config; kp, rng_seed, and log are
-  /// overridden per device.
+  /// Template for every device's Platform::Config; kp, rng_seed, log, and
+  /// fault_plan are overridden per device.
   core::Platform::Config base{};
   /// Health snapshots + anomaly detection (off by default).
   TelemetryConfig telemetry{};

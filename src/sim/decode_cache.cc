@@ -4,6 +4,26 @@
 
 namespace tytan::sim {
 
+template <typename Fn>
+bool DecodeCache::for_each_granule_word(std::uint32_t addr, std::uint32_t len, Fn fn) {
+  const std::size_t first = addr >> kGranuleShift;
+  const std::size_t last = (addr + len - 1) >> kGranuleShift;
+  const std::size_t last_word = last / kGranulesPerWord;
+  for (std::size_t word = first / kGranulesPerWord; word <= last_word; ++word) {
+    std::uint64_t mask = ~std::uint64_t{0};
+    if (word == first / kGranulesPerWord) {
+      mask &= mask << (first % kGranulesPerWord);
+    }
+    if (word == last_word) {
+      mask &= ~std::uint64_t{0} >> (kGranulesPerWord - 1 - last % kGranulesPerWord);
+    }
+    if (fn(code_bits_[word], mask)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 const DecodeCache::Block* DecodeCache::insert(Block block) {
   collect();  // find() missed, so no op reference is alive — safe to free
   if (blocks_.size() >= kMaxBlocks) {
@@ -14,14 +34,24 @@ const DecodeCache::Block* DecodeCache::insert(Block block) {
   auto owned = std::make_unique<Block>(std::move(block));
   const Block* result = owned.get();
   blocks_[start] = std::move(owned);
-  if (blocks_.size() == 1) {
-    span_lo_ = result->start;
-    span_hi_ = result->end;
-  } else {
-    span_lo_ = std::min(span_lo_, result->start);
-    span_hi_ = std::max(span_hi_, result->end);
+  if (memory_ != nullptr && result->end > result->start) {
+    if (code_bits_.empty()) {
+      code_bits_.assign((memory_->size() + kBytesPerWord - 1) / kBytesPerWord, 0);
+    }
+    for_each_granule_word(result->start, result->end - result->start,
+                          [](std::uint64_t& word, std::uint64_t mask) {
+                            word |= mask;
+                            return false;
+                          });
+    if (span_lo_ >= span_hi_) {
+      span_lo_ = result->start;
+      span_hi_ = result->end;
+    } else {
+      span_lo_ = std::min(span_lo_, result->start);
+      span_hi_ = std::max(span_hi_, result->end);
+    }
+    memory_->set_write_watch(this, span_lo_, span_hi_);
   }
-  update_watch();
   return result;
 }
 
@@ -32,16 +62,29 @@ void DecodeCache::invalidate_all() {
     graveyard_.push_back(std::move(entry.second));
   }
   blocks_.clear();
+  if (span_lo_ < span_hi_) {
+    std::fill(code_bits_.begin() + span_lo_ / kBytesPerWord,
+              code_bits_.begin() + (span_hi_ - 1) / kBytesPerWord + 1, 0);
+  }
   span_lo_ = 0;
   span_hi_ = 0;
-  update_watch();
+  if (memory_ != nullptr) {
+    memory_->clear_write_watch();
+  }
 }
 
 void DecodeCache::on_watched_write(std::uint32_t addr, std::uint32_t len) {
-  // The span filter in PhysicalMemory is coarse (union of all blocks); only
-  // blocks actually intersecting the written range die.  Writes between
-  // blocks — data words interleaved with code — erase nothing and must not
-  // kill cursors, so the generation only bumps when a block goes.
+  // The filter: a write touching no marked granule — every data store,
+  // push, and call into memory next to code — costs a bit test.
+  if (len == 0 ||
+      !for_each_granule_word(addr, len, [](std::uint64_t& word, std::uint64_t mask) {
+        return (word & mask) != 0;
+      })) {
+    return;
+  }
+  // The precise check: only blocks actually intersecting the written range
+  // die.  Writes between blocks must not kill cursors, so the generation
+  // only bumps when a block goes.
   bool erased = false;
   for (auto it = blocks_.begin(); it != blocks_.end();) {
     const Block& block = *it->second;
@@ -60,17 +103,6 @@ void DecodeCache::on_watched_write(std::uint32_t addr, std::uint32_t len) {
   if (erased) {
     ++stats_.code_writes;
     ++generation_;
-  }
-}
-
-void DecodeCache::update_watch() {
-  if (memory_ == nullptr) {
-    return;
-  }
-  if (blocks_.empty()) {
-    memory_->clear_write_watch();
-  } else {
-    memory_->set_write_watch(this, span_lo_, span_hi_);
   }
 }
 

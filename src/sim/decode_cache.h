@@ -17,10 +17,13 @@
 //   * policy configuration — AccessPolicy::config_epoch() (bumped by every
 //     EaMpu::write_slot/clear_slot/add_exec_region/remove_exec_region and
 //     table restore); live() compares epochs on the per-step fast path;
-//   * guest code bytes — a PhysicalMemory write watch over the union of
-//     cached block ranges catches self-modifying stores, loader copies,
-//     region wipes on unload, and snapshot restores, and erases exactly the
-//     intersected blocks;
+//   * guest code bytes — a PhysicalMemory write watch catches
+//     self-modifying stores, loader copies, region wipes on unload, and
+//     snapshot restores.  A code index (one bit per 4-byte granule any
+//     cached block covers) turns a data store into a bit test, so a write
+//     costs time in proportion to the cached code it touches; only a write
+//     landing on a marked granule scans the blocks and erases exactly the
+//     intersected ones;
 //   * firmware registry / wholesale state changes — Machine invalidates
 //     explicitly on register_firmware, set_policy, and restore_state, and
 //     the task loader invalidates on load/unload (belt and braces: the
@@ -86,7 +89,8 @@ struct DecodedOp {
 
 class DecodeCache final : public WriteWatcher {
  public:
-  /// Block length cap: bounds build latency and the invalidation scan.
+  /// Block length cap: bounds build latency and the granules one insert
+  /// marks in the code index.
   static constexpr std::size_t kMaxBlockOps = 128;
   /// Block count cap: a runaway-SMC workload cannot grow the cache without
   /// bound; hitting the cap drops everything and starts over.
@@ -106,8 +110,9 @@ class DecodeCache final : public WriteWatcher {
   };
 
   /// Bind to the memory whose writes must be observed.  The cache registers
-  /// its watch lazily (first insert) and must be destroyed or detached
-  /// before the memory (Machine declares it after memory_).
+  /// its watch lazily (on insert, dropped again by invalidate_all) and must
+  /// be destroyed or detached before the memory (Machine declares it after
+  /// memory_).
   void attach(PhysicalMemory* memory) { memory_ = memory; }
   void detach() {
     if (memory_ != nullptr) {
@@ -150,14 +155,15 @@ class DecodeCache final : public WriteWatcher {
   void note_fast_hit() { ++stats_.hits; }
 
   /// Insert a freshly built block (keyed by its start PC, replacing any
-  /// previous block there) and widen the write watch over it.
+  /// previous block there) and mark its granules in the code index.
   const Block* insert(Block block);
 
   /// Drop every block and bump the generation (cursors die).
   void invalidate_all();
 
-  /// WriteWatcher: a write landed inside the watched span — erase every
-  /// block whose [start, end) intersects the written range.
+  /// WriteWatcher: erase every block whose [start, end) intersects the
+  /// written range.  Returns after a bit test unless the range touches a
+  /// marked granule.
   void on_watched_write(std::uint32_t addr, std::uint32_t len) override;
 
   /// Cursor guard: any structural change (invalidate_all or a block erase)
@@ -168,7 +174,18 @@ class DecodeCache final : public WriteWatcher {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  void update_watch();
+  /// Code-index granule: 4 bytes, so a data word sharing a line with code
+  /// still skips the block scan.
+  static constexpr unsigned kGranuleShift = 2;
+  static constexpr std::size_t kGranulesPerWord = 64;
+  static constexpr std::size_t kBytesPerWord = kGranulesPerWord << kGranuleShift;
+
+  /// Visit the index words holding the granules of [addr, addr + len),
+  /// len > 0, as (word, mask of those granules' bits); stop once `fn`
+  /// returns true.  Returns whether it stopped early.
+  template <typename Fn>
+  bool for_each_granule_word(std::uint32_t addr, std::uint32_t len, Fn fn);
+
   /// Free deferred blocks.  Only called from find()/insert(), which the
   /// Machine only reaches between instructions — never while a DecodedOp
   /// reference into a block is live.
@@ -191,8 +208,14 @@ class DecodeCache final : public WriteWatcher {
   const AccessPolicy* policy_ = nullptr;
   std::uint64_t policy_epoch_ = 0;
   std::uint64_t generation_ = 1;
-  // Union span of cached blocks; only grows until invalidate_all (precise
-  // per-write filtering happens in on_watched_write).
+  // Code index: bit g is set while some cached block covers granule g, and
+  // stays set after an erase until invalidate_all.  Such a stale bit is
+  // safe: a write on it costs one block scan that erases nothing.  Sized to
+  // the whole memory at the first insert.
+  std::vector<std::uint64_t> code_bits_;
+  // Union span of the blocks inserted since the last invalidate_all: the
+  // memory's watch range (writes outside it cost two compares and no call)
+  // and the only index words invalidate_all has to clear.
   std::uint32_t span_lo_ = 0;
   std::uint32_t span_hi_ = 0;
   Stats stats_;

@@ -137,6 +137,36 @@ TEST(Fleet, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(r1.totals.instructions, r4.totals.instructions);
 }
 
+// Regression: bring_up used to copy FleetConfig::base into the builder one
+// field at a time and dropped base.dispatch, so an interpreter fleet ran
+// cached.  Both modes must also agree on every simulated total.
+TEST(Fleet, BaseDispatchReachesEveryDevice) {
+  constexpr std::size_t kDevices = 3;
+  WorkloadConfig interp_config = small_workload(kDevices, 2);
+  interp_config.fleet.base.dispatch = sim::DispatchMode::kInterpreter;
+  const WorkloadConfig cached_config = small_workload(kDevices, 2);
+  Fleet interp(interp_config.fleet);
+  Fleet cached(cached_config.fleet);
+  const WorkloadResult ri = run_verifier_workload(interp, interp_config);
+  const WorkloadResult rc = run_verifier_workload(cached, cached_config);
+  ASSERT_TRUE(ri.all_verified());
+  ASSERT_TRUE(rc.all_verified());
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    const sim::Machine& machine = interp.device(i).platform().machine();
+    EXPECT_EQ(machine.dispatch_mode(), sim::DispatchMode::kInterpreter) << "device " << i;
+    EXPECT_EQ(machine.decode_cache().stats().builds, 0u) << "device " << i;
+    EXPECT_EQ(cached.device(i).platform().machine().dispatch_mode(),
+              sim::DispatchMode::kCached);
+  }
+  EXPECT_EQ(ri.totals.cycles, rc.totals.cycles);
+  EXPECT_EQ(ri.totals.instructions, rc.totals.instructions);
+  EXPECT_EQ(ri.totals.interrupts, rc.totals.interrupts);
+  EXPECT_EQ(ri.totals.faults, rc.totals.faults);
+  EXPECT_EQ(ri.totals.attested, rc.totals.attested);
+  EXPECT_EQ(ri.totals.verified, rc.totals.verified);
+  EXPECT_EQ(ri.totals.verified, kDevices);
+}
+
 TEST(Fleet, SecondAttestSweepUsesFreshNonces) {
   Fleet fleet(small_workload(3, 2).fleet);
   const WorkloadConfig config = small_workload(3, 2);
