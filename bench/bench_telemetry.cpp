@@ -1,12 +1,12 @@
-// Telemetry & profiler overhead bench — the cost of observing a fleet.
+// Telemetry & observatory overhead bench — the cost of observing a fleet.
 //
 // The observability contract is "free when off, cheap when on, and never a
 // single simulated cycle either way".  This bench measures the host-side
-// price of (a) fleet telemetry snapshots + anomaly rules and (b) the guest-PC
-// sampling profiler, and *asserts* the simulated-cycle invariant: the same
-// workload must execute an identical number of simulated cycles with the
-// feature on and off.  The paper has no telemetry numbers, so every row's
-// paper value is 0.
+// price of (a) fleet telemetry snapshots + anomaly rules, (b) attestation
+// spans and (c) the execution observatory (block heat), and *asserts* the
+// simulated-cycle invariant: the same workload must execute an identical
+// number of simulated cycles with the feature on and off.  The paper has no
+// telemetry numbers, so every row's paper value is 0.
 #include <chrono>
 
 #include "bench_util.h"
@@ -133,19 +133,18 @@ int main(int argc, char** argv) {
                 100.0 * (span_seconds_on - span_seconds_off) / span_seconds_off);
   }
 
-  // ---- sampling profiler: off vs on -------------------------------------
-  const std::uint64_t profile_cycles = options.smoke ? 500'000 : 4'000'000;
-  bench::Table prof_table("Sampling profiler overhead (" +
-                          bench::num(profile_cycles) + " cycles, interval " +
-                          bench::num(obs::SampleProfiler::kDefaultInterval) + ")");
-  prof_table.columns({"profiler", "host s", "samples", "sim cycles", "instr"});
+  // ---- execution observatory: off vs on ----------------------------------
+  const std::uint64_t heat_cycles = options.smoke ? 500'000 : 4'000'000;
+  bench::Table heat_table("Execution observatory overhead (" + bench::num(heat_cycles) +
+                          " cycles, deterministic heat)");
+  heat_table.columns({"heat", "host s", "heat blocks", "sim cycles", "instr"});
 
-  std::uint64_t prof_cycles_off = 0;
-  std::uint64_t prof_cycles_on = 0;
+  std::uint64_t heat_cycles_off = 0;
+  std::uint64_t heat_cycles_on = 0;
   for (const bool enabled : {false, true}) {
     core::Platform platform;
     if (enabled) {
-      platform.machine().enable_profiler(obs::SampleProfiler::kDefaultInterval);
+      platform.machine().enable_heat(/*time_dispatch=*/false);
     }
     if (!platform.boot().is_ok()) {
       std::fprintf(stderr, "bench_telemetry: boot failed\n");
@@ -159,35 +158,38 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto start = std::chrono::steady_clock::now();
-    platform.run_for(profile_cycles);
+    platform.run_for(heat_cycles);
     const double host_seconds = seconds_since(start);
     const std::uint64_t sim_cycles = platform.machine().cycles();
-    (enabled ? prof_cycles_on : prof_cycles_off) = sim_cycles;
-    const std::uint64_t samples =
-        enabled ? platform.machine().profiler()->taken() : 0;
-    prof_table.row({enabled ? "on" : "off", bench::fixed(host_seconds, 3),
-                    bench::num(samples), bench::num(sim_cycles),
+    (enabled ? heat_cycles_on : heat_cycles_off) = sim_cycles;
+    std::uint64_t heat_blocks = 0;
+    if (obs::HeatRecorder* heat = platform.machine().heat(); heat != nullptr) {
+      heat->flush();
+      heat_blocks = heat->profile().blocks.size();
+    }
+    heat_table.row({enabled ? "on" : "off", bench::fixed(host_seconds, 3),
+                    bench::num(heat_blocks), bench::num(sim_cycles),
                     bench::num(platform.machine().instructions_executed())});
-    const std::string prefix = enabled ? "profiler_on" : "profiler_off";
+    const std::string prefix = enabled ? "heat_on" : "heat_off";
     report.add(prefix + ".host_ms",
                static_cast<std::uint64_t>(host_seconds * 1000.0), 0);
-    report.add(prefix + ".samples", samples, 0);
+    report.add(prefix + ".heat_blocks", heat_blocks, 0);
     report.add(prefix + ".sim_cycles", sim_cycles, 0);
   }
-  prof_table.print();
+  heat_table.print();
 
-  if (prof_cycles_off != prof_cycles_on) {
+  if (heat_cycles_off != heat_cycles_on) {
     std::fprintf(stderr,
-                 "bench_telemetry: profiler changed simulated cycles "
+                 "bench_telemetry: heat changed simulated cycles "
                  "(%llu off vs %llu on) — cost invariant broken\n",
-                 static_cast<unsigned long long>(prof_cycles_off),
-                 static_cast<unsigned long long>(prof_cycles_on));
+                 static_cast<unsigned long long>(heat_cycles_off),
+                 static_cast<unsigned long long>(heat_cycles_on));
     return 1;
   }
 
   std::printf("\nsimulated work identical with observability on and off "
               "(fleet %llu cycles, single device %llu cycles)\n",
               static_cast<unsigned long long>(fleet_cycles_on),
-              static_cast<unsigned long long>(prof_cycles_on));
+              static_cast<unsigned long long>(heat_cycles_on));
   return 0;
 }

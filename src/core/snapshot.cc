@@ -2,7 +2,7 @@
 //
 // State ownership contract (docs/SNAPSHOT.md): every piece of guest-visible
 // state is reachable from the Platform and appears in exactly one section of
-// visit_state().  Host-only observability (profiler samples, event bus,
+// visit_state().  Host-only observability (heat profiles, event bus,
 // metrics, spans, the lint report) and pure wiring (firmware handler
 // registrations, IRQ sinks, hooks) are deliberately excluded: they never
 // influence guest execution, so a restored platform re-executes

@@ -450,13 +450,6 @@ bool TaskLoader::quantum_register() {
   if (job.params.auto_start) {
     scheduler_.make_ready(job.handle);
   }
-  if (machine_.profiler() != nullptr) {
-    // Side table for the sampling profiler: the task's code region plus the
-    // TBF symbol table (every assembler label), so samples resolve to
-    // task + symbol without touching the simulated state.
-    machine_.profiler()->add_region(job.handle, job.params.name, tcb->region_base,
-                                    tcb->region_size, job.object.symbols);
-  }
   if (obs::HeatRecorder* heat = machine_.heat(); heat != nullptr) {
     // Execution observatory: name the loaded region and seed static block
     // leaders from CFG recovery so heat blocks line up with the disassembler's
@@ -532,9 +525,6 @@ Status TaskLoader::unload(TaskHandle handle) {
     // Wipe the region so secrets never leak into the next allocation.
     machine_.memory().fill(tcb->region_base, tcb->region_size, 0);
     arena_.free(tcb->region_base);
-  }
-  if (machine_.profiler() != nullptr) {
-    machine_.profiler()->remove_region(handle);
   }
   // See the matching invalidate in finish_load: the wipe and the EA-MPU
   // teardown above already killed the affected blocks; this pins the

@@ -71,6 +71,10 @@ void Sha1::compress(const std::uint8_t* block) {
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) {
+    // An empty span may carry a null data(); memcpy must never see it.
+    return;
+  }
   total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
   std::size_t offset = 0;
   if (buffer_len_ != 0) {

@@ -46,8 +46,7 @@ std::string task_label(const EventBus& bus, std::int32_t task) {
 
 }  // namespace
 
-std::string export_chrome_trace(const EventBus& bus, const SampleProfiler* profiler,
-                                const SpanRecorder* spans) {
+std::string export_chrome_trace(const EventBus& bus, const SpanRecorder* spans) {
   const std::vector<Event> events = bus.snapshot();
   std::vector<std::string> lines;
   lines.reserve(events.size() * 2 + 8);
@@ -118,19 +117,6 @@ std::string export_chrome_trace(const EventBus& bus, const SampleProfiler* profi
     lines.push_back(os.str());
   }
 
-  if (profiler != nullptr) {
-    for (const SampleProfiler::Sample& sample : profiler->samples()) {
-      const SampleProfiler::Frame frame = profiler->resolve(sample);
-      std::ostringstream os;
-      os << R"({"ph":"i","pid":1,"tid":)" << trace_tid(sample.task)
-         << R"(,"name":"prof-sample","cat":"prof","s":"t","ts":)" << us(sample.cycle)
-         << R"(,"args":{"cycle":)" << sample.cycle << R"(,"pc":)" << sample.pc
-         << R"(,"task":)" << sample.task << R"(,"frame":")"
-         << json_escape(frame.task + ";" + frame.symbol) << R"("}})";
-      lines.push_back(os.str());
-    }
-  }
-
   if (spans != nullptr) {
     // Async begin/end pairs: id = trace id, so every phase of a round nests
     // under the same async track; cat+name must match between "b" and "e".
@@ -162,12 +148,12 @@ std::string export_chrome_trace(const EventBus& bus, const SampleProfiler* profi
 }
 
 Status write_chrome_trace(const std::string& path, const EventBus& bus,
-                          const SampleProfiler* profiler, const SpanRecorder* spans) {
+                          const SpanRecorder* spans) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return make_error(Err::kUnavailable, "cannot open trace output '" + path + "'");
   }
-  out << export_chrome_trace(bus, profiler, spans);
+  out << export_chrome_trace(bus, spans);
   if (!out.good()) {
     return make_error(Err::kInternal, "short write to '" + path + "'");
   }

@@ -19,7 +19,6 @@
 #include "obs/accounting.h"
 #include "obs/event_bus.h"
 #include "obs/hub.h"
-#include "obs/profiler.h"
 #include "obs/span.h"
 
 namespace tytan::obs {
@@ -32,19 +31,15 @@ inline double cycles_to_us(std::uint64_t cycles) {
 /// Trace-viewer tid for a task handle (tid 1 = platform track).
 inline int trace_tid(std::int32_t task) { return task >= 0 ? task + 2 : 1; }
 
-/// Serialize the bus contents as Chrome trace-event JSON.  When a profiler
-/// is supplied, every sample appears as a "prof-sample" instant on its
-/// task's track with the resolved frame in args; a metadata line carries
-/// the bus's dropped-event count so readers can flag eviction.  When a span
-/// recorder is supplied, every span appears as an async "b"/"e" pair keyed
-/// by its trace id, so rounds render as nested timelines in Perfetto.
+/// Serialize the bus contents as Chrome trace-event JSON.  A metadata line
+/// carries the bus's dropped-event count so readers can flag eviction.  When
+/// a span recorder is supplied, every span appears as an async "b"/"e" pair
+/// keyed by its trace id, so rounds render as nested timelines in Perfetto.
 [[nodiscard]] std::string export_chrome_trace(const EventBus& bus,
-                                              const SampleProfiler* profiler = nullptr,
                                               const SpanRecorder* spans = nullptr);
 
-/// Write export_chrome_trace(bus, profiler, spans) to `path`.
+/// Write export_chrome_trace(bus, spans) to `path`.
 Status write_chrome_trace(const std::string& path, const EventBus& bus,
-                          const SampleProfiler* profiler = nullptr,
                           const SpanRecorder* spans = nullptr);
 
 /// Plain-text timeline, one event per line:

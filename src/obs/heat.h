@@ -1,7 +1,7 @@
 // Execution observatory: guest heat maps, dispatch profiles, and host-cost
 // attribution for the interpreter hot path.
 //
-// Two halves, same discipline as the sampling profiler (obs/profiler.h):
+// Two halves, split so profiles aggregate without the hot-path state:
 //
 //   HeatProfile   — pure aggregatable data: per-basic-block execution
 //                   counters keyed by physical PC, a per-opcode dispatch
@@ -124,7 +124,7 @@ class HeatProfile {
                                      const OpcodeNamer& namer = {}) const;
 
   /// Collapsed-stack export ("region;block_0xADDR count" lines, sorted) for
-  /// flamegraph.pl / speedscope, same shape as SampleProfiler::folded().
+  /// flamegraph.pl / speedscope.
   [[nodiscard]] std::string folded() const;
 
   /// Name of the region containing `pc` ("?" when unattributed).
@@ -186,8 +186,9 @@ class HeatRecorder {
     ++profile_->opcodes[op].ns_samples;
   }
 
-  /// One indirect transfer (jmpr/callr) — fired at the same site as the
-  /// machine's indirect-branch hook, before the transfer is attempted.
+  /// One indirect transfer (jmpr/callr), fired by the machine before the
+  /// transfer is attempted.  The only observer of dynamic indirect edges:
+  /// the analyzer's differential soundness harness reads them from here.
   void record_edge(std::uint32_t site, std::uint32_t target, bool is_call) {
     HeatProfile::Edge& edge = profile_->edges[HeatProfile::edge_key(site, target)];
     ++edge.count;

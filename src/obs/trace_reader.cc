@@ -65,13 +65,11 @@ Result<Trace> parse_chrome_trace(std::string_view json) {
                               static_cast<std::uint64_t>(find_int(line, "cycle", 0)),
                               static_cast<std::uint64_t>(find_int(line, "dur_cycles", 0))});
     } else if (ph == "i") {
-      if (find_str(line, "name") == "prof-sample") {
-        trace.samples.push_back({static_cast<std::uint64_t>(find_int(line, "cycle", 0)),
-                                 static_cast<std::uint32_t>(find_int(line, "pc", 0)),
-                                 static_cast<std::int32_t>(find_int(line, "task", -1)),
-                                 find_str(line, "frame")});
-      } else {
-        trace.events.push_back({find_str(line, "name"),
+      std::string name = find_str(line, "name");
+      // Traces from tytan-tools 9 and earlier may carry sampling-profiler
+      // "prof-sample" instants; they are not bus events, so skip them.
+      if (name != "prof-sample") {
+        trace.events.push_back({std::move(name),
                                 static_cast<std::uint64_t>(find_int(line, "cycle", 0)),
                                 static_cast<std::int32_t>(find_int(line, "task", -1)),
                                 static_cast<std::uint32_t>(find_int(line, "a", 0)),

@@ -29,18 +29,9 @@ struct TraceSlice {
   std::uint64_t dur_cycles = 0;
 };
 
-/// One profiler sample ("prof-sample" instant) with its resolved frame.
-struct TraceSample {
-  std::uint64_t cycle = 0;
-  std::uint32_t pc = 0;
-  std::int32_t task = -1;
-  std::string frame;  ///< "task;symbol" collapsed-stack frame
-};
-
 struct Trace {
   std::vector<TraceInstant> events;       ///< instants in file order
   std::vector<TraceSlice> slices;         ///< derived run slices
-  std::vector<TraceSample> samples;       ///< profiler samples in file order
   std::map<int, std::string> thread_names;  ///< tid -> display name
   std::uint64_t recorded_events = 0;      ///< bus ring size at export
   std::uint64_t dropped_events = 0;       ///< bus evictions before export

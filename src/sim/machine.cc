@@ -204,24 +204,10 @@ void Machine::raise_fault(const FaultInfo& fault) {
 void Machine::register_firmware(std::uint32_t addr, std::string name,
                                 FirmwareHandler handler) {
   TYTAN_CHECK(!firmware_.contains(addr), "firmware address already registered");
-  if (profiler_ != nullptr) {
-    profiler_->add_global_symbol(addr, name);
-  }
   firmware_[addr] = {std::move(name), std::move(handler)};
   // A cached block may span the new address; from now on a step landing
   // there must invoke the handler, not a pre-decoded instruction.
   invalidate_decode_cache();
-}
-
-void Machine::enable_profiler(std::uint64_t interval_cycles, std::size_t capacity) {
-  if (interval_cycles == 0) {
-    profiler_ = nullptr;
-    return;
-  }
-  profiler_ = std::make_unique<obs::SampleProfiler>(interval_cycles, capacity);
-  for (const auto& [addr, entry] : firmware_) {
-    profiler_->add_global_symbol(addr, entry.name);
-  }
 }
 
 void Machine::enable_heat(bool time_dispatch) {
@@ -476,11 +462,6 @@ StepOutcome Machine::step() {
   if (halted()) {
     return StepOutcome::kHalted;
   }
-  // Sampling reads the clock and EIP only — never charges a cycle, so the
-  // profiler-on run is bit-identical to the profiler-off run.
-  if (profiler_ != nullptr && profiler_->due(cycles_)) {
-    profiler_->take(cycles_, cpu_.eip, current_task_context());
-  }
   // Event-driven device time: walk the tick list only when a device has due
   // work (a timer crossing next_fire_) or a schedule changed out of band
   // (register write, attach, restore — the bus timing epoch).  Devices whose
@@ -582,6 +563,29 @@ HaltReason Machine::run(std::uint64_t cycle_limit) {
   return halted() ? halt_reason_ : HaltReason::kCycleLimit;
 }
 
+inline void Machine::dispatch_observed(const DecodedOp& op) {
+  charge(op.base_cycles);
+  ++instructions_;
+  if (heat_ == nullptr) {  // hot path: observatory off costs one null check
+    execute_op(op);
+    return;
+  }
+  const auto opcode = static_cast<std::uint8_t>(op.instr.opcode);
+  if (!heat_->on_instruction(op.pc, opcode)) {
+    execute_op(op);
+    return;
+  }
+  // Sampled dispatch: attribute host nanoseconds to this opcode.  Host
+  // clocks never feed back into simulated state, so cycle counts stay
+  // bit-identical with the observatory on or off.
+  const auto t0 = std::chrono::steady_clock::now();
+  execute_op(op);
+  const auto t1 = std::chrono::steady_clock::now();
+  heat_->attribute(opcode, static_cast<std::uint64_t>(
+                               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                                   .count()));
+}
+
 void Machine::execute_one() {
   const std::uint32_t pc = cpu_.eip;
   if (!check(pc, pc, Access::kExecute)) {
@@ -607,38 +611,10 @@ void Machine::execute_one() {
   const OpVariant& variant = op_table()[static_cast<std::size_t>(op.instr.opcode)];
   op.exec = variant.exec;
   op.base_cycles = variant.base_cycles;
-  charge(variant.base_cycles);
-  ++instructions_;
-
-  if (heat_ == nullptr) {  // hot path: observatory off costs one null check
-    execute_op(op);
-    return;
-  }
-  if (heat_->on_instruction(pc, static_cast<std::uint8_t>(op.instr.opcode))) {
-    // Sampled dispatch: attribute host nanoseconds to this opcode.  Host
-    // clocks never feed back into simulated state, so cycle counts stay
-    // bit-identical with the observatory on or off.
-    const auto t0 = std::chrono::steady_clock::now();
-    execute_op(op);
-    const auto t1 = std::chrono::steady_clock::now();
-    heat_->attribute(
-        static_cast<std::uint8_t>(op.instr.opcode),
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
-  } else {
-    execute_op(op);
-  }
+  dispatch_observed(op);
 }
 
 void Machine::run_cached_op(const DecodedOp& op) {
-  if (tracer_ == nullptr && heat_ == nullptr) {
-    // Observatory off: the common case pays two null checks and goes
-    // straight to dispatch.
-    charge(op.base_cycles);
-    ++instructions_;
-    execute_op(op);
-    return;
-  }
   if (tracer_ != nullptr) {
     // Same record the interpreter path emits: the memoized word, and the
     // fetch verdict every cached op has by construction (a denied fetch
@@ -653,23 +629,7 @@ void Machine::run_cached_op(const DecodedOp& op) {
     // across dispatch modes.
     heat_->count_check(static_cast<int>(Access::kExecute), op.fetch_class);
   }
-  charge(op.base_cycles);
-  ++instructions_;
-  if (heat_ == nullptr) {
-    execute_op(op);
-    return;
-  }
-  if (heat_->on_instruction(op.pc, static_cast<std::uint8_t>(op.instr.opcode))) {
-    const auto t0 = std::chrono::steady_clock::now();
-    execute_op(op);
-    const auto t1 = std::chrono::steady_clock::now();
-    heat_->attribute(
-        static_cast<std::uint8_t>(op.instr.opcode),
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
-  } else {
-    execute_op(op);
-  }
+  dispatch_observed(op);
 }
 
 bool Machine::execute_one_cached() {

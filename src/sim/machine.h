@@ -22,7 +22,6 @@
 #include "common/status.h"
 #include "obs/heat.h"
 #include "obs/hub.h"
-#include "obs/profiler.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/decode_cache.h"
@@ -43,10 +42,6 @@ class Machine;
 /// its own address to be re-invoked next step (resumable firmware tasks —
 /// this is how the RTM stays interruptible).
 using FirmwareHandler = std::function<void(Machine&)>;
-
-/// Observer of guest indirect transfers: (site pc, register target, is_call).
-using IndirectBranchHook =
-    std::function<void(std::uint32_t, std::uint32_t, bool)>;
 
 enum class StepOutcome : std::uint8_t {
   kOk = 0,        ///< executed one instruction / firmware quantum / dispatch
@@ -189,16 +184,6 @@ class Machine {
   }
   [[nodiscard]] Tracer* tracer() { return tracer_.get(); }
 
-  /// Enable (interval > 0) or disable (interval == 0) the guest-PC sampling
-  /// profiler: one sample every `interval_cycles` simulated cycles.  Like the
-  /// obs hub, sampling never charges simulated cycles — cycle counts stay
-  /// bit-identical with the profiler on.  Already-registered firmware entry
-  /// points are imported as exact-address symbols.
-  void enable_profiler(std::uint64_t interval_cycles,
-                       std::size_t capacity = obs::SampleProfiler::kDefaultCapacity);
-  [[nodiscard]] obs::SampleProfiler* profiler() { return profiler_.get(); }
-  [[nodiscard]] const obs::SampleProfiler* profiler() const { return profiler_.get(); }
-
   /// Enable the execution observatory (obs/heat.h): per-block heat counters,
   /// per-opcode dispatch histograms with batched host-ns attribution, EA-MPU
   /// check counters split by granting rule, and indirect-branch edge
@@ -230,18 +215,8 @@ class Machine {
     task_context_ = std::move(provider);
   }
 
-  /// Instrumentation hook fired on every guest `jmpr`/`callr`, before the
-  /// transfer is attempted, with the site address, the register target, and
-  /// whether the transfer is a call.  Used by the differential-soundness
-  /// harness to compare dynamically taken indirect edges against the static
-  /// analyzer's resolved set.  Charges no simulated cycles; null (the
-  /// default) costs one branch per indirect transfer.
-  void set_indirect_branch_hook(IndirectBranchHook hook) {
-    indirect_branch_hook_ = std::move(hook);
-  }
-
   /// Optional fault-injection engine (non-owning, same lifetime discipline
-  /// as the tracer/profiler hooks: Platform owns it, hook sites only consult
+  /// as the tracer hook: Platform owns it, hook sites only consult
   /// it).  Null — the default — means every hook is one pointer compare.
   void set_fault_engine(fault::FaultEngine* engine) { faults_ = engine; }
   [[nodiscard]] fault::FaultEngine* faults() const { return faults_; }
@@ -287,13 +262,19 @@ class Machine {
   /// without touching the interpreter body.  Both dispatch modes funnel
   /// through this — a single implementation per opcode cannot diverge.
   void execute_op(const DecodedOp& op);
+  /// The observed-dispatch body both dispatch modes share: charge the op's
+  /// base cycles, count it, feed the heat recorder, host-time the sampled
+  /// dispatch, and run execute_op.  Observatory off it is one null check.
+  /// Forced inline (defined in machine.cc, its only user) so sharing the
+  /// body adds no call on the per-instruction path.
+  [[gnu::always_inline]] inline void dispatch_observed(const DecodedOp& op);
 
   // Cached-dispatch slow path: sync the cache with the policy epoch, look up
   // or build the block at EIP, park the cursor, and run its first op.
   // Returns false when the head is uncacheable (fault, MMIO, firmware) and
   // the interpreter path must handle this step.
   bool execute_one_cached();
-  /// Tracer replay + memoized fetch check + charge + heat hooks + dispatch
+  /// Tracer replay + memoized fetch-check replay, then dispatch_observed,
   /// for one cached op (the per-step body shared by fast and slow paths).
   void run_cached_op(const DecodedOp& op);
   /// Decode straight-line code starting at `pc` into a block; empty when the
@@ -395,13 +376,11 @@ class Machine {
   std::array<BlockLutEntry, kBlockLutSize> block_lut_{};
 
   std::unique_ptr<Tracer> tracer_;
-  std::unique_ptr<obs::SampleProfiler> profiler_;
   std::unique_ptr<obs::HeatRecorder> heat_;  ///< see enable_heat()
   fault::FaultEngine* faults_ = nullptr;  ///< non-owning; see set_fault_engine
   obs::Hub obs_;
   const LogContext* log_;  ///< never null; defaults to process_log_context()
   std::function<std::int32_t()> task_context_;
-  IndirectBranchHook indirect_branch_hook_;
 };
 
 }  // namespace tytan::sim

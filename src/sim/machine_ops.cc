@@ -217,9 +217,6 @@ struct MachineOps {
     if (m.heat_ != nullptr) {
       m.heat_->record_edge(op.pc, target, /*is_call=*/false);
     }
-    if (m.indirect_branch_hook_) {
-      m.indirect_branch_hook_(op.pc, target, /*is_call=*/false);
-    }
     m.cpu_.eip = op.pc;
     m.guest_transfer(target);
   }
@@ -242,9 +239,6 @@ struct MachineOps {
     const std::uint32_t target = m.cpu_.regs[op.instr.ra];
     if (m.heat_ != nullptr) {
       m.heat_->record_edge(op.pc, target, /*is_call=*/true);
-    }
-    if (m.indirect_branch_hook_) {
-      m.indirect_branch_hook_(op.pc, target, /*is_call=*/true);
     }
     m.cpu_.eip = op.pc;
     m.guest_transfer(target);

@@ -893,25 +893,28 @@ void check_dynamic_edges(const isa::ObjectFile& object,
   machine.cpu().eip = kBase + object.entry;
   machine.cpu().set_sp(0x60000);
   machine.cpu().regs[1] = r1;
-  machine.set_indirect_branch_hook(
-      [&](std::uint32_t pc, std::uint32_t target, bool) {
-        ASSERT_GE(pc, kBase);
-        const std::uint32_t site = pc - kBase;
-        const auto it = resolved.find(site);
-        if (it == resolved.end()) {
-          return;  // the analyzer made no claim about this site
-        }
-        EXPECT_TRUE(std::find(it->second.begin(), it->second.end(),
-                              target - kBase) != it->second.end())
-            << label << ": dynamic edge " << std::hex << site << " -> "
-            << target - kBase << " (r1=" << r1
-            << ") is outside the statically resolved set";
-      });
+  machine.enable_heat(/*time_dispatch=*/false);
   const sim::HaltReason reason = machine.run(50'000);
   EXPECT_TRUE(reason == sim::HaltReason::kHltInstruction ||
               reason == sim::HaltReason::kCycleLimit)
       << label << ": r1=" << r1 << " halted with "
       << static_cast<int>(reason);
+  machine.heat()->flush();
+  for (const auto& [key, edge] : machine.heat()->profile().edges) {
+    const auto pc = static_cast<std::uint32_t>(key >> 32);
+    const auto target = static_cast<std::uint32_t>(key & 0xFFFF'FFFFu);
+    ASSERT_GE(pc, kBase);
+    const std::uint32_t site = pc - kBase;
+    const auto it = resolved.find(site);
+    if (it == resolved.end()) {
+      continue;  // the analyzer made no claim about this site
+    }
+    EXPECT_TRUE(std::find(it->second.begin(), it->second.end(),
+                          target - kBase) != it->second.end())
+        << label << ": dynamic edge " << std::hex << site << " -> "
+        << target - kBase << " (r1=" << r1
+        << ") is outside the statically resolved set";
+  }
 }
 
 TEST(Dataflow, DifferentialSoundnessOverExamplesCorpus) {

@@ -56,6 +56,17 @@ TEST(Sha1, StreamingEqualsOneShot) {
   EXPECT_EQ(ctx.finish(), Sha1::hash(data));
 }
 
+// Regression: an empty update while a partial block is buffered used to
+// memcpy from the span's null data() — undefined behaviour that the
+// sanitizer build (-fno-sanitize-recover=all) aborts on.
+TEST(Sha1, EmptyUpdateWithBufferedBytesIsANoOp) {
+  const ByteVec data = str_bytes("abc");
+  Sha1 ctx;
+  ctx.update(data);
+  ctx.update({});
+  EXPECT_EQ(ctx.finish(), Sha1::hash(data));
+}
+
 TEST(Sha1, BlockCountMatchesPadding) {
   EXPECT_EQ(sha1_block_count(0), 1u);
   EXPECT_EQ(sha1_block_count(55), 1u);   // 55 + 1 + 8 = 64

@@ -422,20 +422,23 @@ TEST(Fuzz, DataflowDifferentialOnRandomJumpTables) {
       machine.cpu().eip = kBase + object.entry;
       machine.cpu().set_sp(0x60000);
       machine.cpu().regs[1] = r1;
-      machine.set_indirect_branch_hook(
-          [&](std::uint32_t pc, std::uint32_t target, bool) {
-            const auto it = full.dataflow.resolved.find(pc - kBase);
-            if (it == full.dataflow.resolved.end()) {
-              return;
-            }
-            EXPECT_TRUE(std::find(it->second.begin(), it->second.end(),
-                                  target - kBase) != it->second.end())
-                << "trial " << trial << " r1=" << r1 << ": edge 0x" << std::hex
-                << pc - kBase << " -> 0x" << target - kBase
-                << " escapes the resolved set\n"
-                << source;
-          });
+      machine.enable_heat(/*time_dispatch=*/false);
       (void)machine.run(50'000);
+      machine.heat()->flush();
+      for (const auto& [key, edge] : machine.heat()->profile().edges) {
+        const auto pc = static_cast<std::uint32_t>(key >> 32);
+        const auto target = static_cast<std::uint32_t>(key & 0xFFFF'FFFFu);
+        const auto it = full.dataflow.resolved.find(pc - kBase);
+        if (it == full.dataflow.resolved.end()) {
+          continue;
+        }
+        EXPECT_TRUE(std::find(it->second.begin(), it->second.end(),
+                              target - kBase) != it->second.end())
+            << "trial " << trial << " r1=" << r1 << ": edge 0x" << std::hex
+            << pc - kBase << " -> 0x" << target - kBase
+            << " escapes the resolved set\n"
+            << source;
+      }
     }
   }
   // The generator must actually exercise resolution, or this proves nothing.

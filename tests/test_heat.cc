@@ -190,6 +190,64 @@ TEST(HeatMachine, PlatformRunIdenticalWithHeatEnabled) {
   EXPECT_EQ(run(false), run(true));
 }
 
+// ---------------------------------------------- one observed-dispatch body
+
+// Both dispatch modes feed the observatory through the same dispatch body:
+// the deterministic profile (blocks, opcodes, MPU buckets, edges, regions)
+// must be byte-identical whichever mode executed the guest.
+TEST(HeatMachine, ProfileIdenticalAcrossDispatchModes) {
+  const std::filesystem::path dir(TYTAN_ASM_DIR);
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  std::size_t programs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".s") {
+      continue;
+    }
+    std::ifstream in(entry.path());
+    ASSERT_TRUE(in.good()) << entry.path();
+    std::stringstream text;
+    text << in.rdbuf();
+    const auto object = assemble(text.str());
+    for (std::uint32_t r1 = 0; r1 < 8; ++r1) {
+      auto profile = [&](sim::DispatchMode mode) {
+        sim::Machine machine;
+        machine.set_dispatch_mode(mode);
+        machine.enable_heat(/*time_dispatch=*/false);
+        load_bare(machine, object);
+        machine.cpu().regs[1] = r1;
+        machine.run(50'000);
+        machine.heat()->flush();
+        return machine.heat()->profile().to_jsonl(false);
+      };
+      const std::string interpreted = profile(sim::DispatchMode::kInterpreter);
+      EXPECT_NE(interpreted.find(R"("type":"block")"), std::string::npos);
+      EXPECT_EQ(interpreted, profile(sim::DispatchMode::kCached))
+          << entry.path().filename() << " r1=" << r1;
+    }
+    ++programs;
+  }
+  EXPECT_GE(programs, 5u);
+
+  // A booted platform adds secure boot, firmware, the EA-MPU, interrupts and
+  // a loaded task's region and static leaders.
+  auto platform_profile = [](sim::DispatchMode mode) {
+    core::Platform::Config config;
+    config.dispatch = mode;
+    core::Platform platform(config);
+    platform.machine().enable_heat(/*time_dispatch=*/false);
+    EXPECT_TRUE(platform.boot().is_ok());
+    auto task =
+        platform.load_task_source(fleet::default_task_source(), {.name = "heartbeat"});
+    EXPECT_TRUE(task.is_ok()) << task.status().to_string();
+    platform.run_for(500'000);
+    platform.machine().heat()->flush();
+    return platform.machine().heat()->profile().to_jsonl(false);
+  };
+  const std::string interpreted = platform_profile(sim::DispatchMode::kInterpreter);
+  EXPECT_NE(interpreted.find(R"("type":"region")"), std::string::npos);
+  EXPECT_EQ(interpreted, platform_profile(sim::DispatchMode::kCached));
+}
+
 // ------------------------------------------------- classify() vs allows()
 
 TEST(HeatEaMpu, ClassifyAgreesWithAllowsEverywhere) {

@@ -544,25 +544,40 @@ TEST(Export, TraceMetadataCarriesDropCountsThroughTheReader) {
   EXPECT_EQ(trace->dropped_events, 3u);
 }
 
-TEST(Export, ProfilerSamplesRideAlongInTheTrace) {
+// Traces written by tytan-tools 9 and earlier may carry sampling-profiler
+// "prof-sample" instants.  They are not bus events: the reader must keep them
+// out of the event list so `stats` and `tasks` counts on old files hold.
+TEST(Export, LegacyProfilerSamplesStayOutOfTheEvents) {
   std::uint64_t clock = 50;
   obs::EventBus bus;
   bus.set_clock(&clock);
   bus.enable();
   bus.emit(obs::EventKind::kSchedDispatch, 1);
+  clock = 80;
+  bus.emit(obs::EventKind::kSchedTick, -1, 7);
+  const std::string json = obs::export_chrome_trace(bus);
+  std::string legacy = json;
+  const std::size_t tail = legacy.rfind("\n]}");
+  ASSERT_NE(tail, std::string::npos);
+  legacy.insert(tail, ",\n" R"({"ph":"i","pid":1,"tid":3,"name":"prof-sample","cat":"prof",)"
+                      R"("s":"t","ts":1.250,"args":{"cycle":60,"pc":4100,"task":1,)"
+                      R"("frame":"hot;main"}})");
+  ASSERT_NE(legacy, json);
 
-  obs::SampleProfiler profiler(1, 16);
-  profiler.add_region(1, "hot", 0x1000, 0x100, {{"main", 0}});
-  profiler.take(60, 0x1004, 1);
-  auto trace = obs::parse_chrome_trace(obs::export_chrome_trace(bus, &profiler));
-  ASSERT_TRUE(trace.is_ok()) << trace.status().to_string();
-  ASSERT_EQ(trace->samples.size(), 1u);
-  EXPECT_EQ(trace->samples[0].cycle, 60u);
-  EXPECT_EQ(trace->samples[0].pc, 0x1004u);
-  EXPECT_EQ(trace->samples[0].task, 1);
-  EXPECT_EQ(trace->samples[0].frame, "hot;main");
-  // Samples are not event instants — the event list stays untouched.
-  EXPECT_EQ(trace->events.size(), 1u);
+  auto fresh = obs::parse_chrome_trace(json);
+  auto old = obs::parse_chrome_trace(legacy);
+  ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+  ASSERT_TRUE(old.is_ok()) << old.status().to_string();
+  ASSERT_EQ(old->events.size(), fresh->events.size());
+  EXPECT_EQ(old->events.size(), 2u);
+  for (std::size_t i = 0; i < fresh->events.size(); ++i) {
+    EXPECT_EQ(old->events[i].name, fresh->events[i].name);
+    EXPECT_EQ(old->events[i].cycle, fresh->events[i].cycle);
+    EXPECT_EQ(old->events[i].task, fresh->events[i].task);
+    EXPECT_EQ(old->events[i].a, fresh->events[i].a);
+    EXPECT_EQ(old->events[i].b, fresh->events[i].b);
+  }
+  EXPECT_EQ(old->slices.size(), fresh->slices.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "core/platform.h"
+#include "obs/heat.h"
 #include "snap/snapshot.h"
 
 namespace tytan {
@@ -356,10 +357,10 @@ TEST(Snapshot, FileRoundTripAndConfigRecovery) {
   std::filesystem::remove(path);
 }
 
-// Hooks are host-side observers, deliberately not part of the snapshot: a
-// restored platform with the hook re-attached must record the exact same
-// dynamic indirect-branch edge profile a continued run does, bit for bit.
-TEST(Snapshot, IndirectBranchHookRecordsIdenticalEdgesAfterRestore) {
+// The observatory is host-side, deliberately not part of the snapshot: a
+// restored platform with heat re-enabled must record the exact same profile
+// a continued run does — blocks, opcodes, MPU buckets and indirect edges.
+TEST(Snapshot, HeatProfileIdenticalAfterRestore) {
   // A jump-table dispatcher that never halts: the selector walks 0..3
   // forever, so indirect edges keep flowing after the snapshot point.
   constexpr std::string_view kDispatcher = R"(
@@ -390,13 +391,6 @@ TEST(Snapshot, IndirectBranchHookRecordsIdenticalEdgesAfterRestore) {
       .word case0, case1, case2, case3
   )";
 
-  using EdgeList = std::vector<std::tuple<std::uint32_t, std::uint32_t, bool>>;
-  auto edge_hook = [](EdgeList& edges) {
-    return [&edges](std::uint32_t pc, std::uint32_t target, bool is_call) {
-      edges.emplace_back(pc, target, is_call);
-    };
-  };
-
   core::Platform original;
   ASSERT_TRUE(original.boot().is_ok());
   auto task =
@@ -406,18 +400,19 @@ TEST(Snapshot, IndirectBranchHookRecordsIdenticalEdgesAfterRestore) {
   auto snapshot = original.save();
   ASSERT_TRUE(snapshot.is_ok()) << snapshot.status().to_string();
 
-  EdgeList continued_edges;
-  original.machine().set_indirect_branch_hook(edge_hook(continued_edges));
+  original.machine().enable_heat(/*time_dispatch=*/false);
   original.run_for(200'000);
+  original.machine().heat()->flush();
 
   core::Platform restored;
   ASSERT_TRUE(restored.restore(*snapshot).is_ok());
-  EdgeList restored_edges;
-  restored.machine().set_indirect_branch_hook(edge_hook(restored_edges));
+  restored.machine().enable_heat(/*time_dispatch=*/false);
   restored.run_for(200'000);
+  restored.machine().heat()->flush();
 
-  EXPECT_FALSE(continued_edges.empty());
-  EXPECT_EQ(continued_edges, restored_edges);
+  const obs::HeatProfile& continued = original.machine().heat()->profile();
+  EXPECT_FALSE(continued.edges.empty());
+  EXPECT_EQ(continued.to_jsonl(false), restored.machine().heat()->profile().to_jsonl(false));
 }
 
 }  // namespace

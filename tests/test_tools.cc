@@ -431,6 +431,11 @@ TEST(Suite, UnknownFlagsExitTwoEverywhere) {
               2)
         << name << ": " << output;
   }
+  // tytan-run has no --profile: a script still passing it must fail as a
+  // usage error, not run without the profile it asked for.
+  std::string output;
+  EXPECT_EQ(exit_code(run_command(tool("tytan-run") + " --profile 997 x.tbf", &output)), 2)
+      << output;
 }
 
 TEST(Suite, EmptyJsonlInputsDiagnoseAndFail) {

@@ -18,7 +18,7 @@ namespace tytan::tools {
 /// One shared suite version for every tytan-* tool, carrying the schema
 /// versions of the serialized formats so scripts can gate on compatibility.
 inline constexpr const char* kSuiteVersion =
-    "tytan-tools 9 (heat-schema 1, snapshot-schema 1, span-schema 1, "
+    "tytan-tools 10 (heat-schema 1, snapshot-schema 1, span-schema 1, "
     "telemetry-schema 2, trace-schema 1)";
 
 /// Handle `--version` / `--help` uniformly: scan argv before any other

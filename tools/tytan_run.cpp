@@ -9,10 +9,6 @@
 //     --trace N       dump the last N executed instructions at exit
 //     --trace-out F   record platform events; write a Chrome/Perfetto trace to F
 //     --metrics       print the metrics summary and per-task cycle accounting
-//     --profile N     sample the guest PC every N cycles (0 = off); samples
-//                     ride along in --trace-out for `tytan-trace flame`
-//     --folded-out F  write collapsed stacks ("task;symbol count") to F for
-//                     flamegraph.pl / speedscope
 //     --fault SPEC    fault-injection plan (docs/FAULTS.md grammar); a fault
 //                     summary prints at exit
 //     --fault-seed N  RNG seed for seeded bit/drop choices
@@ -53,8 +49,7 @@ namespace {
 constexpr const char kUsageText[] =
     "usage: tytan-run [--cycles N] [--priority P] [--pedal V] [--radar V]\n"
     "                 [--attest] [--trace N] [--trace-out FILE] [--metrics]\n"
-    "                 [--profile N] [--folded-out FILE] [--spans-out FILE]\n"
-    "                 [--fault SPEC] [--fault-seed N]\n"
+    "                 [--spans-out FILE] [--fault SPEC] [--fault-seed N]\n"
     "                 [--snapshot-out FILE] [--snapshot-at N]\n"
     "                 [--heat-out FILE] [--heat-folded FILE]\n"
     "                 [--dispatch interpreter|cached]\n"
@@ -77,8 +72,6 @@ int main(int argc, char** argv) {
   std::size_t trace = 0;
   std::string trace_out;
   bool metrics = false;
-  std::uint64_t profile = 0;
-  std::string folded_out;
   std::string spans_out;
   std::string fault_spec;
   std::optional<std::uint64_t> fault_seed;
@@ -117,21 +110,12 @@ int main(int argc, char** argv) {
       trace_out = arg.substr(std::strlen("--trace-out="));
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (arg == "--profile") {
-      profile = tools::parse_u64("tytan-run", "--profile", next("--profile"));
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = tools::parse_u64("tytan-run", "--profile",
-                                 arg.c_str() + std::strlen("--profile="));
     } else if (arg == "--fault") {
       fault_spec = next("--fault");
     } else if (arg.rfind("--fault=", 0) == 0) {
       fault_spec = arg.substr(std::strlen("--fault="));
     } else if (arg == "--fault-seed") {
       fault_seed = tools::parse_u64("tytan-run", "--fault-seed", next("--fault-seed"));
-    } else if (arg == "--folded-out") {
-      folded_out = next("--folded-out");
-    } else if (arg.rfind("--folded-out=", 0) == 0) {
-      folded_out = arg.substr(std::strlen("--folded-out="));
     } else if (arg == "--spans-out") {
       spans_out = next("--spans-out");
     } else if (arg.rfind("--spans-out=", 0) == 0) {
@@ -192,13 +176,6 @@ int main(int argc, char** argv) {
   core::Platform platform(config);
   if (trace != 0) {
     platform.machine().enable_trace(trace);
-  }
-  if (!folded_out.empty() && profile == 0) {
-    profile = obs::SampleProfiler::kDefaultInterval;
-  }
-  if (profile != 0) {
-    // Enable before boot so firmware entry points register as symbols.
-    platform.machine().enable_profiler(profile);
   }
   if (!trace_out.empty() || metrics || !spans_out.empty()) {
     // Enable before boot so loader / RTM / EA-MPU events are captured too.
@@ -333,13 +310,6 @@ int main(int argc, char** argv) {
   if (metrics) {
     std::printf("\n%s", obs::export_metrics_summary(hub).c_str());
   }
-  const obs::SampleProfiler* profiler = platform.machine().profiler();
-  if (profiler != nullptr) {
-    std::printf("\nprofiler: %llu samples taken (interval %llu cycles, %llu evicted)\n",
-                static_cast<unsigned long long>(profiler->taken()),
-                static_cast<unsigned long long>(profiler->interval()),
-                static_cast<unsigned long long>(profiler->dropped()));
-  }
   if (!trace_out.empty()) {
     if (hub.bus().dropped() != 0) {
       std::fprintf(stderr,
@@ -349,7 +319,7 @@ int main(int argc, char** argv) {
     }
     const obs::SpanRecorder* spans =
         hub.spans().enabled() ? &hub.spans() : nullptr;
-    if (Status s = obs::write_chrome_trace(trace_out, hub.bus(), profiler, spans);
+    if (Status s = obs::write_chrome_trace(trace_out, hub.bus(), spans);
         !s.is_ok()) {
       std::fprintf(stderr, "tytan-run: cannot write trace '%s': %s\n", trace_out.c_str(),
                    s.to_string().c_str());
@@ -367,16 +337,6 @@ int main(int argc, char** argv) {
     out << hub.spans().to_jsonl();
     std::printf("wrote %zu spans to %s (inspect with tytan-trace spans)\n",
                 hub.spans().size(), spans_out.c_str());
-  }
-  if (!folded_out.empty() && profiler != nullptr) {
-    std::ofstream out(folded_out);
-    if (!out) {
-      std::fprintf(stderr, "tytan-run: cannot write '%s'\n", folded_out.c_str());
-      return 1;
-    }
-    out << profiler->folded();
-    std::printf("wrote collapsed stacks to %s (flamegraph.pl %s > flame.svg)\n",
-                folded_out.c_str(), folded_out.c_str());
   }
   if (obs::HeatRecorder* heat = platform.machine().heat(); heat != nullptr) {
     heat->flush();

@@ -11,10 +11,6 @@
 //     --kind=NAME     only events of this kind ("ctx-save", "sched-dispatch", ...)
 //     --task=N        only events concerning task handle N
 //     --limit=N       stop after N lines
-//   tytan-trace flame  FILE              fold profiler samples (tytan-run
-//                                        --profile) into collapsed stacks on
-//                                        stdout: `... > out.folded`, then
-//                                        flamegraph.pl out.folded > flame.svg
 //   tytan-trace spans  FILE [filters]    list attestation spans
 //     --device=N --phase=NAME --outcome=NAME --min-cycles=N --limit=N --json
 //   tytan-trace slo    FILE --p99-cycles=N
@@ -58,7 +54,6 @@ constexpr const char kUsageText[] =
     "       tytan-trace tasks  <trace.json>\n"
     "       tytan-trace events <trace.json> [--kind=NAME] [--task=N] "
     "[--limit=N]\n"
-    "       tytan-trace flame  <trace.json>\n"
     "       tytan-trace spans  <spans.jsonl> [--device=N] [--phase=NAME]\n"
     "                          [--outcome=NAME] [--min-cycles=N] [--limit=N]"
     " [--json]\n"
@@ -104,7 +99,6 @@ int cmd_stats_json(const obs::Trace& trace) {
   std::printf("{\n");
   std::printf("  \"events\": %zu,\n", trace.events.size());
   std::printf("  \"slices\": %zu,\n", trace.slices.size());
-  std::printf("  \"samples\": %zu,\n", trace.samples.size());
   std::printf("  \"recorded_events\": %llu,\n",
               static_cast<unsigned long long>(trace.recorded_events));
   std::printf("  \"dropped_events\": %llu,\n",
@@ -205,23 +199,6 @@ int cmd_tasks(const obs::Trace& trace) {
                 static_cast<unsigned long long>(row.slices),
                 static_cast<unsigned long long>(row.run_cycles),
                 obs::cycles_to_us(row.run_cycles));
-  }
-  return 0;
-}
-
-int cmd_flame(const obs::Trace& trace) {
-  if (trace.samples.empty()) {
-    std::fprintf(stderr,
-                 "tytan-trace: no profiler samples in this trace (record with "
-                 "tytan-run --profile=N --trace-out=FILE)\n");
-    return 1;
-  }
-  std::map<std::string, std::uint64_t> folded;
-  for (const obs::TraceSample& sample : trace.samples) {
-    ++folded[sample.frame.empty() ? "platform;0x0" : sample.frame];
-  }
-  for (const auto& [frame, count] : folded) {
-    std::printf("%s %llu\n", frame.c_str(), static_cast<unsigned long long>(count));
   }
   return 0;
 }
@@ -592,9 +569,6 @@ int main(int argc, char** argv) {
   }
   if (command == "events") {
     return cmd_events(*trace, kind, task, have_task, limit);
-  }
-  if (command == "flame") {
-    return cmd_flame(*trace);
   }
   return usage();
 }
