@@ -121,62 +121,19 @@ const ExecRegion* EaMpu::find_exec_region(std::uint32_t addr) const {
 // Access evaluation
 // ---------------------------------------------------------------------------
 
-bool EaMpu::allows(std::uint32_t exec_ip, std::uint32_t addr, Access access) const {
+int EaMpu::classify(std::uint32_t exec_ip, std::uint32_t addr, Access access) const {
   const ExecRegion* addr_region = find_exec_region(addr);
   const ExecRegion* ip_region = find_exec_region(exec_ip);
 
   // Implicit self-access: a region's own code may read/write/execute it.
   if (addr_region != nullptr && ip_region == addr_region) {
-    return true;
-  }
-
-  if (access == Access::kExecute) {
-    // Executable iff inside an execution region (handled above for self;
-    // foreign execution identity cannot arise on fetch since exec_ip == addr)
-    // or in unprotected memory.
-    if (addr_region != nullptr) {
-      return ip_region == addr_region;
-    }
-    // Protected *data* regions are never executable.
-    for (const auto& slot : slots_) {
-      if (slot && !slot->background && addr >= slot->data_start &&
-          addr - slot->data_start < slot->data_size) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  const std::uint8_t wanted = (access == Access::kRead) ? kPermRead : kPermWrite;
-  bool protected_addr = addr_region != nullptr;  // foreign code regions are protected
-  for (const auto& slot : slots_) {
-    if (!slot || addr < slot->data_start || addr - slot->data_start >= slot->data_size) {
-      continue;
-    }
-    if (!slot->background) {
-      protected_addr = true;
-    }
-    const bool ip_in_code =
-        exec_ip >= slot->code_start && exec_ip - slot->code_start < slot->code_size;
-    if (ip_in_code && (slot->perms & wanted) != 0) {
-      return true;
-    }
-    if (slot->os_accessible && in_os_window(exec_ip)) {
-      return true;
-    }
-  }
-  return !protected_addr;
-}
-
-int EaMpu::classify(std::uint32_t exec_ip, std::uint32_t addr, Access access) const {
-  const ExecRegion* addr_region = find_exec_region(addr);
-  const ExecRegion* ip_region = find_exec_region(exec_ip);
-
-  if (addr_region != nullptr && ip_region == addr_region) {
     return sim::kCheckImplicitSelf;
   }
 
   if (access == Access::kExecute) {
+    // Executable iff inside the fetching execution region or in unprotected
+    // memory (foreign execution identity cannot arise on fetch: exec_ip ==
+    // addr).
     if (addr_region != nullptr) {
       return sim::kCheckDenied;  // foreign execution region (self handled above)
     }

@@ -104,16 +104,14 @@ class EaMpu final : public sim::AccessPolicy {
   [[nodiscard]] const ExecRegion* find_exec_region(std::uint32_t addr) const;
 
   // -- AccessPolicy ------------------------------------------------------------
-  [[nodiscard]] bool allows(std::uint32_t exec_ip, std::uint32_t addr,
-                            sim::Access access) const override;
-  [[nodiscard]] bool allows_transfer(std::uint32_t from_ip,
-                                     std::uint32_t to_ip) const override;
   /// Which rule decided the access: the granting slot index, or a negative
-  /// sim::kCheck* code.  Mirrors allows() decision-for-decision (same slot
-  /// scan order) so classify() == kCheckDenied exactly when allows() is
-  /// false — tests/test_heat.cc pins the equivalence property.
+  /// sim::kCheck* code.  The single slot walk behind every data and fetch
+  /// verdict (AccessPolicy::allows() is classify() != kCheckDenied); the
+  /// machine counts the same answer into the execution observatory.
   [[nodiscard]] int classify(std::uint32_t exec_ip, std::uint32_t addr,
                              sim::Access access) const override;
+  [[nodiscard]] bool allows_transfer(std::uint32_t from_ip,
+                                     std::uint32_t to_ip) const override;
 
   /// Lock the configuration ports (set by secure boot after the static rules
   /// are installed; afterwards only the EA-MPU driver firmware may write —

@@ -39,19 +39,6 @@ std::string fallback_opcode_name(std::uint8_t op) {
 
 }  // namespace
 
-std::size_t HeatProfile::bucket_for(int code) {
-  if (code >= 0 && static_cast<std::size_t>(code) < kMpuSlotBuckets) {
-    return static_cast<std::size_t>(code);
-  }
-  // Negative codes are -1..-6 (denied..no-policy); anything else — a foreign
-  // policy with its own convention — folds into "unclassified".
-  const int index = -code - 1;
-  if (index >= 0 && static_cast<std::size_t>(index) < kMpuOtherBuckets) {
-    return kMpuSlotBuckets + static_cast<std::size_t>(index);
-  }
-  return kMpuSlotBuckets + 4;  // "unclassified"
-}
-
 std::string HeatProfile::bucket_name(std::size_t bucket) {
   if (bucket < kMpuSlotBuckets) {
     return "slot" + std::to_string(bucket);
@@ -188,16 +175,6 @@ std::string HeatProfile::folded() const {
     out += '\n';
   }
   return out;
-}
-
-void HeatProfile::clear() {
-  blocks.clear();
-  opcodes.fill(OpcodeStat{});
-  for (auto& row : mpu) {
-    row.fill(0);
-  }
-  edges.clear();
-  regions.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -15,10 +15,16 @@
 //
 //   HeatRecorder  — the transient hot-path state sim::Machine drives:
 //                   open-block tracking, the dispatch-timing stride counter,
-//                   and the static-leader set.  The recorder never touches
-//                   the machine and never charges simulated cycles; disabled
-//                   it costs the owner a single null-pointer check — cycle
-//                   counts stay bit-identical with the observatory on.
+//                   the static-leader bitmap, and a direct-mapped cache of
+//                   block counters that flush() folds into the profile.  The
+//                   recorder never touches the machine and never charges
+//                   simulated cycles; disabled it costs the owner a single
+//                   null-pointer check — cycle counts stay bit-identical
+//                   with the observatory on.  Enabled, each instruction
+//                   costs an opcode increment, a sequential-PC compare and a
+//                   leader bit test; each block close one slot compare; each
+//                   EA-MPU check one bucket increment next to the policy
+//                   walk the check makes anyway.
 //
 // Block boundaries come from two sources that agree by construction: the
 // static CFG recovered by src/analysis (block start offsets are registered
@@ -104,7 +110,18 @@ class HeatProfile {
   }
   /// classify() code -> mpu bucket index (out-of-range codes fold into the
   /// "unclassified" bucket so a foreign policy can never index out of bounds).
-  [[nodiscard]] static std::size_t bucket_for(int code);
+  [[nodiscard]] static constexpr std::size_t bucket_for(int code) {
+    if (code >= 0 && static_cast<std::size_t>(code) < kMpuSlotBuckets) {
+      return static_cast<std::size_t>(code);
+    }
+    // Negative codes are -1..-6 (denied..no-policy); anything else — a
+    // foreign policy with its own convention — folds into "unclassified".
+    const int index = -code - 1;
+    if (index >= 0 && static_cast<std::size_t>(index) < kMpuOtherBuckets) {
+      return kMpuSlotBuckets + static_cast<std::size_t>(index);
+    }
+    return kMpuSlotBuckets + 4;  // "unclassified"
+  }
   [[nodiscard]] static std::string bucket_name(std::size_t bucket);
   [[nodiscard]] static std::string_view access_kind_name(std::size_t kind);
 
@@ -129,8 +146,6 @@ class HeatProfile {
 
   /// Name of the region containing `pc` ("?" when unattributed).
   [[nodiscard]] std::string_view region_name(std::uint32_t pc) const;
-
-  void clear();
 };
 
 /// Parsed heat-profile file (tytan-objdump --heat, tytan-top --heat).  The
@@ -150,9 +165,9 @@ Result<HeatLog> read_heat_file(const std::string& path);
 class HeatRecorder {
  public:
   /// Dispatch-timing stride: one in kSampleStride dispatches is host-timed
-  /// (power of two — the hot-path test is a mask).  Batched sampling keeps
-  /// the enabled-mode overhead to one counter increment per instruction plus
-  /// two steady_clock reads every 64th dispatch.
+  /// (power of two — the hot-path test is a mask), so the two steady_clock
+  /// reads per timed dispatch amortize to well under a nanosecond per
+  /// instruction.  time_dispatch false skips even the stride counter.
   static constexpr std::uint64_t kSampleStride = 64;
 
   /// Binds the recorder to a profile owned elsewhere (the machine's
@@ -167,7 +182,7 @@ class HeatRecorder {
   /// the measured nanoseconds afterwards).
   bool on_instruction(std::uint32_t pc, std::uint8_t op) {
     ++profile_->opcodes[op].count;
-    if (!block_open_ || pc != last_pc_ + 4 || leaders_.contains(pc)) {
+    if (!block_open_ || pc != last_pc_ + 4 || is_leader(pc)) {
       if (block_open_) {
         close_block();
       }
@@ -212,32 +227,84 @@ class HeatRecorder {
 
   /// Register static basic-block leaders (CFG block start offsets relative
   /// to `base`): a sequential fall into a leader closes the runtime block,
-  /// aligning runtime boundaries with the analyzer's.
+  /// aligning runtime boundaries with the analyzer's.  Aligned leaders below
+  /// kLeaderBitmapSpan get one bit per 4-byte granule; the rest (unaligned
+  /// or higher PCs, which no loaded task produces) go to an exact set.
   void add_leaders(std::uint32_t base, const std::vector<std::uint32_t>& offsets) {
     for (const std::uint32_t offset : offsets) {
-      leaders_.insert(base + offset);
+      const std::uint32_t pc = base + offset;
+      if ((pc & 3) != 0 || pc >= kLeaderBitmapSpan) {
+        other_leaders_.insert(pc);
+        continue;
+      }
+      const std::size_t word = pc >> kLeaderWordShift;
+      if (word >= leader_bits_.size()) {
+        leader_bits_.resize(word + 1, 0);
+      }
+      leader_bits_[word] |= std::uint64_t{1} << ((pc >> 2) & 63);
     }
   }
 
-  /// Close the open block (idempotent).  Call before reading the profile.
+  /// Close the open block and fold the cached block counters into the
+  /// profile (idempotent).  Call before reading the profile.
   void flush() {
     if (block_open_) {
       close_block();
       block_open_ = false;
     }
+    for (BlockSlot& slot : block_slots_) {
+      fold(slot);
+    }
   }
 
   [[nodiscard]] const HeatProfile& profile() const { return *profile_; }
-  [[nodiscard]] HeatProfile& profile() { return *profile_; }
   [[nodiscard]] bool times_dispatch() const { return time_dispatch_; }
 
  private:
+  /// Leader bitmap coverage: 16 MiB of address space, at most 512 KiB of
+  /// bits, grown only as far as the highest registered leader.
+  static constexpr std::uint32_t kLeaderBitmapSpan = 1u << 24;
+  static constexpr unsigned kLeaderWordShift = 8;  ///< 64 granules of 4 bytes
+  /// Block-counter cache size (power of two; indexed by start granule).
+  static constexpr std::size_t kBlockSlots = 512;
+
+  /// Counters of recently closed blocks, kept here so a block close touches
+  /// no std::map; folded into profile_->blocks when the slot is taken by
+  /// another start and on flush().
+  struct BlockSlot {
+    std::uint32_t start = 0;
+    HeatProfile::Block counts;
+  };
+
+  [[nodiscard]] bool is_leader(std::uint32_t pc) const {
+    const std::size_t word = pc >> kLeaderWordShift;
+    if ((pc & 3) == 0 && word < leader_bits_.size()) {
+      return ((leader_bits_[word] >> ((pc >> 2) & 63)) & 1) != 0;
+    }
+    return !other_leaders_.empty() && other_leaders_.contains(pc);
+  }
+
   void close_block() {
-    HeatProfile::Block& block = profile_->blocks[block_start_];
+    BlockSlot& slot = block_slots_[(block_start_ >> 2) & (kBlockSlots - 1)];
+    if (slot.start != block_start_) {
+      fold(slot);
+      slot.start = block_start_;
+    }
     const std::uint32_t end = last_pc_ + 4;
-    block.end = block.end < end ? end : block.end;
-    ++block.entries;
-    block.instructions += block_insns_;
+    slot.counts.end = slot.counts.end < end ? end : slot.counts.end;
+    ++slot.counts.entries;
+    slot.counts.instructions += block_insns_;
+  }
+
+  void fold(BlockSlot& slot) {
+    if (slot.counts.entries == 0) {
+      return;
+    }
+    HeatProfile::Block& block = profile_->blocks[slot.start];
+    block.end = block.end < slot.counts.end ? slot.counts.end : block.end;
+    block.entries += slot.counts.entries;
+    block.instructions += slot.counts.instructions;
+    slot.counts = {};
   }
 
   HeatProfile* profile_;
@@ -247,7 +314,9 @@ class HeatRecorder {
   std::uint32_t block_start_ = 0;
   std::uint32_t last_pc_ = 0;
   std::uint64_t block_insns_ = 0;
-  std::unordered_set<std::uint32_t> leaders_;
+  std::vector<std::uint64_t> leader_bits_;
+  std::unordered_set<std::uint32_t> other_leaders_;
+  std::array<BlockSlot, kBlockSlots> block_slots_{};
 };
 
 }  // namespace tytan::obs

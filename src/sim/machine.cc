@@ -214,6 +214,7 @@ void Machine::enable_heat(bool time_dispatch) {
   // The profile lives in the obs metrics registry so fleet aggregation folds
   // it with the same merge_from discipline as every other instrument; the
   // recorder is the machine-owned hot-path state bound to it.
+  disable_heat();
   heat_ = std::make_unique<obs::HeatRecorder>(&obs_.metrics().heat_profile("machine"),
                                               time_dispatch);
 }
@@ -231,15 +232,12 @@ bool Machine::check(std::uint32_t exec_ip, std::uint32_t addr, Access access) co
   if (heat_ == nullptr) {
     return policy_ == nullptr || policy_->allows(exec_ip, addr, access);
   }
-  // Observatory enabled: also ask the policy *which* rule decided.  The
-  // verdict still comes from allows() — classify() is attribution only, so a
-  // policy without a classify() override stays correct (its checks land in
-  // the "unclassified" bucket).
-  const bool allowed = policy_ == nullptr || policy_->allows(exec_ip, addr, access);
-  heat_->count_check(static_cast<int>(access),
-                     policy_ == nullptr ? kCheckNoPolicy
-                                        : policy_->classify(exec_ip, addr, access));
-  return allowed;
+  // Observatory enabled: the one classify() walk behind the verdict also
+  // names the rule that decided, for the heat profile's check counters.
+  const int code = policy_ == nullptr ? kCheckNoPolicy
+                                      : policy_->classify(exec_ip, addr, access);
+  heat_->count_check(static_cast<int>(access), code);
+  return code != kCheckDenied;
 }
 
 bool Machine::raw_read32(std::uint32_t addr, std::uint32_t* out) {
@@ -671,7 +669,9 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     if (firmware_.contains(p) || is_mmio(p) || !memory_.in_bounds(p, 4)) {
       break;
     }
-    if (policy_ != nullptr && !policy_->allows(p, p, Access::kExecute)) {
+    const int fetch_class =
+        policy_ == nullptr ? kCheckNoPolicy : policy_->classify(p, p, Access::kExecute);
+    if (fetch_class == kCheckDenied) {
       break;
     }
     const std::uint32_t word = memory_.read32(p);
@@ -686,9 +686,7 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     const OpVariant& variant = op_table()[static_cast<std::size_t>(op.instr.opcode)];
     op.exec = variant.exec;
     op.base_cycles = variant.base_cycles;
-    op.fetch_class = policy_ == nullptr
-                         ? kCheckNoPolicy
-                         : policy_->classify(p, p, Access::kExecute);
+    op.fetch_class = fetch_class;
     const std::uint32_t next = p + isa::kInstrSize;
     bool terminator = false;
     switch (op.instr.opcode) {

@@ -194,7 +194,12 @@ class Machine {
   /// host-clock sampling so the recorded profile is a deterministic function
   /// of the simulated execution (the mode fleet devices use).
   void enable_heat(bool time_dispatch = true);
-  void disable_heat() { heat_ = nullptr; }
+  void disable_heat() {
+    if (heat_ != nullptr) {
+      heat_->flush();  // keep what the recorder still caches
+    }
+    heat_ = nullptr;
+  }
   [[nodiscard]] obs::HeatRecorder* heat() { return heat_.get(); }
   [[nodiscard]] const obs::HeatRecorder* heat() const { return heat_.get(); }
 

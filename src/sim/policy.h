@@ -26,7 +26,7 @@ inline constexpr int kCheckDenied = -1;        ///< access would be refused
 inline constexpr int kCheckUnprotected = -2;   ///< address covered by no rule
 inline constexpr int kCheckImplicitSelf = -3;  ///< region's own code touched it
 inline constexpr int kCheckOsWindow = -4;      ///< os_accessible + OS kernel IP
-inline constexpr int kCheckUnclassified = -5;  ///< policy has no classify()
+inline constexpr int kCheckUnclassified = -5;  ///< code outside this list
 inline constexpr int kCheckNoPolicy = -6;      ///< machine runs with no policy
 
 class AccessPolicy {
@@ -41,28 +41,24 @@ class AccessPolicy {
   /// fast path.  Starts at 1 so "no policy observed yet" (0) never matches.
   [[nodiscard]] std::uint64_t config_epoch() const { return config_epoch_; }
 
+  /// Which rule decides whether code at `exec_ip` may perform `access` on
+  /// `addr`: a non-negative rule index or one of the kCheck* codes above,
+  /// kCheckDenied meaning "refused".  The single policy query behind every
+  /// fetch, load and store verdict; the execution observatory buckets the
+  /// same answer, so verdict and attribution come from one walk.
+  [[nodiscard]] virtual int classify(std::uint32_t exec_ip, std::uint32_t addr,
+                                     Access access) const = 0;
+
   /// May code at `exec_ip` perform `access` on `addr`?
-  [[nodiscard]] virtual bool allows(std::uint32_t exec_ip, std::uint32_t addr,
-                                    Access access) const = 0;
+  [[nodiscard]] bool allows(std::uint32_t exec_ip, std::uint32_t addr,
+                            Access access) const {
+    return classify(exec_ip, addr, access) != kCheckDenied;
+  }
 
   /// May control transfer from `from_ip` to `to_ip`?  This is where dedicated
   /// entry points are enforced (paper §3, EA-MPU property 2).
   [[nodiscard]] virtual bool allows_transfer(std::uint32_t from_ip,
                                              std::uint32_t to_ip) const = 0;
-
-  /// Attribution twin of allows(): *which* rule decided the access — a
-  /// non-negative rule index or one of the kCheck* codes above.  Purely
-  /// observational: the machine consults it only while the execution
-  /// observatory is recording, and correctness never depends on it (the
-  /// verdict still comes from allows()).  Implementations must agree with
-  /// allows(): classify() == kCheckDenied iff allows() is false.
-  [[nodiscard]] virtual int classify(std::uint32_t exec_ip, std::uint32_t addr,
-                                     Access access) const {
-    (void)exec_ip;
-    (void)addr;
-    (void)access;
-    return kCheckUnclassified;
-  }
 
  protected:
   void bump_config_epoch() { ++config_epoch_; }

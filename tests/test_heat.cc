@@ -7,7 +7,9 @@
 //     instructions_executed(), and so does the opcode histogram;
 //   * static/dynamic block agreement: CFG leaders split runtime blocks at
 //     analyzer boundaries;
-//   * classify() mirrors allows() decision-for-decision on the EA-MPU;
+//   * the EA-MPU's classify() walk (and allows(), defined on top of it)
+//     agrees with a stand-alone reference of the paper's access rules, and
+//     reaches every attribution bucket;
 //   * dynamic indirect-branch edge profiles are a subset of the statically
 //     VSA-resolved target sets over the examples/asm corpus;
 //   * fleet aggregation is byte-identical across thread counts;
@@ -16,6 +18,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -158,6 +163,113 @@ TEST(HeatRecorder, StaticLeadersSplitFallthroughBlocks) {
   EXPECT_EQ(blocks.at(kBase + 8).instructions, 3u);  // two addi + hlt
 }
 
+// The recorder's leader bitmap and block-counter slots are indexes over the
+// plain model: a std::set of leaders and a std::map of blocks, probed on every
+// instruction and block close.  Random leader sets (PC 0, the top of the
+// address space, past the bitmap, unaligned, registered mid-recording) and
+// random PC streams whose block starts collide in the slot table must give
+// the model's profile after every flush().
+TEST(HeatRecorder, LeaderIndexAndBlockSlotsMatchSetModel) {
+  struct Model {
+    std::set<std::uint32_t> leaders;
+    std::map<std::uint32_t, obs::HeatProfile::Block> blocks;
+    std::array<std::uint64_t, 256> opcodes{};
+    bool open = false;
+    std::uint32_t start = 0;
+    std::uint32_t last = 0;
+    std::uint64_t insns = 0;
+
+    void close() {
+      obs::HeatProfile::Block& block = blocks[start];
+      block.end = std::max(block.end, last + 4);
+      ++block.entries;
+      block.instructions += insns;
+    }
+    void step(std::uint32_t pc, std::uint8_t op) {
+      ++opcodes[op];
+      if (!open || pc != last + 4 || leaders.contains(pc)) {
+        if (open) {
+          close();
+        }
+        start = pc;
+        open = true;
+        insns = 0;
+      }
+      last = pc;
+      ++insns;
+    }
+    void flush() {
+      if (open) {
+        close();
+        open = false;
+      }
+    }
+  };
+
+  std::mt19937 rng(20150607);
+  auto pick = [&rng](std::uint32_t n) {
+    return std::uniform_int_distribution<std::uint32_t>(0, n - 1)(rng);
+  };
+  // Code neighbourhoods: low memory from PC 0, a task-like region, the edge
+  // of the leader bitmap's span (16 MiB), and the top of the address space
+  // (sequential runs there wrap to 0).  Starts 0x1000 apart share a slot.
+  const std::uint32_t bases[] = {0x0, 0x40000, 0x00FF'FF00, 0xFFFF'FF00};
+  auto random_pc = [&] {
+    const std::uint32_t pc = bases[pick(4)] + 0x1000 * pick(4) + 4 * pick(64);
+    return pick(8) == 0 ? pc + 1 + pick(3) : pc;  // some unaligned PCs
+  };
+
+  for (int round = 0; round < 20; ++round) {
+    obs::HeatProfile profile;
+    obs::HeatRecorder recorder(&profile, /*time_dispatch=*/false);
+    Model model;
+    auto add_leaders = [&] {
+      const std::uint32_t base = pick(2) == 0 ? 0 : bases[pick(4)];
+      std::vector<std::uint32_t> offsets;
+      for (std::uint32_t i = 0, n = 1 + pick(16); i < n; ++i) {
+        offsets.push_back(random_pc() - base);
+      }
+      if (pick(4) == 0) {
+        offsets.push_back(0 - base);  // PC 0
+      }
+      recorder.add_leaders(base, offsets);
+      for (const std::uint32_t offset : offsets) {
+        model.leaders.insert(base + offset);
+      }
+    };
+    add_leaders();
+    for (int burst = 0; burst < 12; ++burst) {
+      for (int run = 0; run < 40; ++run) {
+        std::uint32_t pc = random_pc();
+        for (std::uint32_t i = 0, n = 1 + pick(24); i < n; ++i, pc += 4) {
+          const auto op = static_cast<std::uint8_t>(pick(256));
+          recorder.on_instruction(pc, op);
+          model.step(pc, op);
+        }
+      }
+      if (pick(3) == 0) {
+        add_leaders();  // leaders registered after recording has started
+      }
+      if (pick(2) == 0) {
+        recorder.flush();
+        model.flush();
+        ASSERT_EQ(profile.blocks.size(), model.blocks.size()) << "round " << round;
+        for (const auto& [start, block] : model.blocks) {
+          const auto it = profile.blocks.find(start);
+          ASSERT_NE(it, profile.blocks.end()) << std::hex << "block 0x" << start;
+          EXPECT_EQ(it->second.end, block.end) << std::hex << "block 0x" << start;
+          EXPECT_EQ(it->second.entries, block.entries) << std::hex << "block 0x" << start;
+          EXPECT_EQ(it->second.instructions, block.instructions)
+              << std::hex << "block 0x" << start;
+        }
+        for (std::size_t op = 0; op < model.opcodes.size(); ++op) {
+          EXPECT_EQ(profile.opcodes[op].count, model.opcodes[op]) << "op " << op;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------- zero simulated cost
 
 TEST(HeatMachine, ObservatoryNeverChangesSimulatedState) {
@@ -250,6 +362,48 @@ TEST(HeatMachine, ProfileIdenticalAcrossDispatchModes) {
 
 // ------------------------------------------------- classify() vs allows()
 
+// Stand-alone reference of the EA-MPU's data and fetch rules (paper §3), kept
+// apart from EaMpu::classify() so the sweep below compares two walks: a
+// region's own code may touch it; foreign execution regions and protected
+// data are never executable; a data access is granted by a slot whose code
+// range holds the IP with the wanted permission, or by an os_accessible slot
+// from the OS kernel window; otherwise it is denied iff a non-background
+// slot or a foreign execution region covers the address.
+bool reference_allows(const hw::EaMpu& mpu, std::uint32_t ip, std::uint32_t addr,
+                      sim::Access access) {
+  const hw::ExecRegion* addr_region = mpu.find_exec_region(addr);
+  if (addr_region != nullptr && mpu.find_exec_region(ip) == addr_region) {
+    return true;
+  }
+  const bool os_ip = ip >= sim::kFwOsKernel && ip < sim::kFwOsKernel + sim::kFwWindowSize;
+  const std::uint8_t wanted =
+      access == sim::Access::kRead ? hw::kPermRead : hw::kPermWrite;
+  bool protected_addr = addr_region != nullptr;
+  for (std::size_t i = 0; i < hw::EaMpu::kNumSlots; ++i) {
+    if (!mpu.slot_used(i)) {
+      continue;
+    }
+    const hw::Rule& rule = mpu.slot(i);
+    if (addr < rule.data_start || addr - rule.data_start >= rule.data_size) {
+      continue;
+    }
+    protected_addr = protected_addr || !rule.background;
+    if (access == sim::Access::kExecute) {
+      continue;
+    }
+    const bool ip_in_code = ip >= rule.code_start && ip - rule.code_start < rule.code_size;
+    if ((ip_in_code && (rule.perms & wanted) != 0) || (rule.os_accessible && os_ip)) {
+      return true;
+    }
+  }
+  return !protected_addr;
+}
+
+// classify() is the EA-MPU's only slot walk and allows() its "not denied"
+// verdict, so both are checked against reference_allows() over a grid of
+// IPs, addresses and access kinds; the saw_* flags pin that the grid reaches
+// every attribution bucket.  test_eampu and test_props test the verdicts
+// against the paper's scenarios.
 TEST(HeatEaMpu, ClassifyAgreesWithAllowsEverywhere) {
   hw::EaMpu mpu;
   // Two exec regions, one protected data slot, one os-accessible slot, one
@@ -288,9 +442,12 @@ TEST(HeatEaMpu, ClassifyAgreesWithAllowsEverywhere) {
   for (const std::uint32_t ip : ips) {
     for (std::uint32_t addr = 0x0; addr < 0x9000; addr += 0x20) {
       for (const sim::Access access : kinds) {
-        const bool allowed = mpu.allows(ip, addr, access);
+        const bool allowed = reference_allows(mpu, ip, addr, access);
         const int code = mpu.classify(ip, addr, access);
         EXPECT_EQ(allowed, code != sim::kCheckDenied)
+            << std::hex << "ip=" << ip << " addr=" << addr << " access="
+            << sim::access_name(access) << " code=" << std::dec << code;
+        EXPECT_EQ(allowed, mpu.allows(ip, addr, access))
             << std::hex << "ip=" << ip << " addr=" << addr << " access="
             << sim::access_name(access) << " code=" << std::dec << code;
         saw_slot = saw_slot || code >= 0;
