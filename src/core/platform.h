@@ -35,9 +35,9 @@
 namespace tytan::core {
 
 /// The MMIO device complement of one platform instance.  Construction is
-/// separated from Platform so callers (PlatformBuilder, the fleet runner,
-/// tests) can select devices and parameterize them per instance; every
-/// device is owned by exactly one platform — nothing is shared.
+/// separated from Platform so callers (the fleet runner, tests) can select
+/// devices and parameterize them per instance; every device is owned by
+/// exactly one platform — nothing is shared.
 struct DeviceSet {
   std::shared_ptr<sim::TimerDevice> timer;
   std::shared_ptr<sim::SerialConsole> serial;

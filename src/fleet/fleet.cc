@@ -32,16 +32,15 @@ Status Fleet::bring_up() {
       device.status_ = kp.status();
       return;
     }
-    device.platform_ = core::PlatformBuilder(config_.base)
-                           .kp(*kp)
-                           .rng_seed(config_.rng_seed_base == 0
-                                         ? 0
-                                         : config_.rng_seed_base + i)
-                           .log_context(&device.log_)
-                           .fault_plan(i == config_.fault_plan_device
-                                           ? config_.fault_plan
-                                           : fault::FaultPlan{})
-                           .build();
+    // Start from the whole base config so no field (dispatch, costs, lint)
+    // is dropped; only the per-device fields differ.
+    core::Platform::Config config = config_.base;
+    config.kp = *kp;
+    config.rng_seed = config_.rng_seed_base == 0 ? 0 : config_.rng_seed_base + i;
+    config.log = &device.log_;
+    config.fault_plan =
+        i == config_.fault_plan_device ? config_.fault_plan : fault::FaultPlan{};
+    device.platform_ = std::make_unique<core::Platform>(config);
     if (config_.enable_obs) {
       device.platform_->machine().obs().enable();
     }

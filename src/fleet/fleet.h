@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/platform.h"
-#include "core/platform_builder.h"
 #include "fleet/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"

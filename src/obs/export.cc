@@ -4,31 +4,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace tytan::obs {
 
 namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string us(std::uint64_t cycles) {
   char buf[32];
@@ -63,7 +43,7 @@ std::string export_chrome_trace(const EventBus& bus, const SpanRecorder* spans) 
   for (const auto& [task, name] : bus.task_names()) {
     std::ostringstream os;
     os << R"({"ph":"M","pid":1,"tid":)" << trace_tid(task)
-       << R"(,"name":"thread_name","args":{"name":")" << json_escape(name) << R"("}})";
+       << R"(,"name":"thread_name","args":{"name":")" << json::escape(name) << R"("}})";
     lines.push_back(os.str());
   }
 
@@ -78,7 +58,7 @@ std::string export_chrome_trace(const EventBus& bus, const SpanRecorder* spans) 
     }
     std::ostringstream os;
     os << R"({"ph":"X","pid":1,"tid":)" << trace_tid(open_task) << R"(,"name":")"
-       << json_escape(task_label(bus, open_task)) << R"(","cat":"run","ts":)"
+       << json::escape(task_label(bus, open_task)) << R"(","cat":"run","ts":)"
        << us(open_cycle) << R"(,"dur":)" << us(end_cycle - open_cycle)
        << R"(,"args":{"cycle":)" << open_cycle << R"(,"dur_cycles":)"
        << (end_cycle - open_cycle) << "}}";

@@ -1,10 +1,10 @@
 #include "obs/heat.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace tytan::obs {
 
@@ -18,18 +18,6 @@ constexpr std::string_view kOtherBucketNames[HeatProfile::kMpuOtherBuckets] = {
 
 constexpr std::string_view kAccessKindNames[HeatProfile::kMpuAccessKinds] = {
     "read", "write", "execute"};
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
 
 std::string fallback_opcode_name(std::uint8_t op) {
   char buf[8];
@@ -118,7 +106,7 @@ std::string HeatProfile::to_jsonl(bool include_host_ns,
      << edges.size() << R"(,"regions":)" << regions.size() << "}\n";
   for (const Region& region : regions) {
     os << R"({"type":"region","task":)" << region.task << R"(,"name":")"
-       << json_escape(region.name) << R"(","base":)" << region.base
+       << json::escape(region.name) << R"(","base":)" << region.base
        << R"(,"size":)" << region.size << "}\n";
   }
   for (const auto& [start, block] : blocks) {
@@ -133,7 +121,7 @@ std::string HeatProfile::to_jsonl(bool include_host_ns,
     }
     const auto byte = static_cast<std::uint8_t>(op);
     os << R"({"type":"opcode","op":)" << op << R"(,"mnemonic":")"
-       << json_escape(namer ? namer(byte) : fallback_opcode_name(byte))
+       << json::escape(namer ? namer(byte) : fallback_opcode_name(byte))
        << R"(","count":)" << stat.count;
     if (include_host_ns) {
       os << R"(,"ns_total":)" << stat.ns_total << R"(,"ns_samples":)"
@@ -181,53 +169,6 @@ std::string HeatProfile::folded() const {
 // JSONL parsing (tytan-objdump --heat, tytan-top --heat, tests)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::int64_t find_int(std::string_view line, std::string_view key,
-                      std::int64_t fallback) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return fallback;
-  }
-  std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() &&
-         (line[end] == '-' || (line[end] >= '0' && line[end] <= '9'))) {
-    ++end;
-  }
-  std::int64_t value = fallback;
-  std::from_chars(line.data() + begin, line.data() + end, value);
-  return value;
-}
-
-std::string find_str(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return {};
-  }
-  const std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() && !(line[end] == '"' && line[end - 1] != '\\')) {
-    ++end;
-  }
-  std::string out;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (line[i] == '\\' && i + 1 < end) {
-      ++i;
-    }
-    out += line[i];
-  }
-  return out;
-}
-
-std::uint64_t u64(std::string_view line, std::string_view key) {
-  return static_cast<std::uint64_t>(find_int(line, key, 0));
-}
-
-}  // namespace
-
 std::string HeatLog::opcode_name(std::uint8_t op) const {
   return mnemonics[op].empty() ? fallback_opcode_name(op) : mnemonics[op];
 }
@@ -240,9 +181,9 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
     if (line.empty()) {
       continue;
     }
-    const std::string type = find_str(line, "type");
+    const std::string type = json::find_str(line, "type");
     if (type == "heat-header") {
-      log.schema = static_cast<int>(u64(line, "schema"));
+      log.schema = static_cast<int>(json::find_u64(line, "schema"));
       if (log.schema != HeatProfile::kSchemaVersion) {
         return make_error(Err::kInvalidArgument,
                           "heat profile schema " + std::to_string(log.schema) +
@@ -251,30 +192,30 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
       }
     } else if (type == "region") {
       HeatProfile::Region region;
-      region.task = static_cast<std::int32_t>(find_int(line, "task", -1));
-      region.name = find_str(line, "name");
-      region.base = static_cast<std::uint32_t>(u64(line, "base"));
-      region.size = static_cast<std::uint32_t>(u64(line, "size"));
+      region.task = static_cast<std::int32_t>(json::find_int(line, "task", -1));
+      region.name = json::find_str(line, "name");
+      region.base = static_cast<std::uint32_t>(json::find_u64(line, "base"));
+      region.size = static_cast<std::uint32_t>(json::find_u64(line, "size"));
       log.profile.regions.push_back(std::move(region));
     } else if (type == "block") {
-      const auto start = static_cast<std::uint32_t>(u64(line, "start"));
+      const auto start = static_cast<std::uint32_t>(json::find_u64(line, "start"));
       HeatProfile::Block& block = log.profile.blocks[start];
-      block.end = static_cast<std::uint32_t>(u64(line, "end"));
-      block.entries = u64(line, "entries");
-      block.instructions = u64(line, "instructions");
+      block.end = static_cast<std::uint32_t>(json::find_u64(line, "end"));
+      block.entries = json::find_u64(line, "entries");
+      block.instructions = json::find_u64(line, "instructions");
     } else if (type == "opcode") {
-      const std::uint64_t op = u64(line, "op");
+      const std::uint64_t op = json::find_u64(line, "op");
       if (op >= log.profile.opcodes.size()) {
         return make_error(Err::kCorrupt, "heat opcode out of range: " + line);
       }
       HeatProfile::OpcodeStat& stat = log.profile.opcodes[op];
-      stat.count = u64(line, "count");
-      stat.ns_total = u64(line, "ns_total");
-      stat.ns_samples = u64(line, "ns_samples");
-      log.mnemonics[op] = find_str(line, "mnemonic");
+      stat.count = json::find_u64(line, "count");
+      stat.ns_total = json::find_u64(line, "ns_total");
+      stat.ns_samples = json::find_u64(line, "ns_samples");
+      log.mnemonics[op] = json::find_str(line, "mnemonic");
     } else if (type == "mpu") {
-      const std::string access = find_str(line, "access");
-      const std::string rule = find_str(line, "rule");
+      const std::string access = json::find_str(line, "access");
+      const std::string rule = json::find_str(line, "rule");
       std::size_t kind = HeatProfile::kMpuAccessKinds;
       for (std::size_t k = 0; k < HeatProfile::kMpuAccessKinds; ++k) {
         if (access == HeatProfile::access_kind_name(k)) {
@@ -291,14 +232,14 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
           bucket == HeatProfile::kMpuBuckets) {
         return make_error(Err::kCorrupt, "heat mpu line unrecognized: " + line);
       }
-      log.profile.mpu[kind][bucket] = u64(line, "count");
+      log.profile.mpu[kind][bucket] = json::find_u64(line, "count");
     } else if (type == "edge") {
-      const auto site = static_cast<std::uint32_t>(u64(line, "site"));
-      const auto target = static_cast<std::uint32_t>(u64(line, "target"));
+      const auto site = static_cast<std::uint32_t>(json::find_u64(line, "site"));
+      const auto target = static_cast<std::uint32_t>(json::find_u64(line, "target"));
       HeatProfile::Edge& edge =
           log.profile.edges[HeatProfile::edge_key(site, target)];
-      edge.count = u64(line, "count");
-      edge.is_call = u64(line, "call") != 0;
+      edge.count = json::find_u64(line, "count");
+      edge.is_call = json::find_u64(line, "call") != 0;
     } else {
       return make_error(Err::kCorrupt, "heat line has no recognized type: " + line);
     }
@@ -307,13 +248,11 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
 }
 
 Result<HeatLog> read_heat_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return make_error(Err::kNotFound, "cannot open '" + path + "'");
+  auto text = json::read_text_file(path);
+  if (!text.is_ok()) {
+    return text.status();
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_heat_jsonl(buffer.str());
+  return parse_heat_jsonl(*text);
 }
 
 }  // namespace tytan::obs

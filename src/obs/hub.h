@@ -18,29 +18,26 @@ namespace tytan::obs {
 
 class Hub {
  public:
+  // The hub listens on its own bus so every emitter — whether it goes through
+  // Hub::emit or holds the EventBus directly (rtos::Scheduler) — drives
+  // metrics and accounting exactly once.  Fault events additionally annotate
+  // the current attestation span, covering every injection site centrally.
   explicit Hub(std::size_t capacity = EventBus::kDefaultCapacity) : bus_(capacity) {
-    wire_listener();
+    bus_.set_listener([this](const Event& event) {
+      accounting_.on_event(event);
+      update_metrics(event);
+      if (event.kind == EventKind::kFaultInject ||
+          event.kind == EventKind::kFaultRecover) {
+        spans_.annotate(event);
+      }
+    });
+    spans_.set_on_end([this](const Span& span) { update_span_metrics(span); });
   }
-  // The listener and span callback capture `this`, so moves must re-wire.
-  Hub(Hub&& other) noexcept
-      : bus_(std::move(other.bus_)),
-        metrics_(std::move(other.metrics_)),
-        accounting_(std::move(other.accounting_)),
-        spans_(std::move(other.spans_)),
-        clock_(other.clock_),
-        ipc_send_cycle_(std::move(other.ipc_send_cycle_)) {
-    wire_listener();
-  }
-  Hub& operator=(Hub&& other) noexcept {
-    bus_ = std::move(other.bus_);
-    metrics_ = std::move(other.metrics_);
-    accounting_ = std::move(other.accounting_);
-    spans_ = std::move(other.spans_);
-    clock_ = other.clock_;
-    ipc_send_cycle_ = std::move(other.ipc_send_cycle_);
-    wire_listener();
-    return *this;
-  }
+  // The bus listener and the span callback capture `this`: a Hub stays put.
+  Hub(const Hub&) = delete;
+  Hub& operator=(const Hub&) = delete;
+  Hub(Hub&&) = delete;
+  Hub& operator=(Hub&&) = delete;
 
   void set_clock(const std::uint64_t* clock) {
     clock_ = clock;
@@ -87,22 +84,6 @@ class Hub {
   [[nodiscard]] std::uint64_t now() const { return clock_ != nullptr ? *clock_ : 0; }
   void update_metrics(const Event& event);
   void update_span_metrics(const Span& span);
-
-  // The hub listens on its own bus so every emitter — whether it goes through
-  // Hub::emit or holds the EventBus directly (rtos::Scheduler) — drives
-  // metrics and accounting exactly once.  Fault events additionally annotate
-  // the current attestation span, covering every injection site centrally.
-  void wire_listener() {
-    bus_.set_listener([this](const Event& event) {
-      accounting_.on_event(event);
-      update_metrics(event);
-      if (event.kind == EventKind::kFaultInject ||
-          event.kind == EventKind::kFaultRecover) {
-        spans_.annotate(event);
-      }
-    });
-    spans_.set_on_end([this](const Span& span) { update_span_metrics(span); });
-  }
 
   EventBus bus_;
   MetricsRegistry metrics_;

@@ -1,9 +1,9 @@
 #include "obs/span.h"
 
 #include <array>
-#include <charconv>
-#include <fstream>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace tytan::obs {
 
@@ -134,57 +134,6 @@ std::string SpanRecorder::to_jsonl() const {
 // Span-file reading
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::int64_t find_int(std::string_view line, std::string_view key, std::int64_t fallback) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return fallback;
-  }
-  const std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() &&
-         (line[end] == '-' || (line[end] >= '0' && line[end] <= '9'))) {
-    ++end;
-  }
-  std::int64_t value = fallback;
-  std::from_chars(line.data() + begin, line.data() + end, value);
-  return value;
-}
-
-std::uint64_t find_u64(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return 0;
-  }
-  const std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() && line[end] >= '0' && line[end] <= '9') {
-    ++end;
-  }
-  std::uint64_t value = 0;
-  std::from_chars(line.data() + begin, line.data() + end, value);
-  return value;
-}
-
-std::string find_str(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return {};
-  }
-  const std::size_t begin = pos + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string_view::npos) {
-    return {};
-  }
-  return std::string(line.substr(begin, end - begin));
-}
-
-}  // namespace
-
 Result<SpanLog> parse_spans_jsonl(std::string_view text) {
   SpanLog log;
   std::istringstream in{std::string(text)};
@@ -199,21 +148,21 @@ Result<SpanLog> parse_spans_jsonl(std::string_view text) {
       return make_error(Err::kCorrupt, "span line " + std::to_string(line_no) +
                                            " is truncated or not JSONL");
     }
-    if (find_str(line, "type") != "span") {
+    if (json::find_str(line, "type") != "span") {
       return make_error(Err::kCorrupt, "span line " + std::to_string(line_no) +
                                            " has no span record type");
     }
     ParsedSpan s;
-    s.device = static_cast<std::uint32_t>(find_u64(line, "device"));
-    s.trace = find_u64(line, "trace");
-    s.span = static_cast<std::uint32_t>(find_u64(line, "span"));
-    s.parent = static_cast<std::uint32_t>(find_u64(line, "parent"));
-    s.phase = find_str(line, "phase");
-    s.task = static_cast<std::int32_t>(find_int(line, "task", -1));
-    s.begin = find_u64(line, "begin");
-    s.end = find_u64(line, "end");
-    s.cycles = find_u64(line, "cycles");
-    s.outcome = find_str(line, "outcome");
+    s.device = static_cast<std::uint32_t>(json::find_u64(line, "device"));
+    s.trace = json::find_u64(line, "trace");
+    s.span = static_cast<std::uint32_t>(json::find_u64(line, "span"));
+    s.parent = static_cast<std::uint32_t>(json::find_u64(line, "parent"));
+    s.phase = json::find_str(line, "phase");
+    s.task = static_cast<std::int32_t>(json::find_int(line, "task", -1));
+    s.begin = json::find_u64(line, "begin");
+    s.end = json::find_u64(line, "end");
+    s.cycles = json::find_u64(line, "cycles");
+    s.outcome = json::find_str(line, "outcome");
     if (s.phase.empty() || s.outcome.empty() || s.span == 0) {
       return make_error(Err::kCorrupt, "span line " + std::to_string(line_no) +
                                            " is missing required span fields");
@@ -239,13 +188,11 @@ Result<SpanLog> parse_spans_jsonl(std::string_view text) {
 }
 
 Result<SpanLog> read_spans_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return make_error(Err::kUnavailable, "cannot open span file '" + path + "'");
+  auto text = json::read_text_file(path);
+  if (!text.is_ok()) {
+    return text.status();
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_spans_jsonl(buffer.str());
+  return parse_spans_jsonl(*text);
 }
 
 }  // namespace tytan::obs

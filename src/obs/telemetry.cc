@@ -1,7 +1,8 @@
 #include "obs/telemetry.h"
 
-#include <charconv>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace tytan::obs {
 
@@ -203,22 +204,10 @@ void append_snapshot_json(std::ostringstream& os, const HealthSnapshot& s) {
      << R"(,"halted":)" << (s.halted ? 1 : 0) << "}\n";
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 void append_anomaly_json(std::ostringstream& os, const Anomaly& a) {
-  os << R"({"type":"anomaly","device":)" << a.device << R"(,"rule":")" << a.rule
-     << R"(","seq":)" << a.seq << R"(,"cycle":)" << a.cycle << R"(,"message":")"
-     << json_escape(a.message) << R"(","flight":[)";
+  os << R"({"type":"anomaly","device":)" << a.device << R"(,"rule":")"
+     << json::escape(a.rule) << R"(","seq":)" << a.seq << R"(,"cycle":)" << a.cycle
+     << R"(,"message":")" << json::escape(a.message) << R"(","flight":[)";
   for (std::size_t i = 0; i < a.flight.size(); ++i) {
     const Event& e = a.flight[i];
     os << (i == 0 ? "" : ",") << R"({"cycle":)" << e.cycle << R"(,"kind":")"
@@ -247,52 +236,6 @@ std::string TelemetryHub::to_jsonl() const {
 // JSONL parsing (tytan-top, tests)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::int64_t find_int(std::string_view line, std::string_view key, std::int64_t fallback) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return fallback;
-  }
-  std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() &&
-         (line[end] == '-' || (line[end] >= '0' && line[end] <= '9'))) {
-    ++end;
-  }
-  std::int64_t value = fallback;
-  std::from_chars(line.data() + begin, line.data() + end, value);
-  return value;
-}
-
-std::string find_str(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return {};
-  }
-  const std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() && !(line[end] == '"' && line[end - 1] != '\\')) {
-    ++end;
-  }
-  std::string out;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (line[i] == '\\' && i + 1 < end) {
-      ++i;
-    }
-    out += line[i];
-  }
-  return out;
-}
-
-std::uint64_t u64(std::string_view line, std::string_view key) {
-  return static_cast<std::uint64_t>(find_int(line, key, 0));
-}
-
-}  // namespace
-
 Result<TelemetryLog> parse_telemetry_jsonl(std::string_view text) {
   TelemetryLog log;
   std::istringstream in{std::string(text)};
@@ -301,38 +244,38 @@ Result<TelemetryLog> parse_telemetry_jsonl(std::string_view text) {
     if (line.empty()) {
       continue;
     }
-    const std::string type = find_str(line, "type");
+    const std::string type = json::find_str(line, "type");
     if (type == "snapshot") {
       HealthSnapshot s;
-      s.device = static_cast<std::uint32_t>(u64(line, "device"));
-      s.seq = u64(line, "seq");
-      s.cycle = u64(line, "cycle");
-      s.instructions = u64(line, "instructions");
-      s.faults = u64(line, "faults");
-      s.fault_kills = u64(line, "fault_kills");
-      s.interrupts = u64(line, "interrupts");
-      s.syscalls = u64(line, "syscalls");
-      s.ctx_switches = u64(line, "ctx_switches");
-      s.ipc_delivered = u64(line, "ipc_delivered");
-      s.ipc_rejects = u64(line, "ipc_rejects");
-      s.attest_total = u64(line, "attest_total");
-      s.attest_verified = u64(line, "attest_verified");
-      s.attest_failed = u64(line, "attest_failed");
-      s.events_dropped = u64(line, "events_dropped");
-      s.faults_injected = u64(line, "faults_injected");
-      s.fault_recoveries = u64(line, "recoveries");
-      s.watchdog_restarts = u64(line, "watchdog_restarts");
-      s.spans_recorded = u64(line, "spans");
-      s.attest_round_p99 = u64(line, "round_p99");
-      s.halted = u64(line, "halted") != 0;
+      s.device = static_cast<std::uint32_t>(json::find_u64(line, "device"));
+      s.seq = json::find_u64(line, "seq");
+      s.cycle = json::find_u64(line, "cycle");
+      s.instructions = json::find_u64(line, "instructions");
+      s.faults = json::find_u64(line, "faults");
+      s.fault_kills = json::find_u64(line, "fault_kills");
+      s.interrupts = json::find_u64(line, "interrupts");
+      s.syscalls = json::find_u64(line, "syscalls");
+      s.ctx_switches = json::find_u64(line, "ctx_switches");
+      s.ipc_delivered = json::find_u64(line, "ipc_delivered");
+      s.ipc_rejects = json::find_u64(line, "ipc_rejects");
+      s.attest_total = json::find_u64(line, "attest_total");
+      s.attest_verified = json::find_u64(line, "attest_verified");
+      s.attest_failed = json::find_u64(line, "attest_failed");
+      s.events_dropped = json::find_u64(line, "events_dropped");
+      s.faults_injected = json::find_u64(line, "faults_injected");
+      s.fault_recoveries = json::find_u64(line, "recoveries");
+      s.watchdog_restarts = json::find_u64(line, "watchdog_restarts");
+      s.spans_recorded = json::find_u64(line, "spans");
+      s.attest_round_p99 = json::find_u64(line, "round_p99");
+      s.halted = json::find_u64(line, "halted") != 0;
       log.snapshots.push_back(s);
     } else if (type == "anomaly") {
       TelemetryLog::ParsedAnomaly a;
-      a.device = static_cast<std::uint32_t>(u64(line, "device"));
-      a.rule = find_str(line, "rule");
-      a.seq = u64(line, "seq");
-      a.cycle = u64(line, "cycle");
-      a.message = find_str(line, "message");
+      a.device = static_cast<std::uint32_t>(json::find_u64(line, "device"));
+      a.rule = json::find_str(line, "rule");
+      a.seq = json::find_u64(line, "seq");
+      a.cycle = json::find_u64(line, "cycle");
+      a.message = json::find_str(line, "message");
       // Count flight entries by their per-event "kind" keys.
       const std::size_t flight_pos = line.find("\"flight\":[");
       if (flight_pos != std::string::npos) {

@@ -38,7 +38,7 @@ struct Trace {
 };
 
 /// Parse a trace previously produced by export_chrome_trace().
-Result<Trace> parse_chrome_trace(std::string_view json);
+Result<Trace> parse_chrome_trace(std::string_view text);
 
 /// Read + parse a trace file.
 Result<Trace> read_chrome_trace_file(const std::string& path);

@@ -527,14 +527,6 @@ StepOutcome Machine::step() {
   if (dispatch_ == DispatchMode::kCached && execute_one_cached()) {
     return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
   }
-  if (tracer_ != nullptr && memory_.in_bounds(cpu_.eip, 4) && !is_mmio(cpu_.eip)) {
-    const int verdict = policy_ == nullptr ? Tracer::kVerdictNone
-                        : policy_->allows(cpu_.eip, cpu_.eip, Access::kExecute)
-                            ? Tracer::kVerdictAllowed
-                            : Tracer::kVerdictDenied;
-    tracer_->record(cycles_, cpu_.eip, memory_.read32(cpu_.eip), {},
-                    current_task_context(), verdict);
-  }
   execute_one();
   return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
 }
@@ -586,7 +578,15 @@ inline void Machine::dispatch_observed(const DecodedOp& op) {
 
 void Machine::execute_one() {
   const std::uint32_t pc = cpu_.eip;
-  if (!check(pc, pc, Access::kExecute)) {
+  const bool allowed = check(pc, pc, Access::kExecute);
+  if (tracer_ != nullptr && memory_.in_bounds(pc, 4) && !is_mmio(pc)) {
+    // The fetch check's own verdict, recorded before any fault it raises.
+    tracer_->record(cycles_, pc, memory_.read32(pc), {}, current_task_context(),
+                    policy_ == nullptr ? Tracer::kVerdictNone
+                    : allowed          ? Tracer::kVerdictAllowed
+                                       : Tracer::kVerdictDenied);
+  }
+  if (!allowed) {
     raise_fault({FaultType::kMpuFetch, pc, pc, Access::kExecute});
     return;
   }

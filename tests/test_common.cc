@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <random>
+#include <string>
+
 #include "common/bytes.h"
+#include "common/json.h"
 #include "common/status.h"
 
 namespace tytan {
@@ -88,6 +93,71 @@ TEST(Result, ConstructingFromOkStatusIsInternalError) {
   Result<int> bad = Status::ok();
   EXPECT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.status().code(), Err::kInternal);
+}
+
+// ------------------------------------------------------------ JSON codec
+
+TEST(Json, FindStrInvertsEscapeOnRandomBytes) {
+  // Bytes a hand-written reader gets wrong: quote, backslash (also as the
+  // last byte), newline, tab, other control bytes, NUL and high bytes.
+  constexpr char kTricky[] = {'"',    '\\',   '\n',   '\t',  '\x01',
+                              '\x1f', '\0', '\x7f', '\xff'};
+  std::mt19937 rng(21);
+  for (int trial = 0; trial < 5'000; ++trial) {
+    std::string s(rng() % 24, '\0');
+    for (char& c : s) {
+      c = rng() % 2 == 0 ? kTricky[rng() % sizeof kTricky] : static_cast<char>(rng());
+    }
+    if (trial % 4 == 0) {
+      s += '\\';
+    }
+    const std::string line = R"({"k":")" + json::escape(s) + R"("})";
+    ASSERT_EQ(json::find_str(line, "k"), s) << line;
+    // A field after the string still reads back.
+    EXPECT_EQ(json::find_int(R"({"k":")" + json::escape(s) + R"(","n":-7})", "n", 0), -7);
+  }
+}
+
+TEST(Json, EscapeMatchesTheArtifactEncoding) {
+  EXPECT_EQ(json::escape("plain name"), "plain name");
+  EXPECT_EQ(json::escape(R"(say "hi")"), R"(say \"hi\")");
+  EXPECT_EQ(json::escape(R"(dir\x)"), R"(dir\\x)");
+  EXPECT_EQ(json::escape("a\nb\tc"), R"(a\nb\tc)");
+  EXPECT_EQ(json::escape(std::string("\x01\0", 2)), R"(\u0001\u0000)");
+}
+
+TEST(Json, FieldReadersHandleAbsentTruncatedAndMalformedValues) {
+  const std::string line =
+      R"({"type":"block","start":262144,"neg":-3,"big":18446744073709551615})";
+  EXPECT_EQ(json::find_str(line, "type"), "block");
+  EXPECT_EQ(json::find_str(line, "missing"), "");
+  EXPECT_EQ(json::find_u64(line, "start"), 262144u);
+  EXPECT_EQ(json::find_u64(line, "big"), 18446744073709551615u);
+  EXPECT_EQ(json::find_u64(line, "neg"), 0u);
+  EXPECT_EQ(json::find_u64(line, "missing"), 0u);
+  EXPECT_EQ(json::find_int(line, "neg", 0), -3);
+  EXPECT_EQ(json::find_int(line, "missing", -1), -1);
+  EXPECT_EQ(json::find_int(line, "type", 5), 5);  // a string is not a number
+  // Unterminated strings and cut-off escapes read as empty, never past the end.
+  EXPECT_EQ(json::find_str(R"({"k":"abc)", "k"), "");
+  EXPECT_EQ(json::find_str(R"({"k":"abc\)", "k"), "");
+  EXPECT_EQ(json::find_str(R"({"k":"\u00)", "k"), "");
+  EXPECT_EQ(json::find_str(R"({"k":"\uzzzz"})", "k"), "");
+}
+
+TEST(Json, ReadTextFileReturnsBytesOrNotFound) {
+  const std::string path = ::testing::TempDir() + "json_read_text_file.txt";
+  const std::string bytes("line one\nline \"two\"\0tail", 24);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  auto text = json::read_text_file(path);
+  ASSERT_TRUE(text.is_ok()) << text.status().to_string();
+  EXPECT_EQ(*text, bytes);
+  auto missing = json::read_text_file(path + ".absent");
+  ASSERT_FALSE(missing.is_ok());
+  EXPECT_EQ(missing.status().code(), Err::kNotFound);
 }
 
 }  // namespace

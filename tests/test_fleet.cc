@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/platform_builder.h"
+#include "core/platform.h"
 #include "fleet/thread_pool.h"
 #include "fleet/verifier_workload.h"
 
@@ -227,15 +227,20 @@ TEST(Fleet, LogIsolation) {
   EXPECT_EQ(device_lines[0], device_lines[1]);
 }
 
-// Satellite: RngDevice seeds flow through Platform::Config / the builder.
+// Satellite: RngDevice seeds flow through Platform::Config.
 TEST(Fleet, RngSeedConfigurablePerPlatform) {
-  auto a = core::PlatformBuilder().rng_seed(0x1111).build();
-  auto b = core::PlatformBuilder().rng_seed(0x1111).build();
-  auto c = core::PlatformBuilder().rng_seed(0x2222).build();
+  auto make_platform = [](std::uint64_t seed) {
+    core::Platform::Config config;
+    config.rng_seed = seed;
+    return std::make_unique<core::Platform>(config);
+  };
+  auto a = make_platform(0x1111);
+  auto b = make_platform(0x1111);
+  auto c = make_platform(0x2222);
   EXPECT_EQ(a->rng().next64(), b->rng().next64());
   EXPECT_NE(a->rng().next64(), c->rng().next64());
   // Seed zero falls back to the device default rather than a dead RNG.
-  auto d = core::PlatformBuilder().rng_seed(0).build();
+  auto d = make_platform(0);
   EXPECT_NE(d->rng().next64(), 0u);
 }
 
@@ -243,9 +248,10 @@ TEST(Fleet, RngSeedConfigurablePerPlatform) {
 // two platforms run sequentially.
 TEST(Fleet, TwoPlatformsOnTwoExplicitThreads) {
   auto make = [](std::uint8_t tag) {
-    crypto::Key128 kp{};
-    kp.fill(tag);
-    return core::PlatformBuilder().kp(kp).rng_seed(0x9000 + tag).build();
+    core::Platform::Config config;
+    config.kp.fill(tag);
+    config.rng_seed = 0x9000 + tag;
+    return std::make_unique<core::Platform>(config);
   };
   auto run_one = [](core::Platform& platform, rtos::TaskHandle* handle) {
     ASSERT_TRUE(platform.boot().is_ok());

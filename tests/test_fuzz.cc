@@ -3,10 +3,18 @@
 // hang, or corrupt invariants — at worst they fault cleanly.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "isa/assembler.h"
+#include "obs/export.h"
+#include "obs/heat.h"
+#include "obs/span.h"
+#include "obs/telemetry.h"
+#include "obs/trace_reader.h"
 #include "sim/machine.h"
 #include "core/platform.h"
 #include "tbf/tbf.h"
@@ -458,6 +466,91 @@ TEST(Fuzz, SealedBlobParserRobust) {
       // Random bytes never authenticate under a fixed key.
       EXPECT_FALSE(crypto::unseal(key, *blob).is_ok());
     }
+  }
+}
+
+/// One valid artifact per observability reader: heat, span and telemetry
+/// JSONL and a Chrome trace, each carrying strings that need escaping.
+std::vector<std::string> valid_obs_artifacts() {
+  obs::HeatProfile heat;
+  heat.regions.push_back({1, R"(task "a"\)", 0x40000, 0x100});
+  heat.blocks[0x40000] = {0x40010, 3, 12};
+  heat.opcodes[0x05] = {12, 960, 3};
+  heat.mpu[2][20] = 99;
+  heat.edges[obs::HeatProfile::edge_key(0x40008, 0x40010)] = {8, true};
+
+  obs::Span span;
+  span.trace_id = 7;
+  span.span_id = 1;
+  span.phase = obs::SpanPhase::kRtmMeasure;
+  span.task = 2;
+  span.begin_cycle = 100;
+  span.end_cycle = 350;
+  span.outcome = obs::SpanOutcome::kOk;
+  span.notes.push_back({120, obs::EventKind::kFaultInject, 1, 2});
+  std::string spans;
+  obs::append_span_json(spans, 3, span);
+  span.span_id = 2;
+  span.parent_id = 1;
+  obs::append_span_json(spans, 3, span);
+
+  std::uint64_t clock = 10;
+  obs::EventBus bus;
+  bus.set_clock(&clock);
+  bus.enable();
+  bus.set_task_name(0, R"(say "hi")");
+  bus.emit(obs::EventKind::kSchedDispatch, 0);
+  clock = 20;
+  bus.emit(obs::EventKind::kSchedTick, -1, 7);
+
+  obs::TelemetryHub telemetry(/*flight_events=*/4);
+  telemetry.add_rule(std::make_unique<obs::AttestationFailureRule>());
+  obs::HealthSnapshot snapshot;
+  snapshot.device = 3;
+  snapshot.seq = 1;
+  snapshot.cycle = 1'000;
+  snapshot.attest_failed = 1;
+  telemetry.record(snapshot, &bus);
+
+  return {heat.to_jsonl(/*include_host_ns=*/true), spans, telemetry.to_jsonl(),
+          obs::export_chrome_trace(bus)};
+}
+
+TEST(Fuzz, ObsArtifactReadersNeverCrashOnMutatedText) {
+  const std::vector<std::string> valid = valid_obs_artifacts();
+  ASSERT_TRUE(obs::parse_heat_jsonl(valid[0]).is_ok());
+  ASSERT_TRUE(obs::parse_spans_jsonl(valid[1]).is_ok());
+  ASSERT_TRUE(obs::parse_telemetry_jsonl(valid[2]).is_ok());
+  ASSERT_TRUE(obs::parse_chrome_trace(valid[3]).is_ok());
+  // Flips favour the bytes the field reader keys on.
+  constexpr char kSyntax[] = {'"', '\\', '\n', ':', ',', '{', '}', '-', '0', 'u'};
+  std::mt19937 rng(9);
+  for (int trial = 0; trial < 3'000; ++trial) {
+    std::string text = valid[rng() % valid.size()];
+    switch (trial % 3) {
+      case 0:  // truncated
+        text.resize(rng() % (text.size() + 1));
+        break;
+      case 1: {  // byte-flipped
+        const int flips = 1 + rng() % 8;
+        for (int f = 0; f < flips; ++f) {
+          text[rng() % text.size()] =
+              rng() % 2 == 0 ? kSyntax[rng() % sizeof kSyntax] : static_cast<char>(rng());
+        }
+        break;
+      }
+      default: {  // spliced: a prefix of one artifact onto a suffix of another
+        const std::string& other = valid[rng() % valid.size()];
+        text = text.substr(0, rng() % (text.size() + 1)) +
+               other.substr(rng() % (other.size() + 1));
+        break;
+      }
+    }
+    // Any outcome but a crash is fine.
+    (void)obs::parse_heat_jsonl(text);
+    (void)obs::parse_spans_jsonl(text);
+    (void)obs::parse_telemetry_jsonl(text);
+    (void)obs::parse_chrome_trace(text);
   }
 }
 

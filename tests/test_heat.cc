@@ -32,6 +32,7 @@
 #include "isa/assembler.h"
 #include "obs/heat.h"
 #include "sim/machine.h"
+#include "sim/tracer.h"
 #include "tbf/tbf.h"
 
 namespace tytan {
@@ -360,6 +361,92 @@ TEST(HeatMachine, ProfileIdenticalAcrossDispatchModes) {
   EXPECT_EQ(interpreted, platform_profile(sim::DispatchMode::kCached));
 }
 
+/// Every tracer entry of `machine`, one line each, for whole-ring comparison.
+std::string trace_lines(sim::Machine& machine) {
+  std::ostringstream os;
+  for (const sim::Tracer::Entry& e : machine.tracer()->snapshot()) {
+    os << e.cycle << ' ' << std::hex << e.eip << ' ' << e.word << std::dec << ' '
+       << e.note << ' ' << e.task << ' ' << e.verdict << '\n';
+  }
+  return os.str();
+}
+
+// The interpreter records each fetch with the verdict of the fetch check it
+// makes anyway (no second EA-MPU walk); cached dispatch replays the verdict
+// memoized at block build.  The rings must match entry for entry, including
+// a denied fetch and a booted platform's firmware and EA-MPU verdicts.
+TEST(TracerMachine, EntriesIdenticalAcrossDispatchModes) {
+  const std::filesystem::path dir(TYTAN_ASM_DIR);
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  std::size_t programs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".s") {
+      continue;
+    }
+    std::ifstream in(entry.path());
+    ASSERT_TRUE(in.good()) << entry.path();
+    std::stringstream text;
+    text << in.rdbuf();
+    const auto object = assemble(text.str());
+    for (std::uint32_t r1 = 0; r1 < 4; ++r1) {
+      auto trace = [&](sim::DispatchMode mode) {
+        sim::Machine machine;
+        machine.set_dispatch_mode(mode);
+        machine.enable_trace(1u << 16);
+        load_bare(machine, object);
+        machine.cpu().regs[1] = r1;
+        machine.run(50'000);
+        return trace_lines(machine);
+      };
+      const std::string interpreted = trace(sim::DispatchMode::kInterpreter);
+      EXPECT_FALSE(interpreted.empty());
+      EXPECT_EQ(interpreted, trace(sim::DispatchMode::kCached))
+          << entry.path().filename() << " r1=" << r1;
+    }
+    ++programs;
+  }
+  EXPECT_GE(programs, 5u);
+
+  // A fetch from read-only protected data: two allowed fetches, then the
+  // denied one, recorded before the fault it raises.
+  auto denied_trace = [](sim::DispatchMode mode) {
+    sim::Machine machine;
+    machine.set_dispatch_mode(mode);
+    machine.enable_trace(64);
+    hw::EaMpu mpu;
+    EXPECT_TRUE(mpu.write_slot(0, {.code_start = 0x50000, .code_size = 0x100,
+                                   .data_start = kBase + 8, .data_size = 4,
+                                   .perms = hw::kPermRead})
+                    .is_ok());
+    machine.set_policy(&mpu);
+    load_bare(machine, assemble(kLoopTask));
+    machine.run(1'000);
+    return trace_lines(machine);
+  };
+  const std::string denied = denied_trace(sim::DispatchMode::kInterpreter);
+  EXPECT_NE(denied.find(" " + std::to_string(sim::Tracer::kVerdictDenied) + "\n"),
+            std::string::npos)
+      << denied;
+  EXPECT_EQ(denied, denied_trace(sim::DispatchMode::kCached));
+
+  auto platform_trace = [](sim::DispatchMode mode) {
+    core::Platform::Config config;
+    config.dispatch = mode;
+    core::Platform platform(config);
+    platform.machine().enable_trace(1u << 16);
+    EXPECT_TRUE(platform.boot().is_ok());
+    EXPECT_TRUE(platform
+                    .load_task_source(fleet::default_task_source(), {.name = "heartbeat"})
+                    .is_ok());
+    platform.run_for(200'000);
+    return trace_lines(platform.machine());
+  };
+  const std::string booted = platform_trace(sim::DispatchMode::kInterpreter);
+  EXPECT_NE(booted.find(" " + std::to_string(sim::Tracer::kVerdictAllowed) + "\n"),
+            std::string::npos);
+  EXPECT_EQ(booted, platform_trace(sim::DispatchMode::kCached));
+}
+
 // ------------------------------------------------- classify() vs allows()
 
 // Stand-alone reference of the EA-MPU's data and fetch rules (paper §3), kept
@@ -649,6 +736,29 @@ TEST(HeatJsonl, RoundTripsThroughParser) {
     return log.opcode_name(op);
   };
   EXPECT_EQ(back.to_jsonl(true, reparse_namer), jsonl);
+}
+
+// Region names are task names or load paths: a trailing backslash or an
+// embedded newline must not swallow the following fields or split the line.
+TEST(HeatJsonl, RegionNamesWithBackslashAndNewlineRoundTrip) {
+  obs::HeatProfile profile;
+  profile.regions.push_back({1, "tasks\\", 0x40000, 0x100});
+  profile.regions.push_back({2, "a\nb", 0x40100, 0x80});
+  profile.regions.push_back({3, "after", 0x40200, 0x40});
+  profile.blocks[0x40000] = {0x40010, 1, 4};
+  auto parsed = obs::parse_heat_jsonl(profile.to_jsonl(false));
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const std::vector<obs::HeatProfile::Region>& regions = parsed->profile.regions;
+  ASSERT_EQ(regions.size(), 3u);
+  EXPECT_EQ(regions[0].name, "tasks\\");
+  EXPECT_EQ(regions[0].base, 0x40000u);
+  EXPECT_EQ(regions[0].size, 0x100u);
+  EXPECT_EQ(regions[1].name, "a\nb");
+  EXPECT_EQ(regions[1].task, 2);
+  EXPECT_EQ(regions[1].base, 0x40100u);
+  EXPECT_EQ(regions[2].name, "after");
+  EXPECT_EQ(regions[2].base, 0x40200u);
+  EXPECT_EQ(parsed->profile.blocks.at(0x40000).instructions, 4u);
 }
 
 TEST(HeatJsonl, DeterministicExportExcludesHostNanoseconds) {

@@ -4,6 +4,7 @@
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.h"
@@ -496,6 +497,30 @@ TEST(Export, ChromeTraceRoundTripsThroughTheReader) {
   EXPECT_TRUE(found);
 }
 
+// Task names are user-chosen: quotes and backslashes must come back from the
+// reader byte for byte (tytan-trace tasks/stats print these names).
+TEST(Export, ChromeTraceTaskNamesWithQuotesAndBackslashesRoundTrip) {
+  std::uint64_t clock = 10;
+  obs::EventBus bus;
+  bus.set_clock(&clock);
+  bus.enable();
+  bus.set_task_name(0, R"(say "hi")");
+  bus.set_task_name(1, R"(dir\x)");
+  bus.emit(obs::EventKind::kSchedDispatch, 0);
+  clock = 20;
+  bus.emit(obs::EventKind::kSchedDispatch, 1);
+  clock = 30;
+  bus.emit(obs::EventKind::kSchedTick, -1, 7);
+  auto trace = obs::parse_chrome_trace(obs::export_chrome_trace(bus));
+  ASSERT_TRUE(trace.is_ok()) << trace.status().to_string();
+  EXPECT_EQ(trace->thread_names.at(obs::trace_tid(0)), R"(say "hi")");
+  EXPECT_EQ(trace->thread_names.at(obs::trace_tid(1)), R"(dir\x)");
+  EXPECT_EQ(trace->thread_names.at(1), "platform");
+  ASSERT_EQ(trace->events.size(), 3u);
+  EXPECT_EQ(trace->events[2].a, 7u);
+  EXPECT_EQ(trace->slices.size(), 2u);
+}
+
 TEST(Export, TimelineListsEventsInOrder) {
   std::uint64_t clock = 100;
   obs::EventBus bus;
@@ -512,6 +537,11 @@ TEST(Export, TimelineListsEventsInOrder) {
 TEST(Export, ReaderRejectsGarbage) {
   EXPECT_FALSE(obs::parse_chrome_trace("not a trace").is_ok());
 }
+
+// The bus listener and the span callback capture `this`: a Hub cannot move.
+static_assert(!std::is_move_constructible_v<obs::Hub>);
+static_assert(!std::is_move_assignable_v<obs::Hub>);
+static_assert(!std::is_copy_constructible_v<obs::Hub>);
 
 TEST(Export, MetricsSummarySurfacesEventBusDrops) {
   std::uint64_t clock = 0;

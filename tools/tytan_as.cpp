@@ -12,10 +12,10 @@
 // written.  --no-lint skips the verifier.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analysis/analyzer.h"
+#include "common/json.h"
 #include "isa/assembler.h"
 #include "tbf/tbf.h"
 #include "tool_util.h"
@@ -62,15 +62,13 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  std::ifstream in(input);
-  if (!in) {
-    std::fprintf(stderr, "tytan-as: cannot open '%s'\n", input.c_str());
+  const auto source = tytan::json::read_text_file(input);
+  if (!source.is_ok()) {
+    std::fprintf(stderr, "tytan-as: %s\n", source.status().message().c_str());
     return 1;
   }
-  std::ostringstream source;
-  source << in.rdbuf();
 
-  auto object = tytan::isa::assemble(source.str());
+  auto object = tytan::isa::assemble(*source);
   if (!object.is_ok()) {
     std::fprintf(stderr, "tytan-as: %s: %s\n", input.c_str(),
                  object.status().to_string().c_str());

@@ -36,6 +36,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.h"
 #include "fault/fault.h"
 
 #include "fleet/verifier_workload.h"
@@ -203,14 +204,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!task_path.empty()) {
-    std::ifstream in(task_path);
-    if (!in) {
-      std::fprintf(stderr, "tytan-fleet: cannot open '%s'\n", task_path.c_str());
+    auto source = json::read_text_file(task_path);
+    if (!source.is_ok()) {
+      std::fprintf(stderr, "tytan-fleet: %s\n", source.status().message().c_str());
       return 1;
     }
-    std::ostringstream source;
-    source << in.rdbuf();
-    config.task_source = source.str();
+    config.task_source = source.take();
   }
 
   if (!telemetry_path.empty()) {

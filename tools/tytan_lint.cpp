@@ -22,13 +22,12 @@
 //   --no-cfg --no-reloc --no-stack --no-mmio --no-dataflow
 //                      disable individual passes
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "common/json.h"
 #include "isa/assembler.h"
 #include "isa/disasm.h"
 #include "tbf/tbf.h"
@@ -82,35 +81,13 @@ void print_context(const isa::ObjectFile& object, std::uint32_t offset) {
   }
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Machine-readable report, same flat-object style as `tytan-trace stats
 /// --json`: scalar summary, per-pass timings, rule counts, then findings.
 void print_json(const std::string& input, const isa::ObjectFile& object,
                 const analysis::Analysis& full) {
   const analysis::Report& report = full.report;
   std::printf("{\"input\": \"%s\", \"image_bytes\": %zu",
-              json_escape(input).c_str(), object.image.size());
+              json::escape(input).c_str(), object.image.size());
   std::printf(", \"errors\": %zu, \"warnings\": %zu, \"infos\": %zu",
               report.errors(), report.warnings(),
               report.count(analysis::Severity::kInfo));
@@ -145,7 +122,7 @@ void print_json(const std::string& input, const isa::ObjectFile& object,
                 first ? "" : ", ",
                 std::string(analysis::rule_id(finding.rule)).c_str(),
                 std::string(analysis::severity_name(finding.severity)).c_str(),
-                finding.offset, json_escape(finding.message).c_str());
+                finding.offset, json::escape(finding.message).c_str());
     first = false;
   }
   std::printf("]}\n");
@@ -202,14 +179,12 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  std::ifstream in(input, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot open '%s'\n", kTool, input.c_str());
+  auto text = json::read_text_file(input);
+  if (!text.is_ok()) {
+    std::fprintf(stderr, "%s: %s\n", kTool, text.status().message().c_str());
     return 1;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string raw = buffer.str();
+  const std::string raw = text.take();
 
   isa::ObjectFile object;
   if (ends_with(input, ".s") || ends_with(input, ".asm")) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "common/json.h"
 #include "isa/disasm.h"
 #include "isa/isa.h"
 #include "obs/heat.h"
@@ -28,28 +29,6 @@ namespace {
 
 constexpr const char kUsageText[] =
     "usage: tytan-objdump [--json] [--heat PROFILE] <file.tbf>\n";
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Pick the heat region this TBF corresponds to: exact name match on the
 /// path argument (tytan-run registers regions under the load path), else the
@@ -174,14 +153,14 @@ int main(int argc, char** argv) {
     std::printf("{\"file\":\"%s\",\"image_bytes\":%zu,\"secure\":%s,"
                 "\"entry\":%u,\"msg_handler\":%u,\"mailbox\":%u,"
                 "\"bss\":%u,\"stack\":%u,\"footprint\":%u",
-                json_escape(path).c_str(), object->image.size(),
+                json::escape(path).c_str(), object->image.size(),
                 object->secure() ? "true" : "false", object->entry,
                 object->msg_handler, object->mailbox, object->bss_size,
                 object->stack_size, object->memory_size());
     std::printf(",\"symbols\":{");
     bool first = true;
     for (const auto& [name, value] : object->symbols) {
-      std::printf("%s\"%s\":%u", first ? "" : ",", json_escape(name).c_str(), value);
+      std::printf("%s\"%s\":%u", first ? "" : ",", json::escape(name).c_str(), value);
       first = false;
     }
     std::printf("},\"relocations\":[");
@@ -200,7 +179,7 @@ int main(int argc, char** argv) {
       const std::uint32_t word = load_le32(object->image.data() + offset);
       std::printf("%s{\"offset\":%u,\"word\":%u,\"text\":\"%s\"", first ? "" : ",",
                   offset, word,
-                  json_escape(isa::disassemble_word(word, offset)).c_str());
+                  json::escape(isa::disassemble_word(word, offset)).c_str());
       if (const auto it = resolved.find(offset); it != resolved.end()) {
         std::printf(",\"targets\":[");
         for (std::size_t t = 0; t < it->second.size(); ++t) {
@@ -215,7 +194,7 @@ int main(int argc, char** argv) {
     if (region != nullptr) {
       std::printf(",\"heat\":{\"region\":\"%s\",\"base\":%u,"
                   "\"total_instructions\":%llu,\"blocks\":[",
-                  json_escape(region->name).c_str(), region->base,
+                  json::escape(region->name).c_str(), region->base,
                   static_cast<unsigned long long>(heat.profile.total_instructions()));
       first = true;
       for (const auto& [start, block] : heat.profile.blocks) {

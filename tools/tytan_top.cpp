@@ -18,13 +18,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "obs/heat.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
@@ -204,14 +203,12 @@ int render_heat(const std::string& path) {
 }
 
 int render(const std::string& path, bool list_anomalies) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "tytan-top: cannot open '%s'\n", path.c_str());
+  const auto text = json::read_text_file(path);
+  if (!text.is_ok()) {
+    std::fprintf(stderr, "tytan-top: %s\n", text.status().message().c_str());
     return 1;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto log = obs::parse_telemetry_jsonl(buffer.str());
+  auto log = obs::parse_telemetry_jsonl(*text);
   if (!log.is_ok()) {
     std::fprintf(stderr, "tytan-top: %s: %s\n", path.c_str(),
                  log.status().to_string().c_str());
