@@ -17,7 +17,7 @@ namespace {
 
 core::EaMpuDriver::ConfigStats measure(std::size_t first_free_position) {
   sim::Machine machine;
-  hw::EaMpu mpu;
+  sim::EaMpu mpu;
   core::EaMpuDriver driver(machine, mpu);
   // Occupy slots 0 .. first_free_position-2 with disjoint dummy rules.
   for (std::size_t i = 0; i + 1 < first_free_position; ++i) {
@@ -26,7 +26,7 @@ core::EaMpuDriver::ConfigStats measure(std::size_t first_free_position) {
                                    .code_size = 0x100,
                                    .data_start = base,
                                    .data_size = 0x100,
-                                   .perms = hw::kPermRead})
+                                   .perms = sim::kPermRead})
                     .is_ok(),
                 "dummy rule install failed");
   }
@@ -34,7 +34,7 @@ core::EaMpuDriver::ConfigStats measure(std::size_t first_free_position) {
                                 .code_size = 0x100,
                                 .data_start = 0x80000,
                                 .data_size = 0x100,
-                                .perms = hw::kPermRead | hw::kPermWrite});
+                                .perms = sim::kPermRead | sim::kPermWrite});
   TYTAN_CHECK(slot.is_ok(), slot.status().to_string());
   TYTAN_CHECK(*slot == first_free_position - 1, "unexpected slot chosen");
   return driver.last_config();
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       "Table 6: configuring the EA-MPU vs position of first free slot (clock cycles)");
   table.columns({"Free slot position", "Finding free slot", "Policy check", "Writing rule",
                  "Overall"});
-  for (std::size_t pos = 1; pos <= hw::EaMpu::kNumSlots; ++pos) {
+  for (std::size_t pos = 1; pos <= sim::EaMpu::kNumSlots; ++pos) {
     const auto stats = measure(pos);
     std::string label = bench::num(pos);
     for (const PaperRow& row : paper) {
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   table.print();
 
   const auto first = measure(1);
-  const auto last = measure(hw::EaMpu::kNumSlots);
+  const auto last = measure(sim::EaMpu::kNumSlots);
   std::printf("\nShape check: policy check constant (%llu == %llu): %s; find grows "
               "linearly with position: %s\n",
               static_cast<unsigned long long>(first.policy),

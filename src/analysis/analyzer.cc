@@ -6,7 +6,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/bytes.h"
 #include "isa/assembler.h"
@@ -15,16 +14,6 @@
 namespace tytan::analysis {
 
 namespace {
-
-std::string hex(std::int64_t value) {
-  std::ostringstream os;
-  if (value < 0) {
-    os << "-0x" << std::hex << -value;
-  } else {
-    os << "0x" << std::hex << value;
-  }
-  return os.str();
-}
 
 // ---------------------------------------------------------------------------
 // Image-structure checks (IM*)

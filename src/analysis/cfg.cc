@@ -11,16 +11,6 @@ namespace tytan::analysis {
 
 namespace {
 
-std::string hex(std::int64_t value) {
-  std::ostringstream os;
-  if (value < 0) {
-    os << "-0x" << std::hex << -value;
-  } else {
-    os << "0x" << std::hex << value;
-  }
-  return os.str();
-}
-
 Flow instruction_flow(const isa::Instruction& instr, std::uint32_t offset,
                       bool terminal_int) {
   Flow flow;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "analysis/analyzer.h"
 #include "analysis/vsa.h"
@@ -14,16 +13,6 @@
 namespace tytan::analysis {
 
 namespace {
-
-std::string hex(std::int64_t value) {
-  std::ostringstream os;
-  if (value < 0) {
-    os << "-0x" << std::hex << -value;
-  } else {
-    os << "0x" << std::hex << value;
-  }
-  return os.str();
-}
 
 /// One abstract machine state: a value set per GPR.
 struct Regs {

@@ -3,8 +3,19 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <sstream>
 
 namespace tytan::analysis {
+
+std::string hex(std::int64_t value) {
+  std::ostringstream os;
+  if (value < 0) {
+    os << "-0x" << std::hex << -value;
+  } else {
+    os << "0x" << std::hex << value;
+  }
+  return os.str();
+}
 
 std::string_view rule_id(Rule rule) {
   switch (rule) {

@@ -60,6 +60,8 @@ std::string_view rule_id(Rule rule);
 std::optional<Rule> rule_from_id(std::string_view id);
 /// "error" / "warning" / "info".
 std::string_view severity_name(Severity severity);
+/// "0x1f" / "-0x8": the address and offset format of finding messages.
+std::string hex(std::int64_t value);
 
 struct Finding {
   Rule rule = Rule::kCfEntry;

@@ -5,19 +5,19 @@
 namespace tytan::core {
 
 namespace {
-bool is_trusted_code(const hw::Rule& rule) {
+bool is_trusted_code(const sim::Rule& rule) {
   return rule.code_start >= sim::kFwOsKernel &&
          rule.code_start < sim::kTrustedDataBase + sim::kTrustedDataSize;
 }
 }  // namespace
 
-bool EaMpuDriver::policy_violation(const hw::Rule& rule) const {
-  for (std::size_t i = 0; i < hw::EaMpu::kNumSlots; ++i) {
+bool EaMpuDriver::policy_violation(const sim::Rule& rule) const {
+  for (std::size_t i = 0; i < sim::EaMpu::kNumSlots; ++i) {
     machine_.charge(machine_.costs().eampu_policy_per_slot);
     if (!mpu_.slot_used(i)) {
       continue;
     }
-    const hw::Rule& existing = mpu_.slot(i);
+    const sim::Rule& existing = mpu_.slot(i);
     if (is_trusted_code(existing) || is_trusted_code(rule)) {
       continue;
     }
@@ -34,15 +34,15 @@ bool EaMpuDriver::policy_violation(const hw::Rule& rule) const {
   return false;
 }
 
-Result<std::size_t> EaMpuDriver::configure(const hw::Rule& rule) {
+Result<std::size_t> EaMpuDriver::configure(const sim::Rule& rule) {
   const sim::CostModel& costs = machine_.costs();
   stats_ = ConfigStats{};
   const std::uint64_t t0 = machine_.cycles();
 
   // Phase 1: find a free slot (linear probe, Table 6 "Finding free slot").
   machine_.charge(costs.eampu_find_base);
-  std::size_t slot = hw::EaMpu::kNumSlots;
-  for (std::size_t i = 0; i < hw::EaMpu::kNumSlots; ++i) {
+  std::size_t slot = sim::EaMpu::kNumSlots;
+  for (std::size_t i = 0; i < sim::EaMpu::kNumSlots; ++i) {
     machine_.charge(costs.eampu_probe_slot);
     if (!mpu_.slot_used(i)) {
       slot = i;
@@ -50,7 +50,7 @@ Result<std::size_t> EaMpuDriver::configure(const hw::Rule& rule) {
     }
   }
   stats_.find = machine_.cycles() - t0;
-  if (slot == hw::EaMpu::kNumSlots) {
+  if (slot == sim::EaMpu::kNumSlots) {
     stats_.total = machine_.cycles() - t0;
     machine_.obs().emit(obs::EventKind::kMpuReject, -1, 0);
     return make_error(Err::kOutOfMemory, "EA-MPU: no free slot");
@@ -70,7 +70,7 @@ Result<std::size_t> EaMpuDriver::configure(const hw::Rule& rule) {
   // Phase 3: write the rule (Table 6 "Writing rule").
   const std::uint64_t t2 = machine_.cycles();
   machine_.charge(costs.eampu_write_rule);
-  hw::EaMpu::PortUnlock unlock(mpu_);
+  sim::EaMpu::PortUnlock unlock(mpu_);
   if (Status s = mpu_.write_slot(slot, rule); !s.is_ok()) {
     return s;
   }
@@ -85,20 +85,20 @@ Result<std::size_t> EaMpuDriver::configure(const hw::Rule& rule) {
 
 Status EaMpuDriver::unconfigure(std::size_t slot) {
   machine_.charge(machine_.costs().eampu_clear_rule);
-  hw::EaMpu::PortUnlock unlock(mpu_);
+  sim::EaMpu::PortUnlock unlock(mpu_);
   machine_.obs().emit(obs::EventKind::kMpuClear, -1, static_cast<std::uint32_t>(slot));
   return mpu_.clear_slot(slot);
 }
 
-Result<std::size_t> EaMpuDriver::add_exec_region(const hw::ExecRegion& region) {
+Result<std::size_t> EaMpuDriver::add_exec_region(const sim::ExecRegion& region) {
   machine_.charge(machine_.costs().eampu_write_rule);
-  hw::EaMpu::PortUnlock unlock(mpu_);
+  sim::EaMpu::PortUnlock unlock(mpu_);
   return mpu_.add_exec_region(region);
 }
 
 Status EaMpuDriver::remove_exec_region(std::size_t idx) {
   machine_.charge(machine_.costs().eampu_clear_rule);
-  hw::EaMpu::PortUnlock unlock(mpu_);
+  sim::EaMpu::PortUnlock unlock(mpu_);
   return mpu_.remove_exec_region(idx);
 }
 

@@ -10,7 +10,7 @@
 #pragma once
 
 #include "common/status.h"
-#include "hw/eampu.h"
+#include "sim/eampu.h"
 #include "sim/machine.h"
 
 namespace tytan::core {
@@ -26,22 +26,22 @@ class EaMpuDriver {
     std::size_t slot = 0;
   };
 
-  EaMpuDriver(sim::Machine& machine, hw::EaMpu& mpu) : machine_(machine), mpu_(mpu) {}
+  EaMpuDriver(sim::Machine& machine, sim::EaMpu& mpu) : machine_(machine), mpu_(mpu) {}
 
   static constexpr std::uint32_t kIdent = sim::kFwEaMpuDriver;
 
   /// Install a rule: find free slot, policy check, write.  Returns the slot.
-  Result<std::size_t> configure(const hw::Rule& rule);
+  Result<std::size_t> configure(const sim::Rule& rule);
 
   /// Remove a rule installed by configure().
   Status unconfigure(std::size_t slot);
 
   /// Register an execution region (task descriptor with entry point).
-  Result<std::size_t> add_exec_region(const hw::ExecRegion& region);
+  Result<std::size_t> add_exec_region(const sim::ExecRegion& region);
   Status remove_exec_region(std::size_t idx);
 
   [[nodiscard]] const ConfigStats& last_config() const { return stats_; }
-  [[nodiscard]] hw::EaMpu& mpu() { return mpu_; }
+  [[nodiscard]] sim::EaMpu& mpu() { return mpu_; }
 
   /// Serialize / overwrite the last-configure stats (the rule table itself
   /// is the EA-MPU's own snapshot section).
@@ -53,10 +53,10 @@ class EaMpuDriver {
   /// data region.  Rules whose code region lies in the trusted firmware area
   /// are exempt — the static trusted-component rules legitimately cover all
   /// of RAM (trusted components may access secure-task memory, paper §4).
-  [[nodiscard]] bool policy_violation(const hw::Rule& rule) const;
+  [[nodiscard]] bool policy_violation(const sim::Rule& rule) const;
 
   sim::Machine& machine_;
-  hw::EaMpu& mpu_;
+  sim::EaMpu& mpu_;
   ConfigStats stats_;
 };
 

@@ -200,16 +200,16 @@ void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
     kernel_.resume_specific(sender.handle);
     return;
   }
-  const hw::Rule rule_a{.code_start = sender_entry->base,
+  const sim::Rule rule_a{.code_start = sender_entry->base,
                         .code_size = sender_entry->size,
                         .data_start = *base,
                         .data_size = size,
-                        .perms = hw::kPermRead | hw::kPermWrite};
-  const hw::Rule rule_b{.code_start = receiver_entry->base,
+                        .perms = sim::kPermRead | sim::kPermWrite};
+  const sim::Rule rule_b{.code_start = receiver_entry->base,
                         .code_size = receiver_entry->size,
                         .data_start = *base,
                         .data_size = size,
-                        .perms = hw::kPermRead | hw::kPermWrite};
+                        .perms = sim::kPermRead | sim::kPermWrite};
   auto slot_a = driver_.configure(rule_a);
   if (!slot_a.is_ok()) {
     TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "ipc") << "shm rule A rejected: "

@@ -39,16 +39,13 @@ void Kernel::install() {
   });
 }
 
-Result<TaskHandle> Kernel::create_firmware_task(const std::string& name, unsigned priority,
-                                                std::function<bool()> quantum) {
-  TYTAN_CHECK(loader_ != nullptr, "kernel needs the loader (for the arena) first");
+Result<TaskHandle> Kernel::create_firmware_task(const std::string& name, unsigned priority) {
   auto handle = scheduler_.create(
       {.name = name, .priority = priority, .secure = false, .kind = TaskKind::kFirmware});
   if (!handle.is_ok()) {
     return handle;
   }
   Tcb* tcb = scheduler_.get(*handle);
-  tcb->quantum = std::move(quantum);
 
   // A small stack for hardware interrupt frames.
   auto stack = loader_->arena().alloc(256);
@@ -60,52 +57,29 @@ Result<TaskHandle> Kernel::create_firmware_task(const std::string& name, unsigne
   tcb->region_size = 256;
   tcb->stack_top = *stack + 256;
 
-  const std::uint32_t entry = kIdent + next_fw_entry_;
+  tcb->entry = kIdent + next_fw_entry_;
   next_fw_entry_ += kFwTaskEntryStride;
-  tcb->entry = entry;
-  machine_.register_firmware(entry, "fwtask:" + name,
-                             [this](sim::Machine&) { run_firmware_quantum(); });
+  register_firmware_entry(*tcb);
   return *handle;
 }
 
-std::function<bool()> Kernel::idle_quantum() {
-  return [this]() {
-    machine_.charge(20);  // the idle loop burns a few cycles per pass
-    return true;
-  };
-}
-
-std::function<bool()> Kernel::loader_quantum() {
-  return [this]() { return loader_->load_quantum(); };
-}
-
-Status Kernel::adopt_firmware_task(Tcb& tcb) {
-  if (tcb.name == "idle") {
-    tcb.quantum = idle_quantum();
-  } else if (tcb.name == "loader") {
-    tcb.quantum = loader_quantum();
-  } else {
-    return make_error(Err::kUnavailable,
-                      "cannot rebuild quantum for firmware task '" + tcb.name +
-                          "' (restore in place instead)");
-  }
+void Kernel::register_firmware_entry(const Tcb& tcb) {
   if (!machine_.is_firmware(tcb.entry)) {
     machine_.register_firmware(tcb.entry, "fwtask:" + tcb.name,
                                [this](sim::Machine&) { run_firmware_quantum(); });
   }
-  return Status::ok();
 }
 
 Status Kernel::start(std::uint32_t tick_period_cycles) {
   TYTAN_CHECK(loader_ != nullptr, "kernel: loader not wired");
-  auto idle = create_firmware_task("idle", rtos::kIdlePriority, idle_quantum());
+  auto idle = create_firmware_task("idle", rtos::kIdlePriority);
   if (!idle.is_ok()) {
     return idle.status();
   }
   idle_task_ = *idle;
   scheduler_.make_ready(idle_task_);
 
-  auto loader_task = create_firmware_task("loader", /*priority=*/1, loader_quantum());
+  auto loader_task = create_firmware_task("loader", /*priority=*/1);
   if (!loader_task.is_ok()) {
     return loader_task.status();
   }
@@ -566,7 +540,12 @@ void Kernel::run_firmware_quantum() {
     return;
   }
   const std::uint64_t t0 = machine_.cycles();
-  const bool more = tcb->quantum();
+  bool more = true;
+  if (tcb->handle == idle_task_) {
+    machine_.charge(kIdlePassCycles);
+  } else {
+    more = loader_->load_quantum();
+  }
   tcb->cpu_cycles += machine_.cycles() - t0;
   if (!more) {
     scheduler_.block(tcb->handle, BlockReason::kQueueRecv);
@@ -629,6 +608,21 @@ Status Kernel::restore_state(snap::Reader& r) {
   routed_irqs_.clear();
   for (std::uint32_t i = 0; i < routed && r.ok(); ++i) {
     routed_irqs_.insert(r.u8());
+  }
+  // The scheduler's task table (SCHD) is already restored.  Its firmware
+  // tasks must be this kernel's idle and loader; their machine entries are
+  // wiring, re-registered when restoring into a platform that never booted
+  // (Platform::clone, replay tooling).
+  for (const TaskHandle handle : scheduler_.handles()) {
+    const Tcb* tcb = scheduler_.get(handle);
+    if (tcb->kind != TaskKind::kFirmware) {
+      continue;
+    }
+    if (handle != idle_task_ && handle != loader_task_) {
+      return make_error(Err::kCorrupt, "snapshot firmware task '" + tcb->name +
+                                           "' is neither the idle nor the loader task");
+    }
+    register_firmware_entry(*tcb);
   }
   return Status::ok();
 }

@@ -13,11 +13,10 @@
 //   kFwOsKernel + kSyscallHandlerOff INT kVecSyscall dispatch
 //   kFwFaultHandler                  EA-MPU / CPU fault -> kill offending task
 //
-// Firmware-backed tasks (idle, loader) execute one bounded quantum per
-// machine step, so they are preemptible by design.
+// The two firmware-backed tasks, idle and loader, execute one bounded quantum
+// per machine step, so they are preemptible by design.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -43,6 +42,10 @@ class Kernel {
   /// Firmware-task entries are handed out from this offset upward.
   static constexpr std::uint32_t kFwTaskEntryOff = 0x100;
   static constexpr std::uint32_t kFwTaskEntryStride = 0x20;
+  /// Cycles one pass of the idle task burns.  An idle pass changes nothing
+  /// else: it is a constant-cost spin, re-entered every machine step while
+  /// idle_task() runs.
+  static constexpr std::uint64_t kIdlePassCycles = 20;
 
   Kernel(sim::Machine& machine, rtos::Scheduler& scheduler, IntMux& int_mux);
 
@@ -59,20 +62,6 @@ class Kernel {
   /// Create the idle and loader firmware tasks, program the tick timer, and
   /// dispatch the first task.  `tick_period_cycles` is the RTOS tick period.
   Status start(std::uint32_t tick_period_cycles);
-
-  // -- firmware tasks ------------------------------------------------------------
-  /// Create a host-backed task executing `quantum` once per step while
-  /// running.  Returning false parks the task until someone wakes it.
-  Result<rtos::TaskHandle> create_firmware_task(const std::string& name, unsigned priority,
-                                                std::function<bool()> quantum);
-
-  /// Scheduler::QuantumRebuild hook for snapshot restore into a platform
-  /// whose live task table has no matching firmware task: rebuilds the
-  /// quantum closure of the kernel's own firmware tasks ("idle", "loader")
-  /// and re-registers their machine firmware entry.  Firmware tasks created
-  /// by test harnesses cannot be rebuilt and are a typed error — such
-  /// platforms must restore in place.
-  Status adopt_firmware_task(rtos::Tcb& tcb);
 
   // -- scheduling services ----------------------------------------------------------
   /// Pick and dispatch the highest-priority ready task (idle always exists).
@@ -113,15 +102,21 @@ class Kernel {
   // -- snapshots ----------------------------------------------------------------
   /// Serialize / overwrite the kernel's own state: queues, task handles,
   /// firmware-entry cursor, counters, IRQ routing.  The scheduler's task
-  /// table is a separate section.  Software timers hold closures and cannot
-  /// travel; Platform::save refuses while any are active, and restore resets
-  /// the timer service to empty.
+  /// table is a separate section, restored first; restore rejects a firmware
+  /// task that is neither idle nor loader (kCorrupt).  Software timers hold
+  /// closures and cannot travel; Platform::save refuses while any are
+  /// active, and restore resets the timer service to empty.
   void save_state(snap::Writer& w) const;
   Status restore_state(snap::Reader& r);
 
  private:
-  [[nodiscard]] std::function<bool()> idle_quantum();
-  [[nodiscard]] std::function<bool()> loader_quantum();
+  /// Create one of the two host-backed tasks (start() is the only caller)
+  /// and register its machine firmware entry.
+  Result<rtos::TaskHandle> create_firmware_task(const std::string& name, unsigned priority);
+  /// Register `tcb`'s firmware entry with the machine unless it already is.
+  void register_firmware_entry(const rtos::Tcb& tcb);
+  /// One quantum of the running firmware task: an idle pass
+  /// (kIdlePassCycles) or one loader step; a finished loader parks.
   void run_firmware_quantum();
   void dispatch_guest(rtos::Tcb& tcb);
   void syscall_result(rtos::Tcb& tcb, std::uint32_t value);

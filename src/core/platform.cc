@@ -39,7 +39,7 @@ Platform::Platform(const Config& config, DeviceSet devices)
     fault_engine_ = std::make_unique<fault::FaultEngine>(config.fault_plan);
     machine_->set_fault_engine(fault_engine_.get());
   }
-  mpu_ = std::make_unique<hw::EaMpu>();
+  mpu_ = std::make_unique<sim::EaMpu>();
   scheduler_ = std::make_unique<rtos::Scheduler>();
 
   // Observability wiring: the scheduler feeds the machine's event bus, and

@@ -144,7 +144,7 @@ class Platform {
   // -- component access ----------------------------------------------------------------
   [[nodiscard]] sim::Machine& machine() { return *machine_; }
   [[nodiscard]] const sim::Machine& machine() const { return *machine_; }
-  [[nodiscard]] hw::EaMpu& mpu() { return *mpu_; }
+  [[nodiscard]] sim::EaMpu& mpu() { return *mpu_; }
   [[nodiscard]] rtos::Scheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] IntMux& int_mux() { return *int_mux_; }
   [[nodiscard]] EaMpuDriver& eampu_driver() { return *driver_; }
@@ -199,8 +199,9 @@ class Platform {
 
   /// A fresh platform carrying identical state: constructed from this
   /// platform's config (no boot — boot state travels in the snapshot), then
-  /// restored.  Requires the standard device set and only kernel-owned
-  /// firmware tasks; platforms with custom extras restore in place instead.
+  /// restored.  Requires the standard device set; a platform built around a
+  /// custom DeviceSet restores in place, or into one built with the same
+  /// devices, instead.
   Result<std::unique_ptr<Platform>> clone() const;
 
   /// Rebuild a Config from a snapshot's CONF section (replay tooling: a
@@ -218,7 +219,7 @@ class Platform {
 
   Config config_;
   std::unique_ptr<sim::Machine> machine_;
-  std::unique_ptr<hw::EaMpu> mpu_;
+  std::unique_ptr<sim::EaMpu> mpu_;
   std::unique_ptr<rtos::Scheduler> scheduler_;
   std::unique_ptr<IntMux> int_mux_;
   std::unique_ptr<EaMpuDriver> driver_;

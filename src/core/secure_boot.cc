@@ -71,16 +71,16 @@ void SecureBootRom::install_exec_regions() {
   for (const std::uint32_t window : windows) {
     auto idx = mpu_.add_exec_region({.start = window,
                                      .size = sim::kFwWindowSize,
-                                     .entry = hw::ExecRegion::kEntryNone});
+                                     .entry = sim::ExecRegion::kEntryNone});
     TYTAN_CHECK(idx.is_ok(), "secure boot: exec region install failed");
   }
 }
 
 void SecureBootRom::install_static_rules() {
-  const auto rw = static_cast<std::uint8_t>(hw::kPermRead | hw::kPermWrite);
-  const auto ro = static_cast<std::uint8_t>(hw::kPermRead);
+  const auto rw = static_cast<std::uint8_t>(sim::kPermRead | sim::kPermWrite);
+  const auto ro = static_cast<std::uint8_t>(sim::kPermRead);
   const std::uint32_t ram_size = sim::kRamEnd - sim::kRamBase;
-  const hw::Rule static_rules[] = {
+  const sim::Rule static_rules[] = {
       // Int Mux: secure-task stacks (anywhere in RAM) + the shadow TCBs.
       {sim::kFwIntMux, sim::kFwWindowSize, sim::kRamBase, ram_size, rw, false, true},
       {sim::kFwIntMux, sim::kFwWindowSize, kShadowTcbBase, kShadowTcbSize, rw, false, false},
@@ -105,7 +105,7 @@ void SecureBootRom::install_static_rules() {
       {0, 0, sim::kIdtBase, sim::kIdtSize, 0, false, false},
   };
   std::size_t slot = 0;
-  for (const hw::Rule& rule : static_rules) {
+  for (const sim::Rule& rule : static_rules) {
     const Status s = mpu_.write_slot(slot++, rule);
     TYTAN_CHECK(s.is_ok(), "secure boot: static rule install failed: " + s.to_string());
   }

@@ -22,7 +22,7 @@
 
 #include "common/status.h"
 #include "crypto/sha1.h"
-#include "hw/eampu.h"
+#include "sim/eampu.h"
 #include "sim/machine.h"
 
 namespace tytan::core {
@@ -56,7 +56,7 @@ struct BootReport {
 
 class SecureBootRom {
  public:
-  SecureBootRom(sim::Machine& machine, hw::EaMpu& mpu) : machine_(machine), mpu_(mpu) {}
+  SecureBootRom(sim::Machine& machine, sim::EaMpu& mpu) : machine_(machine), mpu_(mpu) {}
 
   /// Write the firmware images into their windows (pre-verification state).
   void load_images(const std::vector<BootComponent>& manifest);
@@ -77,7 +77,7 @@ class SecureBootRom {
   void install_idt();
 
   sim::Machine& machine_;
-  hw::EaMpu& mpu_;
+  sim::EaMpu& mpu_;
 };
 
 }  // namespace tytan::core

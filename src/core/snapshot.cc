@@ -309,11 +309,7 @@ Status Platform::visit_state(snap::StateVisitor& visitor) {
 
   s = visitor.section(
       "SCHD", [this](snap::Writer& w) { scheduler_->save_state(w); },
-      [this](snap::Reader& r) {
-        return scheduler_->restore_state(r, [this](rtos::Tcb& tcb) {
-          return kernel_->adopt_firmware_task(tcb);
-        });
-      });
+      [this](snap::Reader& r) { return scheduler_->restore_state(r); });
   if (!s.is_ok()) {
     return s;
   }

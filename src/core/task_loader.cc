@@ -357,9 +357,9 @@ bool TaskLoader::quantum_mpu() {
   rtos::Tcb* tcb = scheduler_.get(job.handle);
   const std::uint64_t t0 = machine_.cycles();
 
-  hw::ExecRegion exec{.start = job.base,
+  sim::ExecRegion exec{.start = job.base,
                       .size = job.total_size,
-                      .entry = tcb->secure ? tcb->entry : hw::ExecRegion::kEntryAnywhere};
+                      .entry = tcb->secure ? tcb->entry : sim::ExecRegion::kEntryAnywhere};
   auto exec_idx = driver_.add_exec_region(exec);
   if (!exec_idx.is_ok()) {
     fail_job(exec_idx.status());
@@ -367,11 +367,11 @@ bool TaskLoader::quantum_mpu() {
   }
   tcb->exec_region_idx = static_cast<int>(*exec_idx);
 
-  hw::Rule rule{.code_start = job.base,
+  sim::Rule rule{.code_start = job.base,
                 .code_size = job.total_size,
                 .data_start = job.base,
                 .data_size = job.total_size,
-                .perms = hw::kPermRead | hw::kPermWrite,
+                .perms = sim::kPermRead | sim::kPermWrite,
                 .os_accessible = !tcb->secure};
   auto slot = driver_.configure(rule);
   if (!slot.is_ok()) {

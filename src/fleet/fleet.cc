@@ -38,8 +38,9 @@ Status Fleet::bring_up() {
     config.kp = *kp;
     config.rng_seed = config_.rng_seed_base == 0 ? 0 : config_.rng_seed_base + i;
     config.log = &device.log_;
-    config.fault_plan =
-        i == config_.fault_plan_device ? config_.fault_plan : fault::FaultPlan{};
+    if (i != config_.fault_plan_device) {
+      config.fault_plan = {};  // the rest of the fleet is the control group
+    }
     device.platform_ = std::make_unique<core::Platform>(config);
     if (config_.enable_obs) {
       device.platform_->machine().obs().enable();

@@ -63,14 +63,13 @@ struct FleetConfig {
   /// dispatch timing OFF so fleet artifacts stay byte-identical across
   /// thread counts (host nanoseconds are non-deterministic; counts are not).
   bool heat = false;
-  /// Template for every device's Platform::Config; kp, rng_seed, log, and
-  /// fault_plan are overridden per device.
+  /// Template for every device's Platform::Config; kp, rng_seed, and log
+  /// are overridden per device.  base.fault_plan is installed on device
+  /// `fault_plan_device` only (the rest of the fleet is the healthy control
+  /// group); empty = no engine anywhere.
   core::Platform::Config base{};
   /// Health snapshots + anomaly detection (off by default).
   TelemetryConfig telemetry{};
-  /// Fault-injection plan installed on device `fault_plan_device` only (the
-  /// rest of the fleet is the healthy control group).  Empty = no engine.
-  fault::FaultPlan fault_plan{};
   std::size_t fault_plan_device = 0;
   /// Graceful degradation for failed attestations: re-attest up to this many
   /// times, backing off exponentially (backoff << attempt simulated cycles on

@@ -62,8 +62,8 @@ class HeatProfile {
 
   /// EA-MPU check attribution buckets.  Non-negative classify() codes are
   /// rule-slot indices (sim/policy.h); the six negative codes get named
-  /// buckets after the slots.  18 mirrors hw::EaMpu::kNumSlots — asserted
-  /// where both are visible (src/hw can see obs, not vice versa).
+  /// buckets after the slots.  18 mirrors sim::EaMpu::kNumSlots — asserted
+  /// where both are visible (src/sim can see obs, not vice versa).
   static constexpr std::size_t kMpuAccessKinds = 3;  ///< read / write / execute
   static constexpr std::size_t kMpuSlotBuckets = 18;
   static constexpr std::size_t kMpuOtherBuckets = 6;
@@ -109,13 +109,13 @@ class HeatProfile {
     return (static_cast<std::uint64_t>(site) << 32) | target;
   }
   /// classify() code -> mpu bucket index (out-of-range codes fold into the
-  /// "unclassified" bucket so a foreign policy can never index out of bounds).
+  /// "unclassified" bucket, so no code can index out of bounds).
   [[nodiscard]] static constexpr std::size_t bucket_for(int code) {
     if (code >= 0 && static_cast<std::size_t>(code) < kMpuSlotBuckets) {
       return static_cast<std::size_t>(code);
     }
-    // Negative codes are -1..-6 (denied..no-policy); anything else — a
-    // foreign policy with its own convention — folds into "unclassified".
+    // Negative codes are -1..-6 (denied..no-policy); anything else folds
+    // into "unclassified".
     const int index = -code - 1;
     if (index >= 0 && static_cast<std::size_t>(index) < kMpuOtherBuckets) {
       return kMpuSlotBuckets + static_cast<std::size_t>(index);
@@ -211,7 +211,7 @@ class HeatRecorder {
   }
 
   /// One EA-MPU choke-point evaluation.  `access` is the sim::Access value,
-  /// `code` the policy's classify() result (sim/policy.h constants).
+  /// `code` the EA-MPU's classify() result (sim/policy.h constants).
   void count_check(int access, int code) {
     const auto kind = static_cast<std::size_t>(access);
     if (kind < HeatProfile::kMpuAccessKinds) {

@@ -353,7 +353,7 @@ void Scheduler::save_state(snap::Writer& w) const {
   w.u64(tick_count_);
 }
 
-Status Scheduler::restore_state(snap::Reader& r, const QuantumRebuild& rebuild) {
+Status Scheduler::restore_state(snap::Reader& r) {
   const std::uint32_t count = r.u32();
   std::vector<std::unique_ptr<Tcb>> restored;
   restored.reserve(count);
@@ -366,18 +366,6 @@ Status Scheduler::restore_state(snap::Reader& r, const QuantumRebuild& rebuild) 
     read_tcb(r, *tcb);
     if (!r.ok()) {
       break;  // finish() reports the truncation
-    }
-    if (tcb->kind == TaskKind::kFirmware && tcb->state != TaskState::kDead) {
-      // The quantum closure cannot travel through a snapshot.  Restoring
-      // in-place: the live table has the same firmware task in the same slot
-      // — adopt its closure.  Restoring into a fresh platform: ask the
-      // platform to rebuild it.
-      if (i < tasks_.size() && tasks_[i] != nullptr &&
-          tasks_[i]->name == tcb->name && tasks_[i]->quantum) {
-        tcb->quantum = tasks_[i]->quantum;
-      } else if (Status s = rebuild(*tcb); !s.is_ok()) {
-        return s;
-      }
     }
     restored.push_back(std::move(tcb));
   }

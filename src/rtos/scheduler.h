@@ -77,19 +77,12 @@ class Scheduler {
   [[nodiscard]] std::vector<TaskHandle> handles() const;
 
   // -- snapshots ----------------------------------------------------------------
-  /// Rebuilds the non-serializable `quantum` closure of a firmware-backed
-  /// task on restore.  Called only when the live scheduler has no matching
-  /// task (same slot, same name) to adopt the closure from; returns non-OK
-  /// for firmware tasks the platform does not know how to rebuild.
-  using QuantumRebuild = std::function<Status(Tcb&)>;
-
-  /// Serialize every TCB (minus the quantum closure), the ready queues, the
-  /// running task, and the tick counter.
+  /// Serialize every TCB, the ready queues, the running task, and the tick
+  /// counter.
   void save_state(snap::Writer& w) const;
-  /// Overwrite the full task table from the reader.  Firmware quanta are
-  /// adopted from the live table when slot + name match (restore-in-place),
-  /// otherwise `rebuild` is asked to reconstruct them.
-  Status restore_state(snap::Reader& r, const QuantumRebuild& rebuild);
+  /// Overwrite the full task table from the reader.  Which firmware tasks
+  /// are valid is the kernel's call (Kernel::restore_state).
+  Status restore_state(snap::Reader& r);
 
   // -- observability ------------------------------------------------------------------
   /// Wire the platform event bus (non-owning; nullptr = no events).  Every

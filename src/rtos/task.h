@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace tytan::rtos {
@@ -34,7 +33,7 @@ const char* task_state_name(TaskState s);
 /// What backs the task's execution.
 enum class TaskKind : std::uint8_t {
   kGuest,     ///< guest code on the simulated CPU
-  kFirmware,  ///< host-implemented trusted task (RTM, services, idle)
+  kFirmware,  ///< host-implemented kernel task (idle, loader)
 };
 
 /// Why a task is blocked (for diagnostics and wake filtering).
@@ -89,11 +88,6 @@ struct Tcb {
   // -- platform bookkeeping -------------------------------------------------------
   int exec_region_idx = -1;  ///< EA-MPU execution-region descriptor
   int mpu_slot = -1;         ///< EA-MPU rule slot for the task region
-
-  // -- firmware-backed tasks --------------------------------------------------------
-  /// Invoked once per scheduling step while running; returns false when the
-  /// task has no more work and wants to yield the CPU.
-  std::function<bool()> quantum;
 
   // -- accounting --------------------------------------------------------------------
   std::uint64_t activations = 0;

@@ -10,11 +10,11 @@
 // through the block with a cursor: one compare-and-copy instead of the full
 // fetch→decode→check walk.
 //
-// Everything memoized is a pure function of (guest memory bytes, the access
-// policy's configuration, the firmware registry), so the cache is correct
+// Everything memoized is a pure function of (guest memory bytes, the EA-MPU
+// configuration, the firmware registry), so the cache is correct
 // exactly as long as it observes every change to those three inputs:
 //
-//   * policy configuration — AccessPolicy::config_epoch() (bumped by every
+//   * policy configuration — EaMpu::config_epoch() (bumped by every
 //     EaMpu::write_slot/clear_slot/add_exec_region/remove_exec_region and
 //     table restore); live() compares epochs on the per-step fast path;
 //   * guest code bytes — a PhysicalMemory write watch catches
@@ -43,8 +43,8 @@
 #include <vector>
 
 #include "isa/isa.h"
+#include "sim/eampu.h"
 #include "sim/memory.h"
-#include "sim/policy.h"
 
 namespace tytan::sim {
 
@@ -54,7 +54,7 @@ struct DecodedOp;
 /// Memoized allows_transfer() verdict for transfers whose target is a pure
 /// function of the instruction's PC (jmp/jz/../jnc/call).  kUnknown — the
 /// interpreter's transient ops and register-indirect transfers — means "ask
-/// the policy live".
+/// the EA-MPU live".
 enum class TransferMemo : std::uint8_t { kUnknown = 0, kAllowed, kDenied };
 
 /// Per-opcode dispatch table entry (the sixfive-style variant record): the
@@ -124,14 +124,14 @@ class DecodeCache final : public WriteWatcher {
 
   /// Fast-path liveness: the caller's cursor generation still matches and
   /// the policy configuration is the one the blocks were built under.
-  [[nodiscard]] bool live(std::uint64_t gen, const AccessPolicy* policy) const {
+  [[nodiscard]] bool live(std::uint64_t gen, const EaMpu* policy) const {
     return gen == generation_ && policy == policy_ &&
            (policy == nullptr || policy->config_epoch() == policy_epoch_);
   }
 
   /// Slow-path entry: drop everything if the policy pointer or its
   /// configuration epoch moved since the cache was last (re)built.
-  void sync_policy(const AccessPolicy* policy) {
+  void sync_policy(const EaMpu* policy) {
     const std::uint64_t epoch = policy == nullptr ? 0 : policy->config_epoch();
     if (policy != policy_ || epoch != policy_epoch_) {
       invalidate_all();
@@ -205,7 +205,7 @@ class DecodeCache final : public WriteWatcher {
   // the next safe point.
   std::vector<std::unique_ptr<Block>> graveyard_;
   PhysicalMemory* memory_ = nullptr;
-  const AccessPolicy* policy_ = nullptr;
+  const EaMpu* policy_ = nullptr;
   std::uint64_t policy_epoch_ = 0;
   std::uint64_t generation_ = 1;
   // Code index: bit g is set while some cached block covers granule g, and

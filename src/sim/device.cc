@@ -12,13 +12,9 @@ void MmioBus::attach(std::shared_ptr<Device> device) {
                                 device->size()),
                 "MMIO ranges overlap");
   }
+  device->set_timing_listener([this] { ++timing_epoch_; });
   devices_.push_back(std::move(device));
-  Device* attached = devices_.back().get();
-  if (attached->wants_tick()) {
-    tickers_.push_back(attached);
-  }
-  attached->set_timing_listener([this] { ++timing_epoch_; });
-  ++timing_epoch_;  // a new ticker may be due immediately
+  ++timing_epoch_;  // a new device may be due immediately
 }
 
 Device* MmioBus::find(std::uint32_t addr) const {

@@ -36,20 +36,13 @@ class Device {
   /// Advance device time to the absolute cycle count `now`.
   virtual void tick(std::uint64_t now) { (void)now; }
 
-  /// A device overriding tick() must also return true here: tick_all() runs
-  /// once per executed instruction, so the bus only walks devices that
-  /// declared they need time (skipping a default no-op tick is invisible).
-  [[nodiscard]] virtual bool wants_tick() const { return false; }
-
   /// Earliest future cycle at which tick() performs observable work (fires
-  /// an IRQ, advances a counter), or kNeverTicks when tick() is currently a
-  /// pure time latch.  The machine skips the per-instruction tick walk until
-  /// the earliest due cycle across the bus.  The conservative default — 0,
-  /// "always due" — keeps any wants_tick() device that does not implement
-  /// this on the classic every-instruction regime.  A device that DOES skip
-  /// ahead must bump the bus timing epoch (touch_timing()) from every
-  /// register write or restore that changes its schedule.
-  [[nodiscard]] virtual std::uint64_t next_tick_due() const { return 0; }
+  /// an IRQ, advances a counter), or kNeverTicks — the default — when
+  /// tick() is a pure time latch.  The machine skips the tick walk until the
+  /// earliest due cycle across the bus.  A device with a schedule must bump
+  /// the bus timing epoch (touch_timing()) from every register write or
+  /// restore that changes it.
+  [[nodiscard]] virtual std::uint64_t next_tick_due() const { return kNeverTicks; }
 
   /// Serialize / overwrite the device's guest-visible state for machine
   /// snapshots.  The default is stateless (devices holding only wiring or
@@ -97,21 +90,21 @@ class MmioBus {
   /// Device covering `addr`, or nullptr.
   [[nodiscard]] Device* find(std::uint32_t addr) const;
 
-  /// Advance every tick-declaring device; inline and walks only tickers_.
-  /// The machine calls this at most once per instruction, and skips calls
-  /// entirely while `now < next_tick_due()` and the timing epoch is stable.
+  /// Advance every device.  The machine calls this at most once per
+  /// instruction, and skips calls entirely while `now < next_tick_due()` and
+  /// the timing epoch is stable.
   void tick_all(std::uint64_t now) {
-    for (Device* device : tickers_) {
+    for (const auto& device : devices_) {
       device->tick(now);
     }
   }
 
-  /// Earliest cycle at which any ticker has observable work, or
+  /// Earliest cycle at which any device has observable work, or
   /// Device::kNeverTicks.  Recompute after every tick_all() (firing moves
   /// the schedule) and on every timing-epoch change.
   [[nodiscard]] std::uint64_t next_tick_due() const {
     std::uint64_t due = Device::kNeverTicks;
-    for (Device* device : tickers_) {
+    for (const auto& device : devices_) {
       due = std::min(due, device->next_tick_due());
     }
     return due;
@@ -128,9 +121,6 @@ class MmioBus {
 
  private:
   std::vector<std::shared_ptr<Device>> devices_;
-  // Raw pointers into devices_ (same lifetime): only the devices that
-  // declared wants_tick(), so the per-instruction tick walk skips the rest.
-  std::vector<Device*> tickers_;
   std::uint64_t timing_epoch_ = 1;
 };
 

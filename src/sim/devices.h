@@ -32,7 +32,6 @@ class TimerDevice : public Device {
   std::uint32_t read32(std::uint32_t offset) override;
   void write32(std::uint32_t offset, std::uint32_t value) override;
   void tick(std::uint64_t now) override;
-  [[nodiscard]] bool wants_tick() const override { return true; }
   /// Disabled timers never act; enabled ones act exactly at next_fire_.
   /// (last_now_ staleness between events is repaired by the machine's lazy
   /// access/serialization latching.)
@@ -121,13 +120,9 @@ class EngineActuator : public Device {
 
   std::uint32_t read32(std::uint32_t offset) override;
   void write32(std::uint32_t offset, std::uint32_t value) override;
+  /// A pure time latch (command timestamps): the default next_tick_due()
+  /// leaves it to the machine's lazy latch on MMIO access.
   void tick(std::uint64_t now) override { now_ = now; }
-  [[nodiscard]] bool wants_tick() const override { return true; }
-  /// tick() is a pure time latch (command timestamps); the machine latches
-  /// it lazily on MMIO access instead of every instruction.
-  [[nodiscard]] std::uint64_t next_tick_due() const override {
-    return kNeverTicks;
-  }
 
   [[nodiscard]] const std::vector<Command>& commands() const { return commands_; }
   void clear() { commands_.clear(); }

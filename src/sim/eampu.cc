@@ -1,10 +1,8 @@
-#include "hw/eampu.h"
+#include "sim/eampu.h"
 
 #include "common/bytes.h"
 
-namespace tytan::hw {
-
-using sim::Access;
+namespace tytan::sim {
 
 // ---------------------------------------------------------------------------
 // Slot array
@@ -127,7 +125,7 @@ int EaMpu::classify(std::uint32_t exec_ip, std::uint32_t addr, Access access) co
 
   // Implicit self-access: a region's own code may read/write/execute it.
   if (addr_region != nullptr && ip_region == addr_region) {
-    return sim::kCheckImplicitSelf;
+    return kCheckImplicitSelf;
   }
 
   if (access == Access::kExecute) {
@@ -135,15 +133,15 @@ int EaMpu::classify(std::uint32_t exec_ip, std::uint32_t addr, Access access) co
     // memory (foreign execution identity cannot arise on fetch: exec_ip ==
     // addr).
     if (addr_region != nullptr) {
-      return sim::kCheckDenied;  // foreign execution region (self handled above)
+      return kCheckDenied;  // foreign execution region (self handled above)
     }
     for (const auto& slot : slots_) {
       if (slot && !slot->background && addr >= slot->data_start &&
           addr - slot->data_start < slot->data_size) {
-        return sim::kCheckDenied;  // protected data is never executable
+        return kCheckDenied;  // protected data is never executable
       }
     }
-    return sim::kCheckUnprotected;
+    return kCheckUnprotected;
   }
 
   const std::uint8_t wanted = (access == Access::kRead) ? kPermRead : kPermWrite;
@@ -162,10 +160,10 @@ int EaMpu::classify(std::uint32_t exec_ip, std::uint32_t addr, Access access) co
       return static_cast<int>(i);
     }
     if (slot->os_accessible && in_os_window(exec_ip)) {
-      return sim::kCheckOsWindow;
+      return kCheckOsWindow;
     }
   }
-  return protected_addr ? sim::kCheckDenied : sim::kCheckUnprotected;
+  return protected_addr ? kCheckDenied : kCheckUnprotected;
 }
 
 bool EaMpu::allows_transfer(std::uint32_t from_ip, std::uint32_t to_ip) const {
@@ -251,4 +249,4 @@ Status EaMpu::restore_state(snap::Reader& r) {
   return Status::ok();
 }
 
-}  // namespace tytan::hw
+}  // namespace tytan::sim

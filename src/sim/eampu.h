@@ -11,7 +11,10 @@
 //   3. interrupt handling that preserves these rules (the Int Mux runs under
 //      its own identity and is itself subject to the rule matrix).
 //
-// This class is the *hardware*: it evaluates accesses and stores slots.
+// This class is the *hardware*: it evaluates accesses and stores slots.  It
+// is a block of the simulated machine, like memory and the MMIO bus: the
+// machine consults it directly on every fetch, load, store, and control
+// transfer (Machine::set_policy; null means pre-boot, everything allowed).
 // Slot search and the overlap policy check — what Table 6 measures — are
 // performed by the EA-MPU *driver* (src/core/eampu_driver), which charges
 // the calibrated cycle costs.
@@ -39,7 +42,7 @@
 #include "sim/policy.h"
 #include "snap/snapshot.h"
 
-namespace tytan::hw {
+namespace tytan::sim {
 
 /// Data-region permissions.
 enum Perm : std::uint8_t {
@@ -81,7 +84,7 @@ struct ExecRegion {
   static constexpr std::uint32_t kEntryNone = 0xFFFF'FFFEu;
 };
 
-class EaMpu final : public sim::AccessPolicy {
+class EaMpu {
  public:
   /// Paper Table 6: "EA-MPU with 18 slots in total".
   static constexpr std::size_t kNumSlots = 18;
@@ -103,15 +106,32 @@ class EaMpu final : public sim::AccessPolicy {
   /// Execution region containing `addr`, if any.
   [[nodiscard]] const ExecRegion* find_exec_region(std::uint32_t addr) const;
 
-  // -- AccessPolicy ------------------------------------------------------------
-  /// Which rule decided the access: the granting slot index, or a negative
-  /// sim::kCheck* code.  The single slot walk behind every data and fetch
-  /// verdict (AccessPolicy::allows() is classify() != kCheckDenied); the
-  /// machine counts the same answer into the execution observatory.
+  // -- access evaluation -------------------------------------------------------
+  /// Monotonic configuration-change counter, bumped by every mutation that
+  /// can change a classify()/allows_transfer() verdict (slot and region
+  /// writes, table restore).  Consumers that memoize verdicts (the decode
+  /// cache, sim/decode_cache.h) compare epochs instead of subscribing to
+  /// callbacks; inline because the comparison sits on the per-instruction
+  /// fast path.  Starts at 1 so "nothing observed yet" (0) never matches.
+  [[nodiscard]] std::uint64_t config_epoch() const { return config_epoch_; }
+
+  /// Which rule decides whether code at `exec_ip` may perform `access` on
+  /// `addr`: the granting slot index, or a negative kCheck* code
+  /// (sim/policy.h), kCheckDenied meaning "refused".  The single slot walk
+  /// behind every fetch, load and store verdict; the machine counts the same
+  /// answer into the execution observatory.
   [[nodiscard]] int classify(std::uint32_t exec_ip, std::uint32_t addr,
-                             sim::Access access) const override;
-  [[nodiscard]] bool allows_transfer(std::uint32_t from_ip,
-                                     std::uint32_t to_ip) const override;
+                             Access access) const;
+
+  /// May code at `exec_ip` perform `access` on `addr`?
+  [[nodiscard]] bool allows(std::uint32_t exec_ip, std::uint32_t addr,
+                            Access access) const {
+    return classify(exec_ip, addr, access) != kCheckDenied;
+  }
+
+  /// May control transfer from `from_ip` to `to_ip`?  This is where dedicated
+  /// entry points are enforced (EA-MPU property 2 above).
+  [[nodiscard]] bool allows_transfer(std::uint32_t from_ip, std::uint32_t to_ip) const;
 
   /// Lock the configuration ports (set by secure boot after the static rules
   /// are installed; afterwards only the EA-MPU driver firmware may write —
@@ -140,12 +160,14 @@ class EaMpu final : public sim::AccessPolicy {
 
  private:
   [[nodiscard]] static bool in_os_window(std::uint32_t ip) {
-    return ip >= sim::kFwOsKernel && ip < sim::kFwOsKernel + sim::kFwWindowSize;
+    return ip >= kFwOsKernel && ip < kFwOsKernel + kFwWindowSize;
   }
+  void bump_config_epoch() { ++config_epoch_; }
 
   std::array<std::optional<Rule>, kNumSlots> slots_{};
   std::array<std::optional<ExecRegion>, kNumExecRegions> exec_regions_{};
   bool port_locked_ = false;
+  std::uint64_t config_epoch_ = 1;
 };
 
-}  // namespace tytan::hw
+}  // namespace tytan::sim

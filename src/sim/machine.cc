@@ -11,6 +11,27 @@ namespace tytan::sim {
 
 using isa::Opcode;
 
+static_assert(obs::HeatProfile::kMpuSlotBuckets == EaMpu::kNumSlots,
+              "the heat profile's check buckets mirror the EA-MPU slots");
+
+namespace {
+
+/// `instr`, decoded from `word` at `pc`, bound to its OpVariant handler and
+/// base cost — the part of a DecodedOp both dispatch modes fill the same
+/// way.  Nothing is memoized yet.
+DecodedOp decoded_op(std::uint32_t pc, std::uint32_t word, const isa::Instruction& instr) {
+  const OpVariant& variant = op_table()[static_cast<std::size_t>(instr.opcode)];
+  DecodedOp op;
+  op.instr = instr;
+  op.pc = pc;
+  op.word = word;
+  op.exec = variant.exec;
+  op.base_cycles = variant.base_cycles;
+  return op;
+}
+
+}  // namespace
+
 const char* fault_name(FaultType t) {
   switch (t) {
     case FaultType::kNone: return "none";
@@ -170,10 +191,7 @@ void Machine::record_fault(const FaultInfo& fault) {
 
 void Machine::raise_fault(const FaultInfo& fault) {
   fault_eip_redirected_ = false;
-  last_fault_ = fault;
-  ++fault_count_;
-  obs_.emit(obs::EventKind::kFault, current_task_context(),
-            static_cast<std::uint32_t>(fault.type), fault.eip);
+  record_fault(fault);
   TYTAN_CLOG(log(), LogLevel::kDebug, "machine") << "fault: " << fault.to_string();
   if (in_fault_dispatch_) {
     halt(HaltReason::kDoubleFault);
@@ -602,14 +620,7 @@ void Machine::execute_one() {
   }
   // Transient decoded op: same OpVariant handler the cache dispatches, with
   // nothing memoized (transfer/fetch verdicts resolved live).
-  DecodedOp op;
-  op.instr = *decoded;
-  op.pc = pc;
-  op.word = word;
-  const OpVariant& variant = op_table()[static_cast<std::size_t>(op.instr.opcode)];
-  op.exec = variant.exec;
-  op.base_cycles = variant.base_cycles;
-  dispatch_observed(op);
+  dispatch_observed(decoded_op(pc, word, *decoded));
 }
 
 void Machine::run_cached_op(const DecodedOp& op) {
@@ -679,13 +690,7 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     if (!decoded) {
       break;
     }
-    DecodedOp op;
-    op.instr = *decoded;
-    op.pc = p;
-    op.word = word;
-    const OpVariant& variant = op_table()[static_cast<std::size_t>(op.instr.opcode)];
-    op.exec = variant.exec;
-    op.base_cycles = variant.base_cycles;
+    DecodedOp op = decoded_op(p, word, *decoded);
     op.fetch_class = fetch_class;
     const std::uint32_t next = p + isa::kInstrSize;
     bool terminator = false;

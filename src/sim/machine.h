@@ -26,6 +26,7 @@
 #include "sim/cpu.h"
 #include "sim/decode_cache.h"
 #include "sim/device.h"
+#include "sim/eampu.h"
 #include "sim/memory.h"
 #include "sim/tracer.h"
 
@@ -90,14 +91,14 @@ class Machine {
   }
   [[nodiscard]] const CostModel& costs() const { return costs_; }
 
-  /// Install the EA-MPU (or any policy).  Non-owning; may be nullptr
-  /// (pre-secure-boot: everything allowed).  Drops the decode cache — cached
-  /// fetch and transfer verdicts were issued by the previous policy.
-  void set_policy(const AccessPolicy* policy) {
+  /// Install the EA-MPU.  Non-owning; may be nullptr (pre-secure-boot:
+  /// everything allowed).  Drops the decode cache — cached fetch and
+  /// transfer verdicts were issued under the previous configuration.
+  void set_policy(const EaMpu* policy) {
     policy_ = policy;
     invalidate_decode_cache();
   }
-  [[nodiscard]] const AccessPolicy* policy() const { return policy_; }
+  [[nodiscard]] const EaMpu* policy() const { return policy_; }
 
   // -- dispatch mode -----------------------------------------------------------
   /// Default is kCached; kInterpreter is the reference implementation the
@@ -317,7 +318,7 @@ class Machine {
   MmioBus bus_;
   CpuState cpu_;
   CostModel costs_;
-  const AccessPolicy* policy_ = nullptr;
+  const EaMpu* policy_ = nullptr;
 
   std::uint64_t cycles_ = 0;
   // Event-driven device time (host-only scheduling state; never snapshotted

@@ -51,21 +51,21 @@ TEST(Calibration, Table3ResumeComponents) {
 
 TEST(Calibration, Table6EaMpuConfigExact) {
   sim::Machine machine;
-  hw::EaMpu mpu;
+  sim::EaMpu mpu;
   core::EaMpuDriver driver(machine, mpu);
   auto check = [&](std::size_t position, std::uint64_t find, std::uint64_t overall) {
     // Occupy slots up to position-1.
-    hw::EaMpu fresh;
+    sim::EaMpu fresh;
     core::EaMpuDriver d(machine, fresh);
     for (std::size_t i = 0; i + 1 < position; ++i) {
       const auto base = static_cast<std::uint32_t>(0x40000 + i * 0x1000);
       ASSERT_TRUE(fresh.write_slot(i, {.code_start = base, .code_size = 16,
                                        .data_start = base, .data_size = 16,
-                                       .perms = hw::kPermRead}).is_ok());
+                                       .perms = sim::kPermRead}).is_ok());
     }
     auto slot = d.configure({.code_start = 0x90000, .code_size = 16,
                              .data_start = 0x90000, .data_size = 16,
-                             .perms = hw::kPermRead});
+                             .perms = sim::kPermRead});
     ASSERT_TRUE(slot.is_ok());
     EXPECT_EQ(d.last_config().find, find) << "position " << position;
     EXPECT_EQ(d.last_config().policy, 824u);

@@ -2,12 +2,16 @@
 // isolation, without a booted platform).
 #include <gtest/gtest.h>
 
-#include "hw/eampu.h"
+#include <type_traits>
 
-namespace tytan::hw {
+#include "sim/eampu.h"
+
+namespace tytan::sim {
 namespace {
 
-using sim::Access;
+// The machine calls the one EA-MPU it has directly: no vtable on the check
+// path.
+static_assert(!std::is_polymorphic_v<EaMpu>);
 
 constexpr std::uint32_t kTaskA = 0x40000;
 constexpr std::uint32_t kTaskB = 0x50000;
@@ -188,4 +192,4 @@ TEST(EaMpuSlots, EmptyRuleRejected) {
 }
 
 }  // namespace
-}  // namespace tytan::hw
+}  // namespace tytan::sim

@@ -324,7 +324,7 @@ TEST(FaultInjection, NonceReplayIsRetriedWithBackoff) {
   fleet::FleetConfig config;
   config.device_count = 2;
   config.threads = 2;
-  config.fault_plan = plan_of("nonce-replay@attest#2");
+  config.base.fault_plan = plan_of("nonce-replay@attest#2");
   config.fault_plan_device = 1;
   config.attest_retries = 2;
   fleet::Fleet fleet(config);
@@ -355,7 +355,7 @@ TEST(FleetFault, DeployQuarantineRetriesFromPristineImage) {
   fleet::FleetConfig config;
   config.device_count = 3;
   config.threads = 3;
-  config.fault_plan = plan_of("tbf-bitflip@load:fleet-fw");
+  config.base.fault_plan = plan_of("tbf-bitflip@load:fleet-fw");
   config.fault_plan_device = 2;
   fleet::Fleet fleet(config);
   ASSERT_TRUE(fleet.bring_up().is_ok());
@@ -379,7 +379,7 @@ std::string faulted_fleet_jsonl(std::size_t threads) {
   config.device_count = 4;
   config.threads = threads;
   config.telemetry.enabled = true;
-  config.fault_plan = plan_of("task-stall:fleet-fw; nonce-replay@attest#2");
+  config.base.fault_plan = plan_of("task-stall:fleet-fw; nonce-replay@attest#2");
   config.fault_plan_device = 1;
   config.attest_retries = 2;
   fleet::Fleet fleet(config);

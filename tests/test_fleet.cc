@@ -167,6 +167,25 @@ TEST(Fleet, BaseDispatchReachesEveryDevice) {
   EXPECT_EQ(ri.totals.verified, kDevices);
 }
 
+// Regression: FleetConfig carried its own fault_plan next to
+// base.fault_plan, and bring_up overwrote base.fault_plan on every device
+// with it, so a plan set on base reached no device at all.
+TEST(Fleet, BaseFaultPlanReachesOnlyTheChosenDevice) {
+  FleetConfig config;
+  config.device_count = 3;
+  config.threads = 2;
+  auto plan = fault::FaultPlan::parse("nonce-replay@attest#2");
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  config.base.fault_plan = plan.take();
+  config.fault_plan_device = 1;
+  Fleet fleet(config);
+  ASSERT_TRUE(fleet.bring_up().is_ok());
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    EXPECT_EQ(fleet.device(i).platform().fault_engine() != nullptr, i == 1)
+        << "device " << i;
+  }
+}
+
 TEST(Fleet, SecondAttestSweepUsesFreshNonces) {
   Fleet fleet(small_workload(3, 2).fleet);
   const WorkloadConfig config = small_workload(3, 2);

@@ -28,7 +28,7 @@
 #include "analysis/analyzer.h"
 #include "core/platform.h"
 #include "fleet/verifier_workload.h"
-#include "hw/eampu.h"
+#include "sim/eampu.h"
 #include "isa/assembler.h"
 #include "obs/heat.h"
 #include "sim/machine.h"
@@ -37,11 +37,6 @@
 
 namespace tytan {
 namespace {
-
-// The obs layer mirrors the EA-MPU slot count by value (it cannot include
-// src/hw); this is the one TU where both constants are visible.
-static_assert(obs::HeatProfile::kMpuSlotBuckets == hw::EaMpu::kNumSlots,
-              "heat MPU bucket table no longer matches the EA-MPU slot count");
 
 isa::ObjectFile assemble(const std::string& source) {
   auto object = isa::assemble(source);
@@ -413,10 +408,10 @@ TEST(TracerMachine, EntriesIdenticalAcrossDispatchModes) {
     sim::Machine machine;
     machine.set_dispatch_mode(mode);
     machine.enable_trace(64);
-    hw::EaMpu mpu;
+    sim::EaMpu mpu;
     EXPECT_TRUE(mpu.write_slot(0, {.code_start = 0x50000, .code_size = 0x100,
                                    .data_start = kBase + 8, .data_size = 4,
-                                   .perms = hw::kPermRead})
+                                   .perms = sim::kPermRead})
                     .is_ok());
     machine.set_policy(&mpu);
     load_bare(machine, assemble(kLoopTask));
@@ -456,21 +451,21 @@ TEST(TracerMachine, EntriesIdenticalAcrossDispatchModes) {
 // range holds the IP with the wanted permission, or by an os_accessible slot
 // from the OS kernel window; otherwise it is denied iff a non-background
 // slot or a foreign execution region covers the address.
-bool reference_allows(const hw::EaMpu& mpu, std::uint32_t ip, std::uint32_t addr,
+bool reference_allows(const sim::EaMpu& mpu, std::uint32_t ip, std::uint32_t addr,
                       sim::Access access) {
-  const hw::ExecRegion* addr_region = mpu.find_exec_region(addr);
+  const sim::ExecRegion* addr_region = mpu.find_exec_region(addr);
   if (addr_region != nullptr && mpu.find_exec_region(ip) == addr_region) {
     return true;
   }
   const bool os_ip = ip >= sim::kFwOsKernel && ip < sim::kFwOsKernel + sim::kFwWindowSize;
   const std::uint8_t wanted =
-      access == sim::Access::kRead ? hw::kPermRead : hw::kPermWrite;
+      access == sim::Access::kRead ? sim::kPermRead : sim::kPermWrite;
   bool protected_addr = addr_region != nullptr;
-  for (std::size_t i = 0; i < hw::EaMpu::kNumSlots; ++i) {
+  for (std::size_t i = 0; i < sim::EaMpu::kNumSlots; ++i) {
     if (!mpu.slot_used(i)) {
       continue;
     }
-    const hw::Rule& rule = mpu.slot(i);
+    const sim::Rule& rule = mpu.slot(i);
     if (addr < rule.data_start || addr - rule.data_start >= rule.data_size) {
       continue;
     }
@@ -492,7 +487,7 @@ bool reference_allows(const hw::EaMpu& mpu, std::uint32_t ip, std::uint32_t addr
 // every attribution bucket.  test_eampu and test_props test the verdicts
 // against the paper's scenarios.
 TEST(HeatEaMpu, ClassifyAgreesWithAllowsEverywhere) {
-  hw::EaMpu mpu;
+  sim::EaMpu mpu;
   // Two exec regions, one protected data slot, one os-accessible slot, one
   // background rule — every classify() path is reachable.
   ASSERT_TRUE(mpu.add_exec_region({0x1000, 0x100, 0x1000}).is_ok());
@@ -501,20 +496,20 @@ TEST(HeatEaMpu, ClassifyAgreesWithAllowsEverywhere) {
                                  .code_size = 0x100,
                                  .data_start = 0x8000,
                                  .data_size = 0x100,
-                                 .perms = hw::kPermRead | hw::kPermWrite})
+                                 .perms = sim::kPermRead | sim::kPermWrite})
                   .is_ok());
   ASSERT_TRUE(mpu.write_slot(3, {.code_start = 0x2000,
                                  .code_size = 0x100,
                                  .data_start = 0x8000,
                                  .data_size = 0x80,
-                                 .perms = hw::kPermRead,
+                                 .perms = sim::kPermRead,
                                  .os_accessible = true})
                   .is_ok());
   ASSERT_TRUE(mpu.write_slot(7, {.code_start = 0x1000,
                                  .code_size = 0x100,
                                  .data_start = 0x0,
                                  .data_size = 0xFFFF'0000,
-                                 .perms = hw::kPermRead,
+                                 .perms = sim::kPermRead,
                                  .background = true})
                   .is_ok());
 

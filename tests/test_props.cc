@@ -9,7 +9,7 @@
 #include "core/task_loader.h"
 #include "crypto/seal.h"
 #include "crypto/sha1.h"
-#include "hw/eampu.h"
+#include "sim/eampu.h"
 #include "rtos/scheduler.h"
 
 namespace tytan {
@@ -198,11 +198,11 @@ TEST(SchedulerProperty, DelayedTasksWakeExactlyOnTime) {
 TEST(EaMpuProperty, MatchesReferenceModelOnRandomConfigurations) {
   std::mt19937 rng(99);
   for (int config = 0; config < 50; ++config) {
-    hw::EaMpu mpu;
-    std::vector<hw::Rule> rules;
+    sim::EaMpu mpu;
+    std::vector<sim::Rule> rules;
     const std::size_t rule_count = 1 + rng() % 6;
     for (std::size_t i = 0; i < rule_count; ++i) {
-      hw::Rule rule;
+      sim::Rule rule;
       rule.code_start = 0x40000 + (rng() % 8) * 0x1000;
       rule.code_size = 0x800;
       rule.data_start = 0x60000 + (rng() % 8) * 0x1000;
@@ -216,12 +216,12 @@ TEST(EaMpuProperty, MatchesReferenceModelOnRandomConfigurations) {
       const std::uint32_t addr = 0x5F000 + rng() % 0xA000;
       const auto access = (rng() % 2 == 0) ? sim::Access::kRead : sim::Access::kWrite;
       const std::uint8_t wanted =
-          access == sim::Access::kRead ? hw::kPermRead : hw::kPermWrite;
+          access == sim::Access::kRead ? sim::kPermRead : sim::kPermWrite;
       // Reference model: protected iff covered by any rule; allowed iff some
       // covering rule grants (no exec regions / background / os bits here).
       bool covered = false;
       bool granted = false;
-      for (const hw::Rule& rule : rules) {
+      for (const sim::Rule& rule : rules) {
         if (addr >= rule.data_start && addr - rule.data_start < rule.data_size) {
           covered = true;
           if (ip >= rule.code_start && ip - rule.code_start < rule.code_size &&

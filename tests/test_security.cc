@@ -262,7 +262,7 @@ TEST(Attack, SecureTaskCanNotReconfigureEaMpu) {
                                  .code_size = 0x1000,
                                  .data_start = 0,
                                  .data_size = 0x1000,
-                                 .perms = hw::kPermRead | hw::kPermWrite})
+                                 .perms = sim::kPermRead | sim::kPermWrite})
                 .code(),
             Err::kPermissionDenied);
 }

@@ -12,6 +12,7 @@
 //     error, never to a half-restored machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -291,6 +292,48 @@ TEST(Snapshot, RestoreRejectsIncompatiblePlatform) {
   Status s = different.restore(*snapshot);
   ASSERT_FALSE(s.is_ok());
   EXPECT_NE(s.message().find("incompatible"), std::string::npos) << s.to_string();
+}
+
+// The kernel runs exactly two firmware tasks, idle and loader.  A task table
+// naming any other firmware task is corrupt, whether the snapshot is restored
+// into a fresh platform or in place.
+TEST(Snapshot, RestoreRejectsUnknownFirmwareTask) {
+  core::Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto task = platform.load_task_source(kCounterTask, {.name = "counter"});
+  ASSERT_TRUE(task.is_ok()) << task.status().to_string();
+  auto saved = platform.save();
+  ASSERT_TRUE(saved.is_ok()) << saved.status().to_string();
+
+  // write_tcb's field order: handle, name, priority (u32), state (u8), kind.
+  snap::Writer head;
+  head.i32(*task);
+  head.str("counter");
+  const ByteVec& needle = head.buffer();
+  snap::Snapshot forged;
+  for (const snap::Section& section : saved->sections()) {
+    ByteVec bytes = section.bytes;
+    if (section.tag == "SCHD") {
+      const auto at = std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
+      ASSERT_NE(at, bytes.end());
+      const std::size_t kind =
+          static_cast<std::size_t>(at - bytes.begin()) + needle.size() + 4 + 1;
+      ASSERT_LT(kind, bytes.size());
+      ASSERT_EQ(bytes[kind], static_cast<std::uint8_t>(rtos::TaskKind::kGuest));
+      bytes[kind] = static_cast<std::uint8_t>(rtos::TaskKind::kFirmware);
+    }
+    forged.add(section.tag, std::move(bytes));
+  }
+
+  core::Platform fresh;
+  const Status into_fresh = fresh.restore(forged);
+  EXPECT_EQ(into_fresh.code(), Err::kCorrupt) << into_fresh.to_string();
+  EXPECT_NE(into_fresh.message().find("'counter'"), std::string::npos)
+      << into_fresh.to_string();
+  const Status in_place = platform.restore(forged);
+  EXPECT_EQ(in_place.code(), Err::kCorrupt) << in_place.to_string();
+  EXPECT_NE(in_place.message().find("'counter'"), std::string::npos)
+      << in_place.to_string();
 }
 
 TEST(Snapshot, ParseRejectsDamagedFiles) {

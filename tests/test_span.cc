@@ -264,7 +264,7 @@ TEST(FleetSpans, FaultedRoundIsAnnotatedAndRetried) {
   fleet::WorkloadConfig config = span_workload(4, 2);
   auto plan = fault::FaultPlan::parse("nonce-replay@attest#2");
   ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
-  config.fleet.fault_plan = plan.take();
+  config.fleet.base.fault_plan = plan.take();
   config.fleet.fault_plan_device = 1;
   config.fleet.attest_retries = 2;
   fleet::Fleet fleet(config.fleet);

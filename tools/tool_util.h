@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 namespace tytan::tools {
 
@@ -75,6 +76,15 @@ inline const char* required_value(const char* tool, const char* flag, int argc,
     std::exit(2);
   }
   return argv[++*i];
+}
+
+/// Nearest-rank percentile over a sorted cycle list (0 when empty).
+inline std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, unsigned pct) {
+  if (sorted.empty()) {
+    return 0;
+  }
+  const std::size_t rank = (sorted.size() * pct + 99) / 100;
+  return sorted[rank == 0 ? 0 : rank - 1];
 }
 
 /// Reject an option no branch recognized.  Exits 2 (usage error).

@@ -117,12 +117,8 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tytan-fleet: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
+    auto next = [&](const char* flag) {
+      return tools::required_value("tytan-fleet", flag, argc, argv, &i);
     };
     if (arg == "--devices") {
       config.fleet.device_count =
@@ -227,7 +223,7 @@ int main(int argc, char** argv) {
     if (fault_seed.has_value()) {
       plan->seed = *fault_seed;
     }
-    config.fleet.fault_plan = std::move(*plan);
+    config.fleet.base.fault_plan = std::move(*plan);
     if (config.fleet.fault_plan_device >= config.fleet.device_count) {
       std::fprintf(stderr, "tytan-fleet: --fault-plan-device out of range\n");
       return 2;
@@ -258,7 +254,7 @@ int main(int argc, char** argv) {
   }
   std::printf("fleet: %zu devices, %zu attested, %zu verified\n", result.devices,
               result.attested, result.verified);
-  if (!config.fleet.fault_plan.empty()) {
+  if (!config.fleet.base.fault_plan.empty()) {
     // Simulated-state fault summary — deterministic for a given config.
     fleet::FleetDevice& faulted = fleet.device(config.fleet.fault_plan_device);
     const fault::FaultEngine* engine = faulted.platform().fault_engine();

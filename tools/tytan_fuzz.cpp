@@ -120,12 +120,8 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tytan-fuzz: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
+    auto next = [&](const char* flag) {
+      return tools::required_value("tytan-fuzz", flag, argc, argv, &i);
     };
     if (arg == "--execs") {
       opt.execs = tools::parse_u64("tytan-fuzz", "--execs", next("--execs"));

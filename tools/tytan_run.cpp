@@ -84,12 +84,8 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tytan-run: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
+    auto next = [&](const char* flag) {
+      return tools::required_value("tytan-run", flag, argc, argv, &i);
     };
     if (arg == "--cycles") {
       cycles = tools::parse_u64("tytan-run", "--cycles", next("--cycles"));

@@ -49,15 +49,6 @@ struct DeviceRow {
   std::uint64_t anomalies = 0;
 };
 
-/// Nearest-rank percentile over a sorted cycle list.
-std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, unsigned pct) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  const std::size_t rank = (sorted.size() * pct + 99) / 100;
-  return sorted[rank == 0 ? 0 : rank - 1];
-}
-
 /// Per-phase span latency table from a `--spans FILE` span log.
 int render_spans(const std::string& path) {
   auto log = obs::read_spans_file(path);
@@ -82,9 +73,9 @@ int render_spans(const std::string& path) {
   for (auto& [phase, cycles] : by_phase) {
     std::sort(cycles.begin(), cycles.end());
     std::printf("%-17s %8zu %12llu %12llu %12llu\n", phase.c_str(), cycles.size(),
-                static_cast<unsigned long long>(percentile(cycles, 50)),
-                static_cast<unsigned long long>(percentile(cycles, 95)),
-                static_cast<unsigned long long>(percentile(cycles, 99)));
+                static_cast<unsigned long long>(tools::percentile(cycles, 50)),
+                static_cast<unsigned long long>(tools::percentile(cycles, 95)),
+                static_cast<unsigned long long>(tools::percentile(cycles, 99)));
   }
   return 0;
 }

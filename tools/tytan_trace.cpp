@@ -273,15 +273,6 @@ int cmd_spans(const obs::SpanLog& log, const SpanFilter& filter, bool json) {
   return 0;
 }
 
-/// Nearest-rank percentile over a sorted cycle list.
-std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, unsigned pct) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  const std::size_t rank = (sorted.size() * pct + 99) / 100;
-  return sorted[rank == 0 ? 0 : rank - 1];
-}
-
 int cmd_slo(const obs::SpanLog& log, std::uint64_t p99_cycles) {
   std::vector<std::uint64_t> rounds;
   for (const obs::ParsedSpan& span : log.spans) {
@@ -294,8 +285,8 @@ int cmd_slo(const obs::SpanLog& log, std::uint64_t p99_cycles) {
     return 1;
   }
   std::sort(rounds.begin(), rounds.end());
-  const std::uint64_t p50 = percentile(rounds, 50);
-  const std::uint64_t p99 = percentile(rounds, 99);
+  const std::uint64_t p50 = tools::percentile(rounds, 50);
+  const std::uint64_t p99 = tools::percentile(rounds, 99);
   const bool breach = p99 > p99_cycles;
   std::printf("%zu attest rounds: p50 %llu cycles, p99 %llu cycles "
               "(budget %llu) — %s\n",
