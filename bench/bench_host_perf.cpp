@@ -7,10 +7,14 @@
 // work (ROADMAP item 1, the decode cache): the `--json` artifact publishes
 // guest-MIPS per workload plus the raw sim-cycle / instruction / host-ns
 // rows they derive from, with the execution observatory off and on AND with
-// the decode cache on (default) and off (`_interp_*` rows).  All legs must
-// agree on every simulated quantity — cycles, instructions, registers, EIP,
-// EFLAGS, fault count — or the binary exits 1, so CI catches an observability
-// layer that leaks cycles or a dispatch mode that diverges.
+// the decode cache on (default) and off (`_interp_*` rows).  A duty-cycled
+// `idle` leg publishes simulated Mcycles/s instead (`idle_*` rows): it spends
+// most of its window in the kernel's idle task, which the cached mode
+// fast-forwards to the next event and the interpreter steps pass by pass.
+// All legs must agree on every simulated quantity — cycles, instructions,
+// firmware invocations, interrupts, registers, EIP, EFLAGS, fault count — or
+// the binary exits 1, so CI catches an observability layer that leaks cycles
+// or a dispatch mode (or the idle fast-forward) that diverges.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -241,10 +245,32 @@ constexpr Workload kWorkloads[] = {
   )"},
 };
 
+/// Duty-cycled device: a short burst, then sleep one RTOS tick.  Almost all
+/// of the window is idle-task time, so this leg measures the idle path
+/// (sim Mcycles/s), not guest dispatch; it stays out of the overall_* rows.
+constexpr Workload kIdleWorkload = {"idle", R"(
+      .secure
+      .stack 128
+      .entry main
+  main:
+      movi r2, 40
+  burst:
+      addi r5, 1
+      subi r2, 1
+      cmpi r2, 0
+      jnz  burst
+      movi r0, 2          ; kSysDelay
+      movi r1, 1
+      int  0x21
+      jmp  main
+  )"};
+
 struct RunResult {
   std::uint64_t sim_cycles = 0;     ///< simulated cycles the window advanced
   std::uint64_t instructions = 0;   ///< guest instructions dispatched
   std::uint64_t host_ns = 0;        ///< host wall time for the window
+  std::uint64_t fw_invocations = 0;  ///< firmware handler passes (idle included)
+  std::uint64_t interrupts = 0;     ///< interrupts dispatched
   // Final simulated machine state, compared bit-for-bit across the
   // observatory A/B and the dispatch-mode A/B.
   std::array<std::uint32_t, 8> regs{};
@@ -254,6 +280,7 @@ struct RunResult {
 
   [[nodiscard]] bool same_sim_state(const RunResult& other) const {
     return sim_cycles == other.sim_cycles && instructions == other.instructions &&
+           fw_invocations == other.fw_invocations && interrupts == other.interrupts &&
            regs == other.regs && eip == other.eip && eflags == other.eflags &&
            faults == other.faults;
   }
@@ -279,28 +306,87 @@ std::optional<RunResult> run_workload(const char* source, std::uint64_t window,
     return std::nullopt;
   }
   RunResult result;
-  const std::uint64_t c0 = platform.machine().cycles();
-  const std::uint64_t i0 = platform.machine().instructions_executed();
+  const sim::Machine& machine = platform.machine();
+  const std::uint64_t c0 = machine.cycles();
+  const std::uint64_t i0 = machine.instructions_executed();
+  const std::uint64_t f0 = machine.firmware_invocations();
+  const std::uint64_t n0 = machine.interrupts_dispatched();
   const auto t0 = std::chrono::steady_clock::now();
   platform.run_for(window);
   const auto t1 = std::chrono::steady_clock::now();
-  result.sim_cycles = platform.machine().cycles() - c0;
-  result.instructions = platform.machine().instructions_executed() - i0;
+  result.sim_cycles = machine.cycles() - c0;
+  result.instructions = machine.instructions_executed() - i0;
+  result.fw_invocations = machine.firmware_invocations() - f0;
+  result.interrupts = machine.interrupts_dispatched() - n0;
   result.host_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  const sim::CpuState& cpu = platform.machine().cpu();
+  const sim::CpuState& cpu = machine.cpu();
   for (std::size_t i = 0; i < result.regs.size(); ++i) {
     result.regs[i] = cpu.regs[i];
   }
   result.eip = cpu.eip;
   result.eflags = cpu.eflags;
-  result.faults = platform.machine().fault_count();
+  result.faults = machine.fault_count();
   return result;
+}
+
+/// The three legs of one workload: the default configuration (decode cache,
+/// observatory off), the observatory A/B leg, and the interpreter A/B leg.
+struct Legs {
+  RunResult off;
+  RunResult heat;
+  RunResult interp;
+};
+
+/// Run all three legs; nullopt when a leg failed to run or any two disagree
+/// on a simulated quantity (reported on stderr).
+std::optional<Legs> run_legs(const Workload& workload, std::uint64_t window) {
+  const auto off = run_workload(workload.source, window, /*heat=*/false,
+                                sim::DispatchMode::kCached);
+  const auto heat = run_workload(workload.source, window, /*heat=*/true,
+                                 sim::DispatchMode::kCached);
+  const auto interp = run_workload(workload.source, window, /*heat=*/false,
+                                   sim::DispatchMode::kInterpreter);
+  if (!off.has_value() || !heat.has_value() || !interp.has_value()) {
+    std::fprintf(stderr, "bench_host_perf: %s failed to run\n", workload.name);
+    return std::nullopt;
+  }
+  bool same = true;
+  for (const auto& [leg, what] : {std::pair{&*heat, "observatory changed simulated state"},
+                                  std::pair{&*interp, "dispatch modes diverged"}}) {
+    if (off->same_sim_state(*leg)) {
+      continue;
+    }
+    std::fprintf(stderr,
+                 "bench_host_perf: %s: %s: cycles %llu vs %llu, instructions %llu vs "
+                 "%llu, fw invocations %llu vs %llu, interrupts %llu vs %llu, "
+                 "eip %08x vs %08x, faults %llu vs %llu\n",
+                 workload.name, what, static_cast<unsigned long long>(off->sim_cycles),
+                 static_cast<unsigned long long>(leg->sim_cycles),
+                 static_cast<unsigned long long>(off->instructions),
+                 static_cast<unsigned long long>(leg->instructions),
+                 static_cast<unsigned long long>(off->fw_invocations),
+                 static_cast<unsigned long long>(leg->fw_invocations),
+                 static_cast<unsigned long long>(off->interrupts),
+                 static_cast<unsigned long long>(leg->interrupts), off->eip, leg->eip,
+                 static_cast<unsigned long long>(off->faults),
+                 static_cast<unsigned long long>(leg->faults));
+    same = false;
+  }
+  if (!same) {
+    return std::nullopt;
+  }
+  return Legs{*off, *heat, *interp};
 }
 
 /// MIPS×1000 so the artifact stays integer rows (bench_util's JSON shape).
 std::uint64_t mips_x1000(const RunResult& r) {
   return r.host_ns == 0 ? 0 : r.instructions * 1'000'000 / r.host_ns;
+}
+
+/// Simulated Mcycles/s ×1000, the idle leg's throughput.
+std::uint64_t mcps_x1000(const RunResult& r) {
+  return r.host_ns == 0 ? 0 : r.sim_cycles * 1'000'000 / r.host_ns;
 }
 
 /// Per-workload guest-MIPS rows plus the observatory on/off A/B.  Returns
@@ -328,74 +414,42 @@ bool write_json_rows(const bench::BenchOptions& options) {
   std::uint64_t total_interp_ns = 0;
   std::uint64_t total_heat_ns = 0;
   for (const Workload& workload : kWorkloads) {
-    // Three runs per workload: the default configuration (decode cache,
-    // observatory off), the observatory A/B leg, and the interpreter A/B
-    // leg.  All three must agree on every simulated quantity.
-    const auto off = run_workload(workload.source, window, /*heat=*/false,
-                                  sim::DispatchMode::kCached);
-    const auto on = run_workload(workload.source, window, /*heat=*/true,
-                                 sim::DispatchMode::kCached);
-    const auto interp = run_workload(workload.source, window, /*heat=*/false,
-                                     sim::DispatchMode::kInterpreter);
-    if (!off.has_value() || !on.has_value() || !interp.has_value()) {
-      std::fprintf(stderr, "bench_host_perf: %s failed to run\n", workload.name);
+    const std::optional<Legs> legs = run_legs(workload, window);
+    if (!legs.has_value()) {
       ok = false;
       continue;
     }
-    if (!off->same_sim_state(*on)) {
-      std::fprintf(stderr,
-                   "bench_host_perf: %s: observatory changed simulated state: "
-                   "cycles %llu vs %llu, instructions %llu vs %llu\n",
-                   workload.name,
-                   static_cast<unsigned long long>(off->sim_cycles),
-                   static_cast<unsigned long long>(on->sim_cycles),
-                   static_cast<unsigned long long>(off->instructions),
-                   static_cast<unsigned long long>(on->instructions));
-      ok = false;
-    }
-    if (!off->same_sim_state(*interp)) {
-      std::fprintf(stderr,
-                   "bench_host_perf: %s: dispatch modes diverged: "
-                   "cycles %llu vs %llu, instructions %llu vs %llu, "
-                   "eip %08x vs %08x, faults %llu vs %llu\n",
-                   workload.name,
-                   static_cast<unsigned long long>(off->sim_cycles),
-                   static_cast<unsigned long long>(interp->sim_cycles),
-                   static_cast<unsigned long long>(off->instructions),
-                   static_cast<unsigned long long>(interp->instructions),
-                   off->eip, interp->eip,
-                   static_cast<unsigned long long>(off->faults),
-                   static_cast<unsigned long long>(interp->faults));
-      ok = false;
-    }
+    const RunResult& off = legs->off;
+    const RunResult& heat = legs->heat;
+    const RunResult& interp = legs->interp;
     const std::string name = workload.name;
-    report.add(name + "_sim_cycles", off->sim_cycles, 0);
-    report.add(name + "_instructions", off->instructions, 0);
-    report.add(name + "_host_ns", off->host_ns, 0);
-    report.add(name + "_guest_mips_x1000", mips_x1000(*off), 0);
-    report.add(name + "_interp_host_ns", interp->host_ns, 0);
-    report.add(name + "_interp_guest_mips_x1000", mips_x1000(*interp), 0);
-    report.add(name + "_heat_host_ns", on->host_ns, 0);
-    report.add(name + "_heat_guest_mips_x1000", mips_x1000(*on), 0);
-    total_instructions += off->instructions;
-    total_ns += off->host_ns;
-    total_interp_ns += interp->host_ns;
-    total_heat_ns += on->host_ns;
+    report.add(name + "_sim_cycles", off.sim_cycles, 0);
+    report.add(name + "_instructions", off.instructions, 0);
+    report.add(name + "_host_ns", off.host_ns, 0);
+    report.add(name + "_guest_mips_x1000", mips_x1000(off), 0);
+    report.add(name + "_interp_host_ns", interp.host_ns, 0);
+    report.add(name + "_interp_guest_mips_x1000", mips_x1000(interp), 0);
+    report.add(name + "_heat_host_ns", heat.host_ns, 0);
+    report.add(name + "_heat_guest_mips_x1000", mips_x1000(heat), 0);
+    total_instructions += off.instructions;
+    total_ns += off.host_ns;
+    total_interp_ns += interp.host_ns;
+    total_heat_ns += heat.host_ns;
     const double overhead =
-        off->host_ns == 0
+        off.host_ns == 0
             ? 0.0
-            : 100.0 * (static_cast<double>(on->host_ns) -
-                       static_cast<double>(off->host_ns)) /
-                  static_cast<double>(off->host_ns);
+            : 100.0 * (static_cast<double>(heat.host_ns) -
+                       static_cast<double>(off.host_ns)) /
+                  static_cast<double>(off.host_ns);
     const double speedup =
-        off->host_ns == 0 ? 0.0
-                          : static_cast<double>(interp->host_ns) /
-                                static_cast<double>(off->host_ns);
-    table.row({workload.name, bench::num(off->instructions),
-               bench::fixed(mips_x1000(*off) / 1000.0),
-               bench::fixed(mips_x1000(*interp) / 1000.0),
+        off.host_ns == 0 ? 0.0
+                         : static_cast<double>(interp.host_ns) /
+                               static_cast<double>(off.host_ns);
+    table.row({workload.name, bench::num(off.instructions),
+               bench::fixed(mips_x1000(off) / 1000.0),
+               bench::fixed(mips_x1000(interp) / 1000.0),
                bench::fixed(speedup) + "x",
-               bench::fixed(mips_x1000(*on) / 1000.0),
+               bench::fixed(mips_x1000(heat) / 1000.0),
                bench::fixed(overhead, 1) + "%"});
   }
   RunResult overall;
@@ -428,6 +482,27 @@ bool write_json_rows(const bench::BenchOptions& options) {
                                               static_cast<double>(total_ns),
                                           1) + "%"});
   table.print();
+
+  if (const std::optional<Legs> idle = run_legs(kIdleWorkload, window); idle.has_value()) {
+    report.add("idle_sim_cycles", idle->off.sim_cycles, 0);
+    report.add("idle_fw_invocations", idle->off.fw_invocations, 0);
+    report.add("idle_host_ns", idle->off.host_ns, 0);
+    report.add("idle_interp_host_ns", idle->interp.host_ns, 0);
+    report.add("idle_sim_mcps_x1000", mcps_x1000(idle->off), 0);
+    report.add("idle_interp_sim_mcps_x1000", mcps_x1000(idle->interp), 0);
+    auto idle_table = bench::Table("duty-cycled idle (window " + std::to_string(window) +
+                                   " cycles)");
+    idle_table.columns({"workload", "fw invocations", "interrupts", "sim Mcycles/s",
+                        "sim Mcycles/s (interp)", "sim Mcycles/s (heat)"});
+    idle_table.row({kIdleWorkload.name, bench::num(idle->off.fw_invocations),
+                    bench::num(idle->off.interrupts),
+                    bench::fixed(mcps_x1000(idle->off) / 1000.0),
+                    bench::fixed(mcps_x1000(idle->interp) / 1000.0),
+                    bench::fixed(mcps_x1000(idle->heat) / 1000.0)});
+    idle_table.print();
+  } else {
+    ok = false;
+  }
   return ok;
 }
 

@@ -542,7 +542,10 @@ void Kernel::run_firmware_quantum() {
   const std::uint64_t t0 = machine_.cycles();
   bool more = true;
   if (tcb->handle == idle_task_) {
+    // One pass, then every further pass stepping would repeat before the
+    // next event (a no-op outside Machine::run or in the interpreter).
     machine_.charge(kIdlePassCycles);
+    machine_.fast_forward_spin(kIdlePassCycles);
   } else {
     more = loader_->load_quantum();
   }

@@ -14,7 +14,9 @@
 //   kFwFaultHandler                  EA-MPU / CPU fault -> kill offending task
 //
 // The two firmware-backed tasks, idle and loader, execute one bounded quantum
-// per machine step, so they are preemptible by design.
+// per machine step, so they are preemptible by design (inside Machine::run
+// the idle quantum spans every pass up to the next event, see
+// kIdlePassCycles).
 #pragma once
 
 #include <map>
@@ -43,8 +45,10 @@ class Kernel {
   static constexpr std::uint32_t kFwTaskEntryOff = 0x100;
   static constexpr std::uint32_t kFwTaskEntryStride = 0x20;
   /// Cycles one pass of the idle task burns.  An idle pass changes nothing
-  /// else: it is a constant-cost spin, re-entered every machine step while
-  /// idle_task() runs.
+  /// else: it is a constant-cost spin, so inside Machine::run the machine
+  /// repeats it in closed form up to the next event (fast_forward_spin);
+  /// under step(), run_until and the interpreter it is re-entered once per
+  /// machine step.  Cycles, counters and IRQ timing are the same either way.
   static constexpr std::uint64_t kIdlePassCycles = 20;
 
   Kernel(sim::Machine& machine, rtos::Scheduler& scheduler, IntMux& int_mux);

@@ -87,7 +87,7 @@ Result<BootReport> Platform::boot() {
   if (booted_) {
     return make_error(Err::kAlreadyExists, "platform already booted");
   }
-  const std::vector<BootComponent> manifest = default_manifest();
+  const std::vector<BootComponent>& manifest = default_manifest();
   boot_rom_->load_images(manifest);
   auto report = boot_rom_->verify_and_lock(manifest);
   if (!report.is_ok() || !report->ok) {

@@ -5,23 +5,29 @@
 
 namespace tytan::core {
 
-std::vector<BootComponent> default_manifest() {
-  // Footprints sum to 34,326 bytes — the TyTAN-over-FreeRTOS memory overhead
-  // the paper measures in Table 8 (249,943 - 215,617).
-  std::vector<BootComponent> manifest = {
-      {"os-kernel", sim::kFwOsKernel, 3'888, {}},       // ELF/TBF loader extension
-      {"eampu-driver", sim::kFwEaMpuDriver, 3'910, {}},
-      {"int-mux", sim::kFwIntMux, 2'118, {}},
-      {"ipc-proxy", sim::kFwIpcProxy, 4'462, {}},
-      {"rtm", sim::kFwRtm, 8'004, {}},
-      {"remote-attest", sim::kFwRemoteAttest, 5'626, {}},
-      {"secure-storage", sim::kFwSecureStorage, 6'318, {}},
-  };
-  for (BootComponent& component : manifest) {
-    const ByteVec image =
-        SecureBootRom::image_bytes(component, sim::kFwWindowSize);
-    component.expected = crypto::Sha1::hash(image);
-  }
+const std::vector<BootComponent>& default_manifest() {
+  // Built once per process: the images and their digests are constants.  A
+  // function-local static is initialized exactly once even when fleet
+  // devices boot in parallel.  verify_and_lock still hashes the loaded
+  // windows on every boot — only the manufacturer side is cached.
+  static const std::vector<BootComponent> manifest = [] {
+    // Footprints sum to 34,326 bytes — the TyTAN-over-FreeRTOS memory
+    // overhead the paper measures in Table 8 (249,943 - 215,617).
+    std::vector<BootComponent> components = {
+        {"os-kernel", sim::kFwOsKernel, 3'888, {}},  // ELF/TBF loader extension
+        {"eampu-driver", sim::kFwEaMpuDriver, 3'910, {}},
+        {"int-mux", sim::kFwIntMux, 2'118, {}},
+        {"ipc-proxy", sim::kFwIpcProxy, 4'462, {}},
+        {"rtm", sim::kFwRtm, 8'004, {}},
+        {"remote-attest", sim::kFwRemoteAttest, 5'626, {}},
+        {"secure-storage", sim::kFwSecureStorage, 6'318, {}},
+    };
+    for (BootComponent& component : components) {
+      component.expected =
+          crypto::Sha1::hash(SecureBootRom::image_bytes(component, sim::kFwWindowSize));
+    }
+    return components;
+  }();
   return manifest;
 }
 

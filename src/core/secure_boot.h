@@ -39,8 +39,9 @@ struct BootComponent {
 inline constexpr std::uint32_t kFreeRtosFootprint = 215'617;
 
 /// The TyTAN components and their modeled footprints (sum = 34,326 bytes,
-/// the paper's measured TyTAN-over-FreeRTOS overhead).
-std::vector<BootComponent> default_manifest();
+/// the paper's measured TyTAN-over-FreeRTOS overhead).  Built on first use
+/// and shared by every boot in the process.
+const std::vector<BootComponent>& default_manifest();
 
 struct BootReport {
   bool ok = false;

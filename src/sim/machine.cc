@@ -1,5 +1,6 @@
 #include "sim/machine.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <sstream>
@@ -565,10 +566,35 @@ void Machine::dispatch_pending() {
 }
 
 HaltReason Machine::run(std::uint64_t cycle_limit) {
+  run_limit_ = cycle_limit;
   while (!halted() && cycles_ < cycle_limit) {
     step();
   }
+  run_limit_ = 0;
   return halted() ? halt_reason_ : HaltReason::kCycleLimit;
+}
+
+std::uint64_t Machine::fast_forward_spin(std::uint64_t pass_cycles) {
+  if (run_limit_ == 0 || pass_cycles == 0 || dispatch_ == DispatchMode::kInterpreter ||
+      tracer_ != nullptr || pending_ != 0 || !cpu_.flag(isa::kFlagIF) ||
+      bus_.timing_epoch() != device_timing_epoch_) {
+    return 0;
+  }
+  // Every pass top before the horizon is a step top at which stepping would
+  // tick no device, take no IRQ, and stay inside run(): none of them can
+  // differ from the pass just charged.  The first top at or after the
+  // horizon is where stepping resumes observable work, and where k lands.
+  const std::uint64_t now = cycles_;
+  const std::uint64_t horizon = std::min(run_limit_, next_device_tick_);
+  if (now >= horizon) {
+    return 0;
+  }
+  const std::uint64_t k = (horizon - now - 1) / pass_cycles + 1;
+  cycles_ += k * pass_cycles;
+  fw_invocations_ += k;
+  step_top_cycles_ = now + (k - 1) * pass_cycles;
+  device_time_dirty_ = true;
+  return k;
 }
 
 inline void Machine::dispatch_observed(const DecodedOp& op) {

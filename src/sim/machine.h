@@ -165,8 +165,23 @@ class Machine {
   // -- execution ----------------------------------------------------------------
   StepOutcome step();
 
-  /// Run until halt or until the cycle clock reaches `cycle_limit`.
+  /// Run until halt or until the cycle clock reaches `cycle_limit`.  For the
+  /// duration of the call the limit bounds the run horizon that
+  /// fast_forward_spin() may skip to; step() alone never has one.
   HaltReason run(std::uint64_t cycle_limit);
+
+  /// Closed-form repetition of a constant-cost firmware pass.  A handler
+  /// calls this right after charging one `pass_cycles` pass that changed
+  /// nothing else (the idle task).  Inside run(), the pass is repeated k
+  /// more times, where k lands cycles() on the first pass top at or after
+  /// the run horizon min(run limit, next device tick) — the same top at
+  /// which stepping would take the next timer IRQ or leave run().  Adds
+  /// k·pass_cycles to the clock and k to firmware_invocations(), leaves the
+  /// device latch at the last pass's step top, and returns k.  Returns 0
+  /// without skipping outside run(), in kInterpreter mode (the stepping
+  /// reference), with the tracer on (it records every pass), with an IRQ
+  /// pending or IF clear, after a bus timing-epoch change, or at the horizon.
+  std::uint64_t fast_forward_spin(std::uint64_t pass_cycles);
 
   [[nodiscard]] bool halted() const { return halt_reason_ != HaltReason::kNone; }
   [[nodiscard]] HaltReason halt_reason() const { return halt_reason_; }
@@ -331,6 +346,9 @@ class Machine {
   std::uint64_t device_timing_epoch_ = 0;
   std::uint64_t step_top_cycles_ = 0;
   bool device_time_dirty_ = false;  ///< steps ran since the last flush/restore
+  // run()'s cycle limit while a run() call is active, 0 otherwise (a zero
+  // limit runs nothing).  Host-transient: never snapshotted.
+  std::uint64_t run_limit_ = 0;
   std::uint64_t pending_ = 0;  ///< bitmask over 64 vectors; bit i = vector i
   std::uint32_t int_origin_eip_ = 0;
   std::uint8_t int_vector_ = 0;

@@ -1,7 +1,11 @@
 // Kernel syscall surface: results, edge cases, and misuse handling.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/platform.h"
+#include "fleet/verifier_workload.h"
 
 namespace tytan {
 namespace {
@@ -266,6 +270,134 @@ TEST(Queues, NormalTasksExchangeDataThroughOsQueues) {
   ASSERT_TRUE(
       platform.run_until([&] { return !platform.serial().output().empty(); }, 30'000'000));
   EXPECT_EQ(platform.serial().output()[0], 77);
+}
+
+// ------------------------------------------- idle fast-forward vs stepping
+
+// Inside Machine::run the kernel's idle task skips, in closed form, every
+// pass stepping would make before the next event.  Each case below drives
+// one scenario three ways — cached run_for (fast-forwards), interpreter
+// run_for (never does), and cached step() one at a time (never does) — and
+// requires byte-identical snapshots: cycles, firmware invocations, the idle
+// TCB's cpu_cycles, and the timer state all travel in them.
+enum class Drive { kRunCached, kRunInterpreter, kStepCached };
+constexpr Drive kDrives[] = {Drive::kRunCached, Drive::kRunInterpreter, Drive::kStepCached};
+
+// A short burst, then sleep one tick: the device idles between bursts.
+constexpr const char* kDutyCycledTask = R"(
+    .secure
+    .stack 256
+    .entry main
+main:
+    movi r2, 40
+burst:
+    addi r6, 1
+    subi r2, 1
+    cmpi r2, 0
+    jnz  burst
+    movi r0, 2          ; kSysDelay
+    movi r1, 1
+    int  0x21
+    jmp  main
+)";
+
+std::unique_ptr<Platform> duty_cycled_platform(Drive drive) {
+  Platform::Config config;
+  config.dispatch = drive == Drive::kRunInterpreter ? sim::DispatchMode::kInterpreter
+                                                    : sim::DispatchMode::kCached;
+  auto platform = std::make_unique<Platform>(config);
+  EXPECT_TRUE(platform->boot().is_ok());
+  EXPECT_TRUE(
+      platform->load_task_source(kDutyCycledTask, {.name = "duty", .priority = 2}).is_ok());
+  EXPECT_TRUE(
+      platform->load_task_source(fleet::default_task_source(), {.name = "heartbeat"})
+          .is_ok());
+  return platform;
+}
+
+void advance(Platform& platform, Drive drive, std::uint64_t cycles) {
+  if (drive != Drive::kStepCached) {
+    platform.run_for(cycles);
+    return;
+  }
+  sim::Machine& machine = platform.machine();
+  const std::uint64_t target = machine.cycles() + cycles;
+  while (!machine.halted() && machine.cycles() < target) {
+    machine.step();
+  }
+}
+
+ByteVec state_bytes(const Platform& platform) {
+  auto snapshot = platform.save();
+  EXPECT_TRUE(snapshot.is_ok()) << snapshot.status().to_string();
+  return snapshot.is_ok() ? snapshot->serialize() : ByteVec{};
+}
+
+/// Run `scenario` under every drive and expect identical snapshots.
+template <typename Scenario>
+void expect_drives_agree(const std::string& label, Scenario scenario) {
+  std::vector<ByteVec> states;
+  for (const Drive drive : kDrives) {
+    auto platform = duty_cycled_platform(drive);
+    scenario(*platform, drive);
+    states.push_back(state_bytes(*platform));
+  }
+  ASSERT_FALSE(states[0].empty()) << label;
+  EXPECT_EQ(states[0], states[1]) << label << ": cached run vs interpreter run";
+  EXPECT_EQ(states[0], states[2]) << label << ": cached run vs cached stepping";
+}
+
+TEST(Kernel, IdleFastForwardIsBitIdenticalToStepping) {
+  const std::uint64_t p = Platform::Config{}.tick_period;
+  for (const std::uint64_t limit :
+       {std::uint64_t{1}, std::uint64_t{19}, std::uint64_t{20}, std::uint64_t{21}, p - 1, p,
+        p + 1, 3 * p + 7, std::uint64_t{1'000'003}}) {
+    expect_drives_agree("limit " + std::to_string(limit),
+                        [&](Platform& platform, Drive drive) {
+                          advance(platform, drive, limit);
+                        });
+  }
+
+  // A host timer-period rewrite bumps the bus timing epoch between two
+  // runs: the next horizon must come from the new schedule.
+  expect_drives_agree("timer rewrite", [&](Platform& platform, Drive drive) {
+    advance(platform, drive, 2 * p + 333);
+    platform.timer().write32(sim::TimerDevice::kPeriod, static_cast<std::uint32_t>(p / 3));
+    advance(platform, drive, 4 * p + 11);
+  });
+
+  // A CAN frame injected mid-idle interrupts the idle task at the next
+  // step top, as in the interpreter.
+  expect_drives_agree("CAN inject", [&](Platform& platform, Drive drive) {
+    advance(platform, drive, p + p / 2);
+    EXPECT_EQ(platform.scheduler().current_handle(), platform.kernel().idle_task());
+    const std::uint64_t irqs = platform.machine().interrupts_dispatched();
+    ASSERT_TRUE(platform.can_bus().inject({.id = 0x123, .dlc = 2, .data = {7, 9}}));
+    advance(platform, drive, 1);
+    EXPECT_EQ(platform.machine().interrupts_dispatched(), irqs + 1);
+    advance(platform, drive, 2 * p + 5);
+  });
+
+  // step() has no run horizon: from the idle entry it makes one pass.
+  auto platform = duty_cycled_platform(Drive::kRunCached);
+  platform->run_for(p + 1'000);
+  sim::Machine& machine = platform->machine();
+  const rtos::TaskHandle idle = platform->kernel().idle_task();
+  const std::uint32_t idle_entry = platform->scheduler().get(idle)->entry;
+  auto at_quiet_idle_pass = [&] {
+    return platform->scheduler().current_handle() == idle &&
+           machine.cpu().eip == idle_entry && !machine.irq_pending() &&
+           machine.cycles() < machine.bus().next_tick_due();
+  };
+  for (int i = 0; i < 10'000 && !at_quiet_idle_pass(); ++i) {
+    machine.step();
+  }
+  ASSERT_TRUE(at_quiet_idle_pass());
+  const std::uint64_t cycles = machine.cycles();
+  const std::uint64_t invocations = machine.firmware_invocations();
+  machine.step();
+  EXPECT_EQ(machine.cycles(), cycles + core::Kernel::kIdlePassCycles);
+  EXPECT_EQ(machine.firmware_invocations(), invocations + 1);
 }
 
 }  // namespace

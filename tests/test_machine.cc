@@ -498,5 +498,81 @@ TEST(Machine, FirmwareDispatch) {
   EXPECT_EQ(machine.firmware_invocations(), 1u);
 }
 
+// A constant-cost firmware spin, as the kernel's idle task is: run() repeats
+// it in closed form up to the run horizon; step(), the interpreter, and a
+// cleared IF never skip.  Every way lands on the same cycle and count.
+TEST(Machine, FastForwardSpinLandsOnRunHorizon) {
+  struct Outcome {
+    int calls = 0;
+    std::uint64_t skipped = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t invocations = 0;
+  };
+  auto spin = [](DispatchMode mode, bool interrupts_on) {
+    Machine machine;
+    Outcome out;
+    machine.register_firmware(kFwOsKernel, "spin", [&](Machine& m) {
+      ++out.calls;
+      m.charge(20);
+      out.skipped += m.fast_forward_spin(20);
+    });
+    machine.set_dispatch_mode(mode);
+    machine.cpu().eip = kFwOsKernel;
+    machine.cpu().set_flag(isa::kFlagIF, interrupts_on);
+    machine.step();  // no run horizon: one pass
+    EXPECT_EQ(machine.cycles(), 20u);
+    EXPECT_EQ(machine.fast_forward_spin(20), 0u);  // outside run()
+    // Pass tops at 20, 40, ...: the first at or after 1010 is 1020.
+    EXPECT_EQ(machine.run(1'010), HaltReason::kCycleLimit);
+    out.cycles = machine.cycles();
+    out.invocations = machine.firmware_invocations();
+    return out;
+  };
+  const Outcome fast = spin(DispatchMode::kCached, true);
+  EXPECT_EQ(fast.calls, 2);
+  EXPECT_EQ(fast.skipped, 49u);
+  for (const Outcome& o : {fast, spin(DispatchMode::kInterpreter, true),
+                           spin(DispatchMode::kCached, false)}) {
+    EXPECT_EQ(o.cycles, 1'020u);
+    EXPECT_EQ(o.invocations, 51u);
+    EXPECT_EQ(o.calls + static_cast<int>(o.skipped), 51);
+  }
+  EXPECT_EQ(spin(DispatchMode::kInterpreter, true).skipped, 0u);
+  EXPECT_EQ(spin(DispatchMode::kCached, false).skipped, 0u);
+}
+
+// A pass that itself moved the next event — raised an IRQ, or changed a
+// device schedule (bus timing epoch) — must not be fast-forwarded past it;
+// nor may any pass while the tracer records every firmware invocation.
+TEST(Machine, FastForwardSpinRefusesWhenThePassMovedTheNextEvent) {
+  enum Case { kNothing, kRaiseIrq, kRescheduleTimer, kTracer };
+  for (const Case c : {kNothing, kRaiseIrq, kRescheduleTimer, kTracer}) {
+    Machine machine;
+    auto timer = std::make_shared<TimerDevice>();
+    machine.bus().attach(timer);
+    if (c == kTracer) {
+      machine.enable_trace(64);
+    }
+    std::uint64_t skipped = 0;
+    machine.register_firmware(kFwOsKernel, "spin", [&](Machine& m) {
+      if (c == kRaiseIrq) {
+        m.raise_irq(kVecTimer);
+      } else if (c == kRescheduleTimer) {
+        timer->write32(TimerDevice::kPeriod, 500);
+      }
+      m.charge(20);
+      skipped = m.fast_forward_spin(20);
+      m.cpu().eip = kCodeBase;  // one pass, then halt
+    });
+    auto object = isa::assemble("hlt\n");
+    ASSERT_TRUE(object.is_ok());
+    machine.memory().write_block(kCodeBase, object->image);
+    machine.cpu().eip = kFwOsKernel;
+    machine.cpu().set_flag(isa::kFlagIF, true);
+    machine.run(10'000);
+    EXPECT_EQ(skipped != 0, c == kNothing) << "case " << c;
+  }
+}
+
 }  // namespace
 }  // namespace tytan::sim

@@ -44,6 +44,19 @@ TEST(SecureBoot, TamperedFirmwareFailsVerification) {
   EXPECT_TRUE(machine.halted());
 }
 
+TEST(SecureBoot, DefaultManifestMatchesFreshDigests) {
+  // The manifest is built once per process; every digest must still be the
+  // SHA-1 of the image the boot ROM writes, and repeated calls share it.
+  const std::vector<core::BootComponent>& manifest = core::default_manifest();
+  EXPECT_EQ(&manifest, &core::default_manifest());
+  ASSERT_EQ(manifest.size(), 7u);
+  for (const core::BootComponent& component : manifest) {
+    EXPECT_EQ(component.expected, crypto::Sha1::hash(core::SecureBootRom::image_bytes(
+                                      component, sim::kFwWindowSize)))
+        << component.name;
+  }
+}
+
 TEST(StaticProtection, OsCannotWriteRtmRegistry) {
   Platform platform;
   ASSERT_TRUE(platform.boot().is_ok());
