@@ -4,14 +4,17 @@
 // for every instruction on every execution.  The decode cache trades that
 // per-step work for a one-time *block build*: starting at a physical PC it
 // pre-decodes straight-line code into DecodedOps — operands resolved, the
-// per-opcode handler function pointer and base cycle cost pulled from the
-// OpVariant table (src/sim/machine_ops.cc), the fetch-check classify() code
-// and static-branch transfer verdicts memoized — and the machine then steps
-// through the block with a cursor: one compare-and-copy instead of the full
-// fetch→decode→check walk.
+// per-opcode handler function pointer, base cycle cost and quiet bit pulled
+// from the OpVariant table (src/sim/machine_ops.cc), the fetch-check
+// classify() code memoized — and the machine then runs through the block
+// with a cursor: one compare instead of the full fetch→decode→check walk.
+// Each op also memoizes its data-access and transfer verdicts as it runs,
+// each over the exact address span on which the EA-MPU's answer for the
+// op's PC cannot change (VerdictMemo).
 //
 // Everything memoized is a pure function of (guest memory bytes, the EA-MPU
-// configuration, the firmware registry), so the cache is correct
+// configuration, the firmware registry) — plus, for the verdict memos, the
+// accessed address, which the span bounds — so the cache is correct
 // exactly as long as it observes every change to those three inputs:
 //
 //   * policy configuration — EaMpu::config_epoch() (bumped by every
@@ -51,11 +54,24 @@ namespace tytan::sim {
 class Machine;
 struct DecodedOp;
 
-/// Memoized allows_transfer() verdict for transfers whose target is a pure
-/// function of the instruction's PC (jmp/jz/../jnc/call).  kUnknown — the
-/// interpreter's transient ops and register-indirect transfers — means "ask
-/// the EA-MPU live".
-enum class TransferMemo : std::uint8_t { kUnknown = 0, kAllowed, kDenied };
+/// One EA-MPU verdict of one cached op, memoized over the address span
+/// [lo, last] on which the answer cannot change: the op's identity (its PC)
+/// and access kind are fixed, so EaMpu::classify_span /
+/// allows_transfer_span give the exact span.  Empty (lo > last) until the
+/// op's first access fills it; a later access outside the span refills it.
+struct VerdictMemo {
+  std::uint32_t lo = 1;
+  std::uint32_t last = 0;  ///< inclusive, so a span can reach 2^32 - 1
+  std::int32_t code = 0;   ///< classify() code, or 1/0 for a transfer allow/deny
+
+  [[nodiscard]] bool covers(std::uint32_t addr) const { return addr >= lo && addr <= last; }
+  /// Memoize `verdict` over [span_lo, span_hi), span_hi <= 2^32.
+  void fill(std::uint64_t span_lo, std::uint64_t span_hi, int verdict) {
+    lo = static_cast<std::uint32_t>(span_lo);
+    last = static_cast<std::uint32_t>(span_hi - 1);
+    code = verdict;
+  }
+};
 
 /// Per-opcode dispatch table entry (the sixfive-style variant record): the
 /// handler the big interpreter switch is factored into, plus the base cycle
@@ -63,6 +79,10 @@ enum class TransferMemo : std::uint8_t { kUnknown = 0, kAllowed, kDenied };
 struct OpVariant {
   void (*exec)(Machine&, const DecodedOp&) = nullptr;
   std::uint8_t base_cycles = 0;
+  /// No load, store, push, pop, transfer, int, iret, hlt, cli or sti: the op
+  /// cannot fault, halt, touch memory or a device, change IF, or leave EIP
+  /// anywhere but the next word.  Machine::run chains straight past it.
+  bool quiet = false;
 };
 
 /// The 256-entry table indexed by the raw opcode byte.  Undefined opcodes
@@ -76,16 +96,27 @@ const std::array<OpVariant, 256>& op_table();
 /// between instructions), never destroyed mid-dispatch.
 struct DecodedOp {
   isa::Instruction instr{};
+  std::uint8_t base_cycles = 0;
+  bool quiet = false;  ///< OpVariant::quiet
   std::uint32_t pc = 0;
   std::uint32_t word = 0;  ///< raw encoding (tracer replay)
   void (*exec)(Machine&, const DecodedOp&) = nullptr;
-  std::uint8_t base_cycles = 0;
-  TransferMemo transfer = TransferMemo::kUnknown;
   /// Memoized policy->classify(pc, pc, kExecute) — replayed into the heat
   /// recorder's MPU counters so observatory profiles are identical across
   /// dispatch modes.  kCheckNoPolicy when built without a policy.
-  int fetch_class = kCheckNoPolicy;
+  std::int32_t fetch_class = kCheckNoPolicy;
+  /// True for ops built into a block, which fill and replay the memos
+  /// below.  The interpreter's transient ops ask the EA-MPU every time.
+  bool cached = false;
+  /// The op's data-access verdict (every op has at most one access kind)
+  /// and its transfer verdict, filled on first use.  Mutable: the op is
+  /// otherwise immutable block content, and the memos die with the block.
+  mutable VerdictMemo data;
+  mutable VerdictMemo transfer;
 };
+// The interpreter builds a transient op per instruction and a block holds
+// one per instruction: growing the op costs both modes.
+static_assert(sizeof(DecodedOp) <= 56, "keep DecodedOp small");
 
 class DecodeCache final : public WriteWatcher {
  public:

@@ -1,5 +1,7 @@
 #include "sim/eampu.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 
 namespace tytan::sim {
@@ -189,6 +191,53 @@ bool EaMpu::allows_transfer(std::uint32_t from_ip, std::uint32_t to_ip) const {
     }
   }
   return true;
+}
+
+int EaMpu::classify_span(std::uint32_t exec_ip, std::uint32_t addr, Access access,
+                         std::uint64_t* lo, std::uint64_t* hi) const {
+  span_around(addr, /*entries=*/false, lo, hi);
+  return classify(exec_ip, addr, access);
+}
+
+bool EaMpu::allows_transfer_span(std::uint32_t from_ip, std::uint32_t to_ip,
+                                 std::uint64_t* lo, std::uint64_t* hi) const {
+  span_around(to_ip, /*entries=*/true, lo, hi);
+  return allows_transfer(from_ip, to_ip);
+}
+
+void EaMpu::span_around(std::uint32_t addr, bool entries, std::uint64_t* lo,
+                        std::uint64_t* hi) const {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 32;
+  std::uint64_t below = 0;
+  std::uint64_t above = kTop;
+  const auto cut = [&](std::uint64_t boundary) {
+    if (boundary <= addr) {
+      below = std::max(below, boundary);
+    } else {
+      above = std::min(above, boundary);
+    }
+  };
+  const auto range = [&](std::uint32_t start, std::uint32_t size) {
+    cut(start);
+    cut(std::min(std::uint64_t{start} + size, kTop));
+  };
+  for (const auto& region : exec_regions_) {
+    if (!region) {
+      continue;
+    }
+    range(region->start, region->size);
+    if (entries && region->entry != ExecRegion::kEntryAnywhere &&
+        region->entry != ExecRegion::kEntryNone) {
+      range(region->entry, 1);
+    }
+  }
+  for (const auto& slot : slots_) {
+    if (slot) {
+      range(slot->data_start, slot->data_size);
+    }
+  }
+  *lo = below;
+  *hi = above;
 }
 
 void EaMpu::save_state(snap::Writer& w) const {

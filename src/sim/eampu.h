@@ -133,6 +133,20 @@ class EaMpu {
   /// entry points are enforced (EA-MPU property 2 above).
   [[nodiscard]] bool allows_transfer(std::uint32_t from_ip, std::uint32_t to_ip) const;
 
+  /// classify() plus the span [*lo, *hi) around `addr` on which the answer
+  /// cannot change while `exec_ip`, `access` and the configuration stay
+  /// fixed.  The verdict is piecewise constant in the address: it only
+  /// changes where a region or a slot's data range starts or ends.  *hi may
+  /// be 2^32.  The decode cache memoizes data checks per op over this span.
+  [[nodiscard]] int classify_span(std::uint32_t exec_ip, std::uint32_t addr, Access access,
+                                  std::uint64_t* lo, std::uint64_t* hi) const;
+
+  /// allows_transfer() plus the span [*lo, *hi) around `to_ip` on which it
+  /// cannot change for this `from_ip`: classify_span's breakpoints plus
+  /// `entry` and `entry + 1` of every region that enforces its entry point.
+  [[nodiscard]] bool allows_transfer_span(std::uint32_t from_ip, std::uint32_t to_ip,
+                                          std::uint64_t* lo, std::uint64_t* hi) const;
+
   /// Lock the configuration ports (set by secure boot after the static rules
   /// are installed; afterwards only the EA-MPU driver firmware may write —
   /// modeled as a host-side latch the driver toggles around its accesses).
@@ -163,6 +177,12 @@ class EaMpu {
     return ip >= kFwOsKernel && ip < kFwOsKernel + kFwWindowSize;
   }
   void bump_config_epoch() { ++config_epoch_; }
+  /// The widest [*lo, *hi) around `addr` that contains no range boundary of
+  /// a region or a slot's data (and, with `entries`, no enforced entry
+  /// point or the word after it).  Ranges are [start, start + size) clipped
+  /// at 2^32, matching the `addr >= start && addr - start < size` tests.
+  void span_around(std::uint32_t addr, bool entries, std::uint64_t* lo,
+                   std::uint64_t* hi) const;
 
   std::array<std::optional<Rule>, kNumSlots> slots_{};
   std::array<std::optional<ExecRegion>, kNumExecRegions> exec_regions_{};

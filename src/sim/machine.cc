@@ -17,9 +17,9 @@ static_assert(obs::HeatProfile::kMpuSlotBuckets == EaMpu::kNumSlots,
 
 namespace {
 
-/// `instr`, decoded from `word` at `pc`, bound to its OpVariant handler and
-/// base cost — the part of a DecodedOp both dispatch modes fill the same
-/// way.  Nothing is memoized yet.
+/// `instr`, decoded from `word` at `pc`, bound to its OpVariant handler,
+/// base cost and quiet bit — the part of a DecodedOp both dispatch modes
+/// fill the same way.  Nothing is memoized yet.
 DecodedOp decoded_op(std::uint32_t pc, std::uint32_t word, const isa::Instruction& instr) {
   const OpVariant& variant = op_table()[static_cast<std::size_t>(instr.opcode)];
   DecodedOp op;
@@ -28,6 +28,7 @@ DecodedOp decoded_op(std::uint32_t pc, std::uint32_t word, const isa::Instructio
   op.word = word;
   op.exec = variant.exec;
   op.base_cycles = variant.base_cycles;
+  op.quiet = variant.quiet;
   return op;
 }
 
@@ -388,88 +389,98 @@ Status Machine::fw_write8(std::uint32_t exec_ip, std::uint32_t addr, std::uint8_
   return Status::ok();
 }
 
-bool Machine::guest_read32(std::uint32_t addr, std::uint32_t* out) {
-  if (!check(cpu_.eip, addr, Access::kRead)) {
-    raise_fault({FaultType::kMpuData, cpu_.eip, addr, Access::kRead});
+bool Machine::check_data(const DecodedOp& op, std::uint32_t addr, Access access) {
+  if (!op.data.covers(addr)) {
+    if (!op.cached) {
+      return check(op.pc, addr, access);
+    }
+    std::uint64_t lo = 0;
+    std::uint64_t hi = std::uint64_t{1} << 32;
+    const int code = policy_ == nullptr
+                         ? kCheckNoPolicy
+                         : policy_->classify_span(op.pc, addr, access, &lo, &hi);
+    op.data.fill(lo, hi, code);
+  }
+  if (heat_ != nullptr) {
+    heat_->count_check(static_cast<int>(access), op.data.code);
+  }
+  return op.data.code != kCheckDenied;
+}
+
+bool Machine::transfer_allowed(const DecodedOp& op, std::uint32_t target) {
+  if (policy_ == nullptr) {
+    return true;
+  }
+  if (!op.transfer.covers(target)) {
+    if (!op.cached) {
+      return policy_->allows_transfer(op.pc, target);
+    }
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    const bool allowed = policy_->allows_transfer_span(op.pc, target, &lo, &hi);
+    op.transfer.fill(lo, hi, allowed ? 1 : 0);
+  }
+  return op.transfer.code != 0;
+}
+
+template <typename RawAccess>
+bool Machine::guest_access(const DecodedOp& op, std::uint32_t addr, Access access,
+                           RawAccess raw) {
+  if (!check_data(op, addr, access)) {
+    raise_fault({FaultType::kMpuData, op.pc, addr, access});
     return false;
   }
   charge(costs_.mem_access);
-  if (!raw_read32(addr, out)) {
-    raise_fault({FaultType::kBusError, cpu_.eip, addr, Access::kRead});
+  if (!raw()) {
+    raise_fault({FaultType::kBusError, op.pc, addr, access});
     return false;
   }
   return true;
 }
 
-bool Machine::guest_write32(std::uint32_t addr, std::uint32_t value) {
-  if (!check(cpu_.eip, addr, Access::kWrite)) {
-    raise_fault({FaultType::kMpuData, cpu_.eip, addr, Access::kWrite});
-    return false;
-  }
-  charge(costs_.mem_access);
-  if (!raw_write32(addr, value)) {
-    raise_fault({FaultType::kBusError, cpu_.eip, addr, Access::kWrite});
-    return false;
-  }
-  return true;
+bool Machine::guest_read32(const DecodedOp& op, std::uint32_t addr, std::uint32_t* out) {
+  return guest_access(op, addr, Access::kRead, [&] { return raw_read32(addr, out); });
 }
 
-bool Machine::guest_read8(std::uint32_t addr, std::uint8_t* out) {
-  if (!check(cpu_.eip, addr, Access::kRead)) {
-    raise_fault({FaultType::kMpuData, cpu_.eip, addr, Access::kRead});
-    return false;
-  }
-  charge(costs_.mem_access);
-  if (!raw_read8(addr, out)) {
-    raise_fault({FaultType::kBusError, cpu_.eip, addr, Access::kRead});
-    return false;
-  }
-  return true;
+bool Machine::guest_write32(const DecodedOp& op, std::uint32_t addr, std::uint32_t value) {
+  return guest_access(op, addr, Access::kWrite, [&] { return raw_write32(addr, value); });
 }
 
-bool Machine::guest_write8(std::uint32_t addr, std::uint8_t value) {
-  if (!check(cpu_.eip, addr, Access::kWrite)) {
-    raise_fault({FaultType::kMpuData, cpu_.eip, addr, Access::kWrite});
-    return false;
-  }
-  charge(costs_.mem_access);
-  if (!raw_write8(addr, value)) {
-    raise_fault({FaultType::kBusError, cpu_.eip, addr, Access::kWrite});
-    return false;
-  }
-  return true;
+bool Machine::guest_read8(const DecodedOp& op, std::uint32_t addr, std::uint8_t* out) {
+  return guest_access(op, addr, Access::kRead, [&] { return raw_read8(addr, out); });
 }
 
-bool Machine::guest_push32(std::uint32_t value) {
+bool Machine::guest_write8(const DecodedOp& op, std::uint32_t addr, std::uint8_t value) {
+  return guest_access(op, addr, Access::kWrite, [&] { return raw_write8(addr, value); });
+}
+
+bool Machine::guest_push32(const DecodedOp& op, std::uint32_t value) {
   const std::uint32_t sp = cpu_.sp() - 4;
-  if (!guest_write32(sp, value)) {
+  if (!guest_write32(op, sp, value)) {
     return false;
   }
   cpu_.set_sp(sp);
   return true;
 }
 
-bool Machine::guest_pop32(std::uint32_t* out) {
-  if (!guest_read32(cpu_.sp(), out)) {
+bool Machine::guest_pop32(const DecodedOp& op, std::uint32_t* out) {
+  if (!guest_read32(op, cpu_.sp(), out)) {
     return false;
   }
   cpu_.set_sp(cpu_.sp() + 4);
   return true;
 }
 
-bool Machine::guest_transfer(std::uint32_t target) {
-  if (policy_ != nullptr && !policy_->allows_transfer(cpu_.eip, target)) {
-    raise_fault({FaultType::kMpuTransfer, cpu_.eip, target, Access::kExecute});
+bool Machine::guest_transfer(const DecodedOp& op, std::uint32_t target) {
+  if (!transfer_allowed(op, target)) {
+    cpu_.eip = op.pc;  // a denied transfer faults at the branching instruction
+    raise_fault({FaultType::kMpuTransfer, op.pc, target, Access::kExecute});
     return false;
   }
   charge(costs_.branch_taken);
   cpu_.eip = target;
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Flags
-// ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
 // Execution
@@ -498,38 +509,9 @@ StepOutcome Machine::step() {
     dispatch_pending();
     return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
   }
-  // Cached-dispatch fast paths.  Still one instruction per step(): quantum
-  // boundaries, device ticks, and IRQ windows land exactly where the
-  // interpreter puts them.
   if (dispatch_ == DispatchMode::kCached) {
-    // Cursor hit: the cursor points at the next op of a live block and EIP
-    // agrees — skip fetch, decode, the EA-MPU walk, and the firmware map
-    // probe (blocks never contain firmware addresses, and register_firmware
-    // invalidates).  Liveness is checked BEFORE the block pointer is
-    // dereferenced: any invalidation freed it.
-    if (cur_block_ != nullptr && dcache_.live(cur_gen_, policy_) &&
-        cur_idx_ < cur_block_->ops.size() &&
-        cur_block_->ops[cur_idx_].pc == cpu_.eip) {
-      // Reference, not copy: a self-modifying store can only *graveyard* the
-      // block (deferred free), never destroy it mid-instruction.
-      const DecodedOp& op = cur_block_->ops[cur_idx_];
-      ++cur_idx_;
-      run_cached_op(op);
-      return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
-    }
-    // Block-head LUT hit: a branch landed on a block head this machine has
-    // activated before — chain straight into it without the firmware map
-    // probe or the hash lookup.  Safe for the same reason as the cursor: a
-    // cached head is never a firmware entry, and the entry's generation
-    // stamp dies with any invalidation (live() also rechecks the policy
-    // configuration epoch).
-    const BlockLutEntry& lut = block_lut_[(cpu_.eip >> 2) & (kBlockLutSize - 1)];
-    if (lut.pc == cpu_.eip && dcache_.live(lut.gen, policy_)) {
-      cur_block_ = lut.block;
-      cur_gen_ = lut.gen;
-      cur_idx_ = 1;
-      dcache_.note_fast_hit();
-      run_cached_op(lut.block->ops[0]);
+    if (const DecodedOp* op = next_cached_op()) {
+      run_cached_op(*op);
       return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
     }
   }
@@ -565,13 +547,76 @@ void Machine::dispatch_pending() {
   }
 }
 
+const DecodedOp* Machine::next_cached_op() {
+  // Cursor hit: the cursor points at the next op of a live block and EIP
+  // agrees — skip fetch, decode, the EA-MPU walk, and the firmware map
+  // probe (blocks never contain firmware addresses, and register_firmware
+  // invalidates).  Liveness is checked BEFORE the block pointer is
+  // dereferenced: any invalidation freed it.  The op is returned by
+  // address, not copied: a self-modifying store can only *graveyard* the
+  // block (deferred free), never destroy it mid-instruction.
+  if (cur_block_ != nullptr && dcache_.live(cur_gen_, policy_) &&
+      cur_idx_ < cur_block_->ops.size() && cur_block_->ops[cur_idx_].pc == cpu_.eip) {
+    return &cur_block_->ops[cur_idx_++];
+  }
+  // Block-head LUT hit: a branch landed on a block head this machine has
+  // activated before — chain straight into it without the firmware map
+  // probe or the hash lookup.  Safe for the same reason as the cursor: a
+  // cached head is never a firmware entry, and the entry's generation
+  // stamp dies with any invalidation (live() also rechecks the policy
+  // configuration epoch).
+  const BlockLutEntry& lut = block_lut_[(cpu_.eip >> 2) & (kBlockLutSize - 1)];
+  if (lut.pc == cpu_.eip && dcache_.live(lut.gen, policy_)) {
+    cur_block_ = lut.block;
+    cur_gen_ = lut.gen;
+    cur_idx_ = 1;
+    dcache_.note_fast_hit();
+    return &lut.block->ops[0];
+  }
+  return nullptr;
+}
+
 HaltReason Machine::run(std::uint64_t cycle_limit) {
   run_limit_ = cycle_limit;
   while (!halted() && cycles_ < cycle_limit) {
     step();
+    if (dispatch_ == DispatchMode::kCached) {
+      run_chained(cycle_limit);
+    }
   }
   run_limit_ = 0;
   return halted() ? halt_reason_ : HaltReason::kCycleLimit;
+}
+
+void Machine::run_chained(std::uint64_t limit) {
+  // Each pass stands in for one step() whose top would tick no device
+  // (clock below the next tick, timing epoch unchanged), take no IRQ, and
+  // stay inside run(): exactly the state in which step() only sets the
+  // device latch and dispatches next_cached_op().
+  while (!halted() && (pending_ == 0 || !cpu_.flag(isa::kFlagIF)) &&
+         bus_.timing_epoch() == device_timing_epoch_) {
+    const std::uint64_t horizon = std::min(limit, next_device_tick_);
+    if (cycles_ >= horizon) {
+      return;
+    }
+    const DecodedOp* op = next_cached_op();
+    if (op == nullptr) {
+      return;
+    }
+    // A quiet op cannot halt, fault, raise or unmask an IRQ, reach a device
+    // or memory (so no block dies and no schedule moves), or leave EIP
+    // anywhere but the next op of its block: after one, only the clock and
+    // the block's end can stop the chain.
+    for (;;) {
+      step_top_cycles_ = cycles_;
+      device_time_dirty_ = true;
+      run_cached_op(*op);
+      if (!op->quiet || cycles_ >= horizon || cur_idx_ == cur_block_->ops.size()) {
+        break;
+      }
+      op = &cur_block_->ops[cur_idx_++];
+    }
+  }
 }
 
 std::uint64_t Machine::fast_forward_spin(std::uint64_t pass_cycles) {
@@ -645,7 +690,7 @@ void Machine::execute_one() {
     return;
   }
   // Transient decoded op: same OpVariant handler the cache dispatches, with
-  // nothing memoized (transfer/fetch verdicts resolved live).
+  // nothing memoized (data, transfer and fetch verdicts resolved live).
   dispatch_observed(decoded_op(pc, word, *decoded));
 }
 
@@ -718,38 +763,22 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     }
     DecodedOp op = decoded_op(p, word, *decoded);
     op.fetch_class = fetch_class;
+    op.cached = true;
     const std::uint32_t next = p + isa::kInstrSize;
     bool terminator = false;
     switch (op.instr.opcode) {
-      // Static-target transfers: the entry-point verdict is a pure function
-      // of (pc, policy configuration) — memoize it under the same epoch that
-      // guards the fetch memo.
       case Opcode::kJmp:
-      case Opcode::kJz:
-      case Opcode::kJnz:
-      case Opcode::kJlt:
-      case Opcode::kJge:
-      case Opcode::kJc:
-      case Opcode::kJnc:
-      case Opcode::kCall: {
-        const std::uint32_t target = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(next) + op.instr.simm());
-        op.transfer = (policy_ == nullptr || policy_->allows_transfer(p, target))
-                          ? TransferMemo::kAllowed
-                          : TransferMemo::kDenied;
-        // Conditional branches fall through inside the block; the taken path
-        // re-enters through the cursor-miss slow path.
-        terminator =
-            op.instr.opcode == Opcode::kJmp || op.instr.opcode == Opcode::kCall;
-        break;
-      }
+      case Opcode::kCall:
       case Opcode::kJmpr:
       case Opcode::kCallr:
       case Opcode::kRet:
       case Opcode::kInt:
       case Opcode::kIret:
       case Opcode::kHlt:
-        terminator = true;  // EIP never falls through sequentially
+        // EIP never falls through sequentially.  Conditional branches do:
+        // they stay inside the block, and the taken path re-enters through
+        // the cursor-miss lookup.
+        terminator = true;
         break;
       default:
         break;

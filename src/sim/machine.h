@@ -92,7 +92,7 @@ class Machine {
   [[nodiscard]] const CostModel& costs() const { return costs_; }
 
   /// Install the EA-MPU.  Non-owning; may be nullptr (pre-secure-boot:
-  /// everything allowed).  Drops the decode cache — cached fetch and
+  /// everything allowed).  Drops the decode cache — cached fetch, data and
   /// transfer verdicts were issued under the previous configuration.
   void set_policy(const EaMpu* policy) {
     policy_ = policy;
@@ -167,7 +167,10 @@ class Machine {
 
   /// Run until halt or until the cycle clock reaches `cycle_limit`.  For the
   /// duration of the call the limit bounds the run horizon that
-  /// fast_forward_spin() may skip to; step() alone never has one.
+  /// fast_forward_spin() may skip to; step() alone never has one.  In
+  /// kCached mode, cached ops run back to back while every step top would
+  /// only dispatch the next one (run_chained); the simulated state is the
+  /// same as stepping to the limit.
   HaltReason run(std::uint64_t cycle_limit);
 
   /// Closed-form repetition of a constant-cost firmware pass.  A handler
@@ -290,6 +293,18 @@ class Machine {
   /// body adds no call on the per-instruction path.
   [[gnu::always_inline]] inline void dispatch_observed(const DecodedOp& op);
 
+  /// The cached fast paths' lookup, shared by step() and run_chained(): the
+  /// cursor's next op when it is live and sits at EIP, else the head of the
+  /// live block the LUT remembers at EIP, with the cursor moved past the
+  /// returned op.  nullptr when neither hits (firmware, the slow path).
+  const DecodedOp* next_cached_op();
+  /// Run cached ops back to back from the current state for as long as
+  /// step() would do nothing else at their step tops: not halted, no IRQ
+  /// both pending and enabled, no bus timing-epoch change, the clock below
+  /// min(limit, next device tick), and next_cached_op() hits.  Returns at
+  /// the first step top that needs step().
+  void run_chained(std::uint64_t limit);
+
   // Cached-dispatch slow path: sync the cache with the policy epoch, look up
   // or build the block at EIP, park the cursor, and run its first op.
   // Returns false when the head is uncacheable (fault, MMIO, firmware) and
@@ -302,14 +317,28 @@ class Machine {
   /// head instruction cannot be cached.
   DecodeCache::Block build_block(std::uint32_t pc) const;
 
-  // Guest-side memory helpers: on violation, raise the fault and return false.
-  bool guest_read32(std::uint32_t addr, std::uint32_t* out);
-  bool guest_write32(std::uint32_t addr, std::uint32_t value);
-  bool guest_read8(std::uint32_t addr, std::uint8_t* out);
-  bool guest_write8(std::uint32_t addr, std::uint8_t value);
-  bool guest_push32(std::uint32_t value);
-  bool guest_pop32(std::uint32_t* out);
-  bool guest_transfer(std::uint32_t target);
+  /// `op`'s data-access verdict on `addr`, under op.pc's identity: replayed
+  /// from the op's memo when the memo covers `addr`, else one
+  /// classify_span() walk that refills it.  Transient interpreter ops go
+  /// through check() and memoize nothing.  Heat counts every check either
+  /// way.
+  bool check_data(const DecodedOp& op, std::uint32_t addr, Access access);
+  /// Same for `op`'s control transfer to `target` (allows_transfer_span).
+  bool transfer_allowed(const DecodedOp& op, std::uint32_t target);
+
+  // Guest-side memory helpers for the op executing now: checked under its
+  // PC; on violation, raise the fault at that PC and return false.
+  // guest_access is their shared body: check_data, charge the access, run
+  // `raw` (a raw_* call), and raise kMpuData / kBusError on failure.
+  template <typename RawAccess>
+  bool guest_access(const DecodedOp& op, std::uint32_t addr, Access access, RawAccess raw);
+  bool guest_read32(const DecodedOp& op, std::uint32_t addr, std::uint32_t* out);
+  bool guest_write32(const DecodedOp& op, std::uint32_t addr, std::uint32_t value);
+  bool guest_read8(const DecodedOp& op, std::uint32_t addr, std::uint8_t* out);
+  bool guest_write8(const DecodedOp& op, std::uint32_t addr, std::uint8_t value);
+  bool guest_push32(const DecodedOp& op, std::uint32_t value);
+  bool guest_pop32(const DecodedOp& op, std::uint32_t* out);
+  bool guest_transfer(const DecodedOp& op, std::uint32_t target);
 
   // Inline: every ALU handler calls one of these, so they sit on the
   // per-instruction hot path of both dispatch modes.

@@ -6,8 +6,8 @@
 //
 // Conventions every handler inherits from the old switch:
 //   * on entry cpu_.eip == op.pc + 4 (execute_op set the fall-through);
-//   * a transferring handler sets cpu_.eip = op.pc *before* the transfer
-//     check so a denied transfer faults at the branching instruction;
+//   * every data access and transfer is checked under op.pc, the accessing
+//     instruction's own address, and a denied one faults there;
 //   * load/store/push/pop recovery keeps EIP at the faulting instruction
 //     unless raise_fault() redirected it into the fault handler — tracked
 //     explicitly in Machine::fault_eip_redirected_ (comparing EIP against
@@ -125,7 +125,7 @@ struct MachineOps {
 
   static void ldw(Machine& m, const DecodedOp& op) {
     std::uint32_t value = 0;
-    if (m.guest_read32(m.cpu_.regs[op.instr.ra] +
+    if (m.guest_read32(op, m.cpu_.regs[op.instr.ra] +
                            static_cast<std::uint32_t>(op.instr.simm()),
                        &value)) {
       m.cpu_.regs[op.instr.rd] = value;
@@ -135,7 +135,7 @@ struct MachineOps {
   }
 
   static void stw(Machine& m, const DecodedOp& op) {
-    if (!m.guest_write32(m.cpu_.regs[op.instr.ra] +
+    if (!m.guest_write32(op, m.cpu_.regs[op.instr.ra] +
                              static_cast<std::uint32_t>(op.instr.simm()),
                          m.cpu_.regs[op.instr.rd])) {
       recover_eip(m, op);
@@ -144,7 +144,7 @@ struct MachineOps {
 
   static void ldb(Machine& m, const DecodedOp& op) {
     std::uint8_t value = 0;
-    if (m.guest_read8(m.cpu_.regs[op.instr.ra] +
+    if (m.guest_read8(op, m.cpu_.regs[op.instr.ra] +
                           static_cast<std::uint32_t>(op.instr.simm()),
                       &value)) {
       m.cpu_.regs[op.instr.rd] = value;
@@ -154,30 +154,10 @@ struct MachineOps {
   }
 
   static void stb(Machine& m, const DecodedOp& op) {
-    if (!m.guest_write8(m.cpu_.regs[op.instr.ra] +
+    if (!m.guest_write8(op, m.cpu_.regs[op.instr.ra] +
                             static_cast<std::uint32_t>(op.instr.simm()),
                         static_cast<std::uint8_t>(m.cpu_.regs[op.instr.rd]))) {
       recover_eip(m, op);
-    }
-  }
-
-  /// Taken relative branch/call transfer to a static target.  The decode
-  /// cache memoizes the entry-point verdict (valid under the policy config
-  /// epoch); transient interpreter ops carry kUnknown and ask live.
-  static void take_static_transfer(Machine& m, const DecodedOp& op,
-                                   std::uint32_t target) {
-    m.cpu_.eip = op.pc;  // transfer check sees the branching instruction
-    switch (op.transfer) {
-      case TransferMemo::kAllowed:
-        m.charge(m.costs_.branch_taken);
-        m.cpu_.eip = target;
-        break;
-      case TransferMemo::kDenied:
-        m.raise_fault({FaultType::kMpuTransfer, op.pc, target, Access::kExecute});
-        break;
-      case TransferMemo::kUnknown:
-        m.guest_transfer(target);
-        break;
     }
   }
 
@@ -188,7 +168,7 @@ struct MachineOps {
       // crafted displacement into another region faults.
       const std::uint32_t target = static_cast<std::uint32_t>(
           static_cast<std::int64_t>(op.pc + isa::kInstrSize) + op.instr.simm());
-      take_static_transfer(m, op, target);
+      m.guest_transfer(op, target);
     }
   }
 
@@ -217,51 +197,48 @@ struct MachineOps {
     if (m.heat_ != nullptr) {
       m.heat_->record_edge(op.pc, target, /*is_call=*/false);
     }
-    m.cpu_.eip = op.pc;
-    m.guest_transfer(target);
+    m.guest_transfer(op, target);
   }
 
   static void call(Machine& m, const DecodedOp& op) {
     const std::uint32_t next = op.pc + isa::kInstrSize;
-    if (!m.guest_push32(next)) {
+    if (!m.guest_push32(op, next)) {
       return;
     }
     const std::uint32_t target = static_cast<std::uint32_t>(
         static_cast<std::int64_t>(next) + op.instr.simm());
-    take_static_transfer(m, op, target);
+    m.guest_transfer(op, target);
   }
 
   static void callr(Machine& m, const DecodedOp& op) {
     const std::uint32_t next = op.pc + isa::kInstrSize;
-    if (!m.guest_push32(next)) {
+    if (!m.guest_push32(op, next)) {
       return;
     }
     const std::uint32_t target = m.cpu_.regs[op.instr.ra];
     if (m.heat_ != nullptr) {
       m.heat_->record_edge(op.pc, target, /*is_call=*/true);
     }
-    m.cpu_.eip = op.pc;
-    m.guest_transfer(target);
+    m.guest_transfer(op, target);
   }
 
   static void ret(Machine& m, const DecodedOp& op) {
     std::uint32_t target = 0;
-    if (!m.guest_pop32(&target)) {
+    if (!m.guest_pop32(op, &target)) {
       return;
     }
-    m.cpu_.eip = op.pc;
-    m.guest_transfer(target);
+    m.guest_transfer(op, target);
   }
 
   static void push(Machine& m, const DecodedOp& op) {
-    if (!m.guest_push32(m.cpu_.regs[op.instr.rd])) {
+    if (!m.guest_push32(op, m.cpu_.regs[op.instr.rd])) {
       recover_eip(m, op);
     }
   }
 
   static void pop(Machine& m, const DecodedOp& op) {
     std::uint32_t value = 0;
-    if (m.guest_pop32(&value)) {
+    if (m.guest_pop32(op, &value)) {
       m.cpu_.regs[op.instr.rd] = value;
     } else {
       recover_eip(m, op);
@@ -276,12 +253,11 @@ struct MachineOps {
   static void iret(Machine& m, const DecodedOp& op) {
     std::uint32_t new_eip = 0;
     std::uint32_t new_eflags = 0;
-    if (!m.guest_pop32(&new_eip) || !m.guest_pop32(&new_eflags)) {
+    if (!m.guest_pop32(op, &new_eip) || !m.guest_pop32(op, &new_eflags)) {
       return;
     }
     m.cpu_.eflags = new_eflags;
-    m.cpu_.eip = op.pc;
-    m.guest_transfer(new_eip);
+    m.guest_transfer(op, new_eip);
   }
 
   static void hlt(Machine& m, const DecodedOp& op) {
@@ -311,34 +287,37 @@ struct MachineOps {
 const std::array<OpVariant, 256>& op_table() {
   // Built once, thread-safely (magic static): fleet devices share the table
   // read-only.  base_cycles rides in each variant so cached dispatch skips
-  // the isa::base_cycles switch.
+  // the isa::base_cycles switch.  Only register-to-register ops are quiet;
+  // an opcode added later is not until it is listed as such.
   static const std::array<OpVariant, 256> table = [] {
     std::array<OpVariant, 256> t{};
-    const auto set = [&t](Opcode opc, void (*fn)(Machine&, const DecodedOp&)) {
+    const auto set = [&t](Opcode opc, void (*fn)(Machine&, const DecodedOp&),
+                          bool quiet = false) {
       t[static_cast<std::size_t>(opc)] = {
-          fn, static_cast<std::uint8_t>(isa::base_cycles(opc))};
+          fn, static_cast<std::uint8_t>(isa::base_cycles(opc)), quiet};
     };
-    set(Opcode::kNop, MachineOps::nop);
-    set(Opcode::kMov, MachineOps::mov);
-    set(Opcode::kMovi, MachineOps::movi);
-    set(Opcode::kMoviu, MachineOps::moviu);
-    set(Opcode::kMovhi, MachineOps::movhi);
-    set(Opcode::kAdd, MachineOps::add);
-    set(Opcode::kAddi, MachineOps::add);
-    set(Opcode::kSub, MachineOps::sub);
-    set(Opcode::kSubi, MachineOps::sub);
-    set(Opcode::kCmp, MachineOps::sub);
-    set(Opcode::kCmpi, MachineOps::sub);
-    set(Opcode::kAnd, MachineOps::and_r);
-    set(Opcode::kAndi, MachineOps::and_i);
-    set(Opcode::kOr, MachineOps::or_r);
-    set(Opcode::kOri, MachineOps::or_i);
-    set(Opcode::kXor, MachineOps::xor_r);
-    set(Opcode::kShl, MachineOps::shl_r);
-    set(Opcode::kShli, MachineOps::shl_i);
-    set(Opcode::kShr, MachineOps::shr_r);
-    set(Opcode::kShri, MachineOps::shr_i);
-    set(Opcode::kMul, MachineOps::mul);
+    constexpr bool kQuiet = true;
+    set(Opcode::kNop, MachineOps::nop, kQuiet);
+    set(Opcode::kMov, MachineOps::mov, kQuiet);
+    set(Opcode::kMovi, MachineOps::movi, kQuiet);
+    set(Opcode::kMoviu, MachineOps::moviu, kQuiet);
+    set(Opcode::kMovhi, MachineOps::movhi, kQuiet);
+    set(Opcode::kAdd, MachineOps::add, kQuiet);
+    set(Opcode::kAddi, MachineOps::add, kQuiet);
+    set(Opcode::kSub, MachineOps::sub, kQuiet);
+    set(Opcode::kSubi, MachineOps::sub, kQuiet);
+    set(Opcode::kCmp, MachineOps::sub, kQuiet);
+    set(Opcode::kCmpi, MachineOps::sub, kQuiet);
+    set(Opcode::kAnd, MachineOps::and_r, kQuiet);
+    set(Opcode::kAndi, MachineOps::and_i, kQuiet);
+    set(Opcode::kOr, MachineOps::or_r, kQuiet);
+    set(Opcode::kOri, MachineOps::or_i, kQuiet);
+    set(Opcode::kXor, MachineOps::xor_r, kQuiet);
+    set(Opcode::kShl, MachineOps::shl_r, kQuiet);
+    set(Opcode::kShli, MachineOps::shl_i, kQuiet);
+    set(Opcode::kShr, MachineOps::shr_r, kQuiet);
+    set(Opcode::kShri, MachineOps::shr_i, kQuiet);
+    set(Opcode::kMul, MachineOps::mul, kQuiet);
     set(Opcode::kLdw, MachineOps::ldw);
     set(Opcode::kStw, MachineOps::stw);
     set(Opcode::kLdb, MachineOps::ldb);
@@ -361,7 +340,7 @@ const std::array<OpVariant, 256>& op_table() {
     set(Opcode::kHlt, MachineOps::hlt);
     set(Opcode::kCli, MachineOps::cli);
     set(Opcode::kSti, MachineOps::sti);
-    set(Opcode::kRdcyc, MachineOps::rdcyc);
+    set(Opcode::kRdcyc, MachineOps::rdcyc, kQuiet);
     return t;
   }();
   return table;

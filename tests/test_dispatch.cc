@@ -56,31 +56,52 @@ std::map<std::string, std::uint32_t> load_program(Machine& machine,
   return object->symbols;
 }
 
+/// Compare every piece of simulated state two machines expose.
+void expect_same_state(const Machine& a, const Machine& b, const std::string& where) {
+  EXPECT_EQ(a.cpu().eip, b.cpu().eip) << "EIP diverged at " << where;
+  EXPECT_EQ(a.cpu().eflags, b.cpu().eflags) << "EFLAGS diverged at " << where;
+  for (std::size_t r = 0; r < isa::kNumGprs; ++r) {
+    EXPECT_EQ(a.cpu().regs[r], b.cpu().regs[r]) << "r" << r << " diverged at " << where;
+  }
+  EXPECT_EQ(a.cycles(), b.cycles()) << "cycles diverged at " << where;
+  EXPECT_EQ(a.instructions_executed(), b.instructions_executed())
+      << "instructions diverged at " << where;
+  EXPECT_EQ(a.interrupts_dispatched(), b.interrupts_dispatched())
+      << "interrupts diverged at " << where;
+  EXPECT_EQ(a.fault_count(), b.fault_count()) << "fault count diverged at " << where;
+  EXPECT_EQ(a.last_fault().type, b.last_fault().type) << "fault type diverged at " << where;
+  EXPECT_EQ(a.last_fault().eip, b.last_fault().eip) << "fault EIP diverged at " << where;
+  EXPECT_EQ(a.last_fault().addr, b.last_fault().addr) << "fault addr diverged at " << where;
+  EXPECT_EQ(a.halted(), b.halted()) << "halt diverged at " << where;
+}
+
 /// Step both machines once and compare every piece of simulated state.
 /// Returns false once both machines halt (or on divergence, after failing).
 bool lockstep_once(Machine& interp, Machine& cached, std::uint64_t step) {
   const StepOutcome a = interp.step();
   const StepOutcome b = cached.step();
   EXPECT_EQ(a, b) << "step outcome diverged at step " << step;
-  EXPECT_EQ(interp.cpu().eip, cached.cpu().eip) << "EIP diverged at step " << step;
-  EXPECT_EQ(interp.cpu().eflags, cached.cpu().eflags)
-      << "EFLAGS diverged at step " << step;
-  for (std::size_t r = 0; r < isa::kNumGprs; ++r) {
-    EXPECT_EQ(interp.cpu().regs[r], cached.cpu().regs[r])
-        << "r" << r << " diverged at step " << step;
-  }
-  EXPECT_EQ(interp.cycles(), cached.cycles()) << "cycles diverged at step " << step;
-  EXPECT_EQ(interp.instructions_executed(), cached.instructions_executed())
-      << "instructions diverged at step " << step;
-  EXPECT_EQ(interp.fault_count(), cached.fault_count())
-      << "fault count diverged at step " << step;
-  EXPECT_EQ(interp.last_fault().type, cached.last_fault().type)
-      << "fault type diverged at step " << step;
-  EXPECT_EQ(interp.halted(), cached.halted()) << "halt diverged at step " << step;
+  expect_same_state(interp, cached, "step " + std::to_string(step));
   if (::testing::Test::HasFailure()) {
     return false;
   }
   return !(interp.halted() && cached.halted());
+}
+
+/// A machine in `mode` running `source`, with a timer of `period` cycles
+/// whose IRQ vectors to the label `tick`.
+std::unique_ptr<Machine> timed_machine(DispatchMode mode, std::string_view source,
+                                       std::uint32_t period) {
+  auto machine = std::make_unique<Machine>();
+  machine->set_dispatch_mode(mode);
+  auto timer = std::make_shared<TimerDevice>();
+  timer->set_irq_sink([m = machine.get()](std::uint8_t v) { m->raise_irq(v); });
+  machine->bus().attach(timer);
+  const auto symbols = load_program(*machine, source);
+  machine->set_idt_entry(kVecTimer, kCodeBase + symbols.at("tick"));
+  timer->write32(TimerDevice::kPeriod, period);
+  timer->write32(TimerDevice::kCtrl, 1);
+  return machine;
 }
 
 struct IdtBinding {
@@ -299,7 +320,7 @@ TEST(Dispatch, IrqDeliveryWindowsIdentical) {
   spin:
       addi r0, 1
       jmp  spin
-  handler:
+  tick:
       addi r5, 1
       cmpi r5, 5
       jz   done
@@ -307,27 +328,166 @@ TEST(Dispatch, IrqDeliveryWindowsIdentical) {
   done:
       hlt
   )";
-  auto interp_ptr = std::make_unique<Machine>();
-  auto cached_ptr = std::make_unique<Machine>();
-  Machine& interp = *interp_ptr;
-  Machine& cached = *cached_ptr;
-  interp.set_dispatch_mode(DispatchMode::kInterpreter);
-  cached.set_dispatch_mode(DispatchMode::kCached);
-  for (Machine* m : {&interp, &cached}) {
-    auto timer = std::make_shared<TimerDevice>();
-    timer->set_irq_sink([m](std::uint8_t v) { m->raise_irq(v); });
-    m->bus().attach(timer);
-    const auto symbols = load_program(*m, source);
-    m->set_idt_entry(kVecTimer, kCodeBase + symbols.at("handler"));
-    timer->write32(TimerDevice::kPeriod, 137);
-    timer->write32(TimerDevice::kCtrl, 1);
-  }
+  const auto interp = timed_machine(DispatchMode::kInterpreter, source, 137);
+  const auto cached = timed_machine(DispatchMode::kCached, source, 137);
   for (std::uint64_t i = 0; i < 50'000; ++i) {
-    if (!lockstep_once(interp, cached, i)) {
+    if (!lockstep_once(*interp, *cached, i)) {
       break;
     }
   }
-  EXPECT_EQ(cached.cpu().regs[5], 5u);
+  EXPECT_EQ(cached->cpu().regs[5], 5u);
+}
+
+TEST(Dispatch, ChainedRunMatchesSteppingAtEveryLimit) {
+  // run() chains cached ops back to back between step tops that need
+  // step().  It must stop on exactly the cycle where stepping would, at
+  // every limit, with a timer (odd period) preempting blocks mid-way, a
+  // self-modifying store ahead of the cursor, sti with the timer IRQ
+  // already pending, and MMIO writes that move the next tick mid-block.
+  // 90 cycles of quiet ops after the restart, past the tick it moved
+  // closer: the chain must reread the schedule after the write.
+  std::string quiet_run;
+  for (int i = 0; i < 30; ++i) {
+    quiet_run += "      mul  r6, r3\n";
+  }
+  const std::string source = R"(
+      li   r2, data
+      li   r4, patch_site
+      li   r5, patched
+      ldw  r5, [r5]          ; r5 = encoding of "addi r6, 2"
+      sti
+  main:
+      addi r0, 1
+      mov  r3, r0
+      shli r3, 3
+      xor  r3, r0
+      addi r3, 7
+      ldw  r1, [r2]
+      add  r1, r3
+      stw  r1, [r2]
+      mul  r3, r3
+      subi r3, 5
+      andi r3, 0xFF
+      stw  r5, [r4]          ; self-modifying store into this block
+  patch_site:
+      addi r6, 1             ; "addi r6, 2" from the first pass on
+      or   r3, r0
+      shri r3, 2
+      addi r3, 9
+      mov  r1, r0
+      andi r1, 7
+      cmpi r1, 3
+      jnz  no_cli
+      cli                    ; the timer fires inside this window
+      movi r1, 40
+  spin:
+      subi r1, 1
+      jnz  spin
+      sti                    ; the IRQ is already pending here
+  no_cli:
+      mov  r1, r0
+      andi r1, 3
+      cmpi r1, 1
+      jnz  no_mmio
+      li   r1, )" + std::to_string(kMmioTimer) + R"(
+      mov  r3, r0
+      andi r3, 4
+      shli r3, 8
+      addi r3, 53            ; 53 and 1077 cycles by turns
+      stw  r3, [r1+4]        ; a new period ...
+      movi r3, 0
+      stw  r3, [r1]
+      movi r3, 1
+      stw  r3, [r1]          ; ... and a restart: the next tick moves
+)" + quiet_run + R"(
+  no_mmio:
+      cmpi r0, 300
+      jnz  main
+      hlt
+  tick:
+      push r1
+      ldw  r1, [r2+4]
+      addi r1, 1
+      stw  r1, [r2+4]
+      pop  r1
+      iret
+  patched:
+      addi r6, 2
+  data:
+      .word 0, 0
+  )";
+  constexpr std::uint32_t kPeriod = 97;
+  // One long sweep: every limit for the first few thousand cycles, then
+  // random strides, so chains start and stop at every offset of the loop.
+  const auto cached = timed_machine(DispatchMode::kCached, source, kPeriod);
+  const auto interp = timed_machine(DispatchMode::kInterpreter, source, kPeriod);
+  const auto stepped = timed_machine(DispatchMode::kCached, source, kPeriod);
+  std::mt19937 rng(0xC4A1);
+  std::uint64_t limit = 0;
+  while (!cached->halted() && !::testing::Test::HasFailure()) {
+    limit += limit < 4'000 ? 1 : 1 + rng() % 400;
+    cached->run(limit);
+    interp->run(limit);
+    while (!stepped->halted() && stepped->cycles() < limit) {
+      stepped->step();
+    }
+    const std::string where = "limit " + std::to_string(limit);
+    expect_same_state(*cached, *interp, where + " (interpreter)");
+    expect_same_state(*cached, *stepped, where + " (cached step())");
+  }
+  ASSERT_TRUE(cached->halted());
+  EXPECT_EQ(cached->cpu().regs[0], 300u);
+  EXPECT_GT(cached->interrupts_dispatched(), 100u);
+  EXPECT_GT(cached->decode_cache().stats().code_writes, 0u);
+  // One run() from reset to each of a window of consecutive limits: the
+  // longest chains, each stopped at a different offset.
+  for (std::uint64_t end = 20'000; end < 20'200 && !::testing::Test::HasFailure(); ++end) {
+    const auto fresh = timed_machine(DispatchMode::kCached, source, kPeriod);
+    const auto reference = timed_machine(DispatchMode::kInterpreter, source, kPeriod);
+    fresh->run(end);
+    reference->run(end);
+    expect_same_state(*fresh, *reference, "one run to " + std::to_string(end));
+  }
+}
+
+TEST(Dispatch, MemoizedDataVerdictDiesWithPolicyEpoch) {
+  // A load's memoized grant must not outlive the rule that granted it: a
+  // slot rewrite between two run() calls revokes it on the next pass.
+  const char* source = R"(
+      li   r2, data
+  loop:
+      ldw  r3, [r2]
+      addi r0, 1
+      jmp  loop
+  data:
+      .word 0x5EC12E7
+  )";
+  for (const DispatchMode mode : {DispatchMode::kCached, DispatchMode::kInterpreter}) {
+    auto machine = std::make_unique<Machine>();
+    machine->set_dispatch_mode(mode);
+    const auto symbols = load_program(*machine, source);
+    const std::uint32_t data = kCodeBase + symbols.at("data");
+    EaMpu mpu;
+    Rule grant{.code_start = kCodeBase,
+               .code_size = data - kCodeBase,
+               .data_start = data,
+               .data_size = 4,
+               .perms = kPermRead};
+    ASSERT_TRUE(mpu.write_slot(0, grant).is_ok());
+    machine->set_policy(&mpu);
+    machine->run(1'000);
+    EXPECT_EQ(machine->fault_count(), 0u);
+    EXPECT_EQ(machine->cpu().regs[3], 0x5EC12E7u);
+    const std::uint32_t passes = machine->cpu().regs[0];
+    grant.perms = 0;  // the data stays protected; nobody may read it
+    ASSERT_TRUE(mpu.write_slot(0, grant).is_ok());
+    machine->cpu().regs[3] = 0;
+    machine->run(2'000);
+    EXPECT_EQ(machine->last_fault().type, FaultType::kMpuData);
+    EXPECT_EQ(machine->last_fault().eip, kCodeBase + symbols.at("loop"));
+    EXPECT_EQ(machine->cpu().regs[3], 0u);
+    EXPECT_EQ(machine->cpu().regs[0], passes);
+  }
 }
 
 TEST(Dispatch, DataWordSharingCodeLineKeepsGeneration) {

@@ -2,6 +2,7 @@
 // isolation, without a booted platform).
 #include <gtest/gtest.h>
 
+#include <random>
 #include <type_traits>
 
 #include "sim/eampu.h"
@@ -189,6 +190,84 @@ TEST(EaMpuSlots, ExecRegionsRejectOverlap) {
 TEST(EaMpuSlots, EmptyRuleRejected) {
   EaMpu mpu;
   EXPECT_FALSE(mpu.write_slot(0, Rule{}).is_ok());
+}
+
+TEST(EaMpu, VerdictSpansAreExact) {
+  // Random tables over a small window plus the top of the address space,
+  // so ranges overlap, abut, and wrap past 2^32 (membership is
+  // `addr >= start && addr - start < size`).  Every verdict inside a
+  // returned span must equal the verdict at the queried address.
+  std::mt19937 rng(0x5BA4);
+  const auto address = [&]() -> std::uint32_t {
+    switch (rng() % 4) {
+      case 0: return 0xFFFF'FF00u + rng() % 0x100;
+      case 1: return sim::kFwOsKernel + rng() % (2 * sim::kFwWindowSize);
+      default: return 0x1000 + rng() % 0x800;
+    }
+  };
+  const auto size = [&]() -> std::uint32_t {
+    return rng() % 8 == 0 ? 0xFFFF'FFFFu - rng() % 0x100 : 1 + rng() % 0x300;
+  };
+  constexpr Access kAccesses[] = {Access::kRead, Access::kWrite, Access::kExecute};
+  std::uint64_t spans = 0;
+  for (int table = 0; table < 200; ++table) {
+    EaMpu mpu;
+    for (std::size_t i = 0; i < EaMpu::kNumSlots; ++i) {
+      if (rng() % 3 == 0) {
+        continue;
+      }
+      ASSERT_TRUE(mpu.write_slot(i, {.code_start = address(),
+                                     .code_size = size(),
+                                     .data_start = address(),
+                                     .data_size = size(),
+                                     .perms = static_cast<std::uint8_t>(rng() % 8),
+                                     .os_accessible = rng() % 4 == 0,
+                                     .background = rng() % 4 == 0})
+                      .is_ok());
+    }
+    for (int i = 0; i < 8; ++i) {
+      const std::uint32_t start = address();
+      const std::uint32_t entry = rng() % 3 == 0   ? ExecRegion::kEntryAnywhere
+                                  : rng() % 3 == 0 ? ExecRegion::kEntryNone
+                                                   : start + 4 * (rng() % 16);
+      (void)mpu.add_exec_region({start, size(), entry});  // overlaps are refused
+    }
+    for (int query = 0; query < 200; ++query) {
+      const std::uint32_t ip = address();
+      const std::uint32_t addr = address();
+      const auto check_span = [&](std::uint64_t lo, std::uint64_t hi, auto verdict_at,
+                                  auto expected) {
+        ASSERT_LE(lo, addr);
+        ASSERT_LT(addr, hi);
+        ASSERT_LE(hi, std::uint64_t{1} << 32);
+        std::vector<std::uint64_t> points = {lo, hi - 1};
+        for (int k = 0; k < 8; ++k) {
+          points.push_back(lo + rng() % (hi - lo));
+        }
+        for (const std::uint64_t p : points) {
+          ASSERT_EQ(verdict_at(static_cast<std::uint32_t>(p)), expected)
+              << "table " << table << " ip " << ip << " addr " << addr << " at " << p
+              << " of [" << lo << ", " << hi << ")";
+        }
+        ++spans;
+      };
+      for (const Access access : kAccesses) {
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+        const int code = mpu.classify_span(ip, addr, access, &lo, &hi);
+        ASSERT_EQ(code, mpu.classify(ip, addr, access));
+        check_span(lo, hi, [&](std::uint32_t a) { return mpu.classify(ip, a, access); },
+                   code);
+      }
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+      const bool allowed = mpu.allows_transfer_span(ip, addr, &lo, &hi);
+      ASSERT_EQ(allowed, mpu.allows_transfer(ip, addr));
+      check_span(lo, hi, [&](std::uint32_t a) { return mpu.allows_transfer(ip, a); },
+                 allowed);
+    }
+  }
+  EXPECT_EQ(spans, 200u * 200u * 4u);
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 // boundaries; TyTAN must contain every attempt (paper §5).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+
 #include "core/platform.h"
+#include "isa/isa.h"
+#include "sim/eampu.h"
+#include "sim/machine.h"
 
 namespace tytan {
 namespace {
@@ -289,6 +295,87 @@ TEST(Attack, FaultStormDoesNotStarveTheSystem) {
   EXPECT_GE(platform.kernel().fault_kills(), 8u);
   EXPECT_FALSE(platform.machine().halted());
   EXPECT_NE(platform.scheduler().get(*victim), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The identity of a data access is the accessing instruction's own PC
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kCode = 0x40000;
+constexpr std::uint32_t kLdw = kCode + 8;
+constexpr std::uint32_t kValue = 0xDEADBEEF;
+
+/// Store kValue at `addr`, load `ldw r3, [addr]` so that the ldw sits at
+/// kLdw with a self-jump after it, and run it under `mpu` in `mode` —
+/// through step(), or through run(), which chains cached ops.
+std::unique_ptr<sim::Machine> run_load(const sim::EaMpu& mpu, std::uint32_t addr,
+                                       sim::DispatchMode mode, bool stepped) {
+  auto machine = std::make_unique<sim::Machine>();
+  machine->set_dispatch_mode(mode);
+  const std::uint32_t words[] = {
+      isa::encode({isa::Opcode::kMoviu, 2, 0, static_cast<std::uint16_t>(addr & 0xFFFF)}),
+      isa::encode({isa::Opcode::kMovhi, 2, 0, static_cast<std::uint16_t>(addr >> 16)}),
+      isa::encode({isa::Opcode::kLdw, 3, 2, 0}),
+      isa::encode({isa::Opcode::kJmp, 0, 0, static_cast<std::uint16_t>(-4)}),
+  };
+  for (std::uint32_t i = 0; i < std::size(words); ++i) {
+    machine->memory().write32(kCode + 4 * i, words[i]);
+  }
+  machine->memory().write32(addr, kValue);
+  machine->cpu().eip = kCode;
+  machine->cpu().set_sp(0x48000);
+  machine->set_policy(&mpu);
+  if (stepped) {
+    for (int i = 0; i < 20 && !machine->halted(); ++i) {
+      machine->step();
+    }
+  } else {
+    machine->run(200);
+  }
+  return machine;
+}
+
+TEST(Security, DataAccessIsCheckedUnderTheAccessingPc) {
+  for (const auto mode : {sim::DispatchMode::kInterpreter, sim::DispatchMode::kCached}) {
+    for (const bool stepped : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << (mode == sim::DispatchMode::kCached ? "cached" : "interpreter")
+                   << (stepped ? " step()" : " run()"));
+      {
+        // The ldw is the last word of the rule's code range: it may read the
+        // rule's data.  Checked under the next word's address it was denied,
+        // and the fault named that next word.
+        constexpr std::uint32_t kData = 0x60000;
+        sim::EaMpu mpu;
+        ASSERT_TRUE(mpu.write_slot(0, {.code_start = kCode,
+                                       .code_size = kLdw + 4 - kCode,
+                                       .data_start = kData,
+                                       .data_size = 0x100,
+                                       .perms = sim::kPermRead})
+                        .is_ok());
+        const auto machine = run_load(mpu, kData, mode, stepped);
+        EXPECT_EQ(machine->fault_count(), 0u) << machine->last_fault().to_string();
+        EXPECT_EQ(machine->cpu().regs[3], kValue);
+      }
+      {
+        // The ldw is the last word of a region that ends where a secure
+        // task's region begins.  Checked under the next word — the victim's
+        // entry — it read the victim's memory as the victim itself.
+        constexpr std::uint32_t kVictim = kLdw + 4;
+        constexpr std::uint32_t kSecret = kVictim + 0x80;
+        sim::EaMpu mpu;
+        ASSERT_TRUE(
+            mpu.add_exec_region({kCode, kVictim - kCode, sim::ExecRegion::kEntryAnywhere})
+                .is_ok());
+        ASSERT_TRUE(mpu.add_exec_region({kVictim, 0x100, kVictim}).is_ok());
+        const auto machine = run_load(mpu, kSecret, mode, stepped);
+        EXPECT_NE(machine->cpu().regs[3], kValue) << "secret leaked";
+        EXPECT_EQ(machine->last_fault().type, sim::FaultType::kMpuData);
+        EXPECT_EQ(machine->last_fault().eip, kLdw);
+        EXPECT_EQ(machine->last_fault().addr, kSecret);
+      }
+    }
+  }
 }
 
 }  // namespace
