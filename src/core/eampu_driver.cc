@@ -102,20 +102,12 @@ Status EaMpuDriver::remove_exec_region(std::size_t idx) {
   return mpu_.remove_exec_region(idx);
 }
 
-void EaMpuDriver::save_state(snap::Writer& w) const {
-  w.u64(stats_.find);
-  w.u64(stats_.policy);
-  w.u64(stats_.write);
-  w.u64(stats_.total);
-  w.u64(stats_.slot);
-}
-
-Status EaMpuDriver::restore_state(snap::Reader& r) {
-  stats_.find = r.u64();
-  stats_.policy = r.u64();
-  stats_.write = r.u64();
-  stats_.total = r.u64();
-  stats_.slot = static_cast<std::size_t>(r.u64());
+Status EaMpuDriver::state(snap::Io& io) {
+  io.u64(stats_.find);
+  io.u64(stats_.policy);
+  io.u64(stats_.write);
+  io.u64(stats_.total);
+  io.usize(stats_.slot);
   return Status::ok();
 }
 

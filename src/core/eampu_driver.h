@@ -43,10 +43,9 @@ class EaMpuDriver {
   [[nodiscard]] const ConfigStats& last_config() const { return stats_; }
   [[nodiscard]] sim::EaMpu& mpu() { return mpu_; }
 
-  /// Serialize / overwrite the last-configure stats (the rule table itself
-  /// is the EA-MPU's own snapshot section).
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk the last-configure stats (snap::Io; the rule table itself is the
+  /// EA-MPU's own snapshot section).
+  Status state(snap::Io& io);
 
  private:
   /// Overlap policy: a new data region may not overlap an existing rule's

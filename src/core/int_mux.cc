@@ -396,58 +396,27 @@ Status IntMux::resume_normal(Tcb& tcb) {
   return Status::ok();
 }
 
-void IntMux::save_state(snap::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(vector_handlers_.size()));
-  for (const auto& [vector, handler] : vector_handlers_) {
-    w.u8(vector);
-    w.u32(handler);
-  }
-  w.u32(static_cast<std::uint32_t>(shadow_.size()));
-  for (const auto& [handle, index] : shadow_) {
-    w.i32(handle);
-    w.u32(index.region_base);
-    w.u32(index.region_size);
-    w.u32(index.entry);
-    w.u32(index.stack_top);
-    w.u32(index.slot_addr);
-  }
-  w.u64(save_stats_.store);
-  w.u64(save_stats_.wipe);
-  w.u64(save_stats_.branch);
-  w.u64(save_stats_.total);
-  w.boolean(save_stats_.secure);
-  w.u64(resume_stats_.branch);
-  w.u64(resume_stats_.restore);
-  w.u64(resume_stats_.total);
-}
-
-Status IntMux::restore_state(snap::Reader& r) {
-  const std::uint32_t handlers = r.u32();
-  vector_handlers_.clear();
-  for (std::uint32_t i = 0; i < handlers && r.ok(); ++i) {
-    const std::uint8_t vector = r.u8();
-    vector_handlers_[vector] = r.u32();
-  }
-  const std::uint32_t shadows = r.u32();
-  shadow_.clear();
-  for (std::uint32_t i = 0; i < shadows && r.ok(); ++i) {
-    const rtos::TaskHandle handle = r.i32();
-    ShadowIndex index;
-    index.region_base = r.u32();
-    index.region_size = r.u32();
-    index.entry = r.u32();
-    index.stack_top = r.u32();
-    index.slot_addr = r.u32();
-    shadow_[handle] = index;
-  }
-  save_stats_.store = r.u64();
-  save_stats_.wipe = r.u64();
-  save_stats_.branch = r.u64();
-  save_stats_.total = r.u64();
-  save_stats_.secure = r.boolean();
-  resume_stats_.branch = r.u64();
-  resume_stats_.restore = r.u64();
-  resume_stats_.total = r.u64();
+Status IntMux::state(snap::Io& io) {
+  io.entries(vector_handlers_, [&io](std::uint8_t& vector, std::uint32_t& handler) {
+    io.u8(vector);
+    io.u32(handler);
+  });
+  io.entries(shadow_, [&io](rtos::TaskHandle& handle, ShadowIndex& index) {
+    io.i32(handle);
+    io.u32(index.region_base);
+    io.u32(index.region_size);
+    io.u32(index.entry);
+    io.u32(index.stack_top);
+    io.u32(index.slot_addr);
+  });
+  io.u64(save_stats_.store);
+  io.u64(save_stats_.wipe);
+  io.u64(save_stats_.branch);
+  io.u64(save_stats_.total);
+  io.boolean(save_stats_.secure);
+  io.u64(resume_stats_.branch);
+  io.u64(resume_stats_.restore);
+  io.u64(resume_stats_.total);
   return Status::ok();
 }
 

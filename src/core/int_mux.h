@@ -100,11 +100,10 @@ class IntMux {
   [[nodiscard]] const ResumeStats& last_resume() const { return resume_stats_; }
 
   // -- snapshots ----------------------------------------------------------------
-  /// Serialize / overwrite the shadow-TCB index, vector handler table, and
-  /// last save/resume stats.  The authoritative shadow slot *contents* live
-  /// in trusted physical memory and travel with the memory section.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk the shadow-TCB index, vector handler table, and last save/resume
+  /// stats (snap::Io).  The authoritative shadow slot *contents* live in
+  /// trusted physical memory and travel with the memory section.
+  Status state(snap::Io& io);
 
  private:
   struct ShadowIndex {

@@ -303,45 +303,22 @@ Status IpcProxy::release_grant(std::uint32_t base) {
   return make_error(Err::kNotFound, "no grant at this base");
 }
 
-void IpcProxy::save_state(snap::Writer& w) const {
-  w.u64(stats_.proxy);
-  w.u64(stats_.entry);
-  w.u64(stats_.total);
-  w.boolean(stats_.delivered);
-  w.u32(static_cast<std::uint32_t>(grants_.size()));
-  for (const ShmGrant& grant : grants_) {
-    w.i32(grant.a);
-    w.i32(grant.b);
-    w.u32(grant.base);
-    w.u32(grant.size);
-    w.u64(grant.slot_a);
-    w.u64(grant.slot_b);
-  }
-  w.u64(delivered_);
-  w.u64(rejected_);
-  w.u64(dropped_);
-}
-
-Status IpcProxy::restore_state(snap::Reader& r) {
-  stats_.proxy = r.u64();
-  stats_.entry = r.u64();
-  stats_.total = r.u64();
-  stats_.delivered = r.boolean();
-  const std::uint32_t count = r.u32();
-  grants_.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    ShmGrant grant;
-    grant.a = r.i32();
-    grant.b = r.i32();
-    grant.base = r.u32();
-    grant.size = r.u32();
-    grant.slot_a = static_cast<std::size_t>(r.u64());
-    grant.slot_b = static_cast<std::size_t>(r.u64());
-    grants_.push_back(grant);
-  }
-  delivered_ = r.u64();
-  rejected_ = r.u64();
-  dropped_ = r.u64();
+Status IpcProxy::state(snap::Io& io) {
+  io.u64(stats_.proxy);
+  io.u64(stats_.entry);
+  io.u64(stats_.total);
+  io.boolean(stats_.delivered);
+  io.sequence(grants_, [&io](ShmGrant& grant) {
+    io.i32(grant.a);
+    io.i32(grant.b);
+    io.u32(grant.base);
+    io.u32(grant.size);
+    io.usize(grant.slot_a);
+    io.usize(grant.slot_b);
+  });
+  io.u64(delivered_);
+  io.u64(rejected_);
+  io.u64(dropped_);
   return Status::ok();
 }
 

@@ -79,9 +79,8 @@ class IpcProxy {
   Status release_grant(std::uint32_t base);
 
   // -- snapshots ----------------------------------------------------------------
-  /// Serialize / overwrite delivery stats, counters, and shm grants.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk delivery stats, counters, and shm grants (snap::Io).
+  Status state(snap::Io& io);
 
  private:
   /// Write id_S + message into the receiver's mailbox (proxy identity).

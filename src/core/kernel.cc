@@ -562,70 +562,41 @@ void Kernel::run_firmware_quantum() {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-void Kernel::save_state(snap::Writer& w) const {
-  queues_.save_state(w);
-  w.i32(idle_task_);
-  w.i32(loader_task_);
-  w.u32(next_fw_entry_);
-  w.u64(syscalls_);
-  w.u64(fault_kills_);
-  w.u64(watchdog_ticks_);
-  w.u64(watchdog_restarts_);
-  w.u32(static_cast<std::uint32_t>(irq_waiters_.size()));
-  for (const auto& [vector, waiters] : irq_waiters_) {
-    w.u8(vector);
-    w.u32(static_cast<std::uint32_t>(waiters.size()));
-    for (const TaskHandle task : waiters) {
-      w.i32(task);
-    }
-  }
-  w.u32(static_cast<std::uint32_t>(routed_irqs_.size()));
-  for (const std::uint8_t vector : routed_irqs_) {
-    w.u8(vector);
-  }
-}
-
-Status Kernel::restore_state(snap::Reader& r) {
-  if (Status s = queues_.restore_state(r); !s.is_ok()) {
+Status Kernel::state(snap::Io& io) {
+  if (Status s = queues_.state(io); !s.is_ok()) {
     return s;
   }
-  timers_.clear();  // snapshots are only taken with no timers active
-  idle_task_ = r.i32();
-  loader_task_ = r.i32();
-  next_fw_entry_ = r.u32();
-  syscalls_ = r.u64();
-  fault_kills_ = r.u64();
-  watchdog_ticks_ = r.u64();
-  watchdog_restarts_ = r.u64();
-  const std::uint32_t waiter_maps = r.u32();
-  irq_waiters_.clear();
-  for (std::uint32_t i = 0; i < waiter_maps && r.ok(); ++i) {
-    const std::uint8_t vector = r.u8();
-    const std::uint32_t count = r.u32();
-    std::vector<TaskHandle>& waiters = irq_waiters_[vector];
-    for (std::uint32_t j = 0; j < count && r.ok(); ++j) {
-      waiters.push_back(r.i32());
+  io.i32(idle_task_);
+  io.i32(loader_task_);
+  io.u32(next_fw_entry_);
+  io.u64(syscalls_);
+  io.u64(fault_kills_);
+  io.u64(watchdog_ticks_);
+  io.u64(watchdog_restarts_);
+  io.entries(irq_waiters_, [&io](std::uint8_t& vector, std::vector<TaskHandle>& waiters) {
+    io.u8(vector);
+    io.sequence(waiters, [&io](TaskHandle& task) { io.i32(task); });
+  });
+  std::vector<std::uint8_t> routed(routed_irqs_.begin(), routed_irqs_.end());
+  io.sequence(routed, [&io](std::uint8_t& vector) { io.u8(vector); });
+  if (io.loading()) {
+    routed_irqs_ = {routed.begin(), routed.end()};
+    timers_.clear();  // snapshots are only taken with no timers active
+    // The scheduler's task table (SCHD) is already restored.  Its firmware
+    // tasks must be this kernel's idle and loader; their machine entries are
+    // wiring, re-registered when restoring into a platform that never booted
+    // (Platform::clone, replay tooling).
+    for (const TaskHandle handle : scheduler_.handles()) {
+      const Tcb* tcb = scheduler_.get(handle);
+      if (tcb->kind != TaskKind::kFirmware) {
+        continue;
+      }
+      if (handle != idle_task_ && handle != loader_task_) {
+        return make_error(Err::kCorrupt, "snapshot firmware task '" + tcb->name +
+                                             "' is neither the idle nor the loader task");
+      }
+      register_firmware_entry(*tcb);
     }
-  }
-  const std::uint32_t routed = r.u32();
-  routed_irqs_.clear();
-  for (std::uint32_t i = 0; i < routed && r.ok(); ++i) {
-    routed_irqs_.insert(r.u8());
-  }
-  // The scheduler's task table (SCHD) is already restored.  Its firmware
-  // tasks must be this kernel's idle and loader; their machine entries are
-  // wiring, re-registered when restoring into a platform that never booted
-  // (Platform::clone, replay tooling).
-  for (const TaskHandle handle : scheduler_.handles()) {
-    const Tcb* tcb = scheduler_.get(handle);
-    if (tcb->kind != TaskKind::kFirmware) {
-      continue;
-    }
-    if (handle != idle_task_ && handle != loader_task_) {
-      return make_error(Err::kCorrupt, "snapshot firmware task '" + tcb->name +
-                                           "' is neither the idle nor the loader task");
-    }
-    register_firmware_entry(*tcb);
   }
   return Status::ok();
 }

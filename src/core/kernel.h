@@ -104,14 +104,13 @@ class Kernel {
   [[nodiscard]] rtos::TimerService& timers() { return timers_; }
 
   // -- snapshots ----------------------------------------------------------------
-  /// Serialize / overwrite the kernel's own state: queues, task handles,
+  /// Walk the kernel's own state (snap::Io): queues, task handles,
   /// firmware-entry cursor, counters, IRQ routing.  The scheduler's task
   /// table is a separate section, restored first; restore rejects a firmware
   /// task that is neither idle nor loader (kCorrupt).  Software timers hold
   /// closures and cannot travel; Platform::save refuses while any are
   /// active, and restore resets the timer service to empty.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  Status state(snap::Io& io);
 
  private:
   /// Create one of the two host-backed tasks (start() is the only caller)

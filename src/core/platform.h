@@ -177,9 +177,9 @@ class Platform {
 
   // -- snapshots --------------------------------------------------------------------
   /// Walk every guest-visible state owner exactly once, in the fixed section
-  /// order of docs/SNAPSHOT.md, handing the visitor each (tag, save,
-  /// restore) triple.  Save, restore, and schema listing are all visitors
-  /// over this single walk.  Host-only observability (heat, event bus,
+  /// order of docs/SNAPSHOT.md, handing the visitor each (tag, state) pair —
+  /// the owner's two-way field walk over a snap::Io.  Save, restore, and
+  /// schema listing are all visitors over this single walk.  Host-only observability (heat, event bus,
   /// spans, metrics) is deliberately not part of the walk.
   Status visit_state(snap::StateVisitor& visitor);
 

@@ -256,126 +256,55 @@ const RegistryEntry* Rtm::find_by_region(std::uint32_t addr) const {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-void Rtm::save_state(snap::Writer& w) const {
-  w.boolean(job_.has_value());
-  if (job_) {
-    w.i32(job_->handle);
-    w.u32(job_->base);
-    w.u32(job_->image_size);
-    w.u32(static_cast<std::uint32_t>(job_->relocs.size()));
-    for (const isa::Relocation& reloc : job_->relocs) {
-      w.u32(reloc.offset);
-      w.u8(static_cast<std::uint8_t>(reloc.kind));
-      w.u32(reloc.addend);
-    }
-    const crypto::Sha1::State sha = job_->sha.save_state();
-    for (const std::uint32_t word : sha.h) {
-      w.u32(word);
-    }
-    w.raw(sha.buffer);
-    w.u64(sha.buffer_len);
-    w.u64(sha.total_bits);
-    w.u64(sha.blocks);
-    w.u8(static_cast<std::uint8_t>(job_->phase));
-    w.u64(job_->reloc_index);
-    w.u32(job_->hash_offset);
-    w.u64(job_->start_cycles);
-    w.boolean(job_->digest.has_value());
-    if (job_->digest) {
-      w.raw(*job_->digest);
-    }
-  }
-  w.boolean(result_.has_value());
-  if (result_) {
-    w.raw(*result_);
-  }
-  w.u64(stats_.setup);
-  w.u64(stats_.hash);
-  w.u64(stats_.reloc);
-  w.u64(stats_.finalize);
-  w.u64(stats_.total);
-  w.u32(stats_.blocks);
-  w.u32(stats_.addresses);
-  w.u32(stats_.quanta);
-  w.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const RegistryEntry& entry : entries_) {
-    w.i32(entry.handle);
-    w.raw(entry.identity);
-    w.raw(entry.digest);
-    w.u32(entry.base);
-    w.u32(entry.size);
-    w.u32(entry.entry);
-    w.u32(entry.mailbox);
-    w.boolean(entry.secure);
-    w.u32(entry.entry_addr);
-  }
+void relocation_state(snap::Io& io, isa::Relocation& reloc) {
+  io.u32(reloc.offset);
+  io.enum8(reloc.kind);
+  io.u32(reloc.addend);
 }
 
-Status Rtm::restore_state(snap::Reader& r) {
-  job_.reset();
-  if (r.boolean()) {
-    Job job;
-    job.handle = r.i32();
-    job.base = r.u32();
-    job.image_size = r.u32();
-    const std::uint32_t relocs = r.u32();
-    for (std::uint32_t i = 0; i < relocs && r.ok(); ++i) {
-      isa::Relocation reloc;
-      reloc.offset = r.u32();
-      reloc.kind = static_cast<isa::RelocKind>(r.u8());
-      reloc.addend = r.u32();
-      job.relocs.push_back(reloc);
-    }
-    crypto::Sha1::State sha;
+Status Rtm::state(snap::Io& io) {
+  io.optional(job_, [&io](Job& job) {
+    io.i32(job.handle);
+    io.u32(job.base);
+    io.u32(job.image_size);
+    io.sequence(job.relocs, [&io](isa::Relocation& reloc) { relocation_state(io, reloc); });
+    crypto::Sha1::State sha = job.sha.save_state();
     for (std::uint32_t& word : sha.h) {
-      word = r.u32();
+      io.u32(word);
     }
-    r.raw(sha.buffer);
-    sha.buffer_len = r.u64();
-    sha.total_bits = r.u64();
-    sha.blocks = r.u64();
-    job.sha.restore_state(sha);
-    job.phase = static_cast<Job::Phase>(r.u8());
-    job.reloc_index = static_cast<std::size_t>(r.u64());
-    job.hash_offset = r.u32();
-    job.start_cycles = r.u64();
-    job.span = 0;  // spans are host observability and do not travel
-    if (r.boolean()) {
-      crypto::Sha1Digest digest{};
-      r.raw(digest);
-      job.digest = digest;
+    io.raw(sha.buffer);
+    io.u64(sha.buffer_len);
+    io.u64(sha.total_bits);
+    io.u64(sha.blocks);
+    if (io.loading()) {
+      job.sha.restore_state(sha);
     }
-    job_ = std::move(job);
-  }
-  result_.reset();
-  if (r.boolean()) {
-    crypto::Sha1Digest digest{};
-    r.raw(digest);
-    result_ = digest;
-  }
-  stats_.setup = r.u64();
-  stats_.hash = r.u64();
-  stats_.reloc = r.u64();
-  stats_.finalize = r.u64();
-  stats_.total = r.u64();
-  stats_.blocks = r.u32();
-  stats_.addresses = r.u32();
-  stats_.quanta = r.u32();
-  const std::uint32_t entries = r.u32();
-  entries_.clear();
-  for (std::uint32_t i = 0; i < entries && r.ok(); ++i) {
-    RegistryEntry entry;
-    entry.handle = r.i32();
-    r.raw(entry.identity);
-    r.raw(entry.digest);
-    entry.base = r.u32();
-    entry.size = r.u32();
-    entry.entry = r.u32();
-    entry.mailbox = r.u32();
-    entry.secure = r.boolean();
-    entry.entry_addr = r.u32();
-    entries_.push_back(entry);
-  }
+    io.enum8(job.phase);
+    io.usize(job.reloc_index);
+    io.u32(job.hash_offset);
+    io.u64(job.start_cycles);
+    io.optional(job.digest, [&io](crypto::Sha1Digest& digest) { io.raw(digest); });
+  });
+  io.optional(result_, [&io](crypto::Sha1Digest& digest) { io.raw(digest); });
+  io.u64(stats_.setup);
+  io.u64(stats_.hash);
+  io.u64(stats_.reloc);
+  io.u64(stats_.finalize);
+  io.u64(stats_.total);
+  io.u32(stats_.blocks);
+  io.u32(stats_.addresses);
+  io.u32(stats_.quanta);
+  io.sequence(entries_, [&io](RegistryEntry& entry) {
+    io.i32(entry.handle);
+    io.raw(entry.identity);
+    io.raw(entry.digest);
+    io.u32(entry.base);
+    io.u32(entry.size);
+    io.u32(entry.entry);
+    io.u32(entry.mailbox);
+    io.boolean(entry.secure);
+    io.u32(entry.entry_addr);
+  });
   return Status::ok();
 }
 

@@ -47,6 +47,10 @@ struct RegistryEntry {
   std::uint32_t entry_addr = 0;  ///< address of the wire entry in trusted memory
 };
 
+/// One relocation record on the snapshot wire — offset, kind (u8), addend —
+/// shared by the RTM's in-flight job (RTMS) and the loader's (LOAD).
+void relocation_state(snap::Io& io, isa::Relocation& reloc);
+
 class Rtm {
  public:
   struct MeasureStats {
@@ -94,12 +98,11 @@ class Rtm {
   [[nodiscard]] const MeasureStats& last_measure() const { return stats_; }
 
   // -- snapshots ----------------------------------------------------------------
-  /// Serialize / overwrite the registry mirror, the in-flight measurement
-  /// job (including the streaming SHA-1 context — a task may be saved
-  /// mid-measurement), the pending result, and the last-measure stats.  The
-  /// job's span id does not travel (host-side observability; restored as 0).
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk the registry mirror, the in-flight measurement job (including the
+  /// streaming SHA-1 context — a task may be saved mid-measurement), the
+  /// pending result, and the last-measure stats (snap::Io).  The job's span
+  /// id does not travel (host-side observability; restored as 0).
+  Status state(snap::Io& io);
 
  private:
   struct Job {

@@ -213,35 +213,17 @@ std::uint32_t SecureStorage::load_to_guest(const rtos::Tcb& caller, std::uint32_
   return static_cast<std::uint32_t>(data->size());
 }
 
-void SecureStorage::save_state(snap::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(blobs_.size()));
-  for (const BlobIndex& blob : blobs_) {
-    w.raw(blob.owner);
-    w.u32(blob.slot);
-    w.u32(blob.addr);
-    w.u32(blob.len);
-    w.boolean(blob.valid);
-    w.boolean(blob.poisoned);
-  }
-  w.u32(next_offset_);
-  w.u64(nonce_counter_);
-}
-
-Status SecureStorage::restore_state(snap::Reader& r) {
-  const std::uint32_t count = r.u32();
-  blobs_.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    BlobIndex blob;
-    r.raw(blob.owner);
-    blob.slot = r.u32();
-    blob.addr = r.u32();
-    blob.len = r.u32();
-    blob.valid = r.boolean();
-    blob.poisoned = r.boolean();
-    blobs_.push_back(blob);
-  }
-  next_offset_ = r.u32();
-  nonce_counter_ = r.u64();
+Status SecureStorage::state(snap::Io& io) {
+  io.sequence(blobs_, [&io](BlobIndex& blob) {
+    io.raw(blob.owner);
+    io.u32(blob.slot);
+    io.u32(blob.addr);
+    io.u32(blob.len);
+    io.boolean(blob.valid);
+    io.boolean(blob.poisoned);
+  });
+  io.u32(next_offset_);
+  io.u64(nonce_counter_);
   return Status::ok();
 }
 

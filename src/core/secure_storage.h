@@ -65,11 +65,10 @@ class SecureStorage {
   [[nodiscard]] std::size_t poisoned_count() const;
 
   // -- snapshots ----------------------------------------------------------------
-  /// Serialize / overwrite the blob index and nonce ledger.  The sealed
-  /// bytes themselves live in trusted physical memory and travel with the
-  /// memory section.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk the blob index and nonce ledger (snap::Io).  The sealed bytes
+  /// themselves live in trusted physical memory and travel with the memory
+  /// section.
+  Status state(snap::Io& io);
 
  private:
   struct BlobIndex {

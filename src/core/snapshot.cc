@@ -29,107 +29,96 @@ std::string fault_plan_text(const fault::FaultPlan& plan) {
   return text;
 }
 
-std::array<std::uint8_t, sizeof(sim::CostModel)> cost_model_bytes(
-    const sim::CostModel& costs) {
+ByteVec cost_model_bytes(const sim::CostModel& costs) {
   static_assert(std::is_trivially_copyable_v<sim::CostModel>);
-  std::array<std::uint8_t, sizeof(sim::CostModel)> bytes{};
-  std::memcpy(bytes.data(), &costs, sizeof(sim::CostModel));
-  return bytes;
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&costs);
+  return {bytes, bytes + sizeof(sim::CostModel)};
+}
+
+std::vector<std::string> device_names(sim::Machine& machine) {
+  std::vector<std::string> names;
+  for (const auto& device : machine.bus().devices()) {
+    names.emplace_back(device->name());
+  }
+  return names;
 }
 
 /// The CONF section doubles as the restore compatibility check and the
-/// platform-reconstruction recipe (config_from_snapshot) for replay tooling.
-void save_conf(Platform& platform, snap::Writer& w) {
-  const Platform::Config& config = platform.config();
-  w.u32(platform.machine().memory().size());
-  w.u32(config.tick_period);
-  w.raw(config.kp);
-  w.u64(config.rng_seed);
-  w.u8(static_cast<std::uint8_t>(config.lint_mode));
-  w.str(fault_plan_text(config.fault_plan));
-  w.u64(config.fault_plan.seed);
-  w.blob(cost_model_bytes(config.costs));
-  const auto& devices = platform.machine().bus().devices();
-  w.u32(static_cast<std::uint32_t>(devices.size()));
-  for (const auto& device : devices) {
-    w.str(device->name());
-  }
-}
-
-Status check_conf(Platform& platform, snap::Reader& r) {
-  const Platform::Config& config = platform.config();
-  auto mismatch = [](const std::string& what) {
-    return make_error(Err::kInvalidArgument,
-                      "snapshot incompatible with this platform: " + what +
-                          " differs");
-  };
-  if (r.u32() != platform.machine().memory().size()) {
-    return mismatch("memory size");
-  }
-  if (r.u32() != config.tick_period) {
-    return mismatch("tick period");
-  }
-  crypto::Key128 kp{};
-  r.raw(kp);
-  if (kp != config.kp) {
-    return mismatch("platform key Kp");
-  }
-  if (r.u64() != config.rng_seed) {
-    return mismatch("rng seed");
-  }
-  if (static_cast<LintMode>(r.u8()) != config.lint_mode) {
-    return mismatch("lint mode");
-  }
-  if (r.str() != fault_plan_text(config.fault_plan)) {
-    return mismatch("fault plan");
-  }
-  if (r.u64() != config.fault_plan.seed) {
-    return mismatch("fault seed");
-  }
-  const ByteVec costs = r.blob();
-  const auto own_costs = cost_model_bytes(config.costs);
-  if (costs.size() != own_costs.size() ||
-      !std::equal(costs.begin(), costs.end(), own_costs.begin())) {
-    return mismatch("cost model");
-  }
-  const auto& devices = platform.machine().bus().devices();
-  if (r.u32() != devices.size()) {
-    return mismatch("device complement");
-  }
-  for (const auto& device : devices) {
-    if (r.str() != device->name()) {
-      return mismatch("device complement");
+/// platform-reconstruction recipe (config_from_snapshot) for replay tooling:
+/// the Config fields a restoring platform must share, plus the memory size
+/// and the device complement.  The fault plan travels as its text and the
+/// cost model as raw bytes; loading parses both back into `config`.
+Status conf_state(snap::Io& io, Platform::Config& config, std::uint32_t& mem_size,
+                  std::vector<std::string>& devices) {
+  io.u32(mem_size);
+  io.u32(config.tick_period);
+  io.raw(config.kp);
+  io.u64(config.rng_seed);
+  io.enum8(config.lint_mode);
+  std::string plan = fault_plan_text(config.fault_plan);
+  io.str(plan);
+  std::uint64_t plan_seed = config.fault_plan.seed;
+  io.u64(plan_seed);
+  ByteVec costs = cost_model_bytes(config.costs);
+  io.blob(costs);
+  io.sequence(devices, [&io](std::string& name) { io.str(name); });
+  if (io.loading() && io.ok()) {
+    if (costs.size() != sizeof(sim::CostModel)) {
+      return make_error(Err::kInvalidArgument,
+                        "snapshot cost model is " + std::to_string(costs.size()) +
+                            " bytes; this build's is " +
+                            std::to_string(sizeof(sim::CostModel)));
     }
+    std::memcpy(&config.costs, costs.data(), sizeof(sim::CostModel));
+    config.fault_plan = {};
+    if (!plan.empty()) {
+      auto parsed = fault::FaultPlan::parse(plan);
+      if (!parsed.is_ok()) {
+        return parsed.status();
+      }
+      config.fault_plan = std::move(*parsed);
+    }
+    config.fault_plan.seed = plan_seed;
   }
   return Status::ok();
 }
 
-void save_boot_report(const BootReport& report, snap::Writer& w) {
-  w.boolean(report.ok);
-  w.u32(report.trusted_bytes);
-  w.u32(static_cast<std::uint32_t>(report.components.size()));
-  for (const BootReport::Entry& entry : report.components) {
-    w.str(entry.name);
-    w.u32(entry.window);
-    w.u32(entry.footprint);
-    w.boolean(entry.verified);
-  }
+void boot_report_state(snap::Io& io, BootReport& report) {
+  io.boolean(report.ok);
+  io.u32(report.trusted_bytes);
+  io.sequence(report.components, [&io](BootReport::Entry& entry) {
+    io.str(entry.name);
+    io.u32(entry.window);
+    io.u32(entry.footprint);
+    io.boolean(entry.verified);
+  });
 }
 
-BootReport read_boot_report(snap::Reader& r) {
-  BootReport report;
-  report.ok = r.boolean();
-  report.trusted_bytes = r.u32();
-  const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    BootReport::Entry entry;
-    entry.name = r.str();
-    entry.window = r.u32();
-    entry.footprint = r.u32();
-    entry.verified = r.boolean();
-    report.components.push_back(std::move(entry));
+/// Restore compatibility: the snapshot's CONF, loaded into `theirs`,
+/// `mem_size` and `devices`, must match this platform.
+Status check_conf(Platform& platform, const Platform::Config& theirs,
+                  std::uint32_t mem_size, const std::vector<std::string>& devices) {
+  const Platform::Config& own = platform.config();
+  const std::pair<bool, const char*> checks[] = {
+      {mem_size == platform.machine().memory().size(), "memory size"},
+      {theirs.tick_period == own.tick_period, "tick period"},
+      {theirs.kp == own.kp, "platform key Kp"},
+      {theirs.rng_seed == own.rng_seed, "rng seed"},
+      {theirs.lint_mode == own.lint_mode, "lint mode"},
+      {fault_plan_text(theirs.fault_plan) == fault_plan_text(own.fault_plan),
+       "fault plan"},
+      {theirs.fault_plan.seed == own.fault_plan.seed, "fault seed"},
+      {cost_model_bytes(theirs.costs) == cost_model_bytes(own.costs), "cost model"},
+      {devices == device_names(platform.machine()), "device complement"},
+  };
+  for (const auto& [same, what] : checks) {
+    if (!same) {
+      return make_error(Err::kInvalidArgument,
+                        std::string("snapshot incompatible with this platform: ") + what +
+                            " differs");
+    }
   }
-  return report;
+  return Status::ok();
 }
 
 }  // namespace
@@ -138,252 +127,155 @@ Status Platform::visit_state(snap::StateVisitor& visitor) {
   // Fixed section order — this IS the schema.  Reordering, adding, or
   // removing a section (or changing any section's payload layout) is a
   // wire-format change: bump snap::kSchemaVersion.
-  Status s = visitor.section(
-      "CONF", [this](snap::Writer& w) { save_conf(*this, w); },
-      [this](snap::Reader& r) { return check_conf(*this, r); });
-  if (!s.is_ok()) {
-    return s;
+  const std::pair<std::string_view, snap::StateVisitor::Walk> sections[] = {
+      {"CONF",
+       [this](snap::Io& io) {
+         Config conf = config_;
+         std::uint32_t mem_size = machine_->memory().size();
+         std::vector<std::string> devices = device_names(*machine_);
+         Status s = conf_state(io, conf, mem_size, devices);
+         if (s.is_ok() && io.loading() && io.ok()) {
+           s = check_conf(*this, conf, mem_size, devices);
+         }
+         return s;
+       }},
+      {"PLAT",
+       [this](snap::Io& io) {
+         io.boolean(booted_);
+         boot_report_state(io, boot_report_);
+         return Status::ok();
+       }},
+      {"MACH", [this](snap::Io& io) { return machine_->state(io); }},
+      // Physical memory is authoritative for everything the guest can
+      // address: the IDT, firmware windows, task images and stacks, the
+      // shadow-TCB region, mailbox words, and the sealed-storage arena.
+      {"MEMR",
+       [this](snap::Io& io) {
+         sim::PhysicalMemory& memory = machine_->memory();
+         std::span<const std::uint8_t> bytes = memory.view(0, memory.size());
+         io.blob_view(bytes);
+         if (io.loading()) {
+           if (bytes.size() != memory.size()) {
+             return make_error(Err::kCorrupt, "snapshot memory image is " +
+                                                  std::to_string(bytes.size()) +
+                                                  " bytes, machine has " +
+                                                  std::to_string(memory.size()));
+           }
+           if (memr_rewind_) {
+             // Rewinding to the snapshot we last restored: everything
+             // outside the dirty range already equals the image.
+             if (memory.dirty()) {
+               const std::uint32_t lo = memory.dirty_lo();
+               memory.write_block(lo, bytes.subspan(lo, memory.dirty_hi() - lo));
+             }
+           } else {
+             memory.write_block(0, bytes);
+           }
+           memory.mark_clean();
+         }
+         return Status::ok();
+       }},
+      // Devices in bus attach order; each device owns its payload layout, so
+      // the section nests one length-prefixed payload per device.
+      {"DEVS",
+       [this](snap::Io& io) {
+         if (!io.loading()) {
+           // Devices latch their time lazily between tick events; bring
+           // every latch up to the classic per-instruction value first.
+           machine_->flush_device_time();
+         }
+         const auto& devices = machine_->bus().devices();
+         auto count = static_cast<std::uint32_t>(devices.size());
+         io.u32(count);
+         if (io.loading() && count != devices.size()) {
+           return make_error(Err::kInvalidArgument,
+                             "snapshot device count differs from this platform");
+         }
+         for (const auto& device : devices) {
+           std::string name(device->name());
+           io.str(name);
+           if (io.loading() && name != device->name()) {
+             return make_error(Err::kInvalidArgument,
+                               "snapshot device '" + name + "' does not match '" +
+                                   std::string(device->name()) + "'");
+           }
+           if (Status s = io.nested("device '" + name + "'",
+                                    [&device](snap::Io& payload) {
+                                      return device->state(payload);
+                                    });
+               !s.is_ok()) {
+             return s;
+           }
+         }
+         return Status::ok();
+       }},
+      // The tracer's ring is guest-replay-relevant (tytan-trace dumps it
+      // after a replayed run), so enablement, capacity and entries travel.
+      {"TRCE",
+       [this](snap::Io& io) {
+         const sim::Tracer* tracer = machine_->tracer();
+         bool enabled = tracer != nullptr;
+         io.boolean(enabled);
+         if (!enabled) {
+           if (io.loading()) {
+             machine_->enable_trace(0);
+           }
+           return Status::ok();
+         }
+         std::size_t capacity = io.loading() ? 0 : tracer->capacity();
+         std::vector<sim::Tracer::Entry> entries;
+         if (!io.loading()) {
+           entries = tracer->snapshot();
+         }
+         io.usize(capacity);
+         io.sequence(entries, [&io](sim::Tracer::Entry& entry) {
+           io.u64(entry.cycle);
+           io.u32(entry.eip);
+           io.u32(entry.word);
+           io.str(entry.note);
+           io.i32(entry.task);
+           io.i32(entry.verdict);
+         });
+         if (io.loading()) {
+           machine_->enable_trace(capacity);
+           sim::Tracer* restored = machine_->tracer();  // null for a zero capacity
+           for (sim::Tracer::Entry& entry : entries) {
+             if (restored != nullptr) {
+               restored->record(entry.cycle, entry.eip, entry.word, std::move(entry.note),
+                                entry.task, entry.verdict);
+             }
+           }
+         }
+         return Status::ok();
+       }},
+      {"EMPU", [this](snap::Io& io) { return mpu_->state(io); }},
+      {"DRVS", [this](snap::Io& io) { return driver_->state(io); }},
+      {"SCHD", [this](snap::Io& io) { return scheduler_->state(io); }},
+      {"KRNL", [this](snap::Io& io) { return kernel_->state(io); }},
+      {"IMUX", [this](snap::Io& io) { return int_mux_->state(io); }},
+      {"LOAD", [this](snap::Io& io) { return loader_->state(io); }},
+      {"RTMS", [this](snap::Io& io) { return rtm_->state(io); }},
+      {"STOR", [this](snap::Io& io) { return storage_->state(io); }},
+      {"IPCP", [this](snap::Io& io) { return proxy_->state(io); }},
+      {"UPDT", [this](snap::Io& io) { return updater_->state(io); }},
+      {"FALT",
+       [this](snap::Io& io) {
+         bool present = fault_engine_ != nullptr;
+         io.boolean(present);
+         if (io.loading() && present != (fault_engine_ != nullptr)) {
+           return make_error(
+               Err::kInvalidArgument,
+               "snapshot fault-engine presence differs from this platform");
+         }
+         return present ? fault_engine_->state(io) : Status::ok();
+       }},
+  };
+  for (const auto& [tag, state] : sections) {
+    if (Status s = visitor.section(tag, state); !s.is_ok()) {
+      return s;
+    }
   }
-
-  s = visitor.section(
-      "PLAT",
-      [this](snap::Writer& w) {
-        w.boolean(booted_);
-        save_boot_report(boot_report_, w);
-      },
-      [this](snap::Reader& r) {
-        booted_ = r.boolean();
-        boot_report_ = read_boot_report(r);
-        return Status::ok();
-      });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "MACH", [this](snap::Writer& w) { machine_->save_state(w); },
-      [this](snap::Reader& r) { return machine_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  // Physical memory is authoritative for everything the guest can address:
-  // the IDT, firmware windows, task images and stacks, the shadow-TCB
-  // region, mailbox words, and the sealed-storage arena.
-  s = visitor.section(
-      "MEMR",
-      [this](snap::Writer& w) {
-        const sim::PhysicalMemory& memory = machine_->memory();
-        w.blob(memory.view(0, memory.size()));
-      },
-      [this](snap::Reader& r) {
-        const std::span<const std::uint8_t> bytes = r.blob_view();
-        sim::PhysicalMemory& memory = machine_->memory();
-        if (bytes.size() != memory.size()) {
-          return make_error(Err::kCorrupt,
-                            "snapshot memory image is " +
-                                std::to_string(bytes.size()) +
-                                " bytes, machine has " +
-                                std::to_string(memory.size()));
-        }
-        if (memr_rewind_) {
-          // Rewinding to the snapshot we last restored: everything outside
-          // the dirty range already equals the image.
-          if (memory.dirty()) {
-            const std::uint32_t lo = memory.dirty_lo();
-            memory.write_block(lo, bytes.subspan(lo, memory.dirty_hi() - lo));
-          }
-        } else {
-          memory.write_block(0, bytes);
-        }
-        memory.mark_clean();
-        return Status::ok();
-      });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  // Devices in bus attach order; each device owns its payload layout, so the
-  // section nests one length-prefixed blob per device.
-  s = visitor.section(
-      "DEVS",
-      [this](snap::Writer& w) {
-        // Devices latch their time lazily between tick events; bring every
-        // latch up to the classic per-instruction value before serializing.
-        machine_->flush_device_time();
-        const auto& devices = machine_->bus().devices();
-        w.u32(static_cast<std::uint32_t>(devices.size()));
-        for (const auto& device : devices) {
-          w.str(device->name());
-          snap::Writer payload;
-          device->save_state(payload);
-          w.blob(payload.buffer());
-        }
-      },
-      [this](snap::Reader& r) {
-        const auto& devices = machine_->bus().devices();
-        if (r.u32() != devices.size()) {
-          return make_error(Err::kInvalidArgument,
-                            "snapshot device count differs from this platform");
-        }
-        for (const auto& device : devices) {
-          const std::string name = r.str();
-          if (name != device->name()) {
-            return make_error(Err::kInvalidArgument,
-                              "snapshot device '" + name + "' does not match '" +
-                                  std::string(device->name()) + "'");
-          }
-          const ByteVec payload = r.blob();
-          snap::Reader device_reader(payload);
-          if (Status ds = device->restore_state(device_reader); !ds.is_ok()) {
-            return ds;
-          }
-          if (!device_reader.ok() || device_reader.remaining() != 0) {
-            return make_error(Err::kCorrupt, "snapshot payload of device '" +
-                                                 name + "' is malformed");
-          }
-        }
-        return Status::ok();
-      });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  // The tracer's ring is guest-replay-relevant (tytan-trace dumps it after a
-  // replayed run), so enablement, capacity and entries travel.
-  s = visitor.section(
-      "TRCE",
-      [this](snap::Writer& w) {
-        const sim::Tracer* tracer = machine_->tracer();
-        w.boolean(tracer != nullptr);
-        if (tracer != nullptr) {
-          w.u64(tracer->capacity());
-          const auto entries = tracer->snapshot();
-          w.u32(static_cast<std::uint32_t>(entries.size()));
-          for (const sim::Tracer::Entry& entry : entries) {
-            w.u64(entry.cycle);
-            w.u32(entry.eip);
-            w.u32(entry.word);
-            w.str(entry.note);
-            w.i32(entry.task);
-            w.i32(entry.verdict);
-          }
-        }
-      },
-      [this](snap::Reader& r) {
-        if (!r.boolean()) {
-          machine_->enable_trace(0);
-          return Status::ok();
-        }
-        machine_->enable_trace(static_cast<std::size_t>(r.u64()));
-        const std::uint32_t count = r.u32();
-        for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-          const std::uint64_t cycle = r.u64();
-          const std::uint32_t eip = r.u32();
-          const std::uint32_t word = r.u32();
-          std::string note = r.str();
-          const std::int32_t task = r.i32();
-          const int verdict = r.i32();
-          machine_->tracer()->record(cycle, eip, word, std::move(note), task,
-                                     verdict);
-        }
-        return Status::ok();
-      });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "EMPU", [this](snap::Writer& w) { mpu_->save_state(w); },
-      [this](snap::Reader& r) { return mpu_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "DRVS", [this](snap::Writer& w) { driver_->save_state(w); },
-      [this](snap::Reader& r) { return driver_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "SCHD", [this](snap::Writer& w) { scheduler_->save_state(w); },
-      [this](snap::Reader& r) { return scheduler_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "KRNL", [this](snap::Writer& w) { kernel_->save_state(w); },
-      [this](snap::Reader& r) { return kernel_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "IMUX", [this](snap::Writer& w) { int_mux_->save_state(w); },
-      [this](snap::Reader& r) { return int_mux_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "LOAD", [this](snap::Writer& w) { loader_->save_state(w); },
-      [this](snap::Reader& r) { return loader_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "RTMS", [this](snap::Writer& w) { rtm_->save_state(w); },
-      [this](snap::Reader& r) { return rtm_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "STOR", [this](snap::Writer& w) { storage_->save_state(w); },
-      [this](snap::Reader& r) { return storage_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "IPCP", [this](snap::Writer& w) { proxy_->save_state(w); },
-      [this](snap::Reader& r) { return proxy_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "UPDT", [this](snap::Writer& w) { updater_->save_state(w); },
-      [this](snap::Reader& r) { return updater_->restore_state(r); });
-  if (!s.is_ok()) {
-    return s;
-  }
-
-  s = visitor.section(
-      "FALT",
-      [this](snap::Writer& w) {
-        w.boolean(fault_engine_ != nullptr);
-        if (fault_engine_ != nullptr) {
-          fault_engine_->save_state(w);
-        }
-      },
-      [this](snap::Reader& r) {
-        const bool present = r.boolean();
-        if (present != (fault_engine_ != nullptr)) {
-          return make_error(
-              Err::kInvalidArgument,
-              "snapshot fault-engine presence differs from this platform");
-        }
-        if (present) {
-          return fault_engine_->restore_state(r);
-        }
-        return Status::ok();
-      });
-  return s;
+  return Status::ok();
 }
 
 Result<snap::Snapshot> Platform::save() const {
@@ -447,34 +339,23 @@ Result<Platform::Config> Platform::config_from_snapshot(
   if (payload == nullptr) {
     return make_error(Err::kCorrupt, "snapshot missing section 'CONF'");
   }
-  snap::Reader r(*payload);
+  snap::Reader reader(*payload);
+  snap::Io io(reader);
   Config config;
-  const std::uint32_t mem_size = r.u32();
+  std::uint32_t mem_size = 0;
+  std::vector<std::string> devices;
+  if (Status s = conf_state(io, config, mem_size, devices); !s.is_ok()) {
+    return s;
+  }
+  if (!io.ok()) {
+    return make_error(Err::kCorrupt, "snapshot section 'CONF' truncated");
+  }
   if (mem_size != sim::kMemSize) {
     return make_error(Err::kInvalidArgument,
                       "snapshot machine has " + std::to_string(mem_size) +
                           " bytes of memory; this build simulates " +
                           std::to_string(sim::kMemSize));
   }
-  config.tick_period = r.u32();
-  r.raw(config.kp);
-  config.rng_seed = r.u64();
-  config.lint_mode = static_cast<LintMode>(r.u8());
-  const std::string plan_text = r.str();
-  const std::uint64_t plan_seed = r.u64();
-  const ByteVec costs = r.blob();
-  if (!r.ok() || costs.size() != sizeof(sim::CostModel)) {
-    return make_error(Err::kCorrupt, "snapshot section 'CONF' truncated");
-  }
-  std::memcpy(&config.costs, costs.data(), sizeof(sim::CostModel));
-  if (!plan_text.empty()) {
-    auto plan = fault::FaultPlan::parse(plan_text);
-    if (!plan.is_ok()) {
-      return plan.status();
-    }
-    config.fault_plan = std::move(*plan);
-  }
-  config.fault_plan.seed = plan_seed;
   config.log = log;
   // The lint analysis config is host tuning, not serialized — it comes back
   // default (docs/SNAPSHOT.md).

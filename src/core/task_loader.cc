@@ -537,182 +537,72 @@ Status TaskLoader::unload(TaskHandle handle) {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-void RamArena::save_state(snap::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(blocks_.size()));
-  for (const Block& block : blocks_) {
-    w.u32(block.base);
-    w.u32(block.size);
-    w.boolean(block.used);
-  }
-}
-
-Status RamArena::restore_state(snap::Reader& r) {
-  const std::uint32_t count = r.u32();
-  blocks_.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    Block block{};
-    block.base = r.u32();
-    block.size = r.u32();
-    block.used = r.boolean();
-    blocks_.push_back(block);
-  }
+Status RamArena::state(snap::Io& io) {
+  io.sequence(blocks_, [&io](Block& block) {
+    io.u32(block.base);
+    io.u32(block.size);
+    io.boolean(block.used);
+  });
   return Status::ok();
 }
 
 namespace {
 
-void write_object(snap::Writer& w, const isa::ObjectFile& object) {
-  w.blob(object.image);
-  w.u32(object.bss_size);
-  w.u32(object.stack_size);
-  w.u32(object.entry);
-  w.u32(object.msg_handler);
-  w.u32(object.mailbox);
-  w.u32(object.flags);
-  w.u32(static_cast<std::uint32_t>(object.relocs.size()));
-  for (const isa::Relocation& reloc : object.relocs) {
-    w.u32(reloc.offset);
-    w.u8(static_cast<std::uint8_t>(reloc.kind));
-    w.u32(reloc.addend);
-  }
-  w.u32(static_cast<std::uint32_t>(object.symbols.size()));
-  for (const auto& [name, offset] : object.symbols) {
-    w.str(name);
-    w.u32(offset);
-  }
-}
-
-isa::ObjectFile read_object(snap::Reader& r) {
-  isa::ObjectFile object;
-  object.image = r.blob();
-  object.bss_size = r.u32();
-  object.stack_size = r.u32();
-  object.entry = r.u32();
-  object.msg_handler = r.u32();
-  object.mailbox = r.u32();
-  object.flags = r.u32();
-  const std::uint32_t relocs = r.u32();
-  for (std::uint32_t i = 0; i < relocs && r.ok(); ++i) {
-    isa::Relocation reloc;
-    reloc.offset = r.u32();
-    reloc.kind = static_cast<isa::RelocKind>(r.u8());
-    reloc.addend = r.u32();
-    object.relocs.push_back(reloc);
-  }
-  const std::uint32_t symbols = r.u32();
-  for (std::uint32_t i = 0; i < symbols && r.ok(); ++i) {
-    std::string name = r.str();
-    object.symbols[std::move(name)] = r.u32();
-  }
-  return object;
-}
-
-void write_status(snap::Writer& w, const Status& status) {
-  w.i32(static_cast<std::int32_t>(status.code()));
-  w.str(status.message());
-}
-
-Status read_status(snap::Reader& r) {
-  const auto code = static_cast<Err>(r.i32());
-  std::string message = r.str();
-  if (code == Err::kOk) {
-    return Status::ok();
-  }
-  return make_error(code, std::move(message));
+void object_state(snap::Io& io, isa::ObjectFile& object) {
+  io.blob(object.image);
+  io.u32(object.bss_size);
+  io.u32(object.stack_size);
+  io.u32(object.entry);
+  io.u32(object.msg_handler);
+  io.u32(object.mailbox);
+  io.u32(object.flags);
+  io.sequence(object.relocs, [&io](isa::Relocation& reloc) { relocation_state(io, reloc); });
+  io.entries(object.symbols, [&io](std::string& name, std::uint32_t& offset) {
+    io.str(name);
+    io.u32(offset);
+  });
 }
 
 }  // namespace
 
-void TaskLoader::save_state(snap::Writer& w) const {
-  arena_.save_state(w);
-  w.boolean(job_.has_value());
-  if (job_) {
-    write_object(w, job_->object);
-    w.str(job_->params.name);
-    w.u32(job_->params.priority);
-    w.boolean(job_->params.auto_start);
-    w.boolean(job_->params.expected_identity.has_value());
-    if (job_->params.expected_identity) {
-      w.raw(*job_->params.expected_identity);
-    }
-    w.i32(job_->handle);
-    w.u8(static_cast<std::uint8_t>(job_->phase));
-    w.u32(job_->base);
-    w.u32(job_->total_size);
-    w.u32(job_->copy_offset);
-    w.u64(job_->reloc_index);
-    w.u64(job_->start_cycles);
-    w.boolean(job_->failed);
-    write_status(w, job_->failure);
-  }
-  w.i32(last_loaded_);
-  w.u64(stats_.alloc);
-  w.u64(stats_.copy);
-  w.u64(stats_.reloc);
-  w.u64(stats_.stack);
-  w.u64(stats_.eampu);
-  w.u64(stats_.rtm);
-  w.u64(stats_.total);
-  w.u32(stats_.relocations);
-  w.u32(stats_.image_bytes);
-  w.boolean(stats_.secure);
-  w.u32(stats_.lint_findings);
-  w.u32(static_cast<std::uint32_t>(quarantine_.size()));
-  for (const QuarantineRecord& record : quarantine_) {
-    w.str(record.name);
-    w.raw(record.measured);
-    w.u64(record.cycle);
-  }
-}
-
-Status TaskLoader::restore_state(snap::Reader& r) {
-  if (Status s = arena_.restore_state(r); !s.is_ok()) {
+Status TaskLoader::state(snap::Io& io) {
+  if (Status s = arena_.state(io); !s.is_ok()) {
     return s;
   }
-  job_.reset();
-  if (r.boolean()) {
-    Job job;
-    job.object = read_object(r);
-    job.params.name = r.str();
-    job.params.priority = r.u32();
-    job.params.auto_start = r.boolean();
-    if (r.boolean()) {
-      rtos::TaskIdentity identity{};
-      r.raw(identity);
-      job.params.expected_identity = identity;
-    }
-    job.handle = r.i32();
-    job.phase = static_cast<Phase>(r.u8());
-    job.base = r.u32();
-    job.total_size = r.u32();
-    job.copy_offset = r.u32();
-    job.reloc_index = static_cast<std::size_t>(r.u64());
-    job.start_cycles = r.u64();
-    job.failed = r.boolean();
-    job.failure = read_status(r);
-    job_ = std::move(job);
-  }
-  last_loaded_ = r.i32();
-  stats_.alloc = r.u64();
-  stats_.copy = r.u64();
-  stats_.reloc = r.u64();
-  stats_.stack = r.u64();
-  stats_.eampu = r.u64();
-  stats_.rtm = r.u64();
-  stats_.total = r.u64();
-  stats_.relocations = r.u32();
-  stats_.image_bytes = r.u32();
-  stats_.secure = r.boolean();
-  stats_.lint_findings = r.u32();
-  const std::uint32_t records = r.u32();
-  quarantine_.clear();
-  for (std::uint32_t i = 0; i < records && r.ok(); ++i) {
-    QuarantineRecord record;
-    record.name = r.str();
-    r.raw(record.measured);
-    record.cycle = r.u64();
-    quarantine_.push_back(std::move(record));
-  }
+  io.optional(job_, [&io](Job& job) {
+    object_state(io, job.object);
+    io.str(job.params.name);
+    io.u32(job.params.priority);
+    io.boolean(job.params.auto_start);
+    io.optional(job.params.expected_identity,
+                [&io](rtos::TaskIdentity& identity) { io.raw(identity); });
+    io.i32(job.handle);
+    io.enum8(job.phase);
+    io.u32(job.base);
+    io.u32(job.total_size);
+    io.u32(job.copy_offset);
+    io.usize(job.reloc_index);
+    io.u64(job.start_cycles);
+    io.boolean(job.failed);
+    io.status(job.failure);
+  });
+  io.i32(last_loaded_);
+  io.u64(stats_.alloc);
+  io.u64(stats_.copy);
+  io.u64(stats_.reloc);
+  io.u64(stats_.stack);
+  io.u64(stats_.eampu);
+  io.u64(stats_.rtm);
+  io.u64(stats_.total);
+  io.u32(stats_.relocations);
+  io.u32(stats_.image_bytes);
+  io.boolean(stats_.secure);
+  io.u32(stats_.lint_findings);
+  io.sequence(quarantine_, [&io](QuarantineRecord& record) {
+    io.str(record.name);
+    io.raw(record.measured);
+    io.u64(record.cycle);
+  });
   return Status::ok();
 }
 

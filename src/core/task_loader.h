@@ -63,8 +63,7 @@ class RamArena {
   [[nodiscard]] std::uint32_t free_bytes() const;
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
 
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  Status state(snap::Io& io);
 
  private:
   struct Block {
@@ -145,11 +144,10 @@ class TaskLoader {
     return job_.has_value() && static_cast<bool>(job_->params.on_loaded);
   }
 
-  /// Serialize / overwrite the arena, the in-flight job (if any), the last
-  /// load stats, and the quarantine ledger.  The host-side lint report is
+  /// Walk the arena, the in-flight job (if any), the last load stats, and
+  /// the quarantine ledger (snap::Io).  The host-side lint report is
   /// diagnostics, not guest state, and does not travel.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  Status state(snap::Io& io);
 
  private:
   enum class Phase { kVerify, kAlloc, kCopy, kReloc, kStackPrep, kMpu, kMeasure, kRegister, kDone };

@@ -105,21 +105,11 @@ Result<TaskHandle> UpdateManager::begin_update(TaskHandle old_handle, isa::Objec
   return new_handle;
 }
 
-void UpdateManager::save_state(snap::Writer& w) const {
-  w.boolean(pending_);
-  w.i32(last_updated_);
-  w.u64(last_swap_cycles_);
-  w.i32(static_cast<std::int32_t>(last_swap_status_.code()));
-  w.str(last_swap_status_.message());
-}
-
-Status UpdateManager::restore_state(snap::Reader& r) {
-  pending_ = r.boolean();
-  last_updated_ = r.i32();
-  last_swap_cycles_ = r.u64();
-  const auto code = static_cast<Err>(r.i32());
-  std::string message = r.str();
-  last_swap_status_ = code == Err::kOk ? Status::ok() : make_error(code, std::move(message));
+Status UpdateManager::state(snap::Io& io) {
+  io.boolean(pending_);
+  io.i32(last_updated_);
+  io.u64(last_swap_cycles_);
+  io.status(last_swap_status_);
   return Status::ok();
 }
 

@@ -49,11 +49,10 @@ class UpdateManager {
   [[nodiscard]] const Status& last_swap_status() const { return last_swap_status_; }
 
   // -- snapshots ----------------------------------------------------------------
-  /// Serialize / overwrite the update ledger.  A *pending* hitless update
-  /// rides on the loader's on_loaded callback, so Platform::save refuses
-  /// while one is in flight (the loader reports job_has_callback()).
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk the update ledger (snap::Io).  A *pending* hitless update rides
+  /// on the loader's on_loaded callback, so Platform::save refuses while one
+  /// is in flight (the loader reports job_has_callback()).
+  Status state(snap::Io& io);
 
  private:
   Status swap(rtos::TaskHandle old_handle, rtos::TaskHandle new_handle,

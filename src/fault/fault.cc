@@ -409,39 +409,25 @@ std::uint64_t FaultEngine::recovered_total() const {
   return total;
 }
 
-void FaultEngine::save_state(snap::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(fires_.size()));
-  for (const std::uint64_t count : fires_) {
-    w.u64(count);
-  }
-  w.u64(rng_state_);
-  w.u64(load_count_);
-  for (const std::uint64_t count : injected_) {
-    w.u64(count);
-  }
-  for (const std::uint64_t count : recovered_) {
-    w.u64(count);
-  }
-}
-
-Status FaultEngine::restore_state(snap::Reader& r) {
-  const std::uint32_t count = r.u32();
-  if (count != fires_.size()) {
+Status FaultEngine::state(snap::Io& io) {
+  auto count = static_cast<std::uint32_t>(fires_.size());
+  io.u32(count);
+  if (io.loading() && count != fires_.size()) {
     return make_error(Err::kInvalidArgument,
                       "snapshot fault plan has " + std::to_string(count) +
                           " spec(s), this platform's plan has " +
                           std::to_string(fires_.size()));
   }
   for (std::uint64_t& fire : fires_) {
-    fire = r.u64();
+    io.u64(fire);
   }
-  rng_state_ = r.u64();
-  load_count_ = r.u64();
+  io.u64(rng_state_);
+  io.u64(load_count_);
   for (std::uint64_t& tally : injected_) {
-    tally = r.u64();
+    io.u64(tally);
   }
   for (std::uint64_t& tally : recovered_) {
-    tally = r.u64();
+    io.u64(tally);
   }
   return Status::ok();
 }

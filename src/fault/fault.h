@@ -126,12 +126,11 @@ class FaultEngine {
   [[nodiscard]] std::uint64_t recovered_total() const;
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  /// Serialize / overwrite the engine's determinism cursors (per-spec fire
-  /// counts, RNG stream position, load counter, injection/recovery tallies).
-  /// The plan itself is configuration and travels in the snapshot's CONF
-  /// section; restore_state checks only that the spec count matches.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk the engine's determinism cursors (per-spec fire counts, RNG stream
+  /// position, load counter, injection/recovery tallies; snap::Io).  The
+  /// plan itself is configuration and travels in the snapshot's CONF
+  /// section; a restore checks only that the spec count matches.
+  Status state(snap::Io& io);
 
  private:
   /// Next value of the SplitMix64 stream.

@@ -93,60 +93,21 @@ TaskHandle QueueSet::pop_waiter_recv(QueueHandle handle) {
   return task;
 }
 
-namespace {
-
-void write_waiters(snap::Writer& w, const std::deque<TaskHandle>& waiters) {
-  w.u32(static_cast<std::uint32_t>(waiters.size()));
-  for (const TaskHandle task : waiters) {
-    w.i32(task);
-  }
-}
-
-void read_waiters(snap::Reader& r, std::deque<TaskHandle>& waiters) {
-  const std::uint32_t count = r.u32();
-  waiters.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    waiters.push_back(r.i32());
-  }
-}
-
-}  // namespace
-
-void QueueSet::save_state(snap::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(queues_.size()));
-  for (const Queue& queue : queues_) {
-    w.boolean(queue.used);
-    w.u64(queue.cap);
-    w.u32(static_cast<std::uint32_t>(queue.items.size()));
-    for (const QueueItem& item : queue.items) {
-      for (const std::uint32_t word : item) {
-        w.u32(word);
-      }
-    }
-    write_waiters(w, queue.waiters_send);
-    write_waiters(w, queue.waiters_recv);
-  }
-}
-
-Status QueueSet::restore_state(snap::Reader& r) {
-  const std::uint32_t count = r.u32();
-  queues_.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    Queue queue;
-    queue.used = r.boolean();
-    queue.cap = static_cast<std::size_t>(r.u64());
-    const std::uint32_t items = r.u32();
-    for (std::uint32_t j = 0; j < items && r.ok(); ++j) {
-      QueueItem item{};
+Status QueueSet::state(snap::Io& io) {
+  auto handles = [&io](std::deque<TaskHandle>& waiters) {
+    io.sequence(waiters, [&io](TaskHandle& task) { io.i32(task); });
+  };
+  io.sequence(queues_, [&](Queue& queue) {
+    io.boolean(queue.used);
+    io.usize(queue.cap);
+    io.sequence(queue.items, [&io](QueueItem& item) {
       for (std::uint32_t& word : item) {
-        word = r.u32();
+        io.u32(word);
       }
-      queue.items.push_back(item);
-    }
-    read_waiters(r, queue.waiters_send);
-    read_waiters(r, queue.waiters_recv);
-    queues_.push_back(std::move(queue));
-  }
+    });
+    handles(queue.waiters_send);
+    handles(queue.waiters_recv);
+  });
   return Status::ok();
 }
 

@@ -38,10 +38,9 @@ class QueueSet {
   [[nodiscard]] Result<std::size_t> depth(QueueHandle handle) const;
   [[nodiscard]] Result<std::size_t> capacity(QueueHandle handle) const;
 
-  /// Serialize / overwrite every queue (items and waiter lists) for machine
-  /// snapshots.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk every queue (items and waiter lists) for machine snapshots
+  /// (snap::Io).
+  Status state(snap::Io& io);
 
   // -- waiter bookkeeping (kernel attaches blocked tasks here) -----------------
   void add_waiter_send(QueueHandle handle, TaskHandle task);

@@ -259,130 +259,77 @@ void Scheduler::remove_from_ready(TaskHandle handle) {
 
 namespace {
 
-void write_tcb(snap::Writer& w, const Tcb& t) {
-  w.i32(t.handle);
-  w.str(t.name);
-  w.u32(t.priority);
-  w.u8(static_cast<std::uint8_t>(t.state));
-  w.u8(static_cast<std::uint8_t>(t.kind));
-  w.boolean(t.secure);
-  w.u32(t.region_base);
-  w.u32(t.region_size);
-  w.u32(t.entry);
-  w.u32(t.msg_handler);
-  w.u32(t.mailbox);
-  w.u32(t.stack_top);
-  w.u32(t.image_size);
-  w.u32(t.saved_sp);
-  w.boolean(t.context_saved);
-  w.boolean(t.started);
-  w.u8(static_cast<std::uint8_t>(t.block_reason));
-  w.u64(t.wake_tick);
-  w.i32(t.wait_object);
-  w.boolean(t.message_pending);
-  w.raw(t.identity);
-  w.boolean(t.measured);
-  w.i32(t.exec_region_idx);
-  w.i32(t.mpu_slot);
-  w.u64(t.activations);
-  w.u64(t.preemptions);
-  w.u64(t.cpu_cycles);
-  w.u64(t.dispatch_cycle);
-  w.u64(t.budget_per_tick);
-  w.u64(t.budget_used);
-  w.u64(t.throttle_events);
-  w.boolean(t.stalled);
-  w.u64(t.stall_since_tick);
-  w.u64(t.watchdog_restarts);
-}
-
-void read_tcb(snap::Reader& r, Tcb& t) {
-  t.handle = r.i32();
-  t.name = r.str();
-  t.priority = r.u32();
-  t.state = static_cast<TaskState>(r.u8());
-  t.kind = static_cast<TaskKind>(r.u8());
-  t.secure = r.boolean();
-  t.region_base = r.u32();
-  t.region_size = r.u32();
-  t.entry = r.u32();
-  t.msg_handler = r.u32();
-  t.mailbox = r.u32();
-  t.stack_top = r.u32();
-  t.image_size = r.u32();
-  t.saved_sp = r.u32();
-  t.context_saved = r.boolean();
-  t.started = r.boolean();
-  t.block_reason = static_cast<BlockReason>(r.u8());
-  t.wake_tick = r.u64();
-  t.wait_object = r.i32();
-  t.message_pending = r.boolean();
-  r.raw(t.identity);
-  t.measured = r.boolean();
-  t.exec_region_idx = r.i32();
-  t.mpu_slot = r.i32();
-  t.activations = r.u64();
-  t.preemptions = r.u64();
-  t.cpu_cycles = r.u64();
-  t.dispatch_cycle = r.u64();
-  t.budget_per_tick = r.u64();
-  t.budget_used = r.u64();
-  t.throttle_events = r.u64();
-  t.stalled = r.boolean();
-  t.stall_since_tick = r.u64();
-  t.watchdog_restarts = r.u64();
+void tcb_state(snap::Io& io, Tcb& t) {
+  io.i32(t.handle);
+  io.str(t.name);
+  io.u32(t.priority);
+  io.enum8(t.state);
+  io.enum8(t.kind);
+  io.boolean(t.secure);
+  io.u32(t.region_base);
+  io.u32(t.region_size);
+  io.u32(t.entry);
+  io.u32(t.msg_handler);
+  io.u32(t.mailbox);
+  io.u32(t.stack_top);
+  io.u32(t.image_size);
+  io.u32(t.saved_sp);
+  io.boolean(t.context_saved);
+  io.boolean(t.started);
+  io.enum8(t.block_reason);
+  io.u64(t.wake_tick);
+  io.i32(t.wait_object);
+  io.boolean(t.message_pending);
+  io.raw(t.identity);
+  io.boolean(t.measured);
+  io.i32(t.exec_region_idx);
+  io.i32(t.mpu_slot);
+  io.u64(t.activations);
+  io.u64(t.preemptions);
+  io.u64(t.cpu_cycles);
+  io.u64(t.dispatch_cycle);
+  io.u64(t.budget_per_tick);
+  io.u64(t.budget_used);
+  io.u64(t.throttle_events);
+  io.boolean(t.stalled);
+  io.u64(t.stall_since_tick);
+  io.u64(t.watchdog_restarts);
 }
 
 }  // namespace
 
-void Scheduler::save_state(snap::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(tasks_.size()));
-  for (const auto& tcb : tasks_) {
-    w.boolean(tcb != nullptr);
-    if (tcb != nullptr) {
-      write_tcb(w, *tcb);
+Status Scheduler::state(snap::Io& io) {
+  io.sequence(tasks_, [&io](std::unique_ptr<Tcb>& tcb) {
+    bool present = tcb != nullptr;
+    io.boolean(present);
+    if (present) {
+      if (io.loading()) {
+        tcb = std::make_unique<Tcb>();
+      }
+      tcb_state(io, *tcb);
     }
-  }
-  for (const auto& queue : ready_) {
-    w.u32(static_cast<std::uint32_t>(queue.size()));
-    for (const TaskHandle handle : queue) {
-      w.i32(handle);
-    }
-  }
-  w.i32(current_);
-  w.u64(tick_count_);
-}
-
-Status Scheduler::restore_state(snap::Reader& r) {
-  const std::uint32_t count = r.u32();
-  std::vector<std::unique_ptr<Tcb>> restored;
-  restored.reserve(count);
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    if (!r.boolean()) {
-      restored.push_back(nullptr);
-      continue;
-    }
-    auto tcb = std::make_unique<Tcb>();
-    read_tcb(r, *tcb);
-    if (!r.ok()) {
-      break;  // finish() reports the truncation
-    }
-    restored.push_back(std::move(tcb));
-  }
-  tasks_ = std::move(restored);
+  });
   for (auto& queue : ready_) {
-    const std::uint32_t depth = r.u32();
-    queue.clear();
-    for (std::uint32_t i = 0; i < depth && r.ok(); ++i) {
-      queue.push_back(r.i32());
-    }
+    io.sequence(queue, [&io](TaskHandle& handle) { io.i32(handle); });
   }
-  current_ = r.i32();
-  tick_count_ = r.u64();
-  if (events_ != nullptr) {
-    for (const auto& tcb : tasks_) {
-      if (tcb != nullptr && tcb->state != TaskState::kDead) {
-        events_->set_task_name(tcb->handle, tcb->name);
+  io.i32(current_);
+  io.u64(tick_count_);
+  if (io.loading()) {
+    // Tasks are found by handle (tasks_[handle]) and queued by priority
+    // (ready_[priority]); a forged TCB breaking either indexing is corrupt.
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      const Tcb* tcb = tasks_[i].get();
+      if (tcb != nullptr && (tcb->handle != static_cast<TaskHandle>(i) ||
+                             tcb->priority >= kNumPriorities)) {
+        return make_error(Err::kCorrupt,
+                          "snapshot task table entry " + std::to_string(i) + " is corrupt");
+      }
+    }
+    if (events_ != nullptr) {
+      for (const auto& tcb : tasks_) {
+        if (tcb != nullptr && tcb->state != TaskState::kDead) {
+          events_->set_task_name(tcb->handle, tcb->name);
+        }
       }
     }
   }

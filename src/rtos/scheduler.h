@@ -77,12 +77,10 @@ class Scheduler {
   [[nodiscard]] std::vector<TaskHandle> handles() const;
 
   // -- snapshots ----------------------------------------------------------------
-  /// Serialize every TCB, the ready queues, the running task, and the tick
-  /// counter.
-  void save_state(snap::Writer& w) const;
-  /// Overwrite the full task table from the reader.  Which firmware tasks
-  /// are valid is the kernel's call (Kernel::restore_state).
-  Status restore_state(snap::Reader& r);
+  /// Walk every TCB, the ready queues, the running task, and the tick
+  /// counter (snap::Io).  A restore overwrites the full task table; which
+  /// firmware tasks are valid is the kernel's call (Kernel::state).
+  Status state(snap::Io& io);
 
   // -- observability ------------------------------------------------------------------
   /// Wire the platform event bus (non-owning; nullptr = no events).  Every

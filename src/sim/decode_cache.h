@@ -28,9 +28,10 @@
 //     landing on a marked granule scans the blocks and erases exactly the
 //     intersected ones;
 //   * firmware registry / wholesale state changes — Machine invalidates
-//     explicitly on register_firmware, set_policy, and restore_state, and
-//     the task loader invalidates on load/unload (belt and braces: the
-//     write watch and the policy epoch already cover those paths).
+//     explicitly on register_firmware, set_policy, and snapshot restore
+//     (Machine::state), and the task loader invalidates on load/unload
+//     (belt and braces: the write watch and the policy epoch already cover
+//     those paths).
 //
 // The cache is HOST-ONLY state: it never appears in snapshots, contributes
 // nothing to simulated cycles, and is rebuilt on demand after a restore —

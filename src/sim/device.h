@@ -44,12 +44,12 @@ class Device {
   /// restore that changes it.
   [[nodiscard]] virtual std::uint64_t next_tick_due() const { return kNeverTicks; }
 
-  /// Serialize / overwrite the device's guest-visible state for machine
-  /// snapshots.  The default is stateless (devices holding only wiring or
-  /// fused constants); every device with mutable registers overrides both.
-  virtual void save_state(snap::Writer& w) const { (void)w; }
-  virtual Status restore_state(snap::Reader& r) {
-    (void)r;
+  /// Walk the device's guest-visible state for machine snapshots (saving or
+  /// restoring, see snap::Io).  The default is stateless (devices holding
+  /// only wiring or fused constants); every device with mutable registers
+  /// overrides it.
+  virtual Status state(snap::Io& io) {
+    (void)io;
     return Status::ok();
   }
 

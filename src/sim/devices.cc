@@ -51,21 +51,15 @@ void TimerDevice::tick(std::uint64_t now) {
   }
 }
 
-void TimerDevice::save_state(snap::Writer& w) const {
-  w.boolean(enabled_);
-  w.u32(period_);
-  w.u64(next_fire_);
-  w.u64(last_now_);
-  w.u64(ticks_);
-}
-
-Status TimerDevice::restore_state(snap::Reader& r) {
-  enabled_ = r.boolean();
-  period_ = r.u32();
-  next_fire_ = r.u64();
-  last_now_ = r.u64();
-  ticks_ = r.u64();
-  touch_timing();  // restored schedule replaces whatever the machine cached
+Status TimerDevice::state(snap::Io& io) {
+  io.boolean(enabled_);
+  io.u32(period_);
+  io.u64(next_fire_);
+  io.u64(last_now_);
+  io.u64(ticks_);
+  if (io.loading()) {
+    touch_timing();  // restored schedule replaces whatever the machine cached
+  }
   return Status::ok();
 }
 
@@ -83,10 +77,8 @@ void SerialConsole::write32(std::uint32_t offset, std::uint32_t value) {
   }
 }
 
-void SerialConsole::save_state(snap::Writer& w) const { w.str(output_); }
-
-Status SerialConsole::restore_state(snap::Reader& r) {
-  output_ = r.str();
+Status SerialConsole::state(snap::Io& io) {
+  io.str(output_);
   return Status::ok();
 }
 
@@ -109,16 +101,10 @@ void SensorDevice::write32(std::uint32_t /*offset*/, std::uint32_t /*value*/) {
   // Sensors are read-only from the guest; writes are ignored.
 }
 
-void SensorDevice::save_state(snap::Writer& w) const {
-  w.u32(value_);
-  w.u32(value2_);
-  w.u64(reads_);
-}
-
-Status SensorDevice::restore_state(snap::Reader& r) {
-  value_ = r.u32();
-  value2_ = r.u32();
-  reads_ = r.u64();
+Status SensorDevice::state(snap::Io& io) {
+  io.u32(value_);
+  io.u32(value2_);
+  io.u64(reads_);
   return Status::ok();
 }
 
@@ -140,25 +126,12 @@ void EngineActuator::write32(std::uint32_t offset, std::uint32_t value) {
   }
 }
 
-void EngineActuator::save_state(snap::Writer& w) const {
-  w.u64(now_);
-  w.u32(static_cast<std::uint32_t>(commands_.size()));
-  for (const Command& c : commands_) {
-    w.u64(c.cycle);
-    w.u32(c.value);
-  }
-}
-
-Status EngineActuator::restore_state(snap::Reader& r) {
-  now_ = r.u64();
-  const std::uint32_t count = r.u32();
-  commands_.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    Command c;
-    c.cycle = r.u64();
-    c.value = r.u32();
-    commands_.push_back(c);
-  }
+Status EngineActuator::state(snap::Io& io) {
+  io.u64(now_);
+  io.sequence(commands_, [&io](Command& c) {
+    io.u64(c.cycle);
+    io.u32(c.value);
+  });
   return Status::ok();
 }
 
@@ -221,48 +194,22 @@ void CanBusDevice::write32(std::uint32_t offset, std::uint32_t value) {
 
 namespace {
 
-void write_frame(snap::Writer& w, const CanBusDevice::Frame& frame) {
-  w.u32(frame.id);
-  w.u8(frame.dlc);
-  w.raw(frame.data);
-}
-
-CanBusDevice::Frame read_frame(snap::Reader& r) {
-  CanBusDevice::Frame frame;
-  frame.id = static_cast<std::uint16_t>(r.u32());
-  frame.dlc = r.u8();
-  r.raw(frame.data);
-  return frame;
+void frame_state(snap::Io& io, CanBusDevice::Frame& frame) {
+  std::uint32_t id = frame.id;  // the 11-bit id travels as a u32
+  io.u32(id);
+  frame.id = static_cast<std::uint16_t>(id);
+  io.u8(frame.dlc);
+  io.raw(frame.data);
 }
 
 }  // namespace
 
-void CanBusDevice::save_state(snap::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(rx_fifo_.size()));
-  for (const Frame& frame : rx_fifo_) {
-    write_frame(w, frame);
-  }
-  w.u32(static_cast<std::uint32_t>(tx_log_.size()));
-  for (const Frame& frame : tx_log_) {
-    write_frame(w, frame);
-  }
-  write_frame(w, tx_staging_);
-  w.u64(rx_overflows_);
-}
-
-Status CanBusDevice::restore_state(snap::Reader& r) {
-  const std::uint32_t rx_count = r.u32();
-  rx_fifo_.clear();
-  for (std::uint32_t i = 0; i < rx_count && r.ok(); ++i) {
-    rx_fifo_.push_back(read_frame(r));
-  }
-  const std::uint32_t tx_count = r.u32();
-  tx_log_.clear();
-  for (std::uint32_t i = 0; i < tx_count && r.ok(); ++i) {
-    tx_log_.push_back(read_frame(r));
-  }
-  tx_staging_ = read_frame(r);
-  rx_overflows_ = r.u64();
+Status CanBusDevice::state(snap::Io& io) {
+  auto frame = [&io](Frame& f) { frame_state(io, f); };
+  io.sequence(rx_fifo_, frame);
+  io.sequence(tx_log_, frame);
+  frame_state(io, tx_staging_);
+  io.u64(rx_overflows_);
   return Status::ok();
 }
 
@@ -295,10 +242,8 @@ void RngDevice::write32(std::uint32_t /*offset*/, std::uint32_t value) {
   state_ ^= value;
 }
 
-void RngDevice::save_state(snap::Writer& w) const { w.u64(state_); }
-
-Status RngDevice::restore_state(snap::Reader& r) {
-  state_ = r.u64();
+Status RngDevice::state(snap::Io& io) {
+  io.u64(state_);
   return Status::ok();
 }
 

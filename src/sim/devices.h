@@ -43,8 +43,7 @@ class TimerDevice : public Device {
   [[nodiscard]] std::uint32_t period() const { return period_; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  void save_state(snap::Writer& w) const override;
-  Status restore_state(snap::Reader& r) override;
+  Status state(snap::Io& io) override;
 
  private:
   bool enabled_ = false;
@@ -70,8 +69,7 @@ class SerialConsole : public Device {
   [[nodiscard]] const std::string& output() const { return output_; }
   void clear() { output_.clear(); }
 
-  void save_state(snap::Writer& w) const override;
-  Status restore_state(snap::Reader& r) override;
+  Status state(snap::Io& io) override;
 
  private:
   std::string output_;
@@ -94,8 +92,7 @@ class SensorDevice : public Device {
   void set_value2(std::uint32_t v) { value2_ = v; }
   [[nodiscard]] std::uint64_t reads() const { return reads_; }
 
-  void save_state(snap::Writer& w) const override;
-  Status restore_state(snap::Reader& r) override;
+  Status state(snap::Io& io) override;
 
  private:
   std::string name_;
@@ -127,8 +124,7 @@ class EngineActuator : public Device {
   [[nodiscard]] const std::vector<Command>& commands() const { return commands_; }
   void clear() { commands_.clear(); }
 
-  void save_state(snap::Writer& w) const override;
-  Status restore_state(snap::Reader& r) override;
+  Status state(snap::Io& io) override;
 
  private:
   std::uint64_t now_ = 0;
@@ -181,8 +177,7 @@ class CanBusDevice : public Device {
   [[nodiscard]] const std::vector<Frame>& transmitted() const { return tx_log_; }
   [[nodiscard]] std::uint64_t rx_overflows() const { return rx_overflows_; }
 
-  void save_state(snap::Writer& w) const override;
-  Status restore_state(snap::Reader& r) override;
+  Status state(snap::Io& io) override;
 
  private:
   std::deque<Frame> rx_fifo_;
@@ -211,8 +206,7 @@ class RngDevice : public Device {
 
   std::uint64_t next64();
 
-  void save_state(snap::Writer& w) const override;
-  Status restore_state(snap::Reader& r) override;
+  Status state(snap::Io& io) override;
 
  private:
   std::uint64_t state_;

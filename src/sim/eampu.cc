@@ -240,61 +240,31 @@ void EaMpu::span_around(std::uint32_t addr, bool entries, std::uint64_t* lo,
   *hi = above;
 }
 
-void EaMpu::save_state(snap::Writer& w) const {
-  for (const auto& slot : slots_) {
-    w.boolean(slot.has_value());
-    if (slot) {
-      w.u32(slot->code_start);
-      w.u32(slot->code_size);
-      w.u32(slot->data_start);
-      w.u32(slot->data_size);
-      w.u8(slot->perms);
-      w.boolean(slot->os_accessible);
-      w.boolean(slot->background);
-    }
-  }
-  for (const auto& region : exec_regions_) {
-    w.boolean(region.has_value());
-    if (region) {
-      w.u32(region->start);
-      w.u32(region->size);
-      w.u32(region->entry);
-    }
-  }
-  w.boolean(port_locked_);
-}
-
-Status EaMpu::restore_state(snap::Reader& r) {
+Status EaMpu::state(snap::Io& io) {
   for (auto& slot : slots_) {
-    if (r.boolean()) {
-      Rule rule;
-      rule.code_start = r.u32();
-      rule.code_size = r.u32();
-      rule.data_start = r.u32();
-      rule.data_size = r.u32();
-      rule.perms = r.u8();
-      rule.os_accessible = r.boolean();
-      rule.background = r.boolean();
-      slot = rule;
-    } else {
-      slot.reset();
-    }
+    io.optional(slot, [&io](Rule& rule) {
+      io.u32(rule.code_start);
+      io.u32(rule.code_size);
+      io.u32(rule.data_start);
+      io.u32(rule.data_size);
+      io.u8(rule.perms);
+      io.boolean(rule.os_accessible);
+      io.boolean(rule.background);
+    });
   }
   for (auto& region : exec_regions_) {
-    if (r.boolean()) {
-      ExecRegion er;
-      er.start = r.u32();
-      er.size = r.u32();
-      er.entry = r.u32();
-      region = er;
-    } else {
-      region.reset();
-    }
+    io.optional(region, [&io](ExecRegion& er) {
+      io.u32(er.start);
+      io.u32(er.size);
+      io.u32(er.entry);
+    });
   }
-  port_locked_ = r.boolean();
-  // The restored table may differ arbitrarily from the previous one; the
-  // port guard itself never feeds allows() and needs no bump elsewhere.
-  bump_config_epoch();
+  io.boolean(port_locked_);
+  if (io.loading()) {
+    // The restored table may differ arbitrarily from the previous one; the
+    // port guard itself never feeds allows() and needs no bump elsewhere.
+    bump_config_epoch();
+  }
   return Status::ok();
 }
 

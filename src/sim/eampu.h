@@ -152,10 +152,9 @@ class EaMpu {
   /// modeled as a host-side latch the driver toggles around its accesses).
   void set_port_guard(bool locked) { port_locked_ = locked; }
   [[nodiscard]] bool port_locked() const { return port_locked_; }
-  /// Serialize / overwrite the full rule table, execution regions, and port
-  /// guard for machine snapshots.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  /// Walk the full rule table, execution regions, and port guard for
+  /// machine snapshots (snap::Io).
+  Status state(snap::Io& io);
 
   /// Driver-only bypass around a legitimate reconfiguration.
   class PortUnlock {

@@ -87,62 +87,43 @@ void Machine::set_idt_entry(std::uint8_t vector, std::uint32_t handler) {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-void Machine::save_state(snap::Writer& w) const {
-  for (const std::uint32_t reg : cpu_.regs) {
-    w.u32(reg);
-  }
-  w.u32(cpu_.eip);
-  w.u32(cpu_.eflags);
-  w.u64(cycles_);
-  w.u64(pending_);
-  w.u32(int_origin_eip_);
-  w.u8(int_vector_);
-  w.u8(static_cast<std::uint8_t>(last_fault_.type));
-  w.u32(last_fault_.eip);
-  w.u32(last_fault_.addr);
-  w.u8(static_cast<std::uint8_t>(last_fault_.access));
-  w.u64(fault_count_);
-  w.boolean(in_fault_dispatch_);
-  w.u8(static_cast<std::uint8_t>(halt_reason_));
-  w.u64(instructions_);
-  w.u64(interrupts_);
-  w.u64(fw_invocations_);
-}
-
-Status Machine::restore_state(snap::Reader& r) {
+Status Machine::state(snap::Io& io) {
   for (std::uint32_t& reg : cpu_.regs) {
-    reg = r.u32();
+    io.u32(reg);
   }
-  cpu_.eip = r.u32();
-  cpu_.eflags = r.u32();
-  cycles_ = r.u64();
-  pending_ = r.u64();
-  int_origin_eip_ = r.u32();
-  int_vector_ = r.u8();
-  last_fault_.type = static_cast<FaultType>(r.u8());
-  last_fault_.eip = r.u32();
-  last_fault_.addr = r.u32();
-  last_fault_.access = static_cast<Access>(r.u8());
-  fault_count_ = r.u64();
-  in_fault_dispatch_ = r.boolean();
-  halt_reason_ = static_cast<HaltReason>(r.u8());
-  instructions_ = r.u64();
-  interrupts_ = r.u64();
-  fw_invocations_ = r.u64();
-  // The decode cache is host-only state: never serialized, rebuilt on demand
-  // against the restored memory image and policy configuration.  (The memory
-  // write watch already dropped blocks overwritten by the image restore;
-  // this also covers order-of-restore races and the transient fault flag.)
-  fault_eip_redirected_ = false;
-  invalidate_decode_cache();
-  // Device tick scheduling is host-only: force a full resync on the next
-  // step (devices restore their own schedules after this), and mark device
-  // time clean so a save immediately after restore reproduces the restored
-  // bytes instead of re-latching.
-  next_device_tick_ = 0;
-  device_timing_epoch_ = 0;
-  step_top_cycles_ = cycles_;
-  device_time_dirty_ = false;
+  io.u32(cpu_.eip);
+  io.u32(cpu_.eflags);
+  io.u64(cycles_);
+  io.u64(pending_);
+  io.u32(int_origin_eip_);
+  io.u8(int_vector_);
+  io.enum8(last_fault_.type);
+  io.u32(last_fault_.eip);
+  io.u32(last_fault_.addr);
+  io.enum8(last_fault_.access);
+  io.u64(fault_count_);
+  io.boolean(in_fault_dispatch_);
+  io.enum8(halt_reason_);
+  io.u64(instructions_);
+  io.u64(interrupts_);
+  io.u64(fw_invocations_);
+  if (io.loading()) {
+    // The decode cache is host-only state: never serialized, rebuilt on
+    // demand against the restored memory image and policy configuration.
+    // (The memory write watch already dropped blocks overwritten by the image
+    // restore; this also covers order-of-restore races and the transient
+    // fault flag.)
+    fault_eip_redirected_ = false;
+    invalidate_decode_cache();
+    // Device tick scheduling is host-only: force a full resync on the next
+    // step (devices restore their own schedules after this), and mark device
+    // time clean so a save immediately after restore reproduces the restored
+    // bytes instead of re-latching.
+    next_device_tick_ = 0;
+    device_timing_epoch_ = 0;
+    step_top_cycles_ = cycles_;
+    device_time_dirty_ = false;
+  }
   return Status::ok();
 }
 

@@ -252,13 +252,12 @@ class Machine {
   void set_idt_entry(std::uint8_t vector, std::uint32_t handler);
 
   // -- snapshots ---------------------------------------------------------------
-  /// Serialize / overwrite the machine's core execution state: CPU registers,
+  /// Walk the machine's core execution state (snap::Io): CPU registers,
   /// cycle clock, interrupt and fault latches, halt reason, instruction
   /// counters.  Physical memory, devices, and the tracer are separate snapshot
   /// sections; firmware registrations, hooks, and obs state are wiring or
   /// host-only and deliberately excluded.
-  void save_state(snap::Writer& w) const;
-  Status restore_state(snap::Reader& r);
+  Status state(snap::Io& io);
 
  private:
   // The per-opcode handlers (machine_ops.cc) are the interpreter switch

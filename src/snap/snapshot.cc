@@ -11,13 +11,12 @@ constexpr std::size_t kTagLen = 4;
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 0xcbf2'9ce4'8422'2325ull;
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t hash) {
   for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x0000'0100'0000'01b3ull;
+    hash ^= b;
+    hash *= 0x0000'0100'0000'01b3ull;
   }
-  return h;
+  return hash;
 }
 
 void Snapshot::add(std::string_view tag, ByteVec bytes) {
@@ -28,17 +27,12 @@ void Snapshot::add(std::string_view tag, ByteVec bytes) {
 
 std::uint64_t Snapshot::digest() const {
   if (!digest_valid_) {
-    std::uint64_t h = 0xcbf2'9ce4'8422'2325ull;
-    auto mix = [&h](std::span<const std::uint8_t> bytes) {
-      for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x0000'0100'0000'01b3ull;
-      }
-    };
+    std::uint64_t h = kFnvBasis;
     for (const Section& section : sections_) {
-      mix({reinterpret_cast<const std::uint8_t*>(section.tag.data()),
-           section.tag.size()});
-      mix(section.bytes);
+      h = fnv1a64({reinterpret_cast<const std::uint8_t*>(section.tag.data()),
+                   section.tag.size()},
+                  h);
+      h = fnv1a64(section.bytes, h);
     }
     digest_ = h;
     digest_valid_ = true;
@@ -141,37 +135,63 @@ Result<Snapshot> Snapshot::read_file(const std::string& path) {
   return parse(bytes);
 }
 
-Status SaveVisitor::section(std::string_view tag,
-                            const std::function<void(Writer&)>& save,
-                            const std::function<Status(Reader&)>& restore) {
-  (void)restore;
+void Io::status(Status& s) {
+  auto code = static_cast<std::int32_t>(s.code());
+  std::string message = s.message();
+  i32(code);
+  str(message);
+  if (loading()) {
+    const auto err = static_cast<Err>(code);
+    s = err == Err::kOk ? Status::ok() : make_error(err, std::move(message));
+  }
+}
+
+Status Io::nested(std::string_view what, const std::function<Status(Io&)>& body) {
+  if (!loading()) {
+    Writer payload;
+    Io inner(payload);
+    const Status s = body(inner);
+    writer_->blob(payload.buffer());
+    return s;
+  }
+  Reader payload(reader_->blob_view());
+  Io inner(payload);
+  if (Status s = body(inner); !s.is_ok()) {
+    return s;
+  }
+  if (!payload.ok() || payload.remaining() != 0) {
+    return make_error(Err::kCorrupt,
+                      "snapshot payload of " + std::string(what) + " is malformed");
+  }
+  return Status::ok();
+}
+
+Status SaveVisitor::section(std::string_view tag, const Walk& state) {
   Writer writer;
-  save(writer);
+  Io io(writer);
+  if (Status s = state(io); !s.is_ok()) {
+    return s;
+  }
   snapshot_.add(tag, writer.take());
   return Status::ok();
 }
 
-Status RestoreVisitor::section(std::string_view tag,
-                               const std::function<void(Writer&)>& save,
-                               const std::function<Status(Reader&)>& restore) {
-  (void)save;
+Status RestoreVisitor::section(std::string_view tag, const Walk& state) {
   const ByteVec* payload = snapshot_.find(tag);
   if (payload == nullptr) {
     return make_error(Err::kCorrupt,
                       "snapshot missing section '" + std::string(tag) + "'");
   }
   Reader reader(*payload);
-  if (Status s = restore(reader); !s.is_ok()) {
+  Io io(reader);
+  if (Status s = state(io); !s.is_ok()) {
     return s;
   }
   return reader.finish(tag);
 }
 
-Status ListVisitor::section(std::string_view tag,
-                            const std::function<void(Writer&)>& save,
-                            const std::function<Status(Reader&)>& restore) {
-  (void)save;
-  (void)restore;
+Status ListVisitor::section(std::string_view tag, const Walk& state) {
+  (void)state;
   tags_.emplace_back(tag);
   return Status::ok();
 }

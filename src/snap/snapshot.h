@@ -4,9 +4,10 @@
 // version), a list of sections — four-character tag plus an opaque
 // little-endian payload — and a trailing FNV-1a checksum over the whole
 // file.  Sections are produced and consumed by the state owners themselves
-// (Machine, EaMpu, Scheduler, Kernel, ...); this module only provides the
-// container and the primitive Writer/Reader serializers, so it depends on
-// nothing but common/.
+// (Machine, EaMpu, Scheduler, Kernel, ...), each through one two-way field
+// walk, `Status state(snap::Io&)`; this module only provides the container,
+// the primitive Writer/Reader serializers and the Io that drives a walk in
+// either direction, so it depends on nothing but common/.
 //
 // Guarantees (docs/SNAPSHOT.md):
 //   * restore(save(m)) is bit-identical: saving the restored platform yields
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -43,7 +45,6 @@ class Writer {
   void u32(std::uint32_t v) { append_le32(buf_, v); }
   void u64(std::uint64_t v) { append_le64(buf_, v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -96,7 +97,6 @@ class Reader {
     return v;
   }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool boolean() { return u8() != 0; }
   std::string str() {
     const std::uint32_t len = u32();
@@ -142,6 +142,9 @@ class Reader {
 
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
+  /// Poison the reader: a value read from the payload (a count) is
+  /// inconsistent with the payload itself.
+  void fail() { failed_ = true; }
 
   /// A section must consume exactly its payload: under-run and left-over
   /// bytes both mean the writer and reader disagree about the layout.
@@ -169,6 +172,135 @@ class Reader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
   bool failed_ = false;
+};
+
+/// One field walk, two directions.  A state owner lists its section layout
+/// once, as `Status state(snap::Io& io)`, calling the primitives below on
+/// its own fields: saving, they write each field to the Writer; loading,
+/// they overwrite it from the Reader.  Work that only happens on restore
+/// (cache drops, epoch bumps, cross-checks) sits under `if (io.loading())`.
+/// A load keeps the Reader's sticky failure: under-runs yield zero values
+/// and Reader::finish reports them once the section is walked.
+class Io {
+ public:
+  explicit Io(Writer& writer) : writer_(&writer) {}
+  explicit Io(Reader& reader) : reader_(&reader) {}
+
+  [[nodiscard]] bool loading() const { return reader_ != nullptr; }
+  /// False once a load under-ran or refused a count; always true saving.
+  [[nodiscard]] bool ok() const { return reader_ == nullptr || reader_->ok(); }
+
+  void u8(std::uint8_t& v) { loading() ? void(v = reader_->u8()) : writer_->u8(v); }
+  void u32(std::uint32_t& v) { loading() ? void(v = reader_->u32()) : writer_->u32(v); }
+  void u64(std::uint64_t& v) { loading() ? void(v = reader_->u64()) : writer_->u64(v); }
+  void i32(std::int32_t& v) { loading() ? void(v = reader_->i32()) : writer_->i32(v); }
+  void boolean(bool& v) { loading() ? void(v = reader_->boolean()) : writer_->boolean(v); }
+  void str(std::string& s) { loading() ? void(s = reader_->str()) : writer_->str(s); }
+  void blob(ByteVec& bytes) { loading() ? void(bytes = reader_->blob()) : writer_->blob(bytes); }
+  void raw(std::span<std::uint8_t> bytes) {
+    loading() ? reader_->raw(bytes) : writer_->raw(bytes);
+  }
+  /// A Status: i32 error code, then the message.
+  void status(Status& s);
+  /// std::size_t field, 64-bit on the wire.
+  void usize(std::size_t& v) {
+    std::uint64_t wide = v;
+    u64(wide);
+    v = static_cast<std::size_t>(wide);
+  }
+  /// Length-prefixed bytes by view: saving writes `bytes`; loading points
+  /// `bytes` into the reader's backing payload (zero-copy, valid while the
+  /// snapshot lives — the memory image is restored once per fuzz input).
+  void blob_view(std::span<const std::uint8_t>& bytes) {
+    loading() ? void(bytes = reader_->blob_view()) : writer_->blob(bytes);
+  }
+
+  /// An enum with an 8-bit wire form.
+  template <typename E>
+  void enum8(E& value) {
+    auto wire = static_cast<std::uint8_t>(value);
+    u8(wire);
+    value = static_cast<E>(wire);
+  }
+
+  /// Presence flag, then the value's fields when present.  Loading a present
+  /// value walks `fields` over a default-constructed one.
+  template <typename T, typename Fields>
+  void optional(std::optional<T>& value, Fields&& fields) {
+    bool present = value.has_value();
+    boolean(present);
+    if (loading()) {
+      value.reset();
+      if (present) {
+        value.emplace();
+      }
+    }
+    if (present) {
+      fields(*value);
+    }
+  }
+
+  /// u32 count, then `item` walked over each element of a vector or deque.
+  /// Loading refuses a count the payload cannot hold (every element takes at
+  /// least one byte) and grows the sequence one element at a time, so a
+  /// forged count never sizes an allocation.
+  template <typename Seq, typename Item>
+  void sequence(Seq& items, Item&& item) {
+    const std::uint32_t n = count(items.size());
+    if (!loading()) {
+      for (auto& element : items) {
+        item(element);
+      }
+      return;
+    }
+    items.clear();
+    for (std::uint32_t i = 0; i < n && ok(); ++i) {
+      item(items.emplace_back());
+    }
+  }
+
+  /// sequence() for a std::map: u32 count, then `entry(key, value)` per
+  /// entry in key order.
+  template <typename Map, typename Entry>
+  void entries(Map& map, Entry&& entry) {
+    const std::uint32_t n = count(map.size());
+    if (!loading()) {
+      for (auto& [key, value] : map) {
+        typename Map::key_type k = key;
+        entry(k, value);
+      }
+      return;
+    }
+    map.clear();
+    for (std::uint32_t i = 0; i < n && ok(); ++i) {
+      typename Map::key_type key{};
+      typename Map::mapped_type value{};
+      entry(key, value);
+      map.insert_or_assign(std::move(key), std::move(value));
+    }
+  }
+
+  /// Length-prefixed payload walked by `body` through its own Io (one
+  /// device's registers inside DEVS).  Loading fails with kCorrupt, naming
+  /// `what`, when the body under-runs or leaves payload bytes unread.
+  Status nested(std::string_view what, const std::function<Status(Io&)>& body);
+
+ private:
+  /// The element count of a sequence: written from `size`, or read and
+  /// checked against the bytes left (a refused count poisons the reader and
+  /// reads as zero).
+  std::uint32_t count(std::size_t size) {
+    std::uint32_t n = static_cast<std::uint32_t>(size);
+    u32(n);
+    if (loading() && n > reader_->remaining()) {
+      reader_->fail();
+      return 0;
+    }
+    return n;
+  }
+
+  Writer* writer_ = nullptr;
+  Reader* reader_ = nullptr;
 };
 
 /// One tagged state section.  Tags are exactly four ASCII characters
@@ -206,30 +338,34 @@ class Snapshot {
   mutable bool digest_valid_ = false;
 };
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf2'9ce4'8422'2325ull;
+
 /// FNV-1a 64-bit (the trailer checksum; also exported for tools that want a
-/// cheap deterministic state digest).
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
+/// cheap deterministic state digest).  Pass a previous result as `hash` to
+/// continue hashing where it left off.
+[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
+                                    std::uint64_t hash = kFnvBasis);
 
 /// The single enumeration point for platform state.  Platform::visit_state
 /// walks every state-owning component exactly once, in a fixed order, and
-/// hands the visitor a (tag, save, restore) triple per section; savers,
-/// restorers, and schema listings are all different visitors over the same
-/// walk, so the section catalogue exists in exactly one place.
+/// hands the visitor a (tag, state) pair per section; savers, restorers, and
+/// schema listings are all different visitors over the same walk, so the
+/// section catalogue exists in exactly one place.
 class StateVisitor {
  public:
+  using Walk = std::function<Status(Io&)>;
   virtual ~StateVisitor() = default;
-  /// `save` serializes the component into the writer; `restore` overwrites
-  /// the component's state from the reader.  Return non-OK to abort the walk.
-  virtual Status section(std::string_view tag,
-                         const std::function<void(Writer&)>& save,
-                         const std::function<Status(Reader&)>& restore) = 0;
+  /// `state` walks the component's fields through an Io: a saving Io
+  /// serializes them, a loading one overwrites them.  Return non-OK to abort
+  /// the walk.
+  virtual Status section(std::string_view tag, const Walk& state) = 0;
 };
 
 /// Visitor that serializes every section into a Snapshot.
 class SaveVisitor final : public StateVisitor {
  public:
-  Status section(std::string_view tag, const std::function<void(Writer&)>& save,
-                 const std::function<Status(Reader&)>& restore) override;
+  Status section(std::string_view tag, const Walk& state) override;
   [[nodiscard]] Snapshot take() { return std::move(snapshot_); }
 
  private:
@@ -243,8 +379,7 @@ class SaveVisitor final : public StateVisitor {
 class RestoreVisitor final : public StateVisitor {
  public:
   explicit RestoreVisitor(const Snapshot& snapshot) : snapshot_(snapshot) {}
-  Status section(std::string_view tag, const std::function<void(Writer&)>& save,
-                 const std::function<Status(Reader&)>& restore) override;
+  Status section(std::string_view tag, const Walk& state) override;
 
  private:
   const Snapshot& snapshot_;
@@ -253,8 +388,7 @@ class RestoreVisitor final : public StateVisitor {
 /// Visitor that only collects section tags (schema golden test, docs).
 class ListVisitor final : public StateVisitor {
  public:
-  Status section(std::string_view tag, const std::function<void(Writer&)>& save,
-                 const std::function<Status(Reader&)>& restore) override;
+  Status section(std::string_view tag, const Walk& state) override;
   [[nodiscard]] const std::vector<std::string>& tags() const { return tags_; }
 
  private:

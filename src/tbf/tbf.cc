@@ -9,6 +9,11 @@ namespace tytan::tbf {
 
 namespace {
 
+/// Wire size of one relocation record (u32 offset, u8 kind, u32 addend) and
+/// the least one symbol record takes (u16 name length, empty name, u32 value).
+constexpr std::size_t kRelocBytes = 9;
+constexpr std::size_t kMinSymbolBytes = 6;
+
 /// CRC-32 (IEEE 802.3, reflected) over the header for corruption detection.
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   std::uint32_t crc = 0xFFFF'FFFFu;
@@ -157,6 +162,11 @@ Result<isa::ObjectFile> read(std::span<const std::uint8_t> raw) {
     return make_error(Err::kCorrupt, "TBF: mailbox outside image");
   }
 
+  // The counts come from the file: refuse any the remaining bytes cannot
+  // hold before sizing anything by them.
+  if (reloc_count > reader.remaining() / kRelocBytes) {
+    return make_error(Err::kCorrupt, "TBF: truncated relocation table");
+  }
   object.relocs.reserve(reloc_count);
   for (std::uint32_t i = 0; i < reloc_count; ++i) {
     isa::Relocation reloc;
@@ -174,6 +184,9 @@ Result<isa::ObjectFile> read(std::span<const std::uint8_t> raw) {
     object.relocs.push_back(reloc);
   }
 
+  if (symbol_count > reader.remaining() / kMinSymbolBytes) {
+    return make_error(Err::kCorrupt, "TBF: truncated symbol table");
+  }
   for (std::uint32_t i = 0; i < symbol_count; ++i) {
     std::uint16_t name_len = 0;
     if (!reader.u16(&name_len)) {

@@ -17,6 +17,7 @@
 #include "obs/trace_reader.h"
 #include "sim/machine.h"
 #include "core/platform.h"
+#include "snap/snapshot.h"
 #include "tbf/tbf.h"
 
 namespace tytan {
@@ -170,6 +171,75 @@ TEST(Fuzz, RandomGuestTasksCannotBreakTheBootedPlatform) {
   EXPECT_EQ(platform.rtm().entries().size(), 0u);
   platform.run_for(100'000);
   EXPECT_GT(platform.kernel().tick_count(), 0u);
+}
+
+// Forged TYSN sections: every section of a booted platform's snapshot, with
+// 4-byte windows set to 0xFFFFFFFF (an element count or length read from the
+// file), random bytes flipped, or the payload cut short.  Each forgery
+// re-adds the section, so the container is well-formed and only the state
+// walk can refuse it.  Restore must return a Status — never crash, and never
+// allocate from an untrusted count — and must leave the platform restorable:
+// the pristine snapshot restores to its own bytes afterwards.
+TEST(Fuzz, SnapshotRestoreNeverCrashesOnMutatedSections) {
+  core::Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto task = platform.load_task_source(R"(
+      .secure
+      .stack 256
+      .entry main
+  main:
+      movi r0, 1          ; kSysYield
+      int  0x21
+      jmp  main
+  )", {.name = "fuzzed"});
+  ASSERT_TRUE(task.is_ok()) << task.status().to_string();
+  platform.run_for(100'000);
+  auto pristine = platform.save();
+  ASSERT_TRUE(pristine.is_ok()) << pristine.status().to_string();
+  const ByteVec pristine_bytes = pristine->serialize();
+
+  auto restore_forged = [&](std::string_view tag, const ByteVec& payload) {
+    snap::Snapshot forged;
+    for (const snap::Section& section : pristine->sections()) {
+      forged.add(section.tag, section.tag == tag ? payload : section.bytes);
+    }
+    (void)platform.restore(forged);  // any Status is fine; a crash is not
+  };
+
+  std::mt19937 rng(19);
+  std::size_t forgeries = 0;
+  for (const snap::Section& section : pristine->sections()) {
+    const ByteVec& bytes = section.bytes;
+    // Every offset of a small section; a stride across the memory image.
+    const std::size_t step = bytes.size() <= 4'096 ? 1 : bytes.size() / 64;
+    for (std::size_t at = 0; at + 4 <= bytes.size(); at += step) {
+      ByteVec forged = bytes;
+      store_le32(forged.data() + at, 0xFFFF'FFFFu);
+      restore_forged(section.tag, forged);
+      ++forgeries;
+    }
+    for (int trial = 0; trial < 16 && !bytes.empty(); ++trial) {
+      ByteVec forged = bytes;
+      const int flips = 1 + static_cast<int>(rng() % 4);
+      for (int f = 0; f < flips; ++f) {
+        forged[rng() % forged.size()] = static_cast<std::uint8_t>(rng());
+      }
+      restore_forged(section.tag, forged);
+      ++forgeries;
+    }
+    for (const std::size_t cut : {std::size_t{0}, bytes.size() / 2, bytes.size() - 1}) {
+      if (cut < bytes.size()) {
+        restore_forged(section.tag,
+                       ByteVec(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut)));
+        ++forgeries;
+      }
+    }
+    ASSERT_TRUE(platform.restore(*pristine).is_ok()) << section.tag;
+    auto again = platform.save();
+    ASSERT_TRUE(again.is_ok()) << section.tag << ": " << again.status().to_string();
+    EXPECT_EQ(again->serialize(), pristine_bytes) << "after forging " << section.tag;
+  }
+  EXPECT_GT(forgeries, 1'000u);
 }
 
 TEST(Fuzz, AttestationReportParserRobust) {

@@ -117,6 +117,48 @@ TEST(Snapshot, RoundTripIsBitIdentical) {
   EXPECT_EQ(*cycle, platform.machine().cycles());
 }
 
+// The wire image of four deterministic states, pinned as FNV-1a digests.
+// Any change to a section's payload layout, field order, or encoding moves a
+// digest; a refactor of the state walk must leave all four untouched.  If a
+// digest moves on purpose, that is a wire-format change: bump
+// snap::kSchemaVersion and update docs/SNAPSHOT.md.
+TEST(Snapshot, WireImageDigestIsPinned) {
+  auto digest = [](const core::Platform& platform) {
+    return snap::fnv1a64(state_bytes(platform));
+  };
+
+  core::Platform booted;
+  ASSERT_TRUE(booted.boot().is_ok());
+  EXPECT_EQ(digest(booted), 0x82ba'4c42'3f77'68bbull) << "booted";
+
+  core::Platform counter;
+  boot_with_counter(counter);
+  counter.run_for(500'000);
+  EXPECT_EQ(digest(counter), 0x8096'c2f5'7c93'b3e1ull) << "counter";
+
+  core::Platform measuring;
+  ASSERT_TRUE(measuring.boot().is_ok());
+  auto object = isa::assemble(kCounterTask);
+  ASSERT_TRUE(object.is_ok());
+  for (int i = 0; i < 4'000; ++i) {
+    append_le32(object->image, 0);
+  }
+  ASSERT_TRUE(measuring.load_task_async(*object, {.name = "counter"}).is_ok());
+  measuring.run_for(3 * measuring.config().tick_period);
+  ASSERT_TRUE(measuring.load_in_progress());
+  EXPECT_EQ(digest(measuring), 0x6154'f4aa'ab10'd5fcull) << "mid-measurement";
+
+  auto plan = fault::FaultPlan::parse("tbf-bitflip@load:victim");
+  ASSERT_TRUE(plan.is_ok());
+  core::Platform::Config config;
+  config.fault_plan = *plan;
+  core::Platform faulted(config);
+  ASSERT_TRUE(faulted.boot().is_ok());
+  (void)faulted.load_task_source(kCounterTask, {.name = "victim"});
+  faulted.run_for(500'000);
+  EXPECT_EQ(digest(faulted), 0xcd01'1897'e779'df71ull) << "fault plan";
+}
+
 TEST(Snapshot, RestoredPlatformReexecutesIdentically) {
   core::Platform original;
   boot_with_counter(original);
@@ -305,7 +347,7 @@ TEST(Snapshot, RestoreRejectsUnknownFirmwareTask) {
   auto saved = platform.save();
   ASSERT_TRUE(saved.is_ok()) << saved.status().to_string();
 
-  // write_tcb's field order: handle, name, priority (u32), state (u8), kind.
+  // The TCB walk's field order: handle, name, priority (u32), state (u8), kind.
   snap::Writer head;
   head.i32(*task);
   head.str("counter");

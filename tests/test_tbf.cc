@@ -58,6 +58,42 @@ TEST(Tbf, RejectsTruncation) {
   }
 }
 
+// A relocation or symbol count the rest of the file cannot hold is a
+// truncated table: the reader must refuse it before sizing anything by it.
+TEST(Tbf, RejectsCountsBeyondTheFile) {
+  // CRC-32 (IEEE, reflected) — the header checksum, recomputed after forging.
+  auto crc32 = [](std::span<const std::uint8_t> bytes) {
+    std::uint32_t crc = 0xFFFF'FFFFu;
+    for (const std::uint8_t byte : bytes) {
+      crc ^= byte;
+      for (int i = 0; i < 8; ++i) {
+        crc = (crc >> 1) ^ (0xEDB8'8320u & (0u - (crc & 1u)));
+      }
+    }
+    return ~crc;
+  };
+  const ByteVec valid = write(sample_object());
+  ASSERT_TRUE(read(valid).is_ok());
+  struct Forgery {
+    std::size_t field;  // header offset of the count
+    const char* table;
+  };
+  for (const Forgery forgery : {Forgery{32, "relocation"}, Forgery{36, "symbol"}}) {
+    for (const std::uint32_t count :
+         {0xFFFF'FFFFu, static_cast<std::uint32_t>(valid.size())}) {
+      ByteVec raw = valid;
+      store_le32(raw.data() + forgery.field, count);
+      store_le32(raw.data() + 40, crc32(std::span(raw).first(40)));
+      auto parsed = read(raw);
+      ASSERT_FALSE(parsed.is_ok()) << forgery.table << " count " << count;
+      EXPECT_EQ(parsed.status().code(), Err::kCorrupt);
+      EXPECT_NE(parsed.status().message().find(std::string("truncated ") + forgery.table),
+                std::string::npos)
+          << parsed.status().to_string();
+    }
+  }
+}
+
 TEST(Tbf, RejectsEntryOutsideImage) {
   isa::ObjectFile object = sample_object();
   object.entry = static_cast<std::uint32_t>(object.image.size()) + 4;
