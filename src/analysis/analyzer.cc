@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -542,8 +543,10 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
     if (config.dataflow) {
       // Resolved indirect targets create CFG edges, and new edges expose new
       // code to the value-set analysis: iterate recovery and dataflow until
-      // the resolved set is stable, then run both once more against the real
-      // report so every finding reflects the final CFG.
+      // the resolved set is stable.  Each round reports into its own
+      // scratch reports; the stable round's CFG, dataflow result and
+      // findings are the output, since a rerun against the real report
+      // would rebuild exactly them.
       constexpr int kMaxResolveRounds = 8;
       const auto dataflow_begin = Clock::now();
       ResolvedTargets resolved;
@@ -554,24 +557,37 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
       // the final CFG was built from.
       std::set<std::uint32_t> banned;
       bool stable = false;
-      for (int round = 0; round < kMaxResolveRounds && !stable; ++round) {
+      for (int round = 0; round < kMaxResolveRounds; ++round) {
         ++out.dataflow_iterations;
-        Report iteration_scratch;
-        const Cfg cfg = recover_cfg(object, iteration_scratch, &resolved);
-        DataflowResult result = run_dataflow(object, cfg, config, nullptr, &banned);
+        Report round_structural;
+        Report round_dataflow;
+        const auto structural_begin = Clock::now();
+        Cfg cfg = recover_cfg(object, round_structural, &resolved);
+        out.timings.structural_us = elapsed_us(structural_begin);
+        DataflowResult result = run_dataflow(object, cfg, config, &round_dataflow, &banned);
         stable = result.resolved == resolved;
-        if (!stable) {
-          // A site whose resolution vanishes once its own edges are spliced
-          // in can never be claimed: keep it banned so the iteration is
-          // monotone.  A *changed* target set is ordinary convergence (new
-          // edges expose more of the loop) and keeps iterating.
-          for (const auto& [site, targets] : resolved) {
-            if (result.resolved.find(site) == result.resolved.end()) {
-              banned.insert(site);
-            }
-          }
-          resolved = std::move(result.resolved);
+        if (stable) {
+          out.cfg = std::move(cfg);
+          out.dataflow = std::move(result);
+          const auto take = [](Report& into, Report& from) {
+            into.findings.insert(into.findings.end(),
+                                 std::make_move_iterator(from.findings.begin()),
+                                 std::make_move_iterator(from.findings.end()));
+          };
+          take(structural_sink, round_structural);
+          take(report, round_dataflow);
+          break;
         }
+        // A site whose resolution vanishes once its own edges are spliced
+        // in can never be claimed: keep it banned so the iteration is
+        // monotone.  A *changed* target set is ordinary convergence (new
+        // edges expose more of the loop) and keeps iterating.
+        for (const auto& [site, targets] : resolved) {
+          if (result.resolved.find(site) == result.resolved.end()) {
+            banned.insert(site);
+          }
+        }
+        resolved = std::move(result.resolved);
       }
       if (!stable) {
         // Still churning after the round budget: withdraw every claim and
@@ -581,14 +597,12 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
           banned.insert(site);
         }
         resolved.clear();
+        const auto structural_begin = Clock::now();
+        out.cfg = recover_cfg(object, structural_sink, &resolved);
+        out.timings.structural_us = elapsed_us(structural_begin);
+        out.dataflow = run_dataflow(object, out.cfg, config, &report, &banned);
       }
-      out.timings.dataflow_us = elapsed_us(dataflow_begin);
-      const auto structural_begin = Clock::now();
-      out.cfg = recover_cfg(object, structural_sink, &resolved);
-      out.timings.structural_us = elapsed_us(structural_begin);
-      const auto final_begin = Clock::now();
-      out.dataflow = run_dataflow(object, out.cfg, config, &report, &banned);
-      out.timings.dataflow_us += elapsed_us(final_begin);
+      out.timings.dataflow_us = elapsed_us(dataflow_begin) - out.timings.structural_us;
     } else {
       const auto structural_begin = Clock::now();
       out.cfg = recover_cfg(object, structural_sink);

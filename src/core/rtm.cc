@@ -91,12 +91,10 @@ bool Rtm::measure_quantum() {
         const std::uint32_t take =
             std::min<std::uint32_t>(crypto::kSha1BlockSize, job.image_size - job.hash_offset);
         std::uint8_t block[crypto::kSha1BlockSize];
-        for (std::uint32_t i = 0; i < take; ++i) {
-          auto byte = machine_.fw_read8(kIdent, job.base + job.hash_offset + i);
-          TYTAN_CHECK(byte.is_ok(), "RTM denied image read");
-          block[i] = *byte;
-        }
-        job.sha.update(std::span<const std::uint8_t>(block, take));
+        const std::span<std::uint8_t> bytes(block, take);
+        TYTAN_CHECK(machine_.fw_read_block(kIdent, job.base + job.hash_offset, bytes).is_ok(),
+                    "RTM denied image read");
+        job.sha.update(bytes);
         machine_.charge(costs.rtm_hash_block);
         stats_.hash += costs.rtm_hash_block;
         ++stats_.blocks;

@@ -12,7 +12,6 @@
 #include <type_traits>
 
 #include "core/platform.h"
-#include "isa/isa.h"
 
 namespace tytan::core {
 
@@ -368,11 +367,11 @@ Result<std::uint64_t> Platform::snapshot_cycle(const snap::Snapshot& snapshot) {
     return make_error(Err::kCorrupt, "snapshot missing section 'MACH'");
   }
   snap::Reader r(*payload);
-  for (std::size_t i = 0; i < isa::kNumGprs + 2; ++i) {
-    r.u32();  // registers, EIP, EFLAGS — the cycle clock follows
-  }
-  const std::uint64_t cycle = r.u64();
-  if (!r.ok()) {
+  snap::Io io(r);
+  sim::CpuState cpu;
+  std::uint64_t cycle = 0;
+  sim::Machine::cpu_and_clock(io, cpu, cycle);
+  if (!io.ok()) {
     return make_error(Err::kCorrupt, "snapshot section 'MACH' truncated");
   }
   return cycle;

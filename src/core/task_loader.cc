@@ -253,27 +253,28 @@ bool TaskLoader::quantum_copy() {
   Job& job = *job_;
   const std::uint64_t t0 = machine_.cycles();
   const auto image_size = static_cast<std::uint32_t>(job.object.image.size());
-  std::uint32_t copied = 0;
-  while (job.copy_offset < image_size && copied < kCopyWordsPerQuantum * 4) {
-    const std::uint32_t remaining = image_size - job.copy_offset;
-    if (remaining >= 4) {
-      machine_.charge(machine_.costs().load_per_word);
-      const std::uint32_t word = load_le32(job.object.image.data() + job.copy_offset);
-      if (Status s = machine_.fw_write32(kIdent, job.base + job.copy_offset, word);
-          !s.is_ok()) {
-        fail_job(s);
-        return true;
-      }
-      job.copy_offset += 4;
-      copied += 4;
-    } else {
-      machine_.charge(machine_.costs().load_per_word);
-      for (std::uint32_t i = 0; i < remaining; ++i) {
-        machine_.fw_write8(kIdent, job.base + job.copy_offset + i,
-                           job.object.image[job.copy_offset + i]);
-      }
-      job.copy_offset += remaining;
-      copied += remaining;
+  // Up to a quantum of whole words in one block write, charged per word
+  // written plus the word that failed; a tail shorter than a word goes
+  // byte by byte for one more word's charge in the quantum that reaches it.
+  const std::uint32_t words =
+      std::min(kCopyWordsPerQuantum, (image_size - job.copy_offset) / 4);
+  if (words > 0) {
+    std::uint32_t done = 0;
+    const Status s = machine_.fw_write_block(
+        kIdent, job.base + job.copy_offset,
+        std::span(job.object.image).subspan(job.copy_offset, std::size_t{words} * 4), &done);
+    machine_.charge(machine_.costs().load_per_word * (done + (s.is_ok() ? 0 : 1)));
+    job.copy_offset += done * 4;
+    if (!s.is_ok()) {
+      fail_job(s);
+      return true;
+    }
+  }
+  if (words < kCopyWordsPerQuantum && job.copy_offset < image_size) {
+    machine_.charge(machine_.costs().load_per_word);
+    for (; job.copy_offset < image_size; ++job.copy_offset) {
+      machine_.fw_write8(kIdent, job.base + job.copy_offset,
+                         job.object.image[job.copy_offset]);
     }
   }
   stats_.copy += machine_.cycles() - t0;

@@ -210,12 +210,13 @@ class HeatRecorder {
     edge.is_call = is_call;
   }
 
-  /// One EA-MPU choke-point evaluation.  `access` is the sim::Access value,
-  /// `code` the EA-MPU's classify() result (sim/policy.h constants).
-  void count_check(int access, int code) {
+  /// `n` EA-MPU choke-point evaluations with the same answer (one by
+  /// default).  `access` is the sim::Access value, `code` the EA-MPU's
+  /// classify() result (sim/policy.h constants).
+  void count_check(int access, int code, std::uint64_t n = 1) {
     const auto kind = static_cast<std::size_t>(access);
     if (kind < HeatProfile::kMpuAccessKinds) {
-      ++profile_->mpu[kind][HeatProfile::bucket_for(code)];
+      profile_->mpu[kind][HeatProfile::bucket_for(code)] += n;
     }
   }
 

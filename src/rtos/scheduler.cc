@@ -325,6 +325,25 @@ Status Scheduler::state(snap::Io& io) {
                           "snapshot task table entry " + std::to_string(i) + " is corrupt");
       }
     }
+    // The running task and the ready queues must name live TCBs in the
+    // matching state, or the next dispatch aborts on its own invariants.
+    const auto in_state = [this](TaskHandle handle, TaskState state) {
+      return handle >= 0 && handle < static_cast<TaskHandle>(tasks_.size()) &&
+             tasks_[handle] != nullptr && tasks_[handle]->state == state;
+    };
+    if (current_ != kNoTask && !in_state(current_, TaskState::kRunning)) {
+      return make_error(Err::kCorrupt, "snapshot running task " +
+                                           std::to_string(current_) + " is not running");
+    }
+    for (std::size_t p = 0; p < ready_.size(); ++p) {
+      for (const TaskHandle handle : ready_[p]) {
+        if (!in_state(handle, TaskState::kReady) || tasks_[handle]->priority != p) {
+          return make_error(Err::kCorrupt, "snapshot ready queue " + std::to_string(p) +
+                                               " names task " + std::to_string(handle) +
+                                               ", which is not ready at that priority");
+        }
+      }
+    }
     if (events_ != nullptr) {
       for (const auto& tcb : tasks_) {
         if (tcb != nullptr && tcb->state != TaskState::kDead) {

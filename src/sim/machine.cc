@@ -5,6 +5,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "isa/disasm.h"
 
@@ -31,6 +32,11 @@ DecodedOp decoded_op(std::uint32_t pc, std::uint32_t word, const isa::Instructio
   op.quiet = variant.quiet;
   return op;
 }
+
+/// The denial messages of the fw_* accessors, shared so the block forms
+/// report exactly what the per-element loops report.
+constexpr const char* kFwReadDenied = "EA-MPU denied firmware read";
+constexpr const char* kFwWriteDenied = "EA-MPU denied firmware write";
 
 }  // namespace
 
@@ -87,13 +93,17 @@ void Machine::set_idt_entry(std::uint8_t vector, std::uint32_t handler) {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-Status Machine::state(snap::Io& io) {
-  for (std::uint32_t& reg : cpu_.regs) {
+void Machine::cpu_and_clock(snap::Io& io, CpuState& cpu, std::uint64_t& cycles) {
+  for (std::uint32_t& reg : cpu.regs) {
     io.u32(reg);
   }
-  io.u32(cpu_.eip);
-  io.u32(cpu_.eflags);
-  io.u64(cycles_);
+  io.u32(cpu.eip);
+  io.u32(cpu.eflags);
+  io.u64(cycles);
+}
+
+Status Machine::state(snap::Io& io) {
+  cpu_and_clock(io, cpu_, cycles_);
   io.u64(pending_);
   io.u32(int_origin_eip_);
   io.u8(int_vector_);
@@ -241,6 +251,35 @@ bool Machine::check(std::uint32_t exec_ip, std::uint32_t addr, Access access) co
   return code != kCheckDenied;
 }
 
+std::uint32_t Machine::check_run(std::uint32_t exec_ip, std::uint32_t addr,
+                                 std::uint32_t count, std::uint32_t stride,
+                                 Access access) const {
+  std::uint32_t granted = 0;
+  while (granted < count) {
+    // Every access that starts inside the span around `at` gets the same
+    // answer as the access at `at`.
+    const std::uint32_t at = addr + granted * stride;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = std::uint64_t{1} << 32;
+    const int code = policy_ == nullptr
+                         ? kCheckNoPolicy
+                         : policy_->classify_span(exec_ip, at, access, &lo, &hi);
+    const std::uint32_t run =
+        code == kCheckDenied
+            ? 1
+            : static_cast<std::uint32_t>(
+                  std::min<std::uint64_t>(count - granted, (hi - at + stride - 1) / stride));
+    if (heat_ != nullptr) {
+      heat_->count_check(static_cast<int>(access), code, run);
+    }
+    if (code == kCheckDenied) {
+      break;
+    }
+    granted += run;
+  }
+  return granted;
+}
+
 bool Machine::raw_read32(std::uint32_t addr, std::uint32_t* out) {
   if (is_mmio(addr)) {
     if (addr % 4 != 0) {
@@ -330,7 +369,7 @@ bool Machine::raw_write8(std::uint32_t addr, std::uint8_t value) {
 
 Result<std::uint32_t> Machine::fw_read32(std::uint32_t exec_ip, std::uint32_t addr) {
   if (!check(exec_ip, addr, Access::kRead)) {
-    return make_error(Err::kPermissionDenied, "EA-MPU denied firmware read");
+    return make_error(Err::kPermissionDenied, kFwReadDenied);
   }
   std::uint32_t value = 0;
   if (!raw_read32(addr, &value)) {
@@ -341,7 +380,7 @@ Result<std::uint32_t> Machine::fw_read32(std::uint32_t exec_ip, std::uint32_t ad
 
 Status Machine::fw_write32(std::uint32_t exec_ip, std::uint32_t addr, std::uint32_t value) {
   if (!check(exec_ip, addr, Access::kWrite)) {
-    return make_error(Err::kPermissionDenied, "EA-MPU denied firmware write");
+    return make_error(Err::kPermissionDenied, kFwWriteDenied);
   }
   if (!raw_write32(addr, value)) {
     return make_error(Err::kOutOfRange, "firmware write bus error");
@@ -351,7 +390,7 @@ Status Machine::fw_write32(std::uint32_t exec_ip, std::uint32_t addr, std::uint3
 
 Result<std::uint8_t> Machine::fw_read8(std::uint32_t exec_ip, std::uint32_t addr) {
   if (!check(exec_ip, addr, Access::kRead)) {
-    return make_error(Err::kPermissionDenied, "EA-MPU denied firmware read");
+    return make_error(Err::kPermissionDenied, kFwReadDenied);
   }
   std::uint8_t value = 0;
   if (!raw_read8(addr, &value)) {
@@ -362,10 +401,57 @@ Result<std::uint8_t> Machine::fw_read8(std::uint32_t exec_ip, std::uint32_t addr
 
 Status Machine::fw_write8(std::uint32_t exec_ip, std::uint32_t addr, std::uint8_t value) {
   if (!check(exec_ip, addr, Access::kWrite)) {
-    return make_error(Err::kPermissionDenied, "EA-MPU denied firmware write");
+    return make_error(Err::kPermissionDenied, kFwWriteDenied);
   }
   if (!raw_write8(addr, value)) {
     return make_error(Err::kOutOfRange, "firmware write bus error");
+  }
+  return Status::ok();
+}
+
+Status Machine::fw_read_block(std::uint32_t exec_ip, std::uint32_t addr,
+                              std::span<std::uint8_t> out) {
+  const auto count = static_cast<std::uint32_t>(out.size());
+  if (!is_plain_ram(addr, count)) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      auto byte = fw_read8(exec_ip, addr + i);
+      if (!byte.is_ok()) {
+        return byte.status();
+      }
+      out[i] = *byte;
+    }
+    return Status::ok();
+  }
+  const std::uint32_t granted = check_run(exec_ip, addr, count, 1, Access::kRead);
+  const auto bytes = memory_.view(addr, granted);
+  std::copy(bytes.begin(), bytes.end(), out.begin());
+  if (granted < count) {
+    return make_error(Err::kPermissionDenied, kFwReadDenied);
+  }
+  return Status::ok();
+}
+
+Status Machine::fw_write_block(std::uint32_t exec_ip, std::uint32_t addr,
+                               std::span<const std::uint8_t> words, std::uint32_t* done) {
+  TYTAN_CHECK(words.size() % 4 == 0, "fw_write_block takes whole words");
+  const auto count = static_cast<std::uint32_t>(words.size() / 4);
+  *done = 0;
+  if (!is_plain_ram(addr, count * 4)) {
+    for (; *done < count; ++*done) {
+      if (Status s = fw_write32(exec_ip, addr + 4 * *done, load_le32(&words[4 * *done]));
+          !s.is_ok()) {
+        return s;
+      }
+    }
+    return Status::ok();
+  }
+  const std::uint32_t granted = check_run(exec_ip, addr, count, 4, Access::kWrite);
+  if (granted > 0) {
+    memory_.write_block(addr, words.first(std::size_t{granted} * 4));
+  }
+  *done = granted;
+  if (granted < count) {
+    return make_error(Err::kPermissionDenied, kFwWriteDenied);
   }
   return Status::ok();
 }

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/log.h"
@@ -162,6 +163,21 @@ class Machine {
   Result<std::uint8_t> fw_read8(std::uint32_t exec_ip, std::uint32_t addr);
   Status fw_write8(std::uint32_t exec_ip, std::uint32_t addr, std::uint8_t value);
 
+  /// Block forms for handlers that move whole buffers (the loader's image
+  /// copy, the RTM's hash reads).  fw_read_block is out.size() fw_read8
+  /// calls in address order; fw_write_block is one fw_write32 per
+  /// little-endian word of `words` (a multiple of 4 bytes), with *done set
+  /// to the words written.  Both stop at the first failure and return its
+  /// status, leaving the granted prefix read or written.  Verdicts, heat
+  /// counters, cycles and memory come out exactly as from those loops; in
+  /// plain RAM the EA-MPU is walked once per verdict span (check_run) and
+  /// the granted prefix moves in one copy — one write-watch notice, so the
+  /// decode cache drops the same blocks.  Ranges that touch MMIO or leave
+  /// memory run the per-element loop itself.
+  Status fw_read_block(std::uint32_t exec_ip, std::uint32_t addr, std::span<std::uint8_t> out);
+  Status fw_write_block(std::uint32_t exec_ip, std::uint32_t addr,
+                        std::span<const std::uint8_t> words, std::uint32_t* done);
+
   // -- execution ----------------------------------------------------------------
   StepOutcome step();
 
@@ -258,6 +274,10 @@ class Machine {
   /// sections; firmware registrations, hooks, and obs state are wiring or
   /// host-only and deliberately excluded.
   Status state(snap::Io& io);
+  /// The head of that walk: CPU registers, EIP, EFLAGS, then the cycle
+  /// clock.  state() starts with it; Platform::snapshot_cycle walks it
+  /// alone to read a snapshot's cycle.
+  static void cpu_and_clock(snap::Io& io, CpuState& cpu, std::uint64_t& cycles);
 
  private:
   // The per-opcode handlers (machine_ops.cc) are the interpreter switch
@@ -267,8 +287,20 @@ class Machine {
 
   [[nodiscard]] std::int32_t current_task_context() const;
   [[nodiscard]] bool check(std::uint32_t exec_ip, std::uint32_t addr, Access access) const;
+  /// check() for the `count` accesses at addr, addr + stride, ... in order:
+  /// the number granted before the first denial (counted into heat like a
+  /// single check), or `count`.  One classify_span() walk per verdict span;
+  /// heat counts each span's accesses at once.  The accesses must not wrap
+  /// past 2^32.
+  [[nodiscard]] std::uint32_t check_run(std::uint32_t exec_ip, std::uint32_t addr,
+                                        std::uint32_t count, std::uint32_t stride,
+                                        Access access) const;
   [[nodiscard]] bool is_mmio(std::uint32_t addr) const {
     return addr >= kMmioBase && addr < kMmioBase + kMmioSize;
+  }
+  /// [addr, addr + len) lies in memory below the MMIO window.
+  [[nodiscard]] bool is_plain_ram(std::uint32_t addr, std::uint32_t len) const {
+    return memory_.in_bounds(addr, len) && addr + len <= kMmioBase;
   }
 
   /// Raw access with MMIO dispatch; returns false on bus error.

@@ -5,6 +5,7 @@
 #include <random>
 #include <type_traits>
 
+#include "random_eampu.h"
 #include "sim/eampu.h"
 
 namespace tytan::sim {
@@ -193,48 +194,18 @@ TEST(EaMpuSlots, EmptyRuleRejected) {
 }
 
 TEST(EaMpu, VerdictSpansAreExact) {
-  // Random tables over a small window plus the top of the address space,
-  // so ranges overlap, abut, and wrap past 2^32 (membership is
-  // `addr >= start && addr - start < size`).  Every verdict inside a
-  // returned span must equal the verdict at the queried address.
+  // Every verdict inside a returned span must equal the verdict at the
+  // queried address, on random tables (random_eampu.h).
   std::mt19937 rng(0x5BA4);
-  const auto address = [&]() -> std::uint32_t {
-    switch (rng() % 4) {
-      case 0: return 0xFFFF'FF00u + rng() % 0x100;
-      case 1: return sim::kFwOsKernel + rng() % (2 * sim::kFwWindowSize);
-      default: return 0x1000 + rng() % 0x800;
-    }
-  };
-  const auto size = [&]() -> std::uint32_t {
-    return rng() % 8 == 0 ? 0xFFFF'FFFFu - rng() % 0x100 : 1 + rng() % 0x300;
-  };
+  RandomEaMpu tables(rng);
   constexpr Access kAccesses[] = {Access::kRead, Access::kWrite, Access::kExecute};
   std::uint64_t spans = 0;
   for (int table = 0; table < 200; ++table) {
     EaMpu mpu;
-    for (std::size_t i = 0; i < EaMpu::kNumSlots; ++i) {
-      if (rng() % 3 == 0) {
-        continue;
-      }
-      ASSERT_TRUE(mpu.write_slot(i, {.code_start = address(),
-                                     .code_size = size(),
-                                     .data_start = address(),
-                                     .data_size = size(),
-                                     .perms = static_cast<std::uint8_t>(rng() % 8),
-                                     .os_accessible = rng() % 4 == 0,
-                                     .background = rng() % 4 == 0})
-                      .is_ok());
-    }
-    for (int i = 0; i < 8; ++i) {
-      const std::uint32_t start = address();
-      const std::uint32_t entry = rng() % 3 == 0   ? ExecRegion::kEntryAnywhere
-                                  : rng() % 3 == 0 ? ExecRegion::kEntryNone
-                                                   : start + 4 * (rng() % 16);
-      (void)mpu.add_exec_region({start, size(), entry});  // overlaps are refused
-    }
+    ASSERT_NO_FATAL_FAILURE(tables.fill(mpu));
     for (int query = 0; query < 200; ++query) {
-      const std::uint32_t ip = address();
-      const std::uint32_t addr = address();
+      const std::uint32_t ip = tables.address();
+      const std::uint32_t addr = tables.address();
       const auto check_span = [&](std::uint64_t lo, std::uint64_t hi, auto verdict_at,
                                   auto expected) {
         ASSERT_LE(lo, addr);

@@ -428,7 +428,7 @@ TEST(Fuzz, AnalyzerNeverCrashesOnRandomImages) {
     for (std::size_t i = 0; i < n_relocs; ++i) {
       object.relocs.push_back({.offset = static_cast<std::uint32_t>(rng() % (words * 4 + 8)),
                                .kind = static_cast<isa::RelocKind>(rng() % 3),
-                               .addend = rng()});
+                               .addend = static_cast<std::uint32_t>(rng())});
     }
     (void)analysis::analyze(object);  // must return, never crash or hang
   }

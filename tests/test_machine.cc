@@ -2,9 +2,14 @@
 // on a bare machine (no EA-MPU policy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <span>
+#include <vector>
 
 #include "isa/assembler.h"
+#include "random_eampu.h"
 #include "sim/devices.h"
 #include "sim/machine.h"
 
@@ -496,6 +501,120 @@ TEST(Machine, FirmwareDispatch) {
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(machine.halt_reason(), HaltReason::kHltInstruction);
   EXPECT_EQ(machine.firmware_invocations(), 1u);
+}
+
+// The firmware block accessors against the per-element loops they stand
+// for, on random EA-MPU tables (random_eampu.h): ranges cross region and
+// slot-data boundaries, start or end in MMIO, or leave memory.  A decoded
+// block is planted inside the range first, so the write watch is compared
+// too: status, prefix, memory, heat check counters, cycles and the decode
+// cache must come out the same.
+TEST(Machine, FirmwareBlockAccessMatchesPerElementLoop) {
+  std::mt19937 rng(0xB10C);
+  RandomEaMpu tables(rng);
+  auto program = isa::assemble("movi r0, 1\nmovi r1, 2\nhlt\n");
+  ASSERT_TRUE(program.is_ok());
+  const auto mpu_counters = [](Machine& m) {
+    return m.obs().metrics().heat_profile("machine").mpu;
+  };
+  std::uint64_t partly_denied = 0;
+  std::uint64_t blocks_killed = 0;
+  for (int table = 0; table < 60; ++table) {
+    EaMpu mpu;
+    ASSERT_NO_FATAL_FAILURE(tables.fill(mpu));
+    Machine block_m;
+    Machine loop_m;
+    std::vector<std::uint8_t> noise(0x5000);
+    std::generate(noise.begin(), noise.end(), [&] { return static_cast<std::uint8_t>(rng()); });
+    for (Machine* m : {&block_m, &loop_m}) {
+      m->bus().attach(std::make_shared<SensorDevice>("pedal", kMmioPedal));
+      m->memory().write_block(0x1000, std::span(noise).first(0x1000));
+      m->memory().write_block(kFwOsKernel, noise);
+      m->memory().write_block(kMmioBase - 0x400, std::span(noise).first(0x400));
+      m->set_policy(&mpu);
+      m->enable_heat(/*time_dispatch=*/false);
+    }
+    for (int query = 0; query < 60; ++query) {
+      const std::uint32_t ip = tables.address();
+      std::uint32_t addr = 0;
+      switch (rng() % 5) {
+        case 0: addr = kMmioBase - rng() % 0x80; break;        // runs into MMIO
+        case 1: addr = kMmioPedal - 0x40 + rng() % 0x180; break;  // inside MMIO
+        default: addr = tables.address(); break;               // may leave memory
+      }
+      const bool write = rng() % 2 == 0;
+      const std::uint32_t len = write ? 4 * (rng() % 48) : rng() % 200;
+      // Plant a cached block somewhere inside the range when its head is
+      // plain, fetchable RAM under this table.
+      const std::uint32_t pc = (addr + (len == 0 ? 0 : rng() % len)) & ~3u;
+      if (pc >= addr && std::uint64_t{pc} + 12 <= kMmioBase &&
+          mpu.classify(pc, pc, Access::kExecute) != kCheckDenied) {
+        for (Machine* m : {&block_m, &loop_m}) {
+          m->memory().write_block(pc, program->image);
+          m->cpu().eip = pc;
+          m->clear_halt();
+          m->step();
+        }
+      }
+      const std::size_t blocks_before = block_m.decode_cache().block_count();
+      std::vector<std::uint8_t> data(len);
+      std::generate(data.begin(), data.end(), [&] { return static_cast<std::uint8_t>(rng()); });
+      std::vector<std::uint8_t> block_out(len, 0xA5);
+      std::vector<std::uint8_t> loop_out(len, 0xA5);
+      Status block_status;
+      Status loop_status;
+      std::uint32_t block_done = 0;
+      std::uint32_t loop_done = 0;
+      if (write) {
+        block_status = block_m.fw_write_block(ip, addr, data, &block_done);
+        for (; loop_done < len / 4; ++loop_done) {
+          loop_status = loop_m.fw_write32(ip, addr + 4 * loop_done,
+                                          load_le32(data.data() + 4 * loop_done));
+          if (!loop_status.is_ok()) {
+            break;
+          }
+        }
+      } else {
+        block_status = block_m.fw_read_block(ip, addr, block_out);
+        for (; loop_done < len; ++loop_done) {
+          auto byte = loop_m.fw_read8(ip, addr + loop_done);
+          if (!byte.is_ok()) {
+            loop_status = byte.status();
+            break;
+          }
+          loop_out[loop_done] = *byte;
+        }
+      }
+      SCOPED_TRACE(::testing::Message() << "table " << table << " query " << query
+                                        << (write ? " write" : " read") << " ip " << ip
+                                        << " addr " << addr << " len " << len);
+      ASSERT_EQ(block_status.code(), loop_status.code());
+      ASSERT_EQ(block_status.message(), loop_status.message());
+      ASSERT_EQ(block_out, loop_out);
+      if (write) {
+        ASSERT_EQ(block_done, loop_done);
+      }
+      const std::uint32_t lo = addr < 0x40 ? 0 : addr - 0x40;
+      const std::uint32_t hi = std::min<std::uint64_t>(std::uint64_t{addr} + len + 0x40,
+                                                       block_m.memory().size());
+      if (lo < hi) {
+        const auto block_bytes = block_m.memory().view(lo, hi - lo);
+        const auto loop_bytes = loop_m.memory().view(lo, hi - lo);
+        ASSERT_TRUE(std::equal(block_bytes.begin(), block_bytes.end(), loop_bytes.begin()));
+      }
+      ASSERT_EQ(block_m.memory().dirty_lo(), loop_m.memory().dirty_lo());
+      ASSERT_EQ(block_m.memory().dirty_hi(), loop_m.memory().dirty_hi());
+      ASSERT_EQ(mpu_counters(block_m), mpu_counters(loop_m));
+      ASSERT_EQ(block_m.cycles(), loop_m.cycles());
+      ASSERT_EQ(block_m.decode_cache().block_count(), loop_m.decode_cache().block_count());
+      partly_denied += loop_done > 0 && loop_status.code() == Err::kPermissionDenied ? 1 : 0;
+      blocks_killed += blocks_before - block_m.decode_cache().block_count();
+    }
+  }
+  // The sample reaches the interesting cases: denials part-way through a
+  // range, and writes that kill a cached block.
+  EXPECT_GT(partly_denied, 40u);
+  EXPECT_GT(blocks_killed, 200u);
 }
 
 // A constant-cost firmware spin, as the kernel's idle task is: run() repeats

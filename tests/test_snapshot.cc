@@ -378,6 +378,79 @@ TEST(Snapshot, RestoreRejectsUnknownFirmwareTask) {
       << in_place.to_string();
 }
 
+// SCHD passes its layout checks but names a running task or a ready-queue
+// entry that no TCB in the matching state backs: restore refuses it (the
+// next dispatch would abort on "another task still running").  Each
+// forgery goes through the wire format, so the trailer is recomputed.
+TEST(Snapshot, RestoreRejectsInconsistentScheduler) {
+  core::Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto saved = platform.save();
+  ASSERT_TRUE(saved.is_ok()) << saved.status().to_string();
+  const rtos::TaskHandle running = platform.scheduler().current_handle();
+  ASSERT_NE(running, rtos::kNoTask);
+
+  // SCHD ends with the eight ready queues (u32 count + i32 handles each),
+  // the running task (i32), and the tick counter (u64).  Booted with no
+  // guest task, every ready queue is empty.
+  const auto schd = [&] {
+    for (const snap::Section& section : saved->sections()) {
+      if (section.tag == "SCHD") {
+        return section.bytes;
+      }
+    }
+    return ByteVec{};
+  }();
+  ASSERT_GE(schd.size(), 44u);
+  const std::size_t queues = schd.size() - 44;
+  snap::Writer empty_tail;
+  for (unsigned p = 0; p < rtos::kNumPriorities; ++p) {
+    empty_tail.u32(0);
+  }
+  empty_tail.i32(running);
+  ASSERT_TRUE(std::equal(empty_tail.buffer().begin(), empty_tail.buffer().end(),
+                         schd.begin() + static_cast<long>(queues)));
+  const ByteVec tick(schd.end() - 8, schd.end());
+
+  const auto forge = [&](rtos::TaskHandle current, unsigned queue_priority,
+                         std::vector<rtos::TaskHandle> queue) {
+    snap::Writer tail;
+    for (unsigned p = 0; p < rtos::kNumPriorities; ++p) {
+      tail.u32(p == queue_priority ? static_cast<std::uint32_t>(queue.size()) : 0);
+      for (const rtos::TaskHandle handle :
+           p == queue_priority ? queue : std::vector<rtos::TaskHandle>{}) {
+        tail.i32(handle);
+      }
+    }
+    tail.i32(current);
+    snap::Snapshot forged;
+    for (const snap::Section& section : saved->sections()) {
+      ByteVec bytes = section.bytes;
+      if (section.tag == "SCHD") {
+        bytes.resize(queues);
+        bytes.insert(bytes.end(), tail.buffer().begin(), tail.buffer().end());
+        bytes.insert(bytes.end(), tick.begin(), tick.end());
+      }
+      forged.add(section.tag, std::move(bytes));
+    }
+    auto parsed = snap::Snapshot::parse(forged.serialize());
+    EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    core::Platform fresh;
+    return fresh.restore(*parsed);
+  };
+
+  // The unforged tail restores: the check is not over-strict.
+  EXPECT_TRUE(forge(running, 0, {}).is_ok());
+  const Status absent_running = forge(7, 0, {});
+  EXPECT_EQ(absent_running.code(), Err::kCorrupt) << absent_running.to_string();
+  EXPECT_NE(absent_running.message().find("running task 7"), std::string::npos)
+      << absent_running.to_string();
+  const Status absent_ready = forge(running, 1, {7});
+  EXPECT_EQ(absent_ready.code(), Err::kCorrupt) << absent_ready.to_string();
+  const Status running_ready = forge(running, 0, {running});
+  EXPECT_EQ(running_ready.code(), Err::kCorrupt) << running_ready.to_string();
+}
+
 TEST(Snapshot, ParseRejectsDamagedFiles) {
   core::Platform platform;
   ASSERT_TRUE(platform.boot().is_ok());
