@@ -2,6 +2,7 @@
 // core is little endian), hex encoding, and constant-time comparison for MACs.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -21,6 +22,16 @@ std::uint64_t load_le64(const std::uint8_t* p);
 void store_le16(std::uint8_t* p, std::uint16_t v);
 void store_le32(std::uint8_t* p, std::uint32_t v);
 void store_le64(std::uint8_t* p, std::uint64_t v);
+
+/// `words` as consecutive little-endian 32-bit values: a record of word
+/// fields built on the host and moved with one firmware block write.
+template <typename... Words>
+std::array<std::uint8_t, 4 * sizeof...(Words)> le_words(Words... words) {
+  std::array<std::uint8_t, 4 * sizeof...(Words)> out{};
+  std::uint8_t* p = out.data();
+  ((store_le32(p, static_cast<std::uint32_t>(words)), p += 4), ...);
+  return out;
+}
 
 /// Append a little-endian value to a byte vector.
 void append_le16(ByteVec& out, std::uint16_t v);

@@ -1,5 +1,6 @@
 #include "core/int_mux.h"
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "isa/isa.h"
 
@@ -30,23 +31,26 @@ Status IntMux::register_secure_task(const Tcb& tcb) {
                     .entry = tcb.entry,
                     .stack_top = tcb.stack_top,
                     .slot_addr = slot_addr};
-  if (Status s = machine_.fw_write32(kIdent, slot_addr + kOffFlags, kFlagValid); !s.is_ok()) {
+  // The slot record: flags, saved SP, message resume SP, message had-context.
+  if (Status s = machine_.fw_write_block(kIdent, slot_addr + kOffFlags,
+                                         le_words(kFlagValid, tcb.stack_top, 0, 0), 4);
+      !s.is_ok()) {
     return s;
   }
-  machine_.fw_write32(kIdent, slot_addr + kOffSavedSp, tcb.stack_top);
-  machine_.fw_write32(kIdent, slot_addr + kOffMsgResumeSp, 0);
-  machine_.fw_write32(kIdent, slot_addr + kOffMsgHadCtx, 0);
   shadow_[tcb.handle] = index;
   return Status::ok();
 }
 
-void IntMux::unregister_secure_task(TaskHandle handle) {
+Status IntMux::unregister_secure_task(TaskHandle handle) {
   const auto it = shadow_.find(handle);
   if (it == shadow_.end()) {
-    return;
+    return Status::ok();
   }
-  machine_.fw_write32(kIdent, it->second.slot_addr + kOffFlags, 0);
+  if (Status s = machine_.fw_write32(kIdent, it->second.slot_addr + kOffFlags, 0); !s.is_ok()) {
+    return s;
+  }
   shadow_.erase(it);
+  return Status::ok();
 }
 
 Result<std::uint32_t> IntMux::shadow_sp(TaskHandle handle) const {
@@ -140,7 +144,9 @@ bool IntMux::save_secure(Tcb& tcb) {
   // SP goes to the shadow TCB, not anywhere the OS can see.
   machine_.charge(costs.intmux_store_shadow);
   const ShadowIndex& index = shadow_.at(tcb.handle);
-  machine_.fw_write32(kIdent, index.slot_addr + kOffSavedSp, sp);
+  if (!machine_.fw_write32(kIdent, index.slot_addr + kOffSavedSp, sp).is_ok()) {
+    return false;  // the context cannot be preserved — contained like a wild SP
+  }
   save_stats_.store = machine_.cycles() - t0;
 
   // Wipe the register file (7 GPRs + SP + arithmetic flags).
@@ -229,13 +235,17 @@ Status IntMux::start_secure(Tcb& tcb) {
     return make_error(Err::kNotFound, "start_secure: no shadow TCB");
   }
   machine_.charge(machine_.costs().resume_branch);
+  if (Status s = machine_.fw_write32(kIdent, it->second.slot_addr + kOffSavedSp,
+                                     it->second.stack_top);
+      !s.is_ok()) {
+    return s;
+  }
   auto& cpu = machine_.cpu();
   cpu.regs.fill(0);
   cpu.set_sp(it->second.stack_top);
   cpu.regs[1] = kReasonStart;
   cpu.eflags = isa::kFlagIF;
   cpu.eip = it->second.entry;
-  machine_.fw_write32(kIdent, it->second.slot_addr + kOffSavedSp, it->second.stack_top);
   tcb.started = true;
   tcb.dispatch_cycle = machine_.cycles();
   machine_.obs().emit(obs::EventKind::kCtxRestore, tcb.handle, 0,
@@ -261,9 +271,16 @@ Status IntMux::enter_message(Tcb& tcb) {
     return saved_sp.status();
   }
   const std::uint32_t sp = tcb.context_saved ? *saved_sp : it->second.stack_top;
-  machine_.fw_write32(kIdent, slot + kOffMsgResumeSp, *saved_sp);
-  machine_.fw_write32(kIdent, slot + kOffMsgHadCtx, tcb.context_saved ? 1 : 0);
-  machine_.fw_write32(kIdent, slot + kOffFlags, *flags | kFlagMsgActive);
+  if (Status s = machine_.fw_write_block(
+          kIdent, slot + kOffMsgResumeSp,
+          le_words(*saved_sp, tcb.context_saved ? 1 : 0), 4);
+      !s.is_ok()) {
+    return s;
+  }
+  if (Status s = machine_.fw_write32(kIdent, slot + kOffFlags, *flags | kFlagMsgActive);
+      !s.is_ok()) {
+    return s;
+  }
 
   machine_.charge(machine_.costs().resume_branch);
   auto& cpu = machine_.cpu();
@@ -295,14 +312,19 @@ Result<bool> IntMux::finish_message(Tcb& tcb) {
   if ((*flags & kFlagMsgActive) == 0) {
     return make_error(Err::kInvalidArgument, "finish_message: no message active");
   }
-  auto resume_sp = machine_.fw_read32(kIdent, slot + kOffMsgResumeSp);
-  auto had_ctx = machine_.fw_read32(kIdent, slot + kOffMsgHadCtx);
-  if (!resume_sp.is_ok() || !had_ctx.is_ok()) {
-    return make_error(Err::kInternal, "finish_message: shadow read failed");
+  // Message resume SP and had-context in, then flags and saved SP out.
+  std::array<std::uint8_t, 8> resume{};
+  if (Status s = machine_.fw_read_block(kIdent, slot + kOffMsgResumeSp, resume, 4);
+      !s.is_ok()) {
+    return s;
   }
-  machine_.fw_write32(kIdent, slot + kOffFlags, *flags & ~kFlagMsgActive);
-  machine_.fw_write32(kIdent, slot + kOffSavedSp, *resume_sp);
-  tcb.context_saved = (*had_ctx != 0);
+  const std::uint32_t resume_sp = load_le32(resume.data());
+  if (Status s = machine_.fw_write_block(kIdent, slot + kOffFlags,
+                                         le_words(*flags & ~kFlagMsgActive, resume_sp), 4);
+      !s.is_ok()) {
+    return s;
+  }
+  tcb.context_saved = load_le32(resume.data() + 4) != 0;
   return tcb.context_saved;
 }
 
@@ -311,8 +333,7 @@ bool IntMux::message_active(TaskHandle handle) const {
   if (it == shadow_.end()) {
     return false;
   }
-  auto flags = const_cast<sim::Machine&>(machine_).fw_read32(kIdent,
-                                                             it->second.slot_addr + kOffFlags);
+  auto flags = machine_.fw_read32(kIdent, it->second.slot_addr + kOffFlags);
   return flags.is_ok() && (*flags & kFlagMsgActive) != 0;
 }
 
@@ -324,8 +345,7 @@ std::uint32_t IntMux::saved_frame_base(const Tcb& tcb) const {
   if (tcb.secure) {
     const auto it = shadow_.find(tcb.handle);
     TYTAN_CHECK(it != shadow_.end(), "saved_frame_base: no shadow TCB");
-    auto sp = const_cast<sim::Machine&>(machine_).fw_read32(kIdent,
-                                                            it->second.slot_addr + kOffSavedSp);
+    auto sp = machine_.fw_read32(kIdent, it->second.slot_addr + kOffSavedSp);
     TYTAN_CHECK(sp.is_ok(), "saved_frame_base: shadow read failed");
     return *sp;
   }
@@ -352,7 +372,7 @@ Result<std::uint32_t> IntMux::peek_saved_reg(const Tcb& tcb, unsigned reg) const
     return make_error(Err::kOutOfRange, "peek_saved_reg: r0..r6 only");
   }
   const std::uint32_t addr = saved_frame_base(tcb) + (6 - reg) * 4;
-  return const_cast<sim::Machine&>(machine_).fw_read32(kIdent, addr);
+  return machine_.fw_read32(kIdent, addr);
 }
 
 // ---------------------------------------------------------------------------
@@ -369,23 +389,18 @@ Status IntMux::resume_normal(Tcb& tcb) {
   machine_.charge(costs.resume_normal);
 
   auto& cpu = machine_.cpu();
-  std::uint32_t sp = tcb.saved_sp;
+  const std::uint32_t sp = tcb.saved_sp;
   // Frame: [sp]=r6 ... [sp+24]=r0, [sp+28]=EIP, [sp+32]=EFLAGS.
-  for (unsigned i = 0; i < 7; ++i) {
-    auto value = machine_.fw_read32(sim::kFwOsKernel, sp + i * 4);
-    if (!value.is_ok()) {
-      return value.status();
-    }
-    cpu.regs[6 - i] = *value;
+  std::array<std::uint8_t, kFrameSize> frame{};
+  if (Status s = machine_.fw_read_block(sim::kFwOsKernel, sp, frame, 4); !s.is_ok()) {
+    return s;
   }
-  auto eip = machine_.fw_read32(sim::kFwOsKernel, sp + kFrameEipOffset);
-  auto eflags = machine_.fw_read32(sim::kFwOsKernel, sp + kFrameEflagsOffset);
-  if (!eip.is_ok() || !eflags.is_ok()) {
-    return make_error(Err::kInternal, "resume_normal: frame read failed");
+  for (unsigned i = 0; i < 7; ++i) {
+    cpu.regs[6 - i] = load_le32(frame.data() + i * 4);
   }
   cpu.set_sp(sp + kFrameSize);
-  cpu.eflags = *eflags | isa::kFlagIF;
-  cpu.eip = *eip;
+  cpu.eflags = load_le32(frame.data() + kFrameEflagsOffset) | isa::kFlagIF;
+  cpu.eip = load_le32(frame.data() + kFrameEipOffset);
   tcb.context_saved = false;
   tcb.dispatch_cycle = machine_.cycles();
   resume_stats_.restore = machine_.cycles() - t0;

@@ -60,7 +60,9 @@ class IntMux {
 
   // -- shadow TCBs ----------------------------------------------------------------
   Status register_secure_task(const rtos::Tcb& tcb);
-  void unregister_secure_task(rtos::TaskHandle handle);
+  /// Clears the slot's valid flag; on a failed write the shadow TCB stays
+  /// registered and the failure is returned.
+  Status unregister_secure_task(rtos::TaskHandle handle);
   /// Saved SP of a secure task (trusted read; tests use it to validate the
   /// frame the OS cannot see).
   Result<std::uint32_t> shadow_sp(rtos::TaskHandle handle) const;

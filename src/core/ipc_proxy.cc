@@ -1,5 +1,6 @@
 #include "core/ipc_proxy.h"
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "fault/fault.h"
 
@@ -19,19 +20,16 @@ Status IpcProxy::write_mailbox(const RegistryEntry& receiver, const TaskIdentity
   if (receiver.mailbox == 0) {
     return make_error(Err::kInvalidArgument, "receiver has no mailbox (normal task?)");
   }
-  const sim::CostModel& costs = machine_.costs();
-  std::uint32_t addr = receiver.mailbox;
-  machine_.charge(costs.ipc_copy_word);
-  if (Status s = machine_.fw_write32(kIdent, addr, load_le32(sender_id.data())); !s.is_ok()) {
-    return s;
-  }
-  machine_.charge(costs.ipc_copy_word);
-  machine_.fw_write32(kIdent, addr + 4, load_le32(sender_id.data() + 4));
-  for (unsigned i = 0; i < 4; ++i) {
-    machine_.charge(costs.ipc_copy_word);
-    machine_.fw_write32(kIdent, addr + 8 + i * 4, message[i]);
-  }
-  return Status::ok();
+  // The mailbox record: sender identity (two words), then the message.
+  std::array<std::uint8_t, 24> record{};
+  std::copy(sender_id.begin(), sender_id.end(), record.begin());
+  const auto body = le_words(message[0], message[1], message[2], message[3]);
+  std::copy(body.begin(), body.end(), record.begin() + sender_id.size());
+  // Charged per word written plus the word that failed.
+  std::uint32_t done = 0;
+  const Status s = machine_.fw_write_block(kIdent, receiver.mailbox, record, 4, &done);
+  machine_.charge(machine_.costs().ipc_copy_word * (done + (s.is_ok() ? 0 : 1)));
+  return s;
 }
 
 void IpcProxy::on_ipc() {
@@ -81,15 +79,12 @@ void IpcProxy::on_ipc() {
         engine != nullptr && engine->on_ipc_message()) {
       // Lossy transport: the message vanishes, the sender gets the same
       // typed kSysErr it would see on any rejection and may retry.
-      ++rejected_;
       ++dropped_;
       machine_.obs().emit(obs::EventKind::kFaultInject, sender->handle,
                           static_cast<std::uint32_t>(fault::FaultClass::kIpcDrop));
-      machine_.obs().emit(obs::EventKind::kIpcReject, sender->handle);
       TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "ipc")
           << "fault injection: dropped message from task " << sender->handle;
-      int_mux_.poke_saved_reg(*sender, 0, kSysErr);
-      kernel_.resume_specific(sender->handle);
+      reject(*sender);
       return;
     }
   }
@@ -110,26 +105,17 @@ void IpcProxy::on_ipc() {
   }
 
   if (receiver_entry == nullptr) {
-    ++rejected_;
-    machine_.obs().emit(obs::EventKind::kIpcReject, sender->handle);
-    int_mux_.poke_saved_reg(*sender, 0, kSysErr);
-    kernel_.resume_specific(sender->handle);
+    reject(*sender);
     return;
   }
   Tcb* receiver = scheduler_.get(receiver_entry->handle);
   if (receiver == nullptr || receiver->handle == sender->handle) {
-    ++rejected_;
-    machine_.obs().emit(obs::EventKind::kIpcReject, sender->handle);
-    int_mux_.poke_saved_reg(*sender, 0, kSysErr);
-    kernel_.resume_specific(sender->handle);
+    reject(*sender);
     return;
   }
 
   if (Status s = write_mailbox(*receiver_entry, sender_id, message); !s.is_ok()) {
-    ++rejected_;
-    machine_.obs().emit(obs::EventKind::kIpcReject, sender->handle);
-    int_mux_.poke_saved_reg(*sender, 0, kSysErr);
-    kernel_.resume_specific(sender->handle);
+    reject(*sender);
     return;
   }
   int_mux_.poke_saved_reg(*sender, 0, kSysOk);
@@ -178,6 +164,13 @@ void IpcProxy::on_ipc() {
   kernel_.resume_specific(sender->handle);
 }
 
+void IpcProxy::reject(Tcb& sender) {
+  ++rejected_;
+  machine_.obs().emit(obs::EventKind::kIpcReject, sender.handle);
+  int_mux_.poke_saved_reg(sender, 0, kSysErr);
+  kernel_.resume_specific(sender.handle);
+}
+
 void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
                           const RegistryEntry* receiver_entry, std::uint32_t size) {
   machine_.charge(machine_.costs().ipc_shm_setup);
@@ -186,18 +179,12 @@ void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
     TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "ipc")
         << "shm grant rejected: sender_entry=" << (sender_entry != nullptr)
         << " receiver_entry=" << (receiver_entry != nullptr) << " size=" << size;
-    ++rejected_;
-    machine_.obs().emit(obs::EventKind::kIpcReject, sender.handle);
-    int_mux_.poke_saved_reg(sender, 0, kSysErr);
-    kernel_.resume_specific(sender.handle);
+    reject(sender);
     return;
   }
   auto base = arena_.alloc(size);
   if (!base.is_ok()) {
-    ++rejected_;
-    machine_.obs().emit(obs::EventKind::kIpcReject, sender.handle);
-    int_mux_.poke_saved_reg(sender, 0, kSysErr);
-    kernel_.resume_specific(sender.handle);
+    reject(sender);
     return;
   }
   const sim::Rule rule_a{.code_start = sender_entry->base,
@@ -215,10 +202,7 @@ void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
     TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "ipc") << "shm rule A rejected: "
                                       << slot_a.status().to_string();
     arena_.free(*base);
-    ++rejected_;
-    machine_.obs().emit(obs::EventKind::kIpcReject, sender.handle);
-    int_mux_.poke_saved_reg(sender, 0, kSysErr);
-    kernel_.resume_specific(sender.handle);
+    reject(sender);
     return;
   }
   auto slot_b = driver_.configure(rule_b);
@@ -227,21 +211,25 @@ void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
                                       << slot_b.status().to_string();
     driver_.unconfigure(*slot_a);
     arena_.free(*base);
-    ++rejected_;
-    machine_.obs().emit(obs::EventKind::kIpcReject, sender.handle);
-    int_mux_.poke_saved_reg(sender, 0, kSysErr);
-    kernel_.resume_specific(sender.handle);
+    reject(sender);
+    return;
+  }
+  // Tell the receiver where the window lives (async notification message);
+  // a grant the receiver cannot be told about is withdrawn.
+  Tcb* receiver = scheduler_.get(receiver_entry->handle);
+  if (receiver != nullptr &&
+      !write_mailbox(*receiver_entry, sender_entry->identity,
+                     {0x53484D31u /* "SHM1" */, *base, size, 0})
+           .is_ok()) {
+    driver_.unconfigure(*slot_b);
+    driver_.unconfigure(*slot_a);
+    arena_.free(*base);
+    reject(sender);
     return;
   }
   grants_.push_back({sender.handle, receiver_entry->handle, *base, size, *slot_a, *slot_b});
   machine_.obs().emit(obs::EventKind::kIpcShmGrant, sender.handle, *base, size);
-
-  // Tell the receiver where the window lives (async notification message).
-  Tcb* receiver = scheduler_.get(receiver_entry->handle);
   if (receiver != nullptr) {
-    write_mailbox(*receiver_entry,
-                  sender_entry != nullptr ? sender_entry->identity : TaskIdentity{},
-                  {0x53484D31u /* "SHM1" */, *base, size, 0});
     receiver->message_pending = true;
     if (receiver->state == rtos::TaskState::kBlocked &&
         receiver->block_reason == rtos::BlockReason::kMessage) {

@@ -86,6 +86,8 @@ class IpcProxy {
   /// Write id_S + message into the receiver's mailbox (proxy identity).
   Status write_mailbox(const RegistryEntry& receiver, const rtos::TaskIdentity& sender_id,
                        const std::array<std::uint32_t, 4>& message);
+  /// Count a rejected request and resume `sender` with kSysErr.
+  void reject(rtos::Tcb& sender);
   void handle_shm(rtos::Tcb& sender, const RegistryEntry* sender_entry,
                   const RegistryEntry* receiver_entry, std::uint32_t size);
 

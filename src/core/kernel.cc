@@ -1,5 +1,6 @@
 #include "core/kernel.h"
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "core/secure_storage.h"
 #include "fault/fault.h"
@@ -318,6 +319,11 @@ void Kernel::on_syscall() {
   const std::uint32_t a1 = saved_reg(*tcb, 1);
   const std::uint32_t a2 = saved_reg(*tcb, 2);
   const std::uint32_t a3 = saved_reg(*tcb, 3);
+  // The common exit: hand `value` back in r0 and resume the caller.
+  const auto reply = [&](std::uint32_t value) {
+    syscall_result(*tcb, value);
+    resume_specific(tcb->handle);
+  };
 
   switch (number) {
     case kSysYield:
@@ -345,19 +351,13 @@ void Kernel::on_syscall() {
       if (serial_ != nullptr) {
         serial_->write32(sim::SerialConsole::kData, a1);
       }
-      syscall_result(*tcb, kSysOk);
-      resume_specific(tcb->handle);
-      return;
+      return reply(kSysOk);
     }
     case kSysGetTick:
-      syscall_result(*tcb, static_cast<std::uint32_t>(scheduler_.tick_count()));
-      resume_specific(tcb->handle);
-      return;
+      return reply(static_cast<std::uint32_t>(scheduler_.tick_count()));
     case kSysWaitMsg: {
       if (!tcb->secure) {
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
       if (tcb->message_pending) {
         // Deliver immediately: discard the wait frame and run the handler.
@@ -374,15 +374,11 @@ void Kernel::on_syscall() {
     }
     case kSysMsgDone: {
       if (!tcb->secure) {
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
       auto had_ctx = int_mux_.finish_message(*tcb);
       if (!had_ctx.is_ok()) {
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
       if (*had_ctx) {
         // Resume the pre-message context.
@@ -398,61 +394,45 @@ void Kernel::on_syscall() {
     case kSysSealStore:
     case kSysSealLoad: {
       if (storage_ == nullptr) {
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
       const std::uint32_t result =
           (number == kSysSealStore)
               ? storage_->store_from_guest(*tcb, a1, a2, a3)
               : storage_->load_to_guest(*tcb, a1, a2, a3);
-      syscall_result(*tcb, result);
-      resume_specific(tcb->handle);
-      return;
+      return reply(result);
     }
     case kSysQueueSend:
     case kSysQueueRecv: {
       if (tcb->secure) {
         // Secure tasks use the authenticated IPC proxy, not OS queues (the
         // OS would have to touch their memory to copy the payload).
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
       const auto queue = static_cast<rtos::QueueHandle>(a1);
+      // The four-word item moves between the queue and the buffer at a2.
+      bool ok = false;
       if (number == kSysQueueSend) {
-        rtos::QueueItem item{};
-        bool ok = true;
-        for (unsigned i = 0; i < 4; ++i) {
-          auto word = machine_.fw_read32(kIdent, a2 + i * 4);
-          if (!word.is_ok()) {
-            ok = false;
-            break;
-          }
-          item[i] = *word;
+        std::array<std::uint8_t, 16> bytes{};
+        if (machine_.fw_read_block(kIdent, a2, bytes, 4).is_ok()) {
+          ok = queues_.send(queue, {load_le32(&bytes[0]), load_le32(&bytes[4]),
+                                    load_le32(&bytes[8]), load_le32(&bytes[12])})
+                   .is_ok();
         }
-        syscall_result(*tcb, ok && queues_.send(queue, item).is_ok() ? kSysOk : kSysErr);
-      } else {
-        auto item = queues_.receive(queue);
-        bool ok = item.is_ok();
-        if (ok) {
-          for (unsigned i = 0; i < 4; ++i) {
-            ok = ok && machine_.fw_write32(kIdent, a2 + i * 4, (*item)[i]).is_ok();
-          }
-        }
-        syscall_result(*tcb, ok ? kSysOk : kSysErr);
+      } else if (auto item = queues_.receive(queue); item.is_ok()) {
+        const rtos::QueueItem& words = *item;
+        ok = machine_.fw_write_block(kIdent, a2,
+                                     le_words(words[0], words[1], words[2], words[3]), 4)
+                 .is_ok();
       }
-      resume_specific(tcb->handle);
-      return;
+      return reply(ok ? kSysOk : kSysErr);
     }
     case kSysWaitIrq: {
       const auto vector = static_cast<std::uint8_t>(a1 & 0x3F);
       if (!routed_irqs_.contains(vector)) {
         // Only device vectors routed through the kernel are waitable; a task
         // must not park on the syscall/IPC/tick vectors.
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
       syscall_result(*tcb, kSysOk);
       irq_waiters_[vector].push_back(tcb->handle);
@@ -464,44 +444,23 @@ void Kernel::on_syscall() {
       // The RTM (sole owner of identities) writes the caller's id_t into the
       // caller-supplied buffer; its background rule reaches task memory.
       if (rtm_ == nullptr || !tcb->measured) {
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
-      bool ok = true;
-      for (unsigned i = 0; i < 8; ++i) {
-        ok = ok && machine_.fw_write8(Rtm::kIdent, a1 + i, tcb->identity[i]).is_ok();
-      }
-      syscall_result(*tcb, ok ? kSysOk : kSysErr);
-      resume_specific(tcb->handle);
-      return;
+      const bool ok = machine_.fw_write_block(Rtm::kIdent, a1, tcb->identity, 1).is_ok();
+      return reply(ok ? kSysOk : kSysErr);
     }
     case kSysLocalAttest: {
       // Local attestation (paper §3): verify that a task with the given id_t
       // is currently loaded, by consulting the RTM registry.
       if (rtm_ == nullptr) {
-        syscall_result(*tcb, kSysErr);
-        resume_specific(tcb->handle);
-        return;
+        return reply(kSysErr);
       }
       rtos::TaskIdentity id{};
-      bool ok = true;
-      for (unsigned i = 0; i < 8; ++i) {
-        auto byte = machine_.fw_read8(Rtm::kIdent, a1 + i);
-        if (!byte.is_ok()) {
-          ok = false;
-          break;
-        }
-        id[i] = *byte;
-      }
-      syscall_result(*tcb, ok && rtm_->find_by_identity(id) != nullptr ? kSysOk : kSysErr);
-      resume_specific(tcb->handle);
-      return;
+      const bool ok = machine_.fw_read_block(Rtm::kIdent, a1, id, 1).is_ok();
+      return reply(ok && rtm_->find_by_identity(id) != nullptr ? kSysOk : kSysErr);
     }
     default:
-      syscall_result(*tcb, kSysErr);
-      resume_specific(tcb->handle);
-      return;
+      return reply(kSysErr);
   }
 }
 

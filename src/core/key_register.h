@@ -14,7 +14,7 @@
 #include "sim/device.h"
 #include "sim/memory_map.h"
 
-namespace tytan::hw {
+namespace tytan::core {
 
 class KeyRegister final : public sim::Device {
  public:
@@ -25,15 +25,10 @@ class KeyRegister final : public sim::Device {
   [[nodiscard]] std::uint32_t size() const override { return 0x20; }
 
   std::uint32_t read32(std::uint32_t offset) override {
-    if (offset < crypto::kKeySize) {
-      return load_le32(kp_.data() + offset);
-    }
-    return 0;
+    return offset < crypto::kKeySize ? load_le32(kp_.data() + offset) : 0;
   }
-
-  void write32(std::uint32_t /*offset*/, std::uint32_t /*value*/) override {
-    // Kp is fused at manufacturing time; writes are ignored.
-  }
+  /// Kp is fused at manufacturing time; writes are ignored.
+  void write32(std::uint32_t /*offset*/, std::uint32_t /*value*/) override {}
 
   /// Host-side (manufacturer) view of the fused key, for verifier-side checks
   /// in tests and benches.  Guest software must go through MMIO.
@@ -43,4 +38,4 @@ class KeyRegister final : public sim::Device {
   crypto::Key128 kp_;
 };
 
-}  // namespace tytan::hw
+}  // namespace tytan::core

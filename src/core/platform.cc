@@ -13,7 +13,7 @@ DeviceSet DeviceSet::standard(const crypto::Key128& kp, std::uint64_t rng_seed) 
   set.engine = std::make_shared<sim::EngineActuator>();
   set.rng = std::make_shared<sim::RngDevice>(rng_seed);
   set.can = std::make_shared<sim::CanBusDevice>();
-  set.key_register = std::make_shared<hw::KeyRegister>(kp);
+  set.key_register = std::make_shared<KeyRegister>(kp);
   return set;
 }
 

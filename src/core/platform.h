@@ -26,7 +26,7 @@
 #include "core/task_loader.h"
 #include "core/task_update.h"
 #include "fault/fault.h"
-#include "hw/key_register.h"
+#include "core/key_register.h"
 #include "isa/assembler.h"
 #include "rtos/scheduler.h"
 #include "sim/devices.h"
@@ -46,7 +46,7 @@ struct DeviceSet {
   std::shared_ptr<sim::EngineActuator> engine;
   std::shared_ptr<sim::RngDevice> rng;
   std::shared_ptr<sim::CanBusDevice> can;
-  std::shared_ptr<hw::KeyRegister> key_register;
+  std::shared_ptr<KeyRegister> key_register;
   /// Additional devices attached after the core set (custom workloads).
   std::vector<std::shared_ptr<sim::Device>> extra;
 
@@ -168,7 +168,7 @@ class Platform {
   [[nodiscard]] sim::EngineActuator& engine() { return *devices_.engine; }
   [[nodiscard]] sim::RngDevice& rng() { return *devices_.rng; }
   [[nodiscard]] sim::CanBusDevice& can_bus() { return *devices_.can; }
-  [[nodiscard]] hw::KeyRegister& key_register() { return *devices_.key_register; }
+  [[nodiscard]] KeyRegister& key_register() { return *devices_.key_register; }
   [[nodiscard]] const DeviceSet& devices() const { return devices_; }
 
   [[nodiscard]] const Config& config() const { return config_; }

@@ -26,11 +26,8 @@ Result<AttestationReport> AttestationReport::deserialize(std::span<const std::ui
 
 crypto::Key128 RemoteAttest::attestation_key() {
   crypto::Key128 kp{};
-  for (std::uint32_t i = 0; i < crypto::kKeySize; i += 4) {
-    auto word = machine_.fw_read32(kIdent, sim::kMmioKeyReg + i);
-    TYTAN_CHECK(word.is_ok(), "Remote Attest denied platform-key access");
-    store_le32(kp.data() + i, *word);
-  }
+  TYTAN_CHECK(machine_.fw_read_block(kIdent, sim::kMmioKeyReg, kp, 4).is_ok(),
+              "Remote Attest denied platform-key access");
   return derive_ka(kp);
 }
 

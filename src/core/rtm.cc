@@ -53,16 +53,22 @@ Status Rtm::begin_measurement(const rtos::Tcb& tcb, std::vector<isa::Relocation>
   return Status::ok();
 }
 
-void Rtm::patch_site(const isa::Relocation& reloc, std::uint32_t base, bool revert) {
-  const std::uint32_t addr = job_->base + reloc.offset;
-  auto word = machine_.fw_read32(kIdent, addr);
-  TYTAN_CHECK(word.is_ok(), "RTM denied read of task image: " + word.status().to_string());
+Status patch_relocation(sim::Machine& machine, std::uint32_t exec_ip, std::uint32_t addr,
+                        const isa::Relocation& reloc, std::uint32_t base) {
+  auto word = machine.fw_read32(exec_ip, addr);
+  if (!word.is_ok()) {
+    return word.status();
+  }
   std::uint8_t bytes[4];
   store_le32(bytes, *word);
-  const isa::Relocation local{.offset = 0, .kind = reloc.kind, .addend = reloc.addend};
-  tbf::apply_relocation(local, bytes, revert ? 0 : base);
-  const Status s = machine_.fw_write32(kIdent, addr, load_le32(bytes));
-  TYTAN_CHECK(s.is_ok(), "RTM denied write of task image: " + s.to_string());
+  tbf::apply_relocation({.offset = 0, .kind = reloc.kind, .addend = reloc.addend}, bytes, base);
+  return machine.fw_write32(exec_ip, addr, load_le32(bytes));
+}
+
+void Rtm::patch_site(const isa::Relocation& reloc, std::uint32_t base, bool revert) {
+  const Status s =
+      patch_relocation(machine_, kIdent, job_->base + reloc.offset, reloc, revert ? 0 : base);
+  TYTAN_CHECK(s.is_ok(), "RTM denied access to task image: " + s.to_string());
 }
 
 bool Rtm::measure_quantum() {
@@ -92,7 +98,7 @@ bool Rtm::measure_quantum() {
             std::min<std::uint32_t>(crypto::kSha1BlockSize, job.image_size - job.hash_offset);
         std::uint8_t block[crypto::kSha1BlockSize];
         const std::span<std::uint8_t> bytes(block, take);
-        TYTAN_CHECK(machine_.fw_read_block(kIdent, job.base + job.hash_offset, bytes).is_ok(),
+        TYTAN_CHECK(machine_.fw_read_block(kIdent, job.base + job.hash_offset, bytes, 1).is_ok(),
                     "RTM denied image read");
         job.sha.update(bytes);
         machine_.charge(costs.rtm_hash_block);
@@ -173,40 +179,41 @@ Status Rtm::register_task(const rtos::Tcb& tcb, const crypto::Sha1Digest& digest
   entry.entry_addr =
       kRtmRegistryBase + static_cast<std::uint32_t>(entries_.size()) * kRegistryEntrySize;
 
-  // Serialize into the EA-MPU-protected registry region (RTM-only writable);
-  // probe the first byte so a misconfigured platform surfaces as an error.
+  // Serialize into the EA-MPU-protected registry region (RTM-only writable).
+  // The first-byte probe predates the checked record write and stays: its
+  // EA-MPU check is part of the check counts the heat profile records from
+  // boot onward, which perfbench's golden digests pin.
   if (Status s = machine_.fw_write8(kIdent, entry.entry_addr, entry.identity[0]);
       !s.is_ok()) {
     return s;
   }
-  serialize_entry(entry);
+  if (Status s = serialize_entry(entry); !s.is_ok()) {
+    return s;
+  }
   entries_.push_back(entry);
   return Status::ok();
 }
 
-void Rtm::serialize_entry(const RegistryEntry& entry) {
-  std::uint32_t addr = entry.entry_addr;
-  for (std::size_t i = 0; i < entry.identity.size(); ++i) {
-    machine_.fw_write8(kIdent, addr + static_cast<std::uint32_t>(i), entry.identity[i]);
+Status Rtm::serialize_entry(const RegistryEntry& entry) {
+  std::array<std::uint8_t, sizeof entry.identity + sizeof entry.digest> ids{};
+  std::copy(entry.identity.begin(), entry.identity.end(), ids.begin());
+  std::copy(entry.digest.begin(), entry.digest.end(), ids.begin() + entry.identity.size());
+  if (Status s = machine_.fw_write_block(kIdent, entry.entry_addr, ids, 1); !s.is_ok()) {
+    return s;
   }
-  addr += 8;
-  for (std::size_t i = 0; i < entry.digest.size(); ++i) {
-    machine_.fw_write8(kIdent, addr + static_cast<std::uint32_t>(i), entry.digest[i]);
-  }
-  addr += 20;
-  machine_.fw_write32(kIdent, addr + 0, entry.base);
-  machine_.fw_write32(kIdent, addr + 4, entry.size);
-  machine_.fw_write32(kIdent, addr + 8, entry.entry);
-  machine_.fw_write32(kIdent, addr + 12, entry.mailbox);
-  machine_.fw_write32(kIdent, addr + 16,
-                      kRegistryFlagValid | (entry.secure ? kRegistryFlagSecure : 0));
+  return machine_.fw_write_block(
+      kIdent, entry.entry_addr + ids.size(),
+      le_words(entry.base, entry.size, entry.entry, entry.mailbox,
+               kRegistryFlagValid | (entry.secure ? kRegistryFlagSecure : 0)),
+      4);
 }
 
 Status Rtm::unregister_task(TaskHandle handle) {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].handle == handle) {
       // Invalidate the vacated tail slot, compact, and re-serialize so the
-      // wire registry stays dense and consistent with the host index.
+      // wire registry stays dense and consistent with the host index; the
+      // first failed write is returned.
       const std::uint32_t last_addr =
           kRtmRegistryBase +
           static_cast<std::uint32_t>(entries_.size() - 1) * kRegistryEntrySize;
@@ -214,10 +221,11 @@ Status Rtm::unregister_task(TaskHandle handle) {
       for (std::size_t j = i; j < entries_.size(); ++j) {
         entries_[j].entry_addr =
             kRtmRegistryBase + static_cast<std::uint32_t>(j) * kRegistryEntrySize;
-        serialize_entry(entries_[j]);
+        if (Status s = serialize_entry(entries_[j]); !s.is_ok()) {
+          return s;
+        }
       }
-      machine_.fw_write32(kIdent, last_addr + 44, 0);
-      return Status::ok();
+      return machine_.fw_write32(kIdent, last_addr + 44, 0);
     }
   }
   return make_error(Err::kNotFound, "RTM registry: no such task");
@@ -235,15 +243,6 @@ const RegistryEntry* Rtm::find_by_handle(TaskHandle handle) const {
 const RegistryEntry* Rtm::find_by_identity(const TaskIdentity& id) const {
   for (const RegistryEntry& entry : entries_) {
     if (entry.identity == id) {
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
-const RegistryEntry* Rtm::find_by_region(std::uint32_t addr) const {
-  for (const RegistryEntry& entry : entries_) {
-    if (addr >= entry.base && addr - entry.base < entry.size) {
       return &entry;
     }
   }

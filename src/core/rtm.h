@@ -51,6 +51,11 @@ struct RegistryEntry {
 /// shared by the RTM's in-flight job (RTMS) and the loader's (LOAD).
 void relocation_state(snap::Io& io, isa::Relocation& reloc);
 
+/// Patch the relocation site at `addr` for load base `base` (0 reverts it)
+/// under `exec_ip`: the loader's relocation and the RTM's de-relocation.
+Status patch_relocation(sim::Machine& machine, std::uint32_t exec_ip, std::uint32_t addr,
+                        const isa::Relocation& reloc, std::uint32_t base);
+
 class Rtm {
  public:
   struct MeasureStats {
@@ -92,7 +97,6 @@ class Rtm {
   [[nodiscard]] const RegistryEntry* find_by_identity(const rtos::TaskIdentity& id) const;
   /// Task whose region contains `addr` (the Int Mux / IPC proxy sender
   /// lookup).  Returns nullptr for firmware or OS addresses.
-  [[nodiscard]] const RegistryEntry* find_by_region(std::uint32_t addr) const;
   [[nodiscard]] const std::vector<RegistryEntry>& entries() const { return entries_; }
 
   [[nodiscard]] const MeasureStats& last_measure() const { return stats_; }
@@ -120,7 +124,9 @@ class Rtm {
   };
 
   void patch_site(const isa::Relocation& reloc, std::uint32_t base, bool revert);
-  void serialize_entry(const RegistryEntry& entry);
+  /// Write `entry` to its wire slot: identity and digest byte by byte, then
+  /// the five word fields (flags last, so a partial entry is never valid).
+  Status serialize_entry(const RegistryEntry& entry);
 
   sim::Machine& machine_;
   std::optional<Job> job_;

@@ -7,11 +7,8 @@ namespace tytan::core {
 
 crypto::Key128 SecureStorage::read_kp() {
   crypto::Key128 kp{};
-  for (std::uint32_t i = 0; i < crypto::kKeySize; i += 4) {
-    auto word = machine_.fw_read32(kIdent, sim::kMmioKeyReg + i);
-    TYTAN_CHECK(word.is_ok(), "secure storage denied platform-key access");
-    store_le32(kp.data() + i, *word);
-  }
+  TYTAN_CHECK(machine_.fw_read_block(kIdent, sim::kMmioKeyReg, kp, 4).is_ok(),
+              "secure storage denied platform-key access");
   return kp;
 }
 
@@ -62,8 +59,8 @@ Status SecureStorage::store(const rtos::TaskIdentity& caller, std::uint32_t slot
       !s.is_ok()) {
     return s;
   }
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    machine_.fw_write8(kIdent, addr + 4 + static_cast<std::uint32_t>(i), raw[i]);
+  if (Status s = machine_.fw_write_block(kIdent, addr + 4, raw, 1); !s.is_ok()) {
+    return s;
   }
   next_offset_ += static_cast<std::uint32_t>(4 + raw.size());
 
@@ -104,9 +101,14 @@ Result<ByteVec> SecureStorage::load(const rtos::TaskIdentity& caller, std::uint3
       // Flip one persisted bit — the damage is durable, like real flash rot.
       const std::uint32_t addr =
           blob->addr + 4 + static_cast<std::uint32_t>(bit / 8);
-      if (auto byte = machine_.fw_read8(kIdent, addr); byte.is_ok()) {
-        machine_.fw_write8(kIdent, addr,
-                           *byte ^ static_cast<std::uint8_t>(1U << (bit % 8)));
+      auto byte = machine_.fw_read8(kIdent, addr);
+      if (!byte.is_ok()) {
+        return byte.status();
+      }
+      if (Status s = machine_.fw_write8(kIdent, addr,
+                                        *byte ^ static_cast<std::uint8_t>(1U << (bit % 8)));
+          !s.is_ok()) {
+        return s;
       }
       machine_.obs().emit(obs::EventKind::kFaultInject, -1,
                           static_cast<std::uint32_t>(fault::FaultClass::kStorageCorrupt),
@@ -116,12 +118,8 @@ Result<ByteVec> SecureStorage::load(const rtos::TaskIdentity& caller, std::uint3
     }
   }
   ByteVec raw(blob->len);
-  for (std::uint32_t i = 0; i < blob->len; ++i) {
-    auto byte = machine_.fw_read8(kIdent, blob->addr + 4 + i);
-    if (!byte.is_ok()) {
-      return byte.status();
-    }
-    raw[i] = *byte;
+  if (Status s = machine_.fw_read_block(kIdent, blob->addr + 4, raw, 1); !s.is_ok()) {
+    return s;
   }
   auto sealed = crypto::SealedBlob::deserialize(raw);
   if (!sealed.is_ok()) {
@@ -185,12 +183,8 @@ std::uint32_t SecureStorage::store_from_guest(const rtos::Tcb& caller, std::uint
     return kSysErr;
   }
   ByteVec data(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    auto byte = machine_.fw_read8(kIdent, ptr + i);
-    if (!byte.is_ok()) {
-      return kSysErr;
-    }
-    data[i] = *byte;
+  if (!machine_.fw_read_block(kIdent, ptr, data, 1).is_ok()) {
+    return kSysErr;
   }
   return store(caller.identity, slot, data).is_ok() ? kSysOk : kSysErr;
 }
@@ -204,11 +198,8 @@ std::uint32_t SecureStorage::load_to_guest(const rtos::Tcb& caller, std::uint32_
   if (!data.is_ok() || data->size() > capacity) {
     return kSysErr;
   }
-  for (std::size_t i = 0; i < data->size(); ++i) {
-    if (!machine_.fw_write8(kIdent, ptr + static_cast<std::uint32_t>(i), (*data)[i])
-             .is_ok()) {
-      return kSysErr;
-    }
+  if (!machine_.fw_write_block(kIdent, ptr, *data, 1).is_ok()) {
+    return kSysErr;
   }
   return static_cast<std::uint32_t>(data->size());
 }

@@ -159,7 +159,10 @@ void TaskLoader::fail_job(Status status) {
     if (tcb->exec_region_idx >= 0) {
       driver_.remove_exec_region(static_cast<std::size_t>(tcb->exec_region_idx));
     }
-    int_mux_.unregister_secure_task(job_->handle);
+    if (Status s = int_mux_.unregister_secure_task(job_->handle); !s.is_ok()) {
+      TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "loader")
+          << "shadow TCB not cleared: " << s.to_string();
+    }
   }
   scheduler_.destroy(job_->handle);
   if (job_->base != 0) {
@@ -262,7 +265,7 @@ bool TaskLoader::quantum_copy() {
     std::uint32_t done = 0;
     const Status s = machine_.fw_write_block(
         kIdent, job.base + job.copy_offset,
-        std::span(job.object.image).subspan(job.copy_offset, std::size_t{words} * 4), &done);
+        std::span(job.object.image).subspan(job.copy_offset, std::size_t{words} * 4), 4, &done);
     machine_.charge(machine_.costs().load_per_word * (done + (s.is_ok() ? 0 : 1)));
     job.copy_offset += done * 4;
     if (!s.is_ok()) {
@@ -272,9 +275,14 @@ bool TaskLoader::quantum_copy() {
   }
   if (words < kCopyWordsPerQuantum && job.copy_offset < image_size) {
     machine_.charge(machine_.costs().load_per_word);
-    for (; job.copy_offset < image_size; ++job.copy_offset) {
-      machine_.fw_write8(kIdent, job.base + job.copy_offset,
-                         job.object.image[job.copy_offset]);
+    std::uint32_t done = 0;
+    const Status s = machine_.fw_write_block(kIdent, job.base + job.copy_offset,
+                                             std::span(job.object.image).subspan(job.copy_offset),
+                                             1, &done);
+    job.copy_offset += done;
+    if (!s.is_ok()) {
+      fail_job(s);
+      return true;
     }
   }
   stats_.copy += machine_.cycles() - t0;
@@ -293,16 +301,11 @@ bool TaskLoader::quantum_reloc() {
   while (job.reloc_index < job.object.relocs.size() && applied < kRelocsPerQuantum) {
     const isa::Relocation& reloc = job.object.relocs[job.reloc_index];
     machine_.charge(machine_.costs().reloc_per_addr);
-    auto word = machine_.fw_read32(kIdent, job.base + reloc.offset);
-    if (!word.is_ok()) {
-      fail_job(word.status());
+    if (Status s = patch_relocation(machine_, kIdent, job.base + reloc.offset, reloc, job.base);
+        !s.is_ok()) {
+      fail_job(s);
       return true;
     }
-    std::uint8_t bytes[4];
-    store_le32(bytes, *word);
-    const isa::Relocation local{.offset = 0, .kind = reloc.kind, .addend = reloc.addend};
-    tbf::apply_relocation(local, bytes, job.base);
-    machine_.fw_write32(kIdent, job.base + reloc.offset, load_le32(bytes));
     ++job.reloc_index;
     ++applied;
   }
@@ -335,15 +338,13 @@ bool TaskLoader::quantum_stack_prep() {
   if (!tcb->secure) {
     // Paper: "the OS prepares the stack of this task as if it had been
     // executed before and was interrupted" — an initial frame so the normal
-    // resume path starts the task.
-    std::uint32_t sp = tcb->stack_top;
-    sp -= 4;
-    machine_.fw_write32(kIdent, sp, isa::kFlagIF);  // EFLAGS
-    sp -= 4;
-    machine_.fw_write32(kIdent, sp, tcb->entry);  // EIP
-    for (unsigned i = 0; i < 7; ++i) {
-      sp -= 4;
-      machine_.fw_write32(kIdent, sp, 0);  // r0..r6 image (stored r6-first)
+    // resume path starts the task: r6..r0 (zero), EIP, EFLAGS.
+    const std::uint32_t sp = tcb->stack_top - kFrameSize;
+    if (Status s = machine_.fw_write_block(
+            kIdent, sp, le_words(0, 0, 0, 0, 0, 0, 0, tcb->entry, isa::kFlagIF), 4);
+        !s.is_ok()) {
+      fail_job(s);
+      return true;
     }
     tcb->saved_sp = sp;
     tcb->context_saved = true;
@@ -512,15 +513,21 @@ Status TaskLoader::unload(TaskHandle handle) {
   if (tcb == nullptr) {
     return make_error(Err::kNotFound, "unload: no such task");
   }
+  if (tcb->secure) {
+    // The registry and shadow-slot writes are the steps that can fail; on a
+    // failure the task keeps its memory, rules and schedule.
+    if (Status s = rtm_.unregister_task(handle); !s.is_ok() && s.code() != Err::kNotFound) {
+      return s;
+    }
+    if (Status s = int_mux_.unregister_secure_task(handle); !s.is_ok()) {
+      return s;
+    }
+  }
   if (tcb->mpu_slot >= 0) {
     driver_.unconfigure(static_cast<std::size_t>(tcb->mpu_slot));
   }
   if (tcb->exec_region_idx >= 0) {
     driver_.remove_exec_region(static_cast<std::size_t>(tcb->exec_region_idx));
-  }
-  if (tcb->secure) {
-    rtm_.unregister_task(handle);
-    int_mux_.unregister_secure_task(handle);
   }
   if (tcb->region_base != 0) {
     // Wipe the region so secrets never leak into the next allocation.

@@ -19,13 +19,17 @@ Status UpdateManager::swap(TaskHandle old_handle, TaskHandle new_handle,
     return make_error(Err::kInvalidArgument, "update swap: task kind changed");
   }
 
-  // Carry over an undelivered mailbox message (exactly-once delivery).
+  // Carry over an undelivered mailbox message (exactly-once delivery).  A
+  // failed copy fails the swap before anything is committed.
   if (old_tcb->message_pending && old_tcb->mailbox != 0 && new_tcb->mailbox != 0) {
-    for (std::uint32_t i = 0; i < 24; i += 4) {
-      auto word = machine_.fw_read32(sim::kFwIpcProxy, old_tcb->mailbox + i);
-      if (word.is_ok()) {
-        machine_.fw_write32(sim::kFwIpcProxy, new_tcb->mailbox + i, *word);
-      }
+    std::array<std::uint8_t, 24> message{};
+    if (Status s = machine_.fw_read_block(sim::kFwIpcProxy, old_tcb->mailbox, message, 4);
+        !s.is_ok()) {
+      return s;
+    }
+    if (Status s = machine_.fw_write_block(sim::kFwIpcProxy, new_tcb->mailbox, message, 4);
+        !s.is_ok()) {
+      return s;
     }
     new_tcb->message_pending = true;
   }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <sstream>
+#include <type_traits>
 
 #include "common/bytes.h"
 #include "common/log.h"
@@ -409,51 +410,70 @@ Status Machine::fw_write8(std::uint32_t exec_ip, std::uint32_t addr, std::uint8_
   return Status::ok();
 }
 
-Status Machine::fw_read_block(std::uint32_t exec_ip, std::uint32_t addr,
-                              std::span<std::uint8_t> out) {
-  const auto count = static_cast<std::uint32_t>(out.size());
-  if (!is_plain_ram(addr, count)) {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      auto byte = fw_read8(exec_ip, addr + i);
-      if (!byte.is_ok()) {
+template <typename Byte>
+Status Machine::fw_block(std::uint32_t exec_ip, std::uint32_t addr, std::span<Byte> bytes,
+                         std::uint32_t width, std::uint32_t* done) {
+  constexpr bool kWrite = std::is_const_v<Byte>;
+  TYTAN_CHECK((width == 1 || width == 4) && bytes.size() % width == 0,
+              "firmware block: whole elements of 1 or 4 bytes");
+  const auto count = static_cast<std::uint32_t>(bytes.size() / width);
+  std::uint32_t n = 0;
+  Status status;
+  if (is_plain_ram(addr, count * width)) {
+    n = check_run(exec_ip, addr, count, width, kWrite ? Access::kWrite : Access::kRead);
+    const auto prefix = bytes.first(std::size_t{n} * width);
+    if (n > 0) {  // an empty span may have no storage to copy
+      if constexpr (kWrite) {
+        memory_.write_block(addr, prefix);
+      } else {
+        memory_.read_block(addr, prefix);
+      }
+    }
+    if (n < count) {
+      status = make_error(Err::kPermissionDenied, kWrite ? kFwWriteDenied : kFwReadDenied);
+    }
+  } else {
+    // The per-element loop itself: one copy of the MMIO and bus-error logic.
+    const auto element = [&](std::uint32_t at, Byte* p) -> Status {
+      if constexpr (kWrite) {
+        return width == 4 ? fw_write32(exec_ip, at, load_le32(p)) : fw_write8(exec_ip, at, *p);
+      } else if (width == 4) {
+        auto word = fw_read32(exec_ip, at);
+        if (word.is_ok()) {
+          store_le32(p, *word);
+        }
+        return word.status();
+      } else {
+        auto byte = fw_read8(exec_ip, at);
+        if (byte.is_ok()) {
+          *p = *byte;
+        }
         return byte.status();
       }
-      out[i] = *byte;
+    };
+    for (; n < count; ++n) {
+      status = element(addr + n * width, bytes.data() + std::size_t{n} * width);
+      if (!status.is_ok()) {
+        break;
+      }
     }
-    return Status::ok();
   }
-  const std::uint32_t granted = check_run(exec_ip, addr, count, 1, Access::kRead);
-  const auto bytes = memory_.view(addr, granted);
-  std::copy(bytes.begin(), bytes.end(), out.begin());
-  if (granted < count) {
-    return make_error(Err::kPermissionDenied, kFwReadDenied);
+  if (done != nullptr) {
+    *done = n;
   }
-  return Status::ok();
+  return status;
+}
+
+Status Machine::fw_read_block(std::uint32_t exec_ip, std::uint32_t addr,
+                              std::span<std::uint8_t> bytes, std::uint32_t width,
+                              std::uint32_t* done) {
+  return fw_block(exec_ip, addr, bytes, width, done);
 }
 
 Status Machine::fw_write_block(std::uint32_t exec_ip, std::uint32_t addr,
-                               std::span<const std::uint8_t> words, std::uint32_t* done) {
-  TYTAN_CHECK(words.size() % 4 == 0, "fw_write_block takes whole words");
-  const auto count = static_cast<std::uint32_t>(words.size() / 4);
-  *done = 0;
-  if (!is_plain_ram(addr, count * 4)) {
-    for (; *done < count; ++*done) {
-      if (Status s = fw_write32(exec_ip, addr + 4 * *done, load_le32(&words[4 * *done]));
-          !s.is_ok()) {
-        return s;
-      }
-    }
-    return Status::ok();
-  }
-  const std::uint32_t granted = check_run(exec_ip, addr, count, 4, Access::kWrite);
-  if (granted > 0) {
-    memory_.write_block(addr, words.first(std::size_t{granted} * 4));
-  }
-  *done = granted;
-  if (granted < count) {
-    return make_error(Err::kPermissionDenied, kFwWriteDenied);
-  }
-  return Status::ok();
+                               std::span<const std::uint8_t> bytes, std::uint32_t width,
+                               std::uint32_t* done) {
+  return fw_block(exec_ip, addr, bytes, width, done);
 }
 
 bool Machine::check_data(const DecodedOp& op, std::uint32_t addr, Access access) {

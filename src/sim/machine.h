@@ -158,25 +158,31 @@ class Machine {
   /// Policy-checked accessors for firmware handlers.  `exec_ip` is the
   /// handler's execution identity (its firmware window address).  These do
   /// NOT charge cycles — handlers charge calibrated primitive costs instead.
-  Result<std::uint32_t> fw_read32(std::uint32_t exec_ip, std::uint32_t addr);
-  Status fw_write32(std::uint32_t exec_ip, std::uint32_t addr, std::uint32_t value);
-  Result<std::uint8_t> fw_read8(std::uint32_t exec_ip, std::uint32_t addr);
-  Status fw_write8(std::uint32_t exec_ip, std::uint32_t addr, std::uint8_t value);
+  /// Every result must be acted on: a denied write is reported, never
+  /// half-applied silently.
+  [[nodiscard]] Result<std::uint32_t> fw_read32(std::uint32_t exec_ip, std::uint32_t addr);
+  [[nodiscard]] Status fw_write32(std::uint32_t exec_ip, std::uint32_t addr,
+                                  std::uint32_t value);
+  [[nodiscard]] Result<std::uint8_t> fw_read8(std::uint32_t exec_ip, std::uint32_t addr);
+  [[nodiscard]] Status fw_write8(std::uint32_t exec_ip, std::uint32_t addr, std::uint8_t value);
 
-  /// Block forms for handlers that move whole buffers (the loader's image
-  /// copy, the RTM's hash reads).  fw_read_block is out.size() fw_read8
-  /// calls in address order; fw_write_block is one fw_write32 per
-  /// little-endian word of `words` (a multiple of 4 bytes), with *done set
-  /// to the words written.  Both stop at the first failure and return its
-  /// status, leaving the granted prefix read or written.  Verdicts, heat
-  /// counters, cycles and memory come out exactly as from those loops; in
-  /// plain RAM the EA-MPU is walked once per verdict span (check_run) and
-  /// the granted prefix moves in one copy — one write-watch notice, so the
-  /// decode cache drops the same blocks.  Ranges that touch MMIO or leave
-  /// memory run the per-element loop itself.
-  Status fw_read_block(std::uint32_t exec_ip, std::uint32_t addr, std::span<std::uint8_t> out);
-  Status fw_write_block(std::uint32_t exec_ip, std::uint32_t addr,
-                        std::span<const std::uint8_t> words, std::uint32_t* done);
+  /// Block forms for handlers that move whole records: the elements of
+  /// `width` bytes (1 or 4; words little-endian) that make up `bytes`, at
+  /// addr, addr + width, ... — exactly the fw_read8/fw_read32 or
+  /// fw_write8/fw_write32 loop in address order.  Both stop at the first
+  /// failure and return its status, leaving the prefix read or written;
+  /// *done (if given) gets the elements done.  Verdicts, heat counters,
+  /// cycles and memory come out exactly as from the loop; in plain RAM the
+  /// EA-MPU is walked once per verdict span (check_run) and the granted
+  /// prefix moves in one copy — one write-watch notice, so the decode cache
+  /// drops the same blocks.  Ranges that touch MMIO or leave memory run the
+  /// per-element loop itself.
+  [[nodiscard]] Status fw_read_block(std::uint32_t exec_ip, std::uint32_t addr,
+                                     std::span<std::uint8_t> bytes, std::uint32_t width,
+                                     std::uint32_t* done = nullptr);
+  [[nodiscard]] Status fw_write_block(std::uint32_t exec_ip, std::uint32_t addr,
+                                      std::span<const std::uint8_t> bytes, std::uint32_t width,
+                                      std::uint32_t* done = nullptr);
 
   // -- execution ----------------------------------------------------------------
   StepOutcome step();
@@ -295,6 +301,11 @@ class Machine {
   [[nodiscard]] std::uint32_t check_run(std::uint32_t exec_ip, std::uint32_t addr,
                                         std::uint32_t count, std::uint32_t stride,
                                         Access access) const;
+  /// The one body behind fw_read_block (Byte = uint8_t) and fw_write_block
+  /// (Byte = const uint8_t).
+  template <typename Byte>
+  Status fw_block(std::uint32_t exec_ip, std::uint32_t addr, std::span<Byte> bytes,
+                  std::uint32_t width, std::uint32_t* done);
   [[nodiscard]] bool is_mmio(std::uint32_t addr) const {
     return addr >= kMmioBase && addr < kMmioBase + kMmioSize;
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/platform.h"
+#include "narrow_rule.h"
 
 namespace tytan {
 namespace {
@@ -108,6 +109,26 @@ TEST_P(IpcTest, MessageDeliveredWithAuthenticatedSender) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SyncAndAsync, IpcTest, ::testing::Values(0u, 1u));
+
+TEST(Ipc, MailboxWriteDeniedPartWayFailsDelivery) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto receiver = platform.load_task_source(kReceiver, {.name = "receiver", .priority = 2,
+                                                        .auto_start = false});
+  ASSERT_TRUE(receiver.is_ok());
+  const rtos::Tcb* r = platform.scheduler().get(*receiver);
+  ASSERT_NE(r->mailbox, 0u);
+  // The proxy keeps the mailbox's first word; the receiver's own rule
+  // protects the rest of it.
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(platform, sim::kFwIpcProxy, /*background=*/true,
+                                             sim::kRamBase, r->mailbox + 4 - sim::kRamBase));
+  const Status s =
+      platform.ipc_proxy().deliver(rtos::TaskIdentity{1, 2, 3, 4, 5, 6, 7, 8}, r->identity,
+                                   {0x11, 0x22, 0x33, 0x44}, /*sync=*/false);
+  EXPECT_EQ(s.code(), Err::kPermissionDenied) << "a partly written message was delivered";
+  EXPECT_FALSE(r->message_pending);
+  EXPECT_EQ(platform.ipc_proxy().messages_delivered(), 0u);
+}
 
 TEST(Ipc, UnknownReceiverRejected) {
   Platform platform;

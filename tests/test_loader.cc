@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/platform.h"
+#include "narrow_rule.h"
 #include "tbf/tbf.h"
 
 namespace tytan {
@@ -222,6 +223,84 @@ TEST(Loader, RegistryWireFormatStaysConsistentAcrossUnloads) {
       core::kRtmRegistryBase + 3 * core::kRegistryEntrySize + 44);
   ASSERT_TRUE(stale_flags.is_ok());
   EXPECT_EQ(*stale_flags & core::kRegistryFlagValid, 0u);
+}
+
+// The base the arena hands the next load of `object`: first fit returns
+// the block a load-and-unload just freed.
+std::uint32_t next_load_base(Platform& platform, const isa::ObjectFile& object) {
+  auto probe = platform.load_task(object, {.name = "probe", .auto_start = false});
+  EXPECT_TRUE(probe.is_ok()) << probe.status().to_string();
+  const std::uint32_t base = platform.scheduler().get(*probe)->region_base;
+  EXPECT_TRUE(platform.unload_task(*probe).is_ok());
+  return base;
+}
+
+TEST(Loader, DeniedImageTailByteFailsTheLoad) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto object = isa::assemble(kSecureTask);
+  ASSERT_TRUE(object.is_ok());
+  object->image.push_back(0xAB);  // a tail shorter than a word: copied byte by byte
+  object->image.push_back(0xCD);
+  const auto image_size = static_cast<std::uint32_t>(object->image.size());
+  const std::uint32_t base = next_load_base(platform, *object);
+  // Another trusted component's rule over the last byte: the loader (OS
+  // kernel identity) may no longer write it.
+  auto slot = platform.eampu_driver().configure({.code_start = sim::kFwRemoteAttest,
+                                                 .code_size = sim::kFwWindowSize,
+                                                 .data_start = base + image_size - 1,
+                                                 .data_size = 1,
+                                                 .perms = sim::kPermRead | sim::kPermWrite});
+  ASSERT_TRUE(slot.is_ok()) << slot.status().to_string();
+  const std::size_t tasks_before = platform.scheduler().task_count();
+  auto task = platform.load_task(*object, {.name = "tail"});
+  ASSERT_FALSE(task.is_ok()) << "the image's last byte was never written";
+  EXPECT_EQ(task.status().code(), Err::kPermissionDenied);
+  EXPECT_EQ(platform.scheduler().task_count(), tasks_before);
+}
+
+TEST(Loader, DeniedRelocationWriteBackFailsTheLoad) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto object = isa::assemble(kSecureTask);
+  ASSERT_TRUE(object.is_ok());
+  ASSERT_FALSE(object->relocs.empty());
+  const std::uint32_t site = next_load_base(platform, *object) + object->relocs[0].offset;
+  core::TaskLoader& loader = platform.loader();
+  auto task = loader.begin_load(*object, {.name = "reloc", .auto_start = false});
+  ASSERT_TRUE(task.is_ok());
+  for (int quantum = 0; quantum < 3; ++quantum) {  // verify, alloc, copy
+    ASSERT_TRUE(loader.load_quantum());
+  }
+  // From here the OS kernel may read the relocation site but not write it.
+  auto slot = platform.eampu_driver().configure({.code_start = sim::kFwOsKernel,
+                                                 .code_size = sim::kFwWindowSize,
+                                                 .data_start = site,
+                                                 .data_size = 4,
+                                                 .perms = sim::kPermRead});
+  ASSERT_TRUE(slot.is_ok()) << slot.status().to_string();
+  while (loader.load_quantum()) {
+  }
+  EXPECT_EQ(platform.scheduler().get(*task), nullptr)
+      << "the load completed with an unrelocated word";
+}
+
+TEST(Loader, DeniedRegistryWriteFailsTheLoad) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  const std::size_t entries_before = platform.rtm().entries().size();
+  // The RTM keeps the first four bytes of the next registry entry; the rest
+  // of the registry stays protected by the other components' rules.
+  const std::uint32_t entry_addr =
+      core::kRtmRegistryBase +
+      static_cast<std::uint32_t>(entries_before) * core::kRegistryEntrySize;
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(platform, sim::kFwRtm, /*background=*/false,
+                                             core::kRtmRegistryBase,
+                                             entry_addr + 4 - core::kRtmRegistryBase));
+  auto task = platform.load_task_source(kSecureTask, {.name = "registry"});
+  ASSERT_FALSE(task.is_ok()) << "the registry entry was left partly written";
+  EXPECT_EQ(task.status().code(), Err::kPermissionDenied);
+  EXPECT_EQ(platform.rtm().entries().size(), entries_before);
 }
 
 TEST(Arena, AllocFreeCoalesce) {

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <span>
 #include <vector>
 
+#include "core/key_register.h"
 #include "isa/assembler.h"
 #include "random_eampu.h"
 #include "sim/devices.h"
@@ -503,21 +505,57 @@ TEST(Machine, FirmwareDispatch) {
   EXPECT_EQ(machine.firmware_invocations(), 1u);
 }
 
-// The firmware block accessors against the per-element loops they stand
-// for, on random EA-MPU tables (random_eampu.h): ranges cross region and
-// slot-data boundaries, start or end in MMIO, or leave memory.  A decoded
-// block is planted inside the range first, so the write watch is compared
-// too: status, prefix, memory, heat check counters, cycles and the decode
+// The scalar reference the block accessors stand for: one fw_read8/fw_read32
+// or fw_write8/fw_write32 per element of `width` bytes, in address order,
+// stopping at the first failure.
+Status scalar_loop(Machine& m, std::uint32_t ip, std::uint32_t addr, bool write,
+                   std::uint32_t width, std::span<std::uint8_t> bytes, std::uint32_t* done) {
+  for (*done = 0; *done < bytes.size() / width; ++*done) {
+    const std::uint32_t at = addr + *done * width;
+    std::uint8_t* p = bytes.data() + std::size_t{*done} * width;
+    Status s;
+    if (write) {
+      s = width == 4 ? m.fw_write32(ip, at, load_le32(p)) : m.fw_write8(ip, at, *p);
+    } else if (width == 4) {
+      auto word = m.fw_read32(ip, at);
+      s = word.status();
+      if (word.is_ok()) {
+        store_le32(p, *word);
+      }
+    } else {
+      auto byte = m.fw_read8(ip, at);
+      s = byte.status();
+      if (byte.is_ok()) {
+        *p = *byte;
+      }
+    }
+    if (!s.is_ok()) {
+      return s;
+    }
+  }
+  return Status::ok();
+}
+
+// The firmware block accessors against the scalar loops they stand for, for
+// both widths in both directions, on random EA-MPU tables (random_eampu.h):
+// ranges cross region and slot-data boundaries, start or end in MMIO (the
+// key register among them), or leave memory.  A decoded block is planted
+// inside the range first, so the write watch is compared too: status,
+// elements done, data, memory, heat check counters, cycles and the decode
 // cache must come out the same.
 TEST(Machine, FirmwareBlockAccessMatchesPerElementLoop) {
   std::mt19937 rng(0xB10C);
   RandomEaMpu tables(rng);
   auto program = isa::assemble("movi r0, 1\nmovi r1, 2\nhlt\n");
   ASSERT_TRUE(program.is_ok());
+  crypto::Key128 kp{};
+  std::iota(kp.begin(), kp.end(), std::uint8_t{0x40});
   const auto mpu_counters = [](Machine& m) {
     return m.obs().metrics().heat_profile("machine").mpu;
   };
-  std::uint64_t partly_denied = 0;
+  // Part-way denials per (write, width == 4) combination.
+  std::uint64_t partly_denied[2][2] = {};
+  std::uint64_t key_register_elements = 0;
   std::uint64_t blocks_killed = 0;
   for (int table = 0; table < 60; ++table) {
     EaMpu mpu;
@@ -528,6 +566,7 @@ TEST(Machine, FirmwareBlockAccessMatchesPerElementLoop) {
     std::generate(noise.begin(), noise.end(), [&] { return static_cast<std::uint8_t>(rng()); });
     for (Machine* m : {&block_m, &loop_m}) {
       m->bus().attach(std::make_shared<SensorDevice>("pedal", kMmioPedal));
+      m->bus().attach(std::make_shared<core::KeyRegister>(kp));
       m->memory().write_block(0x1000, std::span(noise).first(0x1000));
       m->memory().write_block(kFwOsKernel, noise);
       m->memory().write_block(kMmioBase - 0x400, std::span(noise).first(0x400));
@@ -537,13 +576,15 @@ TEST(Machine, FirmwareBlockAccessMatchesPerElementLoop) {
     for (int query = 0; query < 60; ++query) {
       const std::uint32_t ip = tables.address();
       std::uint32_t addr = 0;
-      switch (rng() % 5) {
-        case 0: addr = kMmioBase - rng() % 0x80; break;        // runs into MMIO
+      switch (rng() % 6) {
+        case 0: addr = kMmioBase - rng() % 0x80; break;           // runs into MMIO
         case 1: addr = kMmioPedal - 0x40 + rng() % 0x180; break;  // inside MMIO
-        default: addr = tables.address(); break;               // may leave memory
+        case 2: addr = kMmioKeyReg - 8 + rng() % 0x30; break;     // the key register
+        default: addr = tables.address(); break;                  // may leave memory
       }
       const bool write = rng() % 2 == 0;
-      const std::uint32_t len = write ? 4 * (rng() % 48) : rng() % 200;
+      const std::uint32_t width = rng() % 2 == 0 ? 1 : 4;
+      const std::uint32_t len = width * (rng() % (width == 4 ? 48 : 200));
       // Plant a cached block somewhere inside the range when its head is
       // plain, fetchable RAM under this table.
       const std::uint32_t pc = (addr + (len == 0 ? 0 : rng() % len)) & ~3u;
@@ -557,43 +598,23 @@ TEST(Machine, FirmwareBlockAccessMatchesPerElementLoop) {
         }
       }
       const std::size_t blocks_before = block_m.decode_cache().block_count();
-      std::vector<std::uint8_t> data(len);
-      std::generate(data.begin(), data.end(), [&] { return static_cast<std::uint8_t>(rng()); });
-      std::vector<std::uint8_t> block_out(len, 0xA5);
-      std::vector<std::uint8_t> loop_out(len, 0xA5);
-      Status block_status;
-      Status loop_status;
-      std::uint32_t block_done = 0;
+      std::vector<std::uint8_t> block_data(len);
+      std::generate(block_data.begin(), block_data.end(),
+                    [&] { return static_cast<std::uint8_t>(rng()); });
+      std::vector<std::uint8_t> loop_data = block_data;
+      std::uint32_t block_done = 0xFFFF;
       std::uint32_t loop_done = 0;
-      if (write) {
-        block_status = block_m.fw_write_block(ip, addr, data, &block_done);
-        for (; loop_done < len / 4; ++loop_done) {
-          loop_status = loop_m.fw_write32(ip, addr + 4 * loop_done,
-                                          load_le32(data.data() + 4 * loop_done));
-          if (!loop_status.is_ok()) {
-            break;
-          }
-        }
-      } else {
-        block_status = block_m.fw_read_block(ip, addr, block_out);
-        for (; loop_done < len; ++loop_done) {
-          auto byte = loop_m.fw_read8(ip, addr + loop_done);
-          if (!byte.is_ok()) {
-            loop_status = byte.status();
-            break;
-          }
-          loop_out[loop_done] = *byte;
-        }
-      }
+      const Status block_status =
+          write ? block_m.fw_write_block(ip, addr, block_data, width, &block_done)
+                : block_m.fw_read_block(ip, addr, block_data, width, &block_done);
+      const Status loop_status = scalar_loop(loop_m, ip, addr, write, width, loop_data, &loop_done);
       SCOPED_TRACE(::testing::Message() << "table " << table << " query " << query
-                                        << (write ? " write" : " read") << " ip " << ip
-                                        << " addr " << addr << " len " << len);
+                                        << (write ? " write" : " read") << " width " << width
+                                        << " ip " << ip << " addr " << addr << " len " << len);
       ASSERT_EQ(block_status.code(), loop_status.code());
       ASSERT_EQ(block_status.message(), loop_status.message());
-      ASSERT_EQ(block_out, loop_out);
-      if (write) {
-        ASSERT_EQ(block_done, loop_done);
-      }
+      ASSERT_EQ(block_done, loop_done);
+      ASSERT_EQ(block_data, loop_data);
       const std::uint32_t lo = addr < 0x40 ? 0 : addr - 0x40;
       const std::uint32_t hi = std::min<std::uint64_t>(std::uint64_t{addr} + len + 0x40,
                                                        block_m.memory().size());
@@ -607,13 +628,24 @@ TEST(Machine, FirmwareBlockAccessMatchesPerElementLoop) {
       ASSERT_EQ(mpu_counters(block_m), mpu_counters(loop_m));
       ASSERT_EQ(block_m.cycles(), loop_m.cycles());
       ASSERT_EQ(block_m.decode_cache().block_count(), loop_m.decode_cache().block_count());
-      partly_denied += loop_done > 0 && loop_status.code() == Err::kPermissionDenied ? 1 : 0;
+      partly_denied[write][width == 4] +=
+          loop_done > 0 && loop_status.code() == Err::kPermissionDenied ? 1 : 0;
+      for (std::uint32_t i = 0; i < loop_done; ++i) {
+        const std::uint32_t at = addr + i * width;
+        key_register_elements += at >= kMmioKeyReg && at < kMmioKeyReg + 0x20 ? 1 : 0;
+      }
       blocks_killed += blocks_before - block_m.decode_cache().block_count();
     }
   }
   // The sample reaches the interesting cases: denials part-way through a
-  // range, and writes that kill a cached block.
-  EXPECT_GT(partly_denied, 40u);
+  // range for every width and direction, elements moved through the key
+  // register's per-element loop, and writes that kill a cached block.
+  for (const auto& by_width : partly_denied) {
+    for (const std::uint64_t n : by_width) {
+      EXPECT_GT(n, 10u);
+    }
+  }
+  EXPECT_GT(key_register_elements, 100u);
   EXPECT_GT(blocks_killed, 200u);
 }
 

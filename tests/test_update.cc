@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/platform.h"
+#include "narrow_rule.h"
 
 namespace tytan {
 namespace {
@@ -29,6 +30,26 @@ loop:
     jmp  loop
 )";
 }
+
+// A secure task with a mailbox: parks in wait-msg, prints message word 0.
+constexpr std::string_view kReceiver = R"(
+    .secure
+    .stack 256
+    .entry main
+    .msg on_msg
+main:
+    movi r0, 8
+    int  0x21
+h:  jmp h
+on_msg:
+    li   r5, __tytan_mailbox
+    ldw  r1, [r5+8]
+    movi r0, 4
+    int  0x21
+    movi r0, 9
+    int  0x21
+h2: jmp h2
+)";
 
 TEST(Update, SynchronousSwapReplacesBinary) {
   Platform platform;
@@ -142,24 +163,6 @@ TEST(Update, AsyncUpdateKeepsOldVersionRunningDuringLoad) {
 TEST(Update, PendingMailboxCarriedOver) {
   Platform platform;
   ASSERT_TRUE(platform.boot().is_ok());
-  constexpr std::string_view kReceiver = R"(
-      .secure
-      .stack 256
-      .entry main
-      .msg on_msg
-  main:
-      movi r0, 8
-      int  0x21
-  h:  jmp h
-  on_msg:
-      li   r5, __tytan_mailbox
-      ldw  r1, [r5+8]
-      movi r0, 4
-      int  0x21
-      movi r0, 9
-      int  0x21
-  h2: jmp h2
-  )";
   auto v1 = platform.load_task_source(kReceiver, {.name = "recv", .priority = 3});
   ASSERT_TRUE(v1.is_ok());
   platform.run_for(300'000);  // park in wait-msg
@@ -179,6 +182,33 @@ TEST(Update, PendingMailboxCarriedOver) {
   ASSERT_TRUE(
       platform.run_until([&] { return !platform.serial().output().empty(); }, 20'000'000));
   EXPECT_EQ(platform.serial().output(), "Q");
+}
+
+TEST(Update, FailedMailboxCarryOverKeepsOldVersion) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto v1 = platform.load_task_source(kReceiver, {.name = "recv", .priority = 3,
+                                                  .auto_start = false});
+  ASSERT_TRUE(v1.is_ok());
+  const rtos::Tcb* r = platform.scheduler().get(*v1);
+  ASSERT_TRUE(platform.ipc_proxy()
+                  .deliver(rtos::TaskIdentity{}, r->identity, {'Q', 0, 0, 0}, false)
+                  .is_ok());
+  ASSERT_TRUE(r->message_pending);
+  // The proxy identity that carries the message over may still read the old
+  // mailbox but no longer write the replacement's.
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(platform, sim::kFwIpcProxy, /*background=*/true,
+                                             r->region_base, r->region_size));
+  const std::size_t tasks_before = platform.scheduler().task_count();
+  std::string v2_src(kReceiver);
+  v2_src += "\n    .word 42\n";
+  auto v2 = platform.update_task(*v1, v2_src, {.name = "recv2", .priority = 3});
+  ASSERT_FALSE(v2.is_ok()) << "the swap went ahead without the pending message";
+  EXPECT_EQ(v2.status().code(), Err::kPermissionDenied);
+  // Nothing was committed: the old version stays, with its message pending.
+  ASSERT_EQ(platform.scheduler().get(*v1), r);
+  EXPECT_TRUE(r->message_pending);
+  EXPECT_EQ(platform.scheduler().task_count(), tasks_before);
 }
 
 TEST(Update, ErrorsReported) {
