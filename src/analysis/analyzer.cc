@@ -540,6 +540,11 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
     // in that case.
     Report scratch;
     Report& structural_sink = config.structural ? report : scratch;
+    // Decoded once: the words move into each recovery round below and,
+    // when the round is not the last, back out of its CFG for the next.
+    const auto decode_begin = Clock::now();
+    DecodedWords decoded = decode_image(object);
+    const std::uint64_t decode_us = elapsed_us(decode_begin);
     if (config.dataflow) {
       // Resolved indirect targets create CFG edges, and new edges expose new
       // code to the value-set analysis: iterate recovery and dataflow until
@@ -549,6 +554,8 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
       // would rebuild exactly them.
       constexpr int kMaxResolveRounds = 8;
       const auto dataflow_begin = Clock::now();
+      // The last recovery round's time: structural, not dataflow.
+      std::uint64_t recovery_us = 0;
       ResolvedTargets resolved;
       // A resolution that does not survive its own spliced edges is banned
       // for good (self-referential tables oscillate otherwise); banning is
@@ -562,8 +569,8 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
         Report round_structural;
         Report round_dataflow;
         const auto structural_begin = Clock::now();
-        Cfg cfg = recover_cfg(object, round_structural, &resolved);
-        out.timings.structural_us = elapsed_us(structural_begin);
+        Cfg cfg = recover_cfg(object, std::move(decoded), round_structural, &resolved);
+        recovery_us = elapsed_us(structural_begin);
         DataflowResult result = run_dataflow(object, cfg, config, &round_dataflow, &banned);
         stable = result.resolved == resolved;
         if (stable) {
@@ -578,6 +585,7 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
           take(report, round_dataflow);
           break;
         }
+        decoded = std::move(cfg.decoded);
         // A site whose resolution vanishes once its own edges are spliced
         // in can never be claimed: keep it banned so the iteration is
         // monotone.  A *changed* target set is ordinary convergence (new
@@ -598,15 +606,16 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
         }
         resolved.clear();
         const auto structural_begin = Clock::now();
-        out.cfg = recover_cfg(object, structural_sink, &resolved);
-        out.timings.structural_us = elapsed_us(structural_begin);
+        out.cfg = recover_cfg(object, std::move(decoded), structural_sink, &resolved);
+        recovery_us = elapsed_us(structural_begin);
         out.dataflow = run_dataflow(object, out.cfg, config, &report, &banned);
       }
-      out.timings.dataflow_us = elapsed_us(dataflow_begin) - out.timings.structural_us;
+      out.timings.structural_us = decode_us + recovery_us;
+      out.timings.dataflow_us = elapsed_us(dataflow_begin) - recovery_us;
     } else {
       const auto structural_begin = Clock::now();
-      out.cfg = recover_cfg(object, structural_sink);
-      out.timings.structural_us = elapsed_us(structural_begin);
+      out.cfg = recover_cfg(object, std::move(decoded), structural_sink);
+      out.timings.structural_us = decode_us + elapsed_us(structural_begin);
     }
     out.has_cfg = true;
   }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/bytes.h"
+#include "common/status.h"
 #include "core/layout.h"
 #include "sim/memory_map.h"
 
@@ -80,7 +81,15 @@ Flow Cfg::flow_at(std::uint32_t offset) const {
   return instruction_flow(*decoded[index], offset, terminal_int[index]);
 }
 
-Cfg recover_cfg(const isa::ObjectFile& object, Report& report,
+DecodedWords decode_image(const isa::ObjectFile& object) {
+  DecodedWords decoded(object.image.size() / isa::kInstrSize);
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    decoded[i] = isa::decode(load_le32(object.image.data() + i * isa::kInstrSize));
+  }
+  return decoded;
+}
+
+Cfg recover_cfg(const isa::ObjectFile& object, DecodedWords decoded, Report& report,
                 const ResolvedTargets* resolved) {
   Cfg cfg;
   if (resolved != nullptr) {
@@ -88,13 +97,11 @@ Cfg recover_cfg(const isa::ObjectFile& object, Report& report,
   }
   const auto image_size = static_cast<std::uint32_t>(object.image.size());
   const std::size_t n_words = image_size / isa::kInstrSize;
-  cfg.decoded.resize(n_words);
+  TYTAN_CHECK(decoded.size() == n_words, "recover_cfg: decoded words of another image");
+  cfg.decoded = std::move(decoded);
   cfg.word_class.assign(n_words, WordClass::kUnknown);
   cfg.reachable.assign(n_words, false);
   cfg.terminal_int.assign(n_words, false);
-  for (std::size_t i = 0; i < n_words; ++i) {
-    cfg.decoded[i] = isa::decode(load_le32(object.image.data() + i * isa::kInstrSize));
-  }
   for (std::size_t i = 0; i < n_words; ++i) {
     if (cfg.decoded[i].has_value()) {
       cfg.terminal_int[i] = int_is_terminal(cfg, i);

@@ -53,8 +53,11 @@ struct BasicBlock {
 /// Indirect-site image offset -> the statically resolved target set (sorted).
 using ResolvedTargets = std::map<std::uint32_t, std::vector<std::uint32_t>>;
 
+/// Every aligned word of an image, decoded; nullopt where a word does not.
+using DecodedWords = std::vector<std::optional<isa::Instruction>>;
+
 struct Cfg {
-  std::vector<std::optional<isa::Instruction>> decoded;  ///< per aligned word
+  DecodedWords decoded;              ///< per aligned word
   std::vector<WordClass> word_class;                     ///< per aligned word
   std::vector<bool> reachable;                           ///< per aligned word
   /// `int 0x21` sites whose syscall number is statically an exit-style call
@@ -77,14 +80,19 @@ struct Cfg {
   [[nodiscard]] Flow flow_at(std::uint32_t offset) const;
 };
 
-/// Decode `object.image`, validate the entry points, and recover the CFG.
-/// Structural violations (CF001–CF006) are appended to `report`.
+/// Decode every aligned word of `object.image`.  The one decode of an image
+/// per analysis: every recover_cfg round takes its result.
+DecodedWords decode_image(const isa::ObjectFile& object);
+
+/// Validate the entry points of `object` and recover its CFG from
+/// `decoded` (decode_image(object)).  Structural violations (CF001–CF006)
+/// are appended to `report`.
 ///
 /// When `resolved` is non-null the recovery runs in dataflow mode: resolved
 /// jmpr/callr edges are followed (their targets become reachable leaders,
 /// successors, and call-graph edges) and CF006 is never emitted — the
 /// dataflow pass reports each indirect site precisely (DF001–DF003).
-Cfg recover_cfg(const isa::ObjectFile& object, Report& report,
+Cfg recover_cfg(const isa::ObjectFile& object, DecodedWords decoded, Report& report,
                 const ResolvedTargets* resolved = nullptr);
 
 }  // namespace tytan::analysis

@@ -85,17 +85,8 @@ void IntMux::on_interrupt() {
                            : save_normal(*tcb);
     if (!saved) {
       // The task's stack pointer leads outside writable memory: the context
-      // cannot be preserved.  Contain it — record a stack fault and route to
-      // the fault handler, which kills the offending task.
-      machine_.record_fault({sim::FaultType::kStackFault, origin,
-                             machine_.cpu().sp(), sim::Access::kWrite});
-      const auto fault_handler = vector_handlers_.find(sim::kVecFault);
-      if (fault_handler == vector_handlers_.end()) {
-        machine_.halt(sim::HaltReason::kDoubleFault);
-        return;
-      }
-      machine_.charge(costs.intmux_branch);
-      machine_.cpu().eip = fault_handler->second;
+      // cannot be preserved.  Contain it; the fault handler kills the task.
+      contain(origin, machine_.cpu().sp(), sim::Access::kWrite);
       return;
     }
   }
@@ -350,6 +341,41 @@ std::uint32_t IntMux::saved_frame_base(const Tcb& tcb) const {
     return *sp;
   }
   return tcb.saved_sp;
+}
+
+void IntMux::contain(std::uint32_t eip, std::uint32_t addr, sim::Access access) {
+  machine_.record_fault({sim::FaultType::kStackFault, eip, addr, access});
+  const auto fault_handler = vector_handlers_.find(sim::kVecFault);
+  if (fault_handler == vector_handlers_.end()) {
+    machine_.halt(sim::HaltReason::kDoubleFault);
+    return;
+  }
+  machine_.charge(machine_.costs().intmux_branch);
+  machine_.cpu().eip = fault_handler->second;
+}
+
+void IntMux::contain_frame(const Tcb& tcb, unsigned reg, sim::Access access) {
+  contain(machine_.int_origin_eip(), saved_frame_base(tcb) + (6 - reg) * 4, access);
+}
+
+bool IntMux::reply(const Tcb& tcb, std::uint32_t value) {
+  if (!poke_saved_reg(tcb, 0, value).is_ok()) {
+    contain_frame(tcb, 0, sim::Access::kWrite);
+    return false;
+  }
+  return true;
+}
+
+bool IntMux::read_saved_regs(const Tcb& tcb, std::span<std::uint32_t> regs) {
+  for (unsigned reg = 0; reg < regs.size(); ++reg) {
+    auto value = peek_saved_reg(tcb, reg);
+    if (!value.is_ok()) {
+      contain_frame(tcb, reg, sim::Access::kRead);
+      return false;
+    }
+    regs[reg] = *value;
+  }
+  return true;
 }
 
 Status IntMux::poke_saved_reg(const Tcb& tcb, unsigned reg, std::uint32_t value) {

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 
 #include "common/status.h"
 #include "core/layout.h"
@@ -88,10 +89,17 @@ class IntMux {
   /// True while the task is executing its message handler.
   [[nodiscard]] bool message_active(rtos::TaskHandle handle) const;
 
-  /// Write a register slot inside a task's saved frame (syscall results).
-  Status poke_saved_reg(const rtos::Tcb& tcb, unsigned reg, std::uint32_t value);
-  /// Read a register slot from a task's saved frame (trusted; tests).
-  Result<std::uint32_t> peek_saved_reg(const rtos::Tcb& tcb, unsigned reg) const;
+  /// Hand `value` back in a syscall or IPC caller's saved r0.  False when
+  /// the frame cannot be written: the caller is then contained (see
+  /// read_saved_regs) and must not be resumed.
+  [[nodiscard]] bool reply(const rtos::Tcb& tcb, std::uint32_t value);
+  /// Read r0..r(regs.size()-1) of a syscall or IPC caller's saved frame into
+  /// `regs`.  False when a slot cannot be read: the caller is then
+  /// contained, never served with made-up arguments — the way on_interrupt
+  /// contains a context it cannot save: a kStackFault at the interrupt
+  /// origin on that frame word, and a branch to the fault handler, which
+  /// kills the task.
+  [[nodiscard]] bool read_saved_regs(const rtos::Tcb& tcb, std::span<std::uint32_t> regs);
 
   // -- normal-task context ops (the OS-visible path) --------------------------------
   /// Restore a normal task's context from its stack (FreeRTOS behaviour;
@@ -126,6 +134,15 @@ class IntMux {
   static constexpr std::uint32_t kFlagMsgActive = 1u << 1;
 
   [[nodiscard]] std::uint32_t saved_frame_base(const rtos::Tcb& tcb) const;
+  /// Record a kStackFault at `eip` on `addr` and branch to the fault handler
+  /// (a kDoubleFault halt without one).
+  void contain(std::uint32_t eip, std::uint32_t addr, sim::Access access);
+  /// contain() the current task after `access` to saved-frame slot `reg`
+  /// failed.
+  void contain_frame(const rtos::Tcb& tcb, unsigned reg, sim::Access access);
+  /// One register slot of a task's saved frame, r0..r6.
+  [[nodiscard]] Status poke_saved_reg(const rtos::Tcb& tcb, unsigned reg, std::uint32_t value);
+  [[nodiscard]] Result<std::uint32_t> peek_saved_reg(const rtos::Tcb& tcb, unsigned reg) const;
 
   /// Return false if the task's stack is not writable (wild SP); the caller
   /// routes to the fault handler instead of crashing the TCB.

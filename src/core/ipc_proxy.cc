@@ -63,16 +63,16 @@ void IpcProxy::on_ipc() {
   const TaskIdentity sender_id =
       sender_entry != nullptr ? sender_entry->identity : TaskIdentity{};
 
-  // Message and receiver identity from the sender's *saved* context.
-  auto reg = [&](unsigned r) {
-    auto v = int_mux_.peek_saved_reg(*sender, r);
-    return v.is_ok() ? *v : 0u;
-  };
-  const std::uint32_t op = reg(0);
+  // Message and receiver identity from the sender's *saved* context, r0..r6.
+  std::array<std::uint32_t, 7> regs{};
+  if (!int_mux_.read_saved_regs(*sender, regs)) {
+    return;
+  }
+  const std::uint32_t op = regs[0];
   TaskIdentity receiver_id{};
-  store_le32(receiver_id.data(), reg(1));
-  store_le32(receiver_id.data() + 4, reg(2));
-  const std::array<std::uint32_t, 4> message{reg(3), reg(4), reg(5), reg(6)};
+  store_le32(receiver_id.data(), regs[1]);
+  store_le32(receiver_id.data() + 4, regs[2]);
+  const std::array<std::uint32_t, 4> message{regs[3], regs[4], regs[5], regs[6]};
 
   if (op != kIpcShmGrant) {
     if (fault::FaultEngine* engine = machine_.faults();
@@ -100,7 +100,7 @@ void IpcProxy::on_ipc() {
   }
 
   if (op == kIpcShmGrant) {
-    handle_shm(*sender, sender_entry, receiver_entry, message[0] != 0 ? message[0] : reg(3));
+    handle_shm(*sender, sender_entry, receiver_entry, message[0]);
     return;
   }
 
@@ -114,11 +114,17 @@ void IpcProxy::on_ipc() {
     return;
   }
 
+  // The sender's kSysOk goes in before the mailbox write: a sender that
+  // cannot be answered is contained before the receiver's mailbox (which
+  // may already hold a pending message) is touched.  A failed mailbox write
+  // then overwrites the kSysOk with reject's kSysErr.
+  if (!int_mux_.reply(*sender, kSysOk)) {
+    return;
+  }
   if (Status s = write_mailbox(*receiver_entry, sender_id, message); !s.is_ok()) {
     reject(*sender);
     return;
   }
-  int_mux_.poke_saved_reg(*sender, 0, kSysOk);
   ++delivered_;
   stats_.proxy = machine_.cycles() - t0;
 
@@ -167,8 +173,9 @@ void IpcProxy::on_ipc() {
 void IpcProxy::reject(Tcb& sender) {
   ++rejected_;
   machine_.obs().emit(obs::EventKind::kIpcReject, sender.handle);
-  int_mux_.poke_saved_reg(sender, 0, kSysErr);
-  kernel_.resume_specific(sender.handle);
+  if (int_mux_.reply(sender, kSysErr)) {
+    kernel_.resume_specific(sender.handle);
+  }
 }
 
 void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
@@ -214,6 +221,14 @@ void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
     reject(sender);
     return;
   }
+  // The sender learns the window's base first: a grant whose sender cannot
+  // be told is withdrawn before the receiver hears of it.
+  if (!int_mux_.reply(sender, *base)) {
+    driver_.unconfigure(*slot_b);
+    driver_.unconfigure(*slot_a);
+    arena_.free(*base);
+    return;
+  }
   // Tell the receiver where the window lives (async notification message);
   // a grant the receiver cannot be told about is withdrawn.
   Tcb* receiver = scheduler_.get(receiver_entry->handle);
@@ -237,7 +252,6 @@ void IpcProxy::handle_shm(Tcb& sender, const RegistryEntry* sender_entry,
     }
   }
   ++delivered_;
-  int_mux_.poke_saved_reg(sender, 0, *base);
   kernel_.resume_specific(sender.handle);
 }
 

@@ -296,15 +296,6 @@ void Kernel::on_tick() {
   reschedule();
 }
 
-std::uint32_t Kernel::saved_reg(const Tcb& tcb, unsigned reg) {
-  auto value = int_mux_.peek_saved_reg(tcb, reg);
-  return value.is_ok() ? *value : 0;
-}
-
-void Kernel::syscall_result(Tcb& tcb, std::uint32_t value) {
-  int_mux_.poke_saved_reg(tcb, 0, value);
-}
-
 void Kernel::on_syscall() {
   ++syscalls_;
   machine_.charge(machine_.costs().syscall_base);
@@ -314,25 +305,32 @@ void Kernel::on_syscall() {
     reschedule();
     return;
   }
-  const std::uint32_t number = saved_reg(*tcb, 0);
+  // The number and arguments, r0..r3 of the saved frame.
+  std::array<std::uint32_t, 4> args{};
+  if (!int_mux_.read_saved_regs(*tcb, args)) {
+    return;
+  }
+  const auto [number, a1, a2, a3] = args;
   machine_.obs().emit(obs::EventKind::kSyscall, tcb->handle, number);
-  const std::uint32_t a1 = saved_reg(*tcb, 1);
-  const std::uint32_t a2 = saved_reg(*tcb, 2);
-  const std::uint32_t a3 = saved_reg(*tcb, 3);
   // The common exit: hand `value` back in r0 and resume the caller.
   const auto reply = [&](std::uint32_t value) {
-    syscall_result(*tcb, value);
-    resume_specific(tcb->handle);
+    if (int_mux_.reply(*tcb, value)) {
+      resume_specific(tcb->handle);
+    }
   };
 
   switch (number) {
     case kSysYield:
-      syscall_result(*tcb, kSysOk);
+      if (!int_mux_.reply(*tcb, kSysOk)) {
+        return;
+      }
       scheduler_.yield_current();
       reschedule();
       return;
     case kSysDelay: {
-      syscall_result(*tcb, kSysOk);
+      if (!int_mux_.reply(*tcb, kSysOk)) {
+        return;
+      }
       scheduler_.delay_until(tcb->handle, scheduler_.tick_count() + std::max(1u, a1));
       reschedule();
       return;
@@ -434,7 +432,9 @@ void Kernel::on_syscall() {
         // must not park on the syscall/IPC/tick vectors.
         return reply(kSysErr);
       }
-      syscall_result(*tcb, kSysOk);
+      if (!int_mux_.reply(*tcb, kSysOk)) {
+        return;
+      }
       irq_waiters_[vector].push_back(tcb->handle);
       scheduler_.block(tcb->handle, BlockReason::kIrq);
       reschedule();

@@ -122,8 +122,6 @@ class Kernel {
   /// (kIdlePassCycles) or one loader step; a finished loader parks.
   void run_firmware_quantum();
   void dispatch_guest(rtos::Tcb& tcb);
-  void syscall_result(rtos::Tcb& tcb, std::uint32_t value);
-  [[nodiscard]] std::uint32_t saved_reg(const rtos::Tcb& tcb, unsigned reg);
 
   sim::Machine& machine_;
   rtos::Scheduler& scheduler_;

@@ -460,7 +460,8 @@ bool TaskLoader::quantum_register() {
     // the profile is cumulative history, not live state.
     heat->add_region(job.handle, job.params.name, tcb->region_base, tcb->region_size);
     analysis::Report scratch;
-    const analysis::Cfg cfg = analysis::recover_cfg(job.object, scratch);
+    const analysis::Cfg cfg =
+        analysis::recover_cfg(job.object, analysis::decode_image(job.object), scratch);
     std::vector<std::uint32_t> offsets;
     offsets.reserve(cfg.blocks.size());
     for (const auto& [start, block] : cfg.blocks) {

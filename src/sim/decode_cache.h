@@ -1,13 +1,14 @@
-// Decoded basic-block cache for table-driven dispatch (ROADMAP item 1).
+// Decoded basic-block cache for table-driven dispatch.
 //
 // The interpreter re-fetches, re-decodes, and re-runs the EA-MPU fetch walk
 // for every instruction on every execution.  The decode cache trades that
 // per-step work for a one-time *block build*: starting at a physical PC it
 // pre-decodes straight-line code into DecodedOps — operands resolved, the
-// per-opcode handler function pointer, base cycle cost and quiet bit pulled
-// from the OpVariant table (src/sim/machine_ops.cc), the fetch-check
-// classify() code memoized — and the machine then runs through the block
-// with a cursor: one compare instead of the full fetch→decode→check walk.
+// per-opcode handler function pointer and base cycle cost pulled from the
+// OpVariant table (src/sim/machine_ops.cc), the fetch-check classify() code
+// memoized, each quiet op's run length and cycle sum folded in — and the
+// machine then runs through the block with a cursor: one compare instead of
+// the full fetch→decode→check walk, and one horizon compare per quiet run.
 // Each op also memoizes its data-access and transfer verdicts as it runs,
 // each over the exact address span on which the EA-MPU's answer for the
 // op's PC cannot change (VerdictMemo).
@@ -82,7 +83,9 @@ struct OpVariant {
   std::uint8_t base_cycles = 0;
   /// No load, store, push, pop, transfer, int, iret, hlt, cli or sti: the op
   /// cannot fault, halt, touch memory or a device, change IF, or leave EIP
-  /// anywhere but the next word.  Machine::run chains straight past it.
+  /// anywhere but the next word.  build_block folds each run of quiet ops
+  /// into a length and a cycle sum (DecodedOp::quiet_run), on which
+  /// Machine::run runs the whole run with one horizon compare.
   bool quiet = false;
 };
 
@@ -98,7 +101,10 @@ const std::array<OpVariant, 256>& op_table();
 struct DecodedOp {
   isa::Instruction instr{};
   std::uint8_t base_cycles = 0;
-  bool quiet = false;  ///< OpVariant::quiet
+  /// Cached ops only: the number of quiet ops (OpVariant::quiet) from this
+  /// one to the first op of its block that is not, or to the block end; 0
+  /// for an op that is not quiet.  quiet_cycles is their base-cycle sum.
+  std::uint8_t quiet_run = 0;
   std::uint32_t pc = 0;
   std::uint32_t word = 0;  ///< raw encoding (tracer replay)
   void (*exec)(Machine&, const DecodedOp&) = nullptr;
@@ -109,6 +115,7 @@ struct DecodedOp {
   /// True for ops built into a block, which fill and replay the memos
   /// below.  The interpreter's transient ops ask the EA-MPU every time.
   bool cached = false;
+  std::uint16_t quiet_cycles = 0;  ///< see quiet_run
   /// The op's data-access verdict (every op has at most one access kind)
   /// and its transfer verdict, filled on first use.  Mutable: the op is
   /// otherwise immutable block content, and the memos die with the block.
@@ -127,6 +134,9 @@ class DecodeCache final : public WriteWatcher {
   /// Block count cap: a runaway-SMC workload cannot grow the cache without
   /// bound; hitting the cap drops everything and starts over.
   static constexpr std::size_t kMaxBlocks = 4096;
+
+  static_assert(kMaxBlockOps <= UINT8_MAX && kMaxBlockOps * UINT8_MAX <= UINT16_MAX,
+                "a block's quiet runs fit DecodedOp::quiet_run and quiet_cycles");
 
   struct Block {
     std::uint32_t start = 0;

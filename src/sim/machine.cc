@@ -19,9 +19,9 @@ static_assert(obs::HeatProfile::kMpuSlotBuckets == EaMpu::kNumSlots,
 
 namespace {
 
-/// `instr`, decoded from `word` at `pc`, bound to its OpVariant handler,
-/// base cost and quiet bit — the part of a DecodedOp both dispatch modes
-/// fill the same way.  Nothing is memoized yet.
+/// `instr`, decoded from `word` at `pc`, bound to its OpVariant handler and
+/// base cost — the part of a DecodedOp both dispatch modes fill the same
+/// way.  Nothing is memoized yet.
 DecodedOp decoded_op(std::uint32_t pc, std::uint32_t word, const isa::Instruction& instr) {
   const OpVariant& variant = op_table()[static_cast<std::size_t>(instr.opcode)];
   DecodedOp op;
@@ -30,7 +30,6 @@ DecodedOp decoded_op(std::uint32_t pc, std::uint32_t word, const isa::Instructio
   op.word = word;
   op.exec = variant.exec;
   op.base_cycles = variant.base_cycles;
-  op.quiet = variant.quiet;
   return op;
 }
 
@@ -651,9 +650,9 @@ const DecodedOp* Machine::next_cached_op() {
   // probe or the hash lookup.  Safe for the same reason as the cursor: a
   // cached head is never a firmware entry, and the entry's generation
   // stamp dies with any invalidation (live() also rechecks the policy
-  // configuration epoch).
-  const BlockLutEntry& lut = block_lut_[(cpu_.eip >> 2) & (kBlockLutSize - 1)];
-  if (lut.pc == cpu_.eip && dcache_.live(lut.gen, policy_)) {
+  // configuration epoch) — checked before the block is read.
+  const BlockLutEntry& lut = block_lut_[lut_index(cpu_.eip)];
+  if (dcache_.live(lut.gen, policy_) && lut.block->start == cpu_.eip) {
     cur_block_ = lut.block;
     cur_gen_ = lut.gen;
     cur_idx_ = 1;
@@ -676,6 +675,9 @@ HaltReason Machine::run(std::uint64_t cycle_limit) {
 }
 
 void Machine::run_chained(std::uint64_t limit) {
+  // Quiet runs skip the per-op observer hooks, so they take the budgeted
+  // loop only with neither observer on.  No op can attach one mid-chain.
+  const bool observed = tracer_ != nullptr || heat_ != nullptr;
   // Each pass stands in for one step() whose top would tick no device
   // (clock below the next tick, timing epoch unchanged), take no IRQ, and
   // stay inside run(): exactly the state in which step() only sets the
@@ -695,10 +697,30 @@ void Machine::run_chained(std::uint64_t limit) {
     // anywhere but the next op of its block: after one, only the clock and
     // the block's end can stop the chain.
     for (;;) {
+      if (!observed && op->quiet_run != 0 && cycles_ + op->quiet_cycles < horizon) {
+        // The whole quiet run fits below the horizon, so stepping would run
+        // every op of it and the op after it: one compare stands in for the
+        // per-op ones.  Each op still charges its own cycles (rdcyc reads
+        // the exact clock), and the device latch ends at the last op's top.
+        const std::size_t run = op->quiet_run;
+        const DecodedOp* const end = op + run;
+        for (; op != end; ++op) {
+          cycles_ += op->base_cycles;
+          execute_op(*op);
+        }
+        instructions_ += run;
+        step_top_cycles_ = cycles_ - end[-1].base_cycles;
+        device_time_dirty_ = true;
+        cur_idx_ += run - 1;  // the cursor was already past the run's first op
+        if (cur_idx_ == cur_block_->ops.size()) {
+          break;
+        }
+        op = &cur_block_->ops[cur_idx_++];  // not quiet: the run is maximal
+      }
       step_top_cycles_ = cycles_;
       device_time_dirty_ = true;
       run_cached_op(*op);
-      if (!op->quiet || cycles_ >= horizon || cur_idx_ == cur_block_->ops.size()) {
+      if (op->quiet_run == 0 || cycles_ >= horizon || cur_idx_ == cur_block_->ops.size()) {
         break;
       }
       op = &cur_block_->ops[cur_idx_++];
@@ -816,10 +838,7 @@ bool Machine::execute_one_cached() {
   cur_gen_ = dcache_.generation();
   cur_idx_ = 1;
   // Remember this head so the next branch here takes the LUT fast path.
-  BlockLutEntry& lut = block_lut_[(cpu_.eip >> 2) & (kBlockLutSize - 1)];
-  lut.pc = cpu_.eip;
-  lut.gen = cur_gen_;
-  lut.block = block;
+  block_lut_[lut_index(cpu_.eip)] = {cur_gen_, block};
   // Reference is safe even against a store erasing its own block: erased
   // blocks are graveyarded, not destroyed, until the next find()/insert().
   run_cached_op(block->ops[0]);
@@ -877,6 +896,20 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     }
   }
   block.end = p;
+  // Fold each maximal run of quiet ops into every op of it: the ops left in
+  // the run and their cycle sum (run_chained's budget).
+  std::uint8_t run = 0;
+  std::uint16_t run_cycles = 0;
+  for (auto op = block.ops.rbegin(); op != block.ops.rend(); ++op) {
+    if (op_table()[static_cast<std::size_t>(op->instr.opcode)].quiet) {
+      run_cycles = static_cast<std::uint16_t>(run_cycles + op->base_cycles);
+      op->quiet_run = ++run;
+      op->quiet_cycles = run_cycles;
+    } else {
+      run = 0;
+      run_cycles = 0;
+    }
+  }
   return block;
 }
 

@@ -343,8 +343,9 @@ class Machine {
   /// Run cached ops back to back from the current state for as long as
   /// step() would do nothing else at their step tops: not halted, no IRQ
   /// both pending and enabled, no bus timing-epoch change, the clock below
-  /// min(limit, next device tick), and next_cached_op() hits.  Returns at
-  /// the first step top that needs step().
+  /// min(limit, next device tick), and next_cached_op() hits.  A quiet run
+  /// whose cycle sum stays below that horizon runs with no per-op test.
+  /// Returns at the first step top that needs step().
   void run_chained(std::uint64_t limit);
 
   // Cached-dispatch slow path: sync the cache with the policy epoch, look up
@@ -455,19 +456,24 @@ class Machine {
   const DecodeCache::Block* cur_block_ = nullptr;
   std::size_t cur_idx_ = 0;
   std::uint64_t cur_gen_ = 0;
-  // Direct-mapped block-head LUT: hot loops chain block-to-block without the
-  // firmware map probe or the hash lookup the cold path pays.  Each entry is
-  // stamped with the generation it was filled under and checked with the
-  // same live() guard as the cursor, so invalidations kill it for free; a
-  // hit is safe to run without the firmware probe because build_block never
-  // caches a block whose head is a firmware entry (register_firmware also
-  // invalidates, which bumps the generation).
+  // Hashed block-head LUT: hot loops chain block-to-block without the
+  // firmware map probe or the hash lookup the cold path pays.  Each entry
+  // is stamped with the generation it was filled under and checked with the
+  // same live() guard as the cursor before its block is read, so
+  // invalidations kill it for free; a hit is safe to run without the
+  // firmware probe because build_block never caches a block whose head is a
+  // firmware entry (register_firmware also invalidates, which bumps the
+  // generation).  1024 entries, hashed so that a workload's ~300 heads —
+  // jump-table targets and return sites among them — and the heads 4 KiB
+  // apart in other tasks spread over the table.
   struct BlockLutEntry {
-    std::uint32_t pc = 0;
     std::uint64_t gen = 0;  ///< 0 never matches a real generation
     const DecodeCache::Block* block = nullptr;
   };
-  static constexpr std::size_t kBlockLutSize = 256;
+  static constexpr std::size_t kBlockLutSize = 1024;
+  static std::size_t lut_index(std::uint32_t pc) {
+    return ((pc >> 2) ^ (pc >> 12)) & (kBlockLutSize - 1);
+  }
   std::array<BlockLutEntry, kBlockLutSize> block_lut_{};
 
   std::unique_ptr<Tracer> tracer_;

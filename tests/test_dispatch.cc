@@ -104,6 +104,31 @@ std::unique_ptr<Machine> timed_machine(DispatchMode mode, std::string_view sourc
   return machine;
 }
 
+/// Run `source` (timer of `period` cycles) to its halt through run() at
+/// every cycle limit up to `dense`, then at random strides.  At each limit a
+/// cached run(), an interpreter run() and a cached machine stepped to the
+/// limit must agree.  Returns the cached run() machine.
+std::unique_ptr<Machine> sweep_run_limits(std::string_view source, std::uint32_t period,
+                                          std::uint64_t dense) {
+  auto cached = timed_machine(DispatchMode::kCached, source, period);
+  const auto interp = timed_machine(DispatchMode::kInterpreter, source, period);
+  const auto stepped = timed_machine(DispatchMode::kCached, source, period);
+  std::mt19937 rng(0xC4A1);
+  std::uint64_t limit = 0;
+  while (!cached->halted() && !::testing::Test::HasFailure()) {
+    limit += limit < dense ? 1 : 1 + rng() % 400;
+    cached->run(limit);
+    interp->run(limit);
+    while (!stepped->halted() && stepped->cycles() < limit) {
+      stepped->step();
+    }
+    const std::string where = "limit " + std::to_string(limit);
+    expect_same_state(*cached, *interp, where + " (interpreter)");
+    expect_same_state(*cached, *stepped, where + " (cached step())");
+  }
+  return cached;
+}
+
 struct IdtBinding {
   std::uint8_t vector;
   const char* label;  ///< symbol the vector's handler lives at
@@ -345,10 +370,15 @@ TEST(Dispatch, ChainedRunMatchesSteppingAtEveryLimit) {
   // self-modifying store ahead of the cursor, sti with the timer IRQ
   // already pending, and MMIO writes that move the next tick mid-block.
   // 90 cycles of quiet ops after the restart, past the tick it moved
-  // closer: the chain must reread the schedule after the write.
+  // closer: the chain must reread the schedule after the write.  The run
+  // reads the clock half-way (rdcyc), so a quiet run charged as a whole, or
+  // run past the limit, shows in r6.
   std::string quiet_run;
   for (int i = 0; i < 30; ++i) {
     quiet_run += "      mul  r6, r3\n";
+    if (i == 15) {
+      quiet_run += "      rdcyc r1\n      add  r6, r1\n";
+    }
   }
   const std::string source = R"(
       li   r2, data
@@ -419,22 +449,7 @@ TEST(Dispatch, ChainedRunMatchesSteppingAtEveryLimit) {
   constexpr std::uint32_t kPeriod = 97;
   // One long sweep: every limit for the first few thousand cycles, then
   // random strides, so chains start and stop at every offset of the loop.
-  const auto cached = timed_machine(DispatchMode::kCached, source, kPeriod);
-  const auto interp = timed_machine(DispatchMode::kInterpreter, source, kPeriod);
-  const auto stepped = timed_machine(DispatchMode::kCached, source, kPeriod);
-  std::mt19937 rng(0xC4A1);
-  std::uint64_t limit = 0;
-  while (!cached->halted() && !::testing::Test::HasFailure()) {
-    limit += limit < 4'000 ? 1 : 1 + rng() % 400;
-    cached->run(limit);
-    interp->run(limit);
-    while (!stepped->halted() && stepped->cycles() < limit) {
-      stepped->step();
-    }
-    const std::string where = "limit " + std::to_string(limit);
-    expect_same_state(*cached, *interp, where + " (interpreter)");
-    expect_same_state(*cached, *stepped, where + " (cached step())");
-  }
+  const auto cached = sweep_run_limits(source, kPeriod, 4'000);
   ASSERT_TRUE(cached->halted());
   EXPECT_EQ(cached->cpu().regs[0], 300u);
   EXPECT_GT(cached->interrupts_dispatched(), 100u);
@@ -448,6 +463,213 @@ TEST(Dispatch, ChainedRunMatchesSteppingAtEveryLimit) {
     reference->run(end);
     expect_same_state(*fresh, *reference, "one run to " + std::to_string(end));
   }
+}
+
+TEST(Dispatch, QuietRunSpanningAWholeBlock) {
+  // 140 quiet ops in a row: the first block is capped at kMaxBlockOps, all
+  // of them quiet, so its head carries the longest quiet run a block can
+  // hold.  rdcyc sits in it at both ends and in the middle; a timer of odd
+  // period lands ticks, and the sweep lands limits, at every offset.
+  std::string body;
+  for (int i = 0; i < 140; ++i) {
+    if (i == 0 || i == 63 || i == 127) {
+      body += "      rdcyc r1\n      xor  r6, r1\n";
+      i += 1;
+    } else {
+      body += i % 3 == 0 ? "      mul  r4, r5\n" : "      addi r5, 3\n";
+    }
+  }
+  ASSERT_GT(140u, DecodeCache::kMaxBlockOps);
+  const std::string source = R"(
+      movi r5, 1
+      movi r4, 1
+      sti
+  loop:
+)" + body + R"(
+      addi r0, 1
+      cmpi r0, 40
+      jnz  loop
+      hlt
+  tick:
+      addi r2, 1
+      iret
+  )";
+  const auto cached = sweep_run_limits(source, 61, 6'000);
+  ASSERT_TRUE(cached->halted());
+  EXPECT_EQ(cached->cpu().regs[0], 40u);
+  EXPECT_GT(cached->interrupts_dispatched(), 50u);
+}
+
+TEST(Dispatch, JumpTableAndReturnsMatchThroughLut) {
+  // An 8-way jmpr table and a callr whose targets and return sites change
+  // every pass: the dispatch, case and return blocks are entered through
+  // the block-head LUT from ever-changing predecessors.  `leaf` returns to
+  // six call sites, `mid` to two.
+  const std::string source = R"(
+      movi r0, 0
+      movi r5, 0
+      sti
+  main:
+      mov  r1, r0
+      andi r1, 7
+      shli r1, 2
+      li   r2, table
+      add  r2, r1
+      ldw  r2, [r2]
+      jmpr r2
+  case0:
+      call leaf
+      jmp  next
+  case1:
+      addi r5, 3
+      call mid
+      jmp  next
+  case2:
+      call leaf
+      call leaf
+      jmp  next
+  case3:
+      xor  r5, r0
+      jmp  next
+  case4:
+      call mid
+      jmp  next
+  case5:
+      subi r5, 1
+      call leaf
+      jmp  next
+  case6:
+      rdcyc r4
+      add  r5, r4
+      jmp  next
+  case7:
+      li   r3, leaf
+      callr r3
+  next:
+      addi r0, 1
+      cmpi r0, 400
+      jnz  main
+      hlt
+  mid:
+      addi r5, 5
+      call leaf
+      addi r5, 1
+      ret
+  leaf:
+      shli r5, 1
+      addi r5, 1
+      ret
+  tick:
+      addi r6, 1
+      iret
+  table:
+      .word case0, case1, case2, case3, case4, case5, case6, case7
+  )";
+  Lockstep ls(source);
+  ls.run(100'000);
+  EXPECT_TRUE(ls.cached->halted());
+  EXPECT_EQ(ls.cached->cpu().regs[0], 400u);
+  const auto cached = sweep_run_limits(source, 89, 3'000);
+  ASSERT_TRUE(cached->halted());
+  EXPECT_EQ(cached->cpu().regs[0], 400u);
+  EXPECT_GT(cached->interrupts_dispatched(), 100u);
+}
+
+TEST(Dispatch, StoreKillsCachedSuccessor) {
+  // `pred` builds `succ` on the first pass and enters it through the
+  // block-head LUT on the second.  The third pass stores into `succ`,
+  // erasing its block, and then comes back to it through one-op blocks
+  // entered by the LUT only (`skip`, `pred`): no block is built that could
+  // free or reuse the erased one first.  Its LUT entry must miss (the
+  // generation moved), and `succ` must run the patched word.
+  Lockstep ls(R"(
+      li   r1, succ
+      li   r2, patched
+      ldw  r3, [r2]       ; r3 = encoding of "addi r6, 7"
+      movi r0, 0
+  pred:
+      jmp  succ
+  succ:
+      addi r6, 1          ; "addi r6, 7" once the third pass patched it
+      addi r0, 1
+      cmpi r0, 7
+      jz   done
+      cmpi r0, 3
+      jnz  skip
+      stw  r3, [r1]       ; third pass only: kill the cached successor
+  skip:
+      jmp  pred
+  done:
+      hlt
+  patched:
+      addi r6, 7
+  )");
+  ls.run(1'000);
+  EXPECT_TRUE(ls.cached->halted());
+  EXPECT_EQ(ls.cached->cpu().regs[6], 3u + 4u * 7u);
+  EXPECT_EQ(ls.cached->decode_cache().stats().code_writes, 1u);
+}
+
+TEST(Dispatch, PolicyEpochKillsCachedSuccessor) {
+  // `succ` lies in protected data that only its own execution region may
+  // fetch.  After `pred` has entered it through the LUT, removing the
+  // region (an EA-MPU epoch bump) after `pred`'s jump, with EIP on `succ`,
+  // must kill the LUT entry: the entry faults on the fetch exactly as the
+  // interpreter does.  A pass
+  // later the jump's own memoized transfer verdict must have died too.
+  Lockstep ls(R"(
+      movi r0, 0
+  pred:
+      addi r0, 1
+      jmp  succ
+  handler:
+      addi r5, 1          ; hlt is privileged under a policy: spin instead
+  spin:
+      jmp  spin
+  succ:
+      addi r6, 1
+      jmp  pred
+  )");
+  const std::uint32_t succ = ls.addr("succ");
+  EaMpu mpu;
+  auto region = mpu.add_exec_region(
+      {.start = succ, .size = 8, .entry = ExecRegion::kEntryAnywhere});
+  ASSERT_TRUE(region.is_ok());
+  ASSERT_TRUE(mpu.write_slot(0, Rule{.code_start = succ,
+                                     .code_size = 8,
+                                     .data_start = succ,
+                                     .data_size = 8,
+                                     .perms = kPermRead})
+                  .is_ok());
+  for (Machine* m : {ls.interp.get(), ls.cached.get()}) {
+    m->set_policy(&mpu);
+    m->set_idt_entry(kVecFault, ls.addr("handler"));
+  }
+  const std::uint32_t pred = ls.addr("pred");
+  ASSERT_TRUE(ls.run_to(pred, 100));
+  for (int pass = 0; pass < 3; ++pass) {
+    ASSERT_TRUE(ls.run(1));
+    ASSERT_TRUE(ls.run_to(pred, 100));
+  }
+  ASSERT_TRUE(ls.run(1));
+  ASSERT_TRUE(ls.run_to(succ, 100));
+  EXPECT_EQ(ls.cached->cpu().regs[6], 3u);
+  EXPECT_EQ(ls.cached->fault_count(), 0u);
+  ASSERT_TRUE(mpu.remove_exec_region(*region).is_ok());
+  ASSERT_TRUE(ls.run(1));
+  EXPECT_EQ(ls.cached->fault_count(), 1u);
+  EXPECT_EQ(ls.cached->last_fault().type, FaultType::kMpuFetch);
+  EXPECT_EQ(ls.cached->last_fault().eip, succ);
+  EXPECT_EQ(ls.cached->cpu().regs[6], 3u);
+  // Back at `pred` once more: without its region `succ` is protected data,
+  // and the jump into it faults.
+  ls.cached->cpu().eip = pred;
+  ls.interp->cpu().eip = pred;
+  ASSERT_TRUE(ls.run(2));
+  EXPECT_EQ(ls.cached->fault_count(), 2u);
+  EXPECT_EQ(ls.cached->last_fault().type, FaultType::kMpuTransfer);
+  EXPECT_EQ(ls.cached->last_fault().addr, succ);
+  EXPECT_EQ(ls.cached->cpu().regs[6], 3u);
 }
 
 TEST(Dispatch, MemoizedDataVerdictDiesWithPolicyEpoch) {

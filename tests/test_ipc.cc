@@ -1,5 +1,8 @@
 // Secure IPC: delivery, implicit sender authentication, mailbox protection,
 // shared-memory grants (paper §3/§4).
+#include <array>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/platform.h"
@@ -128,6 +131,74 @@ TEST(Ipc, MailboxWriteDeniedPartWayFailsDelivery) {
   EXPECT_EQ(s.code(), Err::kPermissionDenied) << "a partly written message was delivered";
   EXPECT_FALSE(r->message_pending);
   EXPECT_EQ(platform.ipc_proxy().messages_delivered(), 0u);
+}
+
+/// Start a sender of one async message to a parked receiver, step the
+/// platform to the IPC proxy's entry (the Int Mux has saved the sender's
+/// frame), and take the Int Mux's write access to RAM (`readable`) or all
+/// its access to the sender's frame and above for that one proxy step.  The
+/// sender must then be contained — killed with a stack fault, never resumed
+/// — before the proxy touches the receiver's mailbox, and the receiver must
+/// never take the message.
+void expect_frame_fault_contains_sender(bool readable) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto receiver = platform.load_task_source(kReceiver, {.name = "receiver", .priority = 2});
+  ASSERT_TRUE(receiver.is_ok());
+  auto sender = platform.load_task_source(sender_source(1, 'M'),
+                                          {.name = "sender", .priority = 2, .auto_start = false});
+  ASSERT_TRUE(sender.is_ok());
+  provision_receiver_id(platform, *sender, *receiver);
+  ASSERT_TRUE(platform.resume_task(*sender).is_ok());
+  sim::Machine& m = platform.machine();
+  for (int i = 0; i < 1'000'000 && m.cpu().eip != core::IpcProxy::kIdent; ++i) {
+    m.step();
+  }
+  ASSERT_EQ(m.cpu().eip, core::IpcProxy::kIdent);
+  auto frame = platform.int_mux().shadow_sp(*sender);
+  ASSERT_TRUE(frame.is_ok());
+  // The mailbox record: sender identity (two words), then the message.
+  const rtos::Tcb* r = platform.scheduler().get(*receiver);
+  ASSERT_NE(r, nullptr);
+  const auto mailbox = [&] {
+    std::array<std::uint32_t, 6> words{};
+    for (std::uint32_t i = 0; i < words.size(); ++i) {
+      auto word = m.fw_read32(core::Rtm::kIdent, r->mailbox + 4 * i);
+      EXPECT_TRUE(word.is_ok());
+      words[i] = word.is_ok() ? *word : 0;
+    }
+    return words;
+  };
+  const auto mailbox_before = mailbox();
+  ReplacedRule original;
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(
+      platform, sim::kFwIntMux, /*background=*/true, sim::kRamBase,
+      readable ? sim::kRamEnd - sim::kRamBase : *frame - sim::kRamBase,
+      readable ? sim::kPermRead : sim::kPermRead | sim::kPermWrite, &original));
+  m.step();  // the handler, the only step that meets the narrowed rule
+  ASSERT_NE(m.cpu().eip, core::IpcProxy::kIdent);
+  EXPECT_EQ(mailbox(), mailbox_before) << "the mailbox was written for a contained sender";
+  ASSERT_NO_FATAL_FAILURE(replace_rule(platform, original.slot, original.rule));
+  platform.run_for(2'000'000);
+  EXPECT_EQ(platform.scheduler().get(*sender), nullptr) << "the sender resumed";
+  EXPECT_EQ(platform.kernel().fault_kills(), 1u);
+  EXPECT_EQ(m.last_fault().type, sim::FaultType::kStackFault);
+  EXPECT_EQ(platform.ipc_proxy().messages_delivered(), 0u);
+  EXPECT_EQ(platform.ipc_proxy().messages_rejected(), 0u);
+  EXPECT_EQ(platform.serial().output(), "");
+}
+
+TEST(Ipc, UnreadableSenderFrameContainsSender) {
+  // At the parent the request read as all zeros, was rejected, and the
+  // sender resumed with a stale r0.
+  expect_frame_fault_contains_sender(/*readable=*/false);
+}
+
+TEST(Ipc, UnwritableSenderFrameContainsSender) {
+  // The request reads fine, but kSysOk cannot reach the sender's r0: the
+  // sender must not resume, and its message must not overwrite a mailbox
+  // whose earlier message may still be pending.
+  expect_frame_fault_contains_sender(/*readable=*/true);
 }
 
 TEST(Ipc, UnknownReceiverRejected) {

@@ -6,6 +6,7 @@
 
 #include "core/platform.h"
 #include "fleet/verifier_workload.h"
+#include "narrow_rule.h"
 
 namespace tytan {
 namespace {
@@ -58,6 +59,53 @@ TEST(Syscall, GetTickReturnsCounter) {
   // Right after start the tick count is small but the call must succeed
   // (result != kSysErr); compare against -1 and expect 'N'.
   EXPECT_EQ(run_probe(syscall_probe(core::kSysGetTick, 0, 0, 0, -1)), "N");
+}
+
+/// Load a GetTick probe that prints 'Y' when it resumes with r0 still
+/// holding the syscall number, step `platform` to the kernel's syscall
+/// entry (the Int Mux has saved the caller's frame), and take the Int Mux's
+/// write access to RAM (`readable`) or all its access to the frame and
+/// above for that one handler step.  The caller must then be contained:
+/// killed with a stack fault, never resumed.
+void expect_frame_fault_contains_caller(bool readable) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto task = platform.load_task_source(syscall_probe(core::kSysGetTick, 0, 0, 0, 5),
+                                        {.name = "probe", .priority = 3});
+  ASSERT_TRUE(task.is_ok()) << task.status().to_string();
+  sim::Machine& m = platform.machine();
+  constexpr std::uint32_t kSyscallEntry = core::Kernel::kIdent + core::Kernel::kSyscallHandlerOff;
+  for (int i = 0; i < 1'000'000 && m.cpu().eip != kSyscallEntry; ++i) {
+    m.step();
+  }
+  ASSERT_EQ(m.cpu().eip, kSyscallEntry);
+  auto frame = platform.int_mux().shadow_sp(*task);
+  ASSERT_TRUE(frame.is_ok());
+  ReplacedRule original;
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(
+      platform, sim::kFwIntMux, /*background=*/true, sim::kRamBase,
+      readable ? sim::kRamEnd - sim::kRamBase : *frame - sim::kRamBase,
+      readable ? sim::kPermRead : sim::kPermRead | sim::kPermWrite, &original));
+  m.step();  // the handler, the only step that meets the narrowed rule
+  ASSERT_NE(m.cpu().eip, kSyscallEntry);
+  ASSERT_NO_FATAL_FAILURE(replace_rule(platform, original.slot, original.rule));
+  platform.run_for(2'000'000);
+  EXPECT_EQ(platform.serial().output(), "") << "the caller resumed";
+  EXPECT_EQ(platform.scheduler().get(*task), nullptr);
+  EXPECT_EQ(platform.kernel().fault_kills(), 1u);
+  EXPECT_EQ(m.last_fault().type, sim::FaultType::kStackFault);
+}
+
+TEST(Syscall, UnreadableSavedFrameContainsCaller) {
+  // At the parent the arguments read as zero (an unknown syscall) and the
+  // caller resumed with its stale r0.
+  expect_frame_fault_contains_caller(/*readable=*/false);
+}
+
+TEST(Syscall, UnwritableSavedFrameContainsCaller) {
+  // The arguments read fine, but r0 cannot take the result: the caller
+  // must not resume with the syscall number still in r0.
+  expect_frame_fault_contains_caller(/*readable=*/true);
 }
 
 TEST(Syscall, WaitMsgRejectedForNormalTask) {
