@@ -292,17 +292,45 @@ Status IpcProxy::deliver(const TaskIdentity& sender_id, const TaskIdentity& rece
   return Status::ok();
 }
 
+void IpcProxy::release(std::size_t index) {
+  const ShmGrant& grant = grants_[index];
+  if (grant.a != rtos::kNoTask) {
+    driver_.unconfigure(grant.slot_a);
+  }
+  if (grant.b != rtos::kNoTask) {
+    driver_.unconfigure(grant.slot_b);
+  }
+  // Freed memory is unprotected: wipe the window before it leaves the grant.
+  machine_.memory().fill(grant.base, grant.size, 0);
+  arena_.free(grant.base);
+  grants_.erase(grants_.begin() + static_cast<std::ptrdiff_t>(index));
+}
+
 Status IpcProxy::release_grant(std::uint32_t base) {
   for (std::size_t i = 0; i < grants_.size(); ++i) {
     if (grants_[i].base == base) {
-      driver_.unconfigure(grants_[i].slot_a);
-      driver_.unconfigure(grants_[i].slot_b);
-      arena_.free(base);
-      grants_.erase(grants_.begin() + static_cast<std::ptrdiff_t>(i));
+      release(i);
       return Status::ok();
     }
   }
   return make_error(Err::kNotFound, "no grant at this base");
+}
+
+void IpcProxy::release_grants_of(rtos::TaskHandle task) {
+  for (std::size_t i = grants_.size(); i-- > 0;) {
+    ShmGrant& grant = grants_[i];
+    if (grant.a == task && grant.b != task) {
+      driver_.unconfigure(grant.slot_a);
+      grant.a = rtos::kNoTask;
+    } else if (grant.b == task && grant.a != task) {
+      driver_.unconfigure(grant.slot_b);
+      grant.b = rtos::kNoTask;
+    }
+    if ((grant.a == task || grant.a == rtos::kNoTask) &&
+        (grant.b == task || grant.b == rtos::kNoTask)) {
+      release(i);
+    }
+  }
 }
 
 Status IpcProxy::state(snap::Io& io) {

@@ -75,8 +75,14 @@ class IpcProxy {
   /// Subset of rejections caused by fault injection (ipc-drop clauses).
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
 
-  /// Release a shared-memory grant (frees the region and both rules).
+  /// Release a shared-memory grant (wipes and frees the window, drops the
+  /// rules of its live sides).
   Status release_grant(std::uint32_t base);
+  /// Drop `task`'s side of every grant it is in (TaskLoader::unload): its
+  /// rule names code addresses and must not pass to the next task loaded
+  /// there.  The window stays protected for a surviving side and is wiped
+  /// and freed with the last one.
+  void release_grants_of(rtos::TaskHandle task);
 
   // -- snapshots ----------------------------------------------------------------
   /// Walk delivery stats, counters, and shm grants (snap::Io).
@@ -90,6 +96,8 @@ class IpcProxy {
   void reject(rtos::Tcb& sender);
   void handle_shm(rtos::Tcb& sender, const RegistryEntry* sender_entry,
                   const RegistryEntry* receiver_entry, std::uint32_t size);
+  /// Drop grants_[index]: its live sides' rules, the window, the record.
+  void release(std::size_t index);
 
   sim::Machine& machine_;
   rtos::Scheduler& scheduler_;

@@ -66,6 +66,7 @@ Platform::Platform(const Config& config, DeviceSet devices)
   attest_ = std::make_unique<RemoteAttest>(*machine_, *rtm_);
   proxy_ = std::make_unique<IpcProxy>(*machine_, *scheduler_, *rtm_, *int_mux_, *driver_,
                                       *kernel_, loader_->arena());
+  loader_->set_ipc_proxy(proxy_.get());
   updater_ = std::make_unique<UpdateManager>(*machine_, *scheduler_, *loader_, *storage_);
   boot_rom_ = std::make_unique<SecureBootRom>(*machine_, *mpu_);
 

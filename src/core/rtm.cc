@@ -210,23 +210,36 @@ Status Rtm::serialize_entry(const RegistryEntry& entry) {
 
 Status Rtm::unregister_task(TaskHandle handle) {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].handle == handle) {
-      // Invalidate the vacated tail slot, compact, and re-serialize so the
-      // wire registry stays dense and consistent with the host index; the
-      // first failed write is returned.
-      const std::uint32_t last_addr =
-          kRtmRegistryBase +
-          static_cast<std::uint32_t>(entries_.size() - 1) * kRegistryEntrySize;
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-      for (std::size_t j = i; j < entries_.size(); ++j) {
-        entries_[j].entry_addr =
-            kRtmRegistryBase + static_cast<std::uint32_t>(j) * kRegistryEntrySize;
-        if (Status s = serialize_entry(entries_[j]); !s.is_ok()) {
-          return s;
-        }
-      }
-      return machine_.fw_write32(kIdent, last_addr + 44, 0);
+    if (entries_[i].handle != handle) {
+      continue;
     }
+    // Compact a copy, re-serialize the shifted entries and invalidate the
+    // vacated tail slot, so the wire registry stays dense; the host index
+    // takes the copy only once every write succeeded.
+    const std::uint32_t last_addr =
+        kRtmRegistryBase + static_cast<std::uint32_t>(entries_.size() - 1) * kRegistryEntrySize;
+    std::vector<RegistryEntry> compacted = entries_;
+    compacted.erase(compacted.begin() + static_cast<std::ptrdiff_t>(i));
+    Status failure = Status::ok();
+    std::size_t touched = i;  // slots [i, touched) were written
+    while (failure.is_ok() && touched < compacted.size()) {
+      compacted[touched].entry_addr =
+          kRtmRegistryBase + static_cast<std::uint32_t>(touched) * kRegistryEntrySize;
+      failure = serialize_entry(compacted[touched++]);
+    }
+    if (failure.is_ok()) {
+      failure = machine_.fw_write32(kIdent, last_addr + 44, 0);
+    }
+    if (failure.is_ok()) {
+      entries_ = std::move(compacted);
+      return failure;
+    }
+    // Put the touched slots back from the untouched host index, so both
+    // views still agree with the task registered.
+    for (std::size_t j = i; j < touched; ++j) {
+      (void)serialize_entry(entries_[j]);
+    }
+    return failure;
   }
   return make_error(Err::kNotFound, "RTM registry: no such task");
 }

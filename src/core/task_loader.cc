@@ -2,6 +2,7 @@
 
 #include "common/bytes.h"
 #include "common/log.h"
+#include "core/ipc_proxy.h"
 #include "fault/fault.h"
 #include "tbf/tbf.h"
 
@@ -523,6 +524,9 @@ Status TaskLoader::unload(TaskHandle handle) {
     if (Status s = int_mux_.unregister_secure_task(handle); !s.is_ok()) {
       return s;
     }
+  }
+  if (ipc_proxy_ != nullptr) {
+    ipc_proxy_->release_grants_of(handle);
   }
   if (tcb->mpu_slot >= 0) {
     driver_.unconfigure(static_cast<std::size_t>(tcb->mpu_slot));

@@ -26,6 +26,8 @@
 
 namespace tytan::core {
 
+class IpcProxy;
+
 /// How the loader treats static-verifier findings (step 0, before any
 /// memory is touched).  The verifier runs host-side and charges no
 /// simulated cycles, so kWarn/kStrict do not perturb the cost model.
@@ -115,6 +117,8 @@ class TaskLoader {
 
   [[nodiscard]] const CreateStats& last_create() const { return stats_; }
   [[nodiscard]] RamArena& arena() { return arena_; }
+  /// The IPC proxy whose shared-memory grants unload() releases.
+  void set_ipc_proxy(IpcProxy* proxy) { ipc_proxy_ = proxy; }
 
   /// Configure the pre-load static verifier gate.
   void set_lint(LintMode mode, analysis::Config config = {}) {
@@ -181,6 +185,7 @@ class TaskLoader {
   EaMpuDriver& driver_;
   Rtm& rtm_;
   IntMux& int_mux_;
+  IpcProxy* ipc_proxy_ = nullptr;
   RamArena arena_;
   std::optional<Job> job_;
   rtos::TaskHandle last_loaded_ = rtos::kNoTask;

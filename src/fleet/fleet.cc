@@ -36,15 +36,15 @@ Status Fleet::bring_up() {
     // is dropped; only the per-device fields differ.
     core::Platform::Config config = config_.base;
     config.kp = *kp;
-    config.rng_seed = config_.rng_seed_base == 0 ? 0 : config_.rng_seed_base + i;
+    config.rng_seed = kDeviceRngSeedBase + i;
     config.log = &device.log_;
     if (i != config_.fault_plan_device) {
       config.fault_plan = {};  // the rest of the fleet is the control group
     }
     device.platform_ = std::make_unique<core::Platform>(config);
-    if (config_.enable_obs) {
-      device.platform_->machine().obs().enable();
-    }
+    // Every device runs its obs hub (bus, metrics, accounting) so fleet
+    // metrics aggregate; it costs host time, never a cycle.
+    device.platform_->machine().obs().enable();
     obs::SpanRecorder& spans = device.platform_->machine().obs().spans();
     spans.set_device(device.id_);
     if (config_.spans) {

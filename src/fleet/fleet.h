@@ -26,6 +26,10 @@
 
 namespace tytan::fleet {
 
+/// Device i's RNG is seeded kDeviceRngSeedBase + i: distinct per device,
+/// reproducible run to run.
+inline constexpr std::uint64_t kDeviceRngSeedBase = 0x5eed'0000'0000'0001ull;
+
 /// Fleet-level telemetry: health snapshots at round barriers, anomaly rules,
 /// flight-recorder dumps.  Off by default; snapshot collection runs on the
 /// caller's thread in device order, so telemetry output is deterministic
@@ -49,11 +53,6 @@ struct FleetConfig {
   std::uint64_t quantum = 100'000;
   /// Seed for the manufacturer's key-provisioning ladder (per-device Kp).
   std::uint64_t manufacturer_seed = 0x7479'7461'6e21ull;
-  /// Device i's nonce RNG is seeded rng_seed_base + i (0 => device default).
-  std::uint64_t rng_seed_base = 0x5eed'0000'0000'0001ull;
-  /// Enable per-device observability (event bus + metrics + accounting) so
-  /// fleet-level metrics can be aggregated.  Costs host time, never cycles.
-  bool enable_obs = true;
   /// Record attestation spans (obs/span.h): per-round trace ids, typed
   /// protocol phases, fault annotations.  Off by default — dormant spans are
   /// a single branch per site and never a simulated cycle.

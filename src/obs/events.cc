@@ -22,13 +22,4 @@ std::string_view kind_name(EventKind kind) {
   return i < kNames.size() ? kNames[i] : std::string_view{"?"};
 }
 
-EventKind kind_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kNames.size(); ++i) {
-    if (kNames[i] == name) {
-      return static_cast<EventKind>(i);
-    }
-  }
-  return EventKind::kNumKinds;
-}
-
 }  // namespace tytan::obs

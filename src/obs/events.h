@@ -81,11 +81,9 @@ inline constexpr std::uint32_t kRestoreMessage = 2;  ///< IPC message delivery e
 inline constexpr std::uint32_t kRestoreNormal = 3;   ///< FreeRTOS-baseline restore
 
 /// Stable textual name ("sched-dispatch", "ctx-save", ...); used by the
-/// exporters and the tytan-trace filter syntax.
+/// exporters and the tytan-trace filter syntax.  The artifact readers map
+/// names back (json::Io::name).
 std::string_view kind_name(EventKind kind);
-
-/// Inverse of kind_name; returns kNumKinds for unknown names.
-EventKind kind_from_name(std::string_view name);
 
 /// One structured event.  `task` is the rtos::TaskHandle the event concerns
 /// (-1 when none applies).
@@ -95,6 +93,8 @@ struct Event {
   std::int32_t task = -1;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
+
+  bool operator==(const Event&) const = default;
 };
 
 }  // namespace tytan::obs

@@ -1,10 +1,11 @@
 // Trace and metrics exporters.
 //
 // Chrome trace-event JSON (the "JSON Array Format" understood by Perfetto and
-// chrome://tracing): one metadata/slice/instant object per line so the
-// minimal reader in obs/trace_reader.h can re-parse it without a JSON
-// library.  Timestamps are microseconds at the paper's 48 MHz clock; the raw
-// cycle values ride along in `args` so no precision is lost.
+// chrome://tracing): export_chrome_trace builds the obs/trace_reader.h Trace
+// of a bus and writes it one metadata/slice/instant object per line, so the
+// same file model reads it back.  Timestamps are microseconds at the paper's
+// 48 MHz clock; the raw cycle values ride along in `args` so no precision is
+// lost.
 //
 // Layout in the trace viewer: pid 1 is the platform; tid 1 is the "platform"
 // track (boot, scheduler, idle attribution); each task gets tid = handle + 2
@@ -41,10 +42,6 @@ inline int trace_tid(std::int32_t task) { return task >= 0 ? task + 2 : 1; }
 /// Write export_chrome_trace(bus, spans) to `path`.
 Status write_chrome_trace(const std::string& path, const EventBus& bus,
                           const SpanRecorder* spans = nullptr);
-
-/// Plain-text timeline, one event per line:
-///   "cycle 123456  [t0] sched-dispatch a=0 b=3"
-[[nodiscard]] std::string export_timeline(const EventBus& bus);
 
 /// Per-task accounting table + metrics summary (for --metrics).
 [[nodiscard]] std::string format_accounting(const TaskAccounting& accounting,

@@ -25,6 +25,68 @@ std::string fallback_opcode_name(std::uint8_t op) {
   return buf;
 }
 
+// One walk per heat record type: the key lists of the profile's JSONL.
+
+void walk_header(json::Io& io, std::int32_t& schema, const HeatProfile& profile) {
+  std::size_t used_opcodes = 0;
+  for (const HeatProfile::OpcodeStat& stat : profile.opcodes) {
+    used_opcodes += stat.count != 0 ? 1 : 0;
+  }
+  io.tag("type", "heat-header");
+  io.i32("schema", schema);
+  io.derived("instructions", profile.total_instructions());
+  io.derived("blocks", profile.blocks.size());
+  io.derived("opcodes", used_opcodes);
+  io.derived("edges", profile.edges.size());
+  io.derived("regions", profile.regions.size());
+}
+
+void walk_region(json::Io& io, HeatProfile::Region& region) {
+  io.tag("type", "region");
+  io.i32("task", region.task);
+  io.str("name", region.name);
+  io.u32("base", region.base);
+  io.u32("size", region.size);
+}
+
+void walk_block(json::Io& io, std::pair<std::uint32_t, HeatProfile::Block>& entry) {
+  io.tag("type", "block");
+  io.u32("start", entry.first);
+  io.u32("end", entry.second.end);
+  io.u64("entries", entry.second.entries);
+  io.u64("instructions", entry.second.instructions);
+}
+
+/// `host_ns` says whether the writer includes the host-time fields; a reader
+/// takes them when present.
+void walk_opcode(json::Io& io, std::uint32_t& op, std::string& mnemonic,
+                 HeatProfile::OpcodeStat& stat, bool host_ns) {
+  io.tag("type", "opcode");
+  io.u32("op", op);
+  io.str("mnemonic", mnemonic);
+  io.u64("count", stat.count);
+  io.optional("ns_total", stat.ns_total, host_ns);
+  io.optional("ns_samples", stat.ns_samples, host_ns);
+}
+
+void walk_mpu(json::Io& io, std::size_t& kind, std::size_t& bucket, std::uint64_t& count) {
+  io.tag("type", "mpu");
+  io.name("access", kind, HeatProfile::kMpuAccessKinds, HeatProfile::access_kind_name);
+  io.name("rule", bucket, HeatProfile::kMpuBuckets, HeatProfile::bucket_name);
+  io.u64("count", count);
+}
+
+void walk_edge(json::Io& io, std::pair<std::uint64_t, HeatProfile::Edge>& entry) {
+  auto site = static_cast<std::uint32_t>(entry.first >> 32);
+  auto target = static_cast<std::uint32_t>(entry.first);
+  io.tag("type", "edge");
+  io.u32("site", site);
+  io.u32("target", target);
+  io.flag("call", entry.second.is_call);
+  io.u64("count", entry.second.count);
+  entry.first = HeatProfile::edge_key(site, target);
+}
+
 }  // namespace
 
 std::string HeatProfile::bucket_name(std::size_t bucket) {
@@ -95,56 +157,48 @@ std::string_view HeatProfile::region_name(std::uint32_t pc) const {
 
 std::string HeatProfile::to_jsonl(bool include_host_ns,
                                   const OpcodeNamer& namer) const {
-  std::ostringstream os;
-  std::size_t used_opcodes = 0;
-  for (const OpcodeStat& stat : opcodes) {
-    used_opcodes += stat.count != 0 ? 1 : 0;
+  std::string out;
+  const auto line = [&out](const auto& walk, auto&&... fields) {
+    json::write_object(out, walk, fields...);
+    out += '\n';
+  };
+  std::int32_t schema = kSchemaVersion;
+  line(walk_header, schema, *this);
+  for (Region region : regions) {
+    line(walk_region, region);
   }
-  os << R"({"type":"heat-header","schema":)" << kSchemaVersion
-     << R"(,"instructions":)" << total_instructions() << R"(,"blocks":)"
-     << blocks.size() << R"(,"opcodes":)" << used_opcodes << R"(,"edges":)"
-     << edges.size() << R"(,"regions":)" << regions.size() << "}\n";
-  for (const Region& region : regions) {
-    os << R"({"type":"region","task":)" << region.task << R"(,"name":")"
-       << json::escape(region.name) << R"(","base":)" << region.base
-       << R"(,"size":)" << region.size << "}\n";
+  for (std::pair<std::uint32_t, Block> entry : blocks) {
+    line(walk_block, entry);
   }
-  for (const auto& [start, block] : blocks) {
-    os << R"({"type":"block","start":)" << start << R"(,"end":)" << block.end
-       << R"(,"entries":)" << block.entries << R"(,"instructions":)"
-       << block.instructions << "}\n";
-  }
-  for (std::size_t op = 0; op < opcodes.size(); ++op) {
-    const OpcodeStat& stat = opcodes[op];
-    if (stat.count == 0) {
-      continue;
+  for (std::uint32_t op = 0; op < opcodes.size(); ++op) {
+    OpcodeStat stat = opcodes[op];
+    if (stat.count != 0) {
+      const auto byte = static_cast<std::uint8_t>(op);
+      line(walk_opcode, op, namer ? namer(byte) : fallback_opcode_name(byte), stat,
+           include_host_ns);
     }
-    const auto byte = static_cast<std::uint8_t>(op);
-    os << R"({"type":"opcode","op":)" << op << R"(,"mnemonic":")"
-       << json::escape(namer ? namer(byte) : fallback_opcode_name(byte))
-       << R"(","count":)" << stat.count;
-    if (include_host_ns) {
-      os << R"(,"ns_total":)" << stat.ns_total << R"(,"ns_samples":)"
-         << stat.ns_samples;
-    }
-    os << "}\n";
   }
   for (std::size_t kind = 0; kind < kMpuAccessKinds; ++kind) {
     for (std::size_t bucket = 0; bucket < kMpuBuckets; ++bucket) {
-      if (mpu[kind][bucket] == 0) {
-        continue;
+      if (std::uint64_t count = mpu[kind][bucket]; count != 0) {
+        line(walk_mpu, kind, bucket, count);
       }
-      os << R"({"type":"mpu","access":")" << access_kind_name(kind)
-         << R"(","rule":")" << bucket_name(bucket) << R"(","count":)"
-         << mpu[kind][bucket] << "}\n";
     }
   }
-  for (const auto& [key, edge] : edges) {
-    os << R"({"type":"edge","site":)" << (key >> 32) << R"(,"target":)"
-       << (key & 0xFFFF'FFFFu) << R"(,"call":)" << (edge.is_call ? 1 : 0)
-       << R"(,"count":)" << edge.count << "}\n";
+  for (std::pair<std::uint64_t, Edge> entry : edges) {
+    line(walk_edge, entry);
   }
-  return os.str();
+  return out;
+}
+
+std::vector<std::pair<std::uint32_t, HeatProfile::Block>> HeatProfile::hot_blocks() const {
+  std::vector<std::pair<std::uint32_t, Block>> out(blocks.begin(), blocks.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second.instructions != b.second.instructions
+               ? a.second.instructions > b.second.instructions
+               : a.first < b.first;
+  });
+  return out;
 }
 
 std::string HeatProfile::folded() const {
@@ -175,84 +229,51 @@ std::string HeatLog::opcode_name(std::uint8_t op) const {
 
 Result<HeatLog> parse_heat_jsonl(std::string_view text) {
   HeatLog log;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
+  HeatProfile& profile = log.profile;
+  json::Lines lines(text);
+  for (std::string_view line; lines.next(line);) {
     const std::string type = json::find_str(line, "type");
+    bool ok = false;
     if (type == "heat-header") {
-      log.schema = static_cast<int>(json::find_u64(line, "schema"));
-      if (log.schema != HeatProfile::kSchemaVersion) {
+      ok = json::read_object(line, walk_header, log.schema, profile);
+      if (ok && log.schema != HeatProfile::kSchemaVersion) {
         return make_error(Err::kInvalidArgument,
                           "heat profile schema " + std::to_string(log.schema) +
                               " (this build reads schema " +
                               std::to_string(HeatProfile::kSchemaVersion) + ")");
       }
     } else if (type == "region") {
-      HeatProfile::Region region;
-      region.task = static_cast<std::int32_t>(json::find_int(line, "task", -1));
-      region.name = json::find_str(line, "name");
-      region.base = static_cast<std::uint32_t>(json::find_u64(line, "base"));
-      region.size = static_cast<std::uint32_t>(json::find_u64(line, "size"));
-      log.profile.regions.push_back(std::move(region));
+      ok = json::read_object(line, walk_region, profile.regions.emplace_back());
     } else if (type == "block") {
-      const auto start = static_cast<std::uint32_t>(json::find_u64(line, "start"));
-      HeatProfile::Block& block = log.profile.blocks[start];
-      block.end = static_cast<std::uint32_t>(json::find_u64(line, "end"));
-      block.entries = json::find_u64(line, "entries");
-      block.instructions = json::find_u64(line, "instructions");
+      std::pair<std::uint32_t, HeatProfile::Block> entry;
+      ok = json::read_object(line, walk_block, entry);
+      profile.blocks[entry.first] = entry.second;
     } else if (type == "opcode") {
-      const std::uint64_t op = json::find_u64(line, "op");
-      if (op >= log.profile.opcodes.size()) {
-        return make_error(Err::kCorrupt, "heat opcode out of range: " + line);
+      std::uint32_t op = 0;
+      std::string mnemonic;
+      HeatProfile::OpcodeStat stat;
+      ok = json::read_object(line, walk_opcode, op, mnemonic, stat, false) &&
+           op < profile.opcodes.size();
+      if (ok) {
+        profile.opcodes[op] = stat;
+        log.mnemonics[op] = std::move(mnemonic);
       }
-      HeatProfile::OpcodeStat& stat = log.profile.opcodes[op];
-      stat.count = json::find_u64(line, "count");
-      stat.ns_total = json::find_u64(line, "ns_total");
-      stat.ns_samples = json::find_u64(line, "ns_samples");
-      log.mnemonics[op] = json::find_str(line, "mnemonic");
     } else if (type == "mpu") {
-      const std::string access = json::find_str(line, "access");
-      const std::string rule = json::find_str(line, "rule");
-      std::size_t kind = HeatProfile::kMpuAccessKinds;
-      for (std::size_t k = 0; k < HeatProfile::kMpuAccessKinds; ++k) {
-        if (access == HeatProfile::access_kind_name(k)) {
-          kind = k;
-        }
-      }
-      std::size_t bucket = HeatProfile::kMpuBuckets;
-      for (std::size_t b = 0; b < HeatProfile::kMpuBuckets; ++b) {
-        if (rule == HeatProfile::bucket_name(b)) {
-          bucket = b;
-        }
-      }
-      if (kind == HeatProfile::kMpuAccessKinds ||
-          bucket == HeatProfile::kMpuBuckets) {
-        return make_error(Err::kCorrupt, "heat mpu line unrecognized: " + line);
-      }
-      log.profile.mpu[kind][bucket] = json::find_u64(line, "count");
+      std::size_t kind = 0;
+      std::size_t bucket = 0;
+      std::uint64_t count = 0;
+      ok = json::read_object(line, walk_mpu, kind, bucket, count);
+      profile.mpu[kind][bucket] = count;
     } else if (type == "edge") {
-      const auto site = static_cast<std::uint32_t>(json::find_u64(line, "site"));
-      const auto target = static_cast<std::uint32_t>(json::find_u64(line, "target"));
-      HeatProfile::Edge& edge =
-          log.profile.edges[HeatProfile::edge_key(site, target)];
-      edge.count = json::find_u64(line, "count");
-      edge.is_call = json::find_u64(line, "call") != 0;
-    } else {
-      return make_error(Err::kCorrupt, "heat line has no recognized type: " + line);
+      std::pair<std::uint64_t, HeatProfile::Edge> entry;
+      ok = json::read_object(line, walk_edge, entry);
+      profile.edges[entry.first] = entry.second;
+    }
+    if (!ok) {
+      return lines.corrupt("heat");
     }
   }
   return log;
-}
-
-Result<HeatLog> read_heat_file(const std::string& path) {
-  auto text = json::read_text_file(path);
-  if (!text.is_ok()) {
-    return text.status();
-  }
-  return parse_heat_jsonl(*text);
 }
 
 }  // namespace tytan::obs

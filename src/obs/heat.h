@@ -73,17 +73,20 @@ class HeatProfile {
     std::uint32_t end = 0;        ///< exclusive; max PC+4 seen in the block
     std::uint64_t entries = 0;    ///< times execution entered at `start`
     std::uint64_t instructions = 0;  ///< instructions dispatched inside
+    bool operator==(const Block&) const = default;
   };
 
   struct OpcodeStat {
     std::uint64_t count = 0;       ///< dispatches of this opcode
     std::uint64_t ns_total = 0;    ///< host ns over the sampled dispatches
     std::uint64_t ns_samples = 0;  ///< sampled dispatch count (TSC stride)
+    bool operator==(const OpcodeStat&) const = default;
   };
 
   struct Edge {
     std::uint64_t count = 0;
     bool is_call = false;
+    bool operator==(const Edge&) const = default;
   };
 
   struct Region {
@@ -91,6 +94,7 @@ class HeatProfile {
     std::string name;
     std::uint32_t base = 0;
     std::uint32_t size = 0;
+    bool operator==(const Region&) const = default;
   };
 
   /// Basic blocks keyed by physical start PC.
@@ -140,12 +144,17 @@ class HeatProfile {
   [[nodiscard]] std::string to_jsonl(bool include_host_ns,
                                      const OpcodeNamer& namer = {}) const;
 
+  /// Blocks by start PC, most executed instructions first (ties by PC).
+  [[nodiscard]] std::vector<std::pair<std::uint32_t, Block>> hot_blocks() const;
+
   /// Collapsed-stack export ("region;block_0xADDR count" lines, sorted) for
   /// flamegraph.pl / speedscope.
   [[nodiscard]] std::string folded() const;
 
   /// Name of the region containing `pc` ("?" when unattributed).
   [[nodiscard]] std::string_view region_name(std::uint32_t pc) const;
+
+  bool operator==(const HeatProfile&) const = default;
 };
 
 /// Parsed heat-profile file (tytan-objdump --heat, tytan-top --heat).  The
@@ -160,7 +169,6 @@ struct HeatLog {
 };
 
 Result<HeatLog> parse_heat_jsonl(std::string_view text);
-Result<HeatLog> read_heat_file(const std::string& path);
 
 class HeatRecorder {
  public:

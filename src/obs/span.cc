@@ -1,7 +1,6 @@
 #include "obs/span.h"
 
 #include <array>
-#include <sstream>
 
 #include "common/json.h"
 
@@ -14,27 +13,41 @@ constexpr std::array<std::string_view, kNumSpanPhases> kPhaseNames = {
     "hmac-compute", "report-return", "verify",            "retry-backoff",
 };
 
-constexpr std::array<std::string_view, 4> kOutcomeNames = {
+constexpr std::array<std::string_view, kNumSpanOutcomes> kOutcomeNames = {
     "open",
     "ok",
     "failed",
     "retried",
 };
 
+void walk_note(json::Io& io, SpanNote& note) {
+  io.u64("cycle", note.cycle);
+  io.name("kind", note.kind, kNumEventKinds, kind_name);
+  io.u32("a", note.a);
+  io.u32("b", note.b);
+}
+
+/// The one key list of a span line.
+void walk_span(json::Io& io, Span& span) {
+  io.tag("type", "span");
+  io.u32("device", span.device);
+  io.u64("trace", span.trace_id);
+  io.u32("span", span.span_id);
+  io.u32("parent", span.parent_id);
+  io.name("phase", span.phase, kNumSpanPhases, span_phase_name);
+  io.i32("task", span.task);
+  io.u64("begin", span.begin_cycle);
+  io.u64("end", span.end_cycle);
+  io.derived("cycles", span.cycles());
+  io.name("outcome", span.outcome, kNumSpanOutcomes, span_outcome_name);
+  io.array("notes", span.notes, walk_note);
+}
+
 }  // namespace
 
 std::string_view span_phase_name(SpanPhase phase) {
   const auto index = static_cast<std::size_t>(phase);
   return index < kPhaseNames.size() ? kPhaseNames[index] : "?";
-}
-
-std::optional<SpanPhase> span_phase_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kPhaseNames.size(); ++i) {
-    if (kPhaseNames[i] == name) {
-      return static_cast<SpanPhase>(i);
-    }
-  }
-  return std::nullopt;
 }
 
 std::string_view span_outcome_name(SpanOutcome outcome) {
@@ -56,6 +69,7 @@ SpanRecorder::SpanId SpanRecorder::begin_trace(std::uint64_t trace_id, SpanPhase
   span.span_id = static_cast<SpanId>(spans_.size() + 1);
   span.parent_id = current();
   span.phase = phase;
+  span.device = device_;
   span.task = task;
   span.begin_cycle = now_cycles();
   span.begin_host_ns = now_host_ns();
@@ -105,94 +119,30 @@ void SpanRecorder::annotate(const Event& event) {
   span.notes.push_back(SpanNote{event.cycle, event.kind, event.a, event.b});
 }
 
-void append_span_json(std::string& out, std::uint32_t device, const Span& span) {
-  std::ostringstream os;
-  os << R"({"type":"span","device":)" << device << R"(,"trace":)" << span.trace_id
-     << R"(,"span":)" << span.span_id << R"(,"parent":)" << span.parent_id
-     << R"(,"phase":")" << span_phase_name(span.phase) << R"(","task":)" << span.task
-     << R"(,"begin":)" << span.begin_cycle << R"(,"end":)" << span.end_cycle
-     << R"(,"cycles":)" << (span.end_cycle - span.begin_cycle) << R"(,"outcome":")"
-     << span_outcome_name(span.outcome) << R"(","notes":[)";
-  for (std::size_t i = 0; i < span.notes.size(); ++i) {
-    const SpanNote& note = span.notes[i];
-    os << (i == 0 ? "" : ",") << R"({"cycle":)" << note.cycle << R"(,"kind":")"
-       << kind_name(note.kind) << R"(","a":)" << note.a << R"(,"b":)" << note.b << "}";
-  }
-  os << "]}\n";
-  out += os.str();
+void append_span_json(std::string& out, const Span& span) {
+  Span copy = span;
+  json::write_object(out, walk_span, copy);
+  out += '\n';
 }
 
 std::string SpanRecorder::to_jsonl() const {
   std::string out;
   for (const Span& span : spans_) {
-    append_span_json(out, device_, span);
+    append_span_json(out, span);
   }
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Span-file reading
-// ---------------------------------------------------------------------------
-
-Result<SpanLog> parse_spans_jsonl(std::string_view text) {
-  SpanLog log;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) {
-      continue;
+Result<std::vector<Span>> parse_spans_jsonl(std::string_view text) {
+  std::vector<Span> spans;
+  json::Lines lines(text);
+  for (std::string_view line; lines.next(line);) {
+    if (json::find_str(line, "type") != "span" ||
+        !json::read_object(line, walk_span, spans.emplace_back())) {
+      return lines.corrupt("span");
     }
-    if (line.front() != '{' || line.back() != '}') {
-      return make_error(Err::kCorrupt, "span line " + std::to_string(line_no) +
-                                           " is truncated or not JSONL");
-    }
-    if (json::find_str(line, "type") != "span") {
-      return make_error(Err::kCorrupt, "span line " + std::to_string(line_no) +
-                                           " has no span record type");
-    }
-    ParsedSpan s;
-    s.device = static_cast<std::uint32_t>(json::find_u64(line, "device"));
-    s.trace = json::find_u64(line, "trace");
-    s.span = static_cast<std::uint32_t>(json::find_u64(line, "span"));
-    s.parent = static_cast<std::uint32_t>(json::find_u64(line, "parent"));
-    s.phase = json::find_str(line, "phase");
-    s.task = static_cast<std::int32_t>(json::find_int(line, "task", -1));
-    s.begin = json::find_u64(line, "begin");
-    s.end = json::find_u64(line, "end");
-    s.cycles = json::find_u64(line, "cycles");
-    s.outcome = json::find_str(line, "outcome");
-    if (s.phase.empty() || s.outcome.empty() || s.span == 0) {
-      return make_error(Err::kCorrupt, "span line " + std::to_string(line_no) +
-                                           " is missing required span fields");
-    }
-    // Note kinds, scanned inside the "notes" array only.
-    const std::size_t notes_pos = line.find("\"notes\":[");
-    if (notes_pos != std::string::npos) {
-      std::string_view rest = std::string_view(line).substr(notes_pos);
-      std::size_t at = 0;
-      while ((at = rest.find("\"kind\":\"", at)) != std::string_view::npos) {
-        at += 8;
-        const std::size_t stop = rest.find('"', at);
-        if (stop == std::string_view::npos) {
-          break;
-        }
-        s.note_kinds.emplace_back(rest.substr(at, stop - at));
-        at = stop;
-      }
-    }
-    log.spans.push_back(std::move(s));
   }
-  return log;
-}
-
-Result<SpanLog> read_spans_file(const std::string& path) {
-  auto text = json::read_text_file(path);
-  if (!text.is_ok()) {
-    return text.status();
-  }
-  return parse_spans_jsonl(*text);
+  return spans;
 }
 
 }  // namespace tytan::obs

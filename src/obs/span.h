@@ -18,12 +18,15 @@
 // serialization carries no host-side field, so fleet span files are
 // byte-identical whatever the worker-thread count.  Host wall-time is kept
 // in memory only.
+//
+// File format: one {"type":"span",...} line per span, its keys listed once
+// in the span walk (span.cc) that both append_span_json and
+// parse_spans_jsonl run; the reader returns Span values, notes included.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,7 +49,6 @@ enum class SpanPhase : std::uint8_t {
 inline constexpr std::size_t kNumSpanPhases = 8;
 
 [[nodiscard]] std::string_view span_phase_name(SpanPhase phase);
-[[nodiscard]] std::optional<SpanPhase> span_phase_from_name(std::string_view name);
 
 enum class SpanOutcome : std::uint8_t {
   kOpen = 0,  ///< still open (only ever serialized on abnormal teardown)
@@ -54,6 +56,7 @@ enum class SpanOutcome : std::uint8_t {
   kFailed,
   kRetried,  ///< verified, but only after at least one retry
 };
+inline constexpr std::size_t kNumSpanOutcomes = 4;
 
 [[nodiscard]] std::string_view span_outcome_name(SpanOutcome outcome);
 
@@ -63,6 +66,8 @@ struct SpanNote {
   EventKind kind = EventKind::kFaultInject;  ///< kFaultInject | kFaultRecover
   std::uint32_t a = 0;                       ///< FaultClass / RecoveryKind
   std::uint32_t b = 0;                       ///< clause detail (site, attempt)
+
+  bool operator==(const SpanNote&) const = default;
 };
 
 struct Span {
@@ -79,7 +84,11 @@ struct Span {
   std::int64_t begin_host_ns = 0;
   std::int64_t end_host_ns = 0;
   SpanOutcome outcome = SpanOutcome::kOpen;
+  std::uint32_t device = 0;  ///< the recorder's device id
   std::vector<SpanNote> notes;
+
+  [[nodiscard]] std::uint64_t cycles() const { return end_cycle - begin_cycle; }
+  bool operator==(const Span&) const = default;
 };
 
 /// Per-device span recorder.  Disabled by default; while disabled every
@@ -145,36 +154,11 @@ class SpanRecorder {
 
 /// Append one span as a JSON line (shared by SpanRecorder::to_jsonl and the
 /// fleet's per-device concatenation).
-void append_span_json(std::string& out, std::uint32_t device, const Span& span);
+void append_span_json(std::string& out, const Span& span);
 
-// ---------------------------------------------------------------------------
-// Span-file reading (tytan-trace, tytan-top, tests)
-// ---------------------------------------------------------------------------
-
-struct ParsedSpan {
-  std::uint32_t device = 0;
-  std::uint64_t trace = 0;
-  std::uint32_t span = 0;
-  std::uint32_t parent = 0;
-  std::string phase;
-  std::int32_t task = -1;
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t cycles = 0;
-  std::string outcome;
-  std::vector<std::string> note_kinds;  ///< "fault-inject" / "fault-recover"
-};
-
-struct SpanLog {
-  std::vector<ParsedSpan> spans;
-};
-
-/// Parse a span JSONL stream.  Empty input parses to an empty log; a line
-/// that is not a complete {"type":"span",...} object is a kCorrupt error
-/// (truncated or foreign file).
-Result<SpanLog> parse_spans_jsonl(std::string_view text);
-
-/// Read + parse a span file from disk.
-Result<SpanLog> read_spans_file(const std::string& path);
+/// Parse a span JSONL stream back into the recorder's spans, notes included.
+/// Empty input parses to no spans; a line that is not one complete
+/// {"type":"span",...} record is kCorrupt, naming the line.
+Result<std::vector<Span>> parse_spans_jsonl(std::string_view text);
 
 }  // namespace tytan::obs

@@ -148,8 +148,8 @@ void TelemetryHub::record_locked(const HealthSnapshot& snapshot,
                                  const FleetBaseline& baseline, const EventBus* bus) {
   const auto it = previous_.find(snapshot.device);
   const HealthSnapshot* prev = it != previous_.end() ? &it->second : nullptr;
-  order_.emplace_back(false, snapshots_.size());
-  snapshots_.push_back(snapshot);
+  log_.order.emplace_back(false, log_.snapshots.size());
+  log_.snapshots.push_back(snapshot);
   for (const std::unique_ptr<AnomalyRule>& rule : rules_) {
     if (auto message = rule->check(snapshot, prev, baseline)) {
       Anomaly anomaly;
@@ -164,8 +164,8 @@ void TelemetryHub::record_locked(const HealthSnapshot& snapshot,
         anomaly.flight.assign(events.end() - static_cast<std::ptrdiff_t>(keep),
                               events.end());
       }
-      order_.emplace_back(true, anomalies_.size());
-      anomalies_.push_back(std::move(anomaly));
+      log_.order.emplace_back(true, log_.anomalies.size());
+      log_.anomalies.push_back(std::move(anomaly));
     }
   }
   previous_[snapshot.device] = snapshot;
@@ -173,12 +173,12 @@ void TelemetryHub::record_locked(const HealthSnapshot& snapshot,
 
 std::vector<HealthSnapshot> TelemetryHub::snapshots() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return snapshots_;
+  return log_.snapshots;
 }
 
 std::vector<Anomaly> TelemetryHub::anomalies() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return anomalies_;
+  return log_.anomalies;
 }
 
 std::map<std::uint32_t, HealthSnapshot> TelemetryHub::latest() const {
@@ -188,107 +188,88 @@ std::map<std::uint32_t, HealthSnapshot> TelemetryHub::latest() const {
 
 namespace {
 
-void append_snapshot_json(std::ostringstream& os, const HealthSnapshot& s) {
-  os << R"({"type":"snapshot","device":)" << s.device << R"(,"seq":)" << s.seq
-     << R"(,"cycle":)" << s.cycle << R"(,"instructions":)" << s.instructions
-     << R"(,"faults":)" << s.faults << R"(,"fault_kills":)" << s.fault_kills
-     << R"(,"interrupts":)" << s.interrupts << R"(,"syscalls":)" << s.syscalls
-     << R"(,"ctx_switches":)" << s.ctx_switches << R"(,"ipc_delivered":)"
-     << s.ipc_delivered << R"(,"ipc_rejects":)" << s.ipc_rejects
-     << R"(,"attest_total":)" << s.attest_total << R"(,"attest_verified":)"
-     << s.attest_verified << R"(,"attest_failed":)" << s.attest_failed
-     << R"(,"events_dropped":)" << s.events_dropped << R"(,"faults_injected":)"
-     << s.faults_injected << R"(,"recoveries":)" << s.fault_recoveries
-     << R"(,"watchdog_restarts":)" << s.watchdog_restarts << R"(,"spans":)"
-     << s.spans_recorded << R"(,"round_p99":)" << s.attest_round_p99
-     << R"(,"halted":)" << (s.halted ? 1 : 0) << "}\n";
+/// The one key list of a snapshot line.
+void walk_snapshot(json::Io& io, HealthSnapshot& s) {
+  io.tag("type", "snapshot");
+  io.u32("device", s.device);
+  io.u64("seq", s.seq);
+  io.u64("cycle", s.cycle);
+  io.u64("instructions", s.instructions);
+  io.u64("faults", s.faults);
+  io.u64("fault_kills", s.fault_kills);
+  io.u64("interrupts", s.interrupts);
+  io.u64("syscalls", s.syscalls);
+  io.u64("ctx_switches", s.ctx_switches);
+  io.u64("ipc_delivered", s.ipc_delivered);
+  io.u64("ipc_rejects", s.ipc_rejects);
+  io.u64("attest_total", s.attest_total);
+  io.u64("attest_verified", s.attest_verified);
+  io.u64("attest_failed", s.attest_failed);
+  io.u64("events_dropped", s.events_dropped);
+  io.u64("faults_injected", s.faults_injected);
+  io.u64("recoveries", s.fault_recoveries);
+  io.u64("watchdog_restarts", s.watchdog_restarts);
+  io.u64("spans", s.spans_recorded);
+  io.u64("round_p99", s.attest_round_p99);
+  io.flag("halted", s.halted);
 }
 
-void append_anomaly_json(std::ostringstream& os, const Anomaly& a) {
-  os << R"({"type":"anomaly","device":)" << a.device << R"(,"rule":")"
-     << json::escape(a.rule) << R"(","seq":)" << a.seq << R"(,"cycle":)" << a.cycle
-     << R"(,"message":")" << json::escape(a.message) << R"(","flight":[)";
-  for (std::size_t i = 0; i < a.flight.size(); ++i) {
-    const Event& e = a.flight[i];
-    os << (i == 0 ? "" : ",") << R"({"cycle":)" << e.cycle << R"(,"kind":")"
-       << kind_name(e.kind) << R"(","task":)" << e.task << R"(,"a":)" << e.a
-       << R"(,"b":)" << e.b << "}";
-  }
-  os << "]}\n";
+void walk_flight_event(json::Io& io, Event& e) {
+  io.u64("cycle", e.cycle);
+  io.name("kind", e.kind, kNumEventKinds, kind_name);
+  io.i32("task", e.task);
+  io.u32("a", e.a);
+  io.u32("b", e.b);
+}
+
+/// The one key list of an anomaly line.
+void walk_anomaly(json::Io& io, Anomaly& a) {
+  io.tag("type", "anomaly");
+  io.u32("device", a.device);
+  io.str("rule", a.rule);
+  io.u64("seq", a.seq);
+  io.u64("cycle", a.cycle);
+  io.str("message", a.message);
+  io.array("flight", a.flight, walk_flight_event);
 }
 
 }  // namespace
 
-std::string TelemetryHub::to_jsonl() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  for (const auto& [is_anomaly, index] : order_) {
+std::string TelemetryLog::to_jsonl() const {
+  std::string out;
+  for (const auto& [is_anomaly, index] : order) {
     if (is_anomaly) {
-      append_anomaly_json(os, anomalies_[index]);
+      Anomaly anomaly = anomalies[index];
+      json::write_object(out, walk_anomaly, anomaly);
     } else {
-      append_snapshot_json(os, snapshots_[index]);
+      HealthSnapshot snapshot = snapshots[index];
+      json::write_object(out, walk_snapshot, snapshot);
     }
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// JSONL parsing (tytan-top, tests)
-// ---------------------------------------------------------------------------
+std::string TelemetryHub::to_jsonl() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return log_.to_jsonl();
+}
 
 Result<TelemetryLog> parse_telemetry_jsonl(std::string_view text) {
   TelemetryLog log;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
+  json::Lines lines(text);
+  for (std::string_view line; lines.next(line);) {
     const std::string type = json::find_str(line, "type");
+    bool ok = false;
     if (type == "snapshot") {
-      HealthSnapshot s;
-      s.device = static_cast<std::uint32_t>(json::find_u64(line, "device"));
-      s.seq = json::find_u64(line, "seq");
-      s.cycle = json::find_u64(line, "cycle");
-      s.instructions = json::find_u64(line, "instructions");
-      s.faults = json::find_u64(line, "faults");
-      s.fault_kills = json::find_u64(line, "fault_kills");
-      s.interrupts = json::find_u64(line, "interrupts");
-      s.syscalls = json::find_u64(line, "syscalls");
-      s.ctx_switches = json::find_u64(line, "ctx_switches");
-      s.ipc_delivered = json::find_u64(line, "ipc_delivered");
-      s.ipc_rejects = json::find_u64(line, "ipc_rejects");
-      s.attest_total = json::find_u64(line, "attest_total");
-      s.attest_verified = json::find_u64(line, "attest_verified");
-      s.attest_failed = json::find_u64(line, "attest_failed");
-      s.events_dropped = json::find_u64(line, "events_dropped");
-      s.faults_injected = json::find_u64(line, "faults_injected");
-      s.fault_recoveries = json::find_u64(line, "recoveries");
-      s.watchdog_restarts = json::find_u64(line, "watchdog_restarts");
-      s.spans_recorded = json::find_u64(line, "spans");
-      s.attest_round_p99 = json::find_u64(line, "round_p99");
-      s.halted = json::find_u64(line, "halted") != 0;
-      log.snapshots.push_back(s);
+      log.order.emplace_back(false, log.snapshots.size());
+      ok = json::read_object(line, walk_snapshot, log.snapshots.emplace_back());
     } else if (type == "anomaly") {
-      TelemetryLog::ParsedAnomaly a;
-      a.device = static_cast<std::uint32_t>(json::find_u64(line, "device"));
-      a.rule = json::find_str(line, "rule");
-      a.seq = json::find_u64(line, "seq");
-      a.cycle = json::find_u64(line, "cycle");
-      a.message = json::find_str(line, "message");
-      // Count flight entries by their per-event "kind" keys.
-      const std::size_t flight_pos = line.find("\"flight\":[");
-      if (flight_pos != std::string::npos) {
-        std::string_view rest = std::string_view(line).substr(flight_pos);
-        std::size_t at = 0;
-        while ((at = rest.find("\"kind\":", at)) != std::string_view::npos) {
-          ++a.flight_count;
-          at += 7;
-        }
-      }
-      log.anomalies.push_back(a);
-    } else {
-      return make_error(Err::kCorrupt, "telemetry line has no recognized type: " + line);
+      log.order.emplace_back(true, log.anomalies.size());
+      ok = json::read_object(line, walk_anomaly, log.anomalies.emplace_back());
+    }
+    if (!ok) {
+      return lines.corrupt("telemetry");
     }
   }
   return log;

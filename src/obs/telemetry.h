@@ -9,7 +9,9 @@
 //
 // Serialization is JSONL with a fixed key order and no wall-clock fields, so
 // the output for a deterministic fleet run is byte-identical whatever the
-// worker-thread count (pinned by tests/test_telemetry.cc).
+// worker-thread count (pinned by tests/test_telemetry.cc).  The hub keeps
+// its history as a TelemetryLog, the same type the reader returns, so a
+// parsed stream re-serializes to the bytes it was read from.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +52,8 @@ struct HealthSnapshot {
   std::uint64_t spans_recorded = 0;    ///< SpanRecorder spans (0 = spans off)
   std::uint64_t attest_round_p99 = 0;  ///< p99 attest-round cycles so far
   bool halted = false;
+
+  bool operator==(const HealthSnapshot&) const = default;
 };
 
 /// Fleet-wide context a rule may compare a device against: mean per-device
@@ -68,6 +72,8 @@ struct Anomaly {
   std::uint64_t cycle = 0;
   std::string message;
   std::vector<Event> flight;  ///< flight-recorder dump (oldest first)
+
+  bool operator==(const Anomaly&) const = default;
 };
 
 class AnomalyRule {
@@ -147,6 +153,20 @@ class EventDropRule final : public AnomalyRule {
   std::uint64_t min_delta_;
 };
 
+/// A telemetry stream: the records a TelemetryHub keeps, in record order,
+/// and what parse_telemetry_jsonl() reads back from its JSONL.
+struct TelemetryLog {
+  std::vector<HealthSnapshot> snapshots;
+  std::vector<Anomaly> anomalies;
+  /// Interleaving of the two in record order: (is_anomaly, index).
+  std::vector<std::pair<bool, std::size_t>> order;
+
+  /// JSONL: {"type":"snapshot",...} and {"type":"anomaly",...,"flight":[...]}
+  /// lines in record order, each record type's keys listed once in its walk
+  /// (telemetry.cc), with no host-side field.
+  [[nodiscard]] std::string to_jsonl() const;
+};
+
 class TelemetryHub {
  public:
   static constexpr std::size_t kDefaultFlightEvents = 32;
@@ -172,9 +192,7 @@ class TelemetryHub {
   /// Most recent snapshot per device, keyed by device id.
   [[nodiscard]] std::map<std::uint32_t, HealthSnapshot> latest() const;
 
-  /// Serialize history as JSONL: {"type":"snapshot",...} and
-  /// {"type":"anomaly",...,"flight":[...]} lines, in record order, with a
-  /// stable key order and no host-side fields.
+  /// The recorded history as JSONL (TelemetryLog::to_jsonl).
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
@@ -184,29 +202,13 @@ class TelemetryHub {
   mutable std::mutex mutex_;
   std::size_t flight_events_;
   std::vector<std::unique_ptr<AnomalyRule>> rules_;
-  std::vector<HealthSnapshot> snapshots_;
-  std::vector<Anomaly> anomalies_;
+  TelemetryLog log_;
   std::map<std::uint32_t, HealthSnapshot> previous_;
-  /// Interleaving order of records for to_jsonl(): (is_anomaly, index).
-  std::vector<std::pair<bool, std::size_t>> order_;
 };
 
-/// Parsed form of a telemetry JSONL stream (tytan-top, tests).  Flight
-/// events are summarized as a count — the full dump stays in the file.
-struct TelemetryLog {
-  struct ParsedAnomaly {
-    std::uint32_t device = 0;
-    std::string rule;
-    std::uint64_t seq = 0;
-    std::uint64_t cycle = 0;
-    std::string message;
-    std::size_t flight_count = 0;
-  };
-  std::vector<HealthSnapshot> snapshots;
-  std::vector<ParsedAnomaly> anomalies;
-};
-
-/// Parse a JSONL stream produced by TelemetryHub::to_jsonl().
+/// Parse a JSONL stream produced by TelemetryLog::to_jsonl(), flight dumps
+/// included; a line that is not one complete snapshot or anomaly record is
+/// kCorrupt, naming the line.
 Result<TelemetryLog> parse_telemetry_jsonl(std::string_view text);
 
 }  // namespace tytan::obs

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <random>
 #include <string>
+#include <type_traits>
 
 #include "common/bytes.h"
 #include "common/json.h"
@@ -114,7 +116,10 @@ TEST(Json, FindStrInvertsEscapeOnRandomBytes) {
     const std::string line = R"({"k":")" + json::escape(s) + R"("})";
     ASSERT_EQ(json::find_str(line, "k"), s) << line;
     // A field after the string still reads back.
-    EXPECT_EQ(json::find_int(R"({"k":")" + json::escape(s) + R"(","n":-7})", "n", 0), -7);
+    std::int32_t n = 0;
+    EXPECT_TRUE(json::read_object(R"({"k":")" + json::escape(s) + R"(","n":-7})",
+                                  [&](json::Io& io) { io.i32("n", n); }));
+    EXPECT_EQ(n, -7);
   }
 }
 
@@ -131,13 +136,24 @@ TEST(Json, FieldReadersHandleAbsentTruncatedAndMalformedValues) {
       R"({"type":"block","start":262144,"neg":-3,"big":18446744073709551615})";
   EXPECT_EQ(json::find_str(line, "type"), "block");
   EXPECT_EQ(json::find_str(line, "missing"), "");
-  EXPECT_EQ(json::find_u64(line, "start"), 262144u);
-  EXPECT_EQ(json::find_u64(line, "big"), 18446744073709551615u);
-  EXPECT_EQ(json::find_u64(line, "neg"), 0u);
-  EXPECT_EQ(json::find_u64(line, "missing"), 0u);
-  EXPECT_EQ(json::find_int(line, "neg", 0), -3);
-  EXPECT_EQ(json::find_int(line, "missing", -1), -1);
-  EXPECT_EQ(json::find_int(line, "type", 5), 5);  // a string is not a number
+  // One number field read through Io; nullopt when the read fails.
+  const auto field = [&line](std::string_view key, auto value) -> std::optional<decltype(value)> {
+    auto walk = [&](json::Io& io) {
+      if constexpr (std::is_same_v<decltype(value), std::uint64_t>) {
+        io.u64(key, value);
+      } else {
+        io.i32(key, value);
+      }
+    };
+    return json::read_object(line, walk) ? std::optional(value) : std::nullopt;
+  };
+  EXPECT_EQ(field("start", std::uint64_t{}), 262144u);
+  EXPECT_EQ(field("big", std::uint64_t{}), 18446744073709551615u);
+  EXPECT_EQ(field("neg", std::uint64_t{}), std::nullopt);
+  EXPECT_EQ(field("missing", std::uint64_t{}), std::nullopt);
+  EXPECT_EQ(field("neg", std::int32_t{}), -3);
+  EXPECT_EQ(field("big", std::int32_t{}), std::nullopt);   // out of range
+  EXPECT_EQ(field("type", std::int32_t{}), std::nullopt);  // a string is not a number
   // Unterminated strings and cut-off escapes read as empty, never past the end.
   EXPECT_EQ(json::find_str(R"({"k":"abc)", "k"), "");
   EXPECT_EQ(json::find_str(R"({"k":"abc\)", "k"), "");

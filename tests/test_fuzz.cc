@@ -557,12 +557,13 @@ std::vector<std::string> valid_obs_artifacts() {
   span.begin_cycle = 100;
   span.end_cycle = 350;
   span.outcome = obs::SpanOutcome::kOk;
+  span.device = 3;
   span.notes.push_back({120, obs::EventKind::kFaultInject, 1, 2});
   std::string spans;
-  obs::append_span_json(spans, 3, span);
+  obs::append_span_json(spans, span);
   span.span_id = 2;
   span.parent_id = 1;
-  obs::append_span_json(spans, 3, span);
+  obs::append_span_json(spans, span);
 
   std::uint64_t clock = 10;
   obs::EventBus bus;

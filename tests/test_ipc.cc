@@ -274,6 +274,97 @@ TEST(Ipc, SharedMemoryGrantConfiguresExactlyTwoRules) {
   EXPECT_EQ(platform.mpu().slots_in_use(), slots_before);
 }
 
+// A grant's EA-MPU rules name code addresses, not a task: when the holder
+// dies they must go with it, or the next task loaded at the same base
+// inherits the dead task's access to the shared window.
+TEST(Ipc, KilledGrantHolderLeavesNoWindowAccessBehind) {
+  constexpr std::string_view kGrantThenFault = R"(
+    .secure
+    .stack 256
+    .entry main
+main:
+    li   r5, idr
+    ldw  r1, [r5]
+    ldw  r2, [r5+4]
+    movi r0, 2            ; kIpcShmGrant
+    movi r3, 256
+    int  0x22
+    li   r5, victim
+    ldw  r5, [r5]
+    ldw  r6, [r5]         ; EA-MPU violation: the kernel kills the grant holder
+hang:
+    jmp  hang
+idr:
+    .word 0, 0
+victim:
+    .word 0
+)";
+  constexpr std::string_view kWindowReader = R"(
+    .secure
+    .stack 256
+    .entry main
+main:
+    li   r5, window
+    ldw  r5, [r5]
+    ldw  r6, [r5]         ; read the dead holder's window
+hang:
+    jmp  hang
+window:
+    .word 0
+)";
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto receiver = platform.load_task_source(kReceiver, {.name = "receiver"});
+  auto holder =
+      platform.load_task_source(kGrantThenFault, {.name = "holder", .auto_start = false});
+  ASSERT_TRUE(receiver.is_ok());
+  ASSERT_TRUE(holder.is_ok());
+  auto holder_object = isa::assemble(kGrantThenFault);
+  ASSERT_TRUE(holder_object.is_ok());
+  const rtos::Tcb* h = platform.scheduler().get(*holder);
+  const rtos::Tcb* r = platform.scheduler().get(*receiver);
+  const std::uint32_t holder_base = h->region_base;
+  auto& memory = platform.machine().memory();
+  const std::uint32_t idr = holder_base + holder_object->symbols.at("idr");
+  memory.write32(idr, load_le32(r->identity.data()));
+  memory.write32(idr + 4, load_le32(r->identity.data() + 4));
+  memory.write32(holder_base + holder_object->symbols.at("victim"), r->region_base);
+  ASSERT_TRUE(platform.resume_task(*holder).is_ok());
+
+  ASSERT_TRUE(
+      platform.run_until([&] { return !platform.ipc_proxy().grants().empty(); }, 20'000'000));
+  const std::uint32_t window = platform.ipc_proxy().grants().front().base;
+  ASSERT_TRUE(platform.run_until(
+      [&] { return platform.scheduler().get(*holder) == nullptr; }, 20'000'000));
+  EXPECT_EQ(platform.kernel().fault_kills(), 1u);
+  // The holder's rule went with it; the receiver keeps its protected window.
+  ASSERT_EQ(platform.ipc_proxy().grants().size(), 1u);
+  EXPECT_EQ(platform.ipc_proxy().grants().front().a, rtos::kNoTask);
+  EXPECT_TRUE(platform.mpu().allows(r->region_base + 4, window, sim::Access::kRead));
+
+  auto reader =
+      platform.load_task_source(kWindowReader, {.name = "reader", .auto_start = false});
+  ASSERT_TRUE(reader.is_ok());
+  auto reader_object = isa::assemble(kWindowReader);
+  ASSERT_TRUE(reader_object.is_ok());
+  ASSERT_EQ(platform.scheduler().get(*reader)->region_base, holder_base);
+  memory.write32(holder_base + reader_object->symbols.at("window"), window);
+  ASSERT_TRUE(platform.resume_task(*reader).is_ok());
+  platform.run_for(2'000'000);
+  EXPECT_EQ(platform.kernel().fault_kills(), 2u);
+  EXPECT_EQ(platform.machine().last_fault().type, sim::FaultType::kMpuData);
+  EXPECT_EQ(platform.machine().last_fault().addr, window);
+  EXPECT_EQ(platform.scheduler().get(*reader), nullptr);
+
+  // The receiver's unload drops the last side: the window is wiped and freed.
+  memory.write32(window, 0x5ec7e7);
+  const std::size_t slots_before = platform.mpu().slots_in_use();
+  ASSERT_TRUE(platform.unload_task(*receiver).is_ok());
+  EXPECT_TRUE(platform.ipc_proxy().grants().empty());
+  EXPECT_EQ(platform.mpu().slots_in_use(), slots_before - 2);  // its task rule + window rule
+  EXPECT_EQ(memory.read32(window), 0u);
+}
+
 TEST(Ipc, StatsNearPaperNumbers) {
   Platform platform;
   ASSERT_TRUE(platform.boot().is_ok());

@@ -225,6 +225,57 @@ TEST(Loader, RegistryWireFormatStaysConsistentAcrossUnloads) {
   EXPECT_EQ(*stale_flags & core::kRegistryFlagValid, 0u);
 }
 
+// A registry write denied part-way through the compaction of an unload
+// leaves the task registered, and the wire registry still mirrors the host
+// index slot for slot.
+TEST(Loader, DeniedCompactionWriteKeepsBothRegistryViews) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  const std::size_t first = platform.rtm().entries().size();
+  std::vector<rtos::TaskHandle> tasks;
+  for (int i = 0; i < 4; ++i) {
+    std::string source(kSecureTask);
+    source += "    .word " + std::to_string(i) + "\n";
+    auto task = platform.load_task_source(source, {.name = "t" + std::to_string(i),
+                                                   .auto_start = false});
+    ASSERT_TRUE(task.is_ok());
+    tasks.push_back(*task);
+  }
+  // Unloading the second task shifts the third and fourth down one slot;
+  // the RTM may write the slot of the third but not the one after it.
+  const auto slot_addr = [](std::size_t slot) {
+    return core::kRtmRegistryBase + static_cast<std::uint32_t>(slot) * core::kRegistryEntrySize;
+  };
+  ReplacedRule rtm_rule;
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(platform, sim::kFwRtm, /*background=*/false,
+                                             core::kRtmRegistryBase,
+                                             slot_addr(first + 2) - core::kRtmRegistryBase,
+                                             sim::kPermRead | sim::kPermWrite, &rtm_rule));
+  const Status unload = platform.unload_task(tasks[1]);
+  EXPECT_EQ(unload.code(), Err::kPermissionDenied);
+  ASSERT_NO_FATAL_FAILURE(replace_rule(platform, rtm_rule.slot, rtm_rule.rule));
+
+  EXPECT_NE(platform.rtm().find_by_handle(tasks[1]), nullptr);
+  EXPECT_NE(platform.scheduler().get(tasks[1]), nullptr);
+  const auto& entries = platform.rtm().entries();
+  ASSERT_EQ(entries.size(), first + 4);
+  auto& machine = platform.machine();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const core::RegistryEntry& entry = entries[i];
+    ASSERT_EQ(entry.entry_addr, slot_addr(i));
+    for (unsigned b = 0; b < 8; ++b) {
+      auto byte = machine.fw_read8(core::Rtm::kIdent, entry.entry_addr + b);
+      ASSERT_TRUE(byte.is_ok());
+      EXPECT_EQ(*byte, entry.identity[b]) << "slot " << i << " byte " << b;
+    }
+    auto base = machine.fw_read32(core::Rtm::kIdent, entry.entry_addr + 28);
+    auto flags = machine.fw_read32(core::Rtm::kIdent, entry.entry_addr + 44);
+    ASSERT_TRUE(base.is_ok() && flags.is_ok());
+    EXPECT_EQ(*base, entry.base) << "slot " << i;
+    EXPECT_EQ(*flags & core::kRegistryFlagValid, core::kRegistryFlagValid) << "slot " << i;
+  }
+}
+
 // The base the arena hands the next load of `object`: first fit returns
 // the block a load-and-unload just freed.
 std::uint32_t next_load_base(Platform& platform, const isa::ObjectFile& object) {

@@ -4,12 +4,17 @@
 // worker-thread count, and simulated cycles identical with spans on or off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "fault/fault.h"
 #include "fleet/fleet.h"
 #include "fleet/verifier_workload.h"
+#include "obs/export.h"
+#include "obs/heat.h"
 #include "obs/span.h"
+#include "obs/telemetry.h"
+#include "obs/trace_reader.h"
 
 namespace tytan::obs {
 namespace {
@@ -115,15 +120,26 @@ TEST(SpanRecorder, OnEndFiresForEveryCompletedSpan) {
   EXPECT_EQ(completed, 2u);
 }
 
+// Every phase and outcome name reads back as itself; an unknown name is no
+// record.
 TEST(SpanPhases, NamesRoundTrip) {
+  SpanRecorder rec;
+  rec.enable();
   for (std::size_t i = 0; i < kNumSpanPhases; ++i) {
-    const auto phase = static_cast<SpanPhase>(i);
-    const std::string_view name = span_phase_name(phase);
-    EXPECT_FALSE(name.empty());
-    ASSERT_TRUE(span_phase_from_name(name).has_value()) << name;
-    EXPECT_EQ(*span_phase_from_name(name), phase);
+    EXPECT_FALSE(span_phase_name(static_cast<SpanPhase>(i)).empty());
+    rec.end(rec.begin(static_cast<SpanPhase>(i)), static_cast<SpanOutcome>(i % kNumSpanOutcomes));
   }
-  EXPECT_FALSE(span_phase_from_name("no-such-phase").has_value());
+  std::string jsonl = rec.to_jsonl();
+  auto spans = parse_spans_jsonl(jsonl);
+  ASSERT_TRUE(spans.is_ok()) << spans.status().to_string();
+  ASSERT_EQ(spans->size(), kNumSpanPhases);
+  for (std::size_t i = 0; i < kNumSpanPhases; ++i) {
+    EXPECT_EQ((*spans)[i].phase, static_cast<SpanPhase>(i));
+    EXPECT_EQ((*spans)[i].outcome, static_cast<SpanOutcome>(i % kNumSpanOutcomes));
+  }
+  const std::string verify = R"("phase":"verify")";
+  jsonl.replace(jsonl.find(verify), verify.size(), R"("phase":"no-such-phase")");
+  EXPECT_EQ(parse_spans_jsonl(jsonl).status().code(), Err::kCorrupt);
 }
 
 // ---------------------------------------------------------- JSONL round-trip
@@ -145,31 +161,32 @@ TEST(SpanJsonl, RoundTripsThroughParser) {
   rec.end(root, SpanOutcome::kOk);
 
   const std::string jsonl = rec.to_jsonl();
-  auto log = parse_spans_jsonl(jsonl);
-  ASSERT_TRUE(log.is_ok()) << log.status().to_string();
-  ASSERT_EQ(log->spans.size(), 2u);
-  const ParsedSpan& r = log->spans[0];
+  auto spans = parse_spans_jsonl(jsonl);
+  ASSERT_TRUE(spans.is_ok()) << spans.status().to_string();
+  ASSERT_EQ(spans->size(), 2u);
+  const Span& r = (*spans)[0];
   EXPECT_EQ(r.device, 9u);
-  EXPECT_EQ(r.trace, 0x900001u);
-  EXPECT_EQ(r.span, root);
-  EXPECT_EQ(r.parent, 0u);
-  EXPECT_EQ(r.phase, "attest-round");
+  EXPECT_EQ(r.trace_id, 0x900001u);
+  EXPECT_EQ(r.span_id, root);
+  EXPECT_EQ(r.parent_id, 0u);
+  EXPECT_EQ(r.phase, SpanPhase::kAttestRound);
   EXPECT_EQ(r.task, 4);
-  EXPECT_EQ(r.begin, 1000u);
-  EXPECT_EQ(r.end, 1500u);
-  EXPECT_EQ(r.cycles, 500u);
-  EXPECT_EQ(r.outcome, "ok");
-  const ParsedSpan& c = log->spans[1];
-  EXPECT_EQ(c.parent, root);
-  EXPECT_EQ(c.phase, "hmac-compute");
-  ASSERT_EQ(c.note_kinds.size(), 1u);
-  EXPECT_EQ(c.note_kinds[0], "fault-inject");
+  EXPECT_EQ(r.begin_cycle, 1000u);
+  EXPECT_EQ(r.end_cycle, 1500u);
+  EXPECT_EQ(r.cycles(), 500u);
+  EXPECT_EQ(r.outcome, SpanOutcome::kOk);
+  const Span& c = (*spans)[1];
+  EXPECT_EQ(c.parent_id, root);
+  EXPECT_EQ(c.phase, SpanPhase::kHmacCompute);
+  ASSERT_EQ(c.notes.size(), 1u);
+  EXPECT_EQ(c.notes[0].kind, EventKind::kFaultInject);
+  EXPECT_EQ(c.notes[0].a, 2u);
 }
 
 TEST(SpanJsonl, EmptyInputParsesToEmptyLog) {
-  auto log = parse_spans_jsonl("");
-  ASSERT_TRUE(log.is_ok());
-  EXPECT_TRUE(log->spans.empty());
+  auto spans = parse_spans_jsonl("");
+  ASSERT_TRUE(spans.is_ok());
+  EXPECT_TRUE(spans->empty());
 }
 
 TEST(SpanJsonl, TruncatedLineIsCorrupt) {
@@ -195,24 +212,22 @@ TEST(FleetSpans, EveryRoundDecomposesIntoTypedPhases) {
   const auto result = fleet::run_verifier_workload(fleet, span_workload(4, 2));
   ASSERT_TRUE(result.all_verified()) << result.status.to_string();
 
-  auto log = parse_spans_jsonl(fleet.spans_jsonl());
-  ASSERT_TRUE(log.is_ok()) << log.status().to_string();
-  ASSERT_FALSE(log->spans.empty());
+  auto spans = parse_spans_jsonl(fleet.spans_jsonl());
+  ASSERT_TRUE(spans.is_ok()) << spans.status().to_string();
+  ASSERT_FALSE(spans->empty());
   // Each device attests twice -> two attest-round traces per device, each
   // containing the full challenger<->prover phase chain.
   std::size_t rounds = 0;
-  for (const ParsedSpan& span : log->spans) {
-    if (span.phase != "attest-round") {
+  for (const Span& span : *spans) {
+    if (span.phase != SpanPhase::kAttestRound) {
       continue;
     }
     ++rounds;
-    EXPECT_EQ(span.outcome, "ok");
+    EXPECT_EQ(span.outcome, SpanOutcome::kOk);
     bool saw[kNumSpanPhases] = {};
-    for (const ParsedSpan& child : log->spans) {
-      if (child.trace == span.trace && child.parent == span.span) {
-        const auto phase = span_phase_from_name(child.phase);
-        ASSERT_TRUE(phase.has_value());
-        saw[static_cast<std::size_t>(*phase)] = true;
+    for (const Span& child : *spans) {
+      if (child.trace_id == span.trace_id && child.parent_id == span.span_id) {
+        saw[static_cast<std::size_t>(child.phase)] = true;
       }
     }
     EXPECT_TRUE(saw[static_cast<std::size_t>(SpanPhase::kNonceGen)]);
@@ -271,28 +286,28 @@ TEST(FleetSpans, FaultedRoundIsAnnotatedAndRetried) {
   const auto result = fleet::run_verifier_workload(fleet, config);
   ASSERT_TRUE(result.all_verified()) << result.status.to_string();
 
-  auto log = parse_spans_jsonl(fleet.spans_jsonl());
-  ASSERT_TRUE(log.is_ok());
+  auto spans = parse_spans_jsonl(fleet.spans_jsonl());
+  ASSERT_TRUE(spans.is_ok());
   // The faulted device's second round: replayed nonce -> verify fails ->
   // backoff -> retry verifies.  The round span carries the whole story.
   bool saw_retried = false;
   bool saw_backoff = false;
-  for (const ParsedSpan& span : log->spans) {
-    if (span.phase == "attest-round" && span.outcome == "retried") {
+  for (const Span& span : *spans) {
+    if (span.phase == SpanPhase::kAttestRound && span.outcome == SpanOutcome::kRetried) {
       saw_retried = true;
       EXPECT_EQ(span.device, 2u);  // fleet device ids are 1-based
       bool inject = false;
       bool recover = false;
-      for (const std::string& kind : span.note_kinds) {
-        inject |= kind == "fault-inject";
-        recover |= kind == "fault-recover";
+      for (const SpanNote& note : span.notes) {
+        inject |= note.kind == EventKind::kFaultInject;
+        recover |= note.kind == EventKind::kFaultRecover;
       }
       EXPECT_TRUE(inject);
       EXPECT_TRUE(recover);
     }
-    if (span.phase == "retry-backoff") {
+    if (span.phase == SpanPhase::kRetryBackoff) {
       saw_backoff = true;
-      EXPECT_GT(span.cycles, 0u);
+      EXPECT_GT(span.cycles(), 0u);
     }
   }
   EXPECT_TRUE(saw_retried);
@@ -310,6 +325,90 @@ TEST(FleetSpans, SnapshotCarriesSpanCountAndRoundP99) {
     EXPECT_GT(s.spans_recorded, 0u);
     EXPECT_GT(s.attest_round_p99, 0u);
   }
+}
+
+// ------------------------------------------- every artifact, both directions
+
+/// The span as a file carries it: host wall-time is never serialized.
+Span as_serialized(Span span) {
+  span.begin_host_ns = 0;
+  span.end_host_ns = 0;
+  return span;
+}
+
+// A faulted fleet with heat, spans and telemetry on: a replayed nonce gives
+// a retried round with fault notes, a rogue device an anomaly with a flight
+// dump.  Each of the four artifacts parses back to the recorder's own
+// records and re-serializes to the bytes it was read from.
+TEST(Artifacts, FaultedFleetArtifactsRoundTripThroughTheReaders) {
+  fleet::WorkloadConfig config = span_workload(4, 2);
+  config.fleet.heat = true;
+  config.fleet.telemetry.enabled = true;
+  auto plan = fault::FaultPlan::parse("nonce-replay@attest#2");
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  config.fleet.base.fault_plan = plan.take();
+  config.fleet.fault_plan_device = 1;
+  config.fleet.attest_retries = 2;
+  config.rogue_device = 3;
+  fleet::Fleet fleet(config.fleet);
+  ASSERT_TRUE(fleet::run_verifier_workload(fleet, config).status.is_ok());
+  core::Platform& faulted = fleet.device(1).platform();
+
+  // Spans: every device's recorder, concatenated in device order.
+  const std::string spans_text = fleet.spans_jsonl();
+  auto spans = parse_spans_jsonl(spans_text);
+  ASSERT_TRUE(spans.is_ok()) << spans.status().to_string();
+  std::vector<Span> recorded;
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (const Span& span : fleet.device(i).platform().machine().obs().spans().spans()) {
+      recorded.push_back(as_serialized(span));
+    }
+  }
+  EXPECT_EQ(*spans, recorded);
+  EXPECT_TRUE(std::any_of(spans->begin(), spans->end(),
+                          [](const Span& span) { return !span.notes.empty(); }));
+  std::string rewritten;
+  for (const Span& span : *spans) {
+    append_span_json(rewritten, span);
+  }
+  EXPECT_EQ(rewritten, spans_text);
+
+  // Telemetry: snapshots and anomalies, flight dumps included.
+  const std::string telemetry_text = fleet.telemetry().to_jsonl();
+  auto telemetry = parse_telemetry_jsonl(telemetry_text);
+  ASSERT_TRUE(telemetry.is_ok()) << telemetry.status().to_string();
+  EXPECT_EQ(telemetry->snapshots, fleet.telemetry().snapshots());
+  EXPECT_EQ(telemetry->anomalies, fleet.telemetry().anomalies());
+  ASSERT_FALSE(telemetry->anomalies.empty());
+  EXPECT_FALSE(telemetry->anomalies.front().flight.empty());
+  EXPECT_EQ(telemetry->to_jsonl(), telemetry_text);
+
+  // Heat: the faulted device's profile, with the producer's mnemonics.
+  ASSERT_NE(faulted.machine().heat(), nullptr);
+  faulted.machine().heat()->flush();
+  const HeatProfile& profile = faulted.machine().heat()->profile();
+  const std::string heat_text = profile.to_jsonl(/*include_host_ns=*/false);
+  auto heat = parse_heat_jsonl(heat_text);
+  ASSERT_TRUE(heat.is_ok()) << heat.status().to_string();
+  EXPECT_EQ(heat->profile, profile);
+  EXPECT_FALSE(heat->profile.blocks.empty());
+  EXPECT_EQ(heat->profile.to_jsonl(false, [&](std::uint8_t op) { return heat->opcode_name(op); }),
+            heat_text);
+
+  // Chrome trace: the faulted device's bus with its spans as async pairs.
+  const Hub& hub = faulted.machine().obs();
+  const std::string trace_text = export_chrome_trace(hub.bus(), &hub.spans());
+  auto trace = parse_chrome_trace(trace_text);
+  ASSERT_TRUE(trace.is_ok()) << trace.status().to_string();
+  EXPECT_EQ(trace->events, hub.bus().snapshot());
+  ASSERT_EQ(trace->spans.size(), hub.spans().size());
+  for (std::size_t i = 0; i < trace->spans.size(); ++i) {
+    Span expected = as_serialized(hub.spans().spans()[i]);
+    expected.device = 0;  // the trace keys spans by task track, not device
+    expected.notes.clear();
+    EXPECT_EQ(trace->spans[i], expected) << "span " << i;
+  }
+  EXPECT_EQ(chrome_trace_json(*trace), trace_text);
 }
 
 }  // namespace

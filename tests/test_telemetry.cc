@@ -185,7 +185,13 @@ TEST(TelemetryJsonl, RoundTripsSnapshotsAndAnomalies) {
   ASSERT_EQ(log->anomalies.size(), 1u);
   EXPECT_EQ(log->anomalies[0].device, 2u);
   EXPECT_EQ(log->anomalies[0].rule, "attestation-failure");
-  EXPECT_EQ(log->anomalies[0].flight_count, 1u);
+  ASSERT_EQ(log->anomalies[0].flight.size(), 1u);
+  const Event& flight = log->anomalies[0].flight[0];
+  EXPECT_EQ(flight.cycle, 42u);
+  EXPECT_EQ(flight.kind, EventKind::kFault);
+  EXPECT_EQ(flight.task, 3);
+  EXPECT_EQ(flight.a, 7u);
+  EXPECT_EQ(flight.b, 9u);
   EXPECT_FALSE(log->anomalies[0].message.empty());
 }
 

@@ -53,28 +53,6 @@ const obs::HeatProfile::Region* pick_region(const obs::HeatProfile& profile,
   return nullptr;
 }
 
-struct HotBlock {
-  std::uint32_t start = 0;
-  std::uint32_t end = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t instructions = 0;
-};
-
-/// Blocks sorted by executed instructions, descending; ties by address so the
-/// table is deterministic.
-std::vector<HotBlock> hot_blocks(const obs::HeatProfile& profile) {
-  std::vector<HotBlock> out;
-  out.reserve(profile.blocks.size());
-  for (const auto& [start, block] : profile.blocks) {
-    out.push_back({start, block.end, block.entries, block.instructions});
-  }
-  std::sort(out.begin(), out.end(), [](const HotBlock& a, const HotBlock& b) {
-    return a.instructions != b.instructions ? a.instructions > b.instructions
-                                            : a.start < b.start;
-  });
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -119,7 +97,7 @@ int main(int argc, char** argv) {
   obs::HeatLog heat;
   const obs::HeatProfile::Region* region = nullptr;
   if (heat_path != nullptr) {
-    auto loaded = obs::read_heat_file(heat_path);
+    auto loaded = json::read_file(heat_path, obs::parse_heat_jsonl);
     if (!loaded.is_ok()) {
       std::fprintf(stderr, "tytan-objdump: %s: %s\n", heat_path,
                    loaded.status().to_string().c_str());
@@ -278,17 +256,16 @@ int main(int argc, char** argv) {
     std::printf("\nhot blocks (%s, %llu instructions total):\n",
                 region->name.c_str(), static_cast<unsigned long long>(total));
     std::uint64_t cumulative = 0;
-    for (const HotBlock& block : hot_blocks(heat.profile)) {
+    for (const auto& [start, block] : heat.profile.hot_blocks()) {
       if (block.instructions == 0) {
         break;
       }
       cumulative += block.instructions;
       const double share = total == 0 ? 0.0 : 100.0 * block.instructions / total;
       const double cum_share = total == 0 ? 0.0 : 100.0 * cumulative / total;
-      const bool in_region =
-          block.start >= region->base && block.start - region->base < region->size;
+      const bool in_region = start >= region->base && start - region->base < region->size;
       std::printf("  %08x-%08x  %10llu insns  %10llu entries  %5.1f%%  cum %5.1f%%%s\n",
-                  block.start, block.end,
+                  start, block.end,
                   static_cast<unsigned long long>(block.instructions),
                   static_cast<unsigned long long>(block.entries), share, cum_share,
                   in_region ? "" : "  [outside region]");

@@ -51,28 +51,29 @@ struct DeviceRow {
 
 /// Per-phase span latency table from a `--spans FILE` span log.
 int render_spans(const std::string& path) {
-  auto log = obs::read_spans_file(path);
-  if (!log.is_ok()) {
+  auto spans = json::read_file(path, obs::parse_spans_jsonl);
+  if (!spans.is_ok()) {
     std::fprintf(stderr, "tytan-top: %s: %s\n", path.c_str(),
-                 log.status().to_string().c_str());
+                 spans.status().to_string().c_str());
     return 1;
   }
-  if (log->spans.empty()) {
+  if (spans->empty()) {
     std::fprintf(stderr,
                  "tytan-top: %s: no span records (empty or truncated span "
                  "file)\n",
                  path.c_str());
     return 1;
   }
-  std::map<std::string, std::vector<std::uint64_t>> by_phase;
-  for (const obs::ParsedSpan& span : log->spans) {
-    by_phase[span.phase].push_back(span.cycles);
+  std::map<std::string_view, std::vector<std::uint64_t>> by_phase;
+  for (const obs::Span& span : *spans) {
+    by_phase[obs::span_phase_name(span.phase)].push_back(span.cycles());
   }
   std::printf("\n%-17s %8s %12s %12s %12s\n", "phase", "spans", "p50 cyc",
               "p95 cyc", "p99 cyc");
   for (auto& [phase, cycles] : by_phase) {
     std::sort(cycles.begin(), cycles.end());
-    std::printf("%-17s %8zu %12llu %12llu %12llu\n", phase.c_str(), cycles.size(),
+    std::printf("%-17s %8zu %12llu %12llu %12llu\n", std::string(phase).c_str(),
+                cycles.size(),
                 static_cast<unsigned long long>(tools::percentile(cycles, 50)),
                 static_cast<unsigned long long>(tools::percentile(cycles, 95)),
                 static_cast<unsigned long long>(tools::percentile(cycles, 99)));
@@ -82,7 +83,7 @@ int render_spans(const std::string& path) {
 
 /// Hot-block / dispatch / MPU tables from a `--heat FILE` profile.
 int render_heat(const std::string& path) {
-  auto log = obs::read_heat_file(path);
+  auto log = json::read_file(path, obs::parse_heat_jsonl);
   if (!log.is_ok()) {
     std::fprintf(stderr, "tytan-top: %s: %s\n", path.c_str(),
                  log.status().to_string().c_str());
@@ -98,38 +99,24 @@ int render_heat(const std::string& path) {
   }
 
   // Hot blocks, descending by executed instructions, until >= 90% covered.
-  struct Row {
-    std::uint32_t start;
-    obs::HeatProfile::Block block;
-  };
-  std::vector<Row> rows;
-  rows.reserve(profile.blocks.size());
-  for (const auto& [start, block] : profile.blocks) {
-    rows.push_back({start, block});
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.block.instructions != b.block.instructions
-               ? a.block.instructions > b.block.instructions
-               : a.start < b.start;
-  });
   std::printf("\nhot blocks (%llu instructions, %zu blocks, %zu regions):\n",
               static_cast<unsigned long long>(total), profile.blocks.size(),
               profile.regions.size());
   std::printf("%-20s %-19s %12s %12s %6s %6s\n", "region", "block", "insns",
               "entries", "%", "cum%");
   std::uint64_t cumulative = 0;
-  for (const Row& row : rows) {
-    if (row.block.instructions == 0) {
+  for (const auto& [start, block] : profile.hot_blocks()) {
+    if (block.instructions == 0) {
       break;
     }
-    cumulative += row.block.instructions;
+    cumulative += block.instructions;
     char range[32];
-    std::snprintf(range, sizeof range, "%08x-%08x", row.start, row.block.end);
+    std::snprintf(range, sizeof range, "%08x-%08x", start, block.end);
     std::printf("%-20s %-19s %12llu %12llu %5.1f%% %5.1f%%\n",
-                std::string(profile.region_name(row.start)).c_str(), range,
-                static_cast<unsigned long long>(row.block.instructions),
-                static_cast<unsigned long long>(row.block.entries),
-                100.0 * row.block.instructions / total, 100.0 * cumulative / total);
+                std::string(profile.region_name(start)).c_str(), range,
+                static_cast<unsigned long long>(block.instructions),
+                static_cast<unsigned long long>(block.entries),
+                100.0 * block.instructions / total, 100.0 * cumulative / total);
     if (cumulative * 10 >= total * 9) {
       break;
     }
@@ -264,7 +251,7 @@ int render(const std::string& path, bool list_anomalies) {
     for (const auto& a : log->anomalies) {
       std::printf("%-7u %10llu %-20s %-8zu %s\n", a.device,
                   static_cast<unsigned long long>(a.cycle), a.rule.c_str(),
-                  a.flight_count, a.message.c_str());
+                  a.flight.size(), a.message.c_str());
     }
   }
   return 0;

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "core/platform.h"
 #include "obs/export.h"
 #include "obs/span.h"
@@ -87,14 +88,14 @@ struct CycleStat {
 int cmd_stats_json(const obs::Trace& trace) {
   std::uint64_t first = 0;
   std::uint64_t last = 0;
-  std::map<std::string, std::uint64_t> by_kind;
+  std::map<std::string_view, std::uint64_t> by_kind;
   if (!trace.events.empty()) {
     first = last = trace.events.front().cycle;
   }
-  for (const obs::TraceInstant& ev : trace.events) {
+  for (const obs::Event& ev : trace.events) {
     first = std::min(first, ev.cycle);
     last = std::max(last, ev.cycle);
-    ++by_kind[ev.name];
+    ++by_kind[obs::kind_name(ev.kind)];
   }
   std::printf("{\n");
   std::printf("  \"events\": %zu,\n", trace.events.size());
@@ -108,7 +109,7 @@ int cmd_stats_json(const obs::Trace& trace) {
   std::printf("  \"kinds\": {");
   bool comma = false;
   for (const auto& [kind, count] : by_kind) {
-    std::printf("%s\"%s\": %llu", comma ? ", " : "", kind.c_str(),
+    std::printf("%s\"%s\": %llu", comma ? ", " : "", std::string(kind).c_str(),
                 static_cast<unsigned long long>(count));
     comma = true;
   }
@@ -124,22 +125,22 @@ int cmd_stats(const obs::Trace& trace) {
   }
   std::uint64_t first = trace.events.front().cycle;
   std::uint64_t last = first;
-  std::map<std::string, std::uint64_t> by_kind;
+  std::map<std::string_view, std::uint64_t> by_kind;
   CycleStat save_secure;
   CycleStat save_normal;
   CycleStat wipe;
   CycleStat restore_secure;
-  for (const obs::TraceInstant& ev : trace.events) {
+  for (const obs::Event& ev : trace.events) {
     first = std::min(first, ev.cycle);
     last = std::max(last, ev.cycle);
-    ++by_kind[ev.name];
-    if (ev.name == "ctx-save") {
+    ++by_kind[obs::kind_name(ev.kind)];
+    if (ev.kind == obs::EventKind::kCtxSave) {
       (ev.b != 0 ? save_secure : save_normal).count += 1;
       (ev.b != 0 ? save_secure : save_normal).sum += ev.a;
-    } else if (ev.name == "ctx-wipe") {
+    } else if (ev.kind == obs::EventKind::kCtxWipe) {
       wipe.count += 1;
       wipe.sum += ev.a;
-    } else if (ev.name == "ctx-restore" && ev.b == 0) {
+    } else if (ev.kind == obs::EventKind::kCtxRestore && ev.b == obs::kRestoreResume) {
       restore_secure.count += 1;
       restore_secure.sum += ev.a;
     }
@@ -156,7 +157,8 @@ int cmd_stats(const obs::Trace& trace) {
   std::printf("\n");
   std::printf("%-16s %8s\n", "kind", "count");
   for (const auto& [kind, count] : by_kind) {
-    std::printf("%-16s %8llu\n", kind.c_str(), static_cast<unsigned long long>(count));
+    std::printf("%-16s %8llu\n", std::string(kind).c_str(),
+                static_cast<unsigned long long>(count));
   }
   if (save_secure.count != 0 || save_normal.count != 0) {
     std::printf("\ncontext save (Table 2):\n");
@@ -216,55 +218,57 @@ struct SpanFilter {
   std::uint64_t limit = 0;
 };
 
-bool span_matches(const obs::ParsedSpan& span, const SpanFilter& filter) {
+bool span_matches(const obs::Span& span, const SpanFilter& filter) {
   if (filter.have_device && span.device != filter.device) {
     return false;
   }
-  if (!filter.phase.empty() && span.phase != filter.phase) {
+  if (!filter.phase.empty() && obs::span_phase_name(span.phase) != filter.phase) {
     return false;
   }
-  if (!filter.outcome.empty() && span.outcome != filter.outcome) {
+  if (!filter.outcome.empty() && obs::span_outcome_name(span.outcome) != filter.outcome) {
     return false;
   }
-  return span.cycles >= filter.min_cycles;
+  return span.cycles() >= filter.min_cycles;
 }
 
-std::string notes_label(const obs::ParsedSpan& span) {
+std::string notes_label(const obs::Span& span) {
   std::string out;
-  for (const std::string& kind : span.note_kinds) {
+  for (const obs::SpanNote& note : span.notes) {
     if (!out.empty()) {
       out += ',';
     }
-    out += kind;
+    out += obs::kind_name(note.kind);
   }
   return out;
 }
 
-int cmd_spans(const obs::SpanLog& log, const SpanFilter& filter, bool json) {
+int cmd_spans(const std::vector<obs::Span>& spans, const SpanFilter& filter, bool json) {
   std::uint64_t printed = 0;
   if (!json) {
     std::printf("%-6s %-10s %-6s %-6s %-17s %5s %12s %-8s %s\n", "device",
                 "trace", "span", "parent", "phase", "task", "cycles", "outcome",
                 "notes");
   }
-  for (const obs::ParsedSpan& span : log.spans) {
+  for (const obs::Span& span : spans) {
     if (!span_matches(span, filter)) {
       continue;
     }
+    const std::string phase(obs::span_phase_name(span.phase));
+    const std::string outcome(obs::span_outcome_name(span.outcome));
     if (json) {
       std::printf("{\"device\": %u, \"trace\": %llu, \"span\": %u, "
                   "\"parent\": %u, \"phase\": \"%s\", \"task\": %d, "
                   "\"cycles\": %llu, \"outcome\": \"%s\", \"notes\": \"%s\"}\n",
-                  span.device, static_cast<unsigned long long>(span.trace),
-                  span.span, span.parent, span.phase.c_str(), span.task,
-                  static_cast<unsigned long long>(span.cycles),
-                  span.outcome.c_str(), notes_label(span).c_str());
+                  span.device, static_cast<unsigned long long>(span.trace_id),
+                  span.span_id, span.parent_id, phase.c_str(), span.task,
+                  static_cast<unsigned long long>(span.cycles()), outcome.c_str(),
+                  notes_label(span).c_str());
     } else {
       std::printf("%-6u %-10llu %-6u %-6u %-17s %5d %12llu %-8s %s\n",
-                  span.device, static_cast<unsigned long long>(span.trace),
-                  span.span, span.parent, span.phase.c_str(), span.task,
-                  static_cast<unsigned long long>(span.cycles),
-                  span.outcome.c_str(), notes_label(span).c_str());
+                  span.device, static_cast<unsigned long long>(span.trace_id),
+                  span.span_id, span.parent_id, phase.c_str(), span.task,
+                  static_cast<unsigned long long>(span.cycles()), outcome.c_str(),
+                  notes_label(span).c_str());
     }
     if (filter.limit != 0 && ++printed >= filter.limit) {
       break;
@@ -273,11 +277,11 @@ int cmd_spans(const obs::SpanLog& log, const SpanFilter& filter, bool json) {
   return 0;
 }
 
-int cmd_slo(const obs::SpanLog& log, std::uint64_t p99_cycles) {
+int cmd_slo(const std::vector<obs::Span>& spans, std::uint64_t p99_cycles) {
   std::vector<std::uint64_t> rounds;
-  for (const obs::ParsedSpan& span : log.spans) {
-    if (span.phase == "attest-round") {
-      rounds.push_back(span.cycles);
+  for (const obs::Span& span : spans) {
+    if (span.phase == obs::SpanPhase::kAttestRound) {
+      rounds.push_back(span.cycles());
     }
   }
   if (rounds.empty()) {
@@ -297,26 +301,26 @@ int cmd_slo(const obs::SpanLog& log, std::uint64_t p99_cycles) {
   return breach ? 1 : 0;
 }
 
-int cmd_critpath(const obs::SpanLog& log, std::uint64_t trace_filter,
+int cmd_critpath(const std::vector<obs::Span>& spans, std::uint64_t trace_filter,
                  bool have_trace) {
   struct TraceRow {
     std::uint32_t device = 0;
     std::uint64_t total = 0;  ///< root attest-round round-trip
-    std::string outcome;
-    std::map<std::string, std::uint64_t> by_phase;  ///< child phases only
+    std::string_view outcome;
+    std::map<std::string_view, std::uint64_t> by_phase;  ///< child phases only
   };
   std::map<std::uint64_t, TraceRow> traces;
-  for (const obs::ParsedSpan& span : log.spans) {
-    if (span.trace == 0 || (have_trace && span.trace != trace_filter)) {
+  for (const obs::Span& span : spans) {
+    if (span.trace_id == 0 || (have_trace && span.trace_id != trace_filter)) {
       continue;  // trace 0: parentless spans (e.g. rtm-measure at load)
     }
-    TraceRow& row = traces[span.trace];
-    if (span.phase == "attest-round") {
+    TraceRow& row = traces[span.trace_id];
+    if (span.phase == obs::SpanPhase::kAttestRound) {
       row.device = span.device;
-      row.total = span.cycles;
-      row.outcome = span.outcome;
+      row.total = span.cycles();
+      row.outcome = obs::span_outcome_name(span.outcome);
     } else {
-      row.by_phase[span.phase] += span.cycles;
+      row.by_phase[obs::span_phase_name(span.phase)] += span.cycles();
     }
   }
   if (traces.empty()) {
@@ -326,7 +330,7 @@ int cmd_critpath(const obs::SpanLog& log, std::uint64_t trace_filter,
   for (const auto& [trace_id, row] : traces) {
     std::printf("trace %llu  device %u  %llu cycles round-trip  [%s]\n",
                 static_cast<unsigned long long>(trace_id), row.device,
-                static_cast<unsigned long long>(row.total), row.outcome.c_str());
+                static_cast<unsigned long long>(row.total), std::string(row.outcome).c_str());
     std::uint64_t attributed = 0;
     for (const auto& [phase, cycles] : row.by_phase) {
       attributed += cycles;
@@ -334,7 +338,7 @@ int cmd_critpath(const obs::SpanLog& log, std::uint64_t trace_filter,
                              ? 0.0
                              : 100.0 * static_cast<double>(cycles) /
                                    static_cast<double>(row.total);
-      std::printf("  %-17s %12llu cycles  %5.1f%%\n", phase.c_str(),
+      std::printf("  %-17s %12llu cycles  %5.1f%%\n", std::string(phase).c_str(),
                   static_cast<unsigned long long>(cycles), pct);
     }
     if (row.total > attributed) {
@@ -351,8 +355,8 @@ int cmd_critpath(const obs::SpanLog& log, std::uint64_t trace_filter,
 int cmd_events(const obs::Trace& trace, const std::string& kind, std::int32_t task,
                bool have_task, std::uint64_t limit) {
   std::uint64_t printed = 0;
-  for (const obs::TraceInstant& ev : trace.events) {
-    if (!kind.empty() && ev.name != kind) {
+  for (const obs::Event& ev : trace.events) {
+    if (!kind.empty() && obs::kind_name(ev.kind) != kind) {
       continue;
     }
     if (have_task && ev.task != task) {
@@ -360,7 +364,8 @@ int cmd_events(const obs::Trace& trace, const std::string& kind, std::int32_t ta
     }
     std::printf("cycle %10llu  [%s] %s a=%u b=%u\n",
                 static_cast<unsigned long long>(ev.cycle),
-                task_label(trace, ev.task).c_str(), ev.name.c_str(), ev.a, ev.b);
+                task_label(trace, ev.task).c_str(),
+                std::string(obs::kind_name(ev.kind)).c_str(), ev.a, ev.b);
     if (limit != 0 && ++printed >= limit) {
       break;
     }
@@ -520,13 +525,13 @@ int main(int argc, char** argv) {
   }
 
   if (command == "spans" || command == "slo" || command == "critpath") {
-    auto log = obs::read_spans_file(path);
-    if (!log.is_ok()) {
+    auto spans = json::read_file(path, obs::parse_spans_jsonl);
+    if (!spans.is_ok()) {
       std::fprintf(stderr, "tytan-trace: %s: %s\n", path.c_str(),
-                   log.status().to_string().c_str());
+                   spans.status().to_string().c_str());
       return 1;
     }
-    if (log->spans.empty()) {
+    if (spans->empty()) {
       std::fprintf(stderr,
                    "tytan-trace: %s: no span records (empty or truncated span "
                    "file)\n",
@@ -534,19 +539,19 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (command == "spans") {
-      return cmd_spans(*log, filter, json);
+      return cmd_spans(*spans, filter, json);
     }
     if (command == "slo") {
       if (!have_p99) {
         std::fprintf(stderr, "tytan-trace: slo needs --p99-cycles=N\n");
         return 2;
       }
-      return cmd_slo(*log, p99_cycles);
+      return cmd_slo(*spans, p99_cycles);
     }
-    return cmd_critpath(*log, trace_filter, have_trace_filter);
+    return cmd_critpath(*spans, trace_filter, have_trace_filter);
   }
 
-  auto trace = obs::read_chrome_trace_file(path);
+  auto trace = json::read_file(path, obs::parse_chrome_trace);
   if (!trace.is_ok()) {
     std::fprintf(stderr, "tytan-trace: %s: %s\n", path.c_str(),
                  trace.status().to_string().c_str());
