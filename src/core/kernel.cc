@@ -143,17 +143,17 @@ void Kernel::reschedule() {
     break;
   }
 
-  if (tcb->kind == TaskKind::kFirmware) {
-    auto& cpu = machine_.cpu();
-    cpu.set_sp(tcb->stack_top);
-    cpu.eflags = isa::kFlagIF;
-    cpu.eip = tcb->entry;
-    return;
-  }
-  dispatch_guest(*tcb);
+  enter_task(*tcb);
 }
 
-void Kernel::dispatch_guest(Tcb& tcb) {
+void Kernel::enter_task(Tcb& tcb) {
+  if (tcb.kind == TaskKind::kFirmware) {
+    auto& cpu = machine_.cpu();
+    cpu.set_sp(tcb.stack_top);
+    cpu.eflags = isa::kFlagIF;
+    cpu.eip = tcb.entry;
+    return;
+  }
   if (tcb.secure) {
     Status s;
     if (tcb.context_saved) {
@@ -186,14 +186,7 @@ Status Kernel::resume_specific(TaskHandle handle) {
       reschedule();
       return Status::ok();
     }
-    if (tcb->kind == TaskKind::kFirmware) {
-      auto& cpu = machine_.cpu();
-      cpu.set_sp(tcb->stack_top);
-      cpu.eflags = isa::kFlagIF;
-      cpu.eip = tcb->entry;
-    } else {
-      dispatch_guest(*tcb);
-    }
+    enter_task(*tcb);
     return Status::ok();
   }
   scheduler_.make_ready(handle);
@@ -335,16 +328,8 @@ void Kernel::on_syscall() {
       reschedule();
       return;
     }
-    case kSysExit: {
-      const TaskHandle handle = tcb->handle;
-      if (loader_ != nullptr) {
-        loader_->unload(handle);
-      } else {
-        scheduler_.destroy(handle);
-      }
-      reschedule();
-      return;
-    }
+    case kSysExit:
+      return retire(tcb->handle);
     case kSysPutchar: {
       if (serial_ != nullptr) {
         serial_->write32(sim::SerialConsole::kData, a1);
@@ -472,18 +457,25 @@ void Kernel::on_fault() {
       << (tcb != nullptr ? tcb->name : std::string("<none>"));
   if (tcb != nullptr && tcb->kind == TaskKind::kGuest) {
     ++fault_kills_;
-    const TaskHandle handle = tcb->handle;
-    if (loader_ != nullptr) {
-      loader_->unload(handle);
-    } else {
-      scheduler_.destroy(handle);
-    }
-    reschedule();
-    return;
+    return retire(tcb->handle);
   }
   // Fault without a guest task: stop the machine, something is wrong with
   // the platform configuration itself.
   machine_.halt(sim::HaltReason::kDoubleFault);
+}
+
+void Kernel::retire(TaskHandle handle) {
+  if (loader_ == nullptr) {
+    scheduler_.destroy(handle);
+  } else if (Status s = loader_->unload(handle); !s.is_ok()) {
+    // The task is still the running one, and no other can be dispatched
+    // over it: fail-stop, as for a fault with no guest task.
+    TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "kernel")
+        << "cannot unload task " << handle << ": " << s.to_string() << "; halting";
+    machine_.halt(sim::HaltReason::kDoubleFault);
+    return;
+  }
+  reschedule();
 }
 
 // ---------------------------------------------------------------------------

@@ -121,7 +121,12 @@ class Kernel {
   /// One quantum of the running firmware task: an idle pass
   /// (kIdlePassCycles) or one loader step; a finished loader parks.
   void run_firmware_quantum();
-  void dispatch_guest(rtos::Tcb& tcb);
+  /// Start or resume the dispatched task `tcb`: a firmware task at its
+  /// entry, a guest task through the Int Mux.
+  void enter_task(rtos::Tcb& tcb);
+  /// Unload the running guest task `handle` (it exited or faulted) and
+  /// reschedule; halts the machine when the unload fails.
+  void retire(rtos::TaskHandle handle);
 
   sim::Machine& machine_;
   rtos::Scheduler& scheduler_;

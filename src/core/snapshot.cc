@@ -212,40 +212,12 @@ Status Platform::visit_state(snap::StateVisitor& visitor) {
       // after a replayed run), so enablement, capacity and entries travel.
       {"TRCE",
        [this](snap::Io& io) {
-         const sim::Tracer* tracer = machine_->tracer();
-         bool enabled = tracer != nullptr;
+         bool enabled = machine_->tracer() != nullptr;
          io.boolean(enabled);
-         if (!enabled) {
-           if (io.loading()) {
-             machine_->enable_trace(0);
-           }
-           return Status::ok();
-         }
-         std::size_t capacity = io.loading() ? 0 : tracer->capacity();
-         std::vector<sim::Tracer::Entry> entries;
-         if (!io.loading()) {
-           entries = tracer->snapshot();
-         }
-         io.usize(capacity);
-         io.sequence(entries, [&io](sim::Tracer::Entry& entry) {
-           io.u64(entry.cycle);
-           io.u32(entry.eip);
-           io.u32(entry.word);
-           io.str(entry.note);
-           io.i32(entry.task);
-           io.i32(entry.verdict);
-         });
          if (io.loading()) {
-           machine_->enable_trace(capacity);
-           sim::Tracer* restored = machine_->tracer();  // null for a zero capacity
-           for (sim::Tracer::Entry& entry : entries) {
-             if (restored != nullptr) {
-               restored->record(entry.cycle, entry.eip, entry.word, std::move(entry.note),
-                                entry.task, entry.verdict);
-             }
-           }
+           machine_->enable_trace(enabled ? 1 : 0);  // the walk restores the capacity
          }
-         return Status::ok();
+         return enabled ? machine_->tracer()->state(io) : Status::ok();
        }},
       {"EMPU", [this](snap::Io& io) { return mpu_->state(io); }},
       {"DRVS", [this](snap::Io& io) { return driver_->state(io); }},

@@ -113,7 +113,7 @@ class TaskLoader {
 
   /// Unload: remove from the scheduler, clear EA-MPU state, wipe and free the
   /// task's memory, drop registry and shadow entries.
-  Status unload(rtos::TaskHandle handle);
+  [[nodiscard]] Status unload(rtos::TaskHandle handle);
 
   [[nodiscard]] const CreateStats& last_create() const { return stats_; }
   [[nodiscard]] RamArena& arena() { return arena_; }

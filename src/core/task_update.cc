@@ -77,7 +77,10 @@ Result<TaskHandle> UpdateManager::update_now(TaskHandle old_handle, isa::ObjectF
     return new_handle;
   }
   if (Status s = swap(old_handle, *new_handle, params); !s.is_ok()) {
-    loader_.unload(*new_handle);
+    if (Status undo = loader_.unload(*new_handle); !undo.is_ok()) {
+      TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "update")
+          << "replacement stays loaded: " << undo.to_string();
+    }
     return s;
   }
   return new_handle;
@@ -97,7 +100,10 @@ Result<TaskHandle> UpdateManager::begin_update(TaskHandle old_handle, isa::Objec
     if (!last_swap_status_.is_ok()) {
       TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "update")
           << "swap failed: " << last_swap_status_.to_string();
-      loader_.unload(new_handle);
+      if (Status undo = loader_.unload(new_handle); !undo.is_ok()) {
+        TYTAN_CLOG(machine_.log(), LogLevel::kWarn, "update")
+            << "replacement stays loaded: " << undo.to_string();
+      }
     }
     pending_ = false;
   };

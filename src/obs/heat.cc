@@ -233,6 +233,9 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
   json::Lines lines(text);
   for (std::string_view line; lines.next(line);) {
     const std::string type = json::find_str(line, "type");
+    if (log.schema == 0 && type != "heat-header") {
+      break;  // refused below: a profile cut at the front or of no known schema
+    }
     bool ok = false;
     if (type == "heat-header") {
       ok = json::read_object(line, walk_header, log.schema, profile);
@@ -272,6 +275,9 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
     if (!ok) {
       return lines.corrupt("heat");
     }
+  }
+  if (log.schema == 0) {
+    return make_error(Err::kCorrupt, "heat profile does not start with a heat-header record");
   }
   return log;
 }

@@ -18,13 +18,15 @@
 //                   the static-leader bitmap, and a direct-mapped cache of
 //                   block counters that flush() folds into the profile.  The
 //                   recorder never touches the machine and never charges
-//                   simulated cycles; disabled it costs the owner a single
-//                   null-pointer check — cycle counts stay bit-identical
-//                   with the observatory on.  Enabled, each instruction
-//                   costs an opcode increment, a sequential-PC compare and a
-//                   leader bit test; each block close one slot compare; each
-//                   EA-MPU check one bucket increment next to the policy
-//                   walk the check makes anyway.
+//                   simulated cycles — cycle counts stay bit-identical with
+//                   the observatory on.  It is one part of the machine's
+//                   sim::Observer: the fetch and check hooks count EA-MPU
+//                   verdicts (one bucket increment next to the policy walk
+//                   the check makes anyway, or its memo), the edge hook
+//                   counts indirect transfers, and the dispatch body calls
+//                   on_instruction per instruction (an opcode increment, a
+//                   sequential-PC compare and a leader bit test; each block
+//                   close one slot compare).
 //
 // Block boundaries come from two sources that agree by construction: the
 // static CFG recovered by src/analysis (block start offsets are registered
@@ -184,7 +186,7 @@ class HeatRecorder {
   explicit HeatRecorder(HeatProfile* profile, bool time_dispatch = true)
       : profile_(profile), time_dispatch_(time_dispatch) {}
 
-  /// Hot path: one call per interpreted guest instruction, after decode and
+  /// Hot path: one call per dispatched guest instruction, after decode and
   /// before dispatch.  Maintains the open block and the opcode histogram;
   /// returns true when this dispatch should be host-timed (attribute() with
   /// the measured nanoseconds afterwards).
@@ -267,7 +269,6 @@ class HeatRecorder {
   }
 
   [[nodiscard]] const HeatProfile& profile() const { return *profile_; }
-  [[nodiscard]] bool times_dispatch() const { return time_dispatch_; }
 
  private:
   /// Leader bitmap coverage: 16 MiB of address space, at most 512 KiB of

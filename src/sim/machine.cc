@@ -68,10 +68,6 @@ Machine::Machine(CostModel costs, const LogContext* log)
   dcache_.attach(&memory_);
 }
 
-std::int32_t Machine::current_task_context() const {
-  return task_context_ ? task_context_() : -1;
-}
-
 // ---------------------------------------------------------------------------
 // Interrupts and faults
 // ---------------------------------------------------------------------------
@@ -151,15 +147,12 @@ bool Machine::dispatch_interrupt(std::uint8_t vector, std::uint32_t origin_eip,
   // pushes run under the interrupted code's identity, so a task whose SP
   // points outside its own memory faults here instead of corrupting others.
   std::uint32_t sp = cpu_.sp();
-  sp -= 4;
-  if (!check(origin_eip, sp, Access::kWrite) || !raw_write32(sp, cpu_.eflags)) {
-    raise_fault({FaultType::kStackFault, origin_eip, sp, Access::kWrite});
-    return false;
-  }
-  sp -= 4;
-  if (!check(origin_eip, sp, Access::kWrite) || !raw_write32(sp, return_eip)) {
-    raise_fault({FaultType::kStackFault, origin_eip, sp, Access::kWrite});
-    return false;
+  for (const std::uint32_t word : {cpu_.eflags, return_eip}) {
+    sp -= 4;
+    if (!check(origin_eip, sp, Access::kWrite) || !raw_write32(sp, word)) {
+      raise_fault({FaultType::kStackFault, origin_eip, sp, Access::kWrite});
+      return false;
+    }
   }
   // Hardware latches: the IPC proxy authenticates the sender from these.
   // Updated only once the frame is safely pushed — an aborted dispatch must
@@ -221,18 +214,35 @@ void Machine::register_firmware(std::uint32_t addr, std::string name,
   invalidate_decode_cache();
 }
 
+template <typename Part>
+void Machine::observe(std::unique_ptr<Part> Observer::*part, std::unique_ptr<Part> value) {
+  if (observer_ == nullptr) {
+    observer_ = std::make_unique<Observer>(task_context_);
+  }
+  (*observer_).*part = std::move(value);
+  if (observer_->tracer == nullptr && observer_->heat == nullptr) {
+    observer_ = nullptr;
+  }
+}
+
+void Machine::enable_trace(std::size_t capacity) {
+  observe(&Observer::tracer, capacity == 0 ? nullptr : std::make_unique<Tracer>(capacity));
+}
+
 void Machine::enable_heat(bool time_dispatch) {
   // The profile lives in the obs metrics registry so fleet aggregation folds
   // it with the same merge_from discipline as every other instrument; the
   // recorder is the machine-owned hot-path state bound to it.
   disable_heat();
-  heat_ = std::make_unique<obs::HeatRecorder>(&obs_.metrics().heat_profile("machine"),
-                                              time_dispatch);
+  observe(&Observer::heat, std::make_unique<obs::HeatRecorder>(
+                               &obs_.metrics().heat_profile("machine"), time_dispatch));
 }
 
-std::string_view Machine::firmware_name(std::uint32_t addr) const {
-  const auto it = firmware_.find(addr);
-  return it == firmware_.end() ? std::string_view{} : std::string_view{it->second.name};
+void Machine::disable_heat() {
+  if (obs::HeatRecorder* recorder = heat(); recorder != nullptr) {
+    recorder->flush();  // keep what the recorder still caches
+    observe(&Observer::heat, {});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -240,14 +250,10 @@ std::string_view Machine::firmware_name(std::uint32_t addr) const {
 // ---------------------------------------------------------------------------
 
 bool Machine::check(std::uint32_t exec_ip, std::uint32_t addr, Access access) const {
-  if (heat_ == nullptr) {
-    return policy_ == nullptr || policy_->allows(exec_ip, addr, access);
+  const int code = classify(exec_ip, addr, access);
+  if (observer_ != nullptr) {
+    observer_->check(access, code);
   }
-  // Observatory enabled: the one classify() walk behind the verdict also
-  // names the rule that decided, for the heat profile's check counters.
-  const int code = policy_ == nullptr ? kCheckNoPolicy
-                                      : policy_->classify(exec_ip, addr, access);
-  heat_->count_check(static_cast<int>(access), code);
   return code != kCheckDenied;
 }
 
@@ -269,8 +275,8 @@ std::uint32_t Machine::check_run(std::uint32_t exec_ip, std::uint32_t addr,
             ? 1
             : static_cast<std::uint32_t>(
                   std::min<std::uint64_t>(count - granted, (hi - at + stride - 1) / stride));
-    if (heat_ != nullptr) {
-      heat_->count_check(static_cast<int>(access), code, run);
+    if (observer_ != nullptr) {
+      observer_->check(access, code, run);
     }
     if (code == kCheckDenied) {
       break;
@@ -280,21 +286,24 @@ std::uint32_t Machine::check_run(std::uint32_t exec_ip, std::uint32_t addr,
   return granted;
 }
 
-bool Machine::raw_read32(std::uint32_t addr, std::uint32_t* out) {
-  if (is_mmio(addr)) {
-    if (addr % 4 != 0) {
-      return false;
-    }
-    Device* device = bus_.find(addr);
-    if (device == nullptr) {
-      return false;
-    }
+Device* Machine::mmio_device(std::uint32_t addr) {
+  Device* device = addr % 4 == 0 ? bus_.find(addr) : nullptr;
+  if (device != nullptr) {
     charge(costs_.mmio_access);
     // Lazy time latch: deliver the step-top cycle the per-instruction tick
     // regime would have, so counters and timestamps read identically.
     device->tick(step_top_cycles_);
-    *out = device->read32(addr - device->base());
-    return true;
+  }
+  return device;
+}
+
+bool Machine::raw_read32(std::uint32_t addr, std::uint32_t* out) {
+  if (is_mmio(addr)) {
+    Device* device = mmio_device(addr);
+    if (device != nullptr) {
+      *out = device->read32(addr - device->base());
+    }
+    return device != nullptr;
   }
   if (!memory_.in_bounds(addr, 4)) {
     return false;
@@ -305,17 +314,11 @@ bool Machine::raw_read32(std::uint32_t addr, std::uint32_t* out) {
 
 bool Machine::raw_write32(std::uint32_t addr, std::uint32_t value) {
   if (is_mmio(addr)) {
-    if (addr % 4 != 0) {
-      return false;
+    Device* device = mmio_device(addr);
+    if (device != nullptr) {
+      device->write32(addr - device->base(), value);
     }
-    Device* device = bus_.find(addr);
-    if (device == nullptr) {
-      return false;
-    }
-    charge(costs_.mmio_access);
-    device->tick(step_top_cycles_);  // lazy time latch; see raw_read32
-    device->write32(addr - device->base(), value);
-    return true;
+    return device != nullptr;
   }
   if (!memory_.in_bounds(addr, 4)) {
     return false;
@@ -347,12 +350,10 @@ bool Machine::raw_write8(std::uint32_t addr, std::uint8_t value) {
     // with raw_read8's lane extract.  Registers with read side effects see
     // the RMW read — that is the documented cost of byte-granular MMIO.
     const std::uint32_t aligned = addr & ~3u;
-    Device* device = bus_.find(aligned);
+    Device* device = mmio_device(aligned);
     if (device == nullptr) {
       return false;
     }
-    charge(costs_.mmio_access);
-    device->tick(step_top_cycles_);  // lazy time latch; see raw_read32
     const unsigned shift = 8 * (addr % 4);
     std::uint32_t word = device->read32(aligned - device->base());
     word = (word & ~(0xFFu << shift)) |
@@ -367,46 +368,38 @@ bool Machine::raw_write8(std::uint32_t addr, std::uint8_t value) {
   return true;
 }
 
+template <typename RawAccess>
+Status Machine::fw_access(std::uint32_t exec_ip, std::uint32_t addr, Access access,
+                          RawAccess raw) {
+  const bool write = access == Access::kWrite;
+  if (!check(exec_ip, addr, access)) {
+    return make_error(Err::kPermissionDenied, write ? kFwWriteDenied : kFwReadDenied);
+  }
+  if (!raw()) {
+    return make_error(Err::kOutOfRange,
+                      write ? "firmware write bus error" : "firmware read bus error");
+  }
+  return Status::ok();
+}
+
 Result<std::uint32_t> Machine::fw_read32(std::uint32_t exec_ip, std::uint32_t addr) {
-  if (!check(exec_ip, addr, Access::kRead)) {
-    return make_error(Err::kPermissionDenied, kFwReadDenied);
-  }
   std::uint32_t value = 0;
-  if (!raw_read32(addr, &value)) {
-    return make_error(Err::kOutOfRange, "firmware read bus error");
-  }
-  return value;
+  Status s = fw_access(exec_ip, addr, Access::kRead, [&] { return raw_read32(addr, &value); });
+  return s.is_ok() ? Result<std::uint32_t>(value) : s;
 }
 
 Status Machine::fw_write32(std::uint32_t exec_ip, std::uint32_t addr, std::uint32_t value) {
-  if (!check(exec_ip, addr, Access::kWrite)) {
-    return make_error(Err::kPermissionDenied, kFwWriteDenied);
-  }
-  if (!raw_write32(addr, value)) {
-    return make_error(Err::kOutOfRange, "firmware write bus error");
-  }
-  return Status::ok();
+  return fw_access(exec_ip, addr, Access::kWrite, [&] { return raw_write32(addr, value); });
 }
 
 Result<std::uint8_t> Machine::fw_read8(std::uint32_t exec_ip, std::uint32_t addr) {
-  if (!check(exec_ip, addr, Access::kRead)) {
-    return make_error(Err::kPermissionDenied, kFwReadDenied);
-  }
   std::uint8_t value = 0;
-  if (!raw_read8(addr, &value)) {
-    return make_error(Err::kOutOfRange, "firmware read bus error");
-  }
-  return value;
+  Status s = fw_access(exec_ip, addr, Access::kRead, [&] { return raw_read8(addr, &value); });
+  return s.is_ok() ? Result<std::uint8_t>(value) : s;
 }
 
 Status Machine::fw_write8(std::uint32_t exec_ip, std::uint32_t addr, std::uint8_t value) {
-  if (!check(exec_ip, addr, Access::kWrite)) {
-    return make_error(Err::kPermissionDenied, kFwWriteDenied);
-  }
-  if (!raw_write8(addr, value)) {
-    return make_error(Err::kOutOfRange, "firmware write bus error");
-  }
-  return Status::ok();
+  return fw_access(exec_ip, addr, Access::kWrite, [&] { return raw_write8(addr, value); });
 }
 
 template <typename Byte>
@@ -487,8 +480,8 @@ bool Machine::check_data(const DecodedOp& op, std::uint32_t addr, Access access)
                          : policy_->classify_span(op.pc, addr, access, &lo, &hi);
     op.data.fill(lo, hi, code);
   }
-  if (heat_ != nullptr) {
-    heat_->count_check(static_cast<int>(access), op.data.code);
+  if (observer_ != nullptr) {
+    observer_->check(access, op.data.code);
   }
   return op.data.code != kCheckDenied;
 }
@@ -604,9 +597,8 @@ StepOutcome Machine::step() {
   const auto fw = firmware_.find(cpu_.eip);
   if (fw != firmware_.end()) {
     ++fw_invocations_;
-    if (tracer_ != nullptr) {
-      tracer_->record(cycles_, cpu_.eip, 0, fw->second.name, current_task_context(),
-                      Tracer::kVerdictNone);
+    if (observer_ != nullptr) {
+      observer_->firmware(cycles_, cpu_.eip, fw->second.name);
     }
     fw->second.handler(*this);
     return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
@@ -667,17 +659,15 @@ HaltReason Machine::run(std::uint64_t cycle_limit) {
   while (!halted() && cycles_ < cycle_limit) {
     step();
     if (dispatch_ == DispatchMode::kCached) {
-      run_chained(cycle_limit);
+      observer_ != nullptr ? run_chained<true>(cycle_limit) : run_chained<false>(cycle_limit);
     }
   }
   run_limit_ = 0;
   return halted() ? halt_reason_ : HaltReason::kCycleLimit;
 }
 
+template <bool kObserved>
 void Machine::run_chained(std::uint64_t limit) {
-  // Quiet runs skip the per-op observer hooks, so they take the budgeted
-  // loop only with neither observer on.  No op can attach one mid-chain.
-  const bool observed = tracer_ != nullptr || heat_ != nullptr;
   // Each pass stands in for one step() whose top would tick no device
   // (clock below the next tick, timing epoch unchanged), take no IRQ, and
   // stay inside run(): exactly the state in which step() only sets the
@@ -697,18 +687,27 @@ void Machine::run_chained(std::uint64_t limit) {
     // anywhere but the next op of its block: after one, only the clock and
     // the block's end can stop the chain.
     for (;;) {
-      if (!observed && op->quiet_run != 0 && cycles_ + op->quiet_cycles < horizon) {
+      if (op->quiet_run != 0 && cycles_ + op->quiet_cycles < horizon) {
         // The whole quiet run fits below the horizon, so stepping would run
         // every op of it and the op after it: one compare stands in for the
         // per-op ones.  Each op still charges its own cycles (rdcyc reads
-        // the exact clock), and the device latch ends at the last op's top.
+        // the exact clock) after the observer saw it at its own step top,
+        // and the device latch ends at the last op's top.
         const std::size_t run = op->quiet_run;
         const DecodedOp* const end = op + run;
         for (; op != end; ++op) {
-          cycles_ += op->base_cycles;
-          execute_op(*op);
+          if constexpr (kObserved) {
+            // run_cached_op's body: the observer stays set for the chain.
+            observer_->fetch(cycles_, op->pc, op->word, op->fetch_class);
+            dispatch_observed(*op);
+          } else {
+            cycles_ += op->base_cycles;
+            execute_op(*op);
+          }
         }
-        instructions_ += run;
+        if constexpr (!kObserved) {
+          instructions_ += run;
+        }
         step_top_cycles_ = cycles_ - end[-1].base_cycles;
         device_time_dirty_ = true;
         cur_idx_ += run - 1;  // the cursor was already past the run's first op
@@ -730,7 +729,7 @@ void Machine::run_chained(std::uint64_t limit) {
 
 std::uint64_t Machine::fast_forward_spin(std::uint64_t pass_cycles) {
   if (run_limit_ == 0 || pass_cycles == 0 || dispatch_ == DispatchMode::kInterpreter ||
-      tracer_ != nullptr || pending_ != 0 || !cpu_.flag(isa::kFlagIF) ||
+      tracer() != nullptr || pending_ != 0 || !cpu_.flag(isa::kFlagIF) ||
       bus_.timing_epoch() != device_timing_epoch_) {
     return 0;
   }
@@ -754,12 +753,13 @@ std::uint64_t Machine::fast_forward_spin(std::uint64_t pass_cycles) {
 inline void Machine::dispatch_observed(const DecodedOp& op) {
   charge(op.base_cycles);
   ++instructions_;
-  if (heat_ == nullptr) {  // hot path: observatory off costs one null check
+  obs::HeatRecorder* const recorder = heat();
+  if (recorder == nullptr) {  // hot path: heat off
     execute_op(op);
     return;
   }
   const auto opcode = static_cast<std::uint8_t>(op.instr.opcode);
-  if (!heat_->on_instruction(op.pc, opcode)) {
+  if (!recorder->on_instruction(op.pc, opcode)) {
     execute_op(op);
     return;
   }
@@ -769,54 +769,41 @@ inline void Machine::dispatch_observed(const DecodedOp& op) {
   const auto t0 = std::chrono::steady_clock::now();
   execute_op(op);
   const auto t1 = std::chrono::steady_clock::now();
-  heat_->attribute(opcode, static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                                   .count()));
+  recorder->attribute(opcode, static_cast<std::uint64_t>(
+                                   std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                                       .count()));
 }
 
 void Machine::execute_one() {
   const std::uint32_t pc = cpu_.eip;
-  const bool allowed = check(pc, pc, Access::kExecute);
-  if (tracer_ != nullptr && memory_.in_bounds(pc, 4) && !is_mmio(pc)) {
-    // The fetch check's own verdict, recorded before any fault it raises.
-    tracer_->record(cycles_, pc, memory_.read32(pc), {}, current_task_context(),
-                    policy_ == nullptr ? Tracer::kVerdictNone
-                    : allowed          ? Tracer::kVerdictAllowed
-                                       : Tracer::kVerdictDenied);
+  const int code = classify(pc, pc, Access::kExecute);
+  const std::optional<std::uint32_t> word =
+      is_mmio(pc) || !memory_.in_bounds(pc, 4) ? std::nullopt : std::optional(memory_.read32(pc));
+  if (observer_ != nullptr) {
+    // The fetch check's own verdict, observed before any fault it raises.
+    observer_->fetch(cycles_, pc, word, code);
   }
-  if (!allowed) {
-    raise_fault({FaultType::kMpuFetch, pc, pc, Access::kExecute});
+  if (code == kCheckDenied || !word) {
+    raise_fault({code == kCheckDenied ? FaultType::kMpuFetch : FaultType::kBusError, pc, pc,
+                 Access::kExecute});
     return;
   }
-  if (is_mmio(pc) || !memory_.in_bounds(pc, 4)) {
-    raise_fault({FaultType::kBusError, pc, pc, Access::kExecute});
-    return;
-  }
-  const std::uint32_t word = memory_.read32(pc);
-  const auto decoded = isa::decode(word);
+  const auto decoded = isa::decode(*word);
   if (!decoded) {
     raise_fault({FaultType::kBadOpcode, pc, pc, Access::kExecute});
     return;
   }
   // Transient decoded op: same OpVariant handler the cache dispatches, with
   // nothing memoized (data, transfer and fetch verdicts resolved live).
-  dispatch_observed(decoded_op(pc, word, *decoded));
+  dispatch_observed(decoded_op(pc, *word, *decoded));
 }
 
 void Machine::run_cached_op(const DecodedOp& op) {
-  if (tracer_ != nullptr) {
-    // Same record the interpreter path emits: the memoized word, and the
-    // fetch verdict every cached op has by construction (a denied fetch
-    // never enters a block).
-    tracer_->record(cycles_, op.pc, op.word, {}, current_task_context(),
-                    policy_ == nullptr ? Tracer::kVerdictNone
-                                       : Tracer::kVerdictAllowed);
-  }
-  if (heat_ != nullptr) {
-    // Replay the memoized classify() code into the MPU counters — cached
-    // fetches skip the policy walk, but heat profiles must be identical
-    // across dispatch modes.
-    heat_->count_check(static_cast<int>(Access::kExecute), op.fetch_class);
+  if (observer_ != nullptr) {
+    // The word and fetch verdict memoized at block build: the interpreter's
+    // observation without its policy walk (a denied fetch never enters a
+    // block, and a policy change drops the block).
+    observer_->fetch(cycles_, op.pc, op.word, op.fetch_class);
   }
   dispatch_observed(op);
 }
@@ -857,8 +844,7 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     if (firmware_.contains(p) || is_mmio(p) || !memory_.in_bounds(p, 4)) {
       break;
     }
-    const int fetch_class =
-        policy_ == nullptr ? kCheckNoPolicy : policy_->classify(p, p, Access::kExecute);
+    const int fetch_class = classify(p, p, Access::kExecute);
     if (fetch_class == kCheckDenied) {
       break;
     }

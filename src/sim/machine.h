@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -57,6 +58,55 @@ enum class StepOutcome : std::uint8_t {
 enum class DispatchMode : std::uint8_t {
   kInterpreter = 0,  ///< fetch → decode → check → dispatch, every step
   kCached,           ///< decoded basic-block cache + table-driven dispatch
+};
+
+/// The one seam through which a Machine reports execution: the trace ring
+/// and/or the heat recorder, behind the one pointer every hook site tests
+/// (null while neither is on).  Both dispatch modes call each hook with the
+/// same arguments, so the ring and the profile match across modes; heat's
+/// per-dispatch half is Machine::dispatch_observed, the modes' one body.
+class Observer {
+ public:
+  explicit Observer(const std::function<std::int32_t()>& task) : task_(task) {}
+
+  /// Every fetch attempt, denied ones included, before any fault it raises.
+  /// `code` is the fetch check's classify() code (memoized by cached ops);
+  /// `word` is nullopt when the fetch leaves plain memory.
+  void fetch(std::uint64_t cycle, std::uint32_t pc, std::optional<std::uint32_t> word,
+             int code) {
+    check(Access::kExecute, code);
+    if (tracer != nullptr && word) {
+      tracer->record(cycle, pc, *word, {}, task(),
+                     code == kCheckNoPolicy ? Tracer::kVerdictNone
+                     : code == kCheckDenied ? Tracer::kVerdictDenied
+                                            : Tracer::kVerdictAllowed);
+    }
+  }
+  /// A step into the firmware handler `name` at `pc`.
+  void firmware(std::uint64_t cycle, std::uint32_t pc, const std::string& name) {
+    if (tracer != nullptr) {
+      tracer->record(cycle, pc, 0, name, task());
+    }
+  }
+  /// `n` checks of `access` with the same classify() `code`.
+  void check(Access access, int code, std::uint64_t n = 1) {
+    if (heat != nullptr) {
+      heat->count_check(static_cast<int>(access), code, n);
+    }
+  }
+  /// An indirect transfer (jmpr/callr), before it is attempted.
+  void edge(std::uint32_t site, std::uint32_t target, bool is_call) {
+    if (heat != nullptr) {
+      heat->record_edge(site, target, is_call);
+    }
+  }
+
+  std::unique_ptr<Tracer> tracer;
+  std::unique_ptr<obs::HeatRecorder> heat;
+
+ private:
+  [[nodiscard]] std::int32_t task() const { return task_ ? task_() : -1; }
+  const std::function<std::int32_t()>& task_;  ///< Machine::set_task_context's
 };
 
 class Machine {
@@ -153,7 +203,6 @@ class Machine {
   [[nodiscard]] bool is_firmware(std::uint32_t addr) const {
     return firmware_.contains(addr);
   }
-  [[nodiscard]] std::string_view firmware_name(std::uint32_t addr) const;
 
   /// Policy-checked accessors for firmware handlers.  `exec_ip` is the
   /// handler's execution identity (its firmware window address).  These do
@@ -220,10 +269,8 @@ class Machine {
 
   /// Enable (capacity > 0) or disable (capacity == 0) instruction tracing
   /// into a ring buffer; useful for post-mortem fault analysis.
-  void enable_trace(std::size_t capacity) {
-    tracer_ = capacity == 0 ? nullptr : std::make_unique<Tracer>(capacity);
-  }
-  [[nodiscard]] Tracer* tracer() { return tracer_.get(); }
+  void enable_trace(std::size_t capacity);
+  [[nodiscard]] Tracer* tracer() { return observer_ ? observer_->tracer.get() : nullptr; }
 
   /// Enable the execution observatory (obs/heat.h): per-block heat counters,
   /// per-opcode dispatch histograms with batched host-ns attribution, EA-MPU
@@ -235,14 +282,11 @@ class Machine {
   /// host-clock sampling so the recorded profile is a deterministic function
   /// of the simulated execution (the mode fleet devices use).
   void enable_heat(bool time_dispatch = true);
-  void disable_heat() {
-    if (heat_ != nullptr) {
-      heat_->flush();  // keep what the recorder still caches
-    }
-    heat_ = nullptr;
+  void disable_heat();
+  [[nodiscard]] obs::HeatRecorder* heat() { return observer_ ? observer_->heat.get() : nullptr; }
+  [[nodiscard]] const obs::HeatRecorder* heat() const {
+    return observer_ ? observer_->heat.get() : nullptr;
   }
-  [[nodiscard]] obs::HeatRecorder* heat() { return heat_.get(); }
-  [[nodiscard]] const obs::HeatRecorder* heat() const { return heat_.get(); }
 
   /// Structured observability (event bus + metrics + per-task accounting).
   /// Disabled by default; never charges simulated cycles.  The clock is
@@ -261,9 +305,9 @@ class Machine {
     task_context_ = std::move(provider);
   }
 
-  /// Optional fault-injection engine (non-owning, same lifetime discipline
-  /// as the tracer hook: Platform owns it, hook sites only consult
-  /// it).  Null — the default — means every hook is one pointer compare.
+  /// Optional fault-injection engine (non-owning: Platform owns it, hook
+  /// sites only consult it).  Null — the default — means every hook is one
+  /// pointer compare.
   void set_fault_engine(fault::FaultEngine* engine) { faults_ = engine; }
   [[nodiscard]] fault::FaultEngine* faults() const { return faults_; }
 
@@ -291,7 +335,18 @@ class Machine {
   // switch had.
   friend struct MachineOps;
 
-  [[nodiscard]] std::int32_t current_task_context() const;
+  [[nodiscard]] std::int32_t current_task_context() const {
+    return task_context_ ? task_context_() : -1;
+  }
+  /// The EA-MPU's classify() code for one access (kCheckNoPolicy pre-boot).
+  [[nodiscard]] int classify(std::uint32_t exec_ip, std::uint32_t addr, Access access) const {
+    return policy_ == nullptr ? kCheckNoPolicy : policy_->classify(exec_ip, addr, access);
+  }
+  /// Install or drop (null `value`) one part of the observer.  The observer
+  /// exists only while a part is on.
+  template <typename Part>
+  void observe(std::unique_ptr<Part> Observer::*part, std::unique_ptr<Part> value);
+  /// classify() as a verdict, reported to the observer's check hook.
   [[nodiscard]] bool check(std::uint32_t exec_ip, std::uint32_t addr, Access access) const;
   /// check() for the `count` accesses at addr, addr + stride, ... in order:
   /// the number granted before the first denial (counted into heat like a
@@ -301,6 +356,10 @@ class Machine {
   [[nodiscard]] std::uint32_t check_run(std::uint32_t exec_ip, std::uint32_t addr,
                                         std::uint32_t count, std::uint32_t stride,
                                         Access access) const;
+  /// The one body of the fw_* accessors: check(), then `raw` (a raw_*
+  /// call); the denial or bus error as a status.
+  template <typename RawAccess>
+  Status fw_access(std::uint32_t exec_ip, std::uint32_t addr, Access access, RawAccess raw);
   /// The one body behind fw_read_block (Byte = uint8_t) and fw_write_block
   /// (Byte = const uint8_t).
   template <typename Byte>
@@ -314,6 +373,9 @@ class Machine {
     return memory_.in_bounds(addr, len) && addr + len <= kMmioBase;
   }
 
+  /// The device at word-aligned MMIO `addr`, charged one bus access and
+  /// latched to the step top; null (a bus error) when there is none.
+  Device* mmio_device(std::uint32_t addr);
   /// Raw access with MMIO dispatch; returns false on bus error.
   bool raw_read32(std::uint32_t addr, std::uint32_t* out);
   bool raw_write32(std::uint32_t addr, std::uint32_t value);
@@ -330,7 +392,8 @@ class Machine {
   void execute_op(const DecodedOp& op);
   /// The observed-dispatch body both dispatch modes share: charge the op's
   /// base cycles, count it, feed the heat recorder, host-time the sampled
-  /// dispatch, and run execute_op.  Observatory off it is one null check.
+  /// dispatch, and run execute_op.  With heat off it adds only the test of
+  /// the observer pointer (and of its heat part when the tracer is on).
   /// Forced inline (defined in machine.cc, its only user) so sharing the
   /// body adds no call on the per-instruction path.
   [[gnu::always_inline]] inline void dispatch_observed(const DecodedOp& op);
@@ -345,7 +408,11 @@ class Machine {
   /// both pending and enabled, no bus timing-epoch change, the clock below
   /// min(limit, next device tick), and next_cached_op() hits.  A quiet run
   /// whose cycle sum stays below that horizon runs with no per-op test.
-  /// Returns at the first step top that needs step().
+  /// Returns at the first step top that needs step().  One body for both
+  /// `kObserved` (observer_ set: each op gets the fetch hook and
+  /// dispatch_observed) and not, chosen by run() so the unobserved loop
+  /// tests no observer per op.
+  template <bool kObserved>
   void run_chained(std::uint64_t limit);
 
   // Cached-dispatch slow path: sync the cache with the policy epoch, look up
@@ -353,7 +420,7 @@ class Machine {
   // Returns false when the head is uncacheable (fault, MMIO, firmware) and
   // the interpreter path must handle this step.
   bool execute_one_cached();
-  /// Tracer replay + memoized fetch-check replay, then dispatch_observed,
+  /// The fetch hook with the op's memoized verdict, then dispatch_observed,
   /// for one cached op (the per-step body shared by fast and slow paths).
   void run_cached_op(const DecodedOp& op);
   /// Decode straight-line code starting at `pc` into a block; empty when the
@@ -476,8 +543,8 @@ class Machine {
   }
   std::array<BlockLutEntry, kBlockLutSize> block_lut_{};
 
-  std::unique_ptr<Tracer> tracer_;
-  std::unique_ptr<obs::HeatRecorder> heat_;  ///< see enable_heat()
+  /// Tracer and/or heat recorder; null while neither is on.
+  std::unique_ptr<Observer> observer_;
   fault::FaultEngine* faults_ = nullptr;  ///< non-owning; see set_fault_engine
   obs::Hub obs_;
   const LogContext* log_;  ///< never null; defaults to process_log_context()

@@ -194,8 +194,8 @@ struct MachineOps {
 
   static void jmpr(Machine& m, const DecodedOp& op) {
     const std::uint32_t target = m.cpu_.regs[op.instr.ra];
-    if (m.heat_ != nullptr) {
-      m.heat_->record_edge(op.pc, target, /*is_call=*/false);
+    if (m.observer_ != nullptr) {
+      m.observer_->edge(op.pc, target, /*is_call=*/false);
     }
     m.guest_transfer(op, target);
   }
@@ -216,8 +216,8 @@ struct MachineOps {
       return;
     }
     const std::uint32_t target = m.cpu_.regs[op.instr.ra];
-    if (m.heat_ != nullptr) {
-      m.heat_->record_edge(op.pc, target, /*is_call=*/true);
+    if (m.observer_ != nullptr) {
+      m.observer_->edge(op.pc, target, /*is_call=*/true);
     }
     m.guest_transfer(op, target);
   }

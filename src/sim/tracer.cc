@@ -26,4 +26,22 @@ std::string Tracer::format() const {
   return os.str();
 }
 
+Status Tracer::state(snap::Io& io) {
+  io.usize(capacity_);
+  io.sequence(entries_, [&io](Entry& entry) {
+    io.u64(entry.cycle);
+    io.u32(entry.eip);
+    io.u32(entry.word);
+    io.str(entry.note);
+    io.i32(entry.task);
+    io.i32(entry.verdict);
+  });
+  if (io.loading() && (capacity_ == 0 || entries_.size() > capacity_)) {
+    return make_error(Err::kCorrupt, "trace ring of capacity " + std::to_string(capacity_) +
+                                         " holds " + std::to_string(entries_.size()) +
+                                         " entries");
+  }
+  return Status::ok();
+}
+
 }  // namespace tytan::sim

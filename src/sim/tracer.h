@@ -1,13 +1,16 @@
 // Execution tracer: a ring buffer of the last N executed instructions with
-// cycle stamps and disassembly.  Off by default (zero overhead beyond a
-// branch); examples and debugging sessions enable it to print what guest
-// code did before a fault.
+// cycle stamps and disassembly.  Off by default; Machine::enable_trace puts
+// one in the machine's Observer (sim/machine.h), whose fetch and firmware
+// hooks record every step.  Examples and debugging sessions enable it to
+// print what guest code did before a fault.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
+
+#include "snap/snapshot.h"
 
 namespace tytan::sim {
 
@@ -45,7 +48,10 @@ class Tracer {
   }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear() { entries_.clear(); }
+
+  /// Walk the capacity and the entries (snap::Io, the TRCE section).
+  /// Loading refuses a zero capacity or more entries than it (kCorrupt).
+  Status state(snap::Io& io);
 
   /// Multi-line human-readable dump ("cycle 1234  0x40010  ldw r1, [r2+4]").
   [[nodiscard]] std::string format() const;

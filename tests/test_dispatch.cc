@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "dispatch_sweep.h"
 #include "isa/assembler.h"
 #include "sim/decode_cache.h"
 #include "sim/devices.h"
@@ -23,57 +24,6 @@
 
 namespace tytan::sim {
 namespace {
-
-constexpr std::uint32_t kCodeBase = 0x40000;
-constexpr std::uint32_t kStackTop = 0x48000;
-
-/// Assemble `source`, apply the minimal bare-test relocations, load it into
-/// `machine` at kCodeBase, and return the symbol table (label -> offset).
-std::map<std::string, std::uint32_t> load_program(Machine& machine,
-                                                  std::string_view source) {
-  auto object = isa::assemble(source);
-  EXPECT_TRUE(object.is_ok()) << object.status().to_string();
-  if (!object.is_ok()) {
-    return {};
-  }
-  ByteVec image = object->image;
-  for (const isa::Relocation& reloc : object->relocs) {
-    const std::uint32_t value = reloc.addend + kCodeBase;
-    std::uint8_t* site = image.data() + reloc.offset;
-    switch (reloc.kind) {
-      case isa::RelocKind::kAbs32: store_le32(site, value); break;
-      case isa::RelocKind::kLo16:
-        store_le32(site, (load_le32(site) & 0xFFFF0000u) | (value & 0xFFFF));
-        break;
-      case isa::RelocKind::kHi16:
-        store_le32(site, (load_le32(site) & 0xFFFF0000u) | (value >> 16));
-        break;
-    }
-  }
-  machine.memory().write_block(kCodeBase, image);
-  machine.cpu().eip = kCodeBase + object->entry;
-  machine.cpu().set_sp(kStackTop);
-  return object->symbols;
-}
-
-/// Compare every piece of simulated state two machines expose.
-void expect_same_state(const Machine& a, const Machine& b, const std::string& where) {
-  EXPECT_EQ(a.cpu().eip, b.cpu().eip) << "EIP diverged at " << where;
-  EXPECT_EQ(a.cpu().eflags, b.cpu().eflags) << "EFLAGS diverged at " << where;
-  for (std::size_t r = 0; r < isa::kNumGprs; ++r) {
-    EXPECT_EQ(a.cpu().regs[r], b.cpu().regs[r]) << "r" << r << " diverged at " << where;
-  }
-  EXPECT_EQ(a.cycles(), b.cycles()) << "cycles diverged at " << where;
-  EXPECT_EQ(a.instructions_executed(), b.instructions_executed())
-      << "instructions diverged at " << where;
-  EXPECT_EQ(a.interrupts_dispatched(), b.interrupts_dispatched())
-      << "interrupts diverged at " << where;
-  EXPECT_EQ(a.fault_count(), b.fault_count()) << "fault count diverged at " << where;
-  EXPECT_EQ(a.last_fault().type, b.last_fault().type) << "fault type diverged at " << where;
-  EXPECT_EQ(a.last_fault().eip, b.last_fault().eip) << "fault EIP diverged at " << where;
-  EXPECT_EQ(a.last_fault().addr, b.last_fault().addr) << "fault addr diverged at " << where;
-  EXPECT_EQ(a.halted(), b.halted()) << "halt diverged at " << where;
-}
 
 /// Step both machines once and compare every piece of simulated state.
 /// Returns false once both machines halt (or on divergence, after failing).
@@ -86,47 +36,6 @@ bool lockstep_once(Machine& interp, Machine& cached, std::uint64_t step) {
     return false;
   }
   return !(interp.halted() && cached.halted());
-}
-
-/// A machine in `mode` running `source`, with a timer of `period` cycles
-/// whose IRQ vectors to the label `tick`.
-std::unique_ptr<Machine> timed_machine(DispatchMode mode, std::string_view source,
-                                       std::uint32_t period) {
-  auto machine = std::make_unique<Machine>();
-  machine->set_dispatch_mode(mode);
-  auto timer = std::make_shared<TimerDevice>();
-  timer->set_irq_sink([m = machine.get()](std::uint8_t v) { m->raise_irq(v); });
-  machine->bus().attach(timer);
-  const auto symbols = load_program(*machine, source);
-  machine->set_idt_entry(kVecTimer, kCodeBase + symbols.at("tick"));
-  timer->write32(TimerDevice::kPeriod, period);
-  timer->write32(TimerDevice::kCtrl, 1);
-  return machine;
-}
-
-/// Run `source` (timer of `period` cycles) to its halt through run() at
-/// every cycle limit up to `dense`, then at random strides.  At each limit a
-/// cached run(), an interpreter run() and a cached machine stepped to the
-/// limit must agree.  Returns the cached run() machine.
-std::unique_ptr<Machine> sweep_run_limits(std::string_view source, std::uint32_t period,
-                                          std::uint64_t dense) {
-  auto cached = timed_machine(DispatchMode::kCached, source, period);
-  const auto interp = timed_machine(DispatchMode::kInterpreter, source, period);
-  const auto stepped = timed_machine(DispatchMode::kCached, source, period);
-  std::mt19937 rng(0xC4A1);
-  std::uint64_t limit = 0;
-  while (!cached->halted() && !::testing::Test::HasFailure()) {
-    limit += limit < dense ? 1 : 1 + rng() % 400;
-    cached->run(limit);
-    interp->run(limit);
-    while (!stepped->halted() && stepped->cycles() < limit) {
-      stepped->step();
-    }
-    const std::string where = "limit " + std::to_string(limit);
-    expect_same_state(*cached, *interp, where + " (interpreter)");
-    expect_same_state(*cached, *stepped, where + " (cached step())");
-  }
-  return cached;
 }
 
 struct IdtBinding {
@@ -449,7 +358,7 @@ TEST(Dispatch, ChainedRunMatchesSteppingAtEveryLimit) {
   constexpr std::uint32_t kPeriod = 97;
   // One long sweep: every limit for the first few thousand cycles, then
   // random strides, so chains start and stop at every offset of the loop.
-  const auto cached = sweep_run_limits(source, kPeriod, 4'000);
+  const auto cached = sweep_run_limits(source, kPeriod, 4'000).cached;
   ASSERT_TRUE(cached->halted());
   EXPECT_EQ(cached->cpu().regs[0], 300u);
   EXPECT_GT(cached->interrupts_dispatched(), 100u);
@@ -466,35 +375,7 @@ TEST(Dispatch, ChainedRunMatchesSteppingAtEveryLimit) {
 }
 
 TEST(Dispatch, QuietRunSpanningAWholeBlock) {
-  // 140 quiet ops in a row: the first block is capped at kMaxBlockOps, all
-  // of them quiet, so its head carries the longest quiet run a block can
-  // hold.  rdcyc sits in it at both ends and in the middle; a timer of odd
-  // period lands ticks, and the sweep lands limits, at every offset.
-  std::string body;
-  for (int i = 0; i < 140; ++i) {
-    if (i == 0 || i == 63 || i == 127) {
-      body += "      rdcyc r1\n      xor  r6, r1\n";
-      i += 1;
-    } else {
-      body += i % 3 == 0 ? "      mul  r4, r5\n" : "      addi r5, 3\n";
-    }
-  }
-  ASSERT_GT(140u, DecodeCache::kMaxBlockOps);
-  const std::string source = R"(
-      movi r5, 1
-      movi r4, 1
-      sti
-  loop:
-)" + body + R"(
-      addi r0, 1
-      cmpi r0, 40
-      jnz  loop
-      hlt
-  tick:
-      addi r2, 1
-      iret
-  )";
-  const auto cached = sweep_run_limits(source, 61, 6'000);
+  const auto cached = sweep_run_limits(quiet_run_program(), 61, 6'000).cached;
   ASSERT_TRUE(cached->halted());
   EXPECT_EQ(cached->cpu().regs[0], 40u);
   EXPECT_GT(cached->interrupts_dispatched(), 50u);
@@ -569,7 +450,7 @@ TEST(Dispatch, JumpTableAndReturnsMatchThroughLut) {
   ls.run(100'000);
   EXPECT_TRUE(ls.cached->halted());
   EXPECT_EQ(ls.cached->cpu().regs[0], 400u);
-  const auto cached = sweep_run_limits(source, 89, 3'000);
+  const auto cached = sweep_run_limits(source, 89, 3'000).cached;
   ASSERT_TRUE(cached->halted());
   EXPECT_EQ(cached->cpu().regs[0], 400u);
   EXPECT_GT(cached->interrupts_dispatched(), 100u);

@@ -27,6 +27,7 @@
 
 #include "analysis/analyzer.h"
 #include "core/platform.h"
+#include "dispatch_sweep.h"
 #include "fleet/verifier_workload.h"
 #include "sim/eampu.h"
 #include "isa/assembler.h"
@@ -300,6 +301,16 @@ TEST(HeatMachine, PlatformRunIdenticalWithHeatEnabled) {
 
 // ---------------------------------------------- one observed-dispatch body
 
+/// The quiet-run program (dispatch_sweep.h) swept over every run() limit
+/// with the tracer and heat both on: cached run() carries the observer
+/// through its budgeted quiet runs, stopped and resumed at every offset.
+sim::Sweep observed_quiet_sweep() {
+  return sim::sweep_run_limits(sim::quiet_run_program(), 61, 6'000, [](sim::Machine& m) {
+    m.enable_trace(1u << 16);
+    m.enable_heat(/*time_dispatch=*/false);
+  });
+}
+
 // Both dispatch modes feed the observatory through the same dispatch body:
 // the deterministic profile (blocks, opcodes, MPU buckets, edges, regions)
 // must be byte-identical whichever mode executed the guest.
@@ -354,6 +365,13 @@ TEST(HeatMachine, ProfileIdenticalAcrossDispatchModes) {
   const std::string interpreted = platform_profile(sim::DispatchMode::kInterpreter);
   EXPECT_NE(interpreted.find(R"("type":"region")"), std::string::npos);
   EXPECT_EQ(interpreted, platform_profile(sim::DispatchMode::kCached));
+
+  const sim::Sweep quiet = observed_quiet_sweep();
+  ASSERT_TRUE(quiet.cached->halted());
+  quiet.interp->heat()->flush();
+  quiet.cached->heat()->flush();
+  EXPECT_EQ(quiet.interp->heat()->profile().to_jsonl(false),
+            quiet.cached->heat()->profile().to_jsonl(false));
 }
 
 /// Every tracer entry of `machine`, one line each, for whole-ring comparison.
@@ -440,6 +458,12 @@ TEST(TracerMachine, EntriesIdenticalAcrossDispatchModes) {
   EXPECT_NE(booted.find(" " + std::to_string(sim::Tracer::kVerdictAllowed) + "\n"),
             std::string::npos);
   EXPECT_EQ(booted, platform_trace(sim::DispatchMode::kCached));
+
+  // Every op of the quiet runs, stamped with its own step-top cycle.
+  const sim::Sweep quiet = observed_quiet_sweep();
+  ASSERT_TRUE(quiet.cached->halted());
+  ASSERT_LT(quiet.cached->tracer()->size(), quiet.cached->tracer()->capacity());
+  EXPECT_EQ(trace_lines(*quiet.interp), trace_lines(*quiet.cached));
 }
 
 // ------------------------------------------------- classify() vs allows()
@@ -777,6 +801,16 @@ TEST(HeatJsonl, RejectsWrongSchemaAndGarbage) {
   EXPECT_FALSE(obs::parse_heat_jsonl(
                    R"({"type":"mpu","access":"levitate","rule":"slot0","count":1})")
                    .is_ok());
+  // A valid profile whose header line is gone: cut at the front, or of a
+  // schema that cannot be told.
+  obs::HeatProfile profile;
+  profile.blocks[0x1000] = {0x1010, 1, 4};
+  profile.opcodes[3].count = 4;
+  const std::string text = profile.to_jsonl(false);
+  ASSERT_TRUE(obs::parse_heat_jsonl(text).is_ok());
+  const auto headless = obs::parse_heat_jsonl(text.substr(text.find('\n') + 1));
+  ASSERT_FALSE(headless.is_ok());
+  EXPECT_EQ(headless.status().code(), Err::kCorrupt);
 }
 
 TEST(HeatJsonl, FoldedOutputSortsRegionPrefixedBlocks) {

@@ -260,6 +260,36 @@ TEST(Syscall, ExitUnloadsAndFreesSlotUnderLoad) {
   EXPECT_EQ(platform.mpu().slots_in_use(), slots_before);
 }
 
+/// A secure task that exits (`fault` false) or is fault-killed reading
+/// 0x10, after the RTM's rule has shrunk to the first four bytes of
+/// registry slot 0: its unload cannot clear its registry entry, so the task
+/// stays current.  The kernel must fail-stop rather than dispatch over it.
+void expect_failed_unload_halts(bool fault) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  const std::string action = fault ? "    li   r1, 0x10\n    ldw  r2, [r1]\n"
+                                   : "    movi r0, 3\n    int  0x21\n";
+  auto task = platform.load_task_source(
+      "    .secure\n    .stack 128\n    .entry main\nmain:\n" + action + "    jmp  main\n",
+      {.name = "dying", .priority = 3});
+  ASSERT_TRUE(task.is_ok()) << task.status().to_string();
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(platform, sim::kFwRtm, /*background=*/false,
+                                             core::kRtmRegistryBase, 4));
+  EXPECT_EQ(platform.run_for(5'000'000), sim::HaltReason::kDoubleFault);
+  EXPECT_NE(platform.scheduler().get(*task), nullptr);
+  EXPECT_EQ(platform.kernel().fault_kills(), fault ? 1u : 0u);
+}
+
+TEST(Kernel, FailedUnloadOfFaultedTaskHalts) {
+  // At the parent the kernel rescheduled over the still-current task and
+  // aborted the simulator in the next dispatch.
+  expect_failed_unload_halts(/*fault=*/true);
+}
+
+TEST(Kernel, FailedUnloadOfExitingTaskHalts) {
+  expect_failed_unload_halts(/*fault=*/false);
+}
+
 TEST(Syscall, DelayActuallyDelays) {
   Platform platform;
   ASSERT_TRUE(platform.boot().is_ok());

@@ -378,6 +378,35 @@ TEST(Snapshot, RestoreRejectsUnknownFirmwareTask) {
       << in_place.to_string();
 }
 
+// TRCE holds the tracer's capacity (u64, after the enabled byte) and then
+// its entries: a ring with no room, or with more entries than its capacity,
+// is refused.
+TEST(Snapshot, RestoreRejectsOverfullTraceRing) {
+  core::Platform platform;
+  platform.machine().enable_trace(4);
+  boot_with_counter(platform);
+  platform.run_for(10'000);
+  auto saved = platform.save();
+  ASSERT_TRUE(saved.is_ok()) << saved.status().to_string();
+  ASSERT_EQ(platform.machine().tracer()->size(), 4u);
+  const auto restore_with_capacity = [&](std::uint8_t capacity) {
+    snap::Snapshot forged;
+    for (const snap::Section& section : saved->sections()) {
+      ByteVec bytes = section.bytes;
+      if (section.tag == "TRCE") {
+        EXPECT_EQ(bytes.at(1), 4u);
+        bytes.at(1) = capacity;
+      }
+      forged.add(section.tag, std::move(bytes));
+    }
+    core::Platform fresh;
+    return fresh.restore(forged);
+  };
+  EXPECT_TRUE(restore_with_capacity(4).is_ok());
+  EXPECT_EQ(restore_with_capacity(3).code(), Err::kCorrupt);
+  EXPECT_EQ(restore_with_capacity(0).code(), Err::kCorrupt);
+}
+
 // SCHD passes its layout checks but names a running task or a ready-queue
 // entry that no TCB in the matching state backs: restore refuses it (the
 // next dispatch would abort on "another task still running").  Each

@@ -471,6 +471,41 @@ TEST(Suite, TruncatedJsonlInputsDiagnoseAndFail) {
   EXPECT_EQ(exit_code(run_command(tool("tytan-top") + " " + garbage, &output)), 1);
 }
 
+TEST(Suite, HeatProfileWithoutHeaderFails) {
+  const std::string asm_path = tmp_path("heat_task.s");
+  const std::string tbf_path = tmp_path("heat_task.tbf");
+  const std::string tele = tmp_path("heat_tele.jsonl");
+  const std::string heat = tmp_path("heat.jsonl");
+  const std::string headless = tmp_path("heat_headless.jsonl");
+  {
+    std::ofstream out(asm_path);
+    out << kSource;
+  }
+  std::string output;
+  ASSERT_EQ(run_command(tool("tytan-as") + " " + asm_path + " -o " + tbf_path, &output), 0)
+      << output;
+  ASSERT_EQ(run_command(tool("tytan-run") + " --heat-out " + heat + " " + tbf_path, &output),
+            0)
+      << output;
+  ASSERT_EQ(run_command(tool("tytan-fleet") + " --devices 2 --telemetry-out " + tele, &output),
+            0)
+      << output;
+  const std::string top = tool("tytan-top") + " " + tele + " --heat ";
+  EXPECT_EQ(exit_code(run_command(top + heat, &output)), 0) << output;
+  {
+    std::ifstream in(heat);
+    std::ofstream out(headless);
+    std::string line;
+    std::getline(in, line);
+    ASSERT_NE(line.find("heat-header"), std::string::npos) << line;
+    while (std::getline(in, line)) {
+      out << line << '\n';
+    }
+  }
+  EXPECT_EQ(exit_code(run_command(top + headless, &output)), 1) << output;
+  EXPECT_NE(output.find("heat-header"), std::string::npos) << output;
+}
+
 TEST(Suite, FleetSpansRoundTripThroughTrace) {
   const std::string spans = tmp_path("fleet_spans.jsonl");
   std::string output;

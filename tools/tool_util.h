@@ -78,6 +78,19 @@ inline const char* required_value(const char* tool, const char* flag, int argc,
   return argv[++*i];
 }
 
+/// The value of `flag` given as `flag VALUE` (advancing *i; exits 2 when
+/// the value is missing) or as `flag=VALUE`; nullptr when argv[*i] is
+/// another argument.
+inline const char* flag_value(const char* tool, const char* flag, int argc, char** argv,
+                              int* i) {
+  const std::size_t n = std::strlen(flag);
+  const char* arg = argv[*i];
+  if (std::strncmp(arg, flag, n) != 0 || (arg[n] != '=' && arg[n] != '\0')) {
+    return nullptr;
+  }
+  return arg[n] == '=' ? arg + n + 1 : required_value(tool, flag, argc, argv, i);
+}
+
 /// Nearest-rank percentile over a sorted cycle list (0 when empty).
 inline std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, unsigned pct) {
   if (sorted.empty()) {

@@ -30,7 +30,6 @@
 // timing (wall clock, devices/sec, attestations/sec) goes to stderr and the
 // JSON file only.  Exits 0 iff every device's report verified.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -120,6 +119,9 @@ int main(int argc, char** argv) {
     auto next = [&](const char* flag) {
       return tools::required_value("tytan-fleet", flag, argc, argv, &i);
     };
+    auto value = [&](const char* flag) {
+      return tools::flag_value("tytan-fleet", flag, argc, argv, &i);
+    };
     if (arg == "--devices") {
       config.fleet.device_count =
           tools::parse_u64("tytan-fleet", "--devices", next("--devices"));
@@ -133,52 +135,28 @@ int main(int argc, char** argv) {
           tools::parse_u64("tytan-fleet", "--quantum", next("--quantum"));
     } else if (arg == "--task") {
       task_path = next("--task");
-    } else if (arg == "--json") {
-      json_path = next("--json");
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(std::strlen("--json="));
+    } else if (const char* v = value("--json")) {
+      json_path = v;
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (arg == "--telemetry-out") {
-      telemetry_path = next("--telemetry-out");
-    } else if (arg.rfind("--telemetry-out=", 0) == 0) {
-      telemetry_path = arg.substr(std::strlen("--telemetry-out="));
-    } else if (arg == "--spans-out") {
-      spans_path = next("--spans-out");
-    } else if (arg.rfind("--spans-out=", 0) == 0) {
-      spans_path = arg.substr(std::strlen("--spans-out="));
-    } else if (arg == "--attest-sweeps") {
-      config.attest_sweeps = static_cast<unsigned>(tools::parse_u32(
-          "tytan-fleet", "--attest-sweeps", next("--attest-sweeps")));
-    } else if (arg.rfind("--attest-sweeps=", 0) == 0) {
-      config.attest_sweeps = static_cast<unsigned>(
-          tools::parse_u32("tytan-fleet", "--attest-sweeps",
-                           arg.c_str() + std::strlen("--attest-sweeps=")));
-    } else if (arg == "--telemetry-every") {
-      config.fleet.telemetry.every_rounds = tools::parse_u64(
-          "tytan-fleet", "--telemetry-every", next("--telemetry-every"));
-    } else if (arg.rfind("--telemetry-every=", 0) == 0) {
+    } else if (const char* v = value("--telemetry-out")) {
+      telemetry_path = v;
+    } else if (const char* v = value("--spans-out")) {
+      spans_path = v;
+    } else if (const char* v = value("--attest-sweeps")) {
+      config.attest_sweeps =
+          static_cast<unsigned>(tools::parse_u32("tytan-fleet", "--attest-sweeps", v));
+    } else if (const char* v = value("--telemetry-every")) {
       config.fleet.telemetry.every_rounds =
-          tools::parse_u64("tytan-fleet", "--telemetry-every",
-                           arg.c_str() + std::strlen("--telemetry-every="));
-    } else if (arg == "--rogue-device") {
-      config.rogue_device = static_cast<int>(tools::parse_i64(
-          "tytan-fleet", "--rogue-device", next("--rogue-device")));
-    } else if (arg.rfind("--rogue-device=", 0) == 0) {
-      config.rogue_device = static_cast<int>(
-          tools::parse_i64("tytan-fleet", "--rogue-device",
-                           arg.c_str() + std::strlen("--rogue-device=")));
-    } else if (arg == "--fault-device") {
-      config.fault_device = static_cast<int>(tools::parse_i64(
-          "tytan-fleet", "--fault-device", next("--fault-device")));
-    } else if (arg.rfind("--fault-device=", 0) == 0) {
-      config.fault_device = static_cast<int>(
-          tools::parse_i64("tytan-fleet", "--fault-device",
-                           arg.c_str() + std::strlen("--fault-device=")));
-    } else if (arg == "--fault-plan") {
-      fault_plan_spec = next("--fault-plan");
-    } else if (arg.rfind("--fault-plan=", 0) == 0) {
-      fault_plan_spec = arg.substr(std::strlen("--fault-plan="));
+          tools::parse_u64("tytan-fleet", "--telemetry-every", v);
+    } else if (const char* v = value("--rogue-device")) {
+      config.rogue_device =
+          static_cast<int>(tools::parse_i64("tytan-fleet", "--rogue-device", v));
+    } else if (const char* v = value("--fault-device")) {
+      config.fault_device =
+          static_cast<int>(tools::parse_i64("tytan-fleet", "--fault-device", v));
+    } else if (const char* v = value("--fault-plan")) {
+      fault_plan_spec = v;
     } else if (arg == "--fault-plan-device") {
       config.fleet.fault_plan_device = tools::parse_u64(
           "tytan-fleet", "--fault-plan-device", next("--fault-plan-device"));

@@ -19,7 +19,6 @@
 // but the trusted state must stay intact — any C++ exception or invariant
 // breach is a finding.  All randomness is seeded: a run reproduces exactly.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -120,47 +119,26 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) {
-      return tools::required_value("tytan-fuzz", flag, argc, argv, &i);
+    auto value = [&](const char* flag) {
+      return tools::flag_value("tytan-fuzz", flag, argc, argv, &i);
     };
-    if (arg == "--execs") {
-      opt.execs = tools::parse_u64("tytan-fuzz", "--execs", next("--execs"));
-    } else if (arg.rfind("--execs=", 0) == 0) {
-      opt.execs = tools::parse_u64("tytan-fuzz", "--execs",
-                                   arg.c_str() + std::strlen("--execs="));
-    } else if (arg == "--seed") {
-      opt.seed = tools::parse_u64("tytan-fuzz", "--seed", next("--seed"));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = tools::parse_u64("tytan-fuzz", "--seed",
-                                  arg.c_str() + std::strlen("--seed="));
-    } else if (arg == "--budget-cycles") {
-      opt.budget_cycles =
-          tools::parse_u64("tytan-fuzz", "--budget-cycles", next("--budget-cycles"));
-    } else if (arg.rfind("--budget-cycles=", 0) == 0) {
-      opt.budget_cycles = tools::parse_u64(
-          "tytan-fuzz", "--budget-cycles", arg.c_str() + std::strlen("--budget-cycles="));
-    } else if (arg == "--mode") {
-      const std::string mode = next("--mode");
+    if (const char* v = value("--execs")) {
+      opt.execs = tools::parse_u64("tytan-fuzz", "--execs", v);
+    } else if (const char* v = value("--seed")) {
+      opt.seed = tools::parse_u64("tytan-fuzz", "--seed", v);
+    } else if (const char* v = value("--budget-cycles")) {
+      opt.budget_cycles = tools::parse_u64("tytan-fuzz", "--budget-cycles", v);
+    } else if (const char* v = value("--mode")) {
+      const std::string mode = v;
       if (mode != "fork" && mode != "reboot") {
         std::fprintf(stderr, "tytan-fuzz: --mode must be fork or reboot\n");
         return 2;
       }
       opt.fork_mode = mode == "fork";
-    } else if (arg.rfind("--mode=", 0) == 0) {
-      const std::string mode = arg.substr(std::strlen("--mode="));
-      if (mode != "fork" && mode != "reboot") {
-        std::fprintf(stderr, "tytan-fuzz: --mode must be fork or reboot\n");
-        return 2;
-      }
-      opt.fork_mode = mode == "fork";
-    } else if (arg == "--corpus-out") {
-      opt.corpus_out = next("--corpus-out");
-    } else if (arg.rfind("--corpus-out=", 0) == 0) {
-      opt.corpus_out = arg.substr(std::strlen("--corpus-out="));
-    } else if (arg == "--stats-json") {
-      opt.stats_json = next("--stats-json");
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      opt.stats_json = arg.substr(std::strlen("--stats-json="));
+    } else if (const char* v = value("--corpus-out")) {
+      opt.corpus_out = v;
+    } else if (const char* v = value("--stats-json")) {
+      opt.stats_json = v;
     } else {
       return usage();
     }

@@ -64,10 +64,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
-    } else if (arg == "--heat") {
-      heat_path = tools::required_value("tytan-objdump", "--heat", argc, argv, &i);
-    } else if (arg.rfind("--heat=", 0) == 0) {
-      heat_path = argv[i] + std::strlen("--heat=");
+    } else if (const char* v = tools::flag_value("tytan-objdump", "--heat", argc, argv, &i)) {
+      heat_path = v;
     } else if (arg.size() > 1 && arg[0] == '-') {
       tools::unknown_flag("tytan-objdump", argv[i]);
     } else if (path != nullptr) {

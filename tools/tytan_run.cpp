@@ -28,7 +28,6 @@
 //
 // Serial output is echoed to stdout; per-task statistics print at exit.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -87,6 +86,9 @@ int main(int argc, char** argv) {
     auto next = [&](const char* flag) {
       return tools::required_value("tytan-run", flag, argc, argv, &i);
     };
+    auto value = [&](const char* flag) {
+      return tools::flag_value("tytan-run", flag, argc, argv, &i);
+    };
     if (arg == "--cycles") {
       cycles = tools::parse_u64("tytan-run", "--cycles", next("--cycles"));
     } else if (arg == "--priority") {
@@ -100,43 +102,26 @@ int main(int argc, char** argv) {
       attest = true;
     } else if (arg == "--trace") {
       trace = tools::parse_u64("tytan-run", "--trace", next("--trace"));
-    } else if (arg == "--trace-out") {
-      trace_out = next("--trace-out");
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(std::strlen("--trace-out="));
+    } else if (const char* v = value("--trace-out")) {
+      trace_out = v;
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (arg == "--fault") {
-      fault_spec = next("--fault");
-    } else if (arg.rfind("--fault=", 0) == 0) {
-      fault_spec = arg.substr(std::strlen("--fault="));
+    } else if (const char* v = value("--fault")) {
+      fault_spec = v;
     } else if (arg == "--fault-seed") {
       fault_seed = tools::parse_u64("tytan-run", "--fault-seed", next("--fault-seed"));
-    } else if (arg == "--spans-out") {
-      spans_out = next("--spans-out");
-    } else if (arg.rfind("--spans-out=", 0) == 0) {
-      spans_out = arg.substr(std::strlen("--spans-out="));
-    } else if (arg == "--snapshot-out") {
-      snapshot_out = next("--snapshot-out");
-    } else if (arg.rfind("--snapshot-out=", 0) == 0) {
-      snapshot_out = arg.substr(std::strlen("--snapshot-out="));
-    } else if (arg == "--snapshot-at") {
-      snapshot_at = tools::parse_u64("tytan-run", "--snapshot-at", next("--snapshot-at"));
-    } else if (arg.rfind("--snapshot-at=", 0) == 0) {
-      snapshot_at = tools::parse_u64("tytan-run", "--snapshot-at",
-                                     arg.c_str() + std::strlen("--snapshot-at="));
-    } else if (arg == "--heat-out") {
-      heat_out = next("--heat-out");
-    } else if (arg.rfind("--heat-out=", 0) == 0) {
-      heat_out = arg.substr(std::strlen("--heat-out="));
-    } else if (arg == "--heat-folded") {
-      heat_folded = next("--heat-folded");
-    } else if (arg.rfind("--heat-folded=", 0) == 0) {
-      heat_folded = arg.substr(std::strlen("--heat-folded="));
-    } else if (arg == "--dispatch" || arg.rfind("--dispatch=", 0) == 0) {
-      const std::string mode = arg[10] == '='
-                                   ? arg.substr(std::strlen("--dispatch="))
-                                   : std::string(next("--dispatch"));
+    } else if (const char* v = value("--spans-out")) {
+      spans_out = v;
+    } else if (const char* v = value("--snapshot-out")) {
+      snapshot_out = v;
+    } else if (const char* v = value("--snapshot-at")) {
+      snapshot_at = tools::parse_u64("tytan-run", "--snapshot-at", v);
+    } else if (const char* v = value("--heat-out")) {
+      heat_out = v;
+    } else if (const char* v = value("--heat-folded")) {
+      heat_folded = v;
+    } else if (const char* v = value("--dispatch")) {
+      const std::string mode = v;
       if (mode == "interpreter") {
         dispatch = sim::DispatchMode::kInterpreter;
       } else if (mode == "cached") {

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -274,14 +273,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--anomalies") {
       list_anomalies = true;
-    } else if (arg == "--spans") {
-      spans_path = tools::required_value("tytan-top", "--spans", argc, argv, &i);
-    } else if (arg.rfind("--spans=", 0) == 0) {
-      spans_path = arg.substr(std::strlen("--spans="));
-    } else if (arg == "--heat") {
-      heat_path = tools::required_value("tytan-top", "--heat", argc, argv, &i);
-    } else if (arg.rfind("--heat=", 0) == 0) {
-      heat_path = arg.substr(std::strlen("--heat="));
+    } else if (const char* v = tools::flag_value("tytan-top", "--spans", argc, argv, &i)) {
+      spans_path = v;
+    } else if (const char* v = tools::flag_value("tytan-top", "--heat", argc, argv, &i)) {
+      heat_path = v;
     } else if (arg == "--watch") {
       watch = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
@@ -292,31 +287,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!watch) {
+  const auto render_all = [&] {
     if (int rc = render(path, list_anomalies); rc != 0) {
       return rc;
     }
-    if (!spans_path.empty()) {
-      if (int rc = render_spans(spans_path); rc != 0) {
-        return rc;
-      }
+    if (int rc = spans_path.empty() ? 0 : render_spans(spans_path); rc != 0) {
+      return rc;
     }
     return heat_path.empty() ? 0 : render_heat(heat_path);
+  };
+  if (!watch) {
+    return render_all();
   }
   for (;;) {
     std::printf("\x1b[2J\x1b[H");  // clear + home, terminal-top style
-    if (int rc = render(path, list_anomalies); rc != 0) {
+    if (int rc = render_all(); rc != 0) {
       return rc;
-    }
-    if (!spans_path.empty()) {
-      if (int rc = render_spans(spans_path); rc != 0) {
-        return rc;
-      }
-    }
-    if (!heat_path.empty()) {
-      if (int rc = render_heat(heat_path); rc != 0) {
-        return rc;
-      }
     }
     std::fflush(stdout);
     std::this_thread::sleep_for(std::chrono::duration<double>(watch_seconds));
