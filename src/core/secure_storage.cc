@@ -153,6 +153,7 @@ Result<std::size_t> SecureStorage::migrate(const rtos::TaskIdentity& from,
   if (from == to) {
     return make_error(Err::kInvalidArgument, "migrate: identical identities");
   }
+  const Mark before = mark();
   // Collect first: store() mutates the index.
   std::vector<std::uint32_t> slots;
   for (const BlobIndex& blob : blobs_) {
@@ -160,21 +161,32 @@ Result<std::size_t> SecureStorage::migrate(const rtos::TaskIdentity& from,
       slots.push_back(blob.slot);
     }
   }
-  std::size_t migrated = 0;
   for (const std::uint32_t slot : slots) {
     auto data = load(from, slot);
-    if (!data.is_ok()) {
-      return data.status();
-    }
-    if (Status s = store(to, slot, *data); !s.is_ok()) {
+    Status s = data.is_ok() ? store(to, slot, *data) : data.status();
+    if (!s.is_ok()) {
+      rollback(before);
       return s;
     }
-    if (BlobIndex* old = find(from, slot); old != nullptr) {
-      old->valid = false;
-    }
-    ++migrated;
+    find(from, slot)->valid = false;
   }
-  return migrated;
+  return slots.size();
+}
+
+SecureStorage::Mark SecureStorage::mark() const {
+  Mark mark{next_offset_, {}};
+  for (const BlobIndex& blob : blobs_) {
+    mark.valid.push_back(blob.valid);
+  }
+  return mark;
+}
+
+void SecureStorage::rollback(const Mark& mark) {
+  blobs_.resize(mark.valid.size());
+  for (std::size_t i = 0; i < blobs_.size(); ++i) {
+    blobs_[i].valid = mark.valid[i];
+  }
+  next_offset_ = mark.next_offset;
 }
 
 std::uint32_t SecureStorage::store_from_guest(const rtos::Tcb& caller, std::uint32_t ptr,

@@ -51,8 +51,24 @@ class SecureStorage {
   /// paper's future-work runtime task update: after an authorized update the
   /// new binary (new id_t) inherits the old version's sealed state.  This is
   /// a trusted-service operation; authorization policy (e.g. a task-provider
-  /// signature over old->new) is the caller's responsibility.
-  Result<std::size_t> migrate(const rtos::TaskIdentity& from, const rtos::TaskIdentity& to);
+  /// signature over old->new) is the caller's responsibility.  All or
+  /// nothing: when a blob cannot be unsealed or re-sealed (arena full), the
+  /// index is rolled back to how it was and `from` keeps every blob.
+  [[nodiscard]] Result<std::size_t> migrate(const rtos::TaskIdentity& from,
+                                            const rtos::TaskIdentity& to);
+
+  /// The blob index and arena fill at one moment, for rollback().
+  struct Mark {
+    std::uint32_t next_offset = 0;
+    std::vector<bool> valid;  ///< per index entry then
+  };
+  [[nodiscard]] Mark mark() const;
+  /// Undo every store and migration since `mark`: drop the blobs added
+  /// since, re-validate the ones they superseded, and give their arena space
+  /// back.  The old blobs' sealed bytes never moved (the arena is
+  /// append-only), so this needs no space and cannot fail.  Seal nonces
+  /// stay consumed: a (key, nonce) pair is never used twice.
+  void rollback(const Mark& mark);
 
   [[nodiscard]] std::uint32_t bytes_used() const { return next_offset_; }
   [[nodiscard]] std::size_t blob_count() const;

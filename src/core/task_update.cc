@@ -35,27 +35,23 @@ Status UpdateManager::swap(TaskHandle old_handle, TaskHandle new_handle,
   }
 
   // Sealed-state hand-over: the identity changed, so Kt changed — re-seal.
-  bool migrated_storage = false;
+  const SecureStorage::Mark storage_before = storage_.mark();
   if (params.migrate_storage && old_tcb->measured && new_tcb->measured) {
     auto migrated = storage_.migrate(old_tcb->identity, new_tcb->identity);
     if (!migrated.is_ok()) {
       return migrated.status();
     }
-    migrated_storage = *migrated > 0;
     TYTAN_CLOG(machine_.log(), LogLevel::kInfo, "update")
         << "migrated " << *migrated << " sealed blob(s) to the new identity";
   }
 
   const unsigned priority = old_tcb->priority;
-  const rtos::TaskIdentity old_identity = old_tcb->identity;
-  const rtos::TaskIdentity new_identity = new_tcb->identity;
   if (Status s = loader_.unload(old_handle); !s.is_ok()) {
     // The old version stays in service; hand its sealed blobs back so a
     // failed swap does not leave them bound to an identity about to vanish
-    // (update_now unloads the replacement on any swap error).
-    if (migrated_storage) {
-      storage_.migrate(new_identity, old_identity);
-    }
+    // (update_now unloads the replacement on any swap error).  Restoring
+    // the index re-seals nothing, so it needs no arena space.
+    storage_.rollback(storage_before);
     return s;
   }
   new_tcb->priority = priority;  // the replacement inherits the slot's priority

@@ -1,6 +1,7 @@
 #include "obs/heat.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
@@ -217,6 +218,78 @@ std::string HeatProfile::folded() const {
     out += '\n';
   }
   return out;
+}
+
+void HeatRecorder::flush() {
+  if (block_open_) {
+    close_block();
+    block_open_ = false;
+  }
+  for (BlockSlot& slot : block_slots_) {
+    fold(slot);
+  }
+  for (EdgeSlot& slot : edge_slots_) {
+    fold(slot);
+  }
+}
+
+void HeatRecorder::fold(BlockSlot& slot) {
+  if (slot.counts.entries == 0) {
+    return;
+  }
+  HeatProfile::Block& block = profile_->blocks[slot.start];
+  block.end = std::max(block.end, slot.counts.end);
+  block.entries += slot.counts.entries;
+  block.instructions += slot.counts.instructions;
+  slot.counts = {};
+}
+
+void HeatRecorder::fold(EdgeSlot& slot) {
+  if (slot.counts.count == 0) {
+    return;
+  }
+  HeatProfile::Edge& edge = profile_->edges[slot.key];
+  edge.count += slot.counts.count;
+  edge.is_call = slot.counts.is_call;
+  slot.counts = {};
+}
+
+void HeatRecorder::follow(std::uint32_t pc, std::uint32_t n) {
+  const std::uint32_t last = pc + 4 * (n - 1);
+  if ((pc & 3) != 0 || last < pc || last >= kLeaderBitmapSpan) {
+    // Unaligned, wrapping past 2^32 or beyond the bitmap: leaders there sit
+    // in the exact set, so take the instructions one at a time.
+    for (; n != 0; --n, pc += 4) {
+      enter(pc);
+    }
+    return;
+  }
+  // Every leader in [pc, last], lowest first, closes the open block after
+  // the instructions before it and opens the next one on itself.
+  const std::size_t first_word = pc >> kLeaderWordShift;
+  const std::size_t last_word = last >> kLeaderWordShift;
+  const std::size_t end_word = std::min(last_word + 1, leader_bits_.size());
+  for (std::size_t word = first_word; word < end_word; ++word) {
+    std::uint64_t bits = leader_bits_[word];
+    if (word == first_word) {
+      bits &= ~std::uint64_t{0} << ((pc >> 2) & 63);
+    }
+    if (word == last_word) {
+      bits &= ~std::uint64_t{0} >> (63 - ((last >> 2) & 63));
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      const auto leader = static_cast<std::uint32_t>(
+          ((word << 6) | static_cast<unsigned>(std::countr_zero(bits))) << 2);
+      block_insns_ += (leader - pc) / 4;
+      last_pc_ = leader - 4;
+      close_block();
+      block_start_ = leader;
+      block_insns_ = 0;
+      pc = leader;
+    }
+  }
+  block_insns_ += (last - pc) / 4 + 1;
+  last_pc_ = last;
 }
 
 // ---------------------------------------------------------------------------

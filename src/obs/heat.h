@@ -15,18 +15,29 @@
 //
 //   HeatRecorder  — the transient hot-path state sim::Machine drives:
 //                   open-block tracking, the dispatch-timing stride counter,
-//                   the static-leader bitmap, and a direct-mapped cache of
-//                   block counters that flush() folds into the profile.  The
-//                   recorder never touches the machine and never charges
-//                   simulated cycles — cycle counts stay bit-identical with
-//                   the observatory on.  It is one part of the machine's
-//                   sim::Observer: the fetch and check hooks count EA-MPU
-//                   verdicts (one bucket increment next to the policy walk
-//                   the check makes anyway, or its memo), the edge hook
-//                   counts indirect transfers, and the dispatch body calls
-//                   on_instruction per instruction (an opcode increment, a
-//                   sequential-PC compare and a leader bit test; each block
-//                   close one slot compare).
+//                   the static-leader bitmap, and direct-mapped caches of
+//                   block and edge counters that flush() folds into the
+//                   profile.  The recorder never touches the machine and
+//                   never charges simulated cycles — cycle counts stay
+//                   bit-identical with the observatory on.  It is one part
+//                   of the machine's sim::Observer.  What it costs:
+//                     * per instruction of a chained cached run with heat
+//                       alone on, two increments (count_dispatch: the
+//                       opcode and the fetch's execute-check bucket,
+//                       precomputed at block build);
+//                     * per segment of such a run — ops at consecutive PCs,
+//                       ended by a non-sequential EIP or the chain's end —
+//                       one on_segment call: a sequential-PC compare, a
+//                       masked scan of the leader bitmap words the range
+//                       covers, and one slot compare per block closed;
+//                     * per instruction elsewhere (interpreter, single
+//                       cached steps, tracer on), on_instruction (the n = 1
+//                       segment plus the opcode count) and the fetch hook's
+//                       bucket increment;
+//                     * per data check, one bucket increment next to the
+//                       policy walk (or memo) the check makes anyway; per
+//                       indirect transfer, one edge slot compare;
+//                     * one in kSampleStride dispatches host-timed alone.
 //
 // Block boundaries come from two sources that agree by construction: the
 // static CFG recovered by src/analysis (block start offsets are registered
@@ -174,11 +185,13 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text);
 
 class HeatRecorder {
  public:
-  /// Dispatch-timing stride: one in kSampleStride dispatches is host-timed
-  /// (power of two — the hot-path test is a mask), so the two steady_clock
+  /// Dispatch-timing stride: every kSampleStride-th dispatch is host-timed
+  /// alone (power of two — the test is a mask), so the two steady_clock
   /// reads per timed dispatch amortize to well under a nanosecond per
-  /// instruction.  time_dispatch false skips even the stride counter.
-  static constexpr std::uint64_t kSampleStride = 64;
+  /// instruction.
+  static constexpr std::uint64_t kSampleStride = 512;
+  /// The access-kind row of execute checks (sim::Access::kExecute).
+  static constexpr std::size_t kExecuteKind = 2;
 
   /// Binds the recorder to a profile owned elsewhere (the machine's
   /// MetricsRegistry).  `time_dispatch` false skips host-timing entirely —
@@ -186,23 +199,43 @@ class HeatRecorder {
   explicit HeatRecorder(HeatProfile* profile, bool time_dispatch = true)
       : profile_(profile), time_dispatch_(time_dispatch) {}
 
-  /// Hot path: one call per dispatched guest instruction, after decode and
-  /// before dispatch.  Maintains the open block and the opcode histogram;
-  /// returns true when this dispatch should be host-timed (attribute() with
-  /// the measured nanoseconds afterwards).
+  /// One dispatched guest instruction, after decode and before dispatch:
+  /// the opcode count plus on_segment(pc, 1).  The interpreter's and the
+  /// traced path's per-instruction hook.  Returns true when this dispatch
+  /// should be host-timed (attribute() with the measured nanoseconds).
   bool on_instruction(std::uint32_t pc, std::uint8_t op) {
     ++profile_->opcodes[op].count;
-    if (!block_open_ || pc != last_pc_ + 4 || is_leader(pc)) {
-      if (block_open_) {
-        close_block();
-      }
-      block_start_ = pc;
-      block_open_ = true;
-      block_insns_ = 0;
+    on_segment(pc, 1);
+    return time_dispatch_ && (dispatches_ & (kSampleStride - 1)) == 0;
+  }
+
+  /// The per-op half of a segment: the opcode count and the fetch's
+  /// execute check, `fetch_bucket` being bucket_for() of its classify()
+  /// code.  The other half is on_segment.
+  void count_dispatch(std::uint8_t op, std::uint8_t fetch_bucket) {
+    ++profile_->opcodes[op].count;
+    ++profile_->mpu[kExecuteKind][fetch_bucket];
+  }
+
+  /// `n` >= 1 instructions dispatched in sequence at pc, pc + 4, ... (a
+  /// segment): block tracking exactly as n on_instruction calls do it,
+  /// without their opcode counts.  Past the first PC a block closes only at
+  /// a static leader, found by a masked scan of the leader bitmap.  Moves
+  /// the sample stride on by n.
+  void on_segment(std::uint32_t pc, std::uint32_t n) {
+    enter(pc);
+    if (n > 1) {
+      follow(pc + 4, n - 1);
     }
-    last_pc_ = pc;
-    ++block_insns_;
-    return time_dispatch_ && (++dispatches_ & (kSampleStride - 1)) == 0;
+    dispatches_ += n;
+  }
+
+  /// Dispatches from now to the next one to host-time, that one included
+  /// (every kSampleStride-th dispatch counted so far); UINT64_MAX when the
+  /// recorder does not time dispatches.  For callers that report segments
+  /// after running them.
+  [[nodiscard]] std::uint64_t until_sample() const {
+    return time_dispatch_ ? kSampleStride - (dispatches_ & (kSampleStride - 1)) : UINT64_MAX;
   }
 
   /// Record the host cost of one sampled dispatch of `op`.
@@ -215,9 +248,16 @@ class HeatRecorder {
   /// transfer is attempted.  The only observer of dynamic indirect edges:
   /// the analyzer's differential soundness harness reads them from here.
   void record_edge(std::uint32_t site, std::uint32_t target, bool is_call) {
-    HeatProfile::Edge& edge = profile_->edges[HeatProfile::edge_key(site, target)];
-    ++edge.count;
-    edge.is_call = is_call;
+    const std::uint64_t key = HeatProfile::edge_key(site, target);
+    EdgeSlot& slot = edge_slots_[(((site >> 2) ^ (site >> 12)) * 31 +
+                                  ((target >> 2) ^ (target >> 12))) &
+                                 (kEdgeSlots - 1)];
+    if (slot.key != key) {
+      fold(slot);
+      slot.key = key;
+    }
+    ++slot.counts.count;
+    slot.counts.is_call = is_call;
   }
 
   /// `n` EA-MPU choke-point evaluations with the same answer (one by
@@ -256,17 +296,9 @@ class HeatRecorder {
     }
   }
 
-  /// Close the open block and fold the cached block counters into the
-  /// profile (idempotent).  Call before reading the profile.
-  void flush() {
-    if (block_open_) {
-      close_block();
-      block_open_ = false;
-    }
-    for (BlockSlot& slot : block_slots_) {
-      fold(slot);
-    }
-  }
+  /// Close the open block and fold the cached block and edge counters into
+  /// the profile (idempotent).  Call before reading the profile.
+  void flush();
 
   [[nodiscard]] const HeatProfile& profile() const { return *profile_; }
 
@@ -277,6 +309,8 @@ class HeatRecorder {
   static constexpr unsigned kLeaderWordShift = 8;  ///< 64 granules of 4 bytes
   /// Block-counter cache size (power of two; indexed by start granule).
   static constexpr std::size_t kBlockSlots = 512;
+  /// Edge-counter cache size (power of two; indexed by a hash of the pair).
+  static constexpr std::size_t kEdgeSlots = 256;
 
   /// Counters of recently closed blocks, kept here so a block close touches
   /// no std::map; folded into profile_->blocks when the slot is taken by
@@ -284,6 +318,12 @@ class HeatRecorder {
   struct BlockSlot {
     std::uint32_t start = 0;
     HeatProfile::Block counts;
+  };
+  /// The same for edges: folded into profile_->edges when another edge
+  /// takes the slot and on flush().
+  struct EdgeSlot {
+    std::uint64_t key = 0;
+    HeatProfile::Edge counts;
   };
 
   [[nodiscard]] bool is_leader(std::uint32_t pc) const {
@@ -293,6 +333,25 @@ class HeatRecorder {
     }
     return !other_leaders_.empty() && other_leaders_.contains(pc);
   }
+
+  /// One instruction at `pc`: it opens a block unless it follows the open
+  /// block's last PC and is no leader.
+  void enter(std::uint32_t pc) {
+    if (!block_open_ || pc != last_pc_ + 4 || is_leader(pc)) {
+      if (block_open_) {
+        close_block();
+      }
+      block_start_ = pc;
+      block_open_ = true;
+      block_insns_ = 0;
+    }
+    last_pc_ = pc;
+    ++block_insns_;
+  }
+
+  /// `n` >= 1 instructions at pc, pc + 4, ..., the first one following the
+  /// open block's last PC (heat.cc).
+  void follow(std::uint32_t pc, std::uint32_t n);
 
   void close_block() {
     BlockSlot& slot = block_slots_[(block_start_ >> 2) & (kBlockSlots - 1)];
@@ -306,16 +365,10 @@ class HeatRecorder {
     slot.counts.instructions += block_insns_;
   }
 
-  void fold(BlockSlot& slot) {
-    if (slot.counts.entries == 0) {
-      return;
-    }
-    HeatProfile::Block& block = profile_->blocks[slot.start];
-    block.end = block.end < slot.counts.end ? slot.counts.end : block.end;
-    block.entries += slot.counts.entries;
-    block.instructions += slot.counts.instructions;
-    slot.counts = {};
-  }
+  /// Add a slot's counters to the profile's map and empty it (heat.cc: only
+  /// on a slot collision and at flush(), so out of line).
+  void fold(BlockSlot& slot);
+  void fold(EdgeSlot& slot);
 
   HeatProfile* profile_;
   bool time_dispatch_;
@@ -327,6 +380,7 @@ class HeatRecorder {
   std::vector<std::uint64_t> leader_bits_;
   std::unordered_set<std::uint32_t> other_leaders_;
   std::array<BlockSlot, kBlockSlots> block_slots_{};
+  std::array<EdgeSlot, kEdgeSlots> edge_slots_{};
 };
 
 }  // namespace tytan::obs

@@ -108,13 +108,17 @@ struct DecodedOp {
   std::uint32_t pc = 0;
   std::uint32_t word = 0;  ///< raw encoding (tracer replay)
   void (*exec)(Machine&, const DecodedOp&) = nullptr;
-  /// Memoized policy->classify(pc, pc, kExecute) — replayed into the heat
-  /// recorder's MPU counters so observatory profiles are identical across
-  /// dispatch modes.  kCheckNoPolicy when built without a policy.
+  /// Memoized policy->classify(pc, pc, kExecute) — replayed into the
+  /// tracer and the heat recorder's MPU counters so observations are
+  /// identical across dispatch modes.  kCheckNoPolicy when built without a
+  /// policy.
   std::int32_t fetch_class = kCheckNoPolicy;
   /// True for ops built into a block, which fill and replay the memos
   /// below.  The interpreter's transient ops ask the EA-MPU every time.
   bool cached = false;
+  /// Cached ops only: obs::HeatProfile::bucket_for(fetch_class), so the
+  /// heat recorder counts the execute check with one increment.
+  std::uint8_t fetch_bucket = 0;
   std::uint16_t quiet_cycles = 0;  ///< see quiet_run
   /// The op's data-access verdict (every op has at most one access kind)
   /// and its transfer verdict, filled on first use.  Mutable: the op is

@@ -16,6 +16,9 @@ using isa::Opcode;
 
 static_assert(obs::HeatProfile::kMpuSlotBuckets == EaMpu::kNumSlots,
               "the heat profile's check buckets mirror the EA-MPU slots");
+static_assert(obs::HeatRecorder::kExecuteKind == static_cast<std::size_t>(Access::kExecute),
+              "the heat recorder counts execute checks in the execute row");
+static_assert(obs::HeatProfile::kMpuBuckets <= UINT8_MAX, "a bucket fits DecodedOp");
 
 namespace {
 
@@ -659,15 +662,33 @@ HaltReason Machine::run(std::uint64_t cycle_limit) {
   while (!halted() && cycles_ < cycle_limit) {
     step();
     if (dispatch_ == DispatchMode::kCached) {
-      observer_ != nullptr ? run_chained<true>(cycle_limit) : run_chained<false>(cycle_limit);
+      if (observer_ == nullptr) {
+        run_chained<Watch::kNone>(cycle_limit);
+      } else if (observer_->tracer == nullptr) {
+        run_chained<Watch::kHeat>(cycle_limit);
+      } else {
+        run_chained<Watch::kTrace>(cycle_limit);
+      }
     }
   }
   run_limit_ = 0;
   return halted() ? halt_reason_ : HaltReason::kCycleLimit;
 }
 
-template <bool kObserved>
+template <Machine::Watch kWatch>
 void Machine::run_chained(std::uint64_t limit) {
+  // Heat alone is counted per segment: seg_n ops ran in sequence from
+  // seg_pc, and the recorder gets them in one call once the next op does
+  // not follow them or the chain stops.  Per op only the opcode and the
+  // execute check are counted, and a countdown finds the op the sample
+  // stride lands on, which runs alone between two clock reads.
+  [[maybe_unused]] obs::HeatRecorder* const recorder = kWatch == Watch::kHeat ? heat() : nullptr;
+  [[maybe_unused]] std::uint32_t seg_pc = 0;
+  [[maybe_unused]] std::uint32_t seg_n = 0;
+  [[maybe_unused]] std::uint64_t until_timed = 0;
+  if constexpr (kWatch == Watch::kHeat) {
+    until_timed = recorder->until_sample();
+  }
   // Each pass stands in for one step() whose top would tick no device
   // (clock below the next tick, timing epoch unchanged), take no IRQ, and
   // stay inside run(): exactly the state in which step() only sets the
@@ -676,18 +697,28 @@ void Machine::run_chained(std::uint64_t limit) {
          bus_.timing_epoch() == device_timing_epoch_) {
     const std::uint64_t horizon = std::min(limit, next_device_tick_);
     if (cycles_ >= horizon) {
-      return;
+      break;
     }
     const DecodedOp* op = next_cached_op();
     if (op == nullptr) {
-      return;
+      break;
+    }
+    if constexpr (kWatch == Watch::kHeat) {
+      if (op->pc != seg_pc + 4 * seg_n) {
+        if (seg_n != 0) {
+          recorder->on_segment(seg_pc, seg_n);
+        }
+        seg_pc = op->pc;
+        seg_n = 0;
+      }
     }
     // A quiet op cannot halt, fault, raise or unmask an IRQ, reach a device
     // or memory (so no block dies and no schedule moves), or leave EIP
     // anywhere but the next op of its block: after one, only the clock and
     // the block's end can stop the chain.
     for (;;) {
-      if (op->quiet_run != 0 && cycles_ + op->quiet_cycles < horizon) {
+      if (op->quiet_run != 0 && cycles_ + op->quiet_cycles < horizon &&
+          (kWatch != Watch::kHeat || op->quiet_run < until_timed)) {
         // The whole quiet run fits below the horizon, so stepping would run
         // every op of it and the op after it: one compare stands in for the
         // per-op ones.  Each op still charges its own cycles (rdcyc reads
@@ -696,17 +727,25 @@ void Machine::run_chained(std::uint64_t limit) {
         const std::size_t run = op->quiet_run;
         const DecodedOp* const end = op + run;
         for (; op != end; ++op) {
-          if constexpr (kObserved) {
+          if constexpr (kWatch == Watch::kTrace) {
             // run_cached_op's body: the observer stays set for the chain.
             observer_->fetch(cycles_, op->pc, op->word, op->fetch_class);
             dispatch_observed(*op);
           } else {
+            if constexpr (kWatch == Watch::kHeat) {
+              recorder->count_dispatch(static_cast<std::uint8_t>(op->instr.opcode),
+                                       op->fetch_bucket);
+            }
             cycles_ += op->base_cycles;
             execute_op(*op);
           }
         }
-        if constexpr (!kObserved) {
+        if constexpr (kWatch != Watch::kTrace) {
           instructions_ += run;
+        }
+        if constexpr (kWatch == Watch::kHeat) {
+          seg_n += static_cast<std::uint32_t>(run);
+          until_timed -= run;
         }
         step_top_cycles_ = cycles_ - end[-1].base_cycles;
         device_time_dirty_ = true;
@@ -718,11 +757,29 @@ void Machine::run_chained(std::uint64_t limit) {
       }
       step_top_cycles_ = cycles_;
       device_time_dirty_ = true;
-      run_cached_op(*op);
+      if constexpr (kWatch == Watch::kHeat) {
+        recorder->count_dispatch(static_cast<std::uint8_t>(op->instr.opcode), op->fetch_bucket);
+        ++seg_n;
+        charge(op->base_cycles);
+        ++instructions_;
+        if (--until_timed == 0) {
+          until_timed = obs::HeatRecorder::kSampleStride;
+          execute_timed(*op, *recorder);
+        } else {
+          execute_op(*op);
+        }
+      } else {
+        run_cached_op(*op);
+      }
       if (op->quiet_run == 0 || cycles_ >= horizon || cur_idx_ == cur_block_->ops.size()) {
         break;
       }
       op = &cur_block_->ops[cur_idx_++];
+    }
+  }
+  if constexpr (kWatch == Watch::kHeat) {
+    if (seg_n != 0) {
+      recorder->on_segment(seg_pc, seg_n);
     }
   }
 }
@@ -754,24 +811,25 @@ inline void Machine::dispatch_observed(const DecodedOp& op) {
   charge(op.base_cycles);
   ++instructions_;
   obs::HeatRecorder* const recorder = heat();
-  if (recorder == nullptr) {  // hot path: heat off
+  if (recorder == nullptr ||  // hot path: heat off
+      !recorder->on_instruction(op.pc, static_cast<std::uint8_t>(op.instr.opcode))) {
     execute_op(op);
     return;
   }
-  const auto opcode = static_cast<std::uint8_t>(op.instr.opcode);
-  if (!recorder->on_instruction(op.pc, opcode)) {
-    execute_op(op);
-    return;
-  }
+  execute_timed(op, *recorder);
+}
+
+void Machine::execute_timed(const DecodedOp& op, obs::HeatRecorder& recorder) {
   // Sampled dispatch: attribute host nanoseconds to this opcode.  Host
   // clocks never feed back into simulated state, so cycle counts stay
   // bit-identical with the observatory on or off.
   const auto t0 = std::chrono::steady_clock::now();
   execute_op(op);
   const auto t1 = std::chrono::steady_clock::now();
-  recorder->attribute(opcode, static_cast<std::uint64_t>(
-                                   std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                                       .count()));
+  recorder.attribute(
+      static_cast<std::uint8_t>(op.instr.opcode),
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
 }
 
 void Machine::execute_one() {
@@ -855,6 +913,7 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     }
     DecodedOp op = decoded_op(p, word, *decoded);
     op.fetch_class = fetch_class;
+    op.fetch_bucket = static_cast<std::uint8_t>(obs::HeatProfile::bucket_for(fetch_class));
     op.cached = true;
     const std::uint32_t next = p + isa::kInstrSize;
     bool terminator = false;

@@ -62,14 +62,17 @@ enum class DispatchMode : std::uint8_t {
 
 /// The one seam through which a Machine reports execution: the trace ring
 /// and/or the heat recorder, behind the one pointer every hook site tests
-/// (null while neither is on).  Both dispatch modes call each hook with the
-/// same arguments, so the ring and the profile match across modes; heat's
-/// per-dispatch half is Machine::dispatch_observed, the modes' one body.
+/// (null while neither is on).  Both dispatch modes report the same events
+/// with the same arguments, so the ring and the profile match across modes.
+/// Heat's per-dispatch half is Machine::dispatch_observed, the modes' one
+/// body — except in chained runs with heat alone on, which count the fetch
+/// check and the opcode per op and hand the recorder whole segments.
 class Observer {
  public:
   explicit Observer(const std::function<std::int32_t()>& task) : task_(task) {}
 
-  /// Every fetch attempt, denied ones included, before any fault it raises.
+  /// Every fetch attempt, denied ones included, before any fault it raises
+  /// (bar the ops of heat-only chained runs; see run_chained).
   /// `code` is the fetch check's classify() code (memoized by cached ops);
   /// `word` is nullopt when the fetch leaves plain memory.
   void fetch(std::uint64_t cycle, std::uint32_t pc, std::optional<std::uint32_t> word,
@@ -397,22 +400,27 @@ class Machine {
   /// Forced inline (defined in machine.cc, its only user) so sharing the
   /// body adds no call on the per-instruction path.
   [[gnu::always_inline]] inline void dispatch_observed(const DecodedOp& op);
+  /// execute_op, host-timed into `recorder` (a sampled dispatch).
+  void execute_timed(const DecodedOp& op, obs::HeatRecorder& recorder);
 
   /// The cached fast paths' lookup, shared by step() and run_chained(): the
   /// cursor's next op when it is live and sits at EIP, else the head of the
   /// live block the LUT remembers at EIP, with the cursor moved past the
   /// returned op.  nullptr when neither hits (firmware, the slow path).
   const DecodedOp* next_cached_op();
+  /// What run_chained reports, chosen by run() at each entry: nothing (no
+  /// observer), heat alone (per op the opcode and execute-check counts, per
+  /// segment one HeatRecorder::on_segment), or the tracer (per op the fetch
+  /// hook and dispatch_observed, heat included when on).
+  enum class Watch : std::uint8_t { kNone, kHeat, kTrace };
   /// Run cached ops back to back from the current state for as long as
   /// step() would do nothing else at their step tops: not halted, no IRQ
   /// both pending and enabled, no bus timing-epoch change, the clock below
   /// min(limit, next device tick), and next_cached_op() hits.  A quiet run
   /// whose cycle sum stays below that horizon runs with no per-op test.
-  /// Returns at the first step top that needs step().  One body for both
-  /// `kObserved` (observer_ set: each op gets the fetch hook and
-  /// dispatch_observed) and not, chosen by run() so the unobserved loop
-  /// tests no observer per op.
-  template <bool kObserved>
+  /// Returns at the first step top that needs step().  One body for every
+  /// `kWatch`, so the unobserved loop tests no observer per op.
+  template <Watch kWatch>
   void run_chained(std::uint64_t limit);
 
   // Cached-dispatch slow path: sync the cache with the policy epoch, look up

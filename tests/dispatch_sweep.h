@@ -100,12 +100,17 @@ struct Sweep {
   std::unique_ptr<Machine> interp;
 };
 
+/// Called on each machine of a sweep before it runs to `limit`.
+using LimitHook = std::function<void(Machine&, std::uint64_t limit)>;
+
 /// Run `source` (timer of `period` cycles) to its halt through run() at
 /// every cycle limit up to `dense`, then at random strides.  At each limit a
 /// cached run(), an interpreter run() and a cached machine stepped to the
-/// limit must agree.  `setup` runs on each machine first.
+/// limit must agree.  `setup` runs on each machine first, `between` before
+/// each limit.
 inline Sweep sweep_run_limits(std::string_view source, std::uint32_t period,
-                              std::uint64_t dense, const MachineSetup& setup = {}) {
+                              std::uint64_t dense, const MachineSetup& setup = {},
+                              const LimitHook& between = {}) {
   auto cached = timed_machine(DispatchMode::kCached, source, period, setup);
   auto interp = timed_machine(DispatchMode::kInterpreter, source, period, setup);
   const auto stepped = timed_machine(DispatchMode::kCached, source, period, setup);
@@ -113,6 +118,11 @@ inline Sweep sweep_run_limits(std::string_view source, std::uint32_t period,
   std::uint64_t limit = 0;
   while (!cached->halted() && !::testing::Test::HasFailure()) {
     limit += limit < dense ? 1 : 1 + rng() % 400;
+    if (between) {
+      for (Machine* machine : {cached.get(), interp.get(), stepped.get()}) {
+        between(*machine, limit);
+      }
+    }
     cached->run(limit);
     interp->run(limit);
     while (!stepped->halted() && stepped->cycles() < limit) {

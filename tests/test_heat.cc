@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <map>
 #include <random>
@@ -160,17 +161,20 @@ TEST(HeatRecorder, StaticLeadersSplitFallthroughBlocks) {
   EXPECT_EQ(blocks.at(kBase + 8).instructions, 3u);  // two addi + hlt
 }
 
-// The recorder's leader bitmap and block-counter slots are indexes over the
-// plain model: a std::set of leaders and a std::map of blocks, probed on every
-// instruction and block close.  Random leader sets (PC 0, the top of the
-// address space, past the bitmap, unaligned, registered mid-recording) and
-// random PC streams whose block starts collide in the slot table must give
-// the model's profile after every flush().
+// The recorder's leader bitmap and block- and edge-counter slots are indexes
+// over the plain model: a std::set of leaders and std::maps of blocks and
+// edges, probed on every instruction, block close and edge.  Random leader
+// sets (PC 0, the top of the address space, past the bitmap, unaligned,
+// registered mid-recording), random PC streams whose block starts collide in
+// the slot table, and random edges must give the model's profile after every
+// flush() — fed one instruction at a time, and fed as segments (each run of
+// sequential PCs cut into random on_segment calls).
 TEST(HeatRecorder, LeaderIndexAndBlockSlotsMatchSetModel) {
   struct Model {
     std::set<std::uint32_t> leaders;
     std::map<std::uint32_t, obs::HeatProfile::Block> blocks;
     std::array<std::uint64_t, 256> opcodes{};
+    std::map<std::uint64_t, obs::HeatProfile::Edge> edges;
     bool open = false;
     std::uint32_t start = 0;
     std::uint32_t last = 0;
@@ -219,6 +223,8 @@ TEST(HeatRecorder, LeaderIndexAndBlockSlotsMatchSetModel) {
   for (int round = 0; round < 20; ++round) {
     obs::HeatProfile profile;
     obs::HeatRecorder recorder(&profile, /*time_dispatch=*/false);
+    obs::HeatProfile segment_profile;
+    obs::HeatRecorder segments(&segment_profile, /*time_dispatch=*/round % 2 == 0);
     Model model;
     auto add_leaders = [&] {
       const std::uint32_t base = pick(2) == 0 ? 0 : bases[pick(4)];
@@ -230,6 +236,7 @@ TEST(HeatRecorder, LeaderIndexAndBlockSlotsMatchSetModel) {
         offsets.push_back(0 - base);  // PC 0
       }
       recorder.add_leaders(base, offsets);
+      segments.add_leaders(base, offsets);
       for (const std::uint32_t offset : offsets) {
         model.leaders.insert(base + offset);
       }
@@ -238,17 +245,35 @@ TEST(HeatRecorder, LeaderIndexAndBlockSlotsMatchSetModel) {
     for (int burst = 0; burst < 12; ++burst) {
       for (int run = 0; run < 40; ++run) {
         std::uint32_t pc = random_pc();
-        for (std::uint32_t i = 0, n = 1 + pick(24); i < n; ++i, pc += 4) {
+        std::uint32_t segment_pc = pc;
+        std::uint32_t segment_n = 0;
+        for (std::uint32_t i = 0, n = 1 + pick(300); i < n; ++i, pc += 4) {
           const auto op = static_cast<std::uint8_t>(pick(256));
           recorder.on_instruction(pc, op);
+          segments.count_dispatch(op, 0);
+          ++segment_n;
+          if (i + 1 == n || pick(40) == 0) {
+            segments.on_segment(segment_pc, segment_n);
+            segment_pc = pc + 4;
+            segment_n = 0;
+          }
           model.step(pc, op);
         }
+        const std::uint32_t site = random_pc();
+        const std::uint32_t target = pick(2) == 0 ? random_pc() : site + 4 * pick(8);
+        const bool is_call = pick(2) == 0;
+        recorder.record_edge(site, target, is_call);
+        obs::HeatProfile::Edge& edge =
+            model.edges[obs::HeatProfile::edge_key(site, target)];
+        ++edge.count;
+        edge.is_call = is_call;
       }
       if (pick(3) == 0) {
         add_leaders();  // leaders registered after recording has started
       }
       if (pick(2) == 0) {
         recorder.flush();
+        segments.flush();
         model.flush();
         ASSERT_EQ(profile.blocks.size(), model.blocks.size()) << "round " << round;
         for (const auto& [start, block] : model.blocks) {
@@ -259,9 +284,12 @@ TEST(HeatRecorder, LeaderIndexAndBlockSlotsMatchSetModel) {
           EXPECT_EQ(it->second.instructions, block.instructions)
               << std::hex << "block 0x" << start;
         }
+        EXPECT_EQ(segment_profile.blocks, profile.blocks) << "round " << round;
         for (std::size_t op = 0; op < model.opcodes.size(); ++op) {
           EXPECT_EQ(profile.opcodes[op].count, model.opcodes[op]) << "op " << op;
+          EXPECT_EQ(segment_profile.opcodes[op].count, model.opcodes[op]) << "op " << op;
         }
+        EXPECT_EQ(profile.edges, model.edges) << "round " << round;
       }
     }
   }
@@ -372,6 +400,157 @@ TEST(HeatMachine, ProfileIdenticalAcrossDispatchModes) {
   quiet.cached->heat()->flush();
   EXPECT_EQ(quiet.interp->heat()->profile().to_jsonl(false),
             quiet.cached->heat()->profile().to_jsonl(false));
+}
+
+// ------------------------------------------------------- heat per segment
+
+/// `source` swept over every run() limit to 400 cycles, then at random
+/// strides (timer of 997), with heat alone on: cached run() hands the
+/// recorder whole segments and host-times sampled ops inside its chains.
+/// The programs run far past the dense limits, so most of their ops run in
+/// chains of up to a few hundred cycles.  `setup` turns heat on (with
+/// `object`'s labels at hand), `between` runs before each limit.  The
+/// cached profile must be the interpreter's, byte for byte.
+void expect_segments_match(const std::string& source,
+                           const std::function<void(sim::Machine&, const isa::ObjectFile&)>& setup,
+                           const sim::LimitHook& between = {}) {
+  const isa::ObjectFile object = assemble(source);
+  const sim::Sweep sweep = sim::sweep_run_limits(
+      source, 997, 400, [&](sim::Machine& m) { setup(m, object); }, between);
+  ASSERT_TRUE(sweep.cached->halted());
+  ASSERT_NE(sweep.cached->heat(), nullptr);
+  ASSERT_EQ(sweep.cached->tracer(), nullptr);
+  sweep.interp->heat()->flush();
+  sweep.cached->heat()->flush();
+  const std::string interpreted = sweep.interp->heat()->profile().to_jsonl(false);
+  EXPECT_NE(interpreted.find(R"("type":"block")"), std::string::npos);
+  EXPECT_EQ(interpreted, sweep.cached->heat()->profile().to_jsonl(false));
+}
+
+/// Heat on with static leaders at `labels` of the program.
+auto heat_with_leaders(std::vector<std::string> labels) {
+  return [labels = std::move(labels)](sim::Machine& m, const isa::ObjectFile& object) {
+    m.enable_heat();
+    std::vector<std::uint32_t> offsets;
+    for (const std::string& label : labels) {
+      offsets.push_back(object.symbols.at(label));
+    }
+    m.heat()->add_leaders(kBase, offsets);
+  };
+}
+
+/// A loop whose conditional branch targets `skip`, inside the decode-cache
+/// block of `loop`: odd passes fall through into it, so only the segment's
+/// leader scan can close the heat block there.
+constexpr const char kInBlockLeader[] = R"(
+      movi r0, 0
+      sti
+  loop:
+      mov  r1, r0
+      andi r1, 1
+      cmpi r1, 0
+      jz   skip
+      addi r2, 1
+      push r2
+      pop  r3
+  skip:
+      addi r3, 5
+      mul  r4, r3
+      push r4
+      pop  r5
+      addi r0, 1
+      cmpi r0, 2000
+      jnz  loop
+      hlt
+  tick:
+      addi r6, 1
+      iret
+)";
+
+TEST(HeatSegments, StaticLeaderInsideOneDecodeBlock) {
+  expect_segments_match(kInBlockLeader, heat_with_leaders({"loop", "skip"}));
+}
+
+// 150 ops without a branch, loads and stores among them: execution falls in
+// sequence from one capped decode-cache block into the next, which must not
+// close the heat block.
+TEST(HeatSegments, StraightLineAcrossDecodeBlocks) {
+  std::string body;
+  for (int i = 0; i < 150; ++i) {
+    body += i % 7 == 3 ? "      push r4\n"
+            : i % 7 == 5 ? "      pop  r4\n"
+            : i % 2 == 0 ? "      addi r5, 3\n"
+                         : "      mul  r4, r5\n";
+  }
+  static_assert(150 > sim::DecodeCache::kMaxBlockOps);
+  const std::string source = "      movi r5, 1\n      sti\n  loop:\n" + body + R"(
+      addi r0, 1
+      cmpi r0, 100
+      jnz  loop
+      hlt
+  tick:
+      addi r2, 1
+      iret
+  )";
+  expect_segments_match(source, heat_with_leaders({"loop"}));
+  expect_segments_match(sim::quiet_run_program(), heat_with_leaders({}));
+}
+
+// A store rewrites an op ahead of it in its own block, killing the block
+// part-way through a segment, and every fourth pass a load faults into a
+// handler elsewhere: the store and the faulting load each count in the
+// segment they end.
+TEST(HeatSegments, BlockKillAndFaultEndSegments) {
+  const std::string source = R"(
+      movi r0, 0
+      sti
+  loop:
+      addi r1, 1
+      li   r2, patch
+      ldw  r5, [r2]
+      stw  r5, [r2]
+      addi r3, 1
+  patch:
+      addi r4, 2
+      mov  r2, r0
+      andi r2, 3
+      cmpi r2, 0
+      jnz  nofault
+      li   r2, 0x200000
+      ldw  r5, [r2]
+  nofault:
+      addi r0, 1
+      cmpi r0, 400
+      jnz  loop
+      hlt
+  on_fault:
+      pop  r5
+      pop  r5
+      sti
+      jmp  nofault
+  tick:
+      addi r6, 1
+      iret
+  )";
+  expect_segments_match(source, [](sim::Machine& m, const isa::ObjectFile& object) {
+    heat_with_leaders({"loop", "nofault"})(m, object);
+    m.set_idt_entry(sim::kVecFault, kBase + object.symbols.at("on_fault"));
+  });
+}
+
+// Heat turned on after the decode cache holds blocks, and flushed part-way
+// through the run (every seventh limit), with more running after each flush.
+TEST(HeatSegments, LateEnableAndFlushMidRun) {
+  const isa::ObjectFile object = assemble(kInBlockLeader);
+  expect_segments_match(
+      kInBlockLeader, [](sim::Machine&, const isa::ObjectFile&) {},
+      [&](sim::Machine& m, std::uint64_t limit) {
+        if (limit == 300) {
+          heat_with_leaders({"skip"})(m, object);
+        } else if (limit > 300 && limit % 7 == 0) {
+          m.heat()->flush();
+        }
+      });
 }
 
 /// Every tracer entry of `machine`, one line each, for whole-ring comparison.

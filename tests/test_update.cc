@@ -211,6 +211,84 @@ TEST(Update, FailedMailboxCarryOverKeepsOldVersion) {
   EXPECT_EQ(platform.scheduler().task_count(), tasks_before);
 }
 
+/// Store a filler blob so that exactly `left` bytes of the storage arena
+/// stay free (a blob of n data bytes takes 4 + 28 + n, and a store needs 8
+/// bytes of slack past it).
+void fill_arena(Platform& platform, std::uint32_t left) {
+  core::SecureStorage& storage = platform.secure_storage();
+  const std::uint32_t used = storage.bytes_used();
+  ASSERT_GE(core::kStorageSize, used + left + 32);
+  const ByteVec filler(core::kStorageSize - used - left - 32, 0x5A);
+  ASSERT_TRUE(storage.store(rtos::TaskIdentity{0xF1}, 0, filler).is_ok());
+  ASSERT_EQ(storage.bytes_used(), core::kStorageSize - left);
+}
+
+constexpr std::uint32_t kBlobBytes = 40;
+/// Arena bytes one re-seal of a kBlobBytes blob needs free.
+constexpr std::uint32_t kResealRoom = 28 + kBlobBytes + 8;
+
+TEST(Update, FailedMigrationKeepsEveryOldBlob) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto v1 = platform.load_task_source(versioned_task(1), {.name = "svc", .priority = 3,
+                                                          .auto_start = false});
+  ASSERT_TRUE(v1.is_ok());
+  const rtos::TaskIdentity id1 = platform.scheduler().get(*v1)->identity;
+  core::SecureStorage& storage = platform.secure_storage();
+  const ByteVec first(kBlobBytes, 0x11);
+  const ByteVec second(kBlobBytes, 0x22);
+  ASSERT_TRUE(storage.store(id1, 1, first).is_ok());
+  ASSERT_TRUE(storage.store(id1, 2, second).is_ok());
+  // Room for the first re-sealed blob, not for the second.
+  ASSERT_NO_FATAL_FAILURE(fill_arena(platform, kResealRoom));
+
+  auto v2 = platform.update_task(*v1, versioned_task(2), {.name = "svc2", .priority = 3},
+                                 {.migrate_storage = true});
+  ASSERT_FALSE(v2.is_ok());
+  EXPECT_EQ(v2.status().code(), Err::kOutOfMemory);
+  ASSERT_NE(platform.scheduler().get(*v1), nullptr);
+  // The old task keeps both blobs, and the arena space the first re-seal
+  // took is given back.
+  auto one = storage.load(id1, 1);
+  auto two = storage.load(id1, 2);
+  ASSERT_TRUE(one.is_ok()) << one.status().to_string();
+  ASSERT_TRUE(two.is_ok()) << two.status().to_string();
+  EXPECT_EQ(*one, first);
+  EXPECT_EQ(*two, second);
+  EXPECT_EQ(storage.blob_count(), 3u);
+  EXPECT_EQ(storage.bytes_used(), core::kStorageSize - kResealRoom);
+}
+
+TEST(Update, FailedUnloadAfterMigrationKeepsOldBlobs) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto v1 = platform.load_task_source(versioned_task(1), {.name = "svc", .priority = 3,
+                                                          .auto_start = false});
+  ASSERT_TRUE(v1.is_ok());
+  const rtos::TaskIdentity id1 = platform.scheduler().get(*v1)->identity;
+  const ByteVec state(kBlobBytes, 0x33);
+  ASSERT_TRUE(platform.secure_storage().store(id1, 7, state).is_ok());
+  // Room for the migration's re-seal, none for a second one back.
+  ASSERT_NO_FATAL_FAILURE(fill_arena(platform, kResealRoom));
+  // The RTM may still register the replacement in the registry slot after
+  // v1's, but no longer rewrite v1's own: v1's unload fails after the
+  // migration.
+  const core::RegistryEntry* entry = platform.rtm().find_by_handle(*v1);
+  ASSERT_NE(entry, nullptr);
+  const std::uint32_t next_slot = entry->entry_addr + core::kRegistryEntrySize;
+  ASSERT_NO_FATAL_FAILURE(narrow_static_rule(
+      platform, sim::kFwRtm, /*background=*/false, next_slot,
+      core::kRtmRegistryBase + core::kRtmRegistrySize - next_slot));
+
+  auto v2 = platform.update_task(*v1, versioned_task(2), {.name = "svc2", .priority = 3},
+                                 {.migrate_storage = true});
+  ASSERT_FALSE(v2.is_ok()) << "v1's unload went through";
+  ASSERT_NE(platform.scheduler().get(*v1), nullptr);
+  auto back = platform.secure_storage().load(id1, 7);
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_EQ(*back, state);
+}
+
 TEST(Update, ErrorsReported) {
   Platform platform;
   ASSERT_TRUE(platform.boot().is_ok());
