@@ -93,10 +93,6 @@ class Kernel {
   [[nodiscard]] std::uint64_t syscall_count() const { return syscalls_; }
   [[nodiscard]] std::uint64_t fault_kills() const { return fault_kills_; }
 
-  /// Stall watchdog: a task wedged (BlockReason::kStalled) for this many
-  /// ticks is made ready again on the next tick boundary.
-  void set_watchdog_ticks(std::uint64_t ticks) { watchdog_ticks_ = ticks; }
-  [[nodiscard]] std::uint64_t watchdog_ticks() const { return watchdog_ticks_; }
   [[nodiscard]] std::uint64_t watchdog_restarts() const { return watchdog_restarts_; }
   [[nodiscard]] rtos::TaskHandle idle_task() const { return idle_task_; }
   [[nodiscard]] rtos::TaskHandle loader_task() const { return loader_task_; }
@@ -145,6 +141,8 @@ class Kernel {
   std::uint32_t next_fw_entry_ = kFwTaskEntryOff;
   std::uint64_t syscalls_ = 0;
   std::uint64_t fault_kills_ = 0;
+  /// Stall watchdog: a task wedged (BlockReason::kStalled) for this many
+  /// ticks is made ready again on the next tick boundary.
   std::uint64_t watchdog_ticks_ = 8;
   std::uint64_t watchdog_restarts_ = 0;
   std::map<std::uint8_t, std::vector<rtos::TaskHandle>> irq_waiters_;

@@ -4,35 +4,16 @@
 
 namespace tytan::core {
 
-DeviceSet DeviceSet::standard(const crypto::Key128& kp, std::uint64_t rng_seed) {
-  DeviceSet set;
-  set.timer = std::make_shared<sim::TimerDevice>();
-  set.serial = std::make_shared<sim::SerialConsole>();
-  set.pedal = std::make_shared<sim::SensorDevice>("pedal", sim::kMmioPedal);
-  set.radar = std::make_shared<sim::SensorDevice>("radar", sim::kMmioRadar);
-  set.engine = std::make_shared<sim::EngineActuator>();
-  set.rng = std::make_shared<sim::RngDevice>(rng_seed);
-  set.can = std::make_shared<sim::CanBusDevice>();
-  set.key_register = std::make_shared<KeyRegister>(kp);
-  return set;
-}
-
-std::vector<std::shared_ptr<sim::Device>> DeviceSet::all() const {
-  std::vector<std::shared_ptr<sim::Device>> devices;
-  for (const std::shared_ptr<sim::Device>& device :
-       std::initializer_list<std::shared_ptr<sim::Device>>{timer, serial, pedal, radar,
-                                                           engine, rng, can,
-                                                           key_register}) {
-    if (device != nullptr) {
-      devices.push_back(device);
-    }
-  }
-  devices.insert(devices.end(), extra.begin(), extra.end());
-  return devices;
-}
-
-Platform::Platform(const Config& config, DeviceSet devices)
-    : config_(config), devices_(std::move(devices)) {
+Platform::Platform(const Config& config)
+    : config_(config),
+      timer_(std::make_shared<sim::TimerDevice>()),
+      serial_(std::make_shared<sim::SerialConsole>()),
+      pedal_(std::make_shared<sim::SensorDevice>("pedal", sim::kMmioPedal)),
+      radar_(std::make_shared<sim::SensorDevice>("radar", sim::kMmioRadar)),
+      engine_(std::make_shared<sim::EngineActuator>()),
+      rng_(std::make_shared<sim::RngDevice>(config.rng_seed)),
+      can_(std::make_shared<sim::CanBusDevice>()),
+      key_register_(std::make_shared<KeyRegister>(config.kp)) {
   machine_ = std::make_unique<sim::Machine>(config.costs, config.log);
   machine_->set_dispatch_mode(config.dispatch);
   if (!config.fault_plan.empty()) {
@@ -50,7 +31,9 @@ Platform::Platform(const Config& config, DeviceSet devices)
       [s = scheduler_.get()] { return static_cast<std::int32_t>(s->current_handle()); });
 
   // MMIO devices.
-  for (const std::shared_ptr<sim::Device>& device : devices_.all()) {
+  for (const std::shared_ptr<sim::Device>& device :
+       std::initializer_list<std::shared_ptr<sim::Device>>{
+           timer_, serial_, pedal_, radar_, engine_, rng_, can_, key_register_}) {
     device->set_irq_sink([m = machine_.get()](std::uint8_t vec) { m->raise_irq(vec); });
     machine_->bus().attach(device);
   }
@@ -73,8 +56,8 @@ Platform::Platform(const Config& config, DeviceSet devices)
   kernel_->set_loader(loader_.get());
   kernel_->set_storage(storage_.get());
   kernel_->set_rtm(rtm_.get());
-  kernel_->set_serial(devices_.serial.get());
-  kernel_->set_timer(devices_.timer.get());
+  kernel_->set_serial(serial_.get());
+  kernel_->set_timer(timer_.get());
 
   // Firmware handler registration (the Int Mux is the first-level handler).
   machine_->register_firmware(IntMux::kIdent, "int-mux",

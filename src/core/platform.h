@@ -1,8 +1,10 @@
 // The TyTAN platform facade — the library's primary entry point.
 //
-// Owns the simulated machine, the EA-MPU, the MMIO devices, the FreeRTOS-like
-// scheduler, and every TyTAN trusted component, wired exactly as Figure 1 of
-// the paper shows.  Typical use:
+// Owns the simulated machine, the EA-MPU, the FreeRTOS-like scheduler, every
+// TyTAN trusted component, wired exactly as Figure 1 of the paper shows, and
+// the fixed MMIO device complement of the Figure 2 cruise-control SoC: timer,
+// serial console, pedal and radar sensors, engine actuator, nonce RNG, CAN
+// controller and the key register.  Typical use:
 //
 //   tytan::core::Platform platform;
 //   platform.boot();                              // secure boot + kernel start
@@ -12,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "common/log.h"
 #include "core/eampu_driver.h"
@@ -33,30 +34,6 @@
 #include "snap/snapshot.h"
 
 namespace tytan::core {
-
-/// The MMIO device complement of one platform instance.  Construction is
-/// separated from Platform so callers (the fleet runner, tests) can select
-/// devices and parameterize them per instance; every device is owned by
-/// exactly one platform — nothing is shared.
-struct DeviceSet {
-  std::shared_ptr<sim::TimerDevice> timer;
-  std::shared_ptr<sim::SerialConsole> serial;
-  std::shared_ptr<sim::SensorDevice> pedal;
-  std::shared_ptr<sim::SensorDevice> radar;
-  std::shared_ptr<sim::EngineActuator> engine;
-  std::shared_ptr<sim::RngDevice> rng;
-  std::shared_ptr<sim::CanBusDevice> can;
-  std::shared_ptr<KeyRegister> key_register;
-  /// Additional devices attached after the core set (custom workloads).
-  std::vector<std::shared_ptr<sim::Device>> extra;
-
-  /// The paper's fixed device complement (Figure 2), parameterized per
-  /// instance: `kp` fuses the key register, `rng_seed` seeds the nonce RNG.
-  static DeviceSet standard(const crypto::Key128& kp, std::uint64_t rng_seed);
-
-  /// Every non-null device, core set first then extras, in attach order.
-  [[nodiscard]] std::vector<std::shared_ptr<sim::Device>> all() const;
-};
 
 class Platform {
  public:
@@ -87,12 +64,7 @@ class Platform {
   };
 
   Platform() : Platform(Config{}) {}
-  explicit Platform(const Config& config)
-      : Platform(config, DeviceSet::standard(config.kp, config.rng_seed)) {}
-  /// Full control: a platform built around an explicit device set.  The
-  /// standard accessors (timer() .. key_register()) require the matching
-  /// member to be present; boot needs at least timer + key_register.
-  Platform(const Config& config, DeviceSet devices);
+  explicit Platform(const Config& config);
 
   // One thread drives a Platform at a time; instances share no mutable
   // state, so distinct Platforms may run on distinct threads concurrently.
@@ -161,19 +133,17 @@ class Platform {
     return fault_engine_.get();
   }
 
-  [[nodiscard]] sim::TimerDevice& timer() { return *devices_.timer; }
-  [[nodiscard]] sim::SerialConsole& serial() { return *devices_.serial; }
-  [[nodiscard]] sim::SensorDevice& pedal() { return *devices_.pedal; }
-  [[nodiscard]] sim::SensorDevice& radar() { return *devices_.radar; }
-  [[nodiscard]] sim::EngineActuator& engine() { return *devices_.engine; }
-  [[nodiscard]] sim::RngDevice& rng() { return *devices_.rng; }
-  [[nodiscard]] sim::CanBusDevice& can_bus() { return *devices_.can; }
-  [[nodiscard]] KeyRegister& key_register() { return *devices_.key_register; }
-  [[nodiscard]] const DeviceSet& devices() const { return devices_; }
+  [[nodiscard]] sim::TimerDevice& timer() { return *timer_; }
+  [[nodiscard]] sim::SerialConsole& serial() { return *serial_; }
+  [[nodiscard]] sim::SensorDevice& pedal() { return *pedal_; }
+  [[nodiscard]] sim::SensorDevice& radar() { return *radar_; }
+  [[nodiscard]] sim::EngineActuator& engine() { return *engine_; }
+  [[nodiscard]] sim::RngDevice& rng() { return *rng_; }
+  [[nodiscard]] sim::CanBusDevice& can_bus() { return *can_; }
+  [[nodiscard]] KeyRegister& key_register() { return *key_register_; }
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] bool booted() const { return booted_; }
-  [[nodiscard]] const BootReport& boot_report() const { return boot_report_; }
 
   // -- snapshots --------------------------------------------------------------------
   /// Walk every guest-visible state owner exactly once, in the fixed section
@@ -199,9 +169,7 @@ class Platform {
 
   /// A fresh platform carrying identical state: constructed from this
   /// platform's config (no boot — boot state travels in the snapshot), then
-  /// restored.  Requires the standard device set; a platform built around a
-  /// custom DeviceSet restores in place, or into one built with the same
-  /// devices, instead.
+  /// restored.
   Result<std::unique_ptr<Platform>> clone() const;
 
   /// Rebuild a Config from a snapshot's CONF section (replay tooling: a
@@ -233,7 +201,18 @@ class Platform {
   std::unique_ptr<SecureBootRom> boot_rom_;
   std::unique_ptr<fault::FaultEngine> fault_engine_;
 
-  DeviceSet devices_;
+  // The MMIO device complement of Figure 2, one instance per platform:
+  // `kp` fuses the key register, `rng_seed` seeds the nonce RNG.  The
+  // constructor attaches them to the bus in this order, which fixes the
+  // DEVS and CONF snapshot bytes.
+  std::shared_ptr<sim::TimerDevice> timer_;
+  std::shared_ptr<sim::SerialConsole> serial_;
+  std::shared_ptr<sim::SensorDevice> pedal_;
+  std::shared_ptr<sim::SensorDevice> radar_;
+  std::shared_ptr<sim::EngineActuator> engine_;
+  std::shared_ptr<sim::RngDevice> rng_;
+  std::shared_ptr<sim::CanBusDevice> can_;
+  std::shared_ptr<KeyRegister> key_register_;
 
   bool booted_ = false;
   BootReport boot_report_;

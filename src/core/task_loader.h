@@ -105,8 +105,6 @@ class TaskLoader {
   [[nodiscard]] bool load_in_progress() const { return job_.has_value(); }
   /// Process one bounded quantum; returns true while work remains.
   bool load_quantum();
-  /// Handle of the most recently completed load.
-  [[nodiscard]] rtos::TaskHandle last_loaded() const { return last_loaded_; }
 
   // -- synchronous convenience -------------------------------------------------
   Result<rtos::TaskHandle> load_now(isa::ObjectFile object, LoadParams params);
@@ -188,7 +186,7 @@ class TaskLoader {
   IpcProxy* ipc_proxy_ = nullptr;
   RamArena arena_;
   std::optional<Job> job_;
-  rtos::TaskHandle last_loaded_ = rtos::kNoTask;
+  rtos::TaskHandle last_loaded_ = rtos::kNoTask;  ///< most recently completed load
   CreateStats stats_;
   LintMode lint_mode_ = LintMode::kWarn;
   analysis::Config lint_config_;

@@ -43,7 +43,6 @@ class UpdateManager {
                                         LoadParams load_params, UpdateParams params = {});
 
   [[nodiscard]] bool update_in_progress() const { return pending_; }
-  [[nodiscard]] rtos::TaskHandle last_updated() const { return last_updated_; }
   [[nodiscard]] std::uint64_t last_swap_cycles() const { return last_swap_cycles_; }
   /// Status of the most recent completed swap.
   [[nodiscard]] const Status& last_swap_status() const { return last_swap_status_; }

@@ -7,14 +7,10 @@ namespace tytan::fleet {
 Fleet::Fleet(FleetConfig config)
     : config_(config),
       manufacturer_(config.manufacturer_seed),
-      pool_(config.threads),
-      telemetry_(config.telemetry.flight_events) {
+      pool_(config.threads) {
   devices_.reserve(config_.device_count);
   for (std::size_t i = 0; i < config_.device_count; ++i) {
     devices_.push_back(std::make_unique<FleetDevice>());
-  }
-  if (config_.telemetry.enabled && config_.telemetry.default_rules) {
-    telemetry_.install_default_rules(config_.telemetry.thresholds);
   }
 }
 

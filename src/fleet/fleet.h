@@ -30,20 +30,15 @@ namespace tytan::fleet {
 /// reproducible run to run.
 inline constexpr std::uint64_t kDeviceRngSeedBase = 0x5eed'0000'0000'0001ull;
 
-/// Fleet-level telemetry: health snapshots at round barriers, anomaly rules,
-/// flight-recorder dumps.  Off by default; snapshot collection runs on the
-/// caller's thread in device order, so telemetry output is deterministic
-/// whatever the worker-thread count.
+/// Fleet-level telemetry: health snapshots at round barriers, run through
+/// the hub's fixed anomaly rules (attestation failure, fault spike, stalled
+/// device, event drops) with flight-recorder dumps.  Off by default;
+/// snapshot collection runs on the caller's thread in device order, so
+/// telemetry output is deterministic whatever the worker-thread count.
 struct TelemetryConfig {
   bool enabled = false;
   /// Snapshot cadence: every N round barriers (and once after attest_all).
   std::uint64_t every_rounds = 1;
-  /// Last-N events captured from a device's bus when a rule trips.
-  std::size_t flight_events = obs::TelemetryHub::kDefaultFlightEvents;
-  /// Install the built-in rule set (attestation failure, fault spike,
-  /// stalled device, event drops) with these thresholds.
-  bool default_rules = true;
-  obs::AnomalyThresholds thresholds{};
 };
 
 struct FleetConfig {
@@ -99,8 +94,6 @@ class FleetDevice {
   [[nodiscard]] std::uint64_t attest_failed() const { return attest_failed_; }
   /// Sweeps that recovered (verified) only after at least one retry.
   [[nodiscard]] std::uint64_t attest_recoveries() const { return attest_recoveries_; }
-  /// Completed attest_all() rounds for this device (one trace id each).
-  [[nodiscard]] std::uint64_t attest_rounds() const { return attest_rounds_; }
   /// Deploy-time loads rejected by the golden-identity gate, then retried.
   [[nodiscard]] std::uint64_t quarantines() const { return quarantines_; }
 
@@ -122,7 +115,7 @@ class FleetDevice {
   std::uint64_t attest_verified_ = 0;
   std::uint64_t attest_failed_ = 0;
   std::uint64_t attest_recoveries_ = 0;
-  std::uint64_t attest_rounds_ = 0;
+  std::uint64_t attest_rounds_ = 0;  ///< completed attest_all() rounds (trace ids)
   std::uint64_t quarantines_ = 0;
   std::uint64_t telemetry_seq_ = 0;  ///< per-device HealthSnapshot sequence
 };
@@ -160,7 +153,6 @@ class Fleet {
   [[nodiscard]] FleetDevice& device(std::size_t i) { return *devices_[i]; }
   [[nodiscard]] const FleetDevice& device(std::size_t i) const { return *devices_[i]; }
   [[nodiscard]] verifier::Manufacturer& manufacturer() { return manufacturer_; }
-  [[nodiscard]] verifier::GoldenDatabase& golden_db() { return golden_; }
   /// Fleet-level metrics: per-device registries merged, plus fleet.* rollups
   /// (devices, cycles, instructions, attestations issued/verified).
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }

@@ -1,174 +1,99 @@
 #include "obs/telemetry.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/json.h"
 
 namespace tytan::obs {
 
-// ---------------------------------------------------------------------------
-// Built-in rules
-// ---------------------------------------------------------------------------
-
-std::optional<std::string> AttestationFailureRule::check(const HealthSnapshot& cur,
-                                                         const HealthSnapshot* prev,
-                                                         const FleetBaseline&) {
-  const std::uint64_t before = prev != nullptr ? prev->attest_failed : 0;
-  if (cur.attest_failed <= before) {
-    return std::nullopt;
-  }
-  std::ostringstream os;
-  os << (cur.attest_failed - before) << " attestation failure(s), "
-     << cur.attest_failed << " total";
-  return os.str();
-}
-
-std::optional<std::string> FaultSpikeRule::check(const HealthSnapshot& cur,
-                                                 const HealthSnapshot* prev,
-                                                 const FleetBaseline& baseline) {
-  const std::uint64_t before = prev != nullptr ? prev->faults : 0;
-  const std::uint64_t delta = cur.faults - before;
-  if (delta < min_delta_) {
-    return std::nullopt;
-  }
-  // Fleet-wide behavior is not anomalous — but compare against what the
-  // *other* devices averaged this round, not a mean this device is part of:
-  // one bad device must not be able to hide inside a baseline it dominates.
-  double peers = baseline.mean_fault_delta;
-  if (baseline.devices > 1) {
-    const double total =
-        baseline.mean_fault_delta * static_cast<double>(baseline.devices);
-    peers = (total - static_cast<double>(delta)) /
-            static_cast<double>(baseline.devices - 1);
-    if (peers < 0.0) {
-      peers = 0.0;
-    }
-  }
-  if (static_cast<double>(delta) <= factor_ * peers) {
-    return std::nullopt;
-  }
-  std::ostringstream os;
-  os << delta << " fault(s) this round vs peer mean " << peers;
-  return os.str();
-}
-
-std::optional<std::string> StalledDeviceRule::check(const HealthSnapshot& cur,
-                                                    const HealthSnapshot* prev,
-                                                    const FleetBaseline&) {
-  State& state = per_device_[cur.device];
-  if (prev == nullptr || cur.cycle > prev->cycle) {
-    state = {};
-    return std::nullopt;
-  }
-  ++state.stalled;
-  if (state.stalled < threshold_ || state.fired) {
-    return std::nullopt;
-  }
-  state.fired = true;
-  std::ostringstream os;
-  os << "no cycle progress for " << state.stalled << " consecutive snapshots"
-     << (cur.halted ? " (machine halted)" : "");
-  return os.str();
-}
-
-std::optional<std::string> EventDropRule::check(const HealthSnapshot& cur,
-                                                const HealthSnapshot* prev,
-                                                const FleetBaseline&) {
-  const std::uint64_t before = prev != nullptr ? prev->events_dropped : 0;
-  const std::uint64_t delta = cur.events_dropped - before;
-  if (delta < min_delta_) {
-    return std::nullopt;
-  }
-  std::ostringstream os;
-  os << delta << " event(s) evicted from the trace ring this round, "
-     << cur.events_dropped << " total";
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryHub
-// ---------------------------------------------------------------------------
-
-void TelemetryHub::add_rule(std::unique_ptr<AnomalyRule> rule) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  rules_.push_back(std::move(rule));
-}
-
-void TelemetryHub::install_default_rules(const AnomalyThresholds& thresholds) {
-  add_rule(std::make_unique<AttestationFailureRule>());
-  add_rule(std::make_unique<FaultSpikeRule>(thresholds.fault_spike_min,
-                                            thresholds.fault_spike_factor));
-  add_rule(std::make_unique<StalledDeviceRule>(thresholds.stall_snapshots));
-  add_rule(std::make_unique<EventDropRule>(thresholds.event_drop_min));
-}
-
 void TelemetryHub::record_round(
     const std::vector<HealthSnapshot>& round,
     const std::function<const EventBus*(std::size_t)>& bus_of) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  FleetBaseline baseline;
-  baseline.devices = round.size();
-  if (!round.empty()) {
-    std::uint64_t fault_delta = 0;
-    std::uint64_t cycle_delta = 0;
-    for (const HealthSnapshot& snapshot : round) {
-      const auto it = previous_.find(snapshot.device);
-      if (it != previous_.end()) {
-        fault_delta += snapshot.faults - it->second.faults;
-        cycle_delta += snapshot.cycle - it->second.cycle;
-      } else {
-        fault_delta += snapshot.faults;
-        cycle_delta += snapshot.cycle;
-      }
-    }
-    baseline.mean_fault_delta =
-        static_cast<double>(fault_delta) / static_cast<double>(round.size());
-    baseline.mean_cycle_delta =
-        static_cast<double>(cycle_delta) / static_cast<double>(round.size());
+  std::uint64_t fault_delta = 0;
+  for (const HealthSnapshot& snapshot : round) {
+    const auto it = previous_.find(snapshot.device);
+    fault_delta += snapshot.faults - (it != previous_.end() ? it->second.faults : 0);
   }
+  const double mean_fault_delta =
+      round.empty() ? 0.0
+                    : static_cast<double>(fault_delta) / static_cast<double>(round.size());
   for (std::size_t i = 0; i < round.size(); ++i) {
-    record_locked(round[i], baseline, bus_of ? bus_of(i) : nullptr);
+    record_locked(round[i], round.size(), mean_fault_delta, bus_of ? bus_of(i) : nullptr);
   }
 }
 
-void TelemetryHub::record(const HealthSnapshot& snapshot, const EventBus* bus) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  FleetBaseline baseline;
-  baseline.devices = 1;
-  const auto it = previous_.find(snapshot.device);
+void TelemetryHub::record_locked(const HealthSnapshot& cur, std::size_t round_devices,
+                                 double mean_fault_delta, const EventBus* bus) {
+  const auto it = previous_.find(cur.device);
   const HealthSnapshot* prev = it != previous_.end() ? &it->second : nullptr;
-  baseline.mean_fault_delta =
-      static_cast<double>(snapshot.faults - (prev != nullptr ? prev->faults : 0));
-  baseline.mean_cycle_delta =
-      static_cast<double>(snapshot.cycle - (prev != nullptr ? prev->cycle : 0));
-  record_locked(snapshot, baseline, bus);
-}
-
-void TelemetryHub::record_locked(const HealthSnapshot& snapshot,
-                                 const FleetBaseline& baseline, const EventBus* bus) {
-  const auto it = previous_.find(snapshot.device);
-  const HealthSnapshot* prev = it != previous_.end() ? &it->second : nullptr;
+  const HealthSnapshot before = prev != nullptr ? *prev : HealthSnapshot{};
   log_.order.emplace_back(false, log_.snapshots.size());
-  log_.snapshots.push_back(snapshot);
-  for (const std::unique_ptr<AnomalyRule>& rule : rules_) {
-    if (auto message = rule->check(snapshot, prev, baseline)) {
-      Anomaly anomaly;
-      anomaly.device = snapshot.device;
-      anomaly.rule = std::string(rule->name());
-      anomaly.seq = snapshot.seq;
-      anomaly.cycle = snapshot.cycle;
-      anomaly.message = std::move(*message);
-      if (bus != nullptr) {
-        std::vector<Event> events = bus->snapshot();
-        const std::size_t keep = std::min(flight_events_, events.size());
-        anomaly.flight.assign(events.end() - static_cast<std::ptrdiff_t>(keep),
-                              events.end());
-      }
-      log_.order.emplace_back(true, log_.anomalies.size());
-      log_.anomalies.push_back(std::move(anomaly));
+  log_.snapshots.push_back(cur);
+
+  auto trip = [&](std::string rule, std::string message) {
+    Anomaly anomaly;
+    anomaly.device = cur.device;
+    anomaly.rule = std::move(rule);
+    anomaly.seq = cur.seq;
+    anomaly.cycle = cur.cycle;
+    anomaly.message = std::move(message);
+    if (bus != nullptr) {
+      std::vector<Event> events = bus->snapshot();
+      const std::size_t keep = std::min(kFlightEvents, events.size());
+      anomaly.flight.assign(events.end() - static_cast<std::ptrdiff_t>(keep), events.end());
+    }
+    log_.order.emplace_back(true, log_.anomalies.size());
+    log_.anomalies.push_back(std::move(anomaly));
+  };
+
+  if (cur.attest_failed > before.attest_failed) {
+    std::ostringstream os;
+    os << (cur.attest_failed - before.attest_failed) << " attestation failure(s), "
+       << cur.attest_failed << " total";
+    trip("attestation-failure", os.str());
+  }
+
+  const std::uint64_t faults = cur.faults - before.faults;
+  if (faults >= kFaultSpikeMin) {
+    // Fleet-wide behavior is not anomalous — but compare against what the
+    // *other* devices averaged this round, not a mean this device is part
+    // of: one bad device must not be able to hide inside a baseline it
+    // dominates.
+    double peers = mean_fault_delta;
+    if (round_devices > 1) {
+      const double total = mean_fault_delta * static_cast<double>(round_devices);
+      peers = std::max(0.0, (total - static_cast<double>(faults)) /
+                                static_cast<double>(round_devices - 1));
+    }
+    if (static_cast<double>(faults) > kFaultSpikeFactor * peers) {
+      std::ostringstream os;
+      os << faults << " fault(s) this round vs peer mean " << peers;
+      trip("fault-spike", os.str());
     }
   }
-  previous_[snapshot.device] = snapshot;
+
+  Stall& stall = stalls_[cur.device];
+  if (prev == nullptr || cur.cycle > prev->cycle) {
+    stall = {};
+  } else if (++stall.snapshots >= kStallSnapshots && !stall.fired) {
+    stall.fired = true;
+    std::ostringstream os;
+    os << "no cycle progress for " << stall.snapshots << " consecutive snapshots"
+       << (cur.halted ? " (machine halted)" : "");
+    trip("stalled-device", os.str());
+  }
+
+  const std::uint64_t dropped = cur.events_dropped - before.events_dropped;
+  if (dropped >= kEventDropMin) {
+    std::ostringstream os;
+    os << dropped << " event(s) evicted from the trace ring this round, "
+       << cur.events_dropped << " total";
+    trip("event-drop", os.str());
+  }
+
+  previous_[cur.device] = cur;
 }
 
 std::vector<HealthSnapshot> TelemetryHub::snapshots() const {

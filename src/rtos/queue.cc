@@ -63,40 +63,8 @@ Result<std::size_t> QueueSet::capacity(QueueHandle handle) const {
   return queues_[handle].cap;
 }
 
-void QueueSet::add_waiter_send(QueueHandle handle, TaskHandle task) {
-  if (valid(handle)) {
-    queues_[handle].waiters_send.push_back(task);
-  }
-}
-
-void QueueSet::add_waiter_recv(QueueHandle handle, TaskHandle task) {
-  if (valid(handle)) {
-    queues_[handle].waiters_recv.push_back(task);
-  }
-}
-
-TaskHandle QueueSet::pop_waiter_send(QueueHandle handle) {
-  if (!valid(handle) || queues_[handle].waiters_send.empty()) {
-    return kNoTask;
-  }
-  const TaskHandle task = queues_[handle].waiters_send.front();
-  queues_[handle].waiters_send.pop_front();
-  return task;
-}
-
-TaskHandle QueueSet::pop_waiter_recv(QueueHandle handle) {
-  if (!valid(handle) || queues_[handle].waiters_recv.empty()) {
-    return kNoTask;
-  }
-  const TaskHandle task = queues_[handle].waiters_recv.front();
-  queues_[handle].waiters_recv.pop_front();
-  return task;
-}
-
 Status QueueSet::state(snap::Io& io) {
-  auto handles = [&io](std::deque<TaskHandle>& waiters) {
-    io.sequence(waiters, [&io](TaskHandle& task) { io.i32(task); });
-  };
+  bool waiters = false;
   io.sequence(queues_, [&](Queue& queue) {
     io.boolean(queue.used);
     io.usize(queue.cap);
@@ -105,9 +73,15 @@ Status QueueSet::state(snap::Io& io) {
         io.u32(word);
       }
     });
-    handles(queue.waiters_send);
-    handles(queue.waiters_recv);
+    for (int list = 0; list < 2; ++list) {  // send, then receive waiters
+      std::uint32_t count = 0;
+      io.u32(count);
+      waiters = waiters || count != 0;
+    }
   });
+  if (waiters) {
+    return make_error(Err::kCorrupt, "queue snapshot lists blocked waiters");
+  }
   return Status::ok();
 }
 

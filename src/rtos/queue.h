@@ -2,9 +2,9 @@
 // requirement (6) of [24] as cited in paper §4).
 //
 // Queues carry fixed-size items (4 words, matching the register-passed IPC
-// message size).  Send/receive never block inside this module — blocking is
-// a scheduler decision; the kernel (src/core) blocks the calling task when
-// a queue op returns kWouldBlock and retries on wake.
+// message size).  Send and receive never block: the kernel's queue syscall
+// (src/core) returns kSysErr to the calling task when the queue is full or
+// empty, and the task polls again.
 #pragma once
 
 #include <array>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "rtos/task.h"
 #include "snap/snapshot.h"
 
 namespace tytan::rtos {
@@ -38,24 +37,17 @@ class QueueSet {
   [[nodiscard]] Result<std::size_t> depth(QueueHandle handle) const;
   [[nodiscard]] Result<std::size_t> capacity(QueueHandle handle) const;
 
-  /// Walk every queue (items and waiter lists) for machine snapshots
-  /// (snap::Io).
+  /// Walk every queue for machine snapshots (snap::Io).  Each queue's
+  /// record ends with two waiter counts (send, receive), kept so the KRNL
+  /// wire image does not move; they are always zero because the queue
+  /// syscalls never block, and a load refuses a non-zero one (kCorrupt).
   Status state(snap::Io& io);
-
-  // -- waiter bookkeeping (kernel attaches blocked tasks here) -----------------
-  void add_waiter_send(QueueHandle handle, TaskHandle task);
-  void add_waiter_recv(QueueHandle handle, TaskHandle task);
-  /// Pop one waiting task (FIFO) to wake after a state change; kNoTask if none.
-  TaskHandle pop_waiter_send(QueueHandle handle);
-  TaskHandle pop_waiter_recv(QueueHandle handle);
 
  private:
   struct Queue {
     bool used = false;
     std::size_t cap = 0;
     std::deque<QueueItem> items;
-    std::deque<TaskHandle> waiters_send;
-    std::deque<TaskHandle> waiters_recv;
   };
 
   [[nodiscard]] bool valid(QueueHandle handle) const {

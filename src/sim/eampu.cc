@@ -95,19 +95,6 @@ Status EaMpu::remove_exec_region(std::size_t idx) {
   return Status::ok();
 }
 
-const std::optional<ExecRegion>& EaMpu::exec_region(std::size_t idx) const {
-  TYTAN_CHECK(idx < kNumExecRegions, "execution-region index out of range");
-  return exec_regions_[idx];
-}
-
-std::size_t EaMpu::exec_regions_in_use() const {
-  std::size_t n = 0;
-  for (const auto& region : exec_regions_) {
-    n += region.has_value() ? 1 : 0;
-  }
-  return n;
-}
-
 const ExecRegion* EaMpu::find_exec_region(std::uint32_t addr) const {
   for (const auto& region : exec_regions_) {
     if (region && addr >= region->start && addr - region->start < region->size) {

@@ -100,8 +100,6 @@ class EaMpu {
   // -- execution regions -------------------------------------------------------
   Result<std::size_t> add_exec_region(const ExecRegion& region);
   Status remove_exec_region(std::size_t idx);
-  [[nodiscard]] const std::optional<ExecRegion>& exec_region(std::size_t idx) const;
-  [[nodiscard]] std::size_t exec_regions_in_use() const;
 
   /// Execution region containing `addr`, if any.
   [[nodiscard]] const ExecRegion* find_exec_region(std::uint32_t addr) const;

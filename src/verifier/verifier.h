@@ -106,8 +106,6 @@ class Challenger {
   VerifyOutcome verify(const core::AttestationReport& report,
                        std::string_view expected_release_name);
 
-  [[nodiscard]] std::size_t outstanding() const { return outstanding_.size(); }
-
  private:
   std::uint64_t next_nonce();
 

@@ -574,14 +574,13 @@ std::vector<std::string> valid_obs_artifacts() {
   clock = 20;
   bus.emit(obs::EventKind::kSchedTick, -1, 7);
 
-  obs::TelemetryHub telemetry(/*flight_events=*/4);
-  telemetry.add_rule(std::make_unique<obs::AttestationFailureRule>());
+  obs::TelemetryHub telemetry;
   obs::HealthSnapshot snapshot;
   snapshot.device = 3;
   snapshot.seq = 1;
   snapshot.cycle = 1'000;
   snapshot.attest_failed = 1;
-  telemetry.record(snapshot, &bus);
+  telemetry.record_round({snapshot}, [&bus](std::size_t) { return &bus; });
 
   return {heat.to_jsonl(/*include_host_ns=*/true), spans, telemetry.to_jsonl(),
           obs::export_chrome_trace(bus)};

@@ -124,14 +124,33 @@ TEST(Queue, EmptyReceiveFails) {
   EXPECT_EQ(queues.receive(*q).status().code(), Err::kUnavailable);
 }
 
-TEST(Queue, WaiterBookkeeping) {
+// Queue syscalls never block, so a snapshot's per-queue waiter counts are
+// always zero: one that lists a waiting task is corrupt input.
+TEST(Queue, RestoreRefusesBlockedWaiters) {
   QueueSet queues;
-  auto q = queues.create(1);
-  queues.add_waiter_recv(*q, 7);
-  queues.add_waiter_recv(*q, 9);
-  EXPECT_EQ(queues.pop_waiter_recv(*q), 7);
-  EXPECT_EQ(queues.pop_waiter_recv(*q), 9);
-  EXPECT_EQ(queues.pop_waiter_recv(*q), kNoTask);
+  auto q = queues.create(2);
+  ASSERT_TRUE(queues.send(*q, {1, 2, 3, 4}).is_ok());
+  snap::Writer saved;
+  snap::Io save(saved);
+  ASSERT_TRUE(queues.state(save).is_ok());
+
+  QueueSet copy;
+  snap::Reader clean(saved.buffer());
+  snap::Io load_clean(clean);
+  ASSERT_TRUE(copy.state(load_clean).is_ok());
+  ASSERT_TRUE(clean.finish("queues").is_ok());
+  EXPECT_EQ(*copy.depth(*q), 1u);
+  EXPECT_EQ((*copy.receive(*q))[0], 1u);
+
+  // The walk ends with the queue's receive-waiter count (u32, LE): forge one
+  // waiting task, handle 7.
+  ByteVec forged = saved.buffer();
+  forged[forged.size() - 4] = 1;
+  append_le32(forged, 7);
+  QueueSet restored;
+  snap::Reader reader(forged);
+  snap::Io load(reader);
+  EXPECT_EQ(restored.state(load).code(), Err::kCorrupt);
 }
 
 TEST(Queue, DestroyInvalidatesHandle) {

@@ -18,114 +18,206 @@ HealthSnapshot snap(std::uint32_t device, std::uint64_t seq, std::uint64_t cycle
   return s;
 }
 
+// One device's snapshot through the hub, as a one-device round.
+void record(TelemetryHub& hub, const HealthSnapshot& snapshot,
+            const EventBus* bus = nullptr) {
+  hub.record_round({snapshot}, [bus](std::size_t) { return bus; });
+}
+
+std::vector<std::string> rules_of(const TelemetryHub& hub) {
+  std::vector<std::string> rules;
+  for (const Anomaly& anomaly : hub.anomalies()) {
+    rules.push_back(anomaly.rule);
+  }
+  return rules;
+}
+
 // ----------------------------------------------------------------- the rules
 
-TEST(AnomalyRules, AttestationFailureTripsOnDelta) {
-  AttestationFailureRule rule;
-  HealthSnapshot a = snap(1, 1, 1000);
-  EXPECT_FALSE(rule.check(a, nullptr, {}).has_value());
-  a.attest_failed = 1;
-  // First snapshot with a failure trips even without a predecessor.
-  EXPECT_TRUE(rule.check(a, nullptr, {}).has_value());
+TEST(TelemetryRules, AttestationFailureTripsOnDelta) {
+  TelemetryHub hub;
+  record(hub, snap(1, 1, 1000));
+  EXPECT_TRUE(hub.anomalies().empty());
   HealthSnapshot b = snap(1, 2, 2000);
   b.attest_failed = 1;
-  // No new failures since prev => quiet.
-  EXPECT_FALSE(rule.check(b, &a, {}).has_value());
-  b.attest_failed = 2;
-  EXPECT_TRUE(rule.check(b, &a, {}).has_value());
+  record(hub, b);
+  HealthSnapshot c = snap(1, 3, 3000);
+  c.attest_failed = 1;  // no new failures since the previous snapshot
+  record(hub, c);
+  c = snap(1, 4, 4000);
+  c.attest_failed = 3;
+  record(hub, c);
+  // A device's first snapshot counts failures since boot.
+  HealthSnapshot first = snap(2, 1, 1000);
+  first.attest_failed = 1;
+  record(hub, first);
+
+  const auto anomalies = hub.anomalies();
+  ASSERT_EQ(anomalies.size(), 3u);
+  EXPECT_EQ(anomalies[0].rule, "attestation-failure");
+  EXPECT_EQ(anomalies[0].device, 1u);
+  EXPECT_EQ(anomalies[0].seq, 2u);
+  EXPECT_EQ(anomalies[0].cycle, 2000u);
+  EXPECT_EQ(anomalies[0].message, "1 attestation failure(s), 1 total");
+  EXPECT_EQ(anomalies[1].seq, 4u);
+  EXPECT_EQ(anomalies[1].message, "2 attestation failure(s), 3 total");
+  EXPECT_EQ(anomalies[2].device, 2u);
+  EXPECT_TRUE(anomalies[0].flight.empty());  // no bus, no flight dump
 }
 
-TEST(AnomalyRules, FaultSpikeComparesAgainstPeerBaseline) {
-  FaultSpikeRule rule(/*min_delta=*/1, /*factor=*/4.0);
-  FleetBaseline baseline;
-  baseline.devices = 8;
-  baseline.mean_fault_delta = 0.5;
-  HealthSnapshot a = snap(2, 1, 1000);
-  a.faults = 10;
-  // First snapshot: faults since boot, against near-quiet peers — trips.
-  EXPECT_TRUE(rule.check(a, nullptr, baseline).has_value());
-  HealthSnapshot b = snap(2, 2, 2000);
-  b.faults = 11;  // delta 1, peer mean (4-1)/7 — within 4x
-  EXPECT_FALSE(rule.check(b, &a, baseline).has_value());
-  b.faults = 14;  // delta 4 while the peers were quiet
-  EXPECT_TRUE(rule.check(b, &a, baseline).has_value());
-  // A fleet-wide fault wave is not a per-device anomaly: with every device
-  // averaging 4 faults this round, peer mean stays 4 and delta 4 <= 16.
-  baseline.mean_fault_delta = 4.0;
-  EXPECT_FALSE(rule.check(b, &a, baseline).has_value());
+TEST(TelemetryRules, FaultSpikeComparesAgainstPeerBaseline) {
+  TelemetryHub hub;
+  std::vector<HealthSnapshot> round;
+  for (std::uint32_t d = 0; d < 8; ++d) {
+    round.push_back(snap(d, 0, 0));
+  }
+  // Each round: device 2 adds `spike` faults, every other device `peer`.
+  auto advance = [&](std::uint64_t spike, std::uint64_t peer) {
+    for (HealthSnapshot& s : round) {
+      s.seq += 1;
+      s.cycle += 1000;
+      s.faults += s.device == 2 ? spike : peer;
+    }
+    const std::size_t before = hub.anomalies().size();
+    hub.record_round(round, nullptr);
+    return hub.anomalies().size() - before;
+  };
+  EXPECT_EQ(advance(0, 0), 0u);  // below kFaultSpikeMin
+  EXPECT_EQ(advance(1, 0), 1u);  // one fault while the peers were quiet
+  EXPECT_EQ(hub.anomalies().back().message, "1 fault(s) this round vs peer mean 0");
+  EXPECT_EQ(advance(4, 1), 0u);  // exactly kFaultSpikeFactor x the peer mean
+  EXPECT_EQ(advance(5, 1), 1u);  // just above it
+  const Anomaly spike = hub.anomalies().back();
+  EXPECT_EQ(spike.rule, "fault-spike");
+  EXPECT_EQ(spike.device, 2u);
+  EXPECT_EQ(spike.seq, 4u);
+  EXPECT_EQ(spike.message, "5 fault(s) this round vs peer mean 1");
+  // A lone device is its own baseline: one-device rounds never spike.
+  TelemetryHub lone;
+  HealthSnapshot s = snap(9, 1, 1000);
+  s.faults = 50;
+  record(lone, s);
+  EXPECT_TRUE(lone.anomalies().empty());
 }
 
-TEST(AnomalyRules, StalledDeviceLatchesOnceAndRearms) {
-  StalledDeviceRule rule(/*snapshots=*/2);
-  HealthSnapshot prev = snap(3, 1, 5000);
-  HealthSnapshot cur = snap(3, 2, 5000);  // no progress #1
-  EXPECT_FALSE(rule.check(cur, &prev, {}).has_value());
-  HealthSnapshot cur2 = snap(3, 3, 5000);  // no progress #2 => fire
-  EXPECT_TRUE(rule.check(cur2, &cur, {}).has_value());
-  HealthSnapshot cur3 = snap(3, 4, 5000);  // still stalled — latched, quiet
-  EXPECT_FALSE(rule.check(cur3, &cur2, {}).has_value());
-  HealthSnapshot moved = snap(3, 5, 6000);  // progress re-arms the watchdog
-  EXPECT_FALSE(rule.check(moved, &cur3, {}).has_value());
-  HealthSnapshot stall1 = snap(3, 6, 6000);
-  HealthSnapshot stall2 = snap(3, 7, 6000);
-  EXPECT_FALSE(rule.check(stall1, &moved, {}).has_value());
-  EXPECT_TRUE(rule.check(stall2, &stall1, {}).has_value());
+TEST(TelemetryRules, StalledDeviceLatchesOnceAndRearms) {
+  TelemetryHub hub;
+  record(hub, snap(3, 1, 5000));  // a first snapshot never counts as a stall
+  record(hub, snap(3, 2, 5000));  // no progress #1
+  record(hub, snap(3, 3, 5000));  // no progress #2 — one short of the threshold
+  EXPECT_TRUE(hub.anomalies().empty());
+  record(hub, snap(3, 4, 5000));  // no progress #3 => fire
+  ASSERT_EQ(hub.anomalies().size(), 1u);
+  EXPECT_EQ(hub.anomalies()[0].rule, "stalled-device");
+  EXPECT_EQ(hub.anomalies()[0].seq, 4u);
+  EXPECT_EQ(hub.anomalies()[0].message, "no cycle progress for 3 consecutive snapshots");
+  record(hub, snap(3, 5, 5000));  // still stalled — latched, quiet
+  record(hub, snap(3, 6, 6000));  // progress re-arms the watchdog
+  record(hub, snap(3, 7, 6000));
+  record(hub, snap(3, 8, 6000));
+  EXPECT_EQ(hub.anomalies().size(), 1u);
+  HealthSnapshot halted = snap(3, 9, 6000);
+  halted.halted = true;
+  record(hub, halted);
+  ASSERT_EQ(hub.anomalies().size(), 2u);
+  EXPECT_EQ(hub.anomalies()[1].seq, 9u);
+  EXPECT_EQ(hub.anomalies()[1].message,
+            "no cycle progress for 3 consecutive snapshots (machine halted)");
 }
 
-TEST(AnomalyRules, EventDropThreshold) {
-  EventDropRule rule(/*min_delta=*/2);
-  HealthSnapshot a = snap(4, 1, 1000);
-  a.events_dropped = 1;
-  EXPECT_FALSE(rule.check(a, nullptr, {}).has_value());  // delta 1 < 2
-  HealthSnapshot b = snap(4, 2, 2000);
-  b.events_dropped = 3;
-  EXPECT_TRUE(rule.check(b, &a, {}).has_value());  // delta 2
+TEST(TelemetryRules, EventDropThreshold) {
+  TelemetryHub hub;
+  record(hub, snap(4, 1, 1000));
+  record(hub, snap(4, 2, 2000));  // delta 0 < kEventDropMin
+  EXPECT_TRUE(hub.anomalies().empty());
+  HealthSnapshot c = snap(4, 3, 3000);
+  c.events_dropped = 1;  // delta 1 == kEventDropMin
+  record(hub, c);
+  HealthSnapshot d = snap(4, 4, 4000);
+  d.events_dropped = 1;
+  record(hub, d);
+  ASSERT_EQ(hub.anomalies().size(), 1u);
+  EXPECT_EQ(hub.anomalies()[0].rule, "event-drop");
+  EXPECT_EQ(hub.anomalies()[0].message,
+            "1 event(s) evicted from the trace ring this round, 1 total");
+}
+
+TEST(TelemetryRules, RulesTripInFixedOrder) {
+  TelemetryHub hub;
+  // Device 0 stalls while device 1 runs; on the third stalled round device 0
+  // also fails attestation, faults and drops an event.
+  std::vector<HealthSnapshot> round{snap(0, 1, 1000), snap(1, 1, 1000)};
+  hub.record_round(round, nullptr);
+  for (std::uint64_t seq = 2; seq <= 4; ++seq) {
+    round[0].seq = round[1].seq = seq;
+    round[1].cycle += 1000;
+    if (seq == 4) {
+      round[0].attest_failed = 1;
+      round[0].faults = 2;
+      round[0].events_dropped = 5;
+    }
+    hub.record_round(round, nullptr);
+  }
+  EXPECT_EQ(rules_of(hub), (std::vector<std::string>{"attestation-failure", "fault-spike",
+                                                     "stalled-device", "event-drop"}));
+  for (const Anomaly& anomaly : hub.anomalies()) {
+    EXPECT_EQ(anomaly.device, 0u);
+    EXPECT_EQ(anomaly.seq, 4u);
+  }
+  // Record order: the snapshot, then its anomalies, then the next device.
+  const std::string jsonl = hub.to_jsonl();
+  const auto d0 = jsonl.rfind(R"({"type":"snapshot","device":0,"seq":4)");
+  const auto d1 = jsonl.rfind(R"({"type":"snapshot","device":1,"seq":4)");
+  const auto first = jsonl.find(R"("type":"anomaly")");
+  ASSERT_NE(d0, std::string::npos);
+  ASSERT_NE(d1, std::string::npos);
+  EXPECT_LT(d0, first);
+  EXPECT_LT(first, d1);
 }
 
 // ------------------------------------------------------------- TelemetryHub
 
 TEST(TelemetryHub, RecordsHistoryAndLatest) {
   TelemetryHub hub;
-  hub.record(snap(1, 1, 1000), nullptr);
-  hub.record(snap(2, 1, 1100), nullptr);
-  hub.record(snap(1, 2, 2000), nullptr);
+  record(hub, snap(1, 1, 1000));
+  record(hub, snap(2, 1, 1100));
+  record(hub, snap(1, 2, 2000));
   EXPECT_EQ(hub.snapshots().size(), 3u);
   const auto latest = hub.latest();
   ASSERT_EQ(latest.size(), 2u);
   EXPECT_EQ(latest.at(1).cycle, 2000u);
   EXPECT_EQ(latest.at(2).cycle, 1100u);
-  EXPECT_TRUE(hub.anomalies().empty());  // no rules installed
+  EXPECT_TRUE(hub.anomalies().empty());  // healthy snapshots trip nothing
 }
 
-TEST(TelemetryHub, FlightRecorderCapturesLastNEvents) {
+TEST(TelemetryHub, FlightRecorderKeepsTheLastEvents) {
   std::uint64_t clock = 0;
   EventBus bus(/*capacity=*/256);
   bus.set_clock(&clock);
   bus.enable();
-  for (std::uint32_t i = 0; i < 10; ++i) {
+  constexpr std::uint32_t kEmitted = TelemetryHub::kFlightEvents + 8;
+  for (std::uint32_t i = 0; i < kEmitted; ++i) {
     clock = 100 + i;
     bus.emit(EventKind::kSchedTick, /*task=*/-1, /*a=*/i);
   }
 
-  TelemetryHub hub(/*flight_events=*/4);
-  hub.add_rule(std::make_unique<AttestationFailureRule>());
-  HealthSnapshot bad = snap(7, 1, 110);
+  TelemetryHub hub;
+  HealthSnapshot bad = snap(7, 1, 140);
   bad.attest_failed = 1;
-  hub.record(bad, &bus);
+  record(hub, bad, &bus);
 
   const auto anomalies = hub.anomalies();
   ASSERT_EQ(anomalies.size(), 1u);
   EXPECT_EQ(anomalies[0].device, 7u);
   EXPECT_EQ(anomalies[0].rule, "attestation-failure");
-  ASSERT_EQ(anomalies[0].flight.size(), 4u);  // last 4 of the 10 emitted
-  EXPECT_EQ(anomalies[0].flight.front().a, 6u);
-  EXPECT_EQ(anomalies[0].flight.back().a, 9u);
-  EXPECT_EQ(anomalies[0].flight.back().cycle, 109u);
+  ASSERT_EQ(anomalies[0].flight.size(), 32u);  // the last 32 of the 40 emitted
+  EXPECT_EQ(anomalies[0].flight.front().a, 8u);
+  EXPECT_EQ(anomalies[0].flight.back().a, kEmitted - 1);
+  EXPECT_EQ(anomalies[0].flight.back().cycle, 100u + kEmitted - 1);
 }
 
 TEST(TelemetryHub, RoundBaselineSuppressesFleetWideFaults) {
   TelemetryHub hub;
-  hub.add_rule(std::make_unique<FaultSpikeRule>(1, 4.0));
   auto round_of = [](std::uint64_t seq, std::uint64_t faults_everywhere,
                      std::uint64_t spike_on_0) {
     std::vector<HealthSnapshot> round;
@@ -155,19 +247,18 @@ TEST(TelemetryJsonl, RoundTripsSnapshotsAndAnomalies) {
   bus.enable();
   bus.emit(EventKind::kFault, /*task=*/3, /*a=*/7, /*b=*/9);
 
-  TelemetryHub hub(/*flight_events=*/8);
-  hub.install_default_rules();
+  TelemetryHub hub;
   HealthSnapshot healthy = snap(1, 1, 5000);
   healthy.syscalls = 12;
   healthy.ipc_delivered = 3;
   healthy.attest_total = 1;
   healthy.attest_verified = 1;
-  hub.record(healthy, &bus);
+  record(hub, healthy, &bus);
   HealthSnapshot failing = snap(2, 1, 5100);
   failing.attest_total = 1;
   failing.attest_failed = 1;
   failing.halted = true;
-  hub.record(failing, &bus);
+  record(hub, failing, &bus);
 
   const std::string jsonl = hub.to_jsonl();
   auto log = parse_telemetry_jsonl(jsonl);
