@@ -18,40 +18,33 @@ Flow instruction_flow(const isa::Instruction& instr, std::uint32_t offset,
   const auto relative = [&] {
     return static_cast<std::int64_t>(offset) + isa::kInstrSize + instr.simm();
   };
-  switch (instr.opcode) {
-    case isa::Opcode::kJmp:
+  switch (isa::opcode_info(instr.opcode).flow) {
+    case isa::FlowClass::kNext:
+      break;
+    case isa::FlowClass::kCondBranch:
+      flow.target = relative();
+      break;
+    case isa::FlowClass::kJump:
       flow.target = relative();
       flow.falls_through = false;
       break;
-    case isa::Opcode::kJz:
-    case isa::Opcode::kJnz:
-    case isa::Opcode::kJlt:
-    case isa::Opcode::kJge:
-    case isa::Opcode::kJc:
-    case isa::Opcode::kJnc:
-      flow.target = relative();
-      break;
-    case isa::Opcode::kCall:
+    case isa::FlowClass::kCall:
       flow.target = relative();
       flow.is_call = true;
       break;
-    case isa::Opcode::kJmpr:
+    case isa::FlowClass::kJumpReg:
       flow.indirect = true;
       flow.falls_through = false;
       break;
-    case isa::Opcode::kCallr:
+    case isa::FlowClass::kCallReg:
       flow.indirect = true;
       flow.is_call = true;
       break;
-    case isa::Opcode::kRet:
-    case isa::Opcode::kIret:
-    case isa::Opcode::kHlt:
-      flow.falls_through = false;
-      break;
-    case isa::Opcode::kInt:
+    case isa::FlowClass::kInt:
       flow.falls_through = !terminal_int;
       break;
-    default:
+    case isa::FlowClass::kStop:
+      flow.falls_through = false;
       break;
   }
   return flow;

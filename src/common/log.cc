@@ -42,13 +42,4 @@ LogContext& process_log_context() {
   return context;
 }
 
-void set_log_level(LogLevel level) { process_log_context().set_level(level); }
-LogLevel log_level() { return process_log_context().level(); }
-LogSink set_log_sink(LogSink sink) {
-  return process_log_context().set_sink(std::move(sink));
-}
-void log_line(LogLevel level, std::string_view tag, std::string_view message) {
-  process_log_context().line(level, tag, message);
-}
-
 }  // namespace tytan

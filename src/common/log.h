@@ -1,11 +1,11 @@
-// Tiny leveled logger.  Off by default so tests and benches stay quiet;
-// examples turn on kInfo to narrate the simulated platform.
+// Tiny leveled logger.  Off by default, so tests, benches and examples stay
+// quiet unless they raise a context's level.
 //
 // Log state lives in a LogContext so that N simulated platforms in one
 // process (the fleet runner) can each have their own level and sink without
 // sharing any mutable state — a LogContext is only ever driven by the thread
 // that drives its platform.  CLIs and tests that care about one platform use
-// the process-default context through the legacy free functions.
+// process_log_context().
 #pragma once
 
 #include <functional>
@@ -48,12 +48,6 @@ class LogContext {
 /// scope.  Platform-owned components log through their machine's context.
 LogContext& process_log_context();
 
-/// Legacy free functions; all forward to process_log_context().
-void set_log_level(LogLevel level);
-LogLevel log_level();
-LogSink set_log_sink(LogSink sink);
-void log_line(LogLevel level, std::string_view tag, std::string_view message);
-
 const char* log_level_name(LogLevel level);
 
 namespace detail {
@@ -75,10 +69,6 @@ class LogStream {
   std::ostringstream os_;
 };
 }  // namespace detail
-
-/// Stream into the process-default context (CLIs, tests).
-#define TYTAN_LOG(level, tag) \
-  ::tytan::detail::LogStream(::tytan::process_log_context(), level, tag)
 
 /// Stream into an explicit LogContext (platform-owned components).
 #define TYTAN_CLOG(context, level, tag) ::tytan::detail::LogStream(context, level, tag)

@@ -43,7 +43,7 @@ Platform::Platform(const Config& config)
   driver_ = std::make_unique<EaMpuDriver>(*machine_, *mpu_);
   rtm_ = std::make_unique<Rtm>(*machine_);
   loader_ = std::make_unique<TaskLoader>(*machine_, *scheduler_, *driver_, *rtm_, *int_mux_);
-  loader_->set_lint(config.lint_mode, config.lint_config);
+  loader_->set_lint(config.lint_mode);
   kernel_ = std::make_unique<Kernel>(*machine_, *scheduler_, *int_mux_);
   storage_ = std::make_unique<SecureStorage>(*machine_, *rtm_);
   attest_ = std::make_unique<RemoteAttest>(*machine_, *rtm_);

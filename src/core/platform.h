@@ -47,9 +47,9 @@ class Platform {
     /// Seed for the deterministic nonce RNG.  Fleet devices need distinct
     /// but reproducible seeds; 0 falls back to the device default.
     std::uint64_t rng_seed = sim::RngDevice::kDefaultSeed;
-    /// Static-verifier gate the loader runs before allocating task memory.
+    /// Static-verifier gate the loader runs, with every analysis pass at
+    /// its defaults, before allocating task memory.
     LintMode lint_mode = LintMode::kWarn;
-    analysis::Config lint_config{};
     /// Log context every component of this platform emits through; nullptr
     /// means the process-default context (single-platform CLIs and tests).
     const LogContext* log = nullptr;
@@ -173,8 +173,7 @@ class Platform {
   Result<std::unique_ptr<Platform>> clone() const;
 
   /// Rebuild a Config from a snapshot's CONF section (replay tooling: a
-  /// compatible platform can be constructed from the snapshot alone).  The
-  /// lint analysis config is not serialized and comes back default.
+  /// compatible platform can be constructed from the snapshot alone).
   static Result<Config> config_from_snapshot(const snap::Snapshot& snapshot,
                                              const LogContext* log = nullptr);
 

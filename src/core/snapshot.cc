@@ -328,8 +328,6 @@ Result<Platform::Config> Platform::config_from_snapshot(
                           std::to_string(sim::kMemSize));
   }
   config.log = log;
-  // The lint analysis config is host tuning, not serialized — it comes back
-  // default (docs/SNAPSHOT.md).
   return config;
 }
 

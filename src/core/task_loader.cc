@@ -213,7 +213,7 @@ bool TaskLoader::quantum_verify() {
   // model (Tables 4/5) is unchanged by the lint gate.
   lint_report_ = analysis::Report{};
   if (lint_mode_ != LintMode::kOff) {
-    lint_report_ = analysis::analyze(job.object, lint_config_);
+    lint_report_ = analysis::analyze(job.object);
     stats_.lint_findings = static_cast<std::uint32_t>(lint_report_.findings.size());
     for (const analysis::Finding& finding : lint_report_.findings) {
       const LogLevel level = finding.severity == analysis::Severity::kError

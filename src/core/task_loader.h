@@ -119,10 +119,7 @@ class TaskLoader {
   void set_ipc_proxy(IpcProxy* proxy) { ipc_proxy_ = proxy; }
 
   /// Configure the pre-load static verifier gate.
-  void set_lint(LintMode mode, analysis::Config config = {}) {
-    lint_mode_ = mode;
-    lint_config_ = std::move(config);
-  }
+  void set_lint(LintMode mode) { lint_mode_ = mode; }
   [[nodiscard]] LintMode lint_mode() const { return lint_mode_; }
   /// Verifier report from the most recent begin_load (empty when kOff).
   [[nodiscard]] const analysis::Report& last_lint() const { return lint_report_; }
@@ -189,7 +186,6 @@ class TaskLoader {
   rtos::TaskHandle last_loaded_ = rtos::kNoTask;  ///< most recently completed load
   CreateStats stats_;
   LintMode lint_mode_ = LintMode::kWarn;
-  analysis::Config lint_config_;
   analysis::Report lint_report_;
   std::vector<QuarantineRecord> quarantine_;
 };

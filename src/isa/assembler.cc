@@ -195,70 +195,17 @@ std::optional<std::string> parse_string_literal(std::string_view tok) {
 // Statement model
 // ---------------------------------------------------------------------------
 
-enum class OperandSig {
-  kNone,        // ret, iret, nop, hlt, cli, sti
-  kRdRa,        // mov/add/...: rd, ra
-  kRdImm,       // movi/addi/...: rd, imm
-  kRd,          // push/pop/rdcyc
-  kRa,          // jmpr/callr
-  kMemLoad,     // ldw/ldb: rd, [ra+imm]
-  kMemStore,    // stw/stb: rd, [ra+imm]
-  kBranch,      // jmp/jz/...: label or numeric displacement
-  kImm,         // int
-};
-
-struct MnemonicInfo {
-  Opcode opcode;
-  OperandSig sig;
-};
-
-const std::map<std::string, MnemonicInfo>& mnemonic_table() {
-  static const std::map<std::string, MnemonicInfo> table = {
-      {"nop", {Opcode::kNop, OperandSig::kNone}},
-      {"mov", {Opcode::kMov, OperandSig::kRdRa}},
-      {"movi", {Opcode::kMovi, OperandSig::kRdImm}},
-      {"moviu", {Opcode::kMoviu, OperandSig::kRdImm}},
-      {"movhi", {Opcode::kMovhi, OperandSig::kRdImm}},
-      {"add", {Opcode::kAdd, OperandSig::kRdRa}},
-      {"addi", {Opcode::kAddi, OperandSig::kRdImm}},
-      {"sub", {Opcode::kSub, OperandSig::kRdRa}},
-      {"subi", {Opcode::kSubi, OperandSig::kRdImm}},
-      {"and", {Opcode::kAnd, OperandSig::kRdRa}},
-      {"andi", {Opcode::kAndi, OperandSig::kRdImm}},
-      {"or", {Opcode::kOr, OperandSig::kRdRa}},
-      {"ori", {Opcode::kOri, OperandSig::kRdImm}},
-      {"xor", {Opcode::kXor, OperandSig::kRdRa}},
-      {"shl", {Opcode::kShl, OperandSig::kRdRa}},
-      {"shli", {Opcode::kShli, OperandSig::kRdImm}},
-      {"shr", {Opcode::kShr, OperandSig::kRdRa}},
-      {"shri", {Opcode::kShri, OperandSig::kRdImm}},
-      {"mul", {Opcode::kMul, OperandSig::kRdRa}},
-      {"cmp", {Opcode::kCmp, OperandSig::kRdRa}},
-      {"cmpi", {Opcode::kCmpi, OperandSig::kRdImm}},
-      {"ldw", {Opcode::kLdw, OperandSig::kMemLoad}},
-      {"stw", {Opcode::kStw, OperandSig::kMemStore}},
-      {"ldb", {Opcode::kLdb, OperandSig::kMemLoad}},
-      {"stb", {Opcode::kStb, OperandSig::kMemStore}},
-      {"jmp", {Opcode::kJmp, OperandSig::kBranch}},
-      {"jz", {Opcode::kJz, OperandSig::kBranch}},
-      {"jnz", {Opcode::kJnz, OperandSig::kBranch}},
-      {"jlt", {Opcode::kJlt, OperandSig::kBranch}},
-      {"jge", {Opcode::kJge, OperandSig::kBranch}},
-      {"jc", {Opcode::kJc, OperandSig::kBranch}},
-      {"jnc", {Opcode::kJnc, OperandSig::kBranch}},
-      {"jmpr", {Opcode::kJmpr, OperandSig::kRa}},
-      {"call", {Opcode::kCall, OperandSig::kBranch}},
-      {"callr", {Opcode::kCallr, OperandSig::kRa}},
-      {"ret", {Opcode::kRet, OperandSig::kNone}},
-      {"push", {Opcode::kPush, OperandSig::kRd}},
-      {"pop", {Opcode::kPop, OperandSig::kRd}},
-      {"int", {Opcode::kInt, OperandSig::kImm}},
-      {"iret", {Opcode::kIret, OperandSig::kNone}},
-      {"hlt", {Opcode::kHlt, OperandSig::kNone}},
-      {"cli", {Opcode::kCli, OperandSig::kNone}},
-      {"sti", {Opcode::kSti, OperandSig::kNone}},
-      {"rdcyc", {Opcode::kRdcyc, OperandSig::kRd}},
-  };
+/// Mnemonic -> opcode, built from the ISA's opcode table.
+const std::map<std::string, Opcode>& opcode_by_mnemonic() {
+  static const auto table = [] {
+    std::map<std::string, Opcode> t;
+    for (unsigned raw = 0; raw < kOpcodeTable.size(); ++raw) {
+      if (const std::string_view name = kOpcodeTable[raw].mnemonic; !name.empty()) {
+        t.emplace(name, static_cast<Opcode>(raw));
+      }
+    }
+    return t;
+  }();
   return table;
 }
 
@@ -363,7 +310,7 @@ class Assembler {
     if (m == "not") {
       return std::uint32_t{2 * kInstrSize};  // pseudo: expands to two instructions
     }
-    if (mnemonic_table().contains(m)) {
+    if (opcode_by_mnemonic().contains(m)) {
       return std::uint32_t{kInstrSize};
     }
     if (m == ".word") {
@@ -428,7 +375,7 @@ class Assembler {
   /// which decode as nop).  layout() and emit() must agree on this.
   static bool is_instruction(const std::string& mnemonic) {
     return mnemonic == "li" || mnemonic == "not" ||
-           mnemonic_table().contains(mnemonic);
+           opcode_by_mnemonic().contains(mnemonic);
   }
 
   Status layout() {
@@ -498,9 +445,9 @@ class Assembler {
 
   void emit_word(std::uint32_t w) { append_le32(object_.image, w); }
 
-  Status emit_instruction(const Statement& st, const MnemonicInfo& info) {
+  Status emit_instruction(const Statement& st, Opcode opcode) {
     Instruction instr;
-    instr.opcode = info.opcode;
+    instr.opcode = opcode;
     const auto& ops = st.operands;
     auto need = [&](std::size_t n) -> Status {
       if (ops.size() != n) {
@@ -509,12 +456,12 @@ class Assembler {
       return Status::ok();
     };
 
-    switch (info.sig) {
-      case OperandSig::kNone: {
+    switch (opcode_info(opcode).form) {
+      case OperandForm::kNone: {
         if (Status s = need(0); !s.is_ok()) return s;
         break;
       }
-      case OperandSig::kRdRa: {
+      case OperandForm::kRdRa: {
         if (Status s = need(2); !s.is_ok()) return s;
         const auto rd = parse_register(ops[0]);
         const auto ra = parse_register(ops[1]);
@@ -523,7 +470,8 @@ class Assembler {
         instr.ra = static_cast<std::uint8_t>(*ra);
         break;
       }
-      case OperandSig::kRdImm: {
+      case OperandForm::kRdSimm:
+      case OperandForm::kRdUimm: {
         if (Status s = need(2); !s.is_ok()) return s;
         const auto rd = parse_register(ops[0]);
         const auto imm = resolve_const(ops[1]);
@@ -535,22 +483,21 @@ class Assembler {
         instr.imm = static_cast<std::uint16_t>(*imm & 0xFFFF);
         break;
       }
-      case OperandSig::kRd: {
+      case OperandForm::kRd: {
         if (Status s = need(1); !s.is_ok()) return s;
         const auto rd = parse_register(ops[0]);
         if (!rd) return error(st.line, "expected register");
         instr.rd = static_cast<std::uint8_t>(*rd);
         break;
       }
-      case OperandSig::kRa: {
+      case OperandForm::kRa: {
         if (Status s = need(1); !s.is_ok()) return s;
         const auto ra = parse_register(ops[0]);
         if (!ra) return error(st.line, "expected register");
         instr.ra = static_cast<std::uint8_t>(*ra);
         break;
       }
-      case OperandSig::kMemLoad:
-      case OperandSig::kMemStore: {
+      case OperandForm::kMem: {
         if (Status s = need(2); !s.is_ok()) return s;
         const auto rd = parse_register(ops[0]);
         const auto mem = parse_mem(ops[1]);
@@ -563,7 +510,7 @@ class Assembler {
         instr.imm = static_cast<std::uint16_t>(mem->disp & 0xFFFF);
         break;
       }
-      case OperandSig::kBranch: {
+      case OperandForm::kBranch: {
         if (Status s = need(1); !s.is_ok()) return s;
         bool is_symbol = false;
         auto value = value_operand(st, ops[0], &is_symbol);
@@ -578,7 +525,7 @@ class Assembler {
         instr.imm = static_cast<std::uint16_t>(disp & 0xFFFF);
         break;
       }
-      case OperandSig::kImm: {
+      case OperandForm::kImm: {
         if (Status s = need(1); !s.is_ok()) return s;
         const auto imm = resolve_const(ops[0]);
         if (!imm || *imm < 0 || *imm > 0xFFFF) {
@@ -742,8 +689,8 @@ class Assembler {
         if (Status s = emit_not(st); !s.is_ok()) return s;
         continue;
       }
-      const auto it = mnemonic_table().find(st.mnemonic);
-      if (it != mnemonic_table().end()) {
+      const auto it = opcode_by_mnemonic().find(st.mnemonic);
+      if (it != opcode_by_mnemonic().end()) {
         if (Status s = emit_instruction(st, it->second); !s.is_ok()) return s;
         continue;
       }

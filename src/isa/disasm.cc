@@ -17,71 +17,36 @@ std::string hex32(std::uint32_t v) {
 std::string disassemble(const Instruction& instr, std::uint32_t pc) {
   std::ostringstream os;
   os << mnemonic(instr.opcode);
-  switch (instr.opcode) {
-    case Opcode::kNop:
-    case Opcode::kRet:
-    case Opcode::kIret:
-    case Opcode::kHlt:
-    case Opcode::kCli:
-    case Opcode::kSti:
+  switch (opcode_info(instr.opcode).form) {
+    case OperandForm::kNone:
       break;
-    case Opcode::kMov:
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShr:
-    case Opcode::kMul:
-    case Opcode::kCmp:
+    case OperandForm::kRdRa:
       os << ' ' << reg(instr.rd) << ", " << reg(instr.ra);
       break;
-    case Opcode::kMovi:
-    case Opcode::kAddi:
-    case Opcode::kSubi:
-    case Opcode::kCmpi:
+    case OperandForm::kRdSimm:
       os << ' ' << reg(instr.rd) << ", " << instr.simm();
       break;
-    case Opcode::kMoviu:
-    case Opcode::kMovhi:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kShli:
-    case Opcode::kShri:
+    case OperandForm::kRdUimm:
       os << ' ' << reg(instr.rd) << ", " << hex32(instr.imm);
       break;
-    case Opcode::kLdw:
-    case Opcode::kLdb:
-    case Opcode::kStw:
-    case Opcode::kStb:
+    case OperandForm::kMem:
       os << ' ' << reg(instr.rd) << ", [" << reg(instr.ra);
       if (instr.simm() != 0) {
         os << (instr.simm() >= 0 ? "+" : "") << instr.simm();
       }
       os << ']';
       break;
-    case Opcode::kJmp:
-    case Opcode::kJz:
-    case Opcode::kJnz:
-    case Opcode::kJlt:
-    case Opcode::kJge:
-    case Opcode::kJc:
-    case Opcode::kJnc:
-    case Opcode::kCall:
+    case OperandForm::kBranch:
       os << ' ' << hex32(static_cast<std::uint32_t>(
                      static_cast<std::int64_t>(pc) + kInstrSize + instr.simm()));
       break;
-    case Opcode::kJmpr:
-    case Opcode::kCallr:
+    case OperandForm::kRa:
       os << ' ' << reg(instr.ra);
       break;
-    case Opcode::kPush:
-    case Opcode::kPop:
-    case Opcode::kRdcyc:
+    case OperandForm::kRd:
       os << ' ' << reg(instr.rd);
       break;
-    case Opcode::kInt:
+    case OperandForm::kImm:
       os << ' ' << hex32(instr.imm);
       break;
   }

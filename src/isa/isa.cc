@@ -8,56 +8,71 @@ std::uint32_t encode(const Instruction& instr) {
          (static_cast<std::uint32_t>(instr.ra & 0xF) << 16) | instr.imm;
 }
 
-bool opcode_valid(std::uint8_t raw) {
-  switch (static_cast<Opcode>(raw)) {
-    case Opcode::kNop:
-    case Opcode::kMov:
-    case Opcode::kMovi:
-    case Opcode::kMoviu:
-    case Opcode::kMovhi:
-    case Opcode::kAdd:
-    case Opcode::kAddi:
-    case Opcode::kSub:
-    case Opcode::kSubi:
-    case Opcode::kAnd:
-    case Opcode::kAndi:
-    case Opcode::kOr:
-    case Opcode::kOri:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShli:
-    case Opcode::kShr:
-    case Opcode::kShri:
-    case Opcode::kMul:
-    case Opcode::kCmp:
-    case Opcode::kCmpi:
-    case Opcode::kLdw:
-    case Opcode::kStw:
-    case Opcode::kLdb:
-    case Opcode::kStb:
-    case Opcode::kJmp:
-    case Opcode::kJz:
-    case Opcode::kJnz:
-    case Opcode::kJlt:
-    case Opcode::kJge:
-    case Opcode::kJc:
-    case Opcode::kJnc:
-    case Opcode::kJmpr:
-    case Opcode::kCall:
-    case Opcode::kCallr:
-    case Opcode::kRet:
-    case Opcode::kPush:
-    case Opcode::kPop:
-    case Opcode::kInt:
-    case Opcode::kIret:
-    case Opcode::kHlt:
-    case Opcode::kCli:
-    case Opcode::kSti:
-    case Opcode::kRdcyc:
-      return true;
-  }
-  return false;
+namespace {
+
+using F = OperandForm;
+using C = FlowClass;
+
+constexpr std::array<OpcodeInfo, 256> make_opcode_table() {
+  std::array<OpcodeInfo, 256> t{};
+  const auto row = [&t](Opcode op, std::string_view mnemonic, OperandForm form,
+                        std::uint8_t cycles, FlowClass flow = C::kNext) {
+    t[static_cast<std::uint8_t>(op)] = {mnemonic, form, cycles, flow};
+  };
+  row(Opcode::kNop, "nop", F::kNone, 1);
+  row(Opcode::kMov, "mov", F::kRdRa, 1);
+  row(Opcode::kMovi, "movi", F::kRdSimm, 1);
+  row(Opcode::kMoviu, "moviu", F::kRdUimm, 1);
+  row(Opcode::kMovhi, "movhi", F::kRdUimm, 1);
+  row(Opcode::kAdd, "add", F::kRdRa, 1);
+  row(Opcode::kAddi, "addi", F::kRdSimm, 1);
+  row(Opcode::kSub, "sub", F::kRdRa, 1);
+  row(Opcode::kSubi, "subi", F::kRdSimm, 1);
+  row(Opcode::kAnd, "and", F::kRdRa, 1);
+  row(Opcode::kAndi, "andi", F::kRdUimm, 1);
+  row(Opcode::kOr, "or", F::kRdRa, 1);
+  row(Opcode::kOri, "ori", F::kRdUimm, 1);
+  row(Opcode::kXor, "xor", F::kRdRa, 1);
+  row(Opcode::kShl, "shl", F::kRdRa, 1);
+  row(Opcode::kShli, "shli", F::kRdUimm, 1);
+  row(Opcode::kShr, "shr", F::kRdRa, 1);
+  row(Opcode::kShri, "shri", F::kRdUimm, 1);
+  row(Opcode::kMul, "mul", F::kRdRa, 3);
+  row(Opcode::kCmp, "cmp", F::kRdRa, 1);
+  row(Opcode::kCmpi, "cmpi", F::kRdSimm, 1);
+  row(Opcode::kLdw, "ldw", F::kMem, 2);
+  row(Opcode::kStw, "stw", F::kMem, 2);
+  row(Opcode::kLdb, "ldb", F::kMem, 2);
+  row(Opcode::kStb, "stb", F::kMem, 2);
+  // Branches cost 1, plus 2 when taken (charged by the machine).
+  row(Opcode::kJmp, "jmp", F::kBranch, 1, C::kJump);
+  row(Opcode::kJz, "jz", F::kBranch, 1, C::kCondBranch);
+  row(Opcode::kJnz, "jnz", F::kBranch, 1, C::kCondBranch);
+  row(Opcode::kJlt, "jlt", F::kBranch, 1, C::kCondBranch);
+  row(Opcode::kJge, "jge", F::kBranch, 1, C::kCondBranch);
+  row(Opcode::kJc, "jc", F::kBranch, 1, C::kCondBranch);
+  row(Opcode::kJnc, "jnc", F::kBranch, 1, C::kCondBranch);
+  row(Opcode::kJmpr, "jmpr", F::kRa, 1, C::kJumpReg);
+  row(Opcode::kCall, "call", F::kBranch, 4, C::kCall);
+  row(Opcode::kCallr, "callr", F::kRa, 4, C::kCallReg);
+  row(Opcode::kRet, "ret", F::kNone, 4, C::kStop);
+  row(Opcode::kPush, "push", F::kRd, 2);
+  row(Opcode::kPop, "pop", F::kRd, 2);
+  row(Opcode::kInt, "int", F::kImm, 12, C::kInt);
+  row(Opcode::kIret, "iret", F::kNone, 12, C::kStop);
+  row(Opcode::kHlt, "hlt", F::kNone, 1, C::kStop);
+  row(Opcode::kCli, "cli", F::kNone, 1);
+  row(Opcode::kSti, "sti", F::kNone, 1);
+  row(Opcode::kRdcyc, "rdcyc", F::kRd, 1);
+  return t;
 }
+
+}  // namespace
+
+// Constant-initialized: reading it costs one load, with no guard.
+constexpr std::array<OpcodeInfo, 256> kOpcodeTable = make_opcode_table();
+
+bool opcode_valid(std::uint8_t raw) { return !kOpcodeTable[raw].mnemonic.empty(); }
 
 std::optional<Instruction> decode(std::uint32_t word) {
   const auto raw = static_cast<std::uint8_t>(word >> 24);
@@ -79,85 +94,10 @@ std::optional<Instruction> decode(std::uint32_t word) {
 }
 
 std::string_view mnemonic(Opcode op) {
-  switch (op) {
-    case Opcode::kNop: return "nop";
-    case Opcode::kMov: return "mov";
-    case Opcode::kMovi: return "movi";
-    case Opcode::kMoviu: return "moviu";
-    case Opcode::kMovhi: return "movhi";
-    case Opcode::kAdd: return "add";
-    case Opcode::kAddi: return "addi";
-    case Opcode::kSub: return "sub";
-    case Opcode::kSubi: return "subi";
-    case Opcode::kAnd: return "and";
-    case Opcode::kAndi: return "andi";
-    case Opcode::kOr: return "or";
-    case Opcode::kOri: return "ori";
-    case Opcode::kXor: return "xor";
-    case Opcode::kShl: return "shl";
-    case Opcode::kShli: return "shli";
-    case Opcode::kShr: return "shr";
-    case Opcode::kShri: return "shri";
-    case Opcode::kMul: return "mul";
-    case Opcode::kCmp: return "cmp";
-    case Opcode::kCmpi: return "cmpi";
-    case Opcode::kLdw: return "ldw";
-    case Opcode::kStw: return "stw";
-    case Opcode::kLdb: return "ldb";
-    case Opcode::kStb: return "stb";
-    case Opcode::kJmp: return "jmp";
-    case Opcode::kJz: return "jz";
-    case Opcode::kJnz: return "jnz";
-    case Opcode::kJlt: return "jlt";
-    case Opcode::kJge: return "jge";
-    case Opcode::kJc: return "jc";
-    case Opcode::kJnc: return "jnc";
-    case Opcode::kJmpr: return "jmpr";
-    case Opcode::kCall: return "call";
-    case Opcode::kCallr: return "callr";
-    case Opcode::kRet: return "ret";
-    case Opcode::kPush: return "push";
-    case Opcode::kPop: return "pop";
-    case Opcode::kInt: return "int";
-    case Opcode::kIret: return "iret";
-    case Opcode::kHlt: return "hlt";
-    case Opcode::kCli: return "cli";
-    case Opcode::kSti: return "sti";
-    case Opcode::kRdcyc: return "rdcyc";
-  }
-  return "?";
+  const std::string_view name = opcode_info(op).mnemonic;
+  return name.empty() ? "?" : name;
 }
 
-unsigned base_cycles(Opcode op) {
-  switch (op) {
-    case Opcode::kMul:
-      return 3;
-    case Opcode::kLdw:
-    case Opcode::kStw:
-    case Opcode::kLdb:
-    case Opcode::kStb:
-    case Opcode::kPush:
-    case Opcode::kPop:
-      return 2;
-    case Opcode::kJmp:
-    case Opcode::kJz:
-    case Opcode::kJnz:
-    case Opcode::kJlt:
-    case Opcode::kJge:
-    case Opcode::kJc:
-    case Opcode::kJnc:
-    case Opcode::kJmpr:
-      return 1;  // +2 when taken, charged by the machine
-    case Opcode::kCall:
-    case Opcode::kCallr:
-    case Opcode::kRet:
-      return 4;
-    case Opcode::kInt:
-    case Opcode::kIret:
-      return 12;
-    default:
-      return 1;
-  }
-}
+unsigned base_cycles(Opcode op) { return opcode_info(op).base_cycles; }
 
 }  // namespace tytan::isa

@@ -91,20 +91,62 @@ struct Instruction {
   friend bool operator==(const Instruction&, const Instruction&) = default;
 };
 
+/// How an instruction's operands are written, in assembly and disassembly.
+enum class OperandForm : std::uint8_t {
+  kNone,    ///< ret
+  kRdRa,    ///< add rd, ra
+  kRdSimm,  ///< addi rd, -4      (imm printed signed)
+  kRdUimm,  ///< ori rd, 0xff     (imm printed as hex)
+  kRd,      ///< push rd
+  kRa,      ///< jmpr ra
+  kMem,     ///< ldw rd, [ra+imm] (loads and stores alike)
+  kBranch,  ///< jz label         (imm is relative to the next instruction)
+  kImm,     ///< int 0x21
+};
+
+/// Where control goes after an instruction executes.
+enum class FlowClass : std::uint8_t {
+  kNext,        ///< the next instruction
+  kCondBranch,  ///< the relative target or the next instruction
+  kJump,        ///< the relative target only
+  kCall,        ///< a call to the relative target, returning to the next
+  kJumpReg,     ///< the address in ra only
+  kCallReg,     ///< a call to the address in ra, returning to the next
+  kInt,         ///< a software interrupt, returning to the next
+  kStop,        ///< no static successor (ret, iret, hlt)
+};
+
+/// One row of the opcode table.  Rows of undefined opcode bytes are
+/// value-initialized: an empty mnemonic marks them.
+struct OpcodeInfo {
+  std::string_view mnemonic;
+  OperandForm form = OperandForm::kNone;
+  /// Base cycle cost (memory-system costs are added by the machine).  These
+  /// model a simple non-pipelined embedded core.
+  std::uint8_t base_cycles = 0;
+  FlowClass flow = FlowClass::kNext;
+};
+
+/// The opcode table (isa.cc), indexed by the raw opcode byte.
+extern const std::array<OpcodeInfo, 256> kOpcodeTable;
+
+inline const OpcodeInfo& opcode_info(Opcode op) {
+  return kOpcodeTable[static_cast<std::uint8_t>(op)];
+}
+
 /// Pack an instruction into its 32-bit encoding.
 std::uint32_t encode(const Instruction& instr);
 
 /// Decode a 32-bit word; nullopt if the opcode is not defined.
 std::optional<Instruction> decode(std::uint32_t word);
 
-/// Mnemonic for an opcode ("ldw", "iret", ...).
+/// Mnemonic for an opcode (ldw, iret, ...); "?" if it is not defined.
 std::string_view mnemonic(Opcode op);
 
 /// True if the opcode is defined in the ISA.
 bool opcode_valid(std::uint8_t raw);
 
-/// Base cycle cost of an instruction (memory-system costs are added by the
-/// machine).  These model a simple non-pipelined embedded core.
+/// Base cycle cost of an instruction (OpcodeInfo::base_cycles).
 unsigned base_cycles(Opcode op);
 
 }  // namespace tytan::isa

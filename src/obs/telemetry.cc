@@ -60,8 +60,9 @@ void TelemetryHub::record_locked(const HealthSnapshot& cur, std::size_t round_de
     // Fleet-wide behavior is not anomalous — but compare against what the
     // *other* devices averaged this round, not a mean this device is part
     // of: one bad device must not be able to hide inside a baseline it
-    // dominates.
-    double peers = mean_fault_delta;
+    // dominates.  A device alone in its round has no peers: it compares
+    // against 0.
+    double peers = 0.0;
     if (round_devices > 1) {
       const double total = mean_fault_delta * static_cast<double>(round_devices);
       peers = std::max(0.0, (total - static_cast<double>(faults)) /

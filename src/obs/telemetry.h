@@ -88,7 +88,8 @@ class TelemetryHub {
   //   attestation-failure  attest_failed advanced;
   //   fault-spike          fault delta >= kFaultSpikeMin and more than
   //                        kFaultSpikeFactor x the round's peer mean (the
-  //                        fleet average excluding the device under test);
+  //                        fleet average excluding the device under test,
+  //                        0 for a device alone in its round);
   //   stalled-device       no cycle progress for kStallSnapshots consecutive
   //                        snapshots; latched, re-armed by progress;
   //   event-drop           EventBus::dropped() advanced by >= kEventDropMin.

@@ -77,7 +77,7 @@ struct VerdictMemo {
 
 /// Per-opcode dispatch table entry (the sixfive-style variant record): the
 /// handler the big interpreter switch is factored into, plus the base cycle
-/// cost so cached dispatch skips the base_cycles() switch.
+/// cost, copied from the ISA's opcode table so dispatch reads one record.
 struct OpVariant {
   void (*exec)(Machine&, const DecodedOp&) = nullptr;
   std::uint8_t base_cycles = 0;

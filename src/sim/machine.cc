@@ -12,8 +12,6 @@
 
 namespace tytan::sim {
 
-using isa::Opcode;
-
 static_assert(obs::HeatProfile::kMpuSlotBuckets == EaMpu::kNumSlots,
               "the heat profile's check buckets mirror the EA-MPU slots");
 static_assert(obs::HeatRecorder::kExecuteKind == static_cast<std::size_t>(Access::kExecute),
@@ -916,24 +914,12 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     op.fetch_bucket = static_cast<std::uint8_t>(obs::HeatProfile::bucket_for(fetch_class));
     op.cached = true;
     const std::uint32_t next = p + isa::kInstrSize;
-    bool terminator = false;
-    switch (op.instr.opcode) {
-      case Opcode::kJmp:
-      case Opcode::kCall:
-      case Opcode::kJmpr:
-      case Opcode::kCallr:
-      case Opcode::kRet:
-      case Opcode::kInt:
-      case Opcode::kIret:
-      case Opcode::kHlt:
-        // EIP never falls through sequentially.  Conditional branches do:
-        // they stay inside the block, and the taken path re-enters through
-        // the cursor-miss lookup.
-        terminator = true;
-        break;
-      default:
-        break;
-    }
+    // Jumps, calls, interrupts and stops end the block: EIP never moves on
+    // sequentially.  Conditional branches do not: they stay inside the
+    // block, and the taken path re-enters through the cursor-miss lookup.
+    const isa::FlowClass flow = isa::opcode_info(op.instr.opcode).flow;
+    const bool terminator =
+        flow != isa::FlowClass::kNext && flow != isa::FlowClass::kCondBranch;
     block.ops.push_back(op);
     p = next;
     if (terminator) {

@@ -286,9 +286,9 @@ struct MachineOps {
 
 const std::array<OpVariant, 256>& op_table() {
   // Built once, thread-safely (magic static): fleet devices share the table
-  // read-only.  base_cycles rides in each variant so cached dispatch skips
-  // the isa::base_cycles switch.  Only register-to-register ops are quiet;
-  // an opcode added later is not until it is listed as such.
+  // read-only.  base_cycles rides in each variant so dispatch reads one
+  // record per op.  Only register-to-register ops are quiet; an opcode
+  // added later is not until it is listed as such.
   static const std::array<OpVariant, 256> table = [] {
     std::array<OpVariant, 256> t{};
     const auto set = [&t](Opcode opc, void (*fn)(Machine&, const DecodedOp&),

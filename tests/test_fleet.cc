@@ -218,13 +218,14 @@ TEST(Fleet, AggregatedMetricsMatchPerDeviceTotals) {
 
 // Per-device LogContexts keep fleet logging off the process-default context.
 TEST(Fleet, LogIsolation) {
+  LogContext& process = process_log_context();
   std::vector<std::string> process_lines;
-  LogSink previous = set_log_sink(
+  LogSink previous = process.set_sink(
       [&](LogLevel, std::string_view, std::string_view msg) {
         process_lines.emplace_back(msg);
       });
-  const LogLevel previous_level = log_level();
-  set_log_level(LogLevel::kTrace);
+  const LogLevel previous_level = process.level();
+  process.set_level(LogLevel::kTrace);
 
   Fleet fleet(small_workload(2, 2).fleet);
   std::vector<std::string> device_lines[2];
@@ -237,8 +238,8 @@ TEST(Fleet, LogIsolation) {
   }
   ASSERT_TRUE(run_verifier_workload(fleet, small_workload(2, 2)).all_verified());
 
-  set_log_level(previous_level);
-  set_log_sink(std::move(previous));
+  process.set_level(previous_level);
+  process.set_sink(std::move(previous));
   // Everything the platforms logged landed in their own contexts.
   EXPECT_TRUE(process_lines.empty());
   // Identical devices log identical streams — and they logged something.

@@ -632,18 +632,19 @@ TEST(Tracer, EntriesCarryTaskAndMpuVerdict) {
 }
 
 TEST(Log, SinkCapturesLinesAndRestores) {
-  const LogLevel old_level = log_level();
-  set_log_level(LogLevel::kInfo);
+  LogContext& context = process_log_context();
+  const LogLevel old_level = context.level();
+  context.set_level(LogLevel::kInfo);
   std::vector<std::string> lines;
-  LogSink previous = set_log_sink(
+  LogSink previous = context.set_sink(
       [&](LogLevel level, std::string_view tag, std::string_view message) {
         lines.push_back(std::string(log_level_name(level)) + " " + std::string(tag) +
                         ": " + std::string(message));
       });
-  log_line(LogLevel::kInfo, "obs", "hello");
-  log_line(LogLevel::kDebug, "obs", "filtered");  // below threshold
-  set_log_sink(std::move(previous));
-  set_log_level(old_level);
+  context.line(LogLevel::kInfo, "obs", "hello");
+  context.line(LogLevel::kDebug, "obs", "filtered");  // below threshold
+  context.set_sink(std::move(previous));
+  context.set_level(old_level);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "INFO obs: hello");
 }

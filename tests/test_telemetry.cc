@@ -92,12 +92,17 @@ TEST(TelemetryRules, FaultSpikeComparesAgainstPeerBaseline) {
   EXPECT_EQ(spike.device, 2u);
   EXPECT_EQ(spike.seq, 4u);
   EXPECT_EQ(spike.message, "5 fault(s) this round vs peer mean 1");
-  // A lone device is its own baseline: one-device rounds never spike.
-  TelemetryHub lone;
+}
+
+TEST(TelemetryRules, FaultSpikeTripsOnALoneDevice) {
+  // A device alone in its round has no peers to hide behind: its baseline
+  // is 0, not its own fault delta.
+  TelemetryHub hub;
   HealthSnapshot s = snap(9, 1, 1000);
   s.faults = 50;
-  record(lone, s);
-  EXPECT_TRUE(lone.anomalies().empty());
+  record(hub, s);
+  ASSERT_EQ(rules_of(hub), std::vector<std::string>{"fault-spike"});
+  EXPECT_EQ(hub.anomalies().back().message, "50 fault(s) this round vs peer mean 0");
 }
 
 TEST(TelemetryRules, StalledDeviceLatchesOnceAndRearms) {
