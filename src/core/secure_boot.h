@@ -6,7 +6,11 @@
 //
 // The boot ROM model here:
 //   1. writes each component's firmware image into its window,
-//   2. verifies every image against the manufacturer manifest (SHA-1),
+//   2. verifies every window against the manufacturer manifest (SHA-1).  A
+//      window equal byte for byte to its component's image takes the
+//      image's digest, computed once per process; any other window is
+//      hashed.  Either way it verifies exactly when SHA-1(window) equals
+//      the manifest's expected digest,
 //   3. installs the IDT (all vectors route through the Int Mux) and locks it,
 //   4. installs the execution regions of the firmware windows and the static
 //      EA-MPU rule matrix,
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -27,20 +32,36 @@
 
 namespace tytan::core {
 
+/// A firmware image and its SHA-1, fixed at construction.  The default
+/// manifest keeps one per component for the life of the process; boots only
+/// read it, from any thread.
+struct FirmwareImage {
+  explicit FirmwareImage(ByteVec image)
+      : bytes(std::move(image)), digest(crypto::Sha1::hash(bytes)) {}
+
+  const ByteVec bytes;
+  const crypto::Sha1Digest digest;  ///< always Sha1::hash(bytes)
+};
+
 /// One trusted software component in the boot manifest.
 struct BootComponent {
   std::string name;
   std::uint32_t window = 0;     ///< firmware window base (execution identity)
   std::uint32_t footprint = 0;  ///< modeled code+data size in bytes (Table 8)
   crypto::Sha1Digest expected{};
+  /// The bytes load_images writes; verify_and_lock reuses their digest for
+  /// a window that still holds exactly these bytes, never `expected`.
+  /// Required: every component of a manifest carries its image.
+  const FirmwareImage* image = nullptr;
 };
 
 /// FreeRTOS baseline OS image size measured by the paper (Table 8).
 inline constexpr std::uint32_t kFreeRtosFootprint = 215'617;
 
 /// The TyTAN components and their modeled footprints (sum = 34,326 bytes,
-/// the paper's measured TyTAN-over-FreeRTOS overhead).  Built on first use
-/// and shared by every boot in the process.
+/// the paper's measured TyTAN-over-FreeRTOS overhead).  Built on first use,
+/// with each component's image and `expected` = the image's digest, and
+/// shared by every boot in the process.
 const std::vector<BootComponent>& default_manifest();
 
 struct BootReport {
@@ -68,8 +89,8 @@ class SecureBootRom {
   /// the machine halted (a bricked device is safer than an untrusted one).
   Result<BootReport> verify_and_lock(const std::vector<BootComponent>& manifest);
 
-  /// Deterministic image bytes for a component (also used to compute the
-  /// manufacturer manifest digests).
+  /// Deterministic image bytes for a component, generated from its name
+  /// (default_manifest builds each component's image from these once).
   static ByteVec image_bytes(const BootComponent& component, std::uint32_t max_len);
 
  private:

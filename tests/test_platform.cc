@@ -2,12 +2,42 @@
 // guest execution under the booted policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <thread>
+
 #include "core/platform.h"
 
 namespace tytan {
 namespace {
 
 using core::Platform;
+
+// First in the file, so a `SecureBoot.*` run builds the shared manifest and
+// its image records under eight concurrent boots (the TSan job runs it so).
+TEST(SecureBoot, ParallelBootsShareImages) {
+  constexpr std::size_t kBoots = 8;
+  std::array<std::uint64_t, kBoots> digests{};
+  std::array<bool, kBoots> booted{};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kBoots; ++i) {
+    threads.emplace_back([i, &digests, &booted] {
+      Platform platform;
+      const auto report = platform.boot();
+      booted[i] = report.is_ok() && report->ok;
+      const auto snapshot = platform.save();
+      digests[i] = snapshot.is_ok() ? snapshot->digest() : 0;
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t i = 0; i < kBoots; ++i) {
+    EXPECT_TRUE(booted[i]) << "boot " << i;
+    EXPECT_NE(digests[i], 0u) << "boot " << i;
+    EXPECT_EQ(digests[i], digests[0]) << "boot " << i;
+  }
+}
 
 TEST(SecureBoot, BootSucceedsAndReportsComponents) {
   Platform platform;
@@ -44,16 +74,62 @@ TEST(SecureBoot, TamperedFirmwareFailsVerification) {
   EXPECT_TRUE(machine.halted());
 }
 
+TEST(SecureBoot, EditedExpectedDigestFailsOnPristineWindow) {
+  // A window that matches its image record byte for byte takes the record's
+  // digest, never the manifest's `expected`: a manifest whose expectation
+  // differs from the loaded image must still refuse it.
+  Platform platform;
+  auto& machine = platform.machine();
+  core::SecureBootRom rom(machine, platform.mpu());
+  auto manifest = core::default_manifest();
+  rom.load_images(manifest);
+  manifest[2].expected[7] ^= 0x10;
+  auto report = rom.verify_and_lock(manifest);
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_FALSE(report->ok);
+  EXPECT_FALSE(report->components[2].verified);
+  EXPECT_TRUE(report->components[1].verified);
+  EXPECT_TRUE(machine.halted());
+}
+
+TEST(SecureBoot, TamperedLastFootprintByteFailsVerification) {
+  // The byte compare covers the whole footprint, up to its last byte.
+  Platform platform;
+  auto& machine = platform.machine();
+  core::SecureBootRom rom(machine, platform.mpu());
+  const auto& manifest = core::default_manifest();
+  rom.load_images(manifest);
+  const core::BootComponent& rtm = manifest[4];
+  ASSERT_EQ(rtm.window, sim::kFwRtm);
+  const std::uint32_t last = rtm.window + rtm.footprint - 1;
+  machine.memory().write8(last, machine.memory().read8(last) ^ 0x80);
+  auto report = rom.verify_and_lock(manifest);
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_FALSE(report->ok);
+  EXPECT_FALSE(report->components[4].verified);
+  EXPECT_TRUE(machine.halted());
+}
+
 TEST(SecureBoot, DefaultManifestMatchesFreshDigests) {
   // The manifest is built once per process; every digest must still be the
   // SHA-1 of the image the boot ROM writes, and repeated calls share it.
+  // Each image record's digest is the SHA-1 of its bytes and of the window
+  // those bytes fill on a booted platform.
   const std::vector<core::BootComponent>& manifest = core::default_manifest();
   EXPECT_EQ(&manifest, &core::default_manifest());
   ASSERT_EQ(manifest.size(), 7u);
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
   for (const core::BootComponent& component : manifest) {
-    EXPECT_EQ(component.expected, crypto::Sha1::hash(core::SecureBootRom::image_bytes(
-                                      component, sim::kFwWindowSize)))
+    const ByteVec fresh = core::SecureBootRom::image_bytes(component, sim::kFwWindowSize);
+    EXPECT_EQ(component.expected, crypto::Sha1::hash(fresh)) << component.name;
+    ASSERT_NE(component.image, nullptr) << component.name;
+    EXPECT_EQ(component.image->bytes, fresh) << component.name;
+    EXPECT_EQ(component.image->digest, crypto::Sha1::hash(component.image->bytes))
         << component.name;
+    const auto window = platform.machine().memory().view(
+        component.window, std::min(component.footprint, sim::kFwWindowSize));
+    EXPECT_EQ(component.image->digest, crypto::Sha1::hash(window)) << component.name;
   }
 }
 
