@@ -1,13 +1,20 @@
 // Flat physical memory of the simulated platform.
 //
+// The image lives in one anonymous private mapping that the kernel fills with
+// zeros a page at a time on first touch, so a device pays (in time and in
+// resident memory) only for the pages its guest, firmware and loader actually
+// write.  One inaccessible page follows the image's last page, so an overrun
+// that escapes the bounds checks below faults instead of reaching other memory.
+//
 // Raw accessors perform *no* policy checks and charge *no* cycles; they model
 // what the silicon stores.  All guest and firmware accesses must go through
 // Machine, which layers the EA-MPU and the cycle clock on top.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "common/status.h"
 #include "sim/memory_map.h"
@@ -26,19 +33,23 @@ class WriteWatcher {
 
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(std::uint32_t size = kMemSize)
-      : bytes_(size, 0), dirty_lo_(size), dirty_hi_(0) {}
+  /// Maps `size` zero bytes; no page is touched until it is first accessed.
+  explicit PhysicalMemory(std::uint32_t size = kMemSize);
 
-  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(bytes_.size()); }
+  [[nodiscard]] std::uint32_t size() const { return size_; }
 
   [[nodiscard]] bool in_bounds(std::uint32_t addr, std::uint32_t len) const {
     return addr < size() && len <= size() - addr;
   }
 
-  [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const { return bytes_.at(addr); }
+  [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const {
+    TYTAN_CHECK(addr < size_, "memory read8 out of bounds");
+    return bytes_[addr];
+  }
   [[nodiscard]] std::uint32_t read32(std::uint32_t addr) const;
   void write8(std::uint32_t addr, std::uint8_t v) {
-    bytes_.at(addr) = v;
+    TYTAN_CHECK(addr < size_, "memory write8 out of bounds");
+    bytes_[addr] = v;
     touch(addr, 1);
     notify_watch(addr, 1);
   }
@@ -79,6 +90,16 @@ class PhysicalMemory {
   void clear_write_watch() { set_write_watch(nullptr, 0, 0); }
 
  private:
+  /// Releases the mapping: `length` covers the image pages and the guard.
+  struct Unmap {
+    std::size_t length;
+    void operator()(std::uint8_t* base) const noexcept;
+  };
+  using Image = std::unique_ptr<std::uint8_t[], Unmap>;
+
+  /// Maps the zero-filled image of `size` bytes and its trailing guard page.
+  static Image map_image(std::uint32_t size);
+
   void notify_watch(std::uint32_t addr, std::uint32_t len) {
     if (watcher_ != nullptr && addr < watch_hi_ && addr + len > watch_lo_) {
       watcher_->on_watched_write(addr, len);
@@ -97,7 +118,8 @@ class PhysicalMemory {
     }
   }
 
-  std::vector<std::uint8_t> bytes_;
+  std::uint32_t size_;
+  Image bytes_;
   std::uint32_t dirty_lo_;
   std::uint32_t dirty_hi_;
   WriteWatcher* watcher_ = nullptr;

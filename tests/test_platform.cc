@@ -1,10 +1,15 @@
 // Platform-level tests: secure boot, static protections, and end-to-end
 // guest execution under the booted policy.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/platform.h"
 
@@ -287,6 +292,86 @@ TEST(Platform, NormalTaskRunsUnderOsControl) {
   ASSERT_TRUE(task.is_ok()) << task.status().to_string();
   platform.run_until([&] { return !platform.serial().output().empty(); }, 2'000'000);
   EXPECT_EQ(platform.serial().output(), "n");
+}
+
+// -- Physical memory: zero-fill on demand ------------------------------------
+
+/// Pages the kernel holds resident (mincore) among those `memory`'s image
+/// overlaps.
+std::size_t resident_pages(const sim::PhysicalMemory& memory) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(memory.view(0, memory.size()).data());
+  const std::uintptr_t lo = begin / page * page;
+  const std::uintptr_t hi = (begin + memory.size() + page - 1) / page * page;
+  std::vector<unsigned char> pages((hi - lo) / page);
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(lo), hi - lo, pages.data()), 0);
+  return static_cast<std::size_t>(
+      std::count_if(pages.begin(), pages.end(), [](unsigned char p) { return (p & 1) != 0; }));
+}
+
+TEST(PhysicalMemory, FreshMemoryIsZeroAndNotResident) {
+  sim::PhysicalMemory memory;
+  EXPECT_EQ(resident_pages(memory), 0u);
+  memory.write8(0x12345, 0x5A);
+  EXPECT_EQ(resident_pages(memory), 1u);
+  const std::span<const std::uint8_t> bytes = memory.view(0, memory.size());
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), 0), memory.size() - 1);
+  EXPECT_EQ(memory.read8(0x12345), 0x5A);
+  EXPECT_THROW((void)memory.read8(memory.size()), std::logic_error);
+  EXPECT_THROW(memory.write8(memory.size(), 1), std::logic_error);
+}
+
+TEST(PhysicalMemory, OverrunPastTheImageFaults) {
+  // An access that escapes the bounds checks lands on a guard page.
+  sim::PhysicalMemory memory;
+  const volatile std::uint8_t* end = memory.view(0, memory.size()).data() + memory.size();
+  EXPECT_DEATH((void)*end, "");
+}
+
+// A booted device with one task running has 15 of its 257 image pages
+// resident (4 KB pages).  The bound leaves 9 pages of headroom for firmware
+// and loader layout changes.
+constexpr std::size_t kBootedResidentPages = 24;
+
+TEST(PhysicalMemory, BootedDeviceTouchesFewPages) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto task = platform.load_task_source(R"(
+      .secure
+      .stack 128
+      .entry main
+  main:
+      addi r5, 1
+      movi r0, 1
+      int  0x21
+      jmp  main
+  )", {.name = "resident"});
+  ASSERT_TRUE(task.is_ok()) << task.status().to_string();
+  platform.run_for(300'000);
+  EXPECT_LT(resident_pages(platform.machine().memory()), kBootedResidentPages);
+}
+
+TEST(PhysicalMemory, NewPlatformSeesNoBytesOfADestroyedOne) {
+  // Whatever recycles device memory, a platform's image is its own boot over
+  // zeros: compare against a boot over memory explicitly zeroed first.
+  {
+    Platform old;
+    ASSERT_TRUE(old.boot().is_ok());
+    sim::PhysicalMemory& memory = old.machine().memory();
+    memory.fill(0, memory.size(), 0xA5);
+  }
+  Platform fresh;
+  ASSERT_TRUE(fresh.boot().is_ok());
+  Platform reference;
+  reference.machine().memory().fill(0, reference.machine().memory().size(), 0);
+  ASSERT_TRUE(reference.boot().is_ok());
+  const sim::PhysicalMemory& got = fresh.machine().memory();
+  const sim::PhysicalMemory& want = reference.machine().memory();
+  ASSERT_EQ(got.size(), want.size());
+  const auto a = got.view(0, got.size());
+  const auto b = want.view(0, want.size());
+  const auto [mismatch, _] = std::mismatch(a.begin(), a.end(), b.begin());
+  EXPECT_EQ(mismatch, a.end()) << "first difference at " << (mismatch - a.begin());
 }
 
 }  // namespace
