@@ -23,10 +23,10 @@ Platform::Platform(const Config& config)
   mpu_ = std::make_unique<sim::EaMpu>();
   scheduler_ = std::make_unique<rtos::Scheduler>();
 
-  // Observability wiring: the scheduler feeds the machine's event bus, and
+  // Observability wiring: the scheduler feeds the machine's hub, and
   // the machine learns which task is current so events and tracer entries can
   // be attributed.  No cycles are charged by any of this.
-  scheduler_->set_event_bus(&machine_->obs().bus());
+  scheduler_->set_obs(&machine_->obs());
   machine_->set_task_context(
       [s = scheduler_.get()] { return static_cast<std::int32_t>(s->current_handle()); });
 

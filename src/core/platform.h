@@ -215,14 +215,6 @@ class Platform {
 
   bool booted_ = false;
   BootReport boot_report_;
-
-  // Digest of the last successfully restored snapshot.  When the same
-  // snapshot is restored again (the fork-fuzzing rewind loop), guest memory
-  // outside PhysicalMemory's dirty range already equals the image and is not
-  // rewritten.  Zero means "no fast path" (fresh platform, or the previous
-  // restore failed part-way).
-  std::uint64_t last_restore_digest_ = 0;
-  bool memr_rewind_ = false;
 };
 
 }  // namespace tytan::core

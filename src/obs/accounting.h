@@ -54,7 +54,7 @@ class TaskAccounting {
   }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Feed one event (the Hub wires this as the bus listener).
+  /// Feed one event (Hub::emit feeds every event it records).
   void on_event(const Event& event);
 
   /// Close the open span up to `cycle` (call before reading totals).

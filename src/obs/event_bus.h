@@ -7,13 +7,12 @@
 // is stamped with the exact simulated cycle at which it was emitted.
 //
 // The ring holds the most recent `capacity` events; older ones are dropped
-// (counted in dropped()).  An optional listener observes every event as it is
-// emitted, regardless of ring eviction — the Hub uses this to drive metrics
-// and per-task accounting.
+// (counted in dropped()).  emit() returns the recorded event, so the Hub
+// drives metrics and per-task accounting from every event regardless of ring
+// eviction.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,27 +35,23 @@ class EventBus {
   void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Observer invoked for every emitted event (before ring eviction).
-  void set_listener(std::function<void(const Event&)> listener) {
-    listener_ = std::move(listener);
-  }
-
-  void emit(EventKind kind, std::int32_t task = -1, std::uint32_t a = 0,
-            std::uint32_t b = 0) {
+  /// Stamp and record an event.  Returns the recorded event (valid until the
+  /// next emit), or nullptr while disabled.
+  const Event* emit(EventKind kind, std::int32_t task = -1, std::uint32_t a = 0,
+                    std::uint32_t b = 0) {
     if (!enabled_) {
-      return;
+      return nullptr;
     }
     const Event event{clock_ != nullptr ? *clock_ : 0, kind, task, a, b};
     if (ring_.size() < capacity_) {
       ring_.push_back(event);
-    } else {
-      ring_[head_] = event;
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
+      return &ring_.back();
     }
-    if (listener_) {
-      listener_(event);
-    }
+    Event& slot = ring_[head_];
+    slot = event;
+    head_ = (head_ + 1) % capacity_;
+    ++dropped_;
+    return &slot;
   }
 
   /// Events in emission order (oldest first).
@@ -99,7 +94,6 @@ class EventBus {
   std::uint64_t dropped_ = 0;
   bool enabled_ = false;
   const std::uint64_t* clock_ = nullptr;
-  std::function<void(const Event&)> listener_;
   std::map<std::int32_t, std::string> task_names_;
 };
 

@@ -4,7 +4,11 @@
 
 namespace tytan::obs {
 
-void Hub::update_metrics(const Event& event) {
+void Hub::observe(const Event& event) {
+  accounting_.on_event(event);
+  if (event.kind == EventKind::kFaultInject || event.kind == EventKind::kFaultRecover) {
+    spans_.annotate(event);
+  }
   metrics_.counter("events." + std::string(kind_name(event.kind))).inc();
   switch (event.kind) {
     case EventKind::kCtxSave:

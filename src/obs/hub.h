@@ -18,22 +18,10 @@ namespace tytan::obs {
 
 class Hub {
  public:
-  // The hub listens on its own bus so every emitter — whether it goes through
-  // Hub::emit or holds the EventBus directly (rtos::Scheduler) — drives
-  // metrics and accounting exactly once.  Fault events additionally annotate
-  // the current attestation span, covering every injection site centrally.
   explicit Hub(std::size_t capacity = EventBus::kDefaultCapacity) : bus_(capacity) {
-    bus_.set_listener([this](const Event& event) {
-      accounting_.on_event(event);
-      update_metrics(event);
-      if (event.kind == EventKind::kFaultInject ||
-          event.kind == EventKind::kFaultRecover) {
-        spans_.annotate(event);
-      }
-    });
     spans_.set_on_end([this](const Span& span) { update_span_metrics(span); });
   }
-  // The bus listener and the span callback capture `this`: a Hub stays put.
+  // The span callback captures `this`: a Hub stays put.
   Hub(const Hub&) = delete;
   Hub& operator=(const Hub&) = delete;
   Hub(Hub&&) = delete;
@@ -56,9 +44,13 @@ class Hub {
   }
   [[nodiscard]] bool enabled() const { return bus_.enabled(); }
 
+  /// Every emitter goes through here, so each event drives metrics and
+  /// accounting exactly once, whatever the ring evicts.
   void emit(EventKind kind, std::int32_t task = -1, std::uint32_t a = 0,
             std::uint32_t b = 0) {
-    bus_.emit(kind, task, a, b);  // the bus listener fans out to metrics/accounting
+    if (const Event* event = bus_.emit(kind, task, a, b); event != nullptr) {
+      observe(*event);
+    }
   }
 
   /// Close the open accounting span (call before reading totals/exporting).
@@ -73,7 +65,7 @@ class Hub {
   /// Attestation-span recorder (obs/span.h).  Separately enabled from the
   /// bus so spans stay free when dormant; completed spans fold into
   /// span.<phase>.cycles histograms, and fault-engine events annotate the
-  /// innermost open span via the bus listener.
+  /// innermost open span (observe()).
   [[nodiscard]] SpanRecorder& spans() { return spans_; }
   [[nodiscard]] const SpanRecorder& spans() const { return spans_; }
 
@@ -82,7 +74,9 @@ class Hub {
 
  private:
   [[nodiscard]] std::uint64_t now() const { return clock_ != nullptr ? *clock_ : 0; }
-  void update_metrics(const Event& event);
+  /// Fold one recorded event into accounting and metrics.  Fault events also
+  /// annotate the current attestation span, covering every injection site.
+  void observe(const Event& event);
   void update_span_metrics(const Span& span);
 
   EventBus bus_;

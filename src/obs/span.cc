@@ -72,7 +72,6 @@ SpanRecorder::SpanId SpanRecorder::begin_trace(std::uint64_t trace_id, SpanPhase
   span.device = device_;
   span.task = task;
   span.begin_cycle = now_cycles();
-  span.begin_host_ns = now_host_ns();
   spans_.push_back(std::move(span));
   open_.push_back(spans_.back().span_id);
   return spans_.back().span_id;
@@ -96,7 +95,6 @@ void SpanRecorder::end(SpanId id, SpanOutcome outcome) {
     return;  // already closed
   }
   span.end_cycle = now_cycles();
-  span.end_host_ns = now_host_ns();
   span.outcome = outcome;
   // Usually the innermost open span; search from the back so an out-of-order
   // close (a task restart mid-measurement) still unwinds correctly.

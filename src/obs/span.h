@@ -3,8 +3,8 @@
 // A span is one typed phase of an attestation round (nonce-gen,
 // challenge-deliver, rtm-measure, hmac-compute, report-return, verify,
 // retry-backoff) under an attest-round root, stamped with begin/end
-// simulated cycles plus host wall-time, and linked by a trace id (one per
-// round, shared challenger<->prover) and a parent span id.  Fault-engine
+// simulated cycles, and linked by a trace id (one per round, shared
+// challenger<->prover) and a parent span id.  Fault-engine
 // injections and recoveries annotate the innermost open span, so a faulted
 // round is self-explaining from the span file alone.
 //
@@ -14,17 +14,15 @@
 // bench_telemetry's on/off invariant).
 //
 // Determinism: one recorder per device, driven by one thread at a time (the
-// fleet invariant); span ids are a per-recorder counter and the JSONL
-// serialization carries no host-side field, so fleet span files are
-// byte-identical whatever the worker-thread count.  Host wall-time is kept
-// in memory only.
+// fleet invariant); span ids are a per-recorder counter and a span carries
+// no host-side field, so fleet span files are byte-identical whatever the
+// worker-thread count.
 //
 // File format: one {"type":"span",...} line per span, its keys listed once
 // in the span walk (span.cc) that both append_span_json and
 // parse_spans_jsonl run; the reader returns Span values, notes included.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -78,11 +76,6 @@ struct Span {
   std::int32_t task = -1;
   std::uint64_t begin_cycle = 0;
   std::uint64_t end_cycle = 0;
-  // Host wall-time (steady-clock ns since the recorder was enabled).  Kept
-  // in memory for live inspection; deliberately NOT serialized, so span
-  // files stay byte-identical across thread counts.
-  std::int64_t begin_host_ns = 0;
-  std::int64_t end_host_ns = 0;
   SpanOutcome outcome = SpanOutcome::kOpen;
   std::uint32_t device = 0;  ///< the recorder's device id
   std::vector<SpanNote> notes;
@@ -102,10 +95,7 @@ class SpanRecorder {
   void set_device(std::uint32_t device) { device_ = device; }
   [[nodiscard]] std::uint32_t device() const { return device_; }
 
-  void enable() {
-    enabled_ = true;
-    epoch_ = std::chrono::steady_clock::now();
-  }
+  void enable() { enabled_ = true; }
   void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
@@ -114,7 +104,7 @@ class SpanRecorder {
   /// Open a child of the innermost open span, inheriting its trace id
   /// (trace 0 / parent 0 when nothing is open — e.g. rtm-measure at load).
   SpanId begin(SpanPhase phase, std::int32_t task = -1);
-  /// Close `id`, stamping end cycle/host time.  No-op for SpanId 0.
+  /// Close `id`, stamping its end cycle.  No-op for SpanId 0.
   void end(SpanId id, SpanOutcome outcome);
   /// Attach a fault event to the innermost open span (no-op when none).
   void annotate(const Event& event);
@@ -129,18 +119,12 @@ class SpanRecorder {
     on_end_ = std::move(on_end);
   }
 
-  /// Serialize every span as JSONL, in begin order, fixed key order, no
-  /// host-side fields (see file comment on determinism).
+  /// Serialize every span as JSONL, in begin order, fixed key order.
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
   [[nodiscard]] std::uint64_t now_cycles() const {
     return clock_ != nullptr ? *clock_ : 0;
-  }
-  [[nodiscard]] std::int64_t now_host_ns() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
   }
 
   bool enabled_ = false;
@@ -149,7 +133,6 @@ class SpanRecorder {
   std::vector<Span> spans_;   ///< span_id == index + 1
   std::vector<SpanId> open_;  ///< open-span stack, innermost at the back
   std::function<void(const Span&)> on_end_;
-  std::chrono::steady_clock::time_point epoch_{};
 };
 
 /// Append one span as a JSON line (shared by SpanRecorder::to_jsonl and the

@@ -42,8 +42,8 @@ Result<TaskHandle> Scheduler::create(const TaskParams& params) {
   tcb->kind = params.kind;
   tcb->state = TaskState::kSuspended;  // not runnable until made ready
   tasks_[handle] = std::move(tcb);
-  if (events_ != nullptr) {
-    events_->set_task_name(handle, params.name);
+  if (obs_ != nullptr) {
+    obs_->bus().set_task_name(handle, params.name);
   }
   emit(obs::EventKind::kTaskCreate, handle, params.priority,
        static_cast<std::uint32_t>(params.kind));
@@ -344,10 +344,10 @@ Status Scheduler::state(snap::Io& io) {
         }
       }
     }
-    if (events_ != nullptr) {
+    if (obs_ != nullptr) {
       for (const auto& tcb : tasks_) {
         if (tcb != nullptr && tcb->state != TaskState::kDead) {
-          events_->set_task_name(tcb->handle, tcb->name);
+          obs_->bus().set_task_name(tcb->handle, tcb->name);
         }
       }
     }

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/event_bus.h"
+#include "obs/hub.h"
 #include "rtos/task.h"
 #include "snap/snapshot.h"
 
@@ -83,16 +83,16 @@ class Scheduler {
   Status state(snap::Io& io);
 
   // -- observability ------------------------------------------------------------------
-  /// Wire the platform event bus (non-owning; nullptr = no events).  Every
-  /// state transition emits a typed event; nothing is charged to the
+  /// Wire the platform observability hub (non-owning; nullptr = no events).
+  /// Every state transition emits a typed event; nothing is charged to the
   /// simulated clock.
-  void set_event_bus(obs::EventBus* bus) { events_ = bus; }
+  void set_obs(obs::Hub* obs) { obs_ = obs; }
 
  private:
   void emit(obs::EventKind kind, TaskHandle handle, std::uint32_t a = 0,
             std::uint32_t b = 0) {
-    if (events_ != nullptr) {
-      events_->emit(kind, handle, a, b);
+    if (obs_ != nullptr) {
+      obs_->emit(kind, handle, a, b);
     }
   }
   void remove_from_ready(TaskHandle handle);
@@ -105,7 +105,7 @@ class Scheduler {
   std::array<std::deque<TaskHandle>, kNumPriorities> ready_;
   TaskHandle current_ = kNoTask;
   std::uint64_t tick_count_ = 0;
-  obs::EventBus* events_ = nullptr;
+  obs::Hub* obs_ = nullptr;
 };
 
 }  // namespace tytan::rtos

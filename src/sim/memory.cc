@@ -3,6 +3,9 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <new>
 
@@ -10,8 +13,9 @@
 
 namespace tytan::sim {
 
-PhysicalMemory::PhysicalMemory(std::uint32_t size)
-    : size_(size), bytes_(map_image(size)), dirty_lo_(size), dirty_hi_(0) {}
+PhysicalMemory::PhysicalMemory(std::uint32_t size) : size_(size), bytes_(map_image(size)) {
+  TYTAN_CHECK(size <= kMemSize, "memory larger than its dirty bitmap");
+}
 
 PhysicalMemory::Image PhysicalMemory::map_image(std::uint32_t size) {
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
@@ -65,6 +69,35 @@ void PhysicalMemory::fill(std::uint32_t addr, std::uint32_t len, std::uint8_t va
   std::memset(bytes_.get() + addr, value, len);
   touch(addr, len);
   notify_watch(addr, len);
+}
+
+void PhysicalMemory::restore(std::span<const std::uint8_t> image, std::uint64_t image_id) {
+  TYTAN_CHECK(image.size() == size_ && image_id != 0, "memory restore needs an image and its id");
+  const auto page = [&](std::uint32_t addr) {
+    return image.subspan(addr, std::min(kPageSize, size_ - addr));
+  };
+  if (image_id != image_id_ && image_id_ != 0) {
+    write_block(0, image);
+  } else {
+    if (image_id_ == 0) {
+      // A fresh memory's clean pages are zero: they differ where the image is not.
+      static constexpr std::array<std::uint8_t, kPageSize> kZeros{};
+      for (std::uint32_t addr = 0; addr < size_; addr += kPageSize) {
+        const auto bytes = page(addr);
+        if (std::memcmp(bytes.data(), kZeros.data(), bytes.size()) != 0) {
+          touch(addr, 1);
+        }
+      }
+    }
+    for (std::uint32_t word = 0; word < dirty_.size(); ++word) {
+      for (std::uint64_t bits = dirty_[word]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t addr = (word * 64 + std::countr_zero(bits)) * kPageSize;
+        write_block(addr, page(addr));
+      }
+    }
+  }
+  dirty_ = {};
+  image_id_ = image_id;
 }
 
 std::span<const std::uint8_t> PhysicalMemory::view(std::uint32_t addr, std::uint32_t len) const {

@@ -11,6 +11,7 @@
 // Machine, which layers the EA-MPU and the cycle clock on top.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,7 +34,8 @@ class WriteWatcher {
 
 class PhysicalMemory {
  public:
-  /// Maps `size` zero bytes; no page is touched until it is first accessed.
+  /// Maps `size` (at most kMemSize) zero bytes; no page is touched until it
+  /// is first accessed.
   explicit PhysicalMemory(std::uint32_t size = kMemSize);
 
   [[nodiscard]] std::uint32_t size() const { return size_; }
@@ -63,25 +65,29 @@ class PhysicalMemory {
   /// Read-only view of a region (bounds-checked).
   [[nodiscard]] std::span<const std::uint8_t> view(std::uint32_t addr, std::uint32_t len) const;
 
-  // -- dirty-range tracking (host-side; snapshot restore fast path) ----------
-  // Every write widens [dirty_lo, dirty_hi).  Platform::restore marks memory
-  // clean after overwriting it from a snapshot; re-restoring the *same*
-  // snapshot then only rewrites the dirtied range — the fork-based fuzzing
-  // hot path, where most inputs are rejected before touching guest memory at
-  // all.  Two compares per write; charges no simulated cycles.
-  [[nodiscard]] std::uint32_t dirty_lo() const { return dirty_lo_; }
-  [[nodiscard]] std::uint32_t dirty_hi() const { return dirty_hi_; }
-  [[nodiscard]] bool dirty() const { return dirty_hi_ > dirty_lo_; }
-  void mark_clean() {
-    dirty_lo_ = size();
-    dirty_hi_ = 0;
-  }
+  // -- snapshot restore (host-side) --------------------------------------------
+  // One record: every page not written since the last restore still equals
+  // that restore's image, and a fresh memory's image is all zeros.  Writes
+  // set their pages' bits in a dirty bitmap (no simulated cycles, not
+  // snapshot state).
+  static constexpr std::uint32_t kPageSize = 0x1000;
+  /// One bit per 4 KB page of the largest image (kMemSize is 257 pages).
+  using DirtyPages = std::array<std::uint64_t, (kMemSize / kPageSize + 63) / 64>;
+
+  /// Overwrite memory with `image` (size() bytes), whose identity is
+  /// `image_id` (snap::Snapshot::id: never 0, equal ids mean equal bytes).
+  /// Writes only the pages that can differ: the dirty ones when `image_id`
+  /// was restored last (the fork-fuzzing rewind), those and the image's
+  /// non-zero ones on a fresh memory (clones, replay), all otherwise.
+  void restore(std::span<const std::uint8_t> image, std::uint64_t image_id);
+  /// Pages written since construction or the last restore.
+  [[nodiscard]] const DirtyPages& dirty_pages() const { return dirty_; }
 
   // -- write watch (host-side; decode-cache invalidation) --------------------
   // At most one watcher; [lo, hi) is the union of ranges it cares about.  An
-  // empty range (hi <= lo, the default) keeps every write at two compares —
-  // the same budget as dirty tracking.  Like dirty tracking this is host
-  // bookkeeping: it charges no simulated cycles and is not snapshot state.
+  // empty range (hi <= lo, the default) keeps every write at two compares.
+  // Like the dirty bitmap this is host bookkeeping: it charges no simulated
+  // cycles and is not snapshot state.
   void set_write_watch(WriteWatcher* watcher, std::uint32_t lo, std::uint32_t hi) {
     watcher_ = watcher;
     watch_lo_ = lo;
@@ -110,18 +116,17 @@ class PhysicalMemory {
     if (len == 0) {
       return;
     }
-    if (addr < dirty_lo_) {
-      dirty_lo_ = addr;
-    }
-    if (addr + len > dirty_hi_) {
-      dirty_hi_ = addr + len;
+    const std::uint32_t last = (addr + len - 1) / kPageSize;
+    for (std::uint32_t page = addr / kPageSize; page <= last; ++page) {
+      dirty_[page / 64] |= std::uint64_t{1} << (page % 64);
     }
   }
 
   std::uint32_t size_;
   Image bytes_;
-  std::uint32_t dirty_lo_;
-  std::uint32_t dirty_hi_;
+  DirtyPages dirty_{};
+  /// Id of the image that clean pages equal; 0 is the all-zero image.
+  std::uint64_t image_id_ = 0;
   WriteWatcher* watcher_ = nullptr;
   std::uint32_t watch_lo_ = 0;
   std::uint32_t watch_hi_ = 0;

@@ -1,5 +1,6 @@
 #include "snap/snapshot.h"
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 
@@ -19,25 +20,15 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t hash) {
   return hash;
 }
 
+std::uint64_t Snapshot::next_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
+
 void Snapshot::add(std::string_view tag, ByteVec bytes) {
   TYTAN_CHECK(tag.size() == kTagLen, "section tags are exactly 4 characters");
   sections_.push_back({std::string(tag), std::move(bytes)});
-  digest_valid_ = false;
-}
-
-std::uint64_t Snapshot::digest() const {
-  if (!digest_valid_) {
-    std::uint64_t h = kFnvBasis;
-    for (const Section& section : sections_) {
-      h = fnv1a64({reinterpret_cast<const std::uint8_t*>(section.tag.data()),
-                   section.tag.size()},
-                  h);
-      h = fnv1a64(section.bytes, h);
-    }
-    digest_ = h;
-    digest_valid_ = true;
-  }
-  return digest_;
+  id_ = next_id();
 }
 
 const ByteVec* Snapshot::find(std::string_view tag) const {
@@ -182,7 +173,7 @@ Status RestoreVisitor::section(std::string_view tag, const Walk& state) {
     return make_error(Err::kCorrupt,
                       "snapshot missing section '" + std::string(tag) + "'");
   }
-  Reader reader(*payload);
+  Reader reader(*payload, snapshot_.id());
   Io io(reader);
   if (Status s = state(io); !s.is_ok()) {
     return s;

@@ -72,7 +72,10 @@ class Writer {
 /// Callers deserialize a whole section, then check finish() once.
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  /// `origin` is the Snapshot::id of the snapshot the bytes belong to, if any.
+  explicit Reader(std::span<const std::uint8_t> bytes, std::uint64_t origin = 0)
+      : bytes_(bytes), origin_(origin) {}
+  [[nodiscard]] std::uint64_t origin() const { return origin_; }
 
   std::uint8_t u8() {
     if (!take(1)) {
@@ -170,6 +173,7 @@ class Reader {
   }
 
   std::span<const std::uint8_t> bytes_;
+  std::uint64_t origin_;
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
@@ -189,6 +193,8 @@ class Io {
   [[nodiscard]] bool loading() const { return reader_ != nullptr; }
   /// False once a load under-ran or refused a count; always true saving.
   [[nodiscard]] bool ok() const { return reader_ == nullptr || reader_->ok(); }
+  /// Loading: the id of the snapshot being restored (Reader::origin).
+  [[nodiscard]] std::uint64_t origin() const { return loading() ? reader_->origin() : 0; }
 
   void u8(std::uint8_t& v) { loading() ? void(v = reader_->u8()) : writer_->u8(v); }
   void u32(std::uint32_t& v) { loading() ? void(v = reader_->u32()) : writer_->u32(v); }
@@ -317,10 +323,11 @@ class Snapshot {
   [[nodiscard]] const ByteVec* find(std::string_view tag) const;
   [[nodiscard]] const std::vector<Section>& sections() const { return sections_; }
 
-  /// FNV-1a over all section tags and payloads, computed once and cached.
-  /// Platform::restore uses it to recognise "same snapshot as last time" and
-  /// skip rewriting clean guest memory (see PhysicalMemory dirty tracking).
-  [[nodiscard]] std::uint64_t digest() const;
+  /// Process-unique identity of this snapshot's bytes, never 0: every add()
+  /// takes a new id and a copy keeps its original's, so equal ids mean equal
+  /// bytes (a moved-from snapshot is empty and restores nothing).
+  /// PhysicalMemory::restore keys its rewind on it.
+  [[nodiscard]] std::uint64_t id() const { return id_; }
 
   /// Full wire image: header, sections, FNV-1a trailer.
   [[nodiscard]] ByteVec serialize() const;
@@ -333,9 +340,10 @@ class Snapshot {
   static Result<Snapshot> read_file(const std::string& path);
 
  private:
+  static std::uint64_t next_id();
+
   std::vector<Section> sections_;
-  mutable std::uint64_t digest_ = 0;
-  mutable bool digest_valid_ = false;
+  std::uint64_t id_ = next_id();
 };
 
 /// FNV-1a 64-bit offset basis: the hash of no bytes.

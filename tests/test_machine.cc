@@ -623,8 +623,7 @@ TEST(Machine, FirmwareBlockAccessMatchesPerElementLoop) {
         const auto loop_bytes = loop_m.memory().view(lo, hi - lo);
         ASSERT_TRUE(std::equal(block_bytes.begin(), block_bytes.end(), loop_bytes.begin()));
       }
-      ASSERT_EQ(block_m.memory().dirty_lo(), loop_m.memory().dirty_lo());
-      ASSERT_EQ(block_m.memory().dirty_hi(), loop_m.memory().dirty_hi());
+      ASSERT_EQ(block_m.memory().dirty_pages(), loop_m.memory().dirty_pages());
       ASSERT_EQ(mpu_counters(block_m), mpu_counters(loop_m));
       ASSERT_EQ(block_m.cycles(), loop_m.cycles());
       ASSERT_EQ(block_m.decode_cache().block_count(), loop_m.decode_cache().block_count());

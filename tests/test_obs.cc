@@ -14,6 +14,7 @@
 #include "obs/hub.h"
 #include "obs/metrics.h"
 #include "obs/trace_reader.h"
+#include "rtos/scheduler.h"
 #include "sim/tracer.h"
 
 using namespace tytan;
@@ -92,16 +93,41 @@ TEST(EventBus, ZeroCapacityIsClampedToOne) {
   EXPECT_EQ(bus.snapshot().front().a, 2u);
 }
 
-TEST(EventBus, ListenerSeesEveryEventDespiteEviction) {
-  obs::EventBus bus(2);
-  bus.enable();
-  std::size_t seen = 0;
-  bus.set_listener([&](const obs::Event&) { ++seen; });
-  for (int i = 0; i < 8; ++i) {
-    bus.emit(obs::EventKind::kSchedTick);
+// The scheduler emits through the hub, so metrics and accounting see every
+// one of its events although the ring keeps only the last two.
+TEST(Hub, SchedulerEventsDriveMetricsAndAccountingDespiteEviction) {
+  std::uint64_t clock = 0;
+  obs::Hub hub(2);
+  hub.set_clock(&clock);
+  hub.enable();
+  rtos::Scheduler scheduler;
+  scheduler.set_obs(&hub);
+  const auto task = scheduler.create({.name = "fw", .kind = rtos::TaskKind::kFirmware});
+  ASSERT_TRUE(task.is_ok());
+  ASSERT_TRUE(scheduler.make_ready(*task).is_ok());
+  for (int i = 0; i < 3; ++i) {
+    clock += 100;
+    ASSERT_TRUE(scheduler.dispatch(*task).is_ok());
+    clock += 100;
+    scheduler.preempt_current();
   }
-  EXPECT_EQ(seen, 8u);
-  EXPECT_EQ(bus.size(), 2u);
+  hub.flush();
+
+  EXPECT_EQ(hub.bus().size(), 2u);
+  EXPECT_EQ(hub.bus().dropped(), 6u);
+  const auto count = [&hub](const char* name) {
+    const obs::Counter* counter = hub.metrics().find_counter(name);
+    return counter != nullptr ? counter->value() : 0;
+  };
+  EXPECT_EQ(count("events.task-create") + count("events.sched-wake") +
+                count("events.sched-dispatch") + count("events.sched-preempt"),
+            8u);
+  EXPECT_EQ(count("events.sched-dispatch"), 3u);
+  // The first dispatch, evicted from the ring long ago, still starts the
+  // task's run time.
+  EXPECT_EQ(hub.accounting().platform_cycles(), 100u);
+  EXPECT_EQ(hub.accounting().tasks().at(*task).run, 500u);
+  EXPECT_EQ(hub.accounting().accounted_cycles(), 600u);
 }
 
 // Every kind's name reads back as that kind; an unknown name is no record.

@@ -31,7 +31,7 @@ TEST(SecureBoot, ParallelBootsShareImages) {
       const auto report = platform.boot();
       booted[i] = report.is_ok() && report->ok;
       const auto snapshot = platform.save();
-      digests[i] = snapshot.is_ok() ? snapshot->digest() : 0;
+      digests[i] = snapshot.is_ok() ? snap::fnv1a64(snapshot->serialize()) : 0;
     });
   }
   for (std::thread& thread : threads) {
@@ -349,6 +349,26 @@ TEST(PhysicalMemory, BootedDeviceTouchesFewPages) {
   ASSERT_TRUE(task.is_ok()) << task.status().to_string();
   platform.run_for(300'000);
   EXPECT_LT(resident_pages(platform.machine().memory()), kBootedResidentPages);
+}
+
+// Restoring a booted platform's snapshot into a fresh platform writes only
+// the pages that the image or the fresh platform's construction made
+// non-zero: 12 of the 257 image pages (4 KB pages), where writing the whole
+// image makes all 257 resident.  The bound leaves 8 pages of headroom for
+// firmware and loader layout changes.
+constexpr std::size_t kRestoredResidentPages = 20;
+
+TEST(PhysicalMemory, RestoreIntoFreshPlatformTouchesFewPages) {
+  Platform booted;
+  ASSERT_TRUE(booted.boot().is_ok());
+  const auto snapshot = booted.save();
+  ASSERT_TRUE(snapshot.is_ok()) << snapshot.status().to_string();
+  Platform fresh;
+  ASSERT_TRUE(fresh.restore(*snapshot).is_ok());
+  EXPECT_LE(resident_pages(fresh.machine().memory()), kRestoredResidentPages);
+  const auto restored = fresh.save();
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_EQ(restored->serialize(), snapshot->serialize());
 }
 
 TEST(PhysicalMemory, NewPlatformSeesNoBytesOfADestroyedOne) {

@@ -95,6 +95,83 @@ TEST(Snapshot, RewindFastPathMatchesFullRestore) {
   EXPECT_EQ(state_bytes(platform), state_bytes(full));
 }
 
+/// `base` with `memr`'s memory image and the payload of section `broken`
+/// cut short by one byte, so restoring it fails at that section.
+snap::Snapshot forge(const snap::Snapshot& base, const snap::Snapshot& memr,
+                     std::string_view broken) {
+  snap::Snapshot forged;
+  for (const snap::Section& section : base.sections()) {
+    ByteVec bytes = section.tag == "MEMR" ? *memr.find("MEMR") : section.bytes;
+    if (section.tag == broken) {
+      bytes.pop_back();
+    }
+    forged.add(section.tag, std::move(bytes));
+  }
+  return forged;
+}
+
+// Memory rewinds by snapshot identity: a copy and a reparse of A are A's
+// bytes, B is not, and a restore that fails before or after MEMR leaves
+// memory's record true.  Every successful restore, whichever pages it
+// writes, must land on its snapshot's exact bytes.
+TEST(Snapshot, RewindKeysOnSnapshotIdentity) {
+  core::Platform source;
+  boot_with_counter(source);
+  source.run_for(200'000);
+  auto a = source.save();
+  ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+  source.run_for(300'000);
+  auto b = source.save();
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  ASSERT_NE(*a->find("MEMR"), *b->find("MEMR"));
+
+  const snap::Snapshot copy = *a;
+  auto reparsed = snap::Snapshot::parse(a->serialize());
+  ASSERT_TRUE(reparsed.is_ok()) << reparsed.status().to_string();
+  EXPECT_EQ(copy.id(), a->id());
+  EXPECT_NE(reparsed->id(), a->id());
+  EXPECT_NE(b->id(), a->id());
+  // MACH precedes MEMR in the walk, KRNL follows it.
+  const snap::Snapshot fails_before = forge(*a, *b, "MACH");
+  const snap::Snapshot fails_after = forge(*a, *b, "KRNL");
+
+  // Before its first restore the target boots and writes a page that A
+  // holds as zeros.
+  constexpr std::uint32_t kZeroPage = sim::kRamEnd - 0x1000;
+  const ByteVec& a_memory = *a->find("MEMR");
+  ASSERT_TRUE(std::all_of(a_memory.end() - (sim::kMemSize - kZeroPage),
+                          a_memory.end() - (sim::kMemSize - sim::kRamEnd),
+                          [](std::uint8_t byte) { return byte == 0; }));
+  core::Platform target{source.config()};
+  boot_with_counter(target);
+  target.machine().memory().fill(kZeroPage, 0x1000, 0xA5);
+  const auto restores = [&target](const snap::Snapshot& snapshot, const char* name) {
+    const Status restored = target.restore(snapshot);
+    ASSERT_TRUE(restored.is_ok()) << name << ": " << restored.to_string();
+    EXPECT_EQ(state_bytes(target), snapshot.serialize()) << name;
+  };
+  const auto run = [&target] { target.run_for(50'000); };
+  restores(*a, "A");
+  run();
+  restores(*a, "A again");
+  run();
+  restores(copy, "copy of A");
+  run();
+  restores(*reparsed, "reparsed A");
+  // No run in between: the pages where A and B differ are not dirty.
+  restores(*b, "B right after A");
+  restores(*a, "A right after B");
+  run();
+  EXPECT_FALSE(target.restore(fails_after).is_ok());
+  restores(*a, "A after a failure past MEMR");
+  run();
+  EXPECT_FALSE(target.restore(fails_before).is_ok());
+  restores(*a, "A after a failure before MEMR");
+  EXPECT_FALSE(target.restore(fails_after).is_ok());
+  restores(*b, "B after a failure past MEMR");
+  restores(copy, "copy of A right after B");
+}
+
 TEST(Snapshot, RoundTripIsBitIdentical) {
   core::Platform platform;
   boot_with_counter(platform);

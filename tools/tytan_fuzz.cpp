@@ -22,6 +22,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -215,7 +216,7 @@ int main(int argc, char** argv) {
     std::string what;
     try {
       core::Platform* target = &platform;
-      core::Platform rebooted;
+      std::optional<core::Platform> rebooted;
       if (opt.fork_mode) {
         if (Status s = platform.restore(pristine); !s.is_ok()) {
           std::fprintf(stderr, "tytan-fuzz: exec %llu: restore failed: %s\n",
@@ -223,11 +224,11 @@ int main(int argc, char** argv) {
           return 1;
         }
       } else {
-        if (!rebooted.boot().is_ok()) {
+        if (!rebooted.emplace().boot().is_ok()) {
           std::fprintf(stderr, "tytan-fuzz: reboot failed\n");
           return 1;
         }
-        target = &rebooted;
+        target = &*rebooted;
       }
 
       auto object = tbf::read(input);
