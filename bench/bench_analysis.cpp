@@ -11,7 +11,6 @@
 // (`paper` is 0 throughout: the source paper has no host-side numbers).
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "analysis/analyzer.h"
 #include "bench_util.h"
@@ -38,38 +37,6 @@ double time_us(const isa::ObjectFile& object, const analysis::Config& config,
 
 std::string mb_per_s(std::uint32_t bytes, double us) {
   return bench::fixed(bytes / us, 1);  // bytes/us == MB/s
-}
-
-/// A task with `sites` independent jump-table dispatches of `cases` targets
-/// each (`cases` must be a power of two: the index is an `andi` mask over an
-/// unknown value, so the dataflow pass must enumerate the whole table).
-isa::ObjectFile make_dispatch_task(unsigned sites, unsigned cases) {
-  std::ostringstream os;
-  os << "    .stack 256\n    .entry main\nmain:\n";
-  for (unsigned s = 0; s < sites; ++s) {
-    os << "    rdcyc r1\n";
-    os << "    andi r1, " << (cases - 1) << "\n";
-    os << "    shli r1, 2\n";
-    os << "    li   r2, table" << s << "\n";
-    os << "    add  r2, r1\n";
-    os << "    ldw  r2, [r2]\n";
-    os << "    jmpr r2\n";
-    for (unsigned c = 0; c < cases; ++c) {
-      os << "s" << s << "c" << c << ":\n    movi r4, " << c << "\n"
-         << "    jmp  join" << s << "\n";
-    }
-    os << "join" << s << ":\n";
-  }
-  os << "park:\n    movi r0, 1\n    int 0x21\n    jmp park\n";
-  for (unsigned s = 0; s < sites; ++s) {
-    os << "table" << s << ":\n";
-    for (unsigned c = 0; c < cases; ++c) {
-      os << "    .word s" << s << "c" << c << "\n";
-    }
-  }
-  auto object = isa::assemble(os.str());
-  TYTAN_CHECK(object.is_ok(), object.status().to_string());
-  return object.take();
 }
 
 }  // namespace
@@ -138,19 +105,17 @@ int main(int argc, char** argv) {
   pass_row("all passes", with(true, true, true, true, true));
   passes.print();
 
-  // Dataflow cost vs. indirect fan-out: every site must enumerate its whole
-  // table (masked unknown index), so this scales both the value-set widths
-  // and the resolve/re-recover iteration count.
+  // Dataflow cost vs. indirect fan-out and chain length: every site must
+  // enumerate its whole table (masked unknown index), and each site is
+  // reachable only through the resolved edges of the one before it, so this
+  // scales both the value-set widths and the number of splices one fixpoint
+  // pass makes.  A pass restarts only after a ban, so `passes` stays 1 here.
   bench::Table dataflow("Dataflow pass vs. jump-table shape");
-  dataflow.columns(
-      {"sites x cases", "analyze (us)", "dataflow (us)", "rounds", "resolved"});
-  for (const auto& [sites, cases] :
-       std::vector<std::pair<unsigned, unsigned>>{
-           {1, 4}, {1, 16}, {1, 64}, {4, 8}, {16, 8}}) {
-    if (options.smoke && sites * cases > 64) {
-      continue;
-    }
-    const isa::ObjectFile task = make_dispatch_task(sites, cases);
+  dataflow.columns({"sites x cases", "analyze (us)", "us/site", "dataflow (us)", "passes",
+                    "resolved"});
+  for (const auto& [sites, cases] : std::vector<std::pair<unsigned, unsigned>>{
+           {1, 4}, {1, 16}, {1, 64}, {4, 8}, {8, 8}, {16, 8}, {32, 8}}) {
+    const isa::ObjectFile task = bench::make_dispatch_task(sites, cases);
     const analysis::Analysis full = analysis::analyze_full(task);
     TYTAN_CHECK(full.report.errors() == 0, "dispatch task must verify clean");
     TYTAN_CHECK(full.dataflow.resolved.size() == sites,
@@ -158,7 +123,7 @@ int main(int argc, char** argv) {
     const double us = time_us(task, {}, reps);
     const std::string shape =
         std::to_string(sites) + " x " + std::to_string(cases);
-    dataflow.row({shape, bench::fixed(us, 1),
+    dataflow.row({shape, bench::fixed(us, 1), bench::fixed(us / sites, 1),
                   bench::num(full.timings.dataflow_us),
                   bench::num(static_cast<unsigned>(full.dataflow_iterations)),
                   bench::num(full.dataflow.resolved.size())});

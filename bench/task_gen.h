@@ -44,4 +44,38 @@ inline isa::ObjectFile make_task(std::uint32_t image_bytes, unsigned abs32_reloc
   return object;
 }
 
+/// A task with `sites` serial jump-table dispatches of `cases` targets each:
+/// every case jumps to the next site, so each site is reachable only through
+/// the resolved edges of the one before it.  `cases` must be a power of two:
+/// the index is an `andi` mask over an unknown value, so the dataflow pass
+/// must enumerate the whole table.
+inline isa::ObjectFile make_dispatch_task(unsigned sites, unsigned cases) {
+  std::ostringstream os;
+  os << "    .stack 256\n    .entry main\nmain:\n";
+  for (unsigned s = 0; s < sites; ++s) {
+    os << "    rdcyc r1\n";
+    os << "    andi r1, " << (cases - 1) << "\n";
+    os << "    shli r1, 2\n";
+    os << "    li   r2, table" << s << "\n";
+    os << "    add  r2, r1\n";
+    os << "    ldw  r2, [r2]\n";
+    os << "    jmpr r2\n";
+    for (unsigned c = 0; c < cases; ++c) {
+      os << "s" << s << "c" << c << ":\n    movi r4, " << c << "\n"
+         << "    jmp  join" << s << "\n";
+    }
+    os << "join" << s << ":\n";
+  }
+  os << "park:\n    movi r0, 1\n    int 0x21\n    jmp park\n";
+  for (unsigned s = 0; s < sites; ++s) {
+    os << "table" << s << ":\n";
+    for (unsigned c = 0; c < cases; ++c) {
+      os << "    .word s" << s << "c" << c << "\n";
+    }
+  }
+  auto object = isa::assemble(os.str());
+  TYTAN_CHECK(object.is_ok(), object.status().to_string());
+  return object.take();
+}
+
 }  // namespace tytan::bench

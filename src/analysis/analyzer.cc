@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <deque>
-#include <iterator>
 #include <map>
 #include <set>
 
@@ -540,83 +539,23 @@ Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
     // in that case.
     Report scratch;
     Report& structural_sink = config.structural ? report : scratch;
-    // Decoded once: the words move into each recovery round below and,
-    // when the round is not the last, back out of its CFG for the next.
-    const auto decode_begin = Clock::now();
-    DecodedWords decoded = decode_image(object);
-    const std::uint64_t decode_us = elapsed_us(decode_begin);
+    const auto structural_begin = Clock::now();
+    CfgBuilder builder(object, decode_image(object), config.dataflow);
+    std::uint64_t structural_us = elapsed_us(structural_begin);
     if (config.dataflow) {
-      // Resolved indirect targets create CFG edges, and new edges expose new
-      // code to the value-set analysis: iterate recovery and dataflow until
-      // the resolved set is stable.  Each round reports into its own
-      // scratch reports; the stable round's CFG, dataflow result and
-      // findings are the output, since a rerun against the real report
-      // would rebuild exactly them.
-      constexpr int kMaxResolveRounds = 8;
+      // Recovery and resolution share one worklist (dataflow.h).
       const auto dataflow_begin = Clock::now();
-      // The last recovery round's time: structural, not dataflow.
-      std::uint64_t recovery_us = 0;
-      ResolvedTargets resolved;
-      // A resolution that does not survive its own spliced edges is banned
-      // for good (self-referential tables oscillate otherwise); banning is
-      // monotone, so the loop terminates with a resolved set that is a true
-      // fixpoint of recover+dataflow — the final claims are exactly the ones
-      // the final CFG was built from.
-      std::set<std::uint32_t> banned;
-      bool stable = false;
-      for (int round = 0; round < kMaxResolveRounds; ++round) {
-        ++out.dataflow_iterations;
-        Report round_structural;
-        Report round_dataflow;
-        const auto structural_begin = Clock::now();
-        Cfg cfg = recover_cfg(object, std::move(decoded), round_structural, &resolved);
-        recovery_us = elapsed_us(structural_begin);
-        DataflowResult result = run_dataflow(object, cfg, config, &round_dataflow, &banned);
-        stable = result.resolved == resolved;
-        if (stable) {
-          out.cfg = std::move(cfg);
-          out.dataflow = std::move(result);
-          const auto take = [](Report& into, Report& from) {
-            into.findings.insert(into.findings.end(),
-                                 std::make_move_iterator(from.findings.begin()),
-                                 std::make_move_iterator(from.findings.end()));
-          };
-          take(structural_sink, round_structural);
-          take(report, round_dataflow);
-          break;
-        }
-        decoded = std::move(cfg.decoded);
-        // A site whose resolution vanishes once its own edges are spliced
-        // in can never be claimed: keep it banned so the iteration is
-        // monotone.  A *changed* target set is ordinary convergence (new
-        // edges expose more of the loop) and keeps iterating.
-        for (const auto& [site, targets] : resolved) {
-          if (result.resolved.find(site) == result.resolved.end()) {
-            banned.insert(site);
-          }
-        }
-        resolved = std::move(result.resolved);
-      }
-      if (!stable) {
-        // Still churning after the round budget: withdraw every claim and
-        // fall back to the seed CFG, where the (all-banned) final pass is
-        // trivially consistent.
-        for (const auto& [site, targets] : resolved) {
-          banned.insert(site);
-        }
-        resolved.clear();
-        const auto structural_begin = Clock::now();
-        out.cfg = recover_cfg(object, std::move(decoded), structural_sink, &resolved);
-        recovery_us = elapsed_us(structural_begin);
-        out.dataflow = run_dataflow(object, out.cfg, config, &report, &banned);
-      }
-      out.timings.structural_us = decode_us + recovery_us;
-      out.timings.dataflow_us = elapsed_us(dataflow_begin) - recovery_us;
+      out.dataflow = run_dataflow(object, builder, config, report);
+      out.dataflow_iterations = out.dataflow.passes;
+      out.timings.dataflow_us = elapsed_us(dataflow_begin);
     } else {
-      const auto structural_begin = Clock::now();
-      out.cfg = recover_cfg(object, std::move(decoded), structural_sink);
-      out.timings.structural_us = decode_us + elapsed_us(structural_begin);
+      const auto begin = Clock::now();
+      builder.start();
+      structural_us += elapsed_us(begin);
     }
+    const auto finish_begin = Clock::now();
+    out.cfg = builder.finish(structural_sink);
+    out.timings.structural_us = structural_us + elapsed_us(finish_begin);
     out.has_cfg = true;
   }
   if (config.relocations) {

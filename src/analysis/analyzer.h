@@ -10,10 +10,11 @@
 //   stack       ST001–ST003                 conservative worst-case depth
 //   mmio        MM001–MM004                 statically-known access addresses
 //
-// With the dataflow pass enabled (the default) the verifier iterates CFG
-// recovery and value-set analysis to a joint fixpoint: targets resolved by
-// the dataflow pass become CFG edges, newly reachable code is analyzed in
-// turn, and blanket CF006 warnings are replaced by the precise DF verdicts.
+// With the dataflow pass enabled (the default) CFG recovery and value-set
+// analysis share one worklist and reach a joint fixpoint: targets resolved
+// by the dataflow pass become CFG edges, newly reachable code is recovered
+// and analyzed in the same worklist, and blanket CF006 warnings are replaced
+// by the precise DF verdicts (see dataflow.h).
 // The stack pass then tightens its worst case through resolved indirect
 // calls, and register-relative accesses are certified against the task's
 // EA-MPU region.
@@ -60,7 +61,8 @@ struct Config {
 struct PassTimings {
   std::uint64_t structural_us = 0;
   std::uint64_t relocation_us = 0;
-  std::uint64_t dataflow_us = 0;  ///< includes the resolve/re-recover loop
+  /// The resolution worklist, including the CFG recovery it drives.
+  std::uint64_t dataflow_us = 0;
   std::uint64_t stack_us = 0;
   std::uint64_t mmio_us = 0;
 };
@@ -73,7 +75,7 @@ struct Analysis {
   Cfg cfg;                  ///< final CFG (resolved edges spliced in)
   bool has_cfg = false;     ///< false for data-only objects
   DataflowResult dataflow;  ///< empty when the dataflow pass is disabled
-  int dataflow_iterations = 0;  ///< resolve/re-recover rounds taken
+  int dataflow_iterations = 0;  ///< fixpoint passes: 1 + restarts after bans
   PassTimings timings;
 };
 

@@ -6,10 +6,16 @@
 // stays unknown (unreachable bytes are never flagged — string tables and
 // padding are normal).  Reachability follows static branch displacements and
 // call targets; `jmpr`/`callr` have no static successor and are reported as
-// not statically verifiable (CF006) — unless the caller passes a set of
-// dataflow-resolved targets, in which case the resolved edges are spliced
-// into the traversal, the successor lists, and the call graph, and CF006 is
-// left to the dataflow pass's more precise DF rules.
+// not statically verifiable (CF006) — unless recovery runs in dataflow mode,
+// where resolved targets are spliced into the traversal, the successor
+// lists, and the call graph, and CF006 is left to the dataflow pass's more
+// precise DF rules.
+//
+// `CfgBuilder` grows one image's CFG: it recovers the statically reachable
+// code from the roots, then takes resolved indirect sites one at a time as
+// the dataflow worklist finds them (`splice`), recovering only the newly
+// reached code.  `recover_cfg` is the one-shot form over a known resolved
+// set; both build exactly the same blocks.
 //
 // The recovered CFG (basic blocks, successors, call graph) is shared by the
 // stack-depth and MMIO passes and is exposed for future consumers
@@ -48,6 +54,8 @@ struct BasicBlock {
   /// Dataflow-resolved callees of a terminating `callr` (empty otherwise);
   /// resolved `jmpr` targets land in `successors` directly.
   std::vector<std::uint32_t> indirect_call_targets;
+
+  friend bool operator==(const BasicBlock&, const BasicBlock&) = default;
 };
 
 /// Indirect-site image offset -> the statically resolved target set (sorted).
@@ -65,9 +73,9 @@ struct Cfg {
   std::vector<bool> terminal_int;
   std::vector<std::uint32_t> roots;  ///< validated entry offsets
   std::map<std::uint32_t, BasicBlock> blocks;  ///< keyed by start offset
-  std::set<std::uint32_t> functions;           ///< roots + static call targets
+  std::set<std::uint32_t> functions;  ///< roots + call targets + resolved callees
   std::map<std::uint32_t, std::set<std::uint32_t>> call_graph;
-  /// The resolved edges this CFG was recovered with (per jmpr/callr site).
+  /// The resolved edges spliced into this CFG (per jmpr/callr site).
   ResolvedTargets indirect_targets;
 
   [[nodiscard]] std::size_t words() const { return decoded.size(); }
@@ -81,8 +89,60 @@ struct Cfg {
 };
 
 /// Decode every aligned word of `object.image`.  The one decode of an image
-/// per analysis: every recover_cfg round takes its result.
+/// per analysis.
 DecodedWords decode_image(const isa::ObjectFile& object);
+
+/// Grows the CFG of one image.  The per-word facts (decoded words, exit-style
+/// `int` sites, ABS32 data words) and the validated entry points are computed
+/// once, at construction; `start` may run again (a dataflow restart) without
+/// recomputing them.
+class CfgBuilder {
+ public:
+  /// What one growth step changed, for the dataflow worklist to revisit.
+  struct Growth {
+    /// Blocks that lost their tail to a new leader: their out-state must
+    /// reach the new block that starts at the leader.
+    std::vector<std::uint32_t> split;
+    /// New function entries (roots, call targets, resolved callees).
+    std::vector<std::uint32_t> entries;
+  };
+
+  /// `decoded` is decode_image(object).  In dataflow mode an indirect site
+  /// is followed once it is spliced and CF006 is never reported.
+  CfgBuilder(const isa::ObjectFile& object, DecodedWords decoded, bool dataflow);
+
+  /// Recover everything reachable from the roots afresh, following the
+  /// edges of `resolved` from the start.
+  Growth start(const ResolvedTargets& resolved = {});
+  /// Splice `targets` (sorted; a superset of what the site held) as the
+  /// edges of the reachable indirect site `site`, recover the code they
+  /// reach and split every block a new leader lands inside.
+  Growth splice(std::uint32_t site, std::vector<std::uint32_t> targets);
+
+  [[nodiscard]] const Cfg& cfg() const { return cfg_; }
+
+  /// Complete the call graph, append the structural findings (CF001–CF006)
+  /// of the CFG as it stands to `report`, and hand the CFG over.
+  Cfg finish(Report& report);
+
+ private:
+  void explore(Growth& growth);
+  void mark_leader(std::uint32_t offset);
+  void add_indirect_entries(std::uint32_t site, Growth& growth);
+  void build_blocks(Growth& growth);
+  [[nodiscard]] std::uint32_t block_end(std::uint32_t start) const;
+  [[nodiscard]] BasicBlock make_block(std::uint32_t start, std::uint32_t end) const;
+  [[nodiscard]] bool in_image(std::int64_t target) const;
+
+  const isa::ObjectFile& object_;
+  const bool dataflow_;
+  Cfg cfg_;
+  std::vector<WordClass> initial_class_;  ///< ABS32 data words, else unknown
+  std::vector<Finding> root_findings_;    ///< CF001, once per image
+  std::vector<bool> leader_;              ///< per aligned word
+  std::vector<std::uint32_t> new_leaders_;
+  std::vector<std::uint32_t> worklist_;
+};
 
 /// Validate the entry points of `object` and recover its CFG from
 /// `decoded` (decode_image(object)).  Structural violations (CF001–CF006)

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "analysis/analyzer.h"
@@ -47,10 +49,8 @@ struct CmpFact {
 
 class Engine {
  public:
-  Engine(const isa::ObjectFile& object, const Cfg& cfg, const Config& config,
-         Report* report, const std::set<std::uint32_t>* banned)
-      : object_(object), cfg_(cfg), config_(config), report_(report),
-        banned_(banned) {
+  Engine(const isa::ObjectFile& object, CfgBuilder& builder, const Config& config)
+      : object_(object), builder_(builder), config_(config) {
     const auto image_size = static_cast<std::uint32_t>(object.image.size());
     for (const isa::Relocation& reloc : object.relocs) {
       if (reloc.offset + 4 > image_size) {
@@ -72,104 +72,264 @@ class Engine {
     }
   }
 
-  DataflowResult run() {
-    if (cfg_.blocks.empty()) {
-      return result_;
+  /// Passes until one ends without a ban; each ban restarts from the roots.
+  void resolve() {
+    do {
+      ++result_.passes;
+    } while (!pass());
+  }
+
+  /// Walk every block once at its final in-state: DF findings and counts.
+  DataflowResult emit(Report& report) {
+    report_ = &report;
+    for (const auto& [start, block] : cfg().blocks) {
+      const auto it = nodes_.find(start);
+      if (it == nodes_.end()) {
+        continue;
+      }
+      Regs state = it->second.in;
+      CmpFact cmp;
+      for (std::uint32_t offset = block.start; offset < block.end;
+           offset += isa::kInstrSize) {
+        const isa::Instruction& instr = *cfg().decoded[offset / isa::kInstrSize];
+        if (instr.opcode == isa::Opcode::kJmpr || instr.opcode == isa::Opcode::kCallr) {
+          resolve_site(instr, offset, state.r[instr.ra]);
+        }
+        step(instr, offset, state, cmp, /*certify=*/true);
+      }
     }
-    // The table-clobber set and the fixpoint depend on each other: stores
-    // whose addresses the fixpoint bounds may demote table loads, which
-    // changes the fixpoint.  The set only grows, so iterate to stability.
-    constexpr int kMaxClobberRounds = 4;
-    bool stable = false;
-    for (int round = 0; round < kMaxClobberRounds && !stable; ++round) {
-      fixpoint();
-      stable = !replay(/*emit=*/false);
-    }
-    if (!stable) {
-      clobber_all_ = true;
-      fixpoint();
-    }
-    replay(/*emit=*/report_ != nullptr);
-    return result_;
+    return std::move(result_);
   }
 
  private:
   static constexpr int kWidenAfter = 8;
 
+  /// Per-block fixpoint state; a block has a node once it has an in-state.
+  struct Node {
+    Regs in;
+    int changes = 0;           ///< in-state changes, for widening
+    bool queued = false;
+    bool reads_table = false;  ///< a load of the last visit read a table word
+  };
+
+  [[nodiscard]] const Cfg& cfg() const { return builder_.cfg(); }
+
   // -- fixpoint ---------------------------------------------------------------
 
-  void fixpoint() {
-    in_.clear();
-    widen_.clear();
-    std::deque<std::uint32_t> worklist;
-    for (const std::uint32_t fn : cfg_.functions) {
-      if (cfg_.blocks.contains(fn)) {
-        in_.emplace(fn, Regs::entry());
-        worklist.push_back(fn);
+  /// One fixpoint pass from the roots.  False when a spliced site's target
+  /// set turned unresolvable: the site is banned and the pass must restart.
+  bool pass() {
+    nodes_.clear();
+    worklist_.clear();
+    pending_.clear();
+    clobber_all_ = false;
+    clobbered_.clear();
+    result_.converged = true;
+    const CfgBuilder::Growth growth = builder_.start();
+    // Widening bounds the join chains, so this budget is a backstop for
+    // pathological CFGs only; it grows with the CFG.
+    budget_ = static_cast<std::int64_t>(cfg().blocks.size()) * 64 + 512;
+    revisit(growth);
+    do {
+      while (!worklist_.empty()) {
+        if (--budget_ < 0) {
+          return out_of_budget();
+        }
+        const std::uint32_t start = worklist_.front();
+        worklist_.pop_front();
+        if (!visit(start)) {
+          return false;
+        }
+      }
+    } while (splice_pending());
+    return true;
+  }
+
+  /// Step one block from its in-state and push its out-state along every
+  /// edge.  False when the block's indirect site had to be banned.
+  bool visit(std::uint32_t start) {
+    Node& node = nodes_.at(start);
+    node.queued = false;
+    const BasicBlock& block = cfg().blocks.at(start);
+    Regs state = node.in;
+    CmpFact cmp;
+    read_table_ = false;
+    const std::uint64_t clobbers = clobber_count_;
+    for (std::uint32_t offset = start; offset < block.end; offset += isa::kInstrSize) {
+      step(*cfg().decoded[offset / isa::kInstrSize], offset, state, cmp, /*certify=*/false);
+    }
+    node.reads_table = read_table_;
+    if (clobber_count_ != clobbers) {
+      // A table word was clobbered: every load that read one reads again.
+      // Clobbers only grow, so these visits are bounded apart from the
+      // budget.
+      for (auto& [reader, other] : nodes_) {
+        if (other.reads_table && !other.queued) {
+          enqueue(reader, other);
+          ++budget_;
+        }
       }
     }
-    // Widening bounds the join chains, so this budget is a backstop for
-    // pathological CFGs only; running out drops every dataflow claim.
-    std::int64_t budget = static_cast<std::int64_t>(cfg_.blocks.size()) * 64 + 512;
-    while (!worklist.empty()) {
-      if (--budget < 0) {
-        result_.converged = false;
-        return;
+    const std::uint32_t term = block.end - isa::kInstrSize;
+    const Flow flow = cfg().flow_at(term);
+    if (flow.indirect &&
+        !settle_site(term, state.r[cfg().decoded[term / isa::kInstrSize]->ra])) {
+      return false;
+    }
+    for (const std::uint32_t succ : block.successors) {
+      if (!cfg().blocks.contains(succ)) {
+        continue;
       }
-      const std::uint32_t start = worklist.front();
-      worklist.pop_front();
-      const BasicBlock& block = cfg_.blocks.at(start);
-      Regs state = in_.at(start);
-      CmpFact cmp;
-      for (std::uint32_t offset = block.start; offset < block.end;
-           offset += isa::kInstrSize) {
-        step(*cfg_.decoded[offset / isa::kInstrSize], offset, state, cmp,
-             /*record=*/false, /*emit=*/false);
+      Regs out = flow.is_call ? Regs::after_call(state) : state;
+      if (!flow.is_call) {
+        refine_edge(out, cmp, term, flow, succ, block.end);
       }
-      const std::uint32_t term = block.end - isa::kInstrSize;
-      const Flow flow = cfg_.flow_at(term);
-      for (const std::uint32_t succ : block.successors) {
-        if (!cfg_.blocks.contains(succ)) {
-          continue;
-        }
-        Regs out = flow.is_call ? Regs::after_call(state) : state;
-        if (!flow.is_call) {
-          refine_edge(out, cmp, term, flow, succ, block.end);
-        }
-        merge(succ, out, worklist);
+      merge(succ, out);
+    }
+    return true;
+  }
+
+  /// Compare a site's target set with its splice.  A set that can be
+  /// claimed and is not spliced yet waits in `pending_` for the worklist to
+  /// drain.  False when the site must be banned: its edges are spliced but
+  /// the set is no longer a resolvable superset of them.
+  bool settle_site(std::uint32_t site, const ValueSet& target) {
+    if (banned_.contains(site)) {
+      return true;
+    }
+    std::optional<std::vector<std::uint32_t>> targets = resolvable(target);
+    const auto spliced = cfg().indirect_targets.find(site);
+    if (spliced != cfg().indirect_targets.end()) {
+      if (!targets.has_value() ||
+          !std::includes(targets->begin(), targets->end(), spliced->second.begin(),
+                         spliced->second.end())) {
+        banned_.insert(site);
+        return false;
+      }
+      if (*targets == spliced->second) {
+        pending_.erase(site);
+        return true;
+      }
+    }
+    if (targets.has_value()) {
+      pending_[site] = std::move(*targets);
+    } else {
+      pending_.erase(site);
+    }
+    return true;
+  }
+
+  /// The worklist drained: the in-states are a fixpoint of the CFG as it
+  /// stands.  Splice every site whose set grew and go on from its block.
+  /// False when there is nothing to splice.
+  bool splice_pending() {
+    if (pending_.empty()) {
+      return false;
+    }
+    const std::size_t blocks = cfg().blocks.size();
+    for (auto& [site, targets] : pending_) {
+      revisit(builder_.splice(site, std::move(targets)));
+    }
+    budget_ += static_cast<std::int64_t>(cfg().blocks.size() - blocks) * 64;
+    for (const auto& entry : pending_) {
+      const std::uint32_t head = std::prev(cfg().blocks.upper_bound(entry.first))->first;
+      if (const auto it = nodes_.find(head); it != nodes_.end()) {
+        enqueue(head, it->second);
+      }
+    }
+    pending_.clear();
+    return true;
+  }
+
+  /// Queue what a growth step changed: heads of split blocks (their out-state
+  /// must reach the new block) and new function entries.
+  void revisit(const CfgBuilder::Growth& growth) {
+    for (const std::uint32_t head : growth.split) {
+      if (const auto it = nodes_.find(head); it != nodes_.end()) {
+        enqueue(head, it->second);
+      }
+    }
+    for (const std::uint32_t fn : growth.entries) {
+      if (cfg().blocks.contains(fn)) {
+        merge(fn, Regs::entry());
       }
     }
   }
 
-  void merge(std::uint32_t block, const Regs& incoming,
-             std::deque<std::uint32_t>& worklist) {
-    const auto it = in_.find(block);
-    if (it == in_.end()) {
-      in_.emplace(block, incoming);
-      worklist.push_back(block);
+  /// The budget ran out.  Spliced edges rest on claims the pass could not
+  /// confirm: ban them and restart.  With nothing spliced, stop unconverged.
+  bool out_of_budget() {
+    if (cfg().indirect_targets.empty()) {
+      result_.converged = false;
+      return true;
+    }
+    for (const auto& [site, targets] : cfg().indirect_targets) {
+      banned_.insert(site);
+    }
+    return false;
+  }
+
+  void enqueue(std::uint32_t start, Node& node) {
+    if (!node.queued) {
+      node.queued = true;
+      worklist_.push_back(start);
+    }
+  }
+
+  /// The targets a site may claim: a bounded base-relative set of valid
+  /// image code.  Nullopt when the set cannot be claimed.
+  [[nodiscard]] std::optional<std::vector<std::uint32_t>> resolvable(
+      const ValueSet& target) const {
+    if (target.kind() != ValueSet::Kind::kBaseRel ||
+        !target.enumerable(config_.max_indirect_targets)) {
+      return std::nullopt;
+    }
+    std::vector<std::uint32_t> targets;
+    for (const std::int64_t t : target.enumerate(config_.max_indirect_targets)) {
+      if (!valid_code(t)) {
+        return std::nullopt;
+      }
+      targets.push_back(static_cast<std::uint32_t>(t));
+    }
+    return targets;
+  }
+
+  [[nodiscard]] bool valid_code(std::int64_t t) const {
+    return t >= 0 && t % isa::kInstrSize == 0 &&
+           t + isa::kInstrSize <= static_cast<std::int64_t>(object_.image.size()) &&
+           cfg().decoded[t / isa::kInstrSize].has_value() &&
+           cfg().word_class[t / isa::kInstrSize] != WordClass::kData;
+  }
+
+  void merge(std::uint32_t block, const Regs& incoming) {
+    const auto [it, inserted] = nodes_.try_emplace(block);
+    Node& node = it->second;
+    if (inserted) {
+      node.in = incoming;
+      enqueue(block, node);
       return;
     }
     Regs joined;
     for (std::size_t i = 0; i < joined.r.size(); ++i) {
-      joined.r[i] = ValueSet::join(it->second.r[i], incoming.r[i]);
+      joined.r[i] = ValueSet::join(node.in.r[i], incoming.r[i]);
     }
-    if (joined == it->second) {
+    if (joined == node.in) {
       return;
     }
-    if (++widen_[block] > kWidenAfter) {
+    if (++node.changes > kWidenAfter) {
       // The in-state keeps moving: widen the unstable registers straight to
       // Top so the chain terminates.
       for (std::size_t i = 0; i < joined.r.size(); ++i) {
-        if (!(joined.r[i] == it->second.r[i])) {
+        if (!(joined.r[i] == node.in.r[i])) {
           joined.r[i] = ValueSet::top();
         }
       }
-      if (joined == it->second) {
+      if (joined == node.in) {
         return;
       }
     }
-    it->second = joined;
-    worklist.push_back(block);
+    node.in = std::move(joined);
+    enqueue(block, node);
   }
 
   void refine_edge(Regs& out, const CmpFact& cmp, std::uint32_t term,
@@ -180,7 +340,7 @@ class Engine {
     }
     const bool taken = static_cast<std::int64_t>(succ) == *flow.target;
     ValueSet& v = out.r[cmp.reg];
-    switch (cfg_.decoded[term / isa::kInstrSize]->opcode) {
+    switch (cfg().decoded[term / isa::kInstrSize]->opcode) {
       case isa::Opcode::kJc:  // unsigned below after cmp
         v = taken ? v.refine_below(cmp.rhs) : v.refine_at_least(cmp.rhs);
         break;
@@ -204,8 +364,10 @@ class Engine {
 
   // -- transfer function ------------------------------------------------------
 
+  /// The transfer function.  Fixpoint steps record table clobbers; the
+  /// final walk (`certify`) checks accesses against the EA-MPU region.
   void step(const isa::Instruction& in, std::uint32_t offset, Regs& s, CmpFact& cmp,
-            bool record, bool emit) {
+            bool certify) {
     auto& r = s.r;
     const auto wr = [&](unsigned rd, ValueSet v) {
       r[rd] = std::move(v);
@@ -289,16 +451,16 @@ class Engine {
         break;
       case isa::Opcode::kLdw: {
         const ValueSet addr = r[in.ra].add(in.simm());
-        if (record) {
-          check_access(addr, 4, offset, /*is_store=*/false, emit);
+        if (certify) {
+          check_access(addr, 4, offset, /*is_store=*/false);
         }
         wr(in.rd, load_word(addr));
         break;
       }
       case isa::Opcode::kLdb: {
         const ValueSet addr = r[in.ra].add(in.simm());
-        if (record) {
-          check_access(addr, 1, offset, /*is_store=*/false, emit);
+        if (certify) {
+          check_access(addr, 1, offset, /*is_store=*/false);
         }
         // Bytes are zero-extended: a byte-wide table index is still bounded.
         wr(in.rd, ValueSet::interval(ValueSet::Kind::kConst, 0, 255, 1));
@@ -308,15 +470,16 @@ class Engine {
       case isa::Opcode::kStb: {
         const std::int64_t width = in.opcode == isa::Opcode::kStw ? 4 : 1;
         const ValueSet addr = r[in.ra].add(in.simm());
-        if (record) {
-          check_access(addr, width, offset, /*is_store=*/true, emit);
+        if (certify) {
+          check_access(addr, width, offset, /*is_store=*/true);
+        } else {
           note_store(addr, width);
         }
         break;
       }
       case isa::Opcode::kPush: {
         const ValueSet slot = r[isa::kSpIndex].add(-4);
-        if (record) {
+        if (!certify) {
           note_store(slot, 4);
         }
         r[isa::kSpIndex] = slot;
@@ -337,7 +500,7 @@ class Engine {
       case isa::Opcode::kCallr:
         // The return-address push; the post-call register state is built by
         // the edge propagation (Regs::after_call).
-        if (record) {
+        if (!certify) {
           note_store(r[isa::kSpIndex].add(-4), 4);
         }
         break;
@@ -360,7 +523,7 @@ class Engine {
 
   /// Value of a 32-bit load: resolvable only through unclobbered `.word
   /// label` (ABS32) sites — everything else in memory is mutable or unknown.
-  [[nodiscard]] ValueSet load_word(const ValueSet& addr) const {
+  [[nodiscard]] ValueSet load_word(const ValueSet& addr) {
     if (addr.kind() != ValueSet::Kind::kBaseRel ||
         !addr.enumerable(config_.max_indirect_targets)) {
       return ValueSet::top();
@@ -381,6 +544,7 @@ class Engine {
       value = first ? entry : ValueSet::join(value, entry);
       first = false;
     }
+    read_table_ = true;
     return value;
   }
 
@@ -389,29 +553,36 @@ class Engine {
     switch (addr.kind()) {
       case ValueSet::Kind::kTop:
       case ValueSet::Kind::kBaseLo:
-        pending_clobber_all_ = true;
+        clobber_everything();
         break;
       case ValueSet::Kind::kConst:
         // An absolute store can only alias the image if it lands in the RAM
         // the loader places tasks in; device/trusted-window stores cannot.
         if (addr.hi() + width > sim::kRamBase && addr.lo() < sim::kMemSize) {
-          pending_clobber_all_ = true;
+          clobber_everything();
         }
         break;
       case ValueSet::Kind::kStackRel:
         // In-reservation stack stores are disjoint from the image; a store
         // provably below the reservation could descend into it.
         if (addr.lo() < -static_cast<std::int64_t>(object_.stack_size)) {
-          pending_clobber_all_ = true;
+          clobber_everything();
         }
         break;
       case ValueSet::Kind::kBaseRel: {
-        const std::int64_t lo = addr.lo();
+        if (clobber_all_) {
+          break;
+        }
+        // Table words the store may touch: sites in [lo - 3, hi + width - 1].
+        const std::int64_t lo = std::max<std::int64_t>(addr.lo() - 3, 0);
         const std::int64_t hi = addr.hi() + width - 1;
-        for (const auto& [site, addend] : abs32_) {
-          if (static_cast<std::int64_t>(site) + 3 >= lo &&
-              static_cast<std::int64_t>(site) <= hi) {
-            pending_clobbered_.insert(site);
+        if (hi < lo || lo > std::int64_t{0xFFFF'FFFF}) {
+          break;
+        }
+        for (auto it = abs32_.lower_bound(static_cast<std::uint32_t>(lo));
+             it != abs32_.end() && static_cast<std::int64_t>(it->first) <= hi; ++it) {
+          if (clobbered_.insert(it->first).second) {
+            ++clobber_count_;
           }
         }
         break;
@@ -419,9 +590,16 @@ class Engine {
     }
   }
 
+  void clobber_everything() {
+    if (!clobber_all_) {
+      clobber_all_ = true;
+      ++clobber_count_;
+    }
+  }
+
   /// Certify a register-relative access against the task's EA-MPU region.
   void check_access(const ValueSet& addr, std::int64_t width, std::uint32_t offset,
-                    bool is_store, bool emit) {
+                    bool is_store) {
     const char* what = is_store ? "store" : "load";
     if (addr.kind() == ValueSet::Kind::kBaseRel) {
       const std::int64_t lo = addr.lo();
@@ -430,13 +608,11 @@ class Engine {
       if (lo >= 0 && hi < mem) {
         ++result_.certified_accesses;
       } else if (hi < 0 || lo >= mem) {
-        if (emit) {
-          report_->add(Rule::kDfOutOfRegion, Severity::kError, offset,
-                       std::string(what) + " at " + hex(offset) + " targets " +
-                           addr.to_string() + ", provably outside the task's " +
-                           "EA-MPU region [base, base+" + hex(mem) + ")");
-        }
-      } else if (emit) {
+        report_->add(Rule::kDfOutOfRegion, Severity::kError, offset,
+                     std::string(what) + " at " + hex(offset) + " targets " +
+                         addr.to_string() + ", provably outside the task's " +
+                         "EA-MPU region [base, base+" + hex(mem) + ")");
+      } else {
         report_->add(Rule::kDfMayEscape, Severity::kWarning, offset,
                      std::string(what) + " at " + hex(offset) + " targets " +
                          addr.to_string() + ", which may fall outside the " +
@@ -452,63 +628,19 @@ class Engine {
     }
   }
 
-  // -- replay: clobber collection, site resolution, findings ------------------
-
-  /// Walk every block once at the converged in-states.  Returns true when
-  /// new table clobbers were discovered (the fixpoint must rerun).
-  bool replay(bool emit) {
-    result_.resolved.clear();
-    result_.indirect_sites = 0;
-    result_.certified_accesses = 0;
-    pending_clobber_all_ = clobber_all_;
-    pending_clobbered_ = clobbered_;
-    for (const auto& [start, block] : cfg_.blocks) {
-      const auto it = in_.find(start);
-      if (it == in_.end()) {
-        continue;
-      }
-      Regs state = it->second;
-      CmpFact cmp;
-      for (std::uint32_t offset = block.start; offset < block.end;
-           offset += isa::kInstrSize) {
-        const isa::Instruction& instr = *cfg_.decoded[offset / isa::kInstrSize];
-        if (instr.opcode == isa::Opcode::kJmpr ||
-            instr.opcode == isa::Opcode::kCallr) {
-          resolve_site(instr, offset, state.r[instr.ra], emit);
-        }
-        step(instr, offset, state, cmp, /*record=*/true, emit);
-      }
-    }
-    const bool grew = pending_clobber_all_ != clobber_all_ ||
-                      pending_clobbered_ != clobbered_;
-    clobber_all_ = pending_clobber_all_;
-    clobbered_ = pending_clobbered_;
-    return grew;
-  }
+  // -- findings ----------------------------------------------------------------
 
   void resolve_site(const isa::Instruction& in, std::uint32_t offset,
-                    const ValueSet& target, bool emit) {
+                    const ValueSet& target) {
     ++result_.indirect_sites;
     const std::string mn(isa::mnemonic(in.opcode));
     const auto df = [&](Rule rule, Severity severity, std::string message) {
-      if (emit) {
-        report_->add(rule, severity, offset, std::move(message));
-      }
+      report_->add(rule, severity, offset, std::move(message));
     };
     if (!result_.converged) {
       df(Rule::kDfUnresolved, Severity::kWarning,
          mn + " at " + hex(offset) +
              ": dataflow fixpoint budget exhausted; target not certified");
-      return;
-    }
-    if (banned_ != nullptr && banned_->count(offset) != 0) {
-      // The analyzer withdrew this site: its resolution did not survive
-      // splicing its own edges into the CFG (a self-referential table),
-      // so no claim is sound.
-      df(Rule::kDfUnresolved, Severity::kWarning,
-         mn + " at " + hex(offset) +
-             ": target set does not stabilize across CFG refinement; "
-             "resolution withdrawn");
       return;
     }
     switch (target.kind()) {
@@ -539,20 +671,24 @@ class Engine {
              " candidates");
       return;
     }
-    const auto image_size = static_cast<std::int64_t>(object_.image.size());
     std::vector<std::uint32_t> good;
     for (const std::int64_t t : target.enumerate(config_.max_indirect_targets)) {
-      const bool valid = t >= 0 && t % isa::kInstrSize == 0 &&
-                         t + isa::kInstrSize <= image_size &&
-                         cfg_.decoded[t / isa::kInstrSize].has_value() &&
-                         cfg_.word_class[t / isa::kInstrSize] != WordClass::kData;
-      if (!valid) {
+      if (!valid_code(t)) {
         df(Rule::kDfBadTarget, Severity::kError,
            mn + " at " + hex(offset) + ": resolved target " + hex(t) +
                " is not valid image code");
         return;
       }
       good.push_back(static_cast<std::uint32_t>(t));
+    }
+    if (banned_.contains(offset)) {
+      // This set resolves, but splicing its own edges made the site
+      // unresolvable (a self-referential table): no claim is sound.
+      df(Rule::kDfUnresolved, Severity::kWarning,
+         mn + " at " + hex(offset) +
+             ": target set does not stabilize across CFG refinement; "
+             "resolution withdrawn");
+      return;
     }
     std::string list;
     for (std::size_t i = 0; i < good.size(); ++i) {
@@ -569,33 +705,36 @@ class Engine {
   }
 
   const isa::ObjectFile& object_;
-  const Cfg& cfg_;
+  CfgBuilder& builder_;
   const Config& config_;
-  Report* report_;
-  const std::set<std::uint32_t>* banned_;
+  Report* report_ = nullptr;
 
   std::map<std::uint32_t, std::uint32_t> abs32_;  ///< `.word label` sites
   std::map<std::uint32_t, std::uint32_t> lo16_;
   std::map<std::uint32_t, std::uint32_t> hi16_;
 
-  std::map<std::uint32_t, Regs> in_;
-  std::map<std::uint32_t, int> widen_;
+  std::map<std::uint32_t, Node> nodes_;
+  std::deque<std::uint32_t> worklist_;
+  std::int64_t budget_ = 0;
+  std::set<std::uint32_t> banned_;  ///< sites never spliced again
+  /// Claimable target sets not spliced yet, spliced when the worklist drains.
+  std::map<std::uint32_t, std::vector<std::uint32_t>> pending_;
 
   bool clobber_all_ = false;
   std::set<std::uint32_t> clobbered_;
-  bool pending_clobber_all_ = false;
-  std::set<std::uint32_t> pending_clobbered_;
+  std::uint64_t clobber_count_ = 0;  ///< grows with every new clobber
+  bool read_table_ = false;          ///< set by load_word on a table read
 
   DataflowResult result_;
 };
 
 }  // namespace
 
-DataflowResult run_dataflow(const isa::ObjectFile& object, const Cfg& cfg,
-                            const Config& config, Report* report,
-                            const std::set<std::uint32_t>* banned) {
-  Engine engine(object, cfg, config, report, banned);
-  return engine.run();
+DataflowResult run_dataflow(const isa::ObjectFile& object, CfgBuilder& builder,
+                            const Config& config, Report& report) {
+  Engine engine(object, builder, config);
+  engine.resolve();
+  return engine.emit(report);
 }
 
 }  // namespace tytan::analysis

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <tuple>
 
 #include "analysis/analyzer.h"
 #include "core/platform.h"
@@ -13,6 +16,7 @@
 #include "isa/stdlib.h"
 #include "sim/machine.h"
 #include "sim/memory_map.h"
+#include "task_gen.h"
 #include "tbf/tbf.h"
 
 namespace tytan {
@@ -946,6 +950,290 @@ TEST(Dataflow, DifferentialSoundnessOverExamplesCorpus) {
   }
   EXPECT_GE(programs, 5u);       // the corpus actually ran
   EXPECT_GE(resolved_sites, 4u);  // and it exercises resolution
+}
+
+// ---------------------------------------------------------------------------
+// Jump-table resolution: serial chains, and a differential golden of the
+// analyzer's verdicts pinned before resolution became one worklist.
+// ---------------------------------------------------------------------------
+
+TEST(Dataflow, SerialJumpTablesResolveWithoutBudget) {
+  // Each site is reachable only through the resolved edges of the one
+  // before it, so resolution has to follow the whole chain.
+  for (const unsigned sites : {8u, 16u}) {
+    isa::ObjectFile object = bench::make_dispatch_task(sites, 8);
+    const analysis::Analysis full = analysis::analyze_full(object);
+    EXPECT_EQ(full.report.errors(), 0u) << full.report.to_string();
+    EXPECT_EQ(full.report.warnings(), 0u) << full.report.to_string();
+    const auto df001 = std::count_if(
+        full.report.findings.begin(), full.report.findings.end(),
+        [](const analysis::Finding& f) { return f.rule == Rule::kDfResolved; });
+    EXPECT_EQ(df001, static_cast<std::ptrdiff_t>(sites)) << full.report.to_string();
+    EXPECT_EQ(full.dataflow.resolved.size(), sites);
+    for (const auto& [site, targets] : full.dataflow.resolved) {
+      EXPECT_EQ(targets.size(), 8u) << analysis::hex(site);
+    }
+
+    core::Platform::Config config;
+    config.lint_mode = core::LintMode::kStrict;
+    core::Platform platform(config);
+    ASSERT_TRUE(platform.boot().is_ok());
+    core::LoadParams params;
+    params.name = "serial";
+    auto task = platform.load_task(std::move(object), std::move(params));
+    EXPECT_TRUE(task.is_ok()) << task.status().to_string();
+    EXPECT_EQ(platform.loader().last_lint().warnings(), 0u)
+        << platform.loader().last_lint().to_string();
+  }
+}
+
+TEST(Dataflow, BanRestartsWithoutTheSelfInvalidatingSite) {
+  // Splicing `dispatch`'s target `store` makes its own table load Top (the
+  // store may hit any word), so that site is banned and the pass restarts
+  // from the roots without `store`.  `helper`'s table is then clobbered by
+  // nothing it reaches, and it stays resolved.  (The round-based resolver
+  // withdrew both: it banned every site a round left unresolved.)
+  const auto object = assemble(R"(
+      .entry main
+  main:
+      call helper
+      li   r2, table_a
+      ldw  r2, [r2]
+  dispatch:
+      jmpr r2
+  store:
+      stw  r1, [r5]
+      hlt
+  helper:
+      li   r2, table_b
+      ldw  r2, [r2]
+      jmpr r2
+  done:
+      ret
+  table_a:
+      .word store
+  table_b:
+      .word done
+  )");
+  const analysis::Analysis full = analysis::analyze_full(object);
+  EXPECT_EQ(full.dataflow_iterations, 2);  // one ban, one restart
+  ASSERT_EQ(full.dataflow.resolved.size(), 1u) << full.report.to_string();
+  const std::uint32_t dispatch = 0x10;
+  EXPECT_FALSE(full.dataflow.resolved.contains(dispatch));
+  EXPECT_FALSE(full.cfg.is_code(dispatch + isa::kInstrSize)) << "store was spliced";
+  const analysis::Finding* withdrawn = full.report.find(Rule::kDfUnresolved);
+  ASSERT_NE(withdrawn, nullptr) << full.report.to_string();
+  EXPECT_EQ(withdrawn->offset, dispatch);
+  EXPECT_NE(withdrawn->message.find("resolution withdrawn"), std::string::npos)
+      << withdrawn->message;
+}
+
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf2'9ce4'8422'2325ull;
+  for (const char c : text) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x0000'0100'0000'01b3ull;
+  }
+  return h;
+}
+
+std::string hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
+  return buf;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// What the oracle pins of one analysis, one indented line each: the
+/// findings sorted by (rule, severity, offset, message), every resolved
+/// site with its targets, and the indirect-site and certified-access counts.
+std::string oracle_body(const analysis::Analysis& full) {
+  std::vector<analysis::Finding> findings = full.report.findings;
+  std::sort(findings.begin(), findings.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.rule, a.severity, a.offset, a.message) <
+           std::tie(b.rule, b.severity, b.offset, b.message);
+  });
+  std::ostringstream os;
+  for (const analysis::Finding& f : findings) {
+    os << "  F " << analysis::rule_id(f.rule) << ' ' << analysis::severity_name(f.severity)
+       << ' ' << analysis::hex(f.offset) << ' ' << f.message << '\n';
+  }
+  for (const auto& [site, targets] : full.dataflow.resolved) {
+    os << "  R " << analysis::hex(site) << ':';
+    for (const std::uint32_t target : targets) {
+      os << ' ' << analysis::hex(target);
+    }
+    os << '\n';
+  }
+  os << "  C sites=" << full.dataflow.indirect_sites
+     << " certified=" << full.dataflow.certified_accesses << '\n';
+  return os.str();
+}
+
+/// The final CFG is exactly the one recovery builds from the final
+/// resolved set.
+void expect_recovery_of_resolved(const isa::ObjectFile& object,
+                                 const analysis::Analysis& full, const std::string& name) {
+  if (!full.has_cfg) {
+    return;
+  }
+  Report scratch;
+  const analysis::Cfg want = analysis::recover_cfg(object, analysis::decode_image(object),
+                                                   scratch, &full.dataflow.resolved);
+  const analysis::Cfg& got = full.cfg;
+  EXPECT_EQ(got.roots, want.roots) << name;
+  EXPECT_EQ(got.reachable, want.reachable) << name;
+  EXPECT_TRUE(got.word_class == want.word_class) << name;
+  EXPECT_EQ(got.functions, want.functions) << name;
+  EXPECT_EQ(got.call_graph, want.call_graph) << name;
+  EXPECT_EQ(got.indirect_targets, want.indirect_targets) << name;
+  EXPECT_TRUE(got.blocks == want.blocks) << name;
+}
+
+/// Oracle inputs by name, in golden order: the asm corpus, every assembly
+/// program of this file (named by the digest of its text), serial dispatch
+/// shapes of up to 7 sites, the perfbench guest program and mutants of it.
+std::map<std::string, isa::ObjectFile> oracle_inputs() {
+  std::map<std::string, isa::ObjectFile> inputs;
+  for (const auto& entry : std::filesystem::directory_iterator(TYTAN_ASM_DIR)) {
+    if (entry.path().extension() == ".s") {
+      inputs.emplace("asm/" + entry.path().filename().string(),
+                     assemble(read_file(entry.path())));
+    }
+  }
+  // The raw string literals of this file; the ones that assemble are the
+  // programs the tests above analyze.
+  const std::string self = read_file(std::filesystem::path(TYTAN_TESTS_DIR) / "test_analysis.cc");
+  const std::string_view open = "R\"(";
+  const std::string_view close = ")\"";
+  for (std::size_t at = self.find(open); at != std::string::npos; at = self.find(open, at)) {
+    const std::size_t begin = at + open.size();
+    const std::size_t end = self.find(close, begin);
+    const std::string source = self.substr(begin, end - begin);
+    at = end;
+    if (auto object = isa::assemble(source); object.is_ok()) {
+      inputs.emplace("test/" + hex64(fnv1a(source)), object.take());
+    }
+  }
+  for (unsigned sites = 1; sites <= 7; ++sites) {
+    for (const unsigned cases : {2u, 8u}) {
+      inputs.emplace("dispatch/" + std::to_string(sites) + "x" + std::to_string(cases),
+                     bench::make_dispatch_task(sites, cases));
+    }
+  }
+  for (const unsigned cases : {4u, 16u, 64u}) {
+    inputs.emplace("dispatch/1x" + std::to_string(cases), bench::make_dispatch_task(1, cases));
+  }
+  const isa::ObjectFile guest =
+      assemble(read_file(std::filesystem::path(TYTAN_TESTS_DIR) / "fixtures/perfbench_guest_1_0.s"));
+  const ByteVec seed = tbf::write(guest);
+  inputs.emplace("guest", guest);
+  // tytan-fuzz's mutator (--seed 1, a one-image corpus): 1-8 edits, each a
+  // truncation (1/8), an appended byte (1/8) or a byte overwrite (6/8).
+  std::uint64_t state = 1 ^ 0x9e37'79b9'7f4a'7c15ull;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  constexpr std::size_t kMutants = 2'000;
+  std::size_t parsed = 0;
+  for (std::size_t draw = 0; parsed < kMutants; ++draw) {
+    ByteVec input = seed;
+    next();  // the corpus pick
+    const std::uint64_t mutations = 1 + next() % 8;
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      switch (next() % 8) {
+        case 0:
+          if (input.size() > 8) {
+            input.resize(8 + next() % (input.size() - 8));
+          }
+          break;
+        case 1:
+          input.push_back(static_cast<std::uint8_t>(next()));
+          break;
+        default:
+          input[next() % input.size()] = static_cast<std::uint8_t>(next());
+          break;
+      }
+    }
+    if (auto object = tbf::read(input); object.is_ok()) {
+      char name[32];
+      std::snprintf(name, sizeof(name), "mutant/%05zu", draw);
+      inputs.emplace(name, object.take());
+      ++parsed;
+    }
+  }
+  return inputs;
+}
+
+TEST(Dataflow, ResolutionMatchesGolden) {
+  // tests/golden/analysis-oracle.txt was written by the round-based
+  // resolver (recover the CFG, run the dataflow, splice, repeat), before
+  // resolution became one worklist.  Each entry is a header line
+  // `name rounds=N` (N: that resolver's rounds, informational) followed by
+  // the oracle body; a mutant's body is kept as its digest (`body=...`).
+  // Every golden entry must still be analyzed and match; inputs added since
+  // (new test programs) have no entry and are skipped.
+  std::map<std::string, std::string> golden;
+  {
+    std::istringstream in(read_file(std::filesystem::path(TYTAN_TESTS_DIR) /
+                                    "golden/analysis-oracle.txt"));
+    std::string line;
+    std::string name;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') {
+        continue;
+      }
+      if (line[0] == ' ') {
+        golden[name] += line + '\n';
+        continue;
+      }
+      name = line.substr(0, line.find(' '));
+      const std::size_t body = line.find(" body=");
+      golden[name] = body == std::string::npos ? "" : line.substr(body + 6);
+    }
+  }
+  std::string actual =
+      "# Analyzer differential oracle: see Dataflow.ResolutionMatchesGolden.\n";
+  std::size_t mismatches = 0;
+  std::size_t compared = 0;
+  for (const auto& [name, object] : oracle_inputs()) {
+    const analysis::Analysis full = analysis::analyze_full(object);
+    expect_recovery_of_resolved(object, full, name);
+    const std::string body = oracle_body(full);
+    const bool digest = name.starts_with("mutant/");
+    const std::string pinned = digest ? hex64(fnv1a(body)) : body;
+    actual += name + " rounds=" + std::to_string(full.dataflow_iterations) +
+              (digest ? " body=" + pinned + "\n" : "\n" + body);
+    const auto it = golden.find(name);
+    if (it == golden.end()) {
+      continue;  // a program added after the golden was written
+    }
+    ++compared;
+    if (it->second != pinned) {
+      ++mismatches;
+      ADD_FAILURE() << name << " differs from the golden; now:\n" << body;
+    }
+    golden.erase(it);
+  }
+  for (const auto& [name, body] : golden) {
+    ADD_FAILURE() << "golden input " << name << " was not analyzed";
+    ++mismatches;
+  }
+  EXPECT_GE(compared, 2'000u);
+  if (mismatches != 0) {
+    std::ofstream("analysis-oracle.actual.txt") << actual;
+    ADD_FAILURE() << mismatches
+                  << " oracle mismatches; this run's entries are in analysis-oracle.actual.txt";
+  }
 }
 
 }  // namespace
