@@ -3,9 +3,8 @@
 // Unlike the table benches, the analyzer runs on the *host* at load time — it
 // charges zero simulated cycles (see LoaderGate.VerifierChargesNoMachineCycles)
 // — so this bench reports host wall-clock throughput instead of cycle counts:
-// how much binary the lint gate can verify per second, what each pass (CFG,
-// relocation, dataflow, stack, MMIO) contributes to the total, and how the
-// value-set dataflow cost scales with jump-table fan-out and site count.
+// how much binary the lint gate can verify per second, and how the value-set
+// dataflow cost scales with jump-table fan-out and site count.
 //
 // CI runs `--smoke --json=BENCH_analysis.json` and publishes the report
 // (`paper` is 0 throughout: the source paper has no host-side numbers).
@@ -21,12 +20,11 @@ using namespace tytan;
 namespace {
 
 /// Median-of-reps wall-clock time for one analyze() call, in microseconds.
-double time_us(const isa::ObjectFile& object, const analysis::Config& config,
-               int reps) {
+double time_us(const isa::ObjectFile& object, int reps) {
   std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const analysis::Report report = analysis::analyze(object, config);
+    const analysis::Report report = analysis::analyze(object);
     const auto t1 = std::chrono::steady_clock::now();
     TYTAN_CHECK(report.errors() == 0, "generated task must verify clean");
     samples.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -59,7 +57,7 @@ int main(int argc, char** argv) {
     // Keep reloc density constant: one ABS32 record per 64 image bytes.
     const unsigned relocs = bytes / 64;
     const isa::ObjectFile object = bench::make_task(bytes, relocs, /*secure=*/false);
-    const double us = time_us(object, {}, reps);
+    const double us = time_us(object, reps);
     scaling.row({std::to_string(kib) + " KiB", bench::num(relocs),
                  bench::fixed(us, 1), mb_per_s(bytes, us)});
     record("image." + std::to_string(kib) + "KiB.us", us);
@@ -70,40 +68,11 @@ int main(int argc, char** argv) {
   relocs.columns({"relocs", "analyze (us)"});
   for (const unsigned n : {0u, 16u, 64u, 256u}) {
     const isa::ObjectFile object = bench::make_task(16'384, n, /*secure=*/false);
-    const double us = time_us(object, {}, reps);
+    const double us = time_us(object, reps);
     relocs.row({bench::num(n), bench::fixed(us, 1)});
     record("relocs." + std::to_string(n) + ".us", us);
   }
   relocs.print();
-
-  // Per-pass cost: run with a single pass enabled at a time.  CFG recovery is
-  // a fixed prerequisite of the stack, MMIO, and dataflow passes, so their
-  // rows include it; the "structural only" row is that shared baseline.
-  const isa::ObjectFile object = bench::make_task(16'384, 256, /*secure=*/false);
-  bench::Table passes("Per-pass cost (16 KiB image, 256 relocs)");
-  passes.columns({"configuration", "analyze (us)"});
-  const auto with = [](bool structural, bool reloc, bool dataflow, bool stack,
-                       bool mmio) {
-    analysis::Config config;
-    config.structural = structural;
-    config.relocations = reloc;
-    config.dataflow = dataflow;
-    config.stack = stack;
-    config.mmio = mmio;
-    return config;
-  };
-  const auto pass_row = [&](const char* name, const analysis::Config& config) {
-    const double us = time_us(object, config, reps);
-    passes.row({name, bench::fixed(us, 1)});
-    record(std::string("pass.") + name + ".us", us);
-  };
-  pass_row("structural only", with(true, false, false, false, false));
-  pass_row("+ relocations", with(true, true, false, false, false));
-  pass_row("+ dataflow", with(true, false, true, false, false));
-  pass_row("+ stack depth", with(true, false, false, true, false));
-  pass_row("+ MMIO constprop", with(true, false, false, false, true));
-  pass_row("all passes", with(true, true, true, true, true));
-  passes.print();
 
   // Dataflow cost vs. indirect fan-out and chain length: every site must
   // enumerate its whole table (masked unknown index), and each site is
@@ -111,8 +80,7 @@ int main(int argc, char** argv) {
   // scales both the value-set widths and the number of splices one fixpoint
   // pass makes.  A pass restarts only after a ban, so `passes` stays 1 here.
   bench::Table dataflow("Dataflow pass vs. jump-table shape");
-  dataflow.columns({"sites x cases", "analyze (us)", "us/site", "dataflow (us)", "passes",
-                    "resolved"});
+  dataflow.columns({"sites x cases", "analyze (us)", "us/site", "passes", "resolved"});
   for (const auto& [sites, cases] : std::vector<std::pair<unsigned, unsigned>>{
            {1, 4}, {1, 16}, {1, 64}, {4, 8}, {8, 8}, {16, 8}, {32, 8}}) {
     const isa::ObjectFile task = bench::make_dispatch_task(sites, cases);
@@ -120,12 +88,11 @@ int main(int argc, char** argv) {
     TYTAN_CHECK(full.report.errors() == 0, "dispatch task must verify clean");
     TYTAN_CHECK(full.dataflow.resolved.size() == sites,
                 "every dispatch site must resolve");
-    const double us = time_us(task, {}, reps);
+    const double us = time_us(task, reps);
     const std::string shape =
         std::to_string(sites) + " x " + std::to_string(cases);
     dataflow.row({shape, bench::fixed(us, 1), bench::fixed(us / sites, 1),
-                  bench::num(full.timings.dataflow_us),
-                  bench::num(static_cast<unsigned>(full.dataflow_iterations)),
+                  bench::num(static_cast<unsigned>(full.dataflow.passes)),
                   bench::num(full.dataflow.resolved.size())});
     record("dataflow." + std::to_string(sites) + "x" + std::to_string(cases) +
                ".us",

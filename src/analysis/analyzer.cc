@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <deque>
 #include <map>
 #include <set>
@@ -521,57 +520,20 @@ class MmioAnalysis {
 }  // namespace
 
 Analysis analyze_full(const isa::ObjectFile& object, const Config& config) {
-  using Clock = std::chrono::steady_clock;
-  const auto elapsed_us = [](Clock::time_point since) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - since)
-            .count());
-  };
-
   Analysis out;
   Report& report = out.report;
   if (!object.data_only()) {
-    if (config.structural) {
-      check_image_shape(object, report);
-    }
-    // The CFG is recovered even when structural findings are disabled — the
-    // downstream passes need it.  Structural findings go to a scratch report
-    // in that case.
-    Report scratch;
-    Report& structural_sink = config.structural ? report : scratch;
-    const auto structural_begin = Clock::now();
-    CfgBuilder builder(object, decode_image(object), config.dataflow);
-    std::uint64_t structural_us = elapsed_us(structural_begin);
-    if (config.dataflow) {
-      // Recovery and resolution share one worklist (dataflow.h).
-      const auto dataflow_begin = Clock::now();
-      out.dataflow = run_dataflow(object, builder, config, report);
-      out.dataflow_iterations = out.dataflow.passes;
-      out.timings.dataflow_us = elapsed_us(dataflow_begin);
-    } else {
-      const auto begin = Clock::now();
-      builder.start();
-      structural_us += elapsed_us(begin);
-    }
-    const auto finish_begin = Clock::now();
-    out.cfg = builder.finish(structural_sink);
-    out.timings.structural_us = structural_us + elapsed_us(finish_begin);
+    check_image_shape(object, report);
+    // Recovery and resolution share one worklist (dataflow.h).
+    CfgBuilder builder(object, decode_image(object));
+    out.dataflow = run_dataflow(object, builder, config, report);
+    out.cfg = builder.finish(report);
     out.has_cfg = true;
   }
-  if (config.relocations) {
-    const auto begin = Clock::now();
-    check_relocations(object, out.has_cfg ? &out.cfg : nullptr, report);
-    out.timings.relocation_us = elapsed_us(begin);
-  }
-  if (out.has_cfg && config.stack) {
-    const auto begin = Clock::now();
+  check_relocations(object, out.has_cfg ? &out.cfg : nullptr, report);
+  if (out.has_cfg) {
     StackAnalysis(out.cfg, report).run(object, config.interrupt_reserve);
-    out.timings.stack_us = elapsed_us(begin);
-  }
-  if (out.has_cfg && config.mmio) {
-    const auto begin = Clock::now();
     MmioAnalysis(out.cfg, object, report).run();
-    out.timings.mmio_us = elapsed_us(begin);
   }
   if (!config.suppress.empty()) {
     std::erase_if(report.findings,

@@ -1,30 +1,29 @@
 // Static binary verifier for Peak-32/TBF task images.
 //
-// Runs up to five passes over an object file and returns a Report of rule
+// Runs one pipeline over an object file and returns a Report of rule
 // findings (see findings.h for the catalogue):
 //
-//   structural  CF001–CF006, IM001–IM002   CFG recovery + image shape
-//   relocation  RL001–RL004                 LO16/HI16 pairing, sites, ranges
+//   structural  CF001–CF005, IM001–IM002   CFG recovery + image shape
 //   dataflow    DF001–DF005                 value-set resolution of indirect
 //                                           control flow + EA-MPU certification
+//   relocation  RL001–RL004                 LO16/HI16 pairing, sites, ranges
 //   stack       ST001–ST003                 conservative worst-case depth
 //   mmio        MM001–MM004                 statically-known access addresses
 //
-// With the dataflow pass enabled (the default) CFG recovery and value-set
-// analysis share one worklist and reach a joint fixpoint: targets resolved
-// by the dataflow pass become CFG edges, newly reachable code is recovered
-// and analyzed in the same worklist, and blanket CF006 warnings are replaced
-// by the precise DF verdicts (see dataflow.h).
-// The stack pass then tightens its worst case through resolved indirect
-// calls, and register-relative accesses are certified against the task's
-// EA-MPU region.
+// CFG recovery and value-set analysis share one worklist and reach a joint
+// fixpoint: targets resolved by the dataflow pass become CFG edges, and
+// newly reachable code is recovered and analyzed in the same worklist; each
+// indirect site gets a precise DF verdict (see dataflow.h).  The stack pass
+// then tightens its worst case through resolved indirect calls, and
+// register-relative accesses are certified against the task's EA-MPU region.
 //
 // The verifier is conservative in what it *claims*: a clean report means no
 // statically-provable violation was found, not that the binary is correct —
 // unresolvable indirect control flow and unbounded register-relative
 // addressing are reported as unverifiable rather than guessed at.  It never
 // charges simulated machine cycles; the loader runs it host-side before any
-// memory is allocated for the task.
+// memory is allocated for the task, and seeds heat-profile block leaders
+// from the CFG it recovers.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +37,6 @@
 namespace tytan::analysis {
 
 struct Config {
-  bool structural = true;   ///< CF* / IM* checks
-  bool relocations = true;  ///< RL* checks
-  bool stack = true;        ///< ST* checks
-  bool mmio = true;         ///< MM* checks
-  bool dataflow = true;     ///< DF* checks (value-set analysis)
   /// Bytes the platform may push onto the task stack underneath the task's
   /// own worst case: the hardware interrupt frame (EFLAGS + EIP, 8 bytes)
   /// plus the Int Mux context save (r0..r6, 28 bytes).
@@ -56,34 +50,21 @@ struct Config {
   [[nodiscard]] bool suppressed(Rule rule) const { return suppress.contains(rule); }
 };
 
-/// Host-side wall-clock cost of each pass, for `tytan-lint --json` and the
-/// analysis benchmark.  Zero for passes that did not run.
-struct PassTimings {
-  std::uint64_t structural_us = 0;
-  std::uint64_t relocation_us = 0;
-  /// The resolution worklist, including the CFG recovery it drives.
-  std::uint64_t dataflow_us = 0;
-  std::uint64_t stack_us = 0;
-  std::uint64_t mmio_us = 0;
-};
-
 /// Everything one verification run produced.  `analyze()` is the
-/// findings-only shorthand; tools that annotate disassembly or report pass
-/// costs use the full result.
+/// findings-only shorthand; the loader, and tools that annotate
+/// disassembly, use the full result.
 struct Analysis {
   Report report;
   Cfg cfg;                  ///< final CFG (resolved edges spliced in)
   bool has_cfg = false;     ///< false for data-only objects
-  DataflowResult dataflow;  ///< empty when the dataflow pass is disabled
-  int dataflow_iterations = 0;  ///< fixpoint passes: 1 + restarts after bans
-  PassTimings timings;
+  DataflowResult dataflow;  ///< empty for data-only objects
 };
 
 /// Analyze `object` and return all findings, sorted by (offset, rule).
 Report analyze(const isa::ObjectFile& object, const Config& config = {});
 
-/// Full analysis: findings plus the recovered CFG, resolved indirect
-/// targets, and per-pass timings.
+/// Full analysis: findings plus the recovered CFG and resolved indirect
+/// targets.
 Analysis analyze_full(const isa::ObjectFile& object, const Config& config = {});
 
 }  // namespace tytan::analysis

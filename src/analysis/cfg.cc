@@ -84,8 +84,8 @@ DecodedWords decode_image(const isa::ObjectFile& object) {
   return decoded;
 }
 
-CfgBuilder::CfgBuilder(const isa::ObjectFile& object, DecodedWords decoded, bool dataflow)
-    : object_(object), dataflow_(dataflow) {
+CfgBuilder::CfgBuilder(const isa::ObjectFile& object, DecodedWords decoded)
+    : object_(object) {
   const auto image_size = static_cast<std::uint32_t>(object.image.size());
   const std::size_t n_words = image_size / isa::kInstrSize;
   TYTAN_CHECK(decoded.size() == n_words, "CfgBuilder: decoded words of another image");
@@ -345,12 +345,6 @@ Cfg CfgBuilder::finish(Report& report) {
       continue;
     }
     const Flow flow = cfg_.flow_at(offset);
-    if (flow.indirect && !dataflow_) {
-      report.add(Rule::kCfIndirect, Severity::kWarning, offset,
-                 std::string(isa::mnemonic(cfg_.decoded[index]->opcode)) + " at " +
-                     hex(offset) + ": indirect control transfer is not "
-                     "statically verifiable");
-    }
     if (flow.target.has_value() && !in_image(*flow.target)) {
       report.add(Rule::kCfTarget, Severity::kError, offset,
                  std::string(flow.is_call ? "call" : "branch") + " target " +
@@ -395,9 +389,9 @@ Cfg CfgBuilder::finish(Report& report) {
 }
 
 Cfg recover_cfg(const isa::ObjectFile& object, DecodedWords decoded, Report& report,
-                const ResolvedTargets* resolved) {
-  CfgBuilder builder(object, std::move(decoded), resolved != nullptr);
-  builder.start(resolved != nullptr ? *resolved : ResolvedTargets{});
+                const ResolvedTargets& resolved) {
+  CfgBuilder builder(object, std::move(decoded));
+  builder.start(resolved);
   return builder.finish(report);
 }
 

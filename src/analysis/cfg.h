@@ -5,11 +5,10 @@
 // records), everything reachable from the entry points is code, and the rest
 // stays unknown (unreachable bytes are never flagged — string tables and
 // padding are normal).  Reachability follows static branch displacements and
-// call targets; `jmpr`/`callr` have no static successor and are reported as
-// not statically verifiable (CF006) — unless recovery runs in dataflow mode,
-// where resolved targets are spliced into the traversal, the successor
-// lists, and the call graph, and CF006 is left to the dataflow pass's more
-// precise DF rules.
+// call targets; `jmpr`/`callr` have no static successor until the dataflow
+// pass resolves them: resolved targets are spliced into the traversal, the
+// successor lists, and the call graph, and every indirect site gets the
+// dataflow pass's DF verdict.
 //
 // `CfgBuilder` grows one image's CFG: it recovers the statically reachable
 // code from the roots, then takes resolved indirect sites one at a time as
@@ -18,8 +17,8 @@
 // set; both build exactly the same blocks.
 //
 // The recovered CFG (basic blocks, successors, call graph) is shared by the
-// stack-depth and MMIO passes and is exposed for future consumers
-// (control-flow attestation, coverage tooling).
+// stack-depth and MMIO passes, and the loader seeds heat-profile block
+// leaders from it, so runtime blocks are the verifier's blocks.
 #pragma once
 
 #include <map>
@@ -107,9 +106,9 @@ class CfgBuilder {
     std::vector<std::uint32_t> entries;
   };
 
-  /// `decoded` is decode_image(object).  In dataflow mode an indirect site
-  /// is followed once it is spliced and CF006 is never reported.
-  CfgBuilder(const isa::ObjectFile& object, DecodedWords decoded, bool dataflow);
+  /// `decoded` is decode_image(object).  An indirect site is followed once
+  /// it is spliced.
+  CfgBuilder(const isa::ObjectFile& object, DecodedWords decoded);
 
   /// Recover everything reachable from the roots afresh, following the
   /// edges of `resolved` from the start.
@@ -121,7 +120,7 @@ class CfgBuilder {
 
   [[nodiscard]] const Cfg& cfg() const { return cfg_; }
 
-  /// Complete the call graph, append the structural findings (CF001–CF006)
+  /// Complete the call graph, append the structural findings (CF001–CF005)
   /// of the CFG as it stands to `report`, and hand the CFG over.
   Cfg finish(Report& report);
 
@@ -135,7 +134,6 @@ class CfgBuilder {
   [[nodiscard]] bool in_image(std::int64_t target) const;
 
   const isa::ObjectFile& object_;
-  const bool dataflow_;
   Cfg cfg_;
   std::vector<WordClass> initial_class_;  ///< ABS32 data words, else unknown
   std::vector<Finding> root_findings_;    ///< CF001, once per image
@@ -145,14 +143,11 @@ class CfgBuilder {
 };
 
 /// Validate the entry points of `object` and recover its CFG from
-/// `decoded` (decode_image(object)).  Structural violations (CF001–CF006)
-/// are appended to `report`.
-///
-/// When `resolved` is non-null the recovery runs in dataflow mode: resolved
-/// jmpr/callr edges are followed (their targets become reachable leaders,
-/// successors, and call-graph edges) and CF006 is never emitted — the
-/// dataflow pass reports each indirect site precisely (DF001–DF003).
+/// `decoded` (decode_image(object)), following the edges of `resolved`.
+/// Structural violations (CF001–CF005) are appended to `report`.  The
+/// splice oracle: run_dataflow's final CFG is exactly this one over the
+/// resolved set it returns.
 Cfg recover_cfg(const isa::ObjectFile& object, DecodedWords decoded, Report& report,
-                const ResolvedTargets* resolved = nullptr);
+                const ResolvedTargets& resolved);
 
 }  // namespace tytan::analysis

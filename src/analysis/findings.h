@@ -30,7 +30,7 @@ enum class Rule : std::uint8_t {
   kCfUndecodable,  ///< CF003: reachable word does not decode
   kCfFallOff,      ///< CF004: reachable path falls off the image end
   kCfDataExec,     ///< CF005: reachable code overlaps relocated data
-  kCfIndirect,     ///< CF006: indirect transfer, not statically verifiable
+  kCfIndirect,     ///< CF006: retired (indirect sites get DF verdicts); still parses
   kRlPairing,      ///< RL001: LO16/HI16 pair broken
   kRlSite,         ///< RL002: relocation targets the wrong instruction kind
   kRlOverlap,      ///< RL003: overlapping/duplicate relocation records

@@ -47,8 +47,9 @@ class Platform {
     /// Seed for the deterministic nonce RNG.  Fleet devices need distinct
     /// but reproducible seeds; 0 falls back to the device default.
     std::uint64_t rng_seed = sim::RngDevice::kDefaultSeed;
-    /// Static-verifier gate the loader runs, with every analysis pass at
-    /// its defaults, before allocating task memory.
+    /// What the loader does with the findings of the static verifier it
+    /// runs (default analysis config) on every load, before allocating
+    /// task memory.
     LintMode lint_mode = LintMode::kWarn;
     /// Log context every component of this platform emits through; nullptr
     /// means the process-default context (single-platform CLIs and tests).

@@ -62,6 +62,12 @@ Status conf_state(snap::Io& io, Platform::Config& config, std::uint32_t& mem_siz
   io.blob(costs);
   io.sequence(devices, [&io](std::string& name) { io.str(name); });
   if (io.loading() && io.ok()) {
+    if (config.lint_mode != LintMode::kWarn && config.lint_mode != LintMode::kStrict) {
+      return make_error(Err::kCorrupt,
+                        "snapshot lint mode " +
+                            std::to_string(static_cast<unsigned>(config.lint_mode)) +
+                            " is neither warn (1) nor strict (2)");
+    }
     if (costs.size() != sizeof(sim::CostModel)) {
       return make_error(Err::kInvalidArgument,
                         "snapshot cost model is " + std::to_string(costs.size()) +

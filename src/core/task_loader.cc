@@ -206,29 +206,36 @@ bool TaskLoader::load_quantum() {
   return more;
 }
 
+analysis::Report TaskLoader::analyze(Job& job) {
+  analysis::Analysis full = analysis::analyze_full(job.object);
+  job.block_starts.clear();
+  job.block_starts.reserve(full.cfg.blocks.size());
+  for (const auto& [start, block] : full.cfg.blocks) {
+    job.block_starts.push_back(start);
+  }
+  return std::move(full.report);
+}
+
 bool TaskLoader::quantum_verify() {
   Job& job = *job_;
   // Step 0: static verification.  Runs host-side before any task memory is
   // allocated and charges no simulated cycles — the paper's load-time cost
   // model (Tables 4/5) is unchanged by the lint gate.
-  lint_report_ = analysis::Report{};
-  if (lint_mode_ != LintMode::kOff) {
-    lint_report_ = analysis::analyze(job.object);
-    stats_.lint_findings = static_cast<std::uint32_t>(lint_report_.findings.size());
-    for (const analysis::Finding& finding : lint_report_.findings) {
-      const LogLevel level = finding.severity == analysis::Severity::kError
-                                 ? LogLevel::kWarn
-                                 : LogLevel::kInfo;
-      TYTAN_CLOG(machine_.log(), level, "loader")
-          << "lint " << job.params.name << ": " << analysis::format_finding(finding);
-    }
-    if (lint_mode_ == LintMode::kStrict && lint_report_.errors() > 0) {
-      const analysis::Finding* first = lint_report_.first(analysis::Severity::kError);
-      fail_job(make_error(Err::kInvalidArgument,
-                          "static verifier rejected image: " +
-                              analysis::format_finding(*first)));
-      return true;
-    }
+  lint_report_ = analyze(job);
+  stats_.lint_findings = static_cast<std::uint32_t>(lint_report_.findings.size());
+  for (const analysis::Finding& finding : lint_report_.findings) {
+    const LogLevel level = finding.severity == analysis::Severity::kError
+                               ? LogLevel::kWarn
+                               : LogLevel::kInfo;
+    TYTAN_CLOG(machine_.log(), level, "loader")
+        << "lint " << job.params.name << ": " << analysis::format_finding(finding);
+  }
+  if (lint_mode_ == LintMode::kStrict && lint_report_.errors() > 0) {
+    const analysis::Finding* first = lint_report_.first(analysis::Severity::kError);
+    fail_job(make_error(Err::kInvalidArgument,
+                        "static verifier rejected image: " +
+                            analysis::format_finding(*first)));
+    return true;
   }
   job.phase = Phase::kAlloc;
   return true;
@@ -455,20 +462,13 @@ bool TaskLoader::quantum_register() {
   }
   if (obs::HeatRecorder* heat = machine_.heat(); heat != nullptr) {
     // Execution observatory: name the loaded region and seed static block
-    // leaders from CFG recovery so heat blocks line up with the disassembler's
-    // basic blocks (runtime leader detection alone would split only at
+    // leaders from the verify phase's CFG, so heat blocks are the verifier's
+    // (and the disassembler's) basic blocks, resolved jump-table edges
+    // included (runtime leader detection alone would split only at
     // discontinuities).  Heat regions deliberately persist across unload —
     // the profile is cumulative history, not live state.
     heat->add_region(job.handle, job.params.name, tcb->region_base, tcb->region_size);
-    analysis::Report scratch;
-    const analysis::Cfg cfg =
-        analysis::recover_cfg(job.object, analysis::decode_image(job.object), scratch);
-    std::vector<std::uint32_t> offsets;
-    offsets.reserve(cfg.blocks.size());
-    for (const auto& [start, block] : cfg.blocks) {
-      offsets.push_back(start);
-    }
-    heat->add_leaders(tcb->region_base, offsets);
+    heat->add_leaders(tcb->region_base, job.block_starts);
   }
   // The decode cache already observed the image copy (write watch) and the
   // EA-MPU slot writes (config epoch); dropping it here is belt and braces
@@ -598,6 +598,9 @@ Status TaskLoader::state(snap::Io& io) {
     io.u64(job.start_cycles);
     io.boolean(job.failed);
     io.status(job.failure);
+    if (io.loading() && job.phase != Phase::kVerify && !job.failed) {
+      analyze(job);
+    }
   });
   io.i32(last_loaded_);
   io.u64(stats_.alloc);

@@ -29,12 +29,12 @@ namespace tytan::core {
 class IpcProxy;
 
 /// How the loader treats static-verifier findings (step 0, before any
-/// memory is touched).  The verifier runs host-side and charges no
-/// simulated cycles, so kWarn/kStrict do not perturb the cost model.
-enum class LintMode {
-  kOff,     ///< skip the verifier entirely
-  kWarn,    ///< log findings, load anyway (default)
-  kStrict,  ///< reject the image if any error-severity finding exists
+/// memory is touched).  The verifier runs on every load, host-side, and
+/// charges no simulated cycles, so neither mode perturbs the cost model.
+/// The values are the snapshot wire form (CONF).
+enum class LintMode : std::uint8_t {
+  kWarn = 1,    ///< log findings, load anyway (default)
+  kStrict = 2,  ///< reject the image if any error-severity finding exists
 };
 
 struct LoadParams {
@@ -121,7 +121,7 @@ class TaskLoader {
   /// Configure the pre-load static verifier gate.
   void set_lint(LintMode mode) { lint_mode_ = mode; }
   [[nodiscard]] LintMode lint_mode() const { return lint_mode_; }
-  /// Verifier report from the most recent begin_load (empty when kOff).
+  /// Verifier report from the most recent load's verify phase.
   [[nodiscard]] const analysis::Report& last_lint() const { return lint_report_; }
 
   /// Binaries rejected because their measured identity missed the golden
@@ -163,9 +163,15 @@ class TaskLoader {
     std::uint64_t start_cycles = 0;
     bool failed = false;
     Status failure;
+    /// Host-only: the block starts of the verifier's CFG, the heat leaders
+    /// quantum_register seeds.  Not in the snapshot walk: a job restored
+    /// past the verify phase re-derives them with analyze().
+    std::vector<std::uint32_t> block_starts;
   };
 
   void fail_job(Status status);
+  /// The verifier run of a load: the findings, and `job.block_starts`.
+  static analysis::Report analyze(Job& job);
   bool quantum_verify();
   bool quantum_alloc();
   bool quantum_copy();

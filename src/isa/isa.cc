@@ -72,27 +72,6 @@ constexpr std::array<OpcodeInfo, 256> make_opcode_table() {
 // Constant-initialized: reading it costs one load, with no guard.
 constexpr std::array<OpcodeInfo, 256> kOpcodeTable = make_opcode_table();
 
-bool opcode_valid(std::uint8_t raw) { return !kOpcodeTable[raw].mnemonic.empty(); }
-
-std::optional<Instruction> decode(std::uint32_t word) {
-  const auto raw = static_cast<std::uint8_t>(word >> 24);
-  if (!opcode_valid(raw)) {
-    return std::nullopt;
-  }
-  Instruction instr;
-  instr.opcode = static_cast<Opcode>(raw);
-  instr.rd = static_cast<std::uint8_t>((word >> 20) & 0xF);
-  instr.ra = static_cast<std::uint8_t>((word >> 16) & 0xF);
-  instr.imm = static_cast<std::uint16_t>(word & 0xFFFF);
-  // The register fields are 4 bits wide but the file has kNumGprs registers;
-  // encodings naming a nonexistent register are invalid (the machine would
-  // otherwise index past the register file).
-  if (instr.rd >= kNumGprs || instr.ra >= kNumGprs) {
-    return std::nullopt;
-  }
-  return instr;
-}
-
 std::string_view mnemonic(Opcode op) {
   const std::string_view name = opcode_info(op).mnemonic;
   return name.empty() ? "?" : name;

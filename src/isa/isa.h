@@ -137,14 +137,33 @@ inline const OpcodeInfo& opcode_info(Opcode op) {
 /// Pack an instruction into its 32-bit encoding.
 std::uint32_t encode(const Instruction& instr);
 
-/// Decode a 32-bit word; nullopt if the opcode is not defined.
-std::optional<Instruction> decode(std::uint32_t word);
+/// True if the opcode is defined in the ISA.
+inline bool opcode_valid(std::uint8_t raw) { return !kOpcodeTable[raw].mnemonic.empty(); }
+
+/// Decode a 32-bit word; nullopt if the opcode is not defined.  Inline: the
+/// analyzer decodes every word of an image, and the interpreter and the
+/// decode cache every word they fetch.
+inline std::optional<Instruction> decode(std::uint32_t word) {
+  const auto raw = static_cast<std::uint8_t>(word >> 24);
+  if (!opcode_valid(raw)) {
+    return std::nullopt;
+  }
+  Instruction instr;
+  instr.opcode = static_cast<Opcode>(raw);
+  instr.rd = static_cast<std::uint8_t>((word >> 20) & 0xF);
+  instr.ra = static_cast<std::uint8_t>((word >> 16) & 0xF);
+  instr.imm = static_cast<std::uint16_t>(word & 0xFFFF);
+  // The register fields are 4 bits wide but the file has kNumGprs registers;
+  // encodings naming a nonexistent register are invalid (the machine would
+  // otherwise index past the register file).
+  if (instr.rd >= kNumGprs || instr.ra >= kNumGprs) {
+    return std::nullopt;
+  }
+  return instr;
+}
 
 /// Mnemonic for an opcode (ldw, iret, ...); "?" if it is not defined.
 std::string_view mnemonic(Opcode op);
-
-/// True if the opcode is defined in the ISA.
-bool opcode_valid(std::uint8_t raw);
 
 /// Base cycle cost of an instruction (OpcodeInfo::base_cycles).
 unsigned base_cycles(Opcode op);

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -14,6 +15,7 @@
 #include "core/platform.h"
 #include "isa/assembler.h"
 #include "isa/stdlib.h"
+#include "obs/events.h"
 #include "sim/machine.h"
 #include "sim/memory_map.h"
 #include "task_gen.h"
@@ -135,23 +137,14 @@ TEST(Analyzer, IndirectControlFlowIsAWarningNotAnError) {
       movi r1, 0
       jmpr r1
   )");
-  // With the dataflow pass (the default), the blanket CF006 is replaced by
-  // the precise DF002 verdict: an absolute-constant target in a relocatable
-  // image cannot be certified.  Still a warning, never an error.
+  // The dataflow pass gives the site the precise DF002 verdict: an
+  // absolute-constant target in a relocatable image cannot be certified.
+  // Still a warning, never an error.
   const Report report = analysis::analyze(object);
   EXPECT_FALSE(report.has(Rule::kCfIndirect)) << report.to_string();
   ASSERT_TRUE(report.has(Rule::kDfUnresolved)) << report.to_string();
   EXPECT_EQ(report.find(Rule::kDfUnresolved)->severity, Severity::kWarning);
   EXPECT_EQ(report.errors(), 0u);
-
-  // With dataflow disabled, the structural pass keeps its original claim.
-  Config no_dataflow;
-  no_dataflow.dataflow = false;
-  const Report seed = analysis::analyze(object, no_dataflow);
-  ASSERT_TRUE(seed.has(Rule::kCfIndirect)) << seed.to_string();
-  EXPECT_EQ(seed.find(Rule::kCfIndirect)->severity, Severity::kWarning);
-  EXPECT_FALSE(seed.has(Rule::kDfUnresolved));
-  EXPECT_EQ(seed.errors(), 0u);
 }
 
 TEST(Analyzer, UnreachableGarbageIsNotFlagged) {
@@ -486,7 +479,7 @@ TEST(Analyzer, DataOnlyObjectsSkipCodePasses) {
 }
 
 // ---------------------------------------------------------------------------
-// Config: pass toggles and suppression
+// Config: suppression
 // ---------------------------------------------------------------------------
 
 TEST(Analyzer, SuppressionDropsRule) {
@@ -502,33 +495,10 @@ TEST(Analyzer, SuppressionDropsRule) {
   EXPECT_FALSE(report.has(Rule::kDfUnresolved)) << report.to_string();
   EXPECT_EQ(report.warnings(), 0u) << report.to_string();
 
-  // The same program through the seed (no-dataflow) pipeline: suppressing
-  // CF006 there drops its only warning too.
-  config = Config{};
-  config.dataflow = false;
-  config.suppress.insert(Rule::kCfIndirect);
-  const Report seed = analysis::analyze(object, config);
-  EXPECT_FALSE(seed.has(Rule::kCfIndirect)) << seed.to_string();
-  EXPECT_EQ(seed.warnings(), 0u) << seed.to_string();
-}
-
-TEST(Analyzer, DisabledPassesEmitNothing) {
-  const auto object = assemble(R"(
-      .stack 16
-      .entry start
-  start:
-      li r2, 0x100400
-      stw r1, [r2]
-      subi sp, 64
-      movi r0, 3
-      int 0x21
-  )");
-  Config config;
-  config.stack = false;
-  config.mmio = false;
-  const Report report = analysis::analyze(object, config);
-  EXPECT_FALSE(report.has(Rule::kStDepth));
-  EXPECT_FALSE(report.has(Rule::kMmDevice));
+  // CF006 is retired (indirect sites get DF verdicts), but its id still
+  // parses, so existing suppression lists stay valid; it never fires.
+  EXPECT_EQ(analysis::rule_from_id("CF006"), Rule::kCfIndirect);
+  EXPECT_FALSE(analysis::analyze(object).has(Rule::kCfIndirect));
 }
 
 // ---------------------------------------------------------------------------
@@ -613,17 +583,6 @@ TEST(LoaderGate, WarnModeLoadsAndRecordsFindings) {
   EXPECT_TRUE(platform.loader().last_lint().has(Rule::kStDepth));
 }
 
-TEST(LoaderGate, OffModeSkipsTheVerifier) {
-  core::Platform::Config config;
-  config.lint_mode = core::LintMode::kOff;
-  core::Platform platform(config);
-  ASSERT_TRUE(platform.boot().is_ok());
-  auto task = platform.load_task_source(std::string(kOverflowTask), {.name = "unlinted"});
-  ASSERT_TRUE(task.is_ok());
-  EXPECT_EQ(platform.loader().last_create().lint_findings, 0u);
-  EXPECT_TRUE(platform.loader().last_lint().clean());
-}
-
 TEST(LoaderGate, StrictModeAcceptsCleanTasks) {
   core::Platform::Config config;
   config.lint_mode = core::LintMode::kStrict;
@@ -641,25 +600,51 @@ TEST(LoaderGate, StrictModeAcceptsCleanTasks) {
 }
 
 TEST(LoaderGate, VerifierChargesNoMachineCycles) {
-  // Two identical loads, lint on vs off: the cycle breakdown must match
-  // exactly (the paper's load-cost tables are oblivious to the gate).
-  const auto run = [](core::LintMode mode) {
-    core::Platform::Config config;
-    config.lint_mode = mode;
-    core::Platform platform(config);
+  // The verify phase is host-side: the load enters its alloc phase at the
+  // cycle it began, whether the image verifies clean or has error findings
+  // (the paper's load-cost tables are oblivious to the gate).
+  const auto verify_cycles = [](std::string_view source, std::size_t errors) {
+    core::Platform platform;  // default: kWarn
     EXPECT_TRUE(platform.boot().is_ok());
-    auto task = platform.load_task_source(R"(
+    platform.machine().obs().enable();
+    auto task = platform.load_task_source(std::string(source), {.name = "t"});
+    EXPECT_TRUE(task.is_ok()) << task.status().to_string();
+    EXPECT_EQ(platform.loader().last_lint().errors(), errors)
+        << platform.loader().last_lint().to_string();
+    std::optional<std::uint64_t> begin;
+    std::optional<std::uint64_t> alloc;
+    for (const obs::Event& event : platform.machine().obs().bus().snapshot()) {
+      if (event.task != *task) {
+        continue;
+      }
+      if (event.kind == obs::EventKind::kLoadBegin) {
+        begin = event.cycle;
+      } else if (event.kind == obs::EventKind::kLoadPhase && event.a == 1 && !alloc) {
+        alloc = event.cycle;  // phase 1 = TaskLoader::Phase::kAlloc
+      }
+    }
+    EXPECT_TRUE(begin.has_value() && alloc.has_value());
+    return alloc.value_or(1) - begin.value_or(0);
+  };
+  EXPECT_EQ(verify_cycles(R"(
         .secure
         .stack 128
         .entry main
     main:
         movi r0, 3
         int 0x21
-    )", {.name = "t"});
-    EXPECT_TRUE(task.is_ok());
-    return platform.loader().last_create().total;
-  };
-  EXPECT_EQ(run(core::LintMode::kOff), run(core::LintMode::kWarn));
+    )", 0), 0u);
+  // ST001 (stack overflow) and MM001 (device store from a normal task).
+  EXPECT_EQ(verify_cycles(R"(
+      .stack 16
+      .entry start
+  start:
+      li r2, 0x100400
+      stw r1, [r2]
+      subi sp, 64
+      movi r0, 3
+      int 0x21
+  )", 2), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -712,21 +697,12 @@ TEST(Dataflow, JumpTableResolvesExactTargets) {
   ASSERT_NE(block, full.cfg.blocks.end());
   EXPECT_EQ(block->second.successors,
             std::vector<std::uint32_t>(targets.begin(), targets.end()));
-
-  // The identical program through the seed pipeline is a CF006 warning —
-  // i.e. it used to fail --strict, and now lints clean.
-  Config seed;
-  seed.dataflow = false;
-  const Report before = analysis::analyze(object, seed);
-  EXPECT_TRUE(before.has(Rule::kCfIndirect)) << before.to_string();
-  EXPECT_GT(before.warnings(), 0u);
 }
 
 TEST(Dataflow, ResolvedCallTightensStackDepth) {
   // The handler pushes 12 bytes on top of the 4-byte return address: 16
-  // bytes worst case + 36 reserve > 48.  The seed pass could not see through
-  // `callr` and stayed silent; the resolved call graph makes this a hard
-  // ST001 verdict.
+  // bytes worst case + 36 reserve > 48.  Only the resolved call graph sees
+  // through `callr`, and it makes this a hard ST001 verdict.
   const auto object = assemble(R"(
       .stack 48
       .entry main
@@ -751,11 +727,6 @@ TEST(Dataflow, ResolvedCallTightensStackDepth) {
   )");
   const Report report = analysis::analyze(object);
   ASSERT_TRUE(report.has(Rule::kStDepth)) << report.to_string();
-
-  Config seed;
-  seed.dataflow = false;
-  const Report before = analysis::analyze(object, seed);
-  EXPECT_FALSE(before.has(Rule::kStDepth)) << before.to_string();
 }
 
 TEST(Dataflow, RecursionThroughResolvedCallGraphIsDetected) {
@@ -872,7 +843,7 @@ TEST(Dataflow, CertifiedAccessesAreCounted) {
   EXPECT_GT(full.dataflow.certified_accesses, 0u);
   EXPECT_EQ(full.dataflow.indirect_sites, 1u);
   EXPECT_TRUE(full.dataflow.converged);
-  EXPECT_GE(full.dataflow_iterations, 1);
+  EXPECT_GE(full.dataflow.passes, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1016,7 +987,7 @@ TEST(Dataflow, BanRestartsWithoutTheSelfInvalidatingSite) {
       .word done
   )");
   const analysis::Analysis full = analysis::analyze_full(object);
-  EXPECT_EQ(full.dataflow_iterations, 2);  // one ban, one restart
+  EXPECT_EQ(full.dataflow.passes, 2);  // one ban, one restart
   ASSERT_EQ(full.dataflow.resolved.size(), 1u) << full.report.to_string();
   const std::uint32_t dispatch = 0x10;
   EXPECT_FALSE(full.dataflow.resolved.contains(dispatch));
@@ -1085,7 +1056,7 @@ void expect_recovery_of_resolved(const isa::ObjectFile& object,
   }
   Report scratch;
   const analysis::Cfg want = analysis::recover_cfg(object, analysis::decode_image(object),
-                                                   scratch, &full.dataflow.resolved);
+                                                   scratch, full.dataflow.resolved);
   const analysis::Cfg& got = full.cfg;
   EXPECT_EQ(got.roots, want.roots) << name;
   EXPECT_EQ(got.reachable, want.reachable) << name;
@@ -1211,7 +1182,7 @@ TEST(Dataflow, ResolutionMatchesGolden) {
     const std::string body = oracle_body(full);
     const bool digest = name.starts_with("mutant/");
     const std::string pinned = digest ? hex64(fnv1a(body)) : body;
-    actual += name + " rounds=" + std::to_string(full.dataflow_iterations) +
+    actual += name + " rounds=" + std::to_string(full.dataflow.passes) +
               (digest ? " body=" + pinned + "\n" : "\n" + body);
     const auto it = golden.find(name);
     if (it == golden.end()) {

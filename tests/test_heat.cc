@@ -1034,5 +1034,66 @@ TEST(HeatLoader, LoadRegistersRegionAndStaticLeaders) {
   EXPECT_GT(in_region, 0u);
 }
 
+// Heat leaders come from the loader's verify-phase CFG: over the asm
+// corpus, every heat block of a loaded task is exactly one block of the
+// verifier's CFG, resolved jump-table edges included.
+TEST(HeatLoader, HeatBlocksAreTheVerifierCfgBlocks) {
+  std::size_t programs = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::path(TYTAN_ASM_DIR))) {
+    if (entry.path().extension() != ".s") {
+      continue;
+    }
+    const std::string name = entry.path().stem().string();
+    std::ifstream in(entry.path());
+    ASSERT_TRUE(in.good()) << entry.path();
+    std::stringstream text;
+    text << in.rdbuf();
+    const auto object = assemble(text.str());
+    const analysis::Analysis full = analysis::analyze_full(object);
+
+    core::Platform platform;
+    platform.machine().enable_heat();
+    ASSERT_TRUE(platform.boot().is_ok());
+    auto task = platform.load_task_source(text.str(), {.name = name});
+    ASSERT_TRUE(task.is_ok()) << name << ": " << task.status().to_string();
+    platform.run_for(100'000);
+    platform.machine().heat()->flush();
+    const obs::HeatProfile& profile = platform.machine().heat()->profile();
+    std::uint32_t base = 0;
+    for (const auto& region : profile.regions) {
+      if (region.name == name) {
+        base = region.base;
+      }
+    }
+    ASSERT_NE(base, 0u) << name;
+
+    std::size_t in_region = 0;
+    for (const auto& [start, block] : profile.blocks) {
+      if (profile.region_name(start) != name) {
+        continue;
+      }
+      ++in_region;
+      const auto cfg_block = full.cfg.blocks.find(start - base);
+      ASSERT_NE(cfg_block, full.cfg.blocks.end())
+          << name << ": heat block at +0x" << std::hex << start - base
+          << " starts no CFG block";
+      EXPECT_EQ(block.end - base, cfg_block->second.end)
+          << name << ": heat block at +0x" << std::hex << start - base;
+    }
+    EXPECT_GT(in_region, 0u) << name;
+
+    if (name == "dispatch_loop") {
+      // `loop` (offset 8, after the two movi) runs once per selector 0..3:
+      // entered by falling through from `main`, then by three `jc` edges.
+      const auto loop = profile.blocks.find(base + 8);
+      ASSERT_NE(loop, profile.blocks.end());
+      EXPECT_EQ(loop->second.entries, 4u);
+    }
+    ++programs;
+  }
+  EXPECT_GE(programs, 5u);
+}
+
 }  // namespace
 }  // namespace tytan

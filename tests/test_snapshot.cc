@@ -455,6 +455,41 @@ TEST(Snapshot, RestoreRejectsUnknownFirmwareTask) {
       << in_place.to_string();
 }
 
+// CONF's lint-mode byte is 1 (warn) or 2 (strict); any other byte is a
+// corrupt snapshot, on the replay-tooling path and on restore alike.
+TEST(Snapshot, ForgedLintModeByteIsCorrupt) {
+  core::Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto saved = platform.save();
+  ASSERT_TRUE(saved.is_ok()) << saved.status().to_string();
+  // CONF field order: memory size (u32), tick period (u32), Kp (16 bytes),
+  // RNG seed (u64), then the lint mode.
+  constexpr std::size_t kLintModeAt = 4 + 4 + 16 + 8;
+  const auto with_lint_byte = [&](std::uint8_t value) {
+    snap::Snapshot forged;
+    for (const snap::Section& section : saved->sections()) {
+      ByteVec bytes = section.bytes;
+      if (section.tag == "CONF") {
+        EXPECT_EQ(bytes.at(kLintModeAt), 1u);  // kWarn, the default
+        bytes.at(kLintModeAt) = value;
+      }
+      forged.add(section.tag, std::move(bytes));
+    }
+    return forged;
+  };
+  for (const std::uint8_t value : {0x00, 0x03, 0xFF}) {
+    const snap::Snapshot forged = with_lint_byte(value);
+    const auto config = core::Platform::config_from_snapshot(forged);
+    EXPECT_EQ(config.status().code(), Err::kCorrupt) << int{value};
+    core::Platform fresh;
+    const Status restored = fresh.restore(forged);
+    EXPECT_EQ(restored.code(), Err::kCorrupt) << int{value} << ": " << restored.to_string();
+  }
+  const auto strict = core::Platform::config_from_snapshot(with_lint_byte(2));
+  ASSERT_TRUE(strict.is_ok()) << strict.status().to_string();
+  EXPECT_EQ(strict->lint_mode, core::LintMode::kStrict);
+}
+
 // TRCE holds the tracer's capacity (u64, after the enabled byte) and then
 // its entries: a ring with no room, or with more entries than its capacity,
 // is refused.
@@ -677,6 +712,58 @@ TEST(Snapshot, HeatProfileIdenticalAfterRestore) {
   const obs::HeatProfile& continued = original.machine().heat()->profile();
   EXPECT_FALSE(continued.edges.empty());
   EXPECT_EQ(continued.to_jsonl(false), restored.machine().heat()->profile().to_jsonl(false));
+}
+
+// The loader's heat leaders (the block starts of the verify phase's CFG)
+// are host-only: a load job restored past its verify phase re-derives them,
+// so its heat blocks are the original's.
+TEST(Snapshot, RestoredLoadJobSeedsTheSameHeatLeaders) {
+  auto object = isa::assemble(R"(
+      .stack 128
+      .entry main
+  main:
+      movi r1, 0
+  loop:
+      addi r1, 1
+      jmp  loop
+  )");
+  ASSERT_TRUE(object.is_ok()) << object.status().to_string();
+  // Unreachable padding, so the copy spans many loader quanta.
+  for (int i = 0; i < 4'000; ++i) {
+    append_le32(object->image, 0);
+  }
+  core::Platform original;
+  ASSERT_TRUE(original.boot().is_ok());
+  ASSERT_TRUE(original.load_task_async(*object, {.name = "spin"}).is_ok());
+  original.run_for(3 * original.config().tick_period);
+  ASSERT_TRUE(original.load_in_progress());
+  auto snapshot = original.save();
+  ASSERT_TRUE(snapshot.is_ok()) << snapshot.status().to_string();
+  core::Platform restored;
+  ASSERT_TRUE(restored.restore(*snapshot).is_ok());
+
+  for (core::Platform* platform : {&original, &restored}) {
+    platform->machine().enable_heat(/*time_dispatch=*/false);
+    ASSERT_TRUE(platform->run_until([&] { return !platform->load_in_progress(); },
+                                    20'000'000));
+    platform->run_for(100'000);
+    platform->machine().heat()->flush();
+  }
+  const obs::HeatProfile& profile = restored.machine().heat()->profile();
+  EXPECT_EQ(original.machine().heat()->profile().to_jsonl(false), profile.to_jsonl(false));
+  // `loop` is a static leader entered first by falling through from `main`:
+  // only a seeded leader splits the two.
+  std::uint32_t base = 0;
+  for (const auto& region : profile.regions) {
+    if (region.name == "spin") {
+      base = region.base;
+    }
+  }
+  ASSERT_NE(base, 0u);
+  const auto main_block = profile.blocks.find(base);
+  ASSERT_NE(main_block, profile.blocks.end());
+  EXPECT_EQ(main_block->second.end, base + 4);
+  EXPECT_TRUE(profile.blocks.contains(base + 4));
 }
 
 }  // namespace

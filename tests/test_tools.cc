@@ -282,9 +282,9 @@ TEST(Lint, SuppressAndStrictFlags) {
                 tool("tytan-lint") + " --strict --suppress DF002 " + path, &output),
             0)
       << output;
-  // With the dataflow pass off, the warning is the structural CF006 again.
-  EXPECT_EQ(run_command(tool("tytan-lint") +
-                            " --strict --no-dataflow --suppress CF006 " + path,
+  // The retired CF006 id still parses as a suppression, but silences
+  // nothing: the DF002 warning still fails --strict.
+  EXPECT_NE(run_command(tool("tytan-lint") + " --strict --suppress CF006 " + path,
                         &output),
             0)
       << output;
@@ -292,8 +292,8 @@ TEST(Lint, SuppressAndStrictFlags) {
 }
 
 TEST(Lint, ResolvedJumpTableLintsCleanUnderStrict) {
-  // The canonical jump-table idiom: CF006 under the seed pipeline, resolved
-  // clean (info only) by the dataflow pass.
+  // The canonical jump-table idiom resolves clean (info only) through the
+  // dataflow pass.
   const std::string asm_path = tmp_path("jump_table.s");
   {
     std::ofstream out(asm_path);
@@ -308,11 +308,6 @@ TEST(Lint, ResolvedJumpTableLintsCleanUnderStrict) {
   EXPECT_EQ(run_command(tool("tytan-lint") + " --strict " + asm_path, &output), 0)
       << output;
   EXPECT_NE(output.find("DF001"), std::string::npos) << output;
-  EXPECT_NE(run_command(
-                tool("tytan-lint") + " --strict --no-dataflow " + asm_path, &output),
-            0)
-      << output;
-  EXPECT_NE(output.find("CF006"), std::string::npos) << output;
 }
 
 TEST(Lint, JsonReportShape) {
@@ -330,7 +325,6 @@ TEST(Lint, JsonReportShape) {
   EXPECT_NE(output.find("\"warnings\": 1"), std::string::npos) << output;
   EXPECT_NE(output.find("\"indirect_sites\": 1"), std::string::npos) << output;
   EXPECT_NE(output.find("\"resolved_sites\": 0"), std::string::npos) << output;
-  EXPECT_NE(output.find("\"pass_us\""), std::string::npos) << output;
   EXPECT_NE(output.find("\"rules\": {\"DF002\": 1}"), std::string::npos) << output;
   EXPECT_NE(output.find("\"findings\": [{\"rule\": \"DF002\""), std::string::npos)
       << output;
@@ -436,6 +430,12 @@ TEST(Suite, UnknownFlagsExitTwoEverywhere) {
   std::string output;
   EXPECT_EQ(exit_code(run_command(tool("tytan-run") + " --profile 997 x.tbf", &output)), 2)
       << output;
+  // tytan-lint runs one pipeline: the removed pass switches are unknown flags.
+  for (const char* flag : {"--no-cfg", "--no-reloc", "--no-stack", "--no-mmio",
+                           "--no-dataflow"}) {
+    EXPECT_EQ(exit_code(run_command(tool("tytan-lint") + " " + flag + " x.s", &output)), 2)
+        << flag << ": " << output;
+  }
 }
 
 TEST(Suite, EmptyJsonlInputsDiagnoseAndFail) {

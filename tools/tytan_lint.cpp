@@ -13,14 +13,12 @@
 //   --porcelain        one tab-separated line per finding:
 //                      RULE<TAB>severity<TAB>0xOFFSET<TAB>message
 //   --json             machine-readable report on stdout (findings, rule
-//                      counts, pass timings; same flat-object style as
+//                      counts; same flat-object style as
 //                      `tytan-trace stats --json`)
 //   --strict           treat warnings as errors for the exit status
 //   --suppress RULE    drop a rule (repeatable, e.g. --suppress DF002)
 //   --max-targets N    indirect sites above N candidates stay unresolved
 //                      (default 64)
-//   --no-cfg --no-reloc --no-stack --no-mmio --no-dataflow
-//                      disable individual passes
 #include <cstdio>
 #include <map>
 #include <string>
@@ -41,9 +39,7 @@ constexpr const char* kTool = "tytan-lint";
 
 constexpr const char kUsageText[] =
     "usage: tytan-lint <task.tbf|task.s> [--porcelain] [--json]\n"
-    "                  [--strict] [--suppress RULE]... [--max-targets N]\n"
-    "                  [--no-cfg] [--no-reloc] [--no-stack] [--no-mmio]\n"
-    "                  [--no-dataflow]\n";
+    "                  [--strict] [--suppress RULE]... [--max-targets N]\n";
 
 int usage() {
   std::fputs(kUsageText, stderr);
@@ -82,7 +78,7 @@ void print_context(const isa::ObjectFile& object, std::uint32_t offset) {
 }
 
 /// Machine-readable report, same flat-object style as `tytan-trace stats
-/// --json`: scalar summary, per-pass timings, rule counts, then findings.
+/// --json`: scalar summary, rule counts, then findings.
 void print_json(const std::string& input, const isa::ObjectFile& object,
                 const analysis::Analysis& full) {
   const analysis::Report& report = full.report;
@@ -95,15 +91,8 @@ void print_json(const std::string& input, const isa::ObjectFile& object,
               full.dataflow.indirect_sites, full.dataflow.resolved.size());
   std::printf(", \"certified_accesses\": %zu, \"dataflow_iterations\": %d"
               ", \"converged\": %s",
-              full.dataflow.certified_accesses, full.dataflow_iterations,
+              full.dataflow.certified_accesses, full.dataflow.passes,
               full.dataflow.converged ? "true" : "false");
-  std::printf(", \"pass_us\": {\"structural\": %llu, \"relocation\": %llu, "
-              "\"dataflow\": %llu, \"stack\": %llu, \"mmio\": %llu}",
-              static_cast<unsigned long long>(full.timings.structural_us),
-              static_cast<unsigned long long>(full.timings.relocation_us),
-              static_cast<unsigned long long>(full.timings.dataflow_us),
-              static_cast<unsigned long long>(full.timings.stack_us),
-              static_cast<unsigned long long>(full.timings.mmio_us));
   std::map<std::string, std::size_t> rules;
   for (const analysis::Finding& finding : report.findings) {
     ++rules[std::string(analysis::rule_id(finding.rule))];
@@ -145,16 +134,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--strict") {
       strict = true;
-    } else if (arg == "--no-cfg") {
-      config.structural = false;
-    } else if (arg == "--no-reloc") {
-      config.relocations = false;
-    } else if (arg == "--no-stack") {
-      config.stack = false;
-    } else if (arg == "--no-mmio") {
-      config.mmio = false;
-    } else if (arg == "--no-dataflow") {
-      config.dataflow = false;
     } else if (arg == "--max-targets") {
       config.max_indirect_targets = tools::parse_u32(
           kTool, "--max-targets", tools::required_value(kTool, "--max-targets",
